@@ -6,9 +6,26 @@ is pure arithmetic (``bit i*width``), which is what makes the paper's
 packed CSR *queryable without decompression*: ``GetRowFromCSR`` just
 decodes the ``degree(u)`` fields starting at ``iA[u]*width``.
 
-The bulk kernels are fully vectorised through
-``np.packbits``/``np.unpackbits`` with ``bitorder="little"`` so they
-share the bit layout of :class:`~repro.bitpack.bitarray.BitArray`.
+The bulk kernels are word-parallel.  A field of up to 57 bits, whatever
+its in-byte shift, lies inside the 8 bytes starting at its first byte,
+so decoding it is one unaligned little-endian 64-bit load, a shift and
+a mask, read straight off ``BitArray.buffer`` (no copy, so mmap'd
+read-only segments are decoded in place):
+
+* gathers (:func:`unpack_fields_gather`, :func:`read_fields`) index a
+  stride-1 ``uint64`` view of the buffer by each field's byte;
+* contiguous runs (:func:`pack_fixed`, :func:`unpack_fixed`) use the
+  byte period of the layout: 8 fields occupy exactly ``width`` bytes,
+  so fields ``j, j + 8, j + 16, ...`` sit ``width`` bytes apart with
+  one common shift, and each of the 8 phases is a constant-stride word
+  view — eight strided OR-stores or shift-loads, no index array.
+
+``np.packbits``/``np.unpackbits`` over a ``(count, width)`` bit matrix
+(``bitorder="little"``, the layout of
+:class:`~repro.bitpack.bitarray.BitArray`) is the portable fallback:
+big-endian hosts, widths 58-64, buffers under 8 bytes or not
+contiguous, and contiguous runs too short to amortise eight views.
+Both produce the same bytes and the same values.
 """
 
 from __future__ import annotations
@@ -34,11 +51,20 @@ __all__ = [
 
 _MAX_FIELD = 64
 
-# The sparse gather regime views its padded byte window as uint64
-# words, which matches the little-bit-order layout only on a
-# little-endian host; big-endian hosts take the dense regime (pure
-# unpackbits), which is layout-independent.
+# The word kernels view buffer bytes as native unsigned words, which
+# matches the little-bit-order stream layout only on a little-endian
+# host; big-endian hosts take the bit-matrix fallback, which is
+# layout-independent.
 _LITTLE_ENDIAN = sys.byteorder == "little"
+
+# Widest field one 64-bit load always covers: the load starts at the
+# field's first byte, so up to 7 of its 64 bits precede the field.
+_MAX_WORD_FIELD = 57
+
+# Contiguous runs shorter than this many bits cost less through the bit
+# matrix than through eight strided views (measured: the views cost
+# ~23 us whatever the length, the bit matrix ~1 ns per bit).
+_STRIDED_MIN_BITS = 1 << 14
 
 # One weight vector per field width: decoding a (count, width) 0/1 bit
 # matrix is a matvec against [1, 2, 4, ...], so the per-bit Python loop
@@ -53,6 +79,52 @@ def _weight_vector(width: int) -> np.ndarray:
         w.setflags(write=False)
         _WEIGHTS[width] = w
     return w
+
+
+def _check_width(width: int) -> None:
+    if not (1 <= width <= _MAX_FIELD):
+        raise ValidationError(f"width must be in [1, {_MAX_FIELD}], got {width}")
+
+
+def _check_stream_end(bits: BitArray, end_bit: int) -> None:
+    if end_bit > bits.nbits:
+        raise CodecError(
+            f"decode range [.., {end_bit}) exceeds stream of {bits.nbits} bits"
+        )
+
+
+def _field_mask(width: int) -> np.uint64:
+    return np.uint64((1 << width) - 1)
+
+
+def _word_addressable(buf: np.ndarray, width: int) -> bool:
+    """Whether the word kernels can read *width*-bit fields off *buf*."""
+    return (
+        _LITTLE_ENDIAN
+        and width <= _MAX_WORD_FIELD
+        and buf.shape[0] >= 8
+        and buf.flags.c_contiguous
+    )
+
+
+def _load_fields(buf: np.ndarray, bitpos: np.ndarray, width: int) -> np.ndarray:
+    """Fields of *width* <= 57 bits starting at bit positions *bitpos*.
+
+    One unaligned 64-bit load per field through a stride-1 ``uint64``
+    view of *buf*.  A load that would run past the buffer is moved back
+    to its last 8 bytes and the shift grows by the bytes moved; the
+    field ends inside the buffer, so it still lies inside that word.
+    *bitpos* (``int64``) is used as scratch space.
+    """
+    words = np.ndarray((buf.shape[0] - 7,), dtype=np.uint64, buffer=buf, strides=(1,))
+    byte = bitpos >> 3
+    np.minimum(byte, words.shape[0] - 1, out=byte)
+    values = words[byte]
+    byte <<= 3
+    bitpos -= byte
+    values >>= bitpos.view(np.uint64)
+    values &= _field_mask(width)
+    return values
 
 
 def _validate_values(values) -> np.ndarray:
@@ -71,6 +143,52 @@ def packed_nbits(count: int, width: int) -> int:
     return int(count) * int(width)
 
 
+def _pack_bitmatrix(arr: np.ndarray, width: int) -> np.ndarray:
+    """Portable pack: expand each value to its *width* bits (LSB first)
+    and pack the flattened bit matrix.  One temporary of ``8 * n * width``
+    bytes, so only short or exotic inputs come here."""
+    shifts = np.arange(width, dtype=np.uint64)
+    bits = ((arr[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bits.ravel(), bitorder="little")
+
+
+def _store_word(width: int) -> np.dtype:
+    """Narrowest unsigned word holding a *width*-bit field at any in-byte shift."""
+    need = width + 7
+    if need <= 8:
+        return np.dtype(np.uint8)
+    if need <= 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32 if need <= 32 else np.uint64)
+
+
+def _pack_strided(arr: np.ndarray, width: int) -> np.ndarray:
+    """Word-parallel pack of *width* <= 57 bit fields.
+
+    Phase *j* (fields ``j, j + 8, ...``) ORs its shifted values into a
+    word view of the output with a stride of *width* bytes.  The word is
+    the narrowest holding ``width + 7`` bits, which is never wider than
+    the stride, so the words of one phase do not overlap and the
+    in-place OR is well defined.  The output carries 8 bytes of slack
+    for the last words; the returned buffer is the exact-size view.
+    """
+    n = arr.shape[0]
+    nbytes = ceil_div(n * width, 8)
+    word = _store_word(width)
+    out = np.zeros(nbytes + 8, dtype=np.uint8)
+    narrow = arr.astype(word, copy=False)
+    for phase in range(min(8, n)):
+        bit = phase * width
+        vals = narrow[phase::8]
+        if bit & 7:
+            vals = vals << word.type(bit & 7)
+        dest = np.ndarray(
+            vals.shape, dtype=word, buffer=out, offset=bit >> 3, strides=(width,)
+        )
+        np.bitwise_or(dest, vals, out=dest)
+    return out[:nbytes]
+
+
 def pack_fixed(values, width: int | None = None) -> BitArray:
     """Pack *values* into consecutive *width*-bit little-endian fields.
 
@@ -82,8 +200,7 @@ def pack_fixed(values, width: int | None = None) -> BitArray:
     arr = _validate_values(values)
     if width is None:
         width = bits_for_value(int(arr.max())) if arr.size else 1
-    if not (1 <= width <= _MAX_FIELD):
-        raise ValidationError(f"width must be in [1, {_MAX_FIELD}], got {width}")
+    _check_width(width)
     if arr.size:
         max_val = int(arr.max())
         if width < _MAX_FIELD and max_val >> width:
@@ -93,12 +210,54 @@ def pack_fixed(values, width: int | None = None) -> BitArray:
     n = arr.shape[0]
     if n == 0:
         return BitArray.zeros(0)
-    # Expand each value to its `width` bits (LSB first), then pack the
-    # flattened bit matrix.  One temporary of n*width bytes.
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((arr[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-    packed = np.packbits(bits.ravel(), bitorder="little")
+    if _LITTLE_ENDIAN and width <= _MAX_WORD_FIELD and n * width >= _STRIDED_MIN_BITS:
+        packed = _pack_strided(arr, width)
+    else:
+        packed = _pack_bitmatrix(arr, width)
     return BitArray(packed, n * width)
+
+
+def _unpack_bitmatrix(
+    buf: np.ndarray, count: int, width: int, bit_offset: int
+) -> np.ndarray:
+    """Portable unpack: one ``np.unpackbits`` over the covered bytes,
+    reshaped to a ``(count, width)`` bit matrix and weighed."""
+    raw = np.unpackbits(
+        buf[bit_offset >> 3 : ceil_div(bit_offset + count * width, 8)],
+        bitorder="little",
+    )
+    start = bit_offset & 7
+    field_bits = raw[start : start + count * width].reshape(count, width)
+    return field_bits.astype(np.uint64) @ _weight_vector(width)
+
+
+def _unpack_strided(
+    buf: np.ndarray, count: int, width: int, bit_offset: int
+) -> np.ndarray:
+    """Word-parallel unpack of *count* contiguous *width* <= 57 bit fields.
+
+    Phase *j* (fields ``j, j + 8, ...``) is one ``uint64`` view with a
+    stride of *width* bytes and one common shift.  The few trailing
+    fields whose 8-byte load would run past the buffer go through
+    :func:`_load_fields`, which clamps.
+    """
+    out = np.empty(count, dtype=np.uint64)
+    # fields whose first byte is at most nbytes - 8
+    safe = min(count, max(0, (8 * (buf.shape[0] - 7) - 1 - bit_offset) // width + 1))
+    for phase in range(min(8, safe)):
+        bit = bit_offset + phase * width
+        dest = out[phase:safe:8]
+        words = np.ndarray(
+            dest.shape, dtype=np.uint64, buffer=buf, offset=bit >> 3, strides=(width,)
+        )
+        np.right_shift(words, np.uint64(bit & 7), out=dest)
+    out[:safe] &= _field_mask(width)
+    if safe < count:
+        bitpos = np.arange(safe, count, dtype=np.int64)
+        bitpos *= width
+        bitpos += bit_offset
+        out[safe:] = _load_fields(buf, bitpos, width)
+    return out
 
 
 def unpack_fixed(
@@ -108,8 +267,7 @@ def unpack_fixed(
 
     Vectorised inverse of :func:`pack_fixed`; returns ``uint64``.
     """
-    if not (1 <= width <= _MAX_FIELD):
-        raise ValidationError(f"width must be in [1, {_MAX_FIELD}], got {width}")
+    _check_width(width)
     if count < 0:
         raise ValidationError("count must be non-negative")
     end_bit = bit_offset + count * width
@@ -119,12 +277,25 @@ def unpack_fixed(
         )
     if count == 0:
         return np.zeros(0, dtype=np.uint64)
-    first_byte = bit_offset >> 3
-    last_byte = ceil_div(end_bit, 8)
-    raw = np.unpackbits(bits.buffer[first_byte:last_byte], bitorder="little")
-    start = bit_offset & 7
-    field_bits = raw[start : start + count * width].reshape(count, width)
-    return field_bits.astype(np.uint64) @ _weight_vector(width)
+    buf = bits.buffer
+    if count * width >= _STRIDED_MIN_BITS and _word_addressable(buf, width):
+        return _unpack_strided(buf, count, width, bit_offset)
+    return _unpack_bitmatrix(buf, count, width, bit_offset)
+
+
+def _decode_at(bits: BitArray, width: int, bitpos: np.ndarray) -> np.ndarray:
+    """Decode the fields starting at the (validated, non-empty) bit
+    positions *bitpos*, multiples of *width*; consumes *bitpos*."""
+    buf = bits.buffer
+    if _word_addressable(buf, width):
+        return _load_fields(buf, bitpos, width)
+    # portable: decode the whole span between the lowest and highest
+    # requested field, then pick the requested ones out of it
+    first_bit = int(bitpos.min())
+    nfields = (int(bitpos.max()) - first_bit) // width + 1
+    span = _unpack_bitmatrix(buf, nfields, width, first_bit)
+    bitpos -= first_bit
+    return span[bitpos // width]
 
 
 def unpack_fields_gather(
@@ -138,23 +309,19 @@ def unpack_fields_gather(
     ``offsets`` (``int64``, length ``len(starts) + 1``) delimits run
     *i* as ``values[offsets[i]:offsets[i + 1]]``.
 
-    This is the batch counterpart of :func:`unpack_slice`, with two
-    regimes chosen by coverage density.  When the requested runs cover
-    most of the byte span between the first and last field, one
-    ``np.unpackbits`` over that span decodes every spanned field
-    (matmul against the weight vector) and index arithmetic gathers the
-    runs out of it.  When the runs are sparse in a large stream, each
-    field is instead read through two aligned 64-bit loads gathered
-    from a zero-padded copy of just the touched word window, so the
-    per-batch copy is bounded by the span between the first and last
-    requested field — never the whole stream (this regime needs a
-    little-endian host; big-endian hosts use the dense regime for
-    every geometry).  Both regimes return identical values; neither
-    runs a per-run Python loop, which is what makes the batched query
-    algorithms (Section V) fast on the packed CSR.
+    This is the batch counterpart of :func:`unpack_slice`.  The bit
+    position of every requested field is computed from the run
+    geometry, and each field is then read with one unaligned 64-bit
+    load off the stream's buffer, shifted and masked — about ten array
+    passes over the output, none over the stream, and nothing copied,
+    however far apart the runs lie.  Runs may overlap or repeat.  There
+    is no per-run Python loop, which is what makes the batched query
+    algorithms (Section V) fast on the packed CSR.  (Where the word
+    load does not apply — see the module docstring — the span between
+    the first and last requested field is decoded through the bit
+    matrix instead, with identical results.)
     """
-    if not (1 <= width <= _MAX_FIELD):
-        raise ValidationError(f"width must be in [1, {_MAX_FIELD}], got {width}")
+    _check_width(width)
     s = np.asarray(starts, dtype=np.int64)
     c = np.asarray(counts, dtype=np.int64)
     if s.ndim != 1 or c.ndim != 1 or s.shape != c.shape:
@@ -166,62 +333,15 @@ def unpack_fields_gather(
             raise ValidationError("counts must be non-negative")
         if int(s.min()) < 0:
             raise ValidationError("starts must be non-negative")
-        end_bit = int((s + c).max()) * width
-        if end_bit > bits.nbits:
-            raise CodecError(
-                f"decode range [.., {end_bit}) exceeds stream of {bits.nbits} bits"
-            )
+        _check_stream_end(bits, int((s + c).max()) * width)
     total = int(offsets[-1])
     if total == 0:
         return np.zeros(0, dtype=np.uint64), offsets
-    active = c > 0
-    first_field = int(s[active].min())
-    last_field = int((s + c)[active].max())
-    # global field index of every output element
-    run_local = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], c)
-    fidx = np.repeat(s, c) + run_local
-    span_fields = last_field - first_field
-    if not _LITTLE_ENDIAN or span_fields * width <= 8 * total:
-        # dense coverage: one unpackbits over the covered byte span
-        # decodes every spanned field, runs are gathered by field index
-        bit_lo = first_field * width
-        byte_lo = bit_lo >> 3
-        raw = np.unpackbits(
-            bits.buffer[byte_lo : ceil_div(last_field * width, 8)], bitorder="little"
-        )
-        head = bit_lo - (byte_lo << 3)
-        field_bits = raw[head : head + span_fields * width].reshape(span_fields, width)
-        span_values = field_bits.astype(np.uint64) @ _weight_vector(width)
-        return span_values[fidx - first_field], offsets
-    # sparse coverage: read each field from two aligned 64-bit loads
-    # gathered out of a zero-padded copy of just the word span the
-    # requested fields touch — the copy is bounded by that window,
-    # never the whole stream
-    bitpos = fidx * width
-    word_lo = (first_field * width) >> 6
-    word_hi = (((last_field - 1) * width) >> 6) + 2  # words[widx + 1] is read
-    byte_lo = word_lo << 3
-    avail = min(bits.buffer.shape[0], word_hi << 3) - byte_lo
-    window = np.zeros((word_hi - word_lo) << 3, dtype=np.uint8)
-    window[:avail] = bits.buffer[byte_lo : byte_lo + avail]
-    words = window.view(np.uint64)
-    widx = (bitpos >> 6) - word_lo
-    off = (bitpos & 63).astype(np.uint64)
-    lo = words[widx] >> off
-    # fields crossing the word boundary borrow their top bits from the
-    # next word; a shift by (64 - off) & 63 stays defined at off == 0
-    # and np.where drops the bogus lane there
-    hi = np.where(
-        off > 0,
-        words[widx + 1] << ((np.uint64(64) - off) & np.uint64(63)),
-        np.uint64(0),
-    )
-    mask = (
-        np.uint64(0xFFFFFFFFFFFFFFFF)
-        if width == _MAX_FIELD
-        else np.uint64((1 << width) - 1)
-    )
-    return (lo | hi) & mask, offsets
+    # bit position of every output element: its run's first bit plus
+    # its place in the output, less the run's place in the output
+    bitpos = np.arange(0, total * width, width, dtype=np.int64)
+    bitpos += np.repeat((s - offsets[:-1]) * width, c)
+    return _decode_at(bits, width, bitpos), offsets
 
 
 def unpack_slice(bits: BitArray, width: int, first_field: int, nfields: int) -> np.ndarray:
@@ -243,14 +363,20 @@ def read_field(bits: BitArray, width: int, index: int) -> int:
 def read_fields(bits: BitArray, width: int, indices) -> np.ndarray:
     """Gather-decode of arbitrary field *indices* (``uint64``).
 
-    Batch counterpart of :func:`read_field`; one vectorised pass over
-    the covered byte span instead of a scalar read per index.
+    Batch counterpart of :func:`read_field`: one unaligned 64-bit load
+    per index instead of a scalar read (see
+    :func:`unpack_fields_gather`).
     """
+    _check_width(width)
     idx = np.asarray(indices, dtype=np.int64)
-    values, _ = unpack_fields_gather(
-        bits, width, idx, np.ones(idx.shape[0], dtype=np.int64)
-    )
-    return values
+    if idx.ndim != 1:
+        raise ValidationError("indices must be a 1-D array")
+    if idx.size == 0:
+        return np.zeros(0, dtype=np.uint64)
+    if int(idx.min()) < 0:
+        raise ValidationError("indices must be non-negative")
+    _check_stream_end(bits, (int(idx.max()) + 1) * width)
+    return _decode_at(bits, width, idx * width)
 
 
 class FixedWidthCodec:

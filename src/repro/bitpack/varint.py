@@ -33,14 +33,22 @@ def _validate(values) -> np.ndarray:
     return arr.astype(np.uint64, copy=False)
 
 
+def _nbytes_and_longest(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """Encoded length of each value and of the largest one.
+
+    Only the thresholds the largest value reaches are compared, so a
+    small-gap segment costs one or two passes, not nine.
+    """
+    longest = max(1, -(-int(arr.max()).bit_length() // 7)) if arr.size else 1
+    nbytes = np.ones(arr.shape[0], dtype=np.int64)
+    for k in range(1, longest):
+        nbytes += arr >= (np.uint64(1) << np.uint64(7 * k))
+    return nbytes, longest
+
+
 def varint_nbytes(values) -> np.ndarray:
     """Encoded length in bytes of each value (vectorised)."""
-    arr = _validate(values)
-    nbytes = np.ones(arr.shape[0], dtype=np.int64)
-    for k in range(1, _MAX_BYTES):
-        threshold = np.uint64(1) << np.uint64(7 * k)
-        nbytes += (arr >= threshold).astype(np.int64)
-    return nbytes
+    return _nbytes_and_longest(_validate(values))[0]
 
 
 def varint_encode(values) -> np.ndarray:
@@ -48,14 +56,12 @@ def varint_encode(values) -> np.ndarray:
     arr = _validate(values)
     if arr.size == 0:
         return np.zeros(0, dtype=np.uint8)
-    nbytes = varint_nbytes(arr)
+    nbytes, longest = _nbytes_and_longest(arr)
     offsets = np.zeros(arr.shape[0], dtype=np.int64)
     np.cumsum(nbytes[:-1], out=offsets[1:])
     out = np.zeros(int(nbytes.sum()), dtype=np.uint8)
-    for k in range(_MAX_BYTES):
+    for k in range(longest):
         mask = nbytes > k
-        if not mask.any():
-            break
         payload = (arr[mask] >> np.uint64(7 * k)) & np.uint64(0x7F)
         cont = (nbytes[mask] > k + 1).astype(np.uint8) << 7
         out[offsets[mask] + k] = payload.astype(np.uint8) | cont

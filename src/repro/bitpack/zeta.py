@@ -151,9 +151,9 @@ def zeta_decode_rows(
     ``bit_starts[i]``.  Returns ``(values, offsets)`` shaped like
     :func:`~repro.bitpack.fixed.unpack_fields_gather`.  Each pass
     advances every still-pending run by one codeword through two
-    aligned 64-bit loads (the sparse-gather trick of
-    :mod:`repro.bitpack.fixed`), so the work is a numpy loop over the
-    *maximum* run length, not a scalar loop over every value.
+    aligned 64-bit loads out of a zero-padded word window, so the work
+    is a numpy loop over the *maximum* run length, not a scalar loop
+    over every value.
 
     When *bit_ends* is given (one past each run's last bit) the padded
     word window copied out of the stream is bounded by the span the

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bitpack.bitarray import BitArray
+from ..bitpack.delta import rows_from_gaps
 from ..bitpack.fixed import unpack_fields_gather, unpack_slice
 from ..errors import ValidationError
 
@@ -66,15 +67,9 @@ def get_rows_gap_decoded(
 ) -> tuple[np.ndarray, np.ndarray]:
     """As :func:`get_rows_from_csr` for gap-encoded rows.
 
-    The segmented prefix sum restoring absolute ids runs over the whole
-    flat payload at once: a global cumulative sum minus each row's
-    preceding total.
+    The segmented prefix sum restoring absolute ids
+    (:func:`~repro.bitpack.delta.rows_from_gaps`) runs over the whole
+    flat payload at once, with the gather's offsets as row boundaries.
     """
     gaps, offsets = unpack_fields_gather(bits, num_bits, starting_indices, degrees)
-    if gaps.size == 0:
-        return gaps, offsets
-    counts = np.diff(offsets)
-    cum = np.cumsum(gaps, dtype=np.uint64)
-    row_start = np.minimum(offsets[:-1], gaps.shape[0] - 1)
-    before = cum[row_start] - gaps[row_start]  # gap total preceding each row
-    return cum - np.repeat(before, counts), offsets
+    return rows_from_gaps(offsets, gaps), offsets

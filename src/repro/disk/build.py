@@ -72,13 +72,11 @@ def _prepare_directory(path) -> Path:
     return directory
 
 
-# Packed bits emitted per pack_fixed slice while writing a segment.
-# pack_fixed expands every value to its individual bits (roughly nine
-# heap bytes per packed *bit*), so packing a whole segment at once
-# would cost ~70x segment_bytes of transient heap.  Slicing keeps the
-# builder's peak independent of the segment size: any run of values
-# whose count is a multiple of eight packs to whole bytes, so the
-# slices concatenate bit-identically to one monolithic pack.
+# Packed bits emitted per pack_fixed slice while writing a segment, so
+# the file is written and checksummed as a stream and the builder's
+# transient heap does not grow with the segment size.  Any run of
+# values whose count is a multiple of eight packs to whole bytes, so
+# the slices concatenate bit-identically to one monolithic pack.
 _PACK_STREAM_BITS = 1 << 17
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitpack.bitarray import BitArray
 from repro.bitpack.fixed import (
     pack_fixed,
     read_field,
@@ -109,9 +110,8 @@ class TestUnpackFieldsGather:
 
 
 class TestSparseRegime:
-    """Geometries that force the sparse byte-gather regime (tiny output
-    scattered across a long stream) — the kernel must stay bit-exact
-    without ever copying the stream."""
+    """Tiny outputs scattered across a long stream — the kernel must
+    stay bit-exact without ever copying the stream."""
 
     @pytest.mark.parametrize("width", [1, 3, 7, 8, 13, 31, 33, 63, 64])
     def test_scattered_fields_parity(self, width, rng):
@@ -119,9 +119,7 @@ class TestSparseRegime:
         hi = (1 << width) - 1
         values = rng.integers(0, hi, nfields, dtype=np.uint64, endpoint=True)
         bits = pack_fixed(values, width)
-        # first and last field of the stream plus scattered singles:
-        # span_fields * width is far above 8 * total, so this exercises
-        # the sparse branch for every width
+        # first and last field of the stream plus scattered singles
         starts = np.array([0, 1, 977, 2048, 3333, nfields - 2, nfields - 1])
         counts = np.array([1, 2, 1, 1, 2, 1, 1])
         got_flat, got_offs = unpack_fields_gather(bits, width, starts, counts)
@@ -145,8 +143,8 @@ class TestSparseRegime:
         assert np.array_equal(got_flat, want_flat)
 
     def test_last_field_at_exact_stream_end(self, rng):
-        """The final field may end on the stream's last bit; bytes past
-        the stream are slack and must read as zero."""
+        """The final field may end on the stream's last bit, with no
+        byte of slack behind it for the 8-byte load to land on."""
         for width in (1, 7, 9, 63, 64):
             nfields = 1_025
             hi = (1 << width) - 1
@@ -171,3 +169,119 @@ class TestReadFields:
     def test_empty(self, rng):
         bits = pack_fixed(rng.integers(0, 8, 4), 3)
         assert read_fields(bits, 3, []).shape == (0,)
+
+
+def _oracle(bits, width, field_indices):
+    """Pure-Python decode, one ``read_uint`` per field."""
+    return np.array(
+        [bits.read_uint(int(i) * width, width) for i in field_indices], dtype=np.uint64
+    )
+
+
+def _random_stream(rng, width, nfields):
+    values = rng.integers(0, (1 << width) - 1, nfields, dtype=np.uint64, endpoint=True)
+    return values, pack_fixed(values, width)
+
+
+class TestWordLoadKernel:
+    """The one-unaligned-load-per-field kernel at its edges: every
+    width, the last bytes of the buffer, tiny and foreign buffers."""
+
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_every_width_against_read_uint(self, width, rng):
+        nfields = 203  # not a multiple of 8
+        values, bits = _random_stream(rng, width, nfields)
+        starts = np.array([0, 5, 77, 77, 60, nfields - 9, nfields - 1, nfields])
+        counts = np.array([3, 11, 30, 30, 40, 9, 1, 0])
+        flat, offs = unpack_fields_gather(bits, width, starts, counts)
+        fields = np.concatenate([np.arange(s, s + c) for s, c in zip(starts, counts)])
+        assert flat.dtype == np.uint64 and offs.dtype == np.int64
+        assert np.array_equal(offs, np.concatenate(([0], np.cumsum(counts))))
+        assert np.array_equal(flat, _oracle(bits, width, fields))
+        assert np.array_equal(flat, values[fields])
+        idx = rng.integers(0, nfields, 50)
+        assert np.array_equal(read_fields(bits, width, idx), _oracle(bits, width, idx))
+
+    @pytest.mark.parametrize("width", [1, 5, 8, 9, 17, 31, 40, 56, 57, 58, 64])
+    def test_last_field_ends_on_last_byte(self, width, rng):
+        """Field count a multiple of 8, so the stream fills its buffer
+        exactly and the last load has to be pulled back into it."""
+        for nfields in (8, 16, 64, 1024):
+            values, bits = _random_stream(rng, width, nfields)
+            assert bits.nbits == 8 * bits.buffer.shape[0]
+            tail = np.arange(max(0, nfields - 70), nfields)
+            assert np.array_equal(read_fields(bits, width, tail), values[tail])
+            flat, _ = unpack_fields_gather(bits, width, [nfields - 1, 0], [1, nfields])
+            assert np.array_equal(flat, np.concatenate((values[-1:], values)))
+
+    @pytest.mark.parametrize("nbytes", range(1, 10))
+    def test_tiny_buffers(self, nbytes, rng):
+        """Buffers of 1-9 bytes: under 8 there is no word to load."""
+        raw = rng.integers(0, 256, nbytes, dtype=np.uint8)
+        for width in (1, 3, 7, 8, 9, 13, 31, 57, 64):
+            nfields = (8 * nbytes) // width
+            if nfields == 0:
+                continue
+            bits = BitArray(raw, nfields * width)
+            idx = np.arange(nfields)[::-1]
+            assert np.array_equal(read_fields(bits, width, idx), _oracle(bits, width, idx))
+            flat, _ = unpack_fields_gather(bits, width, [0, nfields - 1], [nfields, 1])
+            assert np.array_equal(
+                flat, _oracle(bits, width, list(range(nfields)) + [nfields - 1])
+            )
+
+    def test_overlapping_and_duplicate_runs_scattered(self, rng):
+        values, bits = _random_stream(rng, 19, 3_000)
+        starts = np.array([2_990, 0, 2_990, 1_500, 1_495, 0])
+        counts = np.array([10, 8, 10, 20, 20, 3_000])
+        flat, offs = unpack_fields_gather(bits, 19, starts, counts)
+        for i, (s, c) in enumerate(zip(starts, counts)):
+            assert np.array_equal(flat[offs[i] : offs[i + 1]], values[s : s + c])
+
+    def test_readonly_memmap_is_read_in_place(self, tmp_path, rng):
+        values, bits = _random_stream(rng, 21, 4_096)
+        path = tmp_path / "columns.seg"
+        bits.buffer.tofile(path)
+        mm = np.memmap(path, dtype=np.uint8, mode="r")
+        mapped = BitArray(mm, bits.nbits)
+        assert not mapped.buffer.flags.writeable
+        idx = np.concatenate((rng.integers(0, 4_096, 200), [0, 4_095]))
+        assert np.array_equal(read_fields(mapped, 21, idx), values[idx])
+        flat, _ = unpack_fields_gather(mapped, 21, [4_000, 17], [96, 500])
+        assert np.array_equal(flat, np.concatenate((values[4_000:], values[17:517])))
+        # a slice of the map (a codec segment's payload behind its header)
+        part = BitArray(mm[21:], bits.nbits - 8 * 21)
+        assert np.array_equal(read_fields(part, 21, idx[idx < 4_088]), values[idx[idx < 4_088] + 8])
+
+    def test_non_contiguous_buffer(self, rng):
+        values, bits = _random_stream(rng, 13, 500)
+        spread = np.zeros(2 * bits.buffer.shape[0], dtype=np.uint8)
+        spread[::2] = bits.buffer
+        strided = BitArray(spread[::2], bits.nbits)
+        assert not strided.buffer.flags.c_contiguous
+        idx = rng.integers(0, 500, 100)
+        assert np.array_equal(read_fields(strided, 13, idx), values[idx])
+        flat, _ = unpack_fields_gather(strided, 13, [490, 3], [10, 100])
+        assert np.array_equal(flat, np.concatenate((values[490:], values[3:103])))
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 13, 33, 57, 64])
+    def test_portable_fallback_matches(self, width, rng, portable_only):
+        values, bits = _random_stream(rng, width, 700)
+        starts = np.array([650, 0, 300, 300, 699])
+        counts = np.array([50, 9, 33, 33, 1])
+        flat, offs = unpack_fields_gather(bits, width, starts, counts)
+        for i, (s, c) in enumerate(zip(starts, counts)):
+            assert np.array_equal(flat[offs[i] : offs[i + 1]], values[s : s + c])
+        idx = rng.integers(0, 700, 64)
+        assert np.array_equal(read_fields(bits, width, idx), values[idx])
+
+    def test_read_fields_rejects_bad_indices(self, rng):
+        _, bits = _random_stream(rng, 7, 10)
+        with pytest.raises(CodecError):
+            read_fields(bits, 7, [3, 10])
+        with pytest.raises(ValidationError):
+            read_fields(bits, 7, [-1])
+        with pytest.raises(ValidationError):
+            read_fields(bits, 7, [[0, 1]])
+        with pytest.raises(ValidationError):
+            read_fields(bits, 65, [0])
