@@ -7,12 +7,19 @@ beat single-request serving by >= 2x on a 10k-request Zipf workload
 over the packed CSR (acceptance gate), with the baseline recorded in
 ``BENCH_serve.json`` under ``BENCH_WRITE_BASELINE=1``.
 
+A second, deterministic gate counts store reads: every micro-batch of
+the same workload — all of them mixed, neighbour and edge requests
+together — must walk a cache-less packed store exactly **once** (the
+edge lane's source rows ride on the neighbour kernel's fetch), counted
+by a proxy and checked exactly, not against a round multiple.
+
 The wait-window sweep runs on a :class:`ManualClock` — the arrival
 schedule is the timebase — so the batch-size/latency trade-off table
 is fully deterministic: larger windows buy bigger batches (throughput)
 at the price of queueing latency.
 """
 
+import json
 import os
 import time
 from pathlib import Path
@@ -26,6 +33,7 @@ from repro import open_store
 from repro.query import QueryEngine
 from repro.serve import (
     DONE,
+    EdgeRequest,
     GraphQueryServer,
     ManualClock,
     NeighborsRequest,
@@ -38,6 +46,10 @@ from conftest import baseline_record, report
 
 N_REQUESTS = 10_000
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
+
+# Exact count gate (domain "count"): store reads per mixed micro-batch.
+# Two independent kernels read twice; the fused dispatch reads once.
+STORE_READS_PER_BATCH = 1.0
 
 # Acceptance bar: coalesced serving at least doubles single-request
 # throughput.  Locally the measured gap is ~10-15x; the 2x floor keeps
@@ -91,7 +103,65 @@ def _serve_wallclock(store, workload, *, batch, wait_us, cache_elements=0):
     return server, time.perf_counter() - t0
 
 
-def test_coalesced_vs_single_request_throughput(packed, zipf_schedule):
+class _CountingStore:
+    """Forwards everything; counts top-level ``neighbors_batch`` calls."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.reads = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def neighbors_batch(self, unodes):
+        self.reads += 1
+        return self._inner.neighbors_batch(unodes)
+
+
+@pytest.fixture(scope="module")
+def store_reads(packed, zipf_schedule, batch=256):
+    """``(reads per batch, batches)`` of the Zipf workload served
+    size-closed on a frozen :class:`ManualClock`, so batch ``k`` is
+    exactly requests ``[k * batch, (k + 1) * batch)`` — every one of
+    them must be mixed for the count to mean "per mixed micro-batch"."""
+    requests = [request for _, request in zipf_schedule()]
+    for lo in range(0, len(requests), batch):
+        kinds = {isinstance(r, EdgeRequest) for r in requests[lo:lo + batch]}
+        assert kinds == {True, False}, f"batch at {lo} is not mixed"
+    store = _CountingStore(packed)
+    server = GraphQueryServer(
+        store,
+        config=ServerConfig(max_batch_size=batch, max_wait_ns=1e18,
+                            queue_capacity=1 << 16),
+        clock=ManualClock(),
+    )
+    for request in requests:
+        server.submit(request)
+    server.drain()
+    batches = server.snapshot().batches
+    assert batches == -(-len(requests) // batch)
+    return store.reads / batches, batches
+
+
+def test_one_store_read_per_mixed_batch(store_reads):
+    """Deterministic gate: each mixed micro-batch reads the store once
+    (parent: 2.0), equal to the recorded baseline exactly."""
+    reads, batches = store_reads
+    report(
+        "Store reads per mixed micro-batch (cache-less packed store)",
+        f"{reads:.1f} reads/batch over {batches} mixed batches "
+        f"(gate == {STORE_READS_PER_BATCH}, domain: count)",
+    )
+    assert reads == STORE_READS_PER_BATCH
+    if BASELINE_PATH.exists():
+        recorded = json.loads(BASELINE_PATH.read_text()).get(
+            "store_reads_per_mixed_batch")
+        if recorded is not None:
+            assert recorded["domain"] == "count"
+            assert reads == recorded["value"]
+
+
+def test_coalesced_vs_single_request_throughput(packed, zipf_schedule, store_reads):
     """The tentpole gate: coalescing >= 2x single-request serving, with
     replies spot-checked bit-exact against direct QueryEngine calls."""
     single_srv, single_s = _serve_wallclock(
@@ -121,6 +191,11 @@ def test_coalesced_vs_single_request_throughput(packed, zipf_schedule):
             "duplicates_coalesced": coal.duplicates_coalesced,
         },
         "speedup": speedup,
+        "store_reads_per_mixed_batch": {
+            "value": store_reads[0],
+            "gate": f"== {STORE_READS_PER_BATCH} (exact)",
+            "domain": "count",
+        },
     }
     if os.environ.get("BENCH_WRITE_BASELINE") or not BASELINE_PATH.exists():
         baseline_record(

@@ -55,6 +55,7 @@ __all__ = [
     "SegmentEncoding",
     "resolve_codecs",
     "encode_row_segment",
+    "row_windows",
     "decode_rows",
 ]
 
@@ -171,6 +172,22 @@ def encode_row_segment(gaps, local_indptr, candidates=None) -> SegmentEncoding:
     return best
 
 
+def row_windows(
+    starts: BitArray, starts_width: int, rows
+) -> tuple[np.ndarray, np.ndarray]:
+    """Payload windows ``[b0, b1)`` of *rows* from a row-starts table
+    (byte offsets for ``varint``, bit offsets for ``zeta``), ``int64``.
+
+    Two field gathers; a caller that also needs the windows itself (the
+    disk store meters the pages they span) reads them once here and
+    hands them to :func:`decode_rows`.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    b0 = read_fields(starts, starts_width, rows).astype(np.int64)
+    b1 = read_fields(starts, starts_width, rows + 1).astype(np.int64)
+    return b0, b1
+
+
 def decode_rows(
     codec: str,
     payload: BitArray,
@@ -180,13 +197,16 @@ def decode_rows(
     rows,
     degrees,
     field_starts,
+    *,
+    windows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode selected *rows* of one encoded segment, vectorised.
 
     *rows* are segment-local row indices, *degrees* their lengths, and
     *field_starts* their segment-local first-field indices (used by the
     self-indexing ``fixed`` codec; the others consult their ``starts``
-    table).  Returns ``(values, offsets)`` with the gap transform
+    table, or take the rows' :func:`row_windows` ready-made through
+    *windows*).  Returns ``(values, offsets)`` with the gap transform
     already undone — values are absolute neighbour ids as stored.
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -199,10 +219,11 @@ def decode_rows(
 
         return get_rows_gap_decoded(payload, np.asarray(field_starts, dtype=np.int64),
                                     degrees, enc_width)
-    if starts is None:
-        raise CodecError(f"codec '{codec}' requires a row-starts table")
-    b0 = read_fields(starts, starts_width, rows).astype(np.int64)
-    b1 = read_fields(starts, starts_width, rows + 1).astype(np.int64)
+    if windows is None:
+        if starts is None:
+            raise CodecError(f"codec '{codec}' requires a row-starts table")
+        windows = row_windows(starts, starts_width, rows)
+    b0, b1 = windows
     offsets = np.zeros(rows.shape[0] + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
     if codec == "varint":

@@ -27,6 +27,7 @@ from ..bitpack.delta import row_gaps
 from ..bitpack.fixed import unpack_fields_gather, unpack_fixed
 from ..bitpack.segcodec import decode_rows, encode_row_segment, resolve_codecs
 from ..errors import QueryError, ValidationError
+from ..query.stores import distinct_keys, expand_rows
 from ..utils import bits_for_count, bits_for_value, human_bytes
 from .graph import CSRGraph
 from .packed import pack_array_parallel
@@ -200,7 +201,7 @@ class CompactStore:
             return np.zeros(0, dtype=np.uint64), np.zeros(1, dtype=np.int64)
         if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
             raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
-        uniq, inv = np.unique(us, return_inverse=True)
+        uniq, inv = distinct_keys(us)
         pairs, _ = unpack_fields_gather(
             self.offsets, self.offset_width, uniq, np.full(uniq.shape[0], 2, np.int64)
         )
@@ -236,12 +237,7 @@ class CompactStore:
             index += np.arange(flat_s.shape[0], dtype=np.int64)
             uniq_flat[index] = flat_s
 
-        counts_q = degrees[inv]
-        offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts_q, out=offsets[1:])
-        index = np.repeat(uniq_offs[inv] - offsets[:-1], counts_q)
-        index += np.arange(int(offsets[-1]), dtype=np.int64)
-        return uniq_flat[index], offsets
+        return expand_rows(uniq_flat, uniq_offs, inv)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Decode *u*'s row, then binary search."""

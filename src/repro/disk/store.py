@@ -29,8 +29,10 @@ import numpy as np
 from ..bitpack.bitarray import BitArray
 from ..bitpack.fixed import read_fields, unpack_fixed
 from ..bitpack.segcodec import decode_rows as _decode_codec_rows
+from ..bitpack.segcodec import row_windows
 from ..csr.getrow import get_rows_from_csr, get_rows_gap_decoded
 from ..errors import QueryError
+from ..query.stores import distinct_keys, expand_rows
 from ..utils import human_bytes
 from .format import MANIFEST_NAME, PAGE_BYTES, Manifest
 
@@ -302,15 +304,15 @@ class DiskStore:
         if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
             raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
 
-        uniq, inv = np.unique(us, return_inverse=True)
+        uniq, inv = distinct_keys(us)
         fields = np.unique(np.concatenate([uniq, uniq + 1]))
         vals = self._read_offset_fields(fields).astype(np.int64)
         starts = vals[np.searchsorted(fields, uniq)]
         degrees = vals[np.searchsorted(fields, uniq + 1)] - starts
 
-        flat_starts = np.zeros(uniq.shape[0], dtype=np.int64)
+        # segments are visited in ascending order and hold ascending row
+        # ranges, so the decoded chunks concatenate in *uniq* order
         chunks: list[np.ndarray] = []
-        base = 0
         if self._col_first_row.size:
             seg = np.searchsorted(self._col_first_row, uniq, side="right") - 1
         else:
@@ -327,17 +329,20 @@ class DiskStore:
             if spec.codec == "fixed":
                 width = spec.enc_width or self.column_width
                 if self.gap_encoded or spec.enc_width:
-                    flat_s, offs_s = get_rows_gap_decoded(
+                    flat_s, _ = get_rows_gap_decoded(
                         payload, local, degrees[pos], width
                     )
                 else:
-                    flat_s, offs_s = get_rows_from_csr(
+                    flat_s, _ = get_rows_from_csr(
                         payload, local, degrees[pos], width
                     )
                 self._record_pages(file_id, local, degrees[pos], width)
             else:
                 rows = uniq[pos] - spec.first_row
-                flat_s, offs_s = _decode_codec_rows(
+                # one read of the starts table serves both the decode
+                # and the metering of the payload windows it reads
+                b0, b1 = row_windows(seg_starts, spec.starts_width, rows)
+                flat_s, _ = _decode_codec_rows(
                     spec.codec,
                     payload,
                     spec.enc_width,
@@ -346,15 +351,12 @@ class DiskStore:
                     rows,
                     degrees[pos],
                     local,
+                    windows=(b0, b1),
                 )
-                # meter the starts-table entries and the payload byte
-                # windows the decode actually read
                 self._record_pages(
                     file_id, rows, np.full(rows.shape[0], 2, np.int64),
                     spec.starts_width,
                 )
-                b0 = read_fields(seg_starts, spec.starts_width, rows).astype(np.int64)
-                b1 = read_fields(seg_starts, spec.starts_width, rows + 1).astype(np.int64)
                 pay_base = spec.starts_nbytes * 8
                 if spec.codec == "varint":
                     lo_bits = pay_base + b0 * 8
@@ -363,22 +365,15 @@ class DiskStore:
                     lo_bits = pay_base + b0
                     hi_bits = pay_base + b1 - 1
                 self._record_bit_windows(file_id, lo_bits, hi_bits)
-            flat_starts[pos] = base + offs_s[:-1]
             chunks.append(flat_s)
-            base += flat_s.shape[0]
         self._flush_pages()
         src_flat = (
             chunks[0] if len(chunks) == 1 else
             np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
         )
-
-        counts_q = degrees[inv]
-        starts_q = flat_starts[inv]
-        offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts_q, out=offsets[1:])
-        index = np.repeat(starts_q - offsets[:-1], counts_q)
-        index += np.arange(int(offsets[-1]), dtype=np.int64)
-        return src_flat[index], offsets
+        offs_u = np.zeros(uniq.shape[0] + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offs_u[1:])
+        return expand_rows(src_flat, offs_u, inv)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Decode *u*'s row, then binary search (as the packed store)."""

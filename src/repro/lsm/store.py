@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import QueryError, ValidationError
+from ..query.capabilities import capabilities
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes, require
 from .memtable import DeltaMemtable
@@ -90,6 +91,8 @@ class LsmStore:
         "_num_edges",
         "_merged_cache",
         "_base_cache",
+        "_caps_segment",
+        "_caps",
     )
 
     def __init__(
@@ -133,6 +136,8 @@ class LsmStore:
         # re-decode of the bit-packed segment row
         self._merged_cache: dict[int, np.ndarray] = {}
         self._base_cache: dict[int, np.ndarray] = {}
+        self._caps_segment = None
+        self._caps = None
         self._num_edges = (
             int(num_edges) if num_edges is not None else self._count_edges()
         )
@@ -167,6 +172,15 @@ class LsmStore:
     def _check_node(self, u: int) -> None:
         if not (0 <= u < self.num_nodes):
             raise QueryError(f"node {u} out of range [0, {self.num_nodes})")
+
+    def _segment_batch(self, us) -> tuple[np.ndarray, np.ndarray]:
+        """Bulk fetch from the single base segment.  Its capabilities
+        are resolved once per segment *object* — compaction swaps in a
+        fresh one, which re-resolves here on its first batch."""
+        segment = self.segments[0]
+        if self._caps_segment is not segment:
+            self._caps_segment, self._caps = segment, capabilities(segment)
+        return _store_batch(segment, us, self._caps)
 
     def _base_row(self, u: int) -> np.ndarray:
         """Union of *u*'s row across every segment, as int64."""
@@ -240,7 +254,7 @@ class LsmStore:
                     clean = False
                     break
         if clean and len(self.segments) == 1:
-            flat, offs = _store_batch(self.segments[0], us)
+            flat, offs = self._segment_batch(us)
             return flat.astype(np.int64, copy=False), offs
         if us.size == 0:
             return np.zeros(0, dtype=self.row_dtype), np.zeros(1, np.int64)
@@ -261,7 +275,7 @@ class LsmStore:
                     rows[i] = row
             if fetch:
                 sub = us[np.asarray(fetch, dtype=np.int64)]
-                flat, offs = _store_batch(self.segments[0], sub)
+                flat, offs = self._segment_batch(sub)
                 flat = flat.astype(np.int64, copy=False)
                 for j, i in enumerate(fetch):
                     u = int(us[i])

@@ -23,7 +23,13 @@ from ..errors import QueryError, ValidationError
 from ..parallel.chunking import chunk_bounds
 from ..parallel.cost import Cost
 from ..parallel.machine import Executor, SerialExecutor, TaskContext
-from .stores import GraphStore, capabilities, neighbors_batch, row_decode_cost
+from .stores import (
+    GraphStore,
+    capabilities,
+    locate_keys,
+    neighbors_batch,
+    row_decode_cost,
+)
 
 __all__ = ["batch_edge_existence", "single_edge_exists"]
 
@@ -52,6 +58,7 @@ def batch_edge_existence(
     executor: Executor | None = None,
     *,
     method: Method = "scan",
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Existence of every (u, v) query, chunked over processors.
 
@@ -74,6 +81,19 @@ def batch_edge_existence(
     exactly either way — every query is still billed its own row
     decode, "scan" still counts elements up to the first hit, "bisect"
     the binary-search step bound.
+
+    **Prefetched rows.**  *rows* is ``(sources, flat, offsets)`` as
+    :func:`~repro.query.neighbors.batch_neighbors` hands back for its
+    ``prefetch``: rows of this store, already fetched, for strictly
+    increasing *sources*.  A chunk whose every source is among them
+    runs the same sortedness check and keyed ``searchsorted`` straight
+    on that buffer and reads no store; any other chunk fetches its own
+    distinct sources as if no rows were given (in the serve loop the
+    prefix covers every source, so ``kernel:edges`` of a mixed batch
+    contains no store read).  The :class:`Cost` charged is the same
+    either way — per-query decode, inspected elements — except that a
+    chunk served from *rows* drains no ``page_touches``: the kernel
+    that fetched them already charged those pages.
     """
     executor = executor or SerialExecutor()
     caps = capabilities(store)
@@ -85,6 +105,21 @@ def batch_edge_existence(
     n = store.num_nodes
     if qs.size and (int(qs.min()) < 0 or int(qs.max()) >= n):
         raise QueryError(f"query ids must lie in [0, {n})")
+    if rows is not None:
+        sources, held_flat, held_offs = rows
+        sources = np.asarray(sources, dtype=np.int64)
+        if (
+            sources.ndim != 1
+            or held_offs.shape != (sources.shape[0] + 1,)
+            or int(held_offs[-1]) != held_flat.shape[0]
+            or not bool(np.all(sources[1:] > sources[:-1]))
+        ):
+            raise QueryError(
+                "prefetched rows must be (strictly increasing sources, "
+                "flat, offsets) with one row per source"
+            )
+        if sources.size == 0:
+            rows = None
 
     out = np.zeros(qs.shape[0], dtype=bool)
     bounds = chunk_bounds(qs.shape[0], executor.p)
@@ -95,10 +130,17 @@ def batch_edge_existence(
         inspected = 0
         pages = 0.0
         if e > s:
-            uniq, uidx = np.unique(qs[s:e, 0], return_inverse=True)
-            flat, offs = neighbors_batch(store, uniq, caps)
-            if caps.counts_page_touches:
-                pages = float(store.take_page_touches())
+            covered = False
+            if rows is not None:
+                uidx, found = locate_keys(sources, qs[s:e, 0])
+                covered = bool(found.all())
+            if covered:
+                flat, offs = held_flat, held_offs
+            else:
+                uniq, uidx = np.unique(qs[s:e, 0], return_inverse=True)
+                flat, offs = neighbors_batch(store, uniq, caps)
+                if caps.counts_page_touches:
+                    pages = float(store.take_page_touches())
             counts_u = np.diff(offs)
             counts_q = counts_u[uidx]
             # billed as if each query decoded its own row, like the
@@ -107,7 +149,7 @@ def batch_edge_existence(
             # disjoint per-row key ranges keep the concatenation sorted
             # — provided each row is itself sorted
             keyed = flat.astype(np.int64) + np.repeat(
-                np.arange(uniq.shape[0], dtype=np.int64) * n, counts_u
+                np.arange(counts_u.shape[0], dtype=np.int64) * n, counts_u
             )
             if keyed.size > 1 and bool(np.any(keyed[1:] < keyed[:-1])):
                 # some row is internally unsorted: searchsorted would

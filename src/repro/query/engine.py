@@ -39,9 +39,23 @@ class QueryEngine:
         self.executor = executor or SerialExecutor()
 
     # -- Algorithm 6 ----------------------------------------------------
-    def neighbors(self, unodes: Sequence[int] | np.ndarray) -> list[np.ndarray]:
-        """Neighbour rows of a batch of nodes, in query order."""
-        return batch_neighbors(self.store, unodes, self.executor)
+    def neighbors(
+        self,
+        unodes: Sequence[int] | np.ndarray,
+        *,
+        prefetch: Sequence[int] | np.ndarray | None = None,
+    ):
+        """Neighbour rows of a batch of nodes, in query order.
+
+        With *prefetch* (strictly increasing node ids whose rows a
+        following :meth:`has_edges` call will want) those rows ride on
+        the same store read, and the return value becomes ``(rows,
+        fetched)`` — pass ``fetched`` on as ``has_edges(..., rows=)``.
+        See :func:`~repro.query.neighbors.batch_neighbors`.
+        """
+        return batch_neighbors(
+            self.store, unodes, self.executor, prefetch=prefetch
+        )
 
     # -- Algorithm 7 ----------------------------------------------------
     def has_edges(
@@ -49,9 +63,18 @@ class QueryEngine:
         edges: Sequence[tuple[int, int]] | np.ndarray,
         *,
         method: Method = "scan",
+        rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Existence of a batch of (u, v) queries."""
-        return batch_edge_existence(self.store, edges, self.executor, method=method)
+        """Existence of a batch of (u, v) queries.
+
+        *rows* are source rows already fetched by
+        :meth:`neighbors` ``(..., prefetch=)``; sources they cover are
+        answered from them without a store read.  See
+        :func:`~repro.query.edges.batch_edge_existence`.
+        """
+        return batch_edge_existence(
+            self.store, edges, self.executor, method=method, rows=rows
+        )
 
     # -- Algorithm 8 ----------------------------------------------------
     def has_edge(self, u: int, v: int, *, method: Method = "scan") -> bool:

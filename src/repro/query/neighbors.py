@@ -19,7 +19,13 @@ from ..errors import QueryError
 from ..parallel.chunking import chunk_bounds
 from ..parallel.cost import Cost
 from ..parallel.machine import Executor, SerialExecutor, TaskContext
-from .stores import GraphStore, capabilities, neighbors_batch, row_decode_cost
+from .stores import (
+    GraphStore,
+    capabilities,
+    locate_keys,
+    neighbors_batch,
+    row_decode_cost,
+)
 
 __all__ = ["batch_neighbors"]
 
@@ -28,12 +34,39 @@ def batch_neighbors(
     store: GraphStore,
     unodes: Sequence[int] | np.ndarray,
     executor: Executor | None = None,
-) -> list[np.ndarray]:
+    *,
+    prefetch: Sequence[int] | np.ndarray | None = None,
+):
     """Neighbour rows for every node in *unodes*, queried in parallel.
 
     Returns rows in query order (duplicated queries give duplicated
     rows).  Invalid node ids raise :class:`QueryError` before any
     parallel work starts, so a bad batch cannot partially execute.
+
+    **Prefetch contract.**  *prefetch* names rows a later kernel of the
+    same micro-batch will want — the serve loop passes the edge lane's
+    distinct sources — as strictly increasing node ids.  They ride on
+    chunk 0's store read, *ahead* of its own keys, so the micro-batch
+    walks the store stack once instead of once per kernel.  Their rows
+    are then one contiguous prefix of the fetched buffer, handed back
+    zero-copy as ``(sources, flat, offsets)`` for
+    :func:`~repro.query.edges.batch_edge_existence` (``rows=``); a query
+    that repeats a prefetched node is not fetched twice — its reply is
+    a view of the prefix row.  With ``prefetch`` given the return value
+    is ``(rows, (sources, flat, offsets))``; without it just ``rows``,
+    and the fetch is exactly the per-chunk read of the query keys.
+
+    **What is charged where.**  Every chunk is billed its own queries —
+    one read and one write per query plus the degree-linear decode of
+    its own rows — so the phase's :class:`Cost` does not depend on the
+    prefetch: sharing the read is a wall-clock win only.  The one
+    exception is the ``page_touches`` channel of out-of-core stores:
+    the pages the fused read faulted in are drained once, by chunk 0,
+    and charged to this phase; the edge kernel then reads no store and
+    charges none.
+
+    Replies are views of their chunk's fetched buffer (no per-row
+    copy), so they keep that buffer — prefix included — alive.
     """
     executor = executor or SerialExecutor()
     caps = capabilities(store)
@@ -43,21 +76,52 @@ def batch_neighbors(
     n = store.num_nodes
     if queries.size and (int(queries.min()) < 0 or int(queries.max()) >= n):
         raise QueryError(f"query ids must lie in [0, {n})")
+    # the prefetched rows, deposited by chunk 0 (empty when none named)
+    lead, held = None, []
+    if prefetch is not None:
+        lead = np.asarray(prefetch, dtype=np.int64)
+        if lead.ndim != 1 or (
+            lead.size
+            and (
+                int(lead[0]) < 0
+                or int(lead[-1]) >= n
+                or not bool(np.all(lead[1:] > lead[:-1]))
+            )
+        ):
+            raise QueryError(
+                f"prefetch ids must be strictly increasing in [0, {n})"
+            )
+        held.append(
+            (lead, np.zeros(0, dtype=caps.row_dtype), np.zeros(1, dtype=np.int64))
+        )
 
     results: list[np.ndarray | None] = [None] * queries.shape[0]
     bounds = chunk_bounds(queries.shape[0], executor.p)
 
     def run_chunk(ctx: TaskContext, cid: int):
         s, e = int(bounds[cid]), int(bounds[cid + 1])
+        keys = queries[s:e]
+        row_of = None  # row of each query within the fetch (None: in order)
+        if cid == 0 and lead is not None and lead.size:
+            at, shared = locate_keys(lead, keys)
+            fresh = ~shared
+            row_of = np.where(shared, at, lead.size - 1 + np.cumsum(fresh))
+            keys = np.concatenate((lead, keys[fresh]))
         decode_units = 0.0
         pages = 0.0
-        if e > s:
-            flat, offs = neighbors_batch(store, queries[s:e], caps)
-            for i in range(s, e):
-                results[i] = flat[offs[i - s] : offs[i - s + 1]]
+        if keys.size:
+            flat, offs = neighbors_batch(store, keys, caps)
+            lo, hi = offs[:-1], offs[1:]
+            own = int(offs[-1])  # elements in this chunk's own rows
+            if row_of is not None:
+                held[0] = (lead, flat[: offs[lead.size]], offs[: lead.size + 1])
+                lo, hi = lo[row_of], hi[row_of]
+                own = int((hi - lo).sum())
+            for i, a, b in zip(range(s, e), lo.tolist(), hi.tolist()):
+                results[i] = flat[a:b]
             # degree-linear decode charge, so the chunk total equals the
             # per-row sum the scalar path would have charged
-            decode_units = row_decode_cost(store, int(offs[-1]), caps)
+            decode_units = row_decode_cost(store, own, caps)
             if caps.counts_page_touches:
                 # out-of-core stores meter the distinct mapped pages the
                 # fetch faulted in; billed on the dedicated channel so
@@ -72,7 +136,8 @@ def batch_neighbors(
         label="query:neighbors",
     )
     empty = np.zeros(0, dtype=caps.row_dtype)
-    return [row if row is not None else empty for row in results]
+    rows = [row if row is not None else empty for row in results]
+    return rows if prefetch is None else (rows, held[0])
 
 
 def _bind(fn, cid: int):

@@ -19,8 +19,8 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..utils import require
+from .capabilities import capabilities
 from .stores import neighbors_batch as _store_batch
-from .stores import row_dtype
 
 __all__ = ["RowCache", "RowCacheStats"]
 
@@ -62,6 +62,8 @@ class RowCache:
 
     __slots__ = (
         "store",
+        "row_dtype",
+        "_store_caps",
         "capacity",
         "hits",
         "misses",
@@ -74,6 +76,11 @@ class RowCache:
     def __init__(self, store, capacity: int):
         require(capacity >= 0, "cache capacity must be non-negative")
         self.store = store
+        # the wrapped store is fixed for the cache's life, so its
+        # optional surface is resolved here, once — not per batch
+        self._store_caps = capabilities(store)
+        #: dtype of decoded rows (the wrapped store's)
+        self.row_dtype = self._store_caps.row_dtype
         self.capacity = int(capacity)
         self.hits = 0
         self.misses = 0
@@ -92,11 +99,6 @@ class RowCache:
     def num_edges(self) -> int:
         """Edge count of the wrapped store."""
         return self.store.num_edges
-
-    @property
-    def row_dtype(self) -> np.dtype:
-        """Dtype of decoded rows (the wrapped store's)."""
-        return row_dtype(self.store)
 
     def degree(self, u: int) -> int:
         """Out-degree of *u* (cached row length when available)."""
@@ -137,7 +139,7 @@ class RowCache:
                 missing.setdefault(u, []).append(i)
         if missing:
             uniq = np.fromiter(missing, dtype=np.int64, count=len(missing))
-            flat, offs = _store_batch(self.store, uniq)
+            flat, offs = _store_batch(self.store, uniq, self._store_caps)
             for k, u in enumerate(uniq.tolist()):
                 row = flat[offs[k] : offs[k + 1]]
                 self._insert(u, row)

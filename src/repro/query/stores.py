@@ -24,6 +24,9 @@ __all__ = [
     "GraphStore",
     "StoreCapabilities",
     "capabilities",
+    "distinct_keys",
+    "expand_rows",
+    "locate_keys",
     "neighbors_batch",
     "row_decode_cost",
     "row_dtype",
@@ -107,6 +110,54 @@ def neighbors_batch(
     if not rows:
         return np.zeros(0, dtype=caps.row_dtype), offsets
     return np.concatenate(rows), offsets
+
+
+def distinct_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending distinct values of a 1-D ``int64`` key batch plus the
+    inverse map — ``(uniq, inverse)`` with ``uniq[inverse] == keys``.
+
+    The one dedup step of every store wrapper's batch path: decode each
+    distinct row once, then :func:`expand_rows` back to batch order.
+    A batch that is already strictly increasing is its own distinct set
+    — one comparison pass instead of a sort — and reports
+    ``inverse=None``, which :func:`expand_rows` treats as "nothing to
+    expand".
+    """
+    if keys.shape[0] < 2 or bool(np.all(keys[1:] > keys[:-1])):
+        return keys, None
+    return np.unique(keys, return_inverse=True)
+
+
+def expand_rows(
+    flat: np.ndarray, offsets: np.ndarray, inverse: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the distinct keys, expanded back into batch order.
+
+    ``(flat, offsets)`` holds one row per distinct key; batch position
+    *i* wants row ``inverse[i]``.  One fused indexed copy builds the
+    batch-order payload — element *j* of the output row starting at
+    ``out_offsets[i]`` reads ``flat[offsets[inverse[i]] + j]``.  A
+    ``None`` inverse (see :func:`distinct_keys`) returns the input
+    untouched: no pass over the payload at all.
+    """
+    if inverse is None:
+        return flat, offsets
+    counts = np.diff(offsets)[inverse]
+    out_offsets = np.zeros(inverse.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=out_offsets[1:])
+    index = np.repeat(offsets[:-1][inverse] - out_offsets[:-1], counts)
+    index += np.arange(int(out_offsets[-1]), dtype=np.int64)
+    return flat[index], out_offsets
+
+
+def locate_keys(
+    sorted_keys: np.ndarray, wanted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of *wanted* sits in the non-empty, strictly increasing
+    *sorted_keys* — ``(at, found)``; ``at[i]`` is meaningful only where
+    ``found[i]``."""
+    at = np.minimum(np.searchsorted(sorted_keys, wanted), sorted_keys.shape[0] - 1)
+    return at, sorted_keys[at] == wanted
 
 
 def row_decode_cost(

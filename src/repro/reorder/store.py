@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import QueryError, ValidationError
 from ..query.capabilities import capabilities
+from ..query.stores import distinct_keys, expand_rows
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes
 from .orderings import compute_ordering
@@ -38,7 +39,10 @@ class ReorderedStore:
         Display name of the ordering that produced *perm*.
     """
 
-    __slots__ = ("inner", "perm", "inv", "ordering", "num_nodes")
+    __slots__ = (
+        "inner", "perm", "inv", "ordering", "num_nodes",
+        "row_dtype", "column_width", "_inner_caps",
+    )
 
     def __init__(self, inner, perm, *, ordering: str = "custom"):
         p = np.asarray(perm, dtype=np.int64)
@@ -55,27 +59,22 @@ class ReorderedStore:
         self.inv[p] = np.arange(n, dtype=np.int64)
         self.ordering = str(ordering)
         self.num_nodes = n
+        # the inner store is fixed for the wrapper's life, so its
+        # optional surface is resolved here, once — not per batch
+        caps = capabilities(inner)
+        self._inner_caps = caps
+        #: dtype of decoded rows (the inner store's)
+        self.row_dtype = caps.row_dtype
+        #: inner packed column width, ``None`` for unpacked inners —
+        #: declared so capability resolution charges the same
+        #: per-element decode cost as the wrapped store
+        self.column_width = caps.decode_bits if caps.is_packed else None
 
     # -- protocol surface -----------------------------------------------
     @property
     def num_edges(self) -> int:
         """Edge count (unchanged by relabeling)."""
         return int(self.inner.num_edges)
-
-    @property
-    def row_dtype(self) -> np.dtype:
-        """Dtype of decoded rows (the inner store's)."""
-        return capabilities(self.inner).row_dtype
-
-    @property
-    def column_width(self):
-        """Inner packed column width, or ``None`` for unpacked inners.
-
-        Declared so capability resolution charges the same per-element
-        decode cost as the wrapped store.
-        """
-        caps = capabilities(self.inner)
-        return caps.decode_bits if caps.is_packed else None
 
     def _check_node(self, u: int) -> None:
         if not (0 <= u < self.num_nodes):
@@ -124,28 +123,19 @@ class ReorderedStore:
             return np.zeros(0, dtype=self.row_dtype), np.zeros(1, dtype=np.int64)
         if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
             raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
-        uniq, inverse = np.unique(us, return_inverse=True)
-        flat_u, offs_u = _store_batch(self.inner, self.perm[uniq])
+        uniq, inverse = distinct_keys(us)
+        flat_u, offs_u = _store_batch(self.inner, self.perm[uniq], self._inner_caps)
         mapped = self.inv[np.asarray(flat_u, dtype=np.int64)]
-        counts_u = np.diff(offs_u)
-        row_ids = np.repeat(np.arange(uniq.shape[0], dtype=np.int64), counts_u)
+        row_ids = np.repeat(
+            np.arange(uniq.shape[0], dtype=np.int64), np.diff(offs_u)
+        )
         if uniq.shape[0] * self.num_nodes < (1 << 62):
             # ties only between equal values, so an unstable sort is fine
             order = np.argsort(row_ids * self.num_nodes + mapped)
         else:
             order = np.lexsort((mapped, row_ids))
-        sorted_u = mapped[order]
-        counts = counts_u[inverse]
-        offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return np.zeros(0, dtype=self.row_dtype), offsets
-        # position i of query q reads position (start of q's row) + i
-        idx = np.arange(total, dtype=np.int64)
-        idx -= np.repeat(offsets[:-1], counts)
-        idx += np.repeat(offs_u[:-1][inverse], counts)
-        return sorted_u[idx].astype(self.row_dtype, copy=False), offsets
+        sorted_u = mapped[order].astype(self.row_dtype, copy=False)
+        return expand_rows(sorted_u, offs_u, inverse)
 
     def __getattr__(self, name: str):
         # Conditional forwards: the page-touch surface (and the packed

@@ -28,6 +28,8 @@ from __future__ import annotations
 import time
 from collections import deque
 
+import numpy as np
+
 from ..errors import QueryError, ReproError, ValidationError
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer, register_server
 from ..parallel.machine import Executor
@@ -443,17 +445,27 @@ class GraphQueryServer:
         null tracer for untraced ones.
         """
         t0 = time.perf_counter_ns()
-        if plan.unique_nodes.shape[0]:
+        nodes, edges = plan.unique_nodes, plan.unique_edges
+        fetched = None
+        if nodes.shape[0]:
             with tracer.span("kernel:neighbors", "query",
-                             meta={"keys": int(plan.unique_nodes.shape[0])}):
-                rows = self.engine.neighbors(plan.unique_nodes)
+                             meta={"keys": int(nodes.shape[0])}):
+                if edges.shape[0]:
+                    # one store read per mixed micro-batch: the edge
+                    # lane's distinct sources ride on this kernel's
+                    # fetch and come back as rows for the edge kernel,
+                    # which then reads nothing
+                    rows, fetched = self.engine.neighbors(
+                        nodes, prefetch=np.unique(edges[:, 0]))
+                else:
+                    rows = self.engine.neighbors(nodes)
         else:
             rows = []
-        if plan.unique_edges.shape[0]:
+        if edges.shape[0]:
             with tracer.span("kernel:edges", "query",
-                             meta={"keys": int(plan.unique_edges.shape[0])}):
-                exists = self.engine.has_edges(plan.unique_edges,
-                                               method=self.edge_method)
+                             meta={"keys": int(edges.shape[0])}):
+                exists = self.engine.has_edges(
+                    edges, method=self.edge_method, rows=fetched)
         else:
             exists = None
         return rows, exists, time.perf_counter_ns() - t0

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import QueryError, ValidationError
 from ..query.capabilities import capabilities
+from ..query.stores import distinct_keys, expand_rows
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes, require
 from .partition import Partitioner, partitioner_from_state
@@ -44,7 +45,10 @@ class ShardedStore:
         kind, so decoded rows share a single dtype.
     """
 
-    __slots__ = ("partitioner", "shards", "num_nodes", "_num_edges", "_scatters")
+    __slots__ = (
+        "partitioner", "shards", "num_nodes", "_num_edges", "_scatters",
+        "row_dtype", "column_width", "_shard_caps",
+    )
 
     def __init__(self, partitioner: Partitioner, shards):
         shards = list(shards)
@@ -71,6 +75,17 @@ class ShardedStore:
         self.num_nodes = n
         self._num_edges = int(sum(int(s.num_edges) for s in shards))
         self._scatters = np.zeros(len(shards), dtype=np.int64)
+        # shards share one kind and are fixed for the store's life, so
+        # their optional surface is resolved here, once — not per batch
+        caps = capabilities(shards[0])
+        self._shard_caps = caps
+        #: dtype of decoded rows (the inner store kind's)
+        self.row_dtype = caps.row_dtype
+        #: inner packed column width, ``None`` for unpacked shards —
+        #: declared so a sharded-over-packed store resolves as packed
+        #: with the same per-element decode charge as its monolithic
+        #: equivalent, keeping simulated query costs comparable
+        self.column_width = caps.decode_bits if caps.is_packed else None
 
     # -- protocol surface -----------------------------------------------
     @property
@@ -82,22 +97,6 @@ class ShardedStore:
     def num_shards(self) -> int:
         """Shard fan-out."""
         return len(self.shards)
-
-    @property
-    def row_dtype(self) -> np.dtype:
-        """Dtype of decoded rows (the inner store kind's)."""
-        return capabilities(self.shards[0]).row_dtype
-
-    @property
-    def column_width(self):
-        """Inner packed column width, or ``None`` for unpacked shards.
-
-        Declared so capability resolution sees a sharded-over-packed
-        store as packed with the same per-element decode charge as its
-        monolithic equivalent — simulated query costs stay comparable.
-        """
-        caps = capabilities(self.shards[0])
-        return caps.decode_bits if caps.is_packed else None
 
     def _check_node(self, u: int) -> None:
         if not (0 <= u < self.num_nodes):
@@ -144,38 +143,33 @@ class ShardedStore:
         us = np.asarray(unodes, dtype=np.int64)
         if us.ndim != 1:
             raise QueryError("node batch must be 1-D")
-        dtype = self.row_dtype
         if us.size == 0:
-            return np.zeros(0, dtype=dtype), np.zeros(1, dtype=np.int64)
+            return np.zeros(0, dtype=self.row_dtype), np.zeros(1, dtype=np.int64)
         if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
             raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
 
         # Scatter: each shard decodes only its *distinct* keys, so a
         # hot row repeated across the batch is decoded exactly once.
         sid = self.partitioner.shard_of_array(us)
-        counts = np.empty(us.shape[0], dtype=np.int64)
-        starts = np.empty(us.shape[0], dtype=np.int64)  # row start in src_flat
-        chunks = []
-        base = 0
+        inverse = np.empty(us.shape[0], dtype=np.int64)  # key -> decoded row
+        chunks, row_offs = [], [np.zeros(1, dtype=np.int64)]
+        rows = base = 0
         for s in np.unique(sid):
             pos = np.flatnonzero(sid == s)
-            uniq, inv = np.unique(us[pos], return_inverse=True)
-            flat_s, offs_s = _store_batch(self.shards[int(s)], uniq)
-            counts[pos] = np.diff(offs_s)[inv]
-            starts[pos] = base + offs_s[:-1][inv]
+            uniq, inv = distinct_keys(us[pos])
+            flat_s, offs_s = _store_batch(self.shards[int(s)], uniq, self._shard_caps)
+            inverse[pos] = rows + (
+                inv if inv is not None else np.arange(uniq.shape[0], dtype=np.int64)
+            )
+            row_offs.append(base + offs_s[1:])
             chunks.append(flat_s)
+            rows += uniq.shape[0]
             base += flat_s.shape[0]
             self._scatters[int(s)] += 1
         src_flat = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-        # Gather: one fused indexed copy expands the deduplicated rows
-        # back into caller order — element j of the output row starting
-        # at offsets[i] reads src_flat[starts[i] + j].
-        offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        index = np.repeat(starts - offsets[:-1], counts)
-        index += np.arange(int(offsets[-1]), dtype=np.int64)
-        return src_flat[index], offsets
+        # Gather: one fused indexed copy expands the shards' distinct
+        # rows back into the caller's order.
+        return expand_rows(src_flat, np.concatenate(row_offs), inverse)
 
     def __getattr__(self, name: str):
         # Conditional page-touch surface: present exactly when every

@@ -12,6 +12,7 @@ from repro.bitpack.segcodec import (
     decode_rows,
     encode_row_segment,
     resolve_codecs,
+    row_windows,
 )
 from repro.errors import CodecError, ValidationError
 
@@ -129,6 +130,15 @@ class TestRoundtrip:
             assert np.array_equal(
                 flat[offsets[i]:offsets[i + 1]], vals[indptr[r]:indptr[r + 1]]
             )
+        if enc.starts is not None:
+            # a caller that read the starts table itself (the disk
+            # store meters those windows) hands them in: same decode
+            again, _ = decode_rows(
+                enc.codec, enc.payload, enc.enc_width, None, 0,
+                rows, degrees, indptr[:-1][rows],
+                windows=row_windows(enc.starts, enc.starts_width, rows),
+            )
+            assert np.array_equal(again, flat)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -24,6 +24,22 @@ EXECUTOR_SPECS = [
 ]
 
 
+class CountingStore:
+    """Store proxy for read-counting tests: forwards everything and
+    records the key array of every ``neighbors_batch`` call."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def neighbors_batch(self, unodes):
+        self.calls.append(np.asarray(unodes).copy())
+        return self._inner.neighbors_batch(unodes)
+
+
 @pytest.fixture(params=EXECUTOR_SPECS, ids=[name for name, _ in EXECUTOR_SPECS])
 def executor(request):
     name, factory = request.param
