@@ -8,6 +8,10 @@ share of the total is visible and bounded — i.e. the contract is a
 constant-factor convenience, not a hidden cliff.
 """
 
+import os
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,13 @@ from repro import open_store
 from repro.parallel import SerialExecutor, SimulatedMachine
 from repro.parallel.sort import parallel_sort
 
-from conftest import report
+from conftest import baseline_record, report
+
+BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_sort.json"
+# raw (shuffled, ``sort=True``) over pre-sorted packed build, wall clock.
+# 45x when the sort was an argsort per chunk plus a lexsort per bucket;
+# ~3x now that an unweighted build sorts fused keys by value.
+RAW_BUILD_CEILING = 6.0
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +57,53 @@ def test_build_with_sort_wallclock(benchmark, shuffled):
         iterations=1,
     )
     assert packed.num_edges == len(src)
+
+
+def _best_of(fn, repeats: int = 7) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_raw_input_build_gate(medium_standin, shuffled):
+    """Dropping the input contract costs a small constant factor in
+    wall clock too: one key sort plus a split, not a second sort."""
+    ds = medium_standin
+    ssrc, sdst, n = shuffled
+    raw = open_store("packed", ssrc, sdst, n, sort=True)
+    pre = open_store("packed", ds.sources, ds.destinations, n)
+    assert np.array_equal(raw.columns.buffer, pre.columns.buffer)
+    assert np.array_equal(raw.offsets.buffer, pre.offsets.buffer)
+    t_pre = _best_of(lambda: open_store("packed", ds.sources, ds.destinations, n))
+    t_raw = _best_of(lambda: open_store("packed", ssrc, sdst, n, sort=True))
+    ratio = t_raw / t_pre
+    baseline = {
+        "graph": {"nodes": int(n), "edges": int(len(ssrc))},
+        "sorted_build_s": t_pre,
+        "raw_build_s": t_raw,
+        "raw_vs_sorted_build_ratio": {
+            "value": ratio,
+            "gate": f"<= {RAW_BUILD_CEILING}",
+            "domain": "wall",
+        },
+    }
+    # refresh the committed baseline only on request — a plain test run
+    # must not dirty the working tree with this machine's numbers
+    if os.environ.get("BENCH_WRITE_BASELINE") or not BASELINE_PATH.exists():
+        baseline_record(
+            BASELINE_PATH, baseline, name="sort",
+            gate=f"raw-input packed build <= {RAW_BUILD_CEILING}x the pre-sorted build (wall)",
+            measured=ratio,
+        )
+    report(
+        "Input-contract ablation: packed build, wall clock (best of 7)",
+        f"pre-sorted {t_pre * 1e3:.1f} ms, raw + sort {t_raw * 1e3:.1f} ms: "
+        f"{ratio:.2f}x (gate <= {RAW_BUILD_CEILING}x, domain: wall)",
+    )
+    assert ratio <= RAW_BUILD_CEILING
 
 
 def test_sorted_vs_unsorted_scaling_report(benchmark, medium_standin, shuffled):

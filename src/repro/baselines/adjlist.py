@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from ..csr.builder import check_edge_list
+from ..csr.builder import check_edge_list, ensure_sorted
 from ..errors import QueryError
 from ..utils import human_bytes
 
@@ -29,9 +29,7 @@ class AdjacencyListStore:
     __slots__ = ("num_nodes", "rows", "_m")
 
     def __init__(self, sources, destinations, n: int):
-        src, dst = check_edge_list(sources, destinations, n)
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        src, dst = ensure_sorted(*check_edge_list(sources, destinations, n))
         starts = np.searchsorted(src, np.arange(n + 1))
         self.num_nodes = int(n)
         self.rows = [

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import QueryError, ValidationError
+from ..parallel.sort import ensure_sorted
 from ..utils import bits_for_count, require
 from .rank import RankBitVector
 
@@ -151,10 +152,7 @@ class K2Tree:
                         vs.append(col)
                 else:
                     stack.append((level + 1, 4 * bitmap.rank1(pos), row, col))
-        src = np.asarray(us, dtype=np.int64)
-        dst = np.asarray(vs, dtype=np.int64)
-        order = np.lexsort((dst, src))
-        return src[order], dst[order]
+        return ensure_sorted(np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
 
     def memory_bytes(self) -> int:
         """Resident bytes of this structure's payload."""

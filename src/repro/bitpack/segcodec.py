@@ -136,26 +136,36 @@ def _encode_one(codec: str, gaps: np.ndarray, local_indptr: np.ndarray) -> Segme
         return SegmentEncoding(
             codec, 0, BitArray(stream, stream.shape[0] * 8), starts, starts_width
         )
-    if codec.startswith("zeta"):
-        k = _zeta_k(codec)
-        payload = zeta_encode(gaps, k)
-        positions = np.zeros(gaps.shape[0] + 1, dtype=np.int64)
-        np.cumsum(zeta_value_nbits(gaps, k), out=positions[1:])
-        starts_width = bits_for_value(payload.nbits)
-        starts = pack_fixed(positions[local_indptr], starts_width)
-        return SegmentEncoding(codec, k, payload, starts, starts_width)
-    known = ", ".join(SEGMENT_CODECS)
-    raise CodecError(f"unknown codec '{codec}' (known: {known}, auto)")
+    k = _zeta_k(codec)
+    payload = zeta_encode(gaps, k)
+    positions = np.zeros(gaps.shape[0] + 1, dtype=np.int64)
+    np.cumsum(zeta_value_nbits(gaps, k), out=positions[1:])
+    starts_width = bits_for_value(payload.nbits)
+    starts = pack_fixed(positions[local_indptr], starts_width)
+    return SegmentEncoding(codec, k, payload, starts, starts_width)
+
+
+def _measure(codec: str, gaps: np.ndarray, num_rows: int) -> int:
+    """Exact :attr:`SegmentEncoding.total_bits` of *gaps* under *codec*,
+    from the per-value code lengths alone — nothing is materialised."""
+    if codec == "fixed":
+        return gaps.shape[0] * bits_for_value(int(gaps.max()) if gaps.size else 0)
+    if codec == "varint":
+        nbytes = int(varint_nbytes(gaps).sum())
+        return 8 * nbytes + (num_rows + 1) * bits_for_value(nbytes)
+    nbits = int(zeta_value_nbits(gaps, _zeta_k(codec)).sum())
+    return nbits + (num_rows + 1) * bits_for_value(nbits)
 
 
 def encode_row_segment(gaps, local_indptr, candidates=None) -> SegmentEncoding:
-    """Encode one segment under every candidate and keep the smallest.
+    """Size one segment under every candidate and encode the smallest.
 
     *gaps* is the segment's gap-transformed column slice and
     *local_indptr* delimits its rows (``num_rows + 1`` entries, zero
     based).  Sizes compare on :attr:`SegmentEncoding.total_bits` — the
     starts table counts against variable-length codecs, so a win must
-    pay for its own index.  Ties keep the earlier candidate.
+    pay for its own index.  Ties keep the earlier candidate; only the
+    winner is encoded.
     """
     gaps = np.asarray(gaps, dtype=np.uint64)
     local_indptr = np.asarray(local_indptr, dtype=np.int64)
@@ -163,13 +173,10 @@ def encode_row_segment(gaps, local_indptr, candidates=None) -> SegmentEncoding:
         raise ValidationError("local_indptr must be a non-empty 1-D array")
     if int(local_indptr[-1]) != gaps.shape[0]:
         raise ValidationError("local_indptr must end at len(gaps)")
-    best: SegmentEncoding | None = None
-    for name in resolve_codecs(candidates):
-        enc = _encode_one(name, gaps, local_indptr)
-        if best is None or enc.total_bits < best.total_bits:
-            best = enc
-    assert best is not None
-    return best
+    names = resolve_codecs(candidates)
+    rows = local_indptr.shape[0] - 1
+    sizes = [_measure(name, gaps, rows) for name in names] if len(names) > 1 else [0]
+    return _encode_one(names[sizes.index(min(sizes))], gaps, local_indptr)
 
 
 def row_windows(

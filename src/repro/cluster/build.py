@@ -29,6 +29,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..obs import Tracer
 from ..parallel.machine import SimulatedMachine
+from ..parallel.sort import ensure_sorted
 from ..serve.config import ServerConfig
 from ..serve.request import ManualClock
 from ..serve.server import GraphQueryServer
@@ -78,8 +79,7 @@ def _shard_stores(config: ServerConfig):
             return list(store.shards), store.partitioner, int(store.num_nodes)
         src, dst = extract_edges(store)
         n = int(store.num_nodes)
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    src, dst = ensure_sorted(src, dst)
     part = make_partitioner(config.partitioner, shards, src, n)
     from ..stores import open_store
 

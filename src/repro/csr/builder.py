@@ -10,12 +10,14 @@ Pipeline, each stage on the supplied executor:
    into the output (the parallel write-out the paper performs when
    materialising the CSR).
 
-``ensure_sorted`` provides the pre-sort the paper assumes of its
-datasets ("we assume that the datasets are sorted"), so callers with
-raw edge lists can opt in.
+``ensure_sorted`` (home: :mod:`repro.parallel.sort`) provides the
+pre-sort the paper assumes of its datasets ("we assume that the
+datasets are sorted"), so callers with raw edge lists can opt in.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from ..parallel.chunking import chunk_bounds
 from ..parallel.cost import Cost
 from ..parallel.machine import Executor, SerialExecutor, TaskContext
 from ..parallel.scan import exclusive_from_inclusive, prefix_sum_parallel
+from ..parallel.sort import ensure_sorted, sort_edges
 from ..utils import is_sorted, min_uint_dtype, require
 from .degree import degree_parallel
 from .graph import CSRGraph
@@ -50,23 +53,6 @@ def check_edge_list(sources, destinations, n: int) -> tuple[np.ndarray, np.ndarr
         if arr.size and int(arr.max()) >= n:
             raise ValidationError(f"{name} id {int(arr.max())} out of range for n={n}")
     return src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
-
-
-def ensure_sorted(
-    sources: np.ndarray, destinations: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort an edge list by (source, destination); no-op when sorted."""
-    src = np.asarray(sources)
-    dst = np.asarray(destinations)
-    if is_sorted(src):
-        # still need in-row sortedness for binary-search queries
-        if src.size < 2:
-            return src, dst
-        same_row = src[1:] == src[:-1]
-        if not np.any(same_row & (dst[1:] < dst[:-1])):
-            return src, dst
-    order = np.lexsort((dst, src))
-    return src[order], dst[order]
 
 
 def build_csr(
@@ -96,7 +82,7 @@ def build_csr(
         Optional per-edge weights (the paper's ``vA`` array); carried
         through sorting and scattered alongside the column array.
     sort:
-        Sort the edge list by (u, v) first (charged as a serial stage).
+        Sort the edge list by (u, v) first (the charged sample sort).
     compact:
         Shrink output dtypes to the smallest that fit (uint32 indices
         for graphs under 4B nodes — the footprint the paper reports).
@@ -119,7 +105,7 @@ def build_csr(
             raise ValidationError("weights must align with the edge arrays")
 
     if sort:
-        src, dst, vals = _parallel_sort_edges(src, dst, vals, n, executor)
+        src, dst, vals = sort_edges(src, dst, vals, executor)
     elif validate and not is_sorted(src):
         raise NotSortedError(
             "edge list must be sorted by source (pass sort=True to sort)"
@@ -148,49 +134,12 @@ def build_csr(
             ctx.charge(Cost(reads=e - s, writes=(2 if values is not None else 1) * (e - s)))
 
     executor.parallel(
-        [_bind(scatter, cid) for cid in range(executor.p)], label="build:scatter"
+        [partial(scatter, cid=cid) for cid in range(executor.p)], label="build:scatter"
     )
 
     if compact:
         indptr = indptr.astype(min_uint_dtype(m))
     return CSRGraph(indptr, indices, values, validate=False)
-
-
-def _parallel_sort_edges(src, dst, vals, n: int, executor: Executor):
-    """Sort the edge list by (u, v) with the chunked sample sort.
-
-    For graphs too wide for 64-bit combined keys (n >= 2**32, beyond
-    every dataset in the paper) falls back to a serial lexsort.
-    """
-    from ..parallel.sort import parallel_argsort
-
-    m = src.shape[0]
-    if n < 2**32:
-        keys = (src.astype(np.uint64) << np.uint64(32)) | dst.astype(np.uint64)
-        order = parallel_argsort(keys, executor)
-    else:  # pragma: no cover - beyond any supported dataset scale
-        order = np.lexsort((dst, src))
-
-    out_src = np.empty_like(src)
-    out_dst = np.empty_like(dst)
-    out_vals = np.empty_like(vals) if vals is not None else None
-    bounds = chunk_bounds(m, executor.p)
-
-    def apply_chunk(ctx: TaskContext, cid: int):
-        s, e = int(bounds[cid]), int(bounds[cid + 1])
-        if e > s:
-            piece = order[s:e]
-            out_src[s:e] = src[piece]
-            out_dst[s:e] = dst[piece]
-            if out_vals is not None:
-                out_vals[s:e] = vals[piece]
-            ctx.charge(Cost(reads=3 * (e - s), writes=2 * (e - s)))
-
-    executor.parallel(
-        [_bind(apply_chunk, cid) for cid in range(executor.p)],
-        label="build:sort-apply",
-    )
-    return out_src, out_dst, out_vals
 
 
 def build_csr_serial(sources, destinations, n: int, *, sort: bool = False) -> CSRGraph:
@@ -208,10 +157,3 @@ def build_csr_serial(sources, destinations, n: int, *, sort: bool = False) -> CS
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
     return CSRGraph(indptr, dst.copy(), validate=False)
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..utils import require
-from .builder import build_csr_serial, ensure_sorted
+from ..parallel.sort import sort_edges
+from .builder import build_csr_serial
 from .graph import CSRGraph
 
 __all__ = [
@@ -35,7 +36,7 @@ def degree_order(graph: CSRGraph) -> np.ndarray:
     src, dst = graph.edges()
     in_deg = np.bincount(dst, minlength=graph.num_nodes)
     total = out_deg + in_deg
-    ranking = np.lexsort((np.arange(graph.num_nodes), -total))
+    ranking = np.argsort(-total, kind="stable")
     perm = np.empty(graph.num_nodes, dtype=np.int64)
     perm[ranking] = np.arange(graph.num_nodes, dtype=np.int64)
     return perm
@@ -84,16 +85,9 @@ def relabel(graph: CSRGraph, perm: np.ndarray) -> CSRGraph:
     if not seen.all():
         raise ValidationError("perm must be a permutation of range(n)")
     src, dst = graph.edges()
-    new_src = p[src]
-    new_dst = p[dst]
-    if graph.values is not None:
-        order = np.lexsort((new_dst, new_src))
-        g = build_csr_serial(new_src[order], new_dst[order], n)
-        return CSRGraph(
-            g.indptr, g.indices, np.asarray(graph.values)[order], validate=False
-        )
-    ns, nd = ensure_sorted(new_src, new_dst)
-    return build_csr_serial(ns, nd, n)
+    ns, nd, vals = sort_edges(p[src], p[dst], graph.values)
+    g = build_csr_serial(ns, nd, n)
+    return CSRGraph(g.indptr, g.indices, vals, validate=False)
 
 
 def induced_subgraph(
@@ -111,15 +105,7 @@ def induced_subgraph(
     lookup[keep] = np.arange(keep.shape[0], dtype=np.int64)
     src, dst = graph.edges()
     mask = (lookup[src] >= 0) & (lookup[dst] >= 0)
-    new_src = lookup[src[mask]]
-    new_dst = lookup[dst[mask]]
-    if graph.values is not None:
-        vals = np.asarray(graph.values)[mask]
-        order = np.lexsort((new_dst, new_src))
-        g = build_csr_serial(new_src[order], new_dst[order], keep.shape[0])
-        return (
-            CSRGraph(g.indptr, g.indices, vals[order], validate=False),
-            keep,
-        )
-    ns, nd = ensure_sorted(new_src, new_dst)
-    return build_csr_serial(ns, nd, keep.shape[0]), keep
+    vals = None if graph.values is None else np.asarray(graph.values)[mask]
+    ns, nd, vals = sort_edges(lookup[src[mask]], lookup[dst[mask]], vals)
+    g = build_csr_serial(ns, nd, keep.shape[0])
+    return CSRGraph(g.indptr, g.indices, vals, validate=False), keep

@@ -10,10 +10,9 @@ scaling as the forward build.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..parallel.machine import Executor, SerialExecutor
-from .builder import build_csr, ensure_sorted
+from ..parallel.machine import Executor
+from ..parallel.sort import sort_edges
+from .builder import build_csr
 from .graph import CSRGraph
 
 __all__ = ["transpose_csr"]
@@ -25,16 +24,6 @@ def transpose_csr(graph: CSRGraph, executor: Executor | None = None) -> CSRGraph
     Equivalent to ``graph.to_scipy().T`` with sorted rows; property
     tested against it.
     """
-    executor = executor or SerialExecutor()
     src, dst = graph.edges()
-    if graph.values is not None:
-        order = np.lexsort((src, dst))
-        return build_csr(
-            dst[order],
-            src[order],
-            graph.num_nodes,
-            executor,
-            weights=np.asarray(graph.values)[order],
-        )
-    rs, rd = ensure_sorted(dst, src)
-    return build_csr(rs, rd, graph.num_nodes, executor)
+    rs, rd, weights = sort_edges(dst, src, graph.values)
+    return build_csr(rs, rd, graph.num_nodes, executor, weights=weights)

@@ -29,6 +29,7 @@ from ..csr.io import binary_edge_list_info, iter_edge_list_binary
 from ..errors import DiskFormatError, ValidationError
 from ..parallel.machine import Executor, SerialExecutor
 from ..parallel.scan import exclusive_from_inclusive, prefix_sum_parallel
+from ..parallel.sort import sort_within_rows
 from ..utils import bits_for_count, bits_for_value, min_uint_dtype
 from .format import (
     DEFAULT_SEGMENT_BYTES,
@@ -323,21 +324,21 @@ def build_disk_store(
 ) -> DiskStore:
     """Out-of-core build: binary edge-list file → disk-store directory.
 
-    The graph never materialises in memory.  Streaming passes over the
-    edge file (``chunk_edges`` edges at a time) compute the node count
-    (when *num_nodes* is omitted) and the degree array; the offsets come
-    from the paper's chunked parallel prefix sum (Algorithm 1) on
-    *executor*; a chunked scatter pass then places destinations into an
-    uncompressed temporary memmap via per-node write cursors (stable, so
-    ``sort=False`` preserves edge-file order within each row exactly as
-    :func:`~repro.csr.build_csr` does); finally each column segment is
-    loaded, per-row sorted (``sort=True``, required for ``has_edge`` and
-    gap encoding), optionally gap-transformed, packed, and written.
-    Peak working memory is O(chunk + segment + n) — bounded by the
-    chunk/segment knobs no matter how many edges the file holds — and
-    the packed output is bit-identical to the in-memory pipeline
-    (:func:`~repro.csr.build_bitpacked_csr` then
-    :func:`write_disk_store`).  Returns the opened :class:`DiskStore`.
+    The edge file may be in any order and the graph never materialises
+    in memory.  Streaming passes (``chunk_edges`` edges at a time)
+    compute the node count (when *num_nodes* is omitted) and the degree
+    array; the offsets come from the paper's chunked parallel prefix sum
+    (Algorithm 1) on *executor*; a chunked scatter pass places
+    destinations into an uncompressed temporary memmap via per-node
+    write cursors (stable, so ``sort=False`` keeps edge-file order
+    within each row exactly as :func:`~repro.csr.build_csr` does);
+    finally each column segment is loaded, its rows sorted
+    (``sort=True``: :func:`~repro.parallel.sort.sort_within_rows`,
+    required for ``has_edge`` and gap encoding), optionally
+    gap-transformed, packed, and written.  Peak working memory is
+    O(chunk + segment + n); every file and CRC equals the in-memory
+    pipeline's (``ensure_sorted`` → :func:`~repro.csr.build_bitpacked_csr`
+    → :func:`write_disk_store`).  Returns the opened :class:`DiskStore`.
 
     With *codecs* each column segment is gap-transformed and stored
     under the smallest measured candidate (format v2) — still fully out
@@ -419,7 +420,7 @@ def build_disk_store(
                 continue
             vals = np.array(tmp[f0:f1], dtype=np.uint64)
             if sort:
-                vals = _sort_rows(indptr, r0, r1, vals)
+                vals = sort_within_rows(indptr[r0 : r1 + 1], vals)
                 tmp[f0:f1] = vals
             gaps = _local_gaps(indptr, r0, r1, vals)
             max_gap = max(max_gap, int(gaps.max()))
@@ -442,7 +443,7 @@ def build_disk_store(
             continue
         vals = np.array(tmp[f0:f1], dtype=np.uint64)
         if sort_in_pack:
-            vals = _sort_rows(indptr, r0, r1, vals)
+            vals = sort_within_rows(indptr[r0 : r1 + 1], vals)
         if candidates is not None:
             local_iptr = indptr[r0 : r1 + 1] - f0
             enc = encode_row_segment(
@@ -489,10 +490,3 @@ def build_disk_store(
     )
     manifest.save(directory)
     return DiskStore(directory, manifest)
-
-
-def _sort_rows(indptr: np.ndarray, r0: int, r1: int, vals: np.ndarray) -> np.ndarray:
-    """Sort each CSR row of one segment's payload independently."""
-    lengths = np.diff(indptr[r0 : r1 + 1])
-    row_ids = np.repeat(np.arange(r1 - r0, dtype=np.int64), lengths)
-    return vals[np.lexsort((vals, row_ids))]

@@ -21,6 +21,7 @@ import numpy as np
 from ..csr.graph import CSRGraph
 from ..csr.reorder import bfs_order, degree_order
 from ..errors import ValidationError
+from ..parallel.sort import sort_edges
 from ..utils import require
 
 __all__ = [
@@ -87,7 +88,7 @@ def slashburn_order(
         live = active[eu] & active[ev]
         deg = np.bincount(eu[live], minlength=n)
         cand = np.flatnonzero(active)
-        order = np.lexsort((cand, -deg[cand]))
+        order = np.argsort(-deg[cand], kind="stable")  # cand ascends: ties by id
         hubs = cand[order[:k]]
         perm[hubs] = front + np.arange(k, dtype=np.int64)
         front += k
@@ -117,15 +118,15 @@ def slashburn_order(
         if spokes.size:
             sizes = comp_sizes[comp_idx[spoke_mask]]
             # largest spoke component first, then by root id, nodes ascending
-            order = np.lexsort((spokes, uniq_roots[comp_idx[spoke_mask]], -sizes))
-            laid = spokes[order]
+            roots = uniq_roots[comp_idx[spoke_mask]]
+            laid = sort_edges(sizes.max() - sizes, roots, spokes)[2]
             perm[laid] = back - laid.shape[0] + np.arange(laid.shape[0], dtype=np.int64)
             back -= laid.shape[0]
             active[spokes] = False
 
     leftovers = np.flatnonzero(active)
     if leftovers.size:
-        order = np.lexsort((leftovers, -total_deg[leftovers]))
+        order = np.argsort(-total_deg[leftovers], kind="stable")
         perm[leftovers[order]] = front + np.arange(leftovers.shape[0], dtype=np.int64)
         front += leftovers.shape[0]
     assert front == back, "id ranges must meet exactly"

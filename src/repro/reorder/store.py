@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import QueryError, ValidationError
+from ..parallel.sort import sort_within_rows
 from ..query.capabilities import capabilities
 from ..query.stores import distinct_keys, expand_rows
 from ..query.stores import neighbors_batch as _store_batch
@@ -112,9 +113,8 @@ class ReorderedStore:
         from O(output) into O(distinct rows) + one expansion gather.
         Each distinct row runs through the inner store's vectorised
         batch kernel, maps back through the inverse permutation, and is
-        re-sorted (the relabeled rows are sorted by *new* id, a
-        permutation of the original order) with one fused-key argsort
-        across all distinct rows.
+        re-sorted (relabeled rows are sorted by *new* id) by one
+        :func:`~repro.parallel.sort.sort_within_rows` over the batch.
         """
         us = np.asarray(unodes, dtype=np.int64)
         if us.ndim != 1:
@@ -126,15 +126,7 @@ class ReorderedStore:
         uniq, inverse = distinct_keys(us)
         flat_u, offs_u = _store_batch(self.inner, self.perm[uniq], self._inner_caps)
         mapped = self.inv[np.asarray(flat_u, dtype=np.int64)]
-        row_ids = np.repeat(
-            np.arange(uniq.shape[0], dtype=np.int64), np.diff(offs_u)
-        )
-        if uniq.shape[0] * self.num_nodes < (1 << 62):
-            # ties only between equal values, so an unstable sort is fine
-            order = np.argsort(row_ids * self.num_nodes + mapped)
-        else:
-            order = np.lexsort((mapped, row_ids))
-        sorted_u = mapped[order].astype(self.row_dtype, copy=False)
+        sorted_u = sort_within_rows(offs_u, mapped).astype(self.row_dtype, copy=False)
         return expand_rows(sorted_u, offs_u, inverse)
 
     def __getattr__(self, name: str):

@@ -66,6 +66,37 @@ class TestSelection:
         }
         assert best.total_bits == min(sizes.values())
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(0, 12),
+        st.sampled_from([3, 300, 10**5, 2**40]),
+        st.permutations(SEGMENT_CODECS),
+    )
+    def test_sized_winner_equals_encode_all(self, seed, num_rows, max_deg, max_id, order):
+        """Sizing without encoding picks what encoding everything picked:
+        same codec (ties to the earlier candidate), payload and starts."""
+        from repro.bitpack.segcodec import _measure
+
+        vals, indptr = _segment(
+            np.random.default_rng(seed), num_rows=num_rows, max_deg=max_deg,
+            max_id=max_id, empty_every=3,
+        )
+        gaps = row_gaps(indptr, vals)
+        encoded = [encode_row_segment(gaps, indptr, [name]) for name in order]
+        for name, enc in zip(order, encoded):
+            assert _measure(name, gaps, num_rows) == enc.total_bits
+        want = min(encoded, key=lambda enc: enc.total_bits)  # min keeps the first
+        got = encode_row_segment(gaps, indptr, order)
+        assert (got.codec, got.enc_width, got.starts_width) == (
+            want.codec, want.enc_width, want.starts_width)
+        assert got.payload.nbits == want.payload.nbits
+        assert np.array_equal(got.payload.buffer, want.payload.buffer)
+        assert (got.starts is None) == (want.starts is None)
+        if want.starts is not None:
+            assert np.array_equal(got.starts.buffer, want.starts.buffer)
+
     def test_starts_table_counts_against_variable_codecs(self):
         # one dense row of tiny gaps: fixed needs ~2 bits/field while
         # varint pays 8 bits/field plus its table — fixed must win

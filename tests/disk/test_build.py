@@ -23,25 +23,30 @@ class TestBitExactness:
     manifest, segment boundaries, per-file CRCs — as packing in memory
     and writing the result, for any chunking."""
 
-    @pytest.mark.parametrize("gap", [False, True], ids=["plain", "gap"])
+    @pytest.mark.parametrize(
+        "opts",
+        [{}, {"gap_encode": True}, {"codecs": "auto"}],
+        ids=["plain", "gap", "auto"],
+    )
     @pytest.mark.parametrize("chunk_edges", [64, 777, 5000, 1 << 20])
-    def test_manifest_identical_to_in_memory(self, tmp_path, rng, gap,
+    def test_manifest_identical_to_in_memory(self, tmp_path, rng, opts,
                                              chunk_edges):
         path, src, dst, n = _edge_file(tmp_path, rng)
         disk = build_disk_store(
-            path, tmp_path / "ooc", num_nodes=n, gap_encode=gap,
-            chunk_edges=chunk_edges, segment_bytes=512,
+            path, tmp_path / "ooc", num_nodes=n, chunk_edges=chunk_edges,
+            segment_bytes=512, **opts,
         )
-        packed = build_bitpacked_csr(src, dst, n, sort=True, gap_encode=gap)
-        ref = write_disk_store(packed, tmp_path / "mem", segment_bytes=512)
-        assert disk.manifest.offsets == ref.manifest.offsets
-        assert disk.manifest.columns == ref.manifest.columns
-        assert disk.manifest.offset_width == ref.manifest.offset_width
-        assert disk.manifest.column_width == ref.manifest.column_width
-        for seg in (*disk.manifest.offsets, *disk.manifest.columns):
-            assert (disk.path / seg.filename).read_bytes() == (
-                ref.path / seg.filename
-            ).read_bytes()
+        packed = build_bitpacked_csr(
+            src, dst, n, sort=True, gap_encode=opts.get("gap_encode", False)
+        )
+        ref = write_disk_store(
+            packed, tmp_path / "mem", segment_bytes=512, codecs=opts.get("codecs")
+        )
+        assert disk.manifest == ref.manifest  # segment tables, widths, CRCs
+        names = sorted(p.name for p in ref.path.iterdir())
+        assert sorted(p.name for p in disk.path.iterdir()) == names
+        for name in names:  # every segment file and the manifest itself
+            assert (disk.path / name).read_bytes() == (ref.path / name).read_bytes()
 
     def test_unsorted_rows_preserved_when_sort_false(self, tmp_path, rng):
         n = 50

@@ -43,6 +43,30 @@ class TestParallelSort:
         ref = np.argsort(a, kind="stable")
         assert np.array_equal(order, ref)
 
+    # simulated ns of the seed's implementation (argsort per chunk, then a
+    # lexsort per bucket): the phases' declared costs are the model and
+    # must not move when only the executed numpy work changes
+    PINNED_NS = {1: 94001.5, 4: 29502.0, 16: 16969.5}
+
+    @pytest.mark.parametrize("p", sorted(PINNED_NS))
+    def test_heavy_ties_permutation_and_pinned_cost(self, rng, p):
+        a = rng.integers(0, 7, 5000)
+        for fn, want in (
+            (parallel_argsort, np.argsort(a, kind="stable")),
+            (parallel_sort, np.sort(a)),
+        ):
+            machine = SimulatedMachine(p)
+            out = fn(a, machine)
+            assert out.dtype == want.dtype and np.array_equal(out, want)
+            assert machine.elapsed_ns() == self.PINNED_NS[p]
+
+    def test_input_untouched_and_not_aliased(self, rng):
+        a = rng.integers(0, 10**6, 3000)
+        keep = a.copy()
+        for p in (1, 5):
+            out = parallel_sort(a, SimulatedMachine(p))
+            assert np.array_equal(a, keep) and not np.shares_memory(out, a)
+
     def test_thread_backend(self, rng):
         a = rng.integers(0, 10**4, 20_001)
         with ThreadExecutor(4) as ex:
@@ -87,6 +111,21 @@ class TestBuilderIntegration:
         assert "sort:local" in labels and "build:sort-apply" in labels
         ss, dd = ensure_sorted(src, dst)
         assert got == build_csr_serial(ss, dd, n).compact_dtypes()
+
+    @pytest.mark.parametrize(
+        "p,plain_ns,weighted_ns",
+        [(1, 120055.0, 124055.0), (4, 45759.0, 46759.0), (16, 32142.0, 32392.0)],
+    )
+    def test_raw_input_build_cost_pinned(self, rng, p, plain_ns, weighted_ns):
+        """``build_csr(sort=True)`` charges what the seed charged, whether
+        it sorts keys by value (no weights) or builds the permutation."""
+        from repro.csr.builder import build_csr
+
+        src, dst = rng.integers(0, 300, 4000), rng.integers(0, 300, 4000)
+        for weights, want in ((None, plain_ns), (np.arange(4000), weighted_ns)):
+            machine = SimulatedMachine(p)
+            build_csr(src, dst, 300, machine, sort=True, weights=weights)
+            assert machine.elapsed_ns() == want
 
     def test_weighted_sort_keeps_weights(self, rng):
         from repro.csr.builder import build_csr

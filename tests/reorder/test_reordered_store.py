@@ -62,6 +62,26 @@ class TestRoundTrip:
         for u, v in zip(rng.integers(0, n, 60), rng.integers(0, n, 60)):
             assert store.has_edge(int(u), int(v)) == ref.has_edge(int(u), int(v))
 
+    @pytest.mark.parametrize("wide", [False, True], ids=["fused-key", "wide-fallback"])
+    def test_batch_resort_duplicate_keys(self, rng, edges, monkeypatch, wide):
+        """Repeated keys, repeated edges, empty rows: the batch re-sort
+        is bit-exact (values and dtype) on the fused-key path and on the
+        lexsort fallback ids too wide for one key would take."""
+        if wide:
+            monkeypatch.setattr("repro.parallel.sort._fuse", lambda hi, lo: None)
+        src, dst, n = edges
+        src, dst = np.concatenate([src, src[:300]]), np.concatenate([dst, dst[:300]])
+        src, dst = ensure_sorted(src[src != 7], dst[src != 7])  # row 7 empty
+        ref = _reference(src, dst, n)
+        store = build_reordered_store(src, dst, n, order="degree", inner="packed")
+        hub = int(np.argmax(ref.degrees()))
+        batch = np.concatenate([rng.integers(0, n, 200), [hub, 7, hub, 7, hub]])
+        flat, offsets = store.neighbors_batch(batch)
+        rflat, roffsets = ref.neighbors_batch(batch)
+        assert flat.dtype == store.row_dtype
+        assert np.array_equal(offsets, roffsets)
+        assert np.array_equal(flat, rflat)
+
     @pytest.mark.parametrize("order", ORDERINGS)
     def test_to_csr_is_original_graph(self, edges, order):
         src, dst, n = edges
