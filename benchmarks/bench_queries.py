@@ -12,6 +12,7 @@ batch, and records the throughput baseline in ``BENCH_queries.json``
 so future PRs can track the query-path trajectory.
 """
 
+import json
 import os
 import time
 from pathlib import Path
@@ -219,6 +220,113 @@ def test_rowcache_hit_rate_on_skewed_traffic(stores, medium_standin):
             title=repr(cache)[:100],
         ),
     )
+
+
+class TalliedRow(np.ndarray):
+    """Row payload that counts the elements numpy reads from it (into
+    the one-cell list ``tally``, inherited by views and copies): every
+    element for a whole-array call — a ufunc, ``concatenate`` — and the
+    probe bound ``ceil(log2(size + 1))`` per needle for a binary search,
+    as the cost model charges "bisect"."""
+
+    tally = None
+
+    def __array_finalize__(self, source):
+        self.tally = getattr(source, "tally", None)
+
+    def _plain(self, arg):
+        if isinstance(arg, TalliedRow):
+            self.tally[0] += arg.size
+            return arg.view(np.ndarray)
+        if isinstance(arg, (list, tuple)):
+            return type(arg)(self._plain(a) for a in arg)
+        return arg
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        return getattr(ufunc, method)(*self._plain(inputs), **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.searchsorted:
+            return args[0].searchsorted(*args[1:], **kwargs)
+        return func(*self._plain(args), **kwargs)
+
+    def searchsorted(self, v, *args, **kwargs):
+        self.tally[0] += np.size(v) * int(np.ceil(np.log2(self.size + 1)))
+        return self.view(np.ndarray).searchsorted(v, *args, **kwargs)
+
+
+class TalliedStore:
+    """Forwards to a store; its batch payload is a :class:`TalliedRow`."""
+
+    def __init__(self, inner, tally):
+        self._inner, self._tally = inner, tally
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def neighbors_batch(self, unodes):
+        flat, offsets = self._inner.neighbors_batch(unodes)
+        flat = flat.view(TalliedRow)
+        flat.tally = self._tally
+        return flat, offsets
+
+
+def test_rowcache_hot_path_counts(stores, medium_standin):
+    """Count gate (domain "count", exact for the seed): a batch of cache
+    hits hands over the resident rows — no element of a hit row is
+    copied — and the edge lane reads O(log degree) elements per query
+    of a hub row, not the row."""
+    store = stores["packed"]
+    degree = np.diff(stores["csr"].indptr)
+    hubs = np.argsort(-degree, kind="stable")[:16].astype(np.int64)
+    rng = np.random.default_rng(29)
+    tally = [0]
+    cache = RowCache(TalliedStore(store, tally), capacity=4_000_000)
+
+    # a hot batch: Zipf keys, every row resident
+    n = medium_standin.num_nodes
+    keys = np.minimum(rng.zipf(1.3, 256) - 1, n - 1).astype(np.int64)
+    batch_neighbors(cache, keys, SerialExecutor())
+    replies = batch_neighbors(cache, keys, SerialExecutor())
+    copied = sum(reply.size for u, reply in zip(keys.tolist(), replies)
+                 if reply is not cache._rows.get(u))
+
+    # a hub-heavy edge batch, sources resident: four probes on each of
+    # the 16 largest rows (the kernel copies a row instead once the
+    # queries on it outnumber its length / 512), half of them planted
+    sources = np.repeat(hubs, 4)
+    qs = np.stack([sources, rng.integers(0, n, 64)], axis=1)
+    qs[::2, 1] = [store.neighbors(int(u))[0] for u in sources[::2]]
+    want = batch_edge_existence(store, qs, SerialExecutor(), method="bisect")
+    cache.neighbors_batch(hubs)
+    tally[0] = 0
+    got = batch_edge_existence(cache, qs, SerialExecutor(), method="bisect")
+    assert np.array_equal(got, want) and got[::2].all()
+    scanned = tally[0] / qs.shape[0]
+    bound = int(np.ceil(np.log2(degree.max()))) + 1
+
+    section = {
+        "hit_elements_copied_per_hot_batch": {
+            "value": copied, "gate": "== 0 (exact)", "domain": "count"},
+        "edge_lane_elements_scanned_per_query": {
+            "value": scanned, "domain": "count",
+            "gate": f"<= ceil(log2(max degree {int(degree.max())})) + 1 = {bound}"},
+    }
+    if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
+        doc = json.loads(BASELINE_PATH.read_text())
+        baseline_record(BASELINE_PATH, {"rowcache_hot_path": section},
+                        name=doc["name"], gate=doc["gate"], measured=doc["measured"])
+    report(
+        "Row cache hot path (count domain, packed CSR)",
+        render_table(
+            ["count", "value", "gate"],
+            [[name, f"{entry['value']:g}", entry["gate"]]
+             for name, entry in section.items()],
+            title="256 Zipf(1.3) hits; 4 edge probes on each of the 16 largest rows",
+        ),
+    )
+    assert copied == 0
+    assert scanned <= bound
 
 
 def test_query_throughput_scaling_report(benchmark, stores, node_queries, edge_queries):

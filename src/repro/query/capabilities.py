@@ -50,6 +50,10 @@ class StoreCapabilities:
         log-structured :class:`~repro.lsm.LsmStore`).  The serving
         layer routes :class:`~repro.serve.request.WriteRequest`
         traffic only to stores declaring this.
+    resident_rows:
+        The store keeps decoded rows resident and hands a batch over
+        zero-copy, as those arrays — ``neighbor_rows(unodes) -> (rows,
+        all_sorted)`` (:class:`~repro.query.rowcache.RowCache`).
     """
 
     has_native_batch: bool
@@ -58,6 +62,7 @@ class StoreCapabilities:
     decode_bits: int
     counts_page_touches: bool = False
     supports_writes: bool = False
+    resident_rows: bool = False
 
 
 def capabilities(store) -> StoreCapabilities:
@@ -76,6 +81,7 @@ def capabilities(store) -> StoreCapabilities:
     writes = callable(getattr(store, "insert_edge", None)) and callable(
         getattr(store, "delete_edge", None)
     )
+    resident = callable(getattr(store, "neighbor_rows", None))
     if declared is not None:
         dtype = np.dtype(declared)
     elif width is not None:
@@ -83,20 +89,12 @@ def capabilities(store) -> StoreCapabilities:
     else:
         indices = getattr(store, "indices", None)
         dtype = indices.dtype if indices is not None else np.dtype(np.int64)
-    if width is not None:
-        return StoreCapabilities(
-            has_native_batch=native,
-            row_dtype=dtype,
-            is_packed=True,
-            decode_bits=int(width),
-            counts_page_touches=pages,
-            supports_writes=writes,
-        )
     return StoreCapabilities(
         has_native_batch=native,
         row_dtype=dtype,
-        is_packed=False,
-        decode_bits=1,
+        is_packed=width is not None,
+        decode_bits=int(width) if width is not None else 1,
         counts_page_touches=pages,
         supports_writes=writes,
+        resident_rows=resident,
     )

@@ -37,6 +37,11 @@ Method = Literal["scan", "bisect"]
 
 _METHODS = ("scan", "bisect")
 
+#: Elements of a resident row *per query on it* from which it is searched
+#: in place, not copied: the measured crossover of a ``searchsorted`` call
+#: per query (~1.5 us) against ~4 passes over the row (~1.7 ns/element).
+_IN_PLACE_MIN = 512
+
 
 def _membership(row: np.ndarray, v: int, method: Method) -> tuple[bool, int]:
     """(present, elements inspected) under the chosen search method."""
@@ -52,48 +57,68 @@ def _membership(row: np.ndarray, v: int, method: Method) -> tuple[bool, int]:
     raise ValidationError(f"unknown search method {method!r}")
 
 
+def _searchable(rows, extra, uidx):
+    """What the search of queries *uidx* (row index per query) needs of
+    a fetch: each row's length, its length in the keyed payload (0: it
+    stays out; the same array when none does), that payload, a row
+    getter, and whether every row is sorted (``None``: not known yet).
+    A decode buffer ``(flat, offsets)``, every element already paid
+    for, is the payload as it stands; of a ``resident_rows`` store's
+    ``(rows, all_sorted)`` only rows cheaper to copy than to search
+    once per query are joined."""
+    if isinstance(rows, np.ndarray):
+        counts = np.diff(extra)
+        return counts, counts, rows, lambda j: rows[extra[j] : extra[j + 1]], None
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    wanted = np.bincount(uidx, minlength=counts.shape[0])
+    lens = np.where(counts < _IN_PLACE_MIN * wanted, counts, 0)
+    parts = [rows[j] for j in np.flatnonzero(lens).tolist()]
+    short = np.concatenate(parts) if parts else lens[:0]
+    return counts, lens, short, rows.__getitem__, extra
+
+
 def batch_edge_existence(
     store: GraphStore,
     edges: Sequence[tuple[int, int]] | np.ndarray,
     executor: Executor | None = None,
     *,
     method: Method = "scan",
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    rows: tuple | None = None,
 ) -> np.ndarray:
     """Existence of every (u, v) query, chunked over processors.
 
     Accepts a sequence of pairs or an ``(m, 2)`` array; returns a bool
     array in query order.
 
-    Each chunk runs one bulk row fetch (:func:`neighbors_batch`) over
-    the chunk's *distinct* sources — hub-skewed workloads repeat heavy
-    rows, so deduplicating bounds the decode at one pass over the
-    touched rows — and one vectorised membership test over the
-    concatenated rows: shifting distinct row *j* by ``j * n`` makes the
-    flat payload globally sorted, so a single ``searchsorted`` resolves
-    every query at once.  Rows that are *not* internally sorted are
-    legal (``build_csr`` only enforces source order), so each chunk
-    first checks the shifted concatenation is non-decreasing — which,
-    because the per-row key ranges are disjoint, holds exactly when
-    every fetched row is sorted — and otherwise answers its queries
-    through the scalar :func:`_membership` over the already-decoded
-    rows.  Results and cost charges match the per-query scalar path
-    exactly either way — every query is still billed its own row
-    decode, "scan" still counts elements up to the first hit, "bisect"
-    the binary-search step bound.
+    Each chunk fetches the rows of its *distinct* sources once and
+    answers every query inside its source's row.  Rows in one payload —
+    a :func:`neighbors_batch` decode buffer, or the short rows of a
+    ``resident_rows`` store joined (see :func:`_searchable`) — are
+    resolved by one ``searchsorted``: row *j* shifted by ``j * n`` keeps
+    the payload sorted.  A long resident row is binary-searched where it
+    lies, so a chunk of cache hits costs its queries, not the elements
+    of the hub rows it touches.  Unsorted rows are legal (``build_csr``
+    only enforces source order) — the keyed payload of a decode buffer
+    is checked, a ``resident_rows`` store has known since insert — and
+    a chunk holding one answers through the scalar :func:`_membership`.
+    Results and cost charges match the per-query scalar path exactly
+    either way — every query is still billed its own row decode, "scan"
+    still counts elements up to the first hit, "bisect" the
+    binary-search step bound.
 
-    **Prefetched rows.**  *rows* is ``(sources, flat, offsets)`` as
+    **Prefetched rows.**  *rows* is what
     :func:`~repro.query.neighbors.batch_neighbors` hands back for its
-    ``prefetch``: rows of this store, already fetched, for strictly
-    increasing *sources*.  A chunk whose every source is among them
-    runs the same sortedness check and keyed ``searchsorted`` straight
-    on that buffer and reads no store; any other chunk fetches its own
-    distinct sources as if no rows were given (in the serve loop the
-    prefix covers every source, so ``kernel:edges`` of a mixed batch
-    contains no store read).  The :class:`Cost` charged is the same
-    either way — per-query decode, inspected elements — except that a
-    chunk served from *rows* drains no ``page_touches``: the kernel
-    that fetched them already charged those pages.
+    ``prefetch`` — ``(sources, flat, offsets)``, or ``(sources, rows,
+    all_sorted)`` from a ``resident_rows`` store: rows of this store,
+    already fetched, for strictly increasing *sources*.  A chunk whose
+    every source is among them searches those rows and reads no store;
+    any other chunk fetches its own distinct sources as if no rows were
+    given (in the serve loop the prefix covers every source, so
+    ``kernel:edges`` of a mixed batch contains no store read).  The
+    :class:`Cost` charged is the same either way — per-query decode,
+    inspected elements — except that a chunk served from *rows* drains
+    no ``page_touches``: the kernel that fetched them already charged
+    those pages.
     """
     executor = executor or SerialExecutor()
     caps = capabilities(store)
@@ -105,21 +130,24 @@ def batch_edge_existence(
     n = store.num_nodes
     if qs.size and (int(qs.min()) < 0 or int(qs.max()) >= n):
         raise QueryError(f"query ids must lie in [0, {n})")
+    held = None
     if rows is not None:
-        sources, held_flat, held_offs = rows
+        sources, held, extra = rows
         sources = np.asarray(sources, dtype=np.int64)
+        flat_form = isinstance(held, np.ndarray)
         if (
             sources.ndim != 1
-            or held_offs.shape != (sources.shape[0] + 1,)
-            or int(held_offs[-1]) != held_flat.shape[0]
             or not bool(np.all(sources[1:] > sources[:-1]))
+            or (not flat_form and len(held) != sources.shape[0])
+            or (flat_form and (extra.shape != (sources.shape[0] + 1,)
+                               or int(extra[-1]) != held.shape[0]))
         ):
             raise QueryError(
                 "prefetched rows must be (strictly increasing sources, "
                 "flat, offsets) with one row per source"
             )
         if sources.size == 0:
-            rows = None
+            held = None
 
     out = np.zeros(qs.shape[0], dtype=bool)
     bounds = chunk_bounds(qs.shape[0], executor.p)
@@ -130,50 +158,60 @@ def batch_edge_existence(
         inspected = 0
         pages = 0.0
         if e > s:
+            us, vs = qs[s:e, 0], qs[s:e, 1]
             covered = False
-            if rows is not None:
-                uidx, found = locate_keys(sources, qs[s:e, 0])
+            if held is not None:
+                uidx, found = locate_keys(sources, us)
                 covered = bool(found.all())
             if covered:
-                flat, offs = held_flat, held_offs
+                fetched = held, extra
             else:
-                uniq, uidx = np.unique(qs[s:e, 0], return_inverse=True)
-                flat, offs = neighbors_batch(store, uniq, caps)
+                uniq, uidx = np.unique(us, return_inverse=True)
+                if caps.resident_rows:
+                    fetched = store.neighbor_rows(uniq)
+                else:
+                    fetched = neighbors_batch(store, uniq, caps)
                 if caps.counts_page_touches:
                     pages = float(store.take_page_touches())
-            counts_u = np.diff(offs)
+            counts_u, lens, short, row_at, all_sorted = _searchable(*fetched, uidx)
             counts_q = counts_u[uidx]
             # billed as if each query decoded its own row, like the
             # scalar path — the dedup is a wall-clock win only
             decode_units = row_decode_cost(store, int(counts_q.sum()), caps)
-            # disjoint per-row key ranges keep the concatenation sorted
-            # — provided each row is itself sorted
-            keyed = flat.astype(np.int64) + np.repeat(
-                np.arange(counts_u.shape[0], dtype=np.int64) * n, counts_u
+            # disjoint per-row key ranges keep the payload sorted —
+            # provided each row is (a decode buffer's are checked here)
+            keyed = short.astype(np.int64) + np.repeat(
+                np.arange(lens.shape[0]) * n, lens
             )
-            if keyed.size > 1 and bool(np.any(keyed[1:] < keyed[:-1])):
-                # some row is internally unsorted: searchsorted would
+            if all_sorted is None:
+                all_sorted = not bool(np.any(keyed[1:] < keyed[:-1]))
+            if not all_sorted:
+                # some row is internally unsorted: a binary search would
                 # be wrong, so answer each query with the scalar
-                # membership over the rows already decoded above
-                steps_sum = 0
-                for i in range(e - s):
-                    j = int(uidx[i])
-                    row = flat[offs[j] : offs[j + 1]]
-                    present_i, steps_i = _membership(row, int(qs[s + i, 1]), method)
-                    out[s + i] = present_i
-                    steps_sum += steps_i
-                inspected = steps_sum
+                # membership over the rows already fetched above
+                for i, j in enumerate(uidx.tolist()):
+                    out[s + i], steps_i = _membership(row_at(j), int(vs[i]), method)
+                    inspected += steps_i
             else:
-                keys = qs[s:e, 1] + uidx * n
+                keys = vs + uidx * n
                 pos = np.searchsorted(keyed, keys, side="left")
                 if keyed.size:
                     hit = keyed[np.minimum(pos, keyed.size - 1)] == keys
                     present = (pos < keyed.size) & hit
                 else:
                     present = np.zeros(e - s, dtype=bool)
+                if method == "scan":
+                    pos -= (np.cumsum(lens) - lens)[uidx]  # now within the row
+                if lens is not counts_u:
+                    # rows left out of the payload: O(log degree) each
+                    wanted = vs.astype(caps.row_dtype)
+                    for i in np.flatnonzero(counts_q > lens[uidx]).tolist():
+                        row, v = row_at(uidx[i]), wanted[i]
+                        pos[i] = at = row.searchsorted(v)
+                        present[i] = at < row.shape[0] and row[at] == v
                 out[s:e] = present
                 if method == "scan":
-                    steps = np.where(present, pos - offs[:-1][uidx] + 1, counts_q)
+                    steps = np.where(present, pos + 1, counts_q)
                 else:  # bisect
                     steps = np.maximum(
                         1, np.ceil(np.log2(counts_q + 1)).astype(np.int64)

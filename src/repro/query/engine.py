@@ -63,7 +63,7 @@ class QueryEngine:
         edges: Sequence[tuple[int, int]] | np.ndarray,
         *,
         method: Method = "scan",
-        rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        rows: tuple | None = None,
     ) -> np.ndarray:
         """Existence of a batch of (u, v) queries.
 

@@ -48,13 +48,14 @@ def batch_neighbors(
     distinct sources — as strictly increasing node ids.  They ride on
     chunk 0's store read, *ahead* of its own keys, so the micro-batch
     walks the store stack once instead of once per kernel.  Their rows
-    are then one contiguous prefix of the fetched buffer, handed back
-    zero-copy as ``(sources, flat, offsets)`` for
-    :func:`~repro.query.edges.batch_edge_existence` (``rows=``); a query
-    that repeats a prefetched node is not fetched twice — its reply is
-    a view of the prefix row.  With ``prefetch`` given the return value
-    is ``(rows, (sources, flat, offsets))``; without it just ``rows``,
-    and the fetch is exactly the per-chunk read of the query keys.
+    are then the prefix of the fetch, handed back zero-copy for
+    :func:`~repro.query.edges.batch_edge_existence` (``rows=``) as
+    ``(sources, flat, offsets)`` — or, from a ``resident_rows`` store,
+    ``(sources, rows, all_sorted)``: its own arrays and its word on
+    their sortedness.  A query that repeats a prefetched node is not
+    fetched twice — its reply is the prefix row.  With ``prefetch`` the
+    return value is ``(rows, fetched)``; without it just ``rows``, and
+    the fetch is exactly the per-chunk read of the query keys.
 
     **What is charged where.**  Every chunk is billed its own queries —
     one read and one write per query plus the degree-linear decode of
@@ -65,8 +66,10 @@ def batch_neighbors(
     and charged to this phase; the edge kernel then reads no store and
     charges none.
 
-    Replies are views of their chunk's fetched buffer (no per-row
-    copy), so they keep that buffer — prefix included — alive.
+    Replies are never copied: each is a view of its chunk's fetched
+    buffer (and keeps that buffer — prefix included — alive), or the
+    store's own read-only resident row, which stays what it was when a
+    later write or eviction replaces it in the store.
     """
     executor = executor or SerialExecutor()
     caps = capabilities(store)
@@ -95,7 +98,7 @@ def batch_neighbors(
             (lead, np.zeros(0, dtype=caps.row_dtype), np.zeros(1, dtype=np.int64))
         )
 
-    results: list[np.ndarray | None] = [None] * queries.shape[0]
+    results: list[np.ndarray] = [None] * queries.shape[0]  # chunks fill it
     bounds = chunk_bounds(queries.shape[0], executor.p)
 
     def run_chunk(ctx: TaskContext, cid: int):
@@ -110,18 +113,22 @@ def batch_neighbors(
         decode_units = 0.0
         pages = 0.0
         if keys.size:
-            flat, offs = neighbors_batch(store, keys, caps)
-            lo, hi = offs[:-1], offs[1:]
-            own = int(offs[-1])  # elements in this chunk's own rows
+            k = lead.size if row_of is not None else 0
+            if caps.resident_rows:
+                rows, all_sorted = store.neighbor_rows(keys)
+                prefix = (lead, rows[:k], all_sorted)
+            else:
+                flat, offs = neighbors_batch(store, keys, caps)
+                cuts = offs.tolist()
+                rows = [flat[a:b] for a, b in zip(cuts, cuts[1:])]
+                prefix = (lead, flat[: cuts[k]], offs[: k + 1])
             if row_of is not None:
-                held[0] = (lead, flat[: offs[lead.size]], offs[: lead.size + 1])
-                lo, hi = lo[row_of], hi[row_of]
-                own = int((hi - lo).sum())
-            for i, a, b in zip(range(s, e), lo.tolist(), hi.tolist()):
-                results[i] = flat[a:b]
-            # degree-linear decode charge, so the chunk total equals the
-            # per-row sum the scalar path would have charged
-            decode_units = row_decode_cost(store, own, caps)
+                held[0] = prefix
+                rows = [rows[j] for j in row_of.tolist()]
+            results[s:e] = rows
+            # degree-linear decode charge over the chunk's own rows, so
+            # its total equals the per-row sum the scalar path charges
+            decode_units = row_decode_cost(store, sum(map(len, rows)), caps)
             if caps.counts_page_touches:
                 # out-of-core stores meter the distinct mapped pages the
                 # fetch faulted in; billed on the dedicated channel so
@@ -135,9 +142,7 @@ def batch_neighbors(
         [_bind(run_chunk, cid) for cid in range(executor.p)],
         label="query:neighbors",
     )
-    empty = np.zeros(0, dtype=caps.row_dtype)
-    rows = [row if row is not None else empty for row in results]
-    return rows if prefetch is None else (rows, held[0])
+    return results if prefetch is None else (results, held[0])
 
 
 def _bind(fn, cid: int):

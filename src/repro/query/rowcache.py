@@ -20,6 +20,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..utils import require
 from .capabilities import capabilities
+from .stores import join_rows
 from .stores import neighbors_batch as _store_batch
 
 __all__ = ["RowCache", "RowCacheStats"]
@@ -54,10 +55,15 @@ class RowCache:
         on a miss.
     capacity:
         Maximum cached *decoded elements* (neighbour ids) held at once.
-        Rows wider than the whole capacity are served but never cached,
-        as are empty rows (nothing to amortise).  Cached rows are owned
-        copies, so a resident row never pins the batch decode buffer it
-        was sliced from.
+        Rows wider than the whole capacity are served but never cached.
+        Empty rows are resident as one shared array charged **one**
+        element each (so the budget still bounds the dict): re-decoding
+        one is free, but every batch touching one — a third of a social
+        graph's nodes — missed and descended the wrapped stack.  Cached
+        rows are owned **read-only** copies: none pins the decode buffer
+        it was sliced from, lookups hand out the resident array itself,
+        and a write into a reply raises instead of corrupting the cache.
+        Sortedness is established once per residency, at insert.
     """
 
     __slots__ = (
@@ -71,6 +77,9 @@ class RowCache:
         "invalidations",
         "_rows",
         "_elements",
+        "_charged",
+        "_unsorted",
+        "_empty",
     )
 
     def __init__(self, store, capacity: int):
@@ -88,6 +97,10 @@ class RowCache:
         self.invalidations = 0
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._elements = 0
+        self._charged = 0  # _elements plus one per resident empty row
+        self._unsorted: set[int] = set()  # resident, internally unsorted
+        self._empty = np.zeros(0, dtype=self.row_dtype)
+        self._empty.setflags(write=False)
 
     # -- store surface --------------------------------------------------
     @property
@@ -115,20 +128,20 @@ class RowCache:
             self._rows.move_to_end(u)
             return row
         self.misses += 1
-        row = self.store.neighbors(u)
-        self._insert(u, row)
-        return row
+        return self._insert(u, self.store.neighbors(u))
 
-    def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk row fetch: cached rows are reused, the misses are
-        decoded through the wrapped store's own batch path (once per
-        distinct node) and inserted.  Returns ``(flat, offsets)``."""
+    def neighbor_rows(self, unodes) -> tuple[list[np.ndarray], bool]:
+        """Bulk row fetch, zero-copy: one array per key — a hit's is the
+        resident row itself; misses are decoded through the wrapped
+        store's own batch path (once per distinct node) and inserted —
+        plus whether every one of them is internally sorted."""
         us = np.asarray(unodes, dtype=np.int64)
         if us.ndim != 1:
             raise ValidationError("node batch must be 1-D")
-        rows: list[np.ndarray | None] = [None] * us.shape[0]
+        keys = us.tolist()
+        rows: list[np.ndarray | None] = [None] * len(keys)
         missing: dict[int, list[int]] = {}
-        for i, u in enumerate(us.tolist()):
+        for i, u in enumerate(keys):
             row = self._rows.get(u)
             if row is not None:
                 self.hits += 1
@@ -137,19 +150,28 @@ class RowCache:
             else:
                 self.misses += 1
                 missing.setdefault(u, []).append(i)
+        all_sorted = not self._unsorted or self._unsorted.isdisjoint(keys)
         if missing:
             uniq = np.fromiter(missing, dtype=np.int64, count=len(missing))
             flat, offs = _store_batch(self.store, uniq, self._store_caps)
+            # one pass over the decode buffer finds the unsorted rows:
+            # an element below its predecessor that is not a row's first
+            drop = np.zeros(flat.shape[0] + 1, dtype=bool)
+            np.less(flat[1:], flat[:-1], out=drop[1:-1])
+            drop[offs] = False
+            at = np.searchsorted(offs, np.flatnonzero(drop), side="right")
+            bad = set((at - 1).tolist())
+            all_sorted = all_sorted and not bad
+            bounds = offs.tolist()
             for k, u in enumerate(uniq.tolist()):
-                row = flat[offs[k] : offs[k + 1]]
-                self._insert(u, row)
+                row = self._insert(u, flat[bounds[k] : bounds[k + 1]], k in bad)
                 for i in missing[u]:
                     rows[i] = row
-        offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
-        np.cumsum([r.shape[0] for r in rows], out=offsets[1:])
-        if not rows:
-            return np.zeros(0, dtype=self.row_dtype), offsets
-        return np.concatenate(rows), offsets
+        return rows, all_sorted
+
+    def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`neighbor_rows` joined into one ``(flat, offsets)`` payload."""
+        return join_rows(self.neighbor_rows(unodes)[0], self.row_dtype)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Binary search of *v* in *u*'s (possibly cached) row."""
@@ -159,9 +181,7 @@ class RowCache:
 
     def memory_bytes(self) -> int:
         """Wrapped payload plus resident cached rows."""
-        return int(self.store.memory_bytes()) + sum(
-            row.nbytes for row in self._rows.values()
-        )
+        return int(self.store.memory_bytes()) + self._elements * self.row_dtype.itemsize
 
     def __getattr__(self, name: str):
         # Conditional page-touch surface: a cache over an out-of-core
@@ -179,26 +199,41 @@ class RowCache:
         raise AttributeError(name)
 
     # -- cache mechanics ------------------------------------------------
-    def _insert(self, u: int, row: np.ndarray) -> None:
+    def _insert(self, u: int, row: np.ndarray, unsorted: bool | None = None):
+        """Make *row* resident if it fits; returns the array now standing
+        for *u*.  *unsorted* is the batch path's verdict from its one
+        pass over the decode buffer; a lone row is checked here."""
         size = row.shape[0]
-        if size == 0 or size > self.capacity:
-            # empty rows cost nothing to re-decode and would sit outside
-            # the element budget forever; oversized rows never fit
-            return
-        old = self._rows.pop(u, None)
-        if old is not None:
-            self._elements -= old.shape[0]
-        if row.base is not None:
-            # a slice of a batch decode buffer (or of the CSR's whole
-            # indices array) would pin its backing allocation alive and
-            # break the element/byte accounting — cache an owned copy
-            row = row.copy()
+        if (size or 1) > self.capacity:
+            return row  # never fits: served, not cached
+        if u in self._rows:
+            self._forget(u, self._rows.pop(u))
+        if size == 0:
+            row = self._empty
+        else:
+            if unsorted is None:
+                unsorted = bool(np.any(row[1:] < row[:-1]))
+            if unsorted:
+                self._unsorted.add(u)
+            if row.base is not None:
+                # a slice of a batch decode buffer (or of the CSR's whole
+                # indices array) would pin its backing allocation alive
+                # and break the element/byte accounting — own a copy
+                row = row.copy()
+            row.setflags(write=False)
         self._rows[u] = row
         self._elements += size
-        while self._elements > self.capacity:
-            _, evicted = self._rows.popitem(last=False)
-            self._elements -= evicted.shape[0]
+        self._charged += size or 1
+        while self._charged > self.capacity:
+            self._forget(*self._rows.popitem(last=False))
             self.evictions += 1
+        return row
+
+    def _forget(self, u: int, row: np.ndarray) -> None:
+        """Bookkeeping for a row that just left residency."""
+        self._elements -= row.shape[0]
+        self._charged -= row.shape[0] or 1
+        self._unsorted.discard(u)
 
     def invalidate(self, nodes) -> int:
         """Evict the cached rows of *nodes* (ids without a resident row
@@ -214,7 +249,7 @@ class RowCache:
         for u in np.asarray(nodes, dtype=np.int64).ravel().tolist():
             row = self._rows.pop(u, None)
             if row is not None:
-                self._elements -= row.shape[0]
+                self._forget(u, row)
                 dropped += 1
         self.invalidations += dropped
         return dropped
@@ -234,7 +269,8 @@ class RowCache:
     def clear(self) -> None:
         """Drop every cached row and zero the counters."""
         self._rows.clear()
-        self._elements = 0
+        self._unsorted.clear()
+        self._elements = self._charged = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0

@@ -26,6 +26,7 @@ __all__ = [
     "capabilities",
     "distinct_keys",
     "expand_rows",
+    "join_rows",
     "locate_keys",
     "neighbors_batch",
     "row_decode_cost",
@@ -104,11 +105,16 @@ def neighbors_batch(
     if caps.has_native_batch:
         return store.neighbors_batch(unodes)
     us = np.asarray(unodes, dtype=np.int64)
-    rows = [store.neighbors(int(u)) for u in us]
+    return join_rows([store.neighbors(int(u)) for u in us], caps.row_dtype)
+
+
+def join_rows(rows: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Separate row arrays as one ``(flat, offsets)`` payload (*dtype*
+    is that of the empty payload when there are no rows)."""
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([r.shape[0] for r in rows], out=offsets[1:])
     if not rows:
-        return np.zeros(0, dtype=caps.row_dtype), offsets
+        return np.zeros(0, dtype=dtype), offsets
     return np.concatenate(rows), offsets
 
 

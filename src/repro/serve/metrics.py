@@ -164,6 +164,13 @@ class ServeMetrics:
         self._waits_ns.append(float(wait_ns))
         self._latencies_ns.append(float(latency_ns))
 
+    def record_replies(self, enqueued_ns: list[float], dispatch_ns: float,
+                       complete_ns: float) -> None:
+        """:meth:`record_reply` for requests dispatched and completed together."""
+        self.completed += len(enqueued_ns)
+        self._waits_ns.extend([dispatch_ns - t for t in enqueued_ns])
+        self._latencies_ns.extend([complete_ns - t for t in enqueued_ns])
+
     def record_write(self, service_ns: float, applied: bool) -> None:
         """Record one applied-inline write and its wall service time."""
         self.writes += 1

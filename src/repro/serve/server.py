@@ -187,24 +187,27 @@ class GraphQueryServer:
             )
         if isinstance(request, WriteRequest):
             return self._apply_write(request, slot, now)
-        decision = self.admission.decide(self.coalescer.pending)
+        depth = self.coalescer.pending  # read once, then tracked
+        decision = self.admission.decide(depth)
         if decision == "reject":
             slot._resolve(REJECTED)
             self._end_root(request.ticket, now, status="rejected")
             return slot
         if decision == "shed":
             victim = self.coalescer.evict_oldest()
+            depth -= 1
             self._slots.pop(victim.ticket)._resolve(SHED)
             self._end_root(victim.ticket, now, status="shed")
         elif decision == "block":
             # backpressure: serve a batch now so the queue has room
             batch = self.coalescer.close_batch(now, "flush")
             if batch is not None:
+                depth -= len(batch)
                 self._dispatch(batch)
         self._slots[request.ticket] = slot
         self.coalescer.offer(request)
-        self.admission.record_admitted(self.coalescer.pending)
-        self.metrics.record_depth(self.coalescer.pending)
+        self.admission.record_admitted(depth + 1)
+        self.metrics.record_depth(depth + 1)
         self.pump(now)
         return slot
 
@@ -431,10 +434,10 @@ class GraphQueryServer:
         self.metrics.record_batch(
             len(batch), batch.closed_by, plan.duplicates, service_ns
         )
-        for req, lane in zip(plan.neighbor_requests, plan.node_lane):
-            self._complete(req, rows[lane], batch.closed_ns, done_ns)
-        for req, lane in zip(plan.edge_requests, plan.edge_lane):
-            self._complete(req, bool(exists[lane]), batch.closed_ns, done_ns)
+        self._complete(plan.neighbor_requests, plan.node_lane, rows,
+                       batch.closed_ns, done_ns)
+        self._complete(plan.edge_requests, plan.edge_lane, exists,
+                       batch.closed_ns, done_ns)
 
     def _run_kernels(self, plan, tracer):
         """Run the batch's neighbor/edge kernels inside kernel spans.
@@ -465,30 +468,36 @@ class GraphQueryServer:
             with tracer.span("kernel:edges", "query",
                              meta={"keys": int(edges.shape[0])}):
                 exists = self.engine.has_edges(
-                    edges, method=self.edge_method, rows=fetched)
+                    edges, method=self.edge_method, rows=fetched).tolist()
         else:
-            exists = None
+            exists = []
         return rows, exists, time.perf_counter_ns() - t0
 
-    def _complete(self, req: Request, value, dispatch_ns: float,
+    def _complete(self, requests, lanes, values, dispatch_ns: float,
                   complete_ns: float) -> None:
-        req.dispatch_ns = float(dispatch_ns)
-        req.complete_ns = complete_ns
-        slot = self._slots.pop(req.ticket, None)
-        if slot is None:  # pragma: no cover - would be a demux bug
-            raise QueryError(f"no reply slot for ticket {req.ticket}")
-        slot._resolve(DONE, value)
-        if self._obs:
-            sid = self._traced.pop(req.ticket, None)
-            if sid is not None:
-                # queue wait is analytic: submit stamp -> batch close
-                self.tracer.record(
-                    "enqueue", "serve", ticket=req.ticket,
-                    start_ns=float(req.enqueue_ns),
-                    end_ns=float(dispatch_ns), parent=sid,
-                )
-                self.tracer.end(sid, complete_ns)
-        self.metrics.record_reply(req.wait_ns, req.latency_ns)
+        """Resolve one lane of a batch: request *i* gets ``values[lanes[i]]``."""
+        take = self._slots.pop
+        enqueued = []
+        for req, lane in zip(requests, lanes):
+            req.dispatch_ns = dispatch_ns
+            req.complete_ns = complete_ns
+            slot = take(req.ticket, None)
+            if slot is None:  # pragma: no cover - would be a demux bug
+                raise QueryError(f"no reply slot for ticket {req.ticket}")
+            slot._resolve(DONE, values[lane])
+            enqueued.append(req.enqueue_ns)
+        if self._traced:
+            for req in requests:
+                sid = self._traced.pop(req.ticket, None)
+                if sid is not None:
+                    # queue wait is analytic: submit stamp -> batch close
+                    self.tracer.record(
+                        "enqueue", "serve", ticket=req.ticket,
+                        start_ns=float(req.enqueue_ns),
+                        end_ns=dispatch_ns, parent=sid,
+                    )
+                    self.tracer.end(sid, complete_ns)
+        self.metrics.record_replies(enqueued, dispatch_ns, complete_ns)
 
     def _end_root(self, ticket: int, end_ns: float,
                   status: str | None = None) -> None:

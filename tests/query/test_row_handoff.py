@@ -1,0 +1,386 @@
+"""The zero-copy row handoff between ``RowCache`` and the query kernels.
+
+A cache hit is handed to the kernels — and on to the caller — as the
+resident row itself; the edge kernel searches long rows where they lie.
+None of that may change an answer, a dtype or a ``Cost`` charge, the
+LRU policy or its counters.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import open_store
+from repro.csr.builder import build_csr_serial, ensure_sorted
+from repro.csr.packed import BitPackedCSR
+from repro.parallel import SimulatedMachine
+from repro.query import QueryEngine, RowCache, capabilities
+from repro.query import edges as edge_kernel
+from repro.query.stores import join_rows
+
+
+def _csr(src, dst, n):
+    return build_csr_serial(*ensure_sorted(src, dst), n)
+
+
+def _unsorted_csr(src, dst, n):
+    order = np.argsort(src, kind="stable")  # rows keep arrival order
+    return build_csr_serial(src[order], dst[order], n)
+
+
+STORES = {
+    "csr": _csr,
+    "packed": lambda src, dst, n: BitPackedCSR.from_csr(_csr(src, dst, n)),
+    "unsorted-rows": _unsorted_csr,
+}
+
+
+@st.composite
+def hub_batches(draw):
+    """A graph with one hub, short rows and empty rows, plus a node lane
+    and an edge lane that both repeat keys and both hit the hub."""
+    n = draw(st.integers(4, 24))
+    ids = st.integers(0, n - 1)
+    hub = draw(ids)
+    fan = draw(st.lists(ids, min_size=8, max_size=40))
+    tail = draw(st.lists(st.tuples(ids, ids), max_size=30))
+    src = np.asarray([hub] * len(fan) + [u for u, _ in tail], dtype=np.int64)
+    dst = np.asarray(fan + [v for _, v in tail], dtype=np.int64)
+    nodes = np.asarray(draw(st.lists(ids, max_size=20)) + [hub, hub], dtype=np.int64)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=20)) + [(hub, fan[0]), (hub, 0)]
+    # the hub (> capacity) is served but never cached; the rest evict
+    capacity = draw(st.sampled_from([0, len(fan) - 1, 3 * n, 10_000]))
+    return src, dst, n, nodes, np.asarray(pairs, dtype=np.int64), capacity
+
+
+def _phases(store, nodes, edges, p, method, prefetch):
+    """Replies and the ``(label, Cost)`` of every phase of one mixed
+    batch, run the way the serve loop runs it (or as two plain calls)."""
+    machine = SimulatedMachine(p)
+    costs = []
+    machine.cost_observer = lambda label, cost: costs.append((label, cost))
+    engine = QueryEngine(store, machine)
+    if prefetch:
+        rows, fetched = engine.neighbors(nodes, prefetch=np.unique(edges[:, 0]))
+        exists = engine.has_edges(edges, method=method, rows=fetched)
+    else:
+        rows = engine.neighbors(nodes)
+        exists = engine.has_edges(edges, method=method)
+    return rows, exists, costs
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(batch=hub_batches())
+@pytest.mark.parametrize("prefetch", [False, True], ids=["two-calls", "fused"])
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("method", ["scan", "bisect"])
+@pytest.mark.parametrize("in_place_min", [4, 512], ids=["long+short", "all-short"])
+@pytest.mark.parametrize("store_name", sorted(STORES))
+def test_engine_over_cache_equals_engine_over_store(
+        store_name, in_place_min, method, p, prefetch, batch):
+    src, dst, n, nodes, edges, capacity = batch
+    store = STORES[store_name](src, dst, n)
+    cache = RowCache(store, capacity)
+    # the cache bills array reads where a packed store bills field
+    # widths: same elements, one constant apart
+    width = capabilities(store).decode_bits
+    with mock.patch.object(edge_kernel, "_IN_PLACE_MIN", in_place_min):
+        want_rows, want_exists, want_costs = _phases(store, nodes, edges, p, method, prefetch)
+        for _ in range(2):  # cold, then (partly) resident
+            rows, exists, costs = _phases(cache, nodes, edges, p, method, prefetch)
+            assert len(rows) == len(want_rows)
+            for got, want in zip(rows, want_rows):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert exists.dtype == np.bool_ and np.array_equal(exists, want_exists)
+            assert [label for label, _ in costs] == [label for label, _ in want_costs]
+            for (_, got), (_, want) in zip(costs, want_costs):
+                assert (got.reads, got.writes, got.page_touches) == (
+                    want.reads, want.writes, want.page_touches)
+                assert got.bit_ops * width == want.bit_ops
+
+
+@pytest.fixture()
+def hubby(rng):
+    """Two rows long enough for the in-place search, many short rows,
+    and isolated nodes."""
+    n = 400
+    src = np.concatenate([np.zeros(900, np.int64), np.ones(600, np.int64),
+                          rng.integers(2, 300, 2000)])
+    dst = rng.integers(0, n, src.shape[0])
+    return BitPackedCSR.from_csr(_csr(src, dst, n)), n
+
+
+def test_long_rows_at_the_real_threshold(hubby, rng):
+    store, n = hubby
+    assert store.degree(0) >= edge_kernel._IN_PLACE_MIN > store.degree(2)
+    cache = RowCache(store, 100_000)
+    edges = np.stack([rng.integers(0, 6, 300), rng.integers(0, n, 300)], axis=1)
+    edges[:50] = np.stack([np.zeros(50), store.neighbors(0)[:50]], axis=1)  # planted
+    for method in ("scan", "bisect"):
+        want = _phases(store, edges[:, 0], edges, 1, method, True)
+        got = _phases(cache, edges[:, 0], edges, 1, method, True)
+        assert np.array_equal(got[1], want[1]) and got[1][:50].all()
+        assert [c.reads for _, c in got[2]] == [c.reads for _, c in want[2]]
+
+
+class TestZeroCopy:
+    def test_every_hit_is_the_resident_row(self, hubby, rng):
+        store, n = hubby
+        cache = RowCache(store, 100_000)
+        keys = rng.integers(0, n, 200)
+        cache.neighbors_batch(keys)  # make them resident
+        misses = cache.misses
+        real = np.concatenate
+        with mock.patch.object(np, "concatenate", side_effect=real) as joined:
+            rows, (sources, held, all_sorted) = QueryEngine(cache).neighbors(
+                keys, prefetch=np.unique(keys[:40]))
+        assert cache.misses == misses
+        for u, row in zip(keys.tolist(), rows):
+            assert row is cache._rows[u]
+        assert all(row is cache._rows[u] for u, row in zip(sources.tolist(), held))
+        assert all_sorted is True
+        # the only concatenation joined key arrays, never row payload
+        resident = {id(row) for row in cache._rows.values()}
+        for call in joined.call_args_list:
+            assert not any(id(part) in resident for part in call.args[0])
+
+    def test_a_resident_row_is_copied_only_when_that_is_cheaper(self, hubby, rng):
+        """In place costs a numpy call per query on the row, a copy its
+        length: 900- and 600-element rows are searched where they lie
+        for one query each, and joined once for 32 each."""
+        store, n = hubby
+        cache = RowCache(store, 100_000)
+        cache.neighbors_batch([0, 1])
+        real = np.concatenate
+        for per_row, joins in ((1, 0), (32, 1)):
+            edges = np.stack([np.repeat([0, 1], per_row),
+                              rng.integers(0, n, 2 * per_row)], axis=1)
+            with mock.patch.object(np, "concatenate", side_effect=real) as joined:
+                got = QueryEngine(cache).has_edges(edges, method="bisect")
+            assert joined.call_count == joins
+            assert got.tolist() == [store.has_edge(int(u), int(v)) for u, v in edges]
+
+    def test_neighbors_batch_is_the_row_list_concatenated(self, hubby, rng):
+        store, n = hubby
+        cache = RowCache(store, 100_000)
+        keys = rng.integers(0, n, 60)
+        flat, offsets = cache.neighbors_batch(keys)
+        rows, all_sorted = cache.neighbor_rows(keys)
+        assert all_sorted
+        for got, want in zip(join_rows(rows, cache.row_dtype), (flat, offsets)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert all(np.array_equal(flat[a:b], row)
+                   for a, b, row in zip(offsets, offsets[1:], rows))
+
+
+class TestReadOnlyResidency:
+    def test_writing_into_a_reply_raises(self, hubby):
+        store, _ = hubby
+        cache = RowCache(store, 100_000)
+        for reply in (cache.neighbors(0), cache.neighbors(0),
+                      QueryEngine(cache).neighbors([0])[0],
+                      cache.neighbors(399)):  # the shared empty row
+            assert not reply.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                reply[:1] = 7
+        flat, _ = cache.neighbors_batch([0, 2])
+        flat[0] = flat[0]  # a concatenation is the caller's own
+
+    def test_reply_outlives_invalidate_and_eviction(self, hubby):
+        store, _ = hubby
+        cache = RowCache(store, store.degree(0) + store.degree(1))
+        before = QueryEngine(cache).neighbors([0])[0]
+        kept = before.copy()
+        cache.invalidate([0])
+        assert 0 not in cache._rows and np.array_equal(before, kept)
+        again = cache.neighbors(0)
+        assert again is not before and np.array_equal(again, kept)
+        cache.neighbors(1)
+        cache.neighbors(2)  # over budget: row 0 is evicted
+        assert 0 not in cache._rows and cache.evictions >= 1
+        assert np.array_equal(again, kept)
+
+    def test_reply_keeps_pre_write_contents_after_an_lsm_write(self, sorted_edges):
+        from repro.serve import GraphQueryServer, NeighborsRequest, ServerConfig, WriteRequest
+
+        src, dst, n = sorted_edges
+        lsm = open_store("lsm", src, dst, n)
+        server = GraphQueryServer(lsm, config=ServerConfig(cache_elements=10_000))
+
+        def read(u):
+            slot = server.submit(NeighborsRequest(node=u))
+            server.drain()
+            return slot.result()
+
+        before = read(5)
+        kept = before.copy()
+        missing = next(v for v in range(n) if not lsm.has_edge(5, v))
+        assert server.submit(WriteRequest(op="insert", u=5, v=missing)).result()
+        after = read(5)
+        assert np.array_equal(before, kept) and missing not in before.tolist()
+        assert missing in after.tolist() and after.shape[0] == kept.shape[0] + 1
+
+
+class MutableRows:
+    """Minimal mutable store whose rows need not be sorted."""
+
+    def __init__(self, rows):
+        self.rows = [np.asarray(r, dtype=np.int64) for r in rows]
+        self.num_nodes = len(rows)
+
+    @property
+    def num_edges(self):
+        return sum(r.shape[0] for r in self.rows)
+
+    def degree(self, u):
+        return self.rows[u].shape[0]
+
+    def neighbors(self, u):
+        return self.rows[u].copy()
+
+    def has_edge(self, u, v):
+        return bool((self.rows[u] == v).any())
+
+    def memory_bytes(self):
+        return sum(r.nbytes for r in self.rows)
+
+
+class TestUnsortedRows:
+    ROWS = [[5, 1, 3], [0, 2, 4], [], [4, 4, 1], [2], []]
+
+    def test_a_descent_across_a_row_boundary_is_not_disorder(self):
+        # 4 -> 2 crosses an empty row: every row here is sorted
+        cache = RowCache(MutableRows([[3, 4], [], [2, 9], [7, 7]]), 100)
+        assert cache.neighbor_rows([0, 1, 2, 3])[1] is True
+        assert cache._unsorted == set()
+
+    @pytest.mark.parametrize("method", ["scan", "bisect"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_answers_come_from_the_fallback_and_the_flag_follows_the_row(
+            self, method, batched):
+        store = MutableRows(self.ROWS)
+        cache = RowCache(store, 100)
+        edges = np.array([(u, v) for u in range(6) for v in range(6)])
+        # the scalar path is the contract (a bisect over an unsorted row
+        # is as wrong there as here)
+        def scalar():
+            return [edge_kernel._membership(store.rows[u], v, method)[0]
+                    for u, v in edges.tolist()]
+
+        want = scalar()
+        if batched:
+            cache.neighbors_batch([0, 1, 2, 3, 4, 5])
+        else:
+            for u in range(6):
+                cache.neighbors(u)
+        assert cache._unsorted == {0, 3}
+        with mock.patch.object(edge_kernel, "_IN_PLACE_MIN", 2):
+            engine = QueryEngine(cache)
+            for _ in range(2):  # the second pass is all hits
+                assert engine.has_edges(edges, method=method).tolist() == want
+            assert cache.neighbor_rows([1, 4])[1] is True
+            assert cache.neighbor_rows([1, 3])[1] is False
+            # a write sorts row 0; invalidation drops the stale flag and
+            # the re-read does not raise it again
+            store.rows[0] = np.array([1, 3, 5])
+            cache.invalidate([0])
+            assert cache._unsorted == {3}
+            assert engine.has_edges(edges, method=method).tolist() == scalar()
+            assert cache._unsorted == {3} and 0 in cache._rows
+            # eviction drops the other one
+            cache.clear()
+            assert cache._unsorted == set()
+
+
+# -- the LRU policy and its counters are the parent's -----------------------
+
+def _trace_graph(ring: bool):
+    rng = np.random.default_rng(2024)
+    n = 600
+    src = np.minimum(rng.zipf(1.3, 3000) - 1, n - 1)
+    dst = rng.integers(0, n, 3000)
+    if ring:  # one out-edge per node: no empty rows
+        src = np.concatenate([src, np.arange(n)])
+        dst = np.concatenate([dst, (np.arange(n) + 1) % n])
+    return _csr(src, dst, n)
+
+
+def _trace(n):
+    """The recorded trace: 5,000 Zipf(1.2) keys in 40 batches, the six
+    hottest-ish rows invalidated after every eighth batch."""
+    keys = np.minimum(np.random.default_rng(7).zipf(1.2, 5000) - 1, n - 1)
+    for b, batch in enumerate(np.split(keys, 40)):
+        yield batch.tolist(), [0, 1, 2, 3, 5, 8] if b % 8 == 7 else []
+
+
+def _replay(cache):
+    for batch, stale in _trace(cache.num_nodes):
+        cache.neighbors_batch(batch)
+        cache.invalidate(stale)
+    s = cache.stats()
+    return s.hits, s.misses, s.evictions, s.invalidations
+
+
+def _lru_model(degree, n, capacity, *, empty_rows_resident):
+    """Reference element-budget LRU (hits first, then the batch's
+    distinct misses inserted in first-seen order).  Without
+    *empty_rows_resident* it is the parent's policy; with it an empty
+    row is kept at a charge of one element."""
+    resident: dict[int, int] = {}  # node -> charge, oldest first
+    hits = misses = evictions = invalidations = 0
+    for batch, stale in _trace(n):
+        missing = []
+        for u in batch:
+            if u in resident:
+                hits += 1
+                resident[u] = resident.pop(u)
+            else:
+                misses += 1
+                missing.append(u)
+        for u in dict.fromkeys(missing):
+            charge = degree[u] or (1 if empty_rows_resident else 0)
+            if 0 < charge <= capacity:
+                resident[u] = charge
+                while sum(resident.values()) > capacity:
+                    resident.pop(next(iter(resident)))
+                    evictions += 1
+        for u in stale:
+            invalidations += resident.pop(u, None) is not None
+    return hits, misses, evictions, invalidations
+
+
+#: measured on the parent commit (f555a5a) with this very trace
+PARENT_NO_EMPTY_ROWS = (2725, 2275, 1217, 22)
+PARENT_WITH_EMPTY_ROWS = (2737, 2263, 951, 21)
+
+
+def test_counters_pinned_to_the_parent_on_a_recorded_trace():
+    graph = _trace_graph(ring=True)
+    assert int(np.diff(graph.indptr).min()) > 0
+    assert _replay(RowCache(graph, 2000)) == PARENT_NO_EMPTY_ROWS
+
+
+def test_empty_row_residency_is_the_only_counter_change():
+    graph = _trace_graph(ring=False)
+    degree = np.diff(graph.indptr).tolist()
+    assert degree.count(0) == 307
+    # the model reproduces the parent's numbers with empty rows left out ...
+    assert _lru_model(degree, 600, 2000, empty_rows_resident=False) == PARENT_WITH_EMPTY_ROWS
+    # ... and the cache's once they are resident at one element each
+    got = _replay(RowCache(graph, 2000))
+    assert got == _lru_model(degree, 600, 2000, empty_rows_resident=True)
+    assert got == (2742, 2258, 1215, 21)
+
+
+def test_memory_bytes_is_the_sum_over_resident_rows(hubby, rng):
+    store, n = hubby
+    cache = RowCache(store, 3000)
+    for _ in range(5):
+        cache.neighbors_batch(rng.integers(0, n, 100))
+        cache.invalidate(rng.integers(0, n, 10))
+        assert cache.memory_bytes() - store.memory_bytes() == sum(
+            row.nbytes for row in cache._rows.values())

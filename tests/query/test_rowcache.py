@@ -154,13 +154,27 @@ class TestRowCacheRetention:
             == stats.elements * itemsize
         )
 
-    def test_empty_rows_never_cached(self):
-        g = build_csr_serial([0, 0], [1, 2], 4)  # node 3 is isolated
-        cache = RowCache(g, capacity=100)
+    def test_empty_rows_resident_at_one_element_each(self):
+        """Uncached, an empty row missed forever and sent every batch
+        that touched one down the wrapped stack; resident, it is one
+        shared array charged one element of the budget, no bytes."""
+        g = build_csr_serial([0, 0], [1, 2], 6)  # nodes 3, 4, 5 are isolated
+        cache = RowCache(g, capacity=3)
         for _ in range(3):
             assert cache.neighbors(3).shape == (0,)
         s = cache.stats()
-        assert (s.rows, s.elements, s.misses) == (0, 0, 3)
+        assert (s.rows, s.elements, s.misses, s.hits) == (1, 0, 1, 2)
+        assert cache.neighbors_batch([3, 4])[0].dtype == cache.row_dtype
+        assert cache.neighbors(3) is cache.neighbors(4)  # the shared array
+        assert cache.memory_bytes() == g.memory_bytes()
+        # each is charged one element: row 0 (2 elements) on top of two
+        # empty rows overflows the budget of 3 and evicts the older one
+        cache.neighbors(0)
+        s = cache.stats()
+        assert (s.rows, s.elements, s.evictions) == (2, 2, 1)
+        assert 3 not in cache._rows and 4 in cache._rows
+        cache.neighbors(5)
+        assert list(cache._rows) == [0, 5] and cache.evictions == 2
 
     def test_capacity_zero_caches_nothing(self):
         g = build_csr_serial([0, 0], [1, 2], 4)
