@@ -22,12 +22,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import render_table
-from repro.bitpack import available_codecs, get_codec, row_gaps
+from repro.bitpack import available_codecs, get_codec, row_gaps, segcodec, varint
 from repro import open_store
 from repro.query import batch_edge_existence
 from repro.serve import zipf_nodes
 
-from conftest import baseline_record, report
+from conftest import baseline_record, baseline_section, report
 
 N_QUERIES = 10_000
 SKEW = 1.2
@@ -249,6 +249,68 @@ def test_compact_pipeline_gate(mono, compact_reordered, workload):
         f"compact qps fell to {ratio:.2f}x of packed fixed "
         f"(floor {QPS_FLOOR}x)"
     )
+
+
+# Word-load vs positional varint decode of one segment's stream.  Locally
+# the word kernel lands around 4x; CI runners are noisy.
+WORD_DECODE_FLOOR = 1.2 if os.environ.get("CI") else 1.5
+
+
+def test_varint_kernel_gates(medium_standin, monkeypatch):
+    """Where the variable-width read path does its work: a batch costs
+    one varint kernel call however many segments it touches (domain
+    "count", exact), and that call decodes by word loads, not by one
+    masked pass per byte position (domain "wall")."""
+    ds = medium_standin
+    store = open_store(
+        "compact", ds.sources, ds.destinations, ds.num_nodes,
+        segment_bytes=1 << 18,
+    )
+    assert [s.codec for s in store.segments] == ["varint"] * 4
+
+    keys = zipf_nodes(64, ds.num_nodes, SKEW, rng=np.random.default_rng(23))
+    firsts = np.asarray([s.first_row for s in store.segments])
+    touched = np.unique(np.searchsorted(firsts, keys, side="right") - 1).size
+    assert touched >= 3  # one call per touched segment would be 3-4
+    calls, kernel = [], segcodec.varint_decode
+    with monkeypatch.context() as mp:
+        mp.setattr(segcodec, "varint_decode",
+                   lambda *a, **k: calls.append(1) or kernel(*a, **k))
+        flat, offsets = store.neighbors_batch(keys)
+    packed = open_store("packed", ds.sources, ds.destinations, ds.num_nodes)
+    want = packed.neighbors_batch(keys)
+    assert np.array_equal(flat, want[0]) and np.array_equal(offsets, want[1])
+
+    payload = max(store.segments, key=lambda s: s.num_fields).payload
+    stream = payload.buffer[: payload.nbytes]
+    t_word, fast = _best_of(lambda: varint.varint_decode(stream), repeats=7)
+    with monkeypatch.context() as mp:
+        mp.setattr(varint, "_LITTLE_ENDIAN", False)  # what a big-endian host runs
+        t_positional, slow = _best_of(lambda: varint.varint_decode(stream), repeats=7)
+    assert np.array_equal(fast, slow)
+    ratio = t_positional / t_word
+
+    section = {
+        "varint_kernel_calls_per_compact_batch": {
+            "value": len(calls), "gate": "== 1 (exact)", "domain": "count"},
+        "varint_word_vs_positional_decode_ratio": {
+            "value": ratio, "gate": f">= {WORD_DECODE_FLOOR}", "domain": "wall"},
+    }
+    if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
+        baseline_section(BASELINE_PATH, {"varint_read_path": section})
+    report(
+        "Variable-width read path (4 varint segments, pokec stand-in)",
+        render_table(
+            ["figure", "value", "gate", "domain"],
+            [[name, f"{entry['value']:.3g}", entry["gate"], entry["domain"]]
+             for name, entry in section.items()],
+            title=(f"64 Zipf({SKEW}) keys touching {touched} segments; "
+                   f"{fast.shape[0]}-value stream: word {t_word * 1e3:.2f} ms, "
+                   f"positional {t_positional * 1e3:.2f} ms"),
+        ),
+    )
+    assert len(calls) == 1
+    assert ratio >= WORD_DECODE_FLOOR
 
 
 def test_ordering_codec_sweep(medium_standin):

@@ -18,7 +18,8 @@ import pytest
 from repro import open_store
 from repro.analysis.serving import render_lsm_stats
 from repro.analysis.tables import render_table
-from repro.lsm import LsmStore
+from repro.datasets import standin
+from repro.lsm import LsmStore, apply_random_writes
 from repro.serve import (
     GraphQueryServer,
     ManualClock,
@@ -28,7 +29,7 @@ from repro.serve import (
     synthetic_workload,
 )
 
-from conftest import baseline_record, report
+from conftest import baseline_record, baseline_section, report
 
 N_REQUESTS = 10_000
 WRITE_FRACTION = 0.1
@@ -42,6 +43,13 @@ BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_lsm.json"
 # overlay lands around 0.6x; the CI floor absorbs shared-runner noise
 # without hiding a collapse to per-row python merging on every request.
 READ_QPS_FLOOR = 0.25 if os.environ.get("CI") else 0.5
+
+# A compaction is a scan of the base, a merge of the memtable and a
+# rebuild; the rebuild alone is what ``open_store("compact")`` costs on
+# the same edges, so the scan and merge together may cost no more than
+# that again.  (Before the scan decoded in one pass and the merge ran on
+# arrays the ratio was ~3-4x.)
+COMPACT_COST_CEILING = 3.0 if os.environ.get("CI") else 2.0
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +219,48 @@ def test_compaction_bitexact_under_traffic(packed, schedules):
         "Compaction bit-exactness under 20% write traffic",
         render_lsm_stats(lsm, title="lsm store after serving"),
     )
+
+
+def test_compact_cost_gate():
+    """``compact()`` on an LSM over the compact codec, 1,500 writes in
+    the memtable, against a from-scratch build of the same edges — on
+    the pokec stand-in at 1/16 scale (1.9M edges, four segments: the
+    shape the end-to-end ``serve_mixed`` workload compacts), where the
+    fixed cost per call is small beside the cost per edge."""
+    ds = standin("pokec", scale=1 / 16)
+    n = ds.num_nodes
+    lsm = open_store("lsm", ds.sources, ds.destinations, n, inner="compact")
+    assert len(lsm.segments[0].segments) == 4
+
+    def timed(fn):
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
+    # alternated, so both sides see the same allocator and cache state:
+    # a compaction of 1,500 fresh writes, then a build of what it built
+    compact_s = build_s = float("inf")
+    for seed in range(7):
+        apply_random_writes(lsm, 1_500, seed=seed)
+        compact_s = min(compact_s, timed(lsm.compact))
+        edges = lsm._logical_edges()
+        build_s = min(build_s, timed(lambda: open_store("compact", *edges, n)))
+    rebuilt = open_store("compact", *edges, n)
+    got, want = lsm.segments[0].npz_payload(), rebuilt.npz_payload()
+    assert all(np.array_equal(got[key], want[key]) for key in want)
+    ratio = compact_s / build_s
+
+    section = {"value": ratio, "gate": f"<= {COMPACT_COST_CEILING}", "domain": "wall"}
+    if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
+        baseline_section(
+            BASELINE_PATH,
+            {"compact_vs_build_ratio": section, "compact_s": compact_s,
+             "compact_build_s": build_s},
+        )
+    report(
+        "Compaction cost (LSM over the compact codec, 1,500 writes resident)",
+        f"compact() {compact_s * 1e3:.1f} ms, open_store('compact') "
+        f"{build_s * 1e3:.1f} ms: {ratio:.2f}x "
+        f"(gate <= {COMPACT_COST_CEILING}x, domain: wall)",
+    )
+    assert ratio <= COMPACT_COST_CEILING

@@ -12,7 +12,6 @@ batch, and records the throughput baseline in ``BENCH_queries.json``
 so future PRs can track the query-path trajectory.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -31,7 +30,7 @@ from repro.query import (
 )
 from repro.query.edges import _membership
 
-from conftest import baseline_record, report
+from conftest import baseline_record, baseline_section, report
 
 N_QUERIES = 2_000
 BATCH_N = 10_000  # scalar-vs-batch comparison size (acceptance: >= 10k)
@@ -313,9 +312,7 @@ def test_rowcache_hot_path_counts(stores, medium_standin):
             "gate": f"<= ceil(log2(max degree {int(degree.max())})) + 1 = {bound}"},
     }
     if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
-        doc = json.loads(BASELINE_PATH.read_text())
-        baseline_record(BASELINE_PATH, {"rowcache_hot_path": section},
-                        name=doc["name"], gate=doc["gate"], measured=doc["measured"])
+        baseline_section(BASELINE_PATH, {"rowcache_hot_path": section})
     report(
         "Row cache hot path (count domain, packed CSR)",
         render_table(

@@ -45,6 +45,16 @@ def baseline_record(path, payload: dict, *, name: str, gate: str,
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def baseline_section(path, section: dict) -> None:
+    """Merge *section* (figures of one more test of a bench: ``{"value":
+    ..., "gate": ..., "domain": ...}`` entries) into an existing
+    baseline, keeping the headline ``name`` / ``gate`` / ``measured``
+    its main test recorded."""
+    doc = json.loads(path.read_text())
+    baseline_record(path, section, name=doc["name"], gate=doc["gate"],
+                    measured=doc["measured"])
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _REPORTS:
         return

@@ -85,13 +85,11 @@ def rows_from_gaps(indptr: np.ndarray, gaps: np.ndarray) -> np.ndarray:
         raise ValidationError("indptr[-1] must equal len(gaps)")
     if g.size == 0:
         return g.copy()
-    csum = np.cumsum(g, dtype=np.uint64)
-    # subtract, for every element, the cumulative sum just before its
-    # row start so each row's chain restarts at its absolute head.
-    starts = iptr[:-1]
-    lengths = np.diff(iptr)
-    base_per_row = np.zeros(iptr.size - 1, dtype=np.uint64)
-    nonzero_start = starts > 0
-    base_per_row[nonzero_start] = csum[starts[nonzero_start] - 1]
-    base = np.repeat(base_per_row, lengths)
-    return csum - base
+    # running sums with a leading zero, so entry i is the sum before
+    # element i: subtracting each row's entry at its start restarts the
+    # chain at the row's absolute head
+    csum = np.empty(g.shape[0] + 1, dtype=np.uint64)
+    csum[0] = 0
+    np.cumsum(g, out=csum[1:])
+    base = np.repeat(csum[iptr[:-1]], np.diff(iptr))
+    return np.subtract(csum[1:], base, out=base)

@@ -93,7 +93,10 @@ def _check_stream_end(bits: BitArray, end_bit: int) -> None:
         )
 
 
-def _field_mask(width: int) -> np.uint64:
+def _field_mask(width):
+    """Low *width* bits set; *width* is an ``int`` or one ``uint64`` per field."""
+    if isinstance(width, np.ndarray):
+        return (np.uint64(1) << width) - np.uint64(1)
     return np.uint64((1 << width) - 1)
 
 
@@ -107,8 +110,9 @@ def _word_addressable(buf: np.ndarray, width: int) -> bool:
     )
 
 
-def _load_fields(buf: np.ndarray, bitpos: np.ndarray, width: int) -> np.ndarray:
-    """Fields of *width* <= 57 bits starting at bit positions *bitpos*.
+def _load_fields(buf: np.ndarray, bitpos: np.ndarray, width) -> np.ndarray:
+    """Fields of *width* <= 57 bits (one width, or a ``uint64`` vector of
+    per-field widths) starting at bit positions *bitpos*.
 
     One unaligned 64-bit load per field through a stride-1 ``uint64``
     view of *buf*.  A load that would run past the buffer is moved back
@@ -283,12 +287,19 @@ def unpack_fixed(
     return _unpack_bitmatrix(buf, count, width, bit_offset)
 
 
-def _decode_at(bits: BitArray, width: int, bitpos: np.ndarray) -> np.ndarray:
+def _decode_at(bits: BitArray, width, bitpos: np.ndarray) -> np.ndarray:
     """Decode the fields starting at the (validated, non-empty) bit
-    positions *bitpos*, multiples of *width*; consumes *bitpos*."""
+    positions *bitpos*; consumes *bitpos*.  *width* is one width, the
+    positions multiples of it, or a ``uint64`` vector of per-field
+    widths at arbitrary positions (segments of different widths in one
+    buffer)."""
     buf = bits.buffer
-    if _word_addressable(buf, width):
+    per_field = isinstance(width, np.ndarray)
+    if _word_addressable(buf, int(width.max()) if per_field else width):
         return _load_fields(buf, bitpos, width)
+    if per_field:  # portable: one scalar read per field
+        reads = zip(bitpos.tolist(), width.tolist())
+        return np.array([bits.read_uint(p, w) for p, w in reads], dtype=np.uint64)
     # portable: decode the whole span between the lowest and highest
     # requested field, then pick the requested ones out of it
     first_bit = int(bitpos.min())

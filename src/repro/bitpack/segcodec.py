@@ -45,7 +45,7 @@ from ..errors import CodecError, ValidationError
 from ..utils import bits_for_value
 from .bitarray import BitArray
 from .delta import rows_from_gaps
-from .fixed import pack_fixed, read_fields
+from .fixed import _decode_at, pack_fixed, read_fields
 from .varint import varint_decode, varint_encode, varint_nbytes
 from .zeta import zeta_decode_rows, zeta_encode, zeta_value_nbits
 
@@ -57,6 +57,7 @@ __all__ = [
     "encode_row_segment",
     "row_windows",
     "decode_rows",
+    "SegmentArena",
 ]
 
 #: every codec the segment layer can tag and decode
@@ -130,7 +131,8 @@ def _encode_one(codec: str, gaps: np.ndarray, local_indptr: np.ndarray) -> Segme
     if codec == "varint":
         stream = varint_encode(gaps)
         positions = np.zeros(gaps.shape[0] + 1, dtype=np.int64)
-        np.cumsum(varint_nbytes(gaps), out=positions[1:])
+        positions[1:] = np.flatnonzero(stream < 0x80)  # each value's last byte
+        positions[1:] += 1
         starts_width = bits_for_value(int(stream.shape[0]))
         starts = pack_fixed(positions[local_indptr], starts_width)
         return SegmentEncoding(
@@ -183,16 +185,17 @@ def row_windows(
     starts: BitArray, starts_width: int, rows
 ) -> tuple[np.ndarray, np.ndarray]:
     """Payload windows ``[b0, b1)`` of *rows* from a row-starts table
-    (byte offsets for ``varint``, bit offsets for ``zeta``), ``int64``.
+    (byte offsets for ``varint``, bit offsets for ``zeta``, field
+    offsets for a packed CSR offset array), ``int64``.
 
-    Two field gathers; a caller that also needs the windows itself (the
+    One field gather; a caller that also needs the windows itself (the
     disk store meters the pages they span) reads them once here and
     hands them to :func:`decode_rows`.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    b0 = read_fields(starts, starts_width, rows).astype(np.int64)
-    b1 = read_fields(starts, starts_width, rows + 1).astype(np.int64)
-    return b0, b1
+    ends = read_fields(starts, starts_width, np.concatenate([rows, rows + 1]))
+    ends = ends.astype(np.int64)
+    return ends[: rows.shape[0]], ends[rows.shape[0] :]
 
 
 def decode_rows(
@@ -234,16 +237,104 @@ def decode_rows(
     offsets = np.zeros(rows.shape[0] + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
     if codec == "varint":
-        lengths = b1 - b0
-        out_starts = np.zeros(rows.shape[0], dtype=np.int64)
-        np.cumsum(lengths[:-1], out=out_starts[1:])
-        total = int(out_starts[-1] + lengths[-1]) if lengths.size else 0
-        buf = payload.buffer[: payload.nbytes]
-        index = np.arange(total, dtype=np.int64) + np.repeat(b0 - out_starts, lengths)
-        gaps = varint_decode(buf[index], count=int(offsets[-1]))
+        gaps = varint_decode(
+            payload.buffer[: payload.nbytes], int(offsets[-1]), windows=windows
+        )
         return rows_from_gaps(offsets, gaps), offsets
-    if codec.startswith("zeta"):
-        gaps, offs = zeta_decode_rows(payload, b0, degrees, enc_width, bit_ends=b1)
-        return rows_from_gaps(offs, gaps), offs
-    known = ", ".join(SEGMENT_CODECS)
-    raise CodecError(f"unknown codec '{codec}' (known: {known}, auto)")
+    gaps, offs = zeta_decode_rows(payload, b0, degrees, enc_width, bit_ends=b1)
+    return rows_from_gaps(offs, gaps), offs
+
+
+class SegmentArena:
+    """The starts tables and payloads of consecutive row segments in one
+    buffer, so a batch of rows decodes in one pass per codec *class*
+    whatever number of segments it touches.
+
+    Layout: every starts table, then every payload (byte aligned, in
+    segment order, so the varint windows of a scan abut across
+    segments), then 8 zero bytes (the buffer is word-addressable however
+    small).  :attr:`views` holds ``(payload, starts)`` per segment,
+    :class:`BitArray` views of the buffer over the very bytes handed in.
+    """
+
+    __slots__ = ("bits", "views", "codec", "enc_width", "starts_bit",
+                 "starts_width", "payload_bit", "payload_nbits")
+
+    def __init__(self, segments):
+        segments = list(segments)
+        nseg = len(segments)
+        none = np.zeros(0, dtype=np.uint8)
+        parts = [none if s.starts is None else s.starts.buffer for s in segments]
+        parts += [s.payload.buffer for s in segments]
+        buf = np.concatenate([*parts, np.zeros(8, dtype=np.uint8)])
+        cuts = np.zeros(2 * nseg + 1, dtype=np.int64)
+        np.cumsum([p.shape[0] for p in parts], out=cuts[1:])
+        self.bits = BitArray(buf, 8 * int(cuts[-1]))
+        self.starts_bit, self.payload_bit = 8 * cuts[:nseg], 8 * cuts[nseg:-1]
+        self.views = [
+            (
+                BitArray(buf[cuts[nseg + i] : cuts[nseg + i + 1]], s.payload.nbits),
+                None if s.starts is None
+                else BitArray(buf[cuts[i] : cuts[i + 1]], s.starts.nbits),
+            )
+            for i, s in enumerate(segments)
+        ]
+        table = np.asarray(
+            [(SEGMENT_CODECS.index(s.codec), s.enc_width, s.starts_width,
+              s.payload.nbits) for s in segments],
+            dtype=np.int64,
+        ).reshape(nseg, 4)
+        self.codec, self.enc_width, self.starts_width, self.payload_nbits = (
+            np.ascontiguousarray(table.T)
+        )
+
+    def decode_gaps(self, seg, rows, degrees, fields) -> np.ndarray:
+        """Gaps of the given non-empty rows, concatenated in their order.
+
+        Row *i* is segment ``seg[i]``'s local row ``rows[i]`` of
+        ``degrees[i]`` gaps, the first being that segment's local field
+        ``fields[i]`` (all ``int64``).
+        """
+        codecs = self.codec[seg]
+        first = int(codecs[0])
+        if (codecs == first).all():
+            return self._decode(first, seg, rows, degrees, fields)
+        gaps = np.empty(int(degrees.sum()), dtype=np.uint64)
+        of_gap = np.repeat(codecs, degrees)
+        for c in np.unique(codecs).tolist():
+            pick = codecs == c
+            gaps[of_gap == c] = self._decode(
+                c, seg[pick], rows[pick], degrees[pick], fields[pick]
+            )
+        return gaps
+
+    def _decode(self, codec: int, seg, rows, degrees, fields) -> np.ndarray:
+        total = int(degrees.sum())
+        base, limit = self.payload_bit[seg], self.payload_nbits[seg]
+        if codec == 0:  # fixed: gap j of a row sits j fields after its first
+            width = self.enc_width[seg]
+            if ((fields + degrees) * width > limit).any():
+                raise CodecError("row runs past its segment's payload")
+            ends = np.cumsum(degrees)
+            ends -= degrees
+            widths = np.repeat(width, degrees)
+            bitpos = np.arange(total, dtype=np.int64)
+            bitpos *= widths
+            bitpos += np.repeat(base + (fields - ends) * width, degrees)
+            return _decode_at(self.bits, widths.view(np.uint64), bitpos)
+        # the row-starts table: byte offsets for varint, bit offsets for zeta
+        width = self.starts_width[seg]
+        at = self.starts_bit[seg] + rows * width
+        ends = _decode_at(
+            self.bits,
+            np.concatenate([width, width]).view(np.uint64),
+            np.concatenate([at, at + width]),
+        ).astype(np.int64)
+        b0, b1 = ends[: seg.shape[0]], ends[seg.shape[0] :]
+        if ((8 * b1 if codec == 1 else b1) > limit).any():
+            raise CodecError("row window runs past its segment's payload")
+        if codec == 1:
+            base = base >> 3
+            return varint_decode(self.bits.buffer, total, windows=(base + b0, base + b1))
+        k = _zeta_k(SEGMENT_CODECS[codec])
+        return zeta_decode_rows(self.bits, base + b0, degrees, k, bit_ends=base + b1)[0]

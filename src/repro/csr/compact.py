@@ -6,9 +6,9 @@ pipeline.  The offset array stays fixed-width bit-packed exactly as in
 monotone counters); the *edge* column is cut into row-aligned segments
 and every segment keeps whichever registered codec
 (:mod:`repro.bitpack.segcodec`) measured smallest on its own gap
-distribution.  Queries group a batch's rows by owning segment and run
-one vectorised decode per touched segment — the same scatter/gather
-shape as the sharded and disk stores.
+distribution.  The segments' bytes live in one
+:class:`~repro.bitpack.segcodec.SegmentArena`, so a batch decodes in
+one pass per codec class however many segments its rows touch.
 
 Gains come from pairing this with vertex reordering
 (:mod:`repro.reorder`): reordering concentrates small gaps, and the
@@ -18,14 +18,19 @@ entropy instead of the global maximum gap width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..bitpack.bitarray import BitArray
-from ..bitpack.delta import row_gaps
-from ..bitpack.fixed import unpack_fields_gather, unpack_fixed
-from ..bitpack.segcodec import decode_rows, encode_row_segment, resolve_codecs
+from ..bitpack.delta import row_gaps, rows_from_gaps
+from ..bitpack.fixed import unpack_fixed
+from ..bitpack.segcodec import (
+    SegmentArena,
+    encode_row_segment,
+    resolve_codecs,
+    row_windows,
+)
 from ..errors import QueryError, ValidationError
 from ..query.stores import distinct_keys, expand_rows
 from ..utils import bits_for_count, bits_for_value, human_bytes
@@ -71,6 +76,7 @@ class CompactStore:
         "offsets",
         "offset_width",
         "segments",
+        "_arena",
         "_seg_first_row",
         "_seg_first_field",
     )
@@ -80,7 +86,13 @@ class CompactStore:
         self.num_edges = int(num_edges)
         self.offsets = offsets
         self.offset_width = int(offset_width)
-        self.segments = tuple(segments)
+        # the segments handed in are re-pointed at the arena's copy of
+        # their bytes: same contents, one buffer
+        self._arena = SegmentArena(segments)
+        self.segments = tuple(
+            replace(s, payload=payload, starts=starts)
+            for s, (payload, starts) in zip(segments, self._arena.views)
+        )
         self._seg_first_row = np.asarray(
             [s.first_row for s in self.segments], dtype=np.int64
         )
@@ -188,7 +200,7 @@ class CompactStore:
         return flat
 
     def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
-        """Decode many rows, one vectorised pass per touched segment.
+        """Decode many rows in one vectorised pass per codec class.
 
         Returns ``(flat, offsets)`` with row *i* at
         ``flat[offsets[i]:offsets[i + 1]]`` — values and dtype identical
@@ -202,41 +214,26 @@ class CompactStore:
         if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
             raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
         uniq, inv = distinct_keys(us)
-        pairs, _ = unpack_fields_gather(
-            self.offsets, self.offset_width, uniq, np.full(uniq.shape[0], 2, np.int64)
-        )
-        field_starts = pairs[0::2].astype(np.int64)
-        degrees = pairs[1::2].astype(np.int64) - field_starts
+        field_starts, ends = row_windows(self.offsets, self.offset_width, uniq)
+        degrees = ends - field_starts
 
         uniq_offs = np.zeros(uniq.shape[0] + 1, dtype=np.int64)
         np.cumsum(degrees, out=uniq_offs[1:])
-        uniq_flat = np.zeros(int(uniq_offs[-1]), dtype=np.uint64)
-
-        seg = (
-            np.searchsorted(self._seg_first_row, uniq, side="right") - 1
-            if self.segments
-            else np.full(uniq.shape[0], -1, dtype=np.int64)
+        if int(uniq_offs[-1]) == 0:
+            return expand_rows(np.zeros(0, dtype=np.uint64), uniq_offs, inv)
+        if int(degrees.min()) == 0:  # empty rows own no bytes in any segment
+            live = np.flatnonzero(degrees)
+            uniq, degrees, field_starts = uniq[live], degrees[live], field_starts[live]
+        # uniq ascends, so do the segments and the arena bytes of its
+        # rows: the gaps come back in uniq order, ready for the prefix sum
+        seg = np.searchsorted(self._seg_first_row, uniq, side="right") - 1
+        gaps = self._arena.decode_gaps(
+            seg,
+            uniq - self._seg_first_row[seg],
+            degrees,
+            field_starts - self._seg_first_field[seg],
         )
-        seg = np.where(degrees > 0, seg, -1)
-        for s in np.unique(seg):
-            if s < 0:
-                continue
-            spec = self.segments[int(s)]
-            pos = np.flatnonzero(seg == s)
-            flat_s, offs_s = decode_rows(
-                spec.codec,
-                spec.payload,
-                spec.enc_width,
-                spec.starts,
-                spec.starts_width,
-                uniq[pos] - spec.first_row,
-                degrees[pos],
-                field_starts[pos] - spec.first_field,
-            )
-            index = np.repeat(uniq_offs[pos] - offs_s[:-1], degrees[pos])
-            index += np.arange(flat_s.shape[0], dtype=np.int64)
-            uniq_flat[index] = flat_s
-
+        uniq_flat = rows_from_gaps(uniq_offs, gaps)
         return expand_rows(uniq_flat, uniq_offs, inv)
 
     def has_edge(self, u: int, v: int) -> bool:

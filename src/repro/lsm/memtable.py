@@ -108,8 +108,10 @@ class DeltaMemtable:
         return int(u) in self._rows
 
     def dirty_nodes(self) -> np.ndarray:
-        """Sorted sources with resident deltas (int64).  Memoised —
-        the batch read path probes this once per batch."""
+        """Sorted sources with resident deltas (int64).  Memoised until
+        a row gains its first or loses its last entry:
+        :meth:`LsmStore.neighbors_batch` binary-searches each batch
+        against it to find the batch's dirty keys."""
         if not self._rows:
             return np.zeros(0, dtype=np.int64)
         if self._dirty_cache is None:

@@ -24,11 +24,17 @@ import numpy as np
 
 from ..errors import QueryError, ValidationError
 from ..query.capabilities import capabilities
+from ..query.stores import locate_keys
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes, require
 from .memtable import DeltaMemtable
 
 __all__ = ["LsmStore", "LsmStats"]
+
+
+def _as_int64(flat: np.ndarray) -> np.ndarray:
+    """Segment rows as ``int64``: the same bytes where they are ``uint64``."""
+    return flat.view(np.int64) if flat.dtype == np.uint64 else flat.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,6 +51,38 @@ class LsmStats:
     compactions: int
     flushes: int
     compact_watermark: int
+
+
+def _apply_delta(offsets, dst, us, vs, alive) -> tuple[np.ndarray, np.ndarray]:
+    """Apply memtable entries to sorted, distinct CSR rows.
+
+    ``(us, vs, alive)`` are :meth:`DeltaMemtable.entries` — sorted by
+    ``(u, v)``, *alive* saying whether the edge is to be present or
+    absent.  Every entry is located in its row by one bisection run
+    over all entries at once; the absent ones found are dropped and the
+    present ones not found inserted, one pass over *dst* each.
+    Returns ``(degrees, dst)`` of the new rows.
+    """
+    degrees = np.diff(offsets)
+    if us.size == 0:
+        return degrees, dst
+    lo, end = offsets[us], offsets[us + 1]
+    hi = end.copy()
+    while (lo < hi).any():  # ceil(log2(longest row)) + 1 rounds
+        mid = (lo + hi) >> 1
+        less = dst.take(mid, mode="clip") < vs  # a closed range stays put either way
+        lo = np.where(less & (mid < hi), mid + 1, lo)
+        hi = np.where(less, hi, mid)
+    found = lo < end
+    found[found] = dst[lo[found]] == vs[found]
+    dead, new = found & ~alive, alive & ~found
+    np.subtract.at(degrees, us[dead], 1)
+    np.add.at(degrees, us[new], 1)
+    dropped = lo[dead]
+    if dropped.size:
+        dst = np.delete(dst, dropped)
+    # an insert position among the kept edges: less the edges dropped before it
+    return degrees, np.insert(dst, lo[new] - np.searchsorted(dropped, lo[new]), vs[new])
 
 
 class LsmStore:
@@ -233,6 +271,15 @@ class LsmStore:
             return self._base_row(int(u))
         return self._merged_row(int(u))
 
+    def _dirty_mask(self, us: np.ndarray) -> np.ndarray | None:
+        """Which of *us* have a resident delta (``None`` when none has):
+        one binary search against the memtable's sorted dirty sources."""
+        nodes = self.memtable.dirty_nodes()
+        if nodes.size == 0 or us.size == 0:
+            return None
+        mask = locate_keys(nodes, us)[1]
+        return mask if mask.any() else None
+
     def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
         """Bulk row fetch — ``(flat, offsets)``.
 
@@ -246,57 +293,57 @@ class LsmStore:
             raise QueryError("node batch must be 1-D")
         if us.size and (int(us.min()) < 0 or int(us.max()) >= self.num_nodes):
             raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
-        clean = True
-        if len(self.memtable):
-            is_dirty = self.memtable.is_dirty
-            for u in us.tolist():
-                if is_dirty(u):
-                    clean = False
-                    break
-        if clean and len(self.segments) == 1:
+        single = len(self.segments) == 1
+        dirty = self._dirty_mask(us)
+        if single and dirty is None:
             flat, offs = self._segment_batch(us)
-            return flat.astype(np.int64, copy=False), offs
+            return _as_int64(flat), offs
         if us.size == 0:
             return np.zeros(0, dtype=self.row_dtype), np.zeros(1, np.int64)
-        rows: list = [None] * us.shape[0]
-        if len(self.segments) == 1:
-            # serve memoised rows straight from the per-node caches and
-            # batch-decode only the remainder, so a hub row written and
-            # re-read under skewed traffic decodes its segment base
-            # once per compaction epoch, not once per write
-            fetch: list[int] = []
-            for i, u in enumerate(us.tolist()):
-                row = self._merged_cache.get(u)
-                if row is None and u in self._base_cache:
-                    row = self._merged_row(u)
-                if row is None:
-                    fetch.append(i)
-                else:
-                    rows[i] = row
-            if fetch:
-                sub = us[np.asarray(fetch, dtype=np.int64)]
-                flat, offs = self._segment_batch(sub)
-                flat = flat.astype(np.int64, copy=False)
-                for j, i in enumerate(fetch):
-                    u = int(us[i])
-                    base = flat[offs[j]: offs[j + 1]]
-                    rows[i] = (
-                        self._merged_row(u, base=base)
-                        if self.memtable.is_dirty(u)
-                        else base
-                    )
-        else:
-            for i, u in enumerate(us.tolist()):
-                rows[i] = (
-                    self._merged_row(u)
-                    if self.memtable.is_dirty(u)
-                    else self._base_row(u)
-                )
+        if not single:
+            rows = [
+                self._merged_row(u) if self.memtable.is_dirty(u) else self._base_row(u)
+                for u in us.tolist()
+            ]
+            offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
+            np.cumsum([r.shape[0] for r in rows], out=offsets[1:])
+            return np.concatenate(rows).astype(np.int64, copy=False), offsets
+        # one segment: a memoised dirty row is served from the per-node
+        # caches (a hub written and re-read under skewed traffic decodes
+        # its base once per compaction epoch, not once per write); every
+        # other key is decoded in one segment batch, whose clean runs
+        # pass through as slices with only the dirty rows patched
+        dirty_at = np.flatnonzero(dirty)
+        memo = {}
+        for i, u in zip(dirty_at.tolist(), us[dirty_at].tolist()):
+            row = self._merged_cache.get(u)
+            if row is None and u in self._base_cache:
+                row = self._merged_row(u)
+            if row is not None:
+                memo[i] = row
+        fetch = np.ones(us.shape[0], dtype=bool)
+        fetch[list(memo)] = False
+        fetch_at = np.flatnonzero(fetch)
+        flat, offs = self._segment_batch(us[fetch_at])
+        flat = _as_int64(flat)
+        lengths = np.zeros(us.shape[0], dtype=np.int64)
+        lengths[fetch_at] = np.diff(offs)
+        # rows of the segment batch that precede each dirty position
+        before = np.searchsorted(fetch_at, dirty_at).tolist()
+        pieces, done = [], 0
+        for i, j in zip(dirty_at.tolist(), before):
+            pieces.append(flat[offs[done] : offs[j]])
+            row = memo.get(i)
+            if row is None:
+                row = self._merged_row(int(us[i]), base=flat[offs[j] : offs[j + 1]])
+                j += 1
+            pieces.append(row)
+            lengths[i] = row.shape[0]
+            done = j
+        pieces.append(flat[offs[done] :])
         offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
-        np.cumsum([r.shape[0] for r in rows], out=offsets[1:])
-        flat = (np.concatenate(rows) if rows
-                else np.zeros(0, dtype=np.int64))
-        return flat.astype(np.int64, copy=False), offsets
+        np.cumsum(lengths, out=offsets[1:])
+        return np.concatenate(pieces), offsets
 
     def degree(self, u: int) -> int:
         """Out-degree of *u* under the merged view."""
@@ -336,8 +383,10 @@ class LsmStore:
             if not self.segments:
                 return False
             row = self._base_row(u)
-            self._base_cache[u] = row
-        return bool((row == v).any())
+            # as in _merged_row: never pin a decode buffer through a view
+            row = self._base_cache[u] = row if row.base is None else row.copy()
+        at = int(row.searchsorted(v))  # rows are sorted by contract
+        return at < row.shape[0] and int(row[at]) == v
 
     # -- writes ---------------------------------------------------------
     def insert_edge(self, u: int, v: int) -> bool:
@@ -375,14 +424,19 @@ class LsmStore:
 
     # -- compaction -----------------------------------------------------
     def _logical_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The merged edge set as u-sorted ``(src, dst)`` int64 arrays."""
-        flat, offs = self.neighbors_batch(
-            np.arange(self.num_nodes, dtype=np.int64)
-        )
-        src = np.repeat(
-            np.arange(self.num_nodes, dtype=np.int64), np.diff(offs)
-        )
-        return src, flat.astype(np.int64, copy=False)
+        """The merged edge set as u-sorted ``(src, dst)`` int64 arrays.
+
+        Over one segment the memtable's entries are merged into the
+        scanned base rows as arrays (:func:`_apply_delta`); over several
+        (after a :meth:`flush`) the per-row merge of the read path does it.
+        """
+        nodes = np.arange(self.num_nodes, dtype=np.int64)
+        if len(self.segments) != 1:
+            flat, offs = self.neighbors_batch(nodes)
+            return np.repeat(nodes, np.diff(offs)), flat
+        flat, offs = self._segment_batch(nodes)
+        degrees, dst = _apply_delta(offs, _as_int64(flat), *self.memtable.entries())
+        return np.repeat(nodes, degrees), dst
 
     def _segment_opts(self) -> dict:
         # a directory-backed inner (``disk``) writes each generation

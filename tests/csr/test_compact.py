@@ -1,10 +1,13 @@
 """CompactStore: adaptive-codec packed CSR, parity with BitPackedCSR."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitpack.bitarray import BitArray
 from repro.bitpack.segcodec import SEGMENT_CODECS
 from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.csr.compact import CompactStore, build_compact_csr
@@ -154,3 +157,153 @@ class TestEdgeCases:
         graph = build_csr_serial(src, dst, n)
         for u in range(n):
             assert np.array_equal(store.neighbors(u), graph.neighbors(u))
+
+
+def _mixed_codec_graph():
+    """Deterministic graph whose regions favour different codecs, so a
+    small segment size yields all three codec classes (no RNG: the
+    byte-level figures below were recorded on the pre-arena store)."""
+    n = 2000
+    src, dst = [], []
+    for u in range(n):
+        if u % 17 == 0:
+            continue  # empty rows, some on segment boundaries
+        if u < 300:  # runs of consecutive ids: one-bit gaps
+            row = [(u + 1 + j) % n for j in range(40)]
+        elif u < 1200:  # gaps of 64..127: one varint byte each
+            row = [(u * 7) % 900 + j * 64 + (j * j * 5) % 60 for j in range(16)]
+        else:  # two far-apart neighbours: wide, even gaps
+            row = [(u * 3) % 1000, 1000 + (u * 11) % 1000]
+        for v in sorted(set(row)):
+            src.append(u)
+            dst.append(v)
+    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), n
+
+
+class TestSegmentArena:
+    """One buffer under every segment: a batch decodes per codec class,
+    not per segment, and every stored byte stays what it was."""
+
+    @pytest.fixture(scope="class")
+    def stores(self):
+        src, dst, n = _mixed_codec_graph()
+        store = build_compact_csr(
+            src, dst, n, codecs="fixed,varint,zeta2", segment_bytes=2048
+        )
+        return store, build_bitpacked_csr(src, dst, n, None)
+
+    def test_three_codec_classes_many_segments(self, stores):
+        store, _ = stores
+        mix = store.codec_breakdown()
+        assert {k: v["segments"] for k, v in mix.items()} == {
+            "zeta2": 8, "varint": 8, "fixed": 2,
+        }
+
+    def test_bytes_are_the_pre_arena_store_s(self, stores):
+        """Recorded on the parent commit for this graph."""
+        import zlib
+
+        store, _ = stores
+        payload = store.npz_payload()
+        crc = 0
+        for key in sorted(payload):
+            crc = zlib.crc32(
+                np.asarray(payload[key]).tobytes(), zlib.crc32(key.encode(), crc)
+            )
+        assert len(payload) == 114
+        assert crc == 1261690942
+        assert store.memory_bytes() == 27139
+        assert store.bits_per_edge() == 8.152896954970005
+
+    def test_segments_are_views_of_one_buffer(self, stores):
+        store, _ = stores
+        arena = store._arena.bits.buffer
+        for seg in store.segments:
+            assert np.shares_memory(seg.payload.buffer, arena)
+            if seg.starts is not None:
+                assert np.shares_memory(seg.starts.buffer, arena)
+
+    def _boundary_keys(self, store):
+        firsts = np.asarray([s.first_row for s in store.segments])
+        lasts = firsts + np.asarray([s.num_rows for s in store.segments]) - 1
+        return np.concatenate([firsts, lasts, np.maximum(firsts - 1, 0)])
+
+    def test_batches_across_segments_match_packed(self, stores, rng):
+        store, packed = stores
+        n = store.num_nodes
+        empty = np.arange(0, n, 17)
+        batches = [
+            self._boundary_keys(store),
+            np.concatenate([self._boundary_keys(store)[::-1], empty[:40]]),
+            rng.integers(0, n, 500),  # unsorted, duplicates
+            np.repeat(rng.integers(0, n, 40), 3),
+            empty,  # nothing to decode at all
+            np.asarray([1999, 0, 1999, 17, 300, 299, 1200, 1199]),
+            np.arange(n),
+            np.arange(n)[::-1],
+        ]
+        batches += [np.asarray([u]) for u in self._boundary_keys(store)[:12]]
+        for batch in batches:
+            flat, offsets = store.neighbors_batch(batch)
+            pflat, poffsets = packed.neighbors_batch(batch)
+            assert flat.dtype == pflat.dtype == np.uint64
+            assert np.array_equal(offsets, poffsets)
+            assert np.array_equal(flat, pflat)
+
+    def test_portable_fallback_reads_the_same(self, stores, rng, monkeypatch):
+        from repro.bitpack import fixed, varint
+
+        store, packed = stores
+        batch = np.concatenate([self._boundary_keys(store), rng.integers(0, 2000, 60)])
+        want = packed.neighbors_batch(batch)
+        monkeypatch.setattr(fixed, "_LITTLE_ENDIAN", False)
+        monkeypatch.setattr(varint, "_LITTLE_ENDIAN", False)
+        got = store.neighbors_batch(batch)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_one_kernel_call_per_codec_class(self, stores, monkeypatch):
+        from repro.bitpack import segcodec
+
+        store, _ = stores
+        calls = []
+        kernel = segcodec.varint_decode
+        monkeypatch.setattr(
+            segcodec, "varint_decode",
+            lambda *a, **k: calls.append(1) or kernel(*a, **k),
+        )
+        varint_rows = np.concatenate([
+            np.arange(s.first_row, s.first_row + s.num_rows)
+            for s in store.segments if s.codec == "varint"
+        ])
+        store.neighbors_batch(varint_rows)  # eight varint segments
+        assert len(calls) == 1
+        store.neighbors_batch(np.arange(store.num_nodes))  # all 18 segments
+        assert len(calls) == 2
+
+    def test_corrupt_starts_table_raises(self, stores):
+        """A window pushed past its segment's payload is refused, not
+        read out of the neighbouring segment."""
+        store, _ = stores
+        seg = next(s for s in store.segments if s.codec == "varint")
+        bad = BitArray(seg.starts.buffer.copy(), seg.starts.nbits)
+        last = seg.num_rows * seg.starts_width
+        bad.write_uint(last, seg.starts_width, seg.payload.nbytes + 1)
+        broken = CompactStore(
+            store.num_nodes, store.num_edges, store.offsets, store.offset_width,
+            [replace(s, starts=bad) if s is seg else s for s in store.segments],
+        )
+        with pytest.raises(CodecError):
+            broken.neighbors(seg.first_row + seg.num_rows - 1)
+
+    def test_save_load_roundtrip_keeps_the_bytes(self, stores, tmp_path):
+        store, packed = stores
+        store.save(tmp_path / "mixed.npz")
+        loaded = CompactStore.load(tmp_path / "mixed.npz")
+        a, b = store.npz_payload(), loaded.npz_payload()
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert loaded.memory_bytes() == store.memory_bytes()
+        batch = np.arange(0, 2000, 3)
+        assert np.array_equal(
+            loaded.neighbors_batch(batch)[0], packed.neighbors_batch(batch)[0]
+        )
