@@ -11,12 +11,16 @@ host):
   percentile hedging must cut open-loop p99 versus the same cluster
   without hedging;
 * **parity** — routed replies are bit-exact against a monolithic
-  server over the same store and workload.
+  server over the same store and workload;
+* **pinned virtual figures** — the seeded 1x1 / 2x1 / 4x2 runs' qps and
+  p99 are simulated time, so they equal the recorded baseline exactly
+  (``domain: virtual``) until a change claims them.
 
 The baseline is recorded in ``BENCH_cluster.json`` under
 ``BENCH_WRITE_BASELINE=1``.
 """
 
+import json
 import os
 from pathlib import Path
 
@@ -38,7 +42,7 @@ from repro.serve import (
     synthetic_workload,
 )
 
-from conftest import baseline_record, report
+from conftest import baseline_record, baseline_section, report
 
 N_REQUESTS = 10_000
 # a rate one worker cannot sustain (~230k qps capacity on the pokec
@@ -87,15 +91,21 @@ def _run(config, *, offered_qps=OFFERED_QPS, slo=None, slow=None):
     return router, result
 
 
-def test_scaling_gate(graph, medium_standin):
-    """The headline gate: 1 -> 4 workers scales qps >= 1.5x within SLO."""
+@pytest.fixture(scope="module")
+def scaling_runs(graph):
+    """The seeded open-loop run on each layout, once per session."""
     slo = SLO(p99_ms=SLO_P99_MS)
-    layouts = [(1, 1), (2, 1), (4, 2)]
-    runs = {}
-    for workers, replicas in layouts:
-        runs[(workers, replicas)] = _run(
+    return {
+        (workers, replicas): _run(
             _config(graph, workers=workers, replicas=replicas), slo=slo
         )
+        for workers, replicas in [(1, 1), (2, 1), (4, 2)]
+    }
+
+
+def test_scaling_gate(graph, medium_standin, scaling_runs):
+    """The headline gate: 1 -> 4 workers scales qps >= 1.5x within SLO."""
+    runs = scaling_runs
     base = runs[(1, 1)][1]
     top_router, top = runs[(4, 2)]
     scaling = top.achieved_qps / base.achieved_qps
@@ -156,6 +166,39 @@ def test_scaling_gate(graph, medium_standin):
     assert scaling >= SCALING_FLOOR, (
         f"4 workers only {scaling:.2f}x the 1-worker qps"
     )
+
+
+def test_virtual_figures_pinned(scaling_runs):
+    """Exact gate (domain "virtual"): service time is the kernels'
+    declared Cost on a seeded workload, so every layout's qps and p99
+    repeat to the last bit — a change that moves one has changed what
+    the cluster charges or schedules, and must claim it."""
+    figures = {
+        f"{w}x{r}": {"virt_qps": res.achieved_qps, "virt_p99_ms": res.p99_ms}
+        for (w, r), (_, res) in sorted(scaling_runs.items())
+    }
+    if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
+        baseline_section(BASELINE_PATH, {"virtual": {
+            layout: {
+                name: {"value": value, "gate": f"== {value!r} (exact)",
+                       "domain": "virtual"}
+                for name, value in entry.items()
+            }
+            for layout, entry in figures.items()
+        }})
+    report(
+        "Cluster virtual figures (exact, domain: virtual)",
+        render_table(
+            ["layout", "virt_qps", "virt_p99_ms"],
+            [[layout, repr(e["virt_qps"]), repr(e["virt_p99_ms"])]
+             for layout, e in figures.items()],
+        ),
+    )
+    recorded = json.loads(BASELINE_PATH.read_text())["virtual"]
+    for layout, entry in figures.items():
+        for name, value in entry.items():
+            assert recorded[layout][name]["domain"] == "virtual"
+            assert value == recorded[layout][name]["value"], (layout, name)
 
 
 def test_hedging_cuts_tail_latency(graph):

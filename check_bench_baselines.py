@@ -12,8 +12,9 @@ on top of the bench-specific payload:
 
 Benches also record individual figures as ``{"value": ..., "gate":
 ..., "domain": "wall" | "virtual" | "cost" | "count"}`` sections.  A
-``count`` figure is deterministic, so where its gate reads ``== N
-(exact)`` the recorded value must be *N*: that is checked here too.
+``count`` or ``virtual`` figure is deterministic, so where its gate
+reads ``== N (exact)`` the recorded value must be *N*: that is checked
+here too.
 
 CI runs this script so a baseline written by hand (or by an older
 bench) cannot silently drop the keys the analysis tooling and release
@@ -30,20 +31,22 @@ from pathlib import Path
 REQUIRED = ("name", "gate", "measured", "date")
 ROOT = Path(__file__).resolve().parent
 EXACT_GATE = re.compile(r"^==\s*(\S+)\s*\(exact\)$")
+EXACT_DOMAINS = ("count", "virtual")
 
 
-def exact_count_violations(node, where: str = "") -> list[str]:
-    """Every ``domain: count`` figure under *node* whose own ``== N
-    (exact)`` gate its recorded value breaks, as ``path: reason`` lines."""
+def exact_gate_violations(node, where: str = "") -> list[str]:
+    """Every ``domain: count`` / ``domain: virtual`` figure under *node*
+    whose own ``== N (exact)`` gate its recorded value breaks, as ``path:
+    reason`` lines."""
     if isinstance(node, list):
         return [p for i, item in enumerate(node)
-                for p in exact_count_violations(item, f"{where}[{i}]")]
+                for p in exact_gate_violations(item, f"{where}[{i}]")]
     if not isinstance(node, dict):
         return []
     problems = [p for key, item in node.items()
-                for p in exact_count_violations(item, f"{where}.{key}" if where else key)]
+                for p in exact_gate_violations(item, f"{where}.{key}" if where else key)]
     gate = node.get("gate")
-    if node.get("domain") == "count" and isinstance(gate, str):
+    if node.get("domain") in EXACT_DOMAINS and isinstance(gate, str):
         match = EXACT_GATE.match(gate.strip())
         if match:
             try:
@@ -73,7 +76,7 @@ def check_baseline(path: Path) -> list[str]:
     for key in ("name", "gate", "date"):
         if key in doc and not isinstance(doc[key], str):
             problems.append(f"{path.name}: {key!r} must be a string")
-    problems += [f"{path.name}: {p}" for p in exact_count_violations(doc)]
+    problems += [f"{path.name}: {p}" for p in exact_gate_violations(doc)]
     return problems
 
 

@@ -103,9 +103,8 @@ class BfsJob(AlgorithmStepper):
             return out
 
         mode = "dense" if dense else "sparse"
-        parts = self.executor.parallel(
-            [_bind(expand, cid) for cid in range(self.executor.p)],
-            label=f"algorithms:bfs-expand-{mode}",
+        parts = self.executor.map_chunks(
+            expand, range(self.executor.p), label=f"algorithms:bfs-expand-{mode}"
         )
 
         def merge(ctx: TaskContext):
@@ -159,10 +158,3 @@ class BfsJob(AlgorithmStepper):
                     "edges_scanned": self._edges_scanned,
                 },
             )
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

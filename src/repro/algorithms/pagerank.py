@@ -108,9 +108,8 @@ class PageRankJob(AlgorithmStepper):
             return np.asarray(flat, dtype=np.int64), \
                 np.repeat(contrib, counts)
 
-        parts = self.executor.parallel(
-            [_bind(push, cid) for cid in range(self.executor.p)],
-            label="algorithms:pagerank-push",
+        parts = self.executor.map_chunks(
+            push, range(self.executor.p), label="algorithms:pagerank-push"
         )
 
         def scatter(ctx: TaskContext):
@@ -152,10 +151,3 @@ class PageRankJob(AlgorithmStepper):
             self._finish(self._rank, converged=converged,
                          stats={"delta": self._delta,
                                 "iterations": self.rounds})
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

@@ -172,9 +172,8 @@ class TriangleCountJob(AlgorithmStepper):
             ))
             return np.asarray(flat, dtype=np.int64), offs
 
-        parts = self.executor.parallel(
-            [_bind(fetch, cid) for cid in range(self.executor.p)],
-            label="algorithms:tri-fetch",
+        parts = self.executor.map_chunks(
+            fetch, range(self.executor.p), label="algorithms:tri-fetch"
         )
 
         def build(ctx: TaskContext):
@@ -215,10 +214,3 @@ class TriangleCountJob(AlgorithmStepper):
                 "triangles_if_symmetric": self._count // 6,
             },
         )
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

@@ -2,14 +2,15 @@
 
 The cluster layer composes the repo's existing pieces into one
 servable system: the shard layer partitions the graph, each
-:class:`ShardWorker` runs a full
+:class:`ShardWorker` runs the batch kernels of a
 :class:`~repro.serve.server.GraphQueryServer` over one shard replica
 (replicas of a shard share the same store object, the way replica
-processes memory-map one segment file), and the :class:`Router`
-scatter-gathers every coalesced micro-batch across shards — balancing
-load over replicas, hedging stragglers past a latency-percentile
-deadline, retrying around injected worker failures, and enforcing
-per-tenant admission quotas before fan-out.
+processes memory-map one segment file), and the :class:`Router` — the
+same :class:`~repro.serve.loop.ServeLoop` front door the monolithic
+server is — scatter-gathers every coalesced micro-batch across shards,
+balancing load over replicas, hedging stragglers past a
+latency-percentile deadline, retrying around injected worker failures,
+and enforcing per-tenant admission quotas before fan-out.
 
 Everything runs in deterministic virtual time on a shared
 :class:`~repro.serve.request.ManualClock`, with per-worker service

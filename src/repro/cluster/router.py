@@ -1,10 +1,11 @@
 """The scatter-gather `Router`: one serving front door over N workers.
 
-The router presents the exact :class:`~repro.serve.server.GraphQueryServer`
-surface — ``submit`` / ``pump`` / ``drain`` / ``next_wakeup_ns`` /
-``snapshot`` — so workloads, the replay driver, and the load harness
-run unchanged against either.  Behind that surface each closed
-micro-batch is **scattered**: its deduplicated key plan is split by
+The router is a :class:`~repro.serve.loop.ServeLoop`: ``submit`` /
+``submit_job`` / ``pump`` / ``drain`` / ``snapshot`` are the very
+methods a monolithic :class:`~repro.serve.server.GraphQueryServer`
+runs, so workloads, the replay driver, and the load harness drive
+either.  What the router adds is what happens to a closed
+micro-batch — it is **scattered**: its deduplicated key plan is split by
 the partitioner into per-shard sub-batches, each sub-batch is
 dispatched to the least-loaded alive replica of its shard, and
 replies are **gathered** back onto every ticket's
@@ -30,7 +31,11 @@ Three mechanisms ride on the event loop:
   attempt count — slots never hang.
 * **Tenant quotas** — before fan-out, a request whose tenant already
   has its quota of in-flight requests is rejected at admission
-  (``quota_rejected``), keyed off ``request.tenant``.
+  (``quota_rejected``), keyed off ``request.tenant``
+  (:class:`TenantLedger`).
+
+Cluster serving is read-only: the router sets no write target, so
+``submit`` refuses a :class:`~repro.serve.request.WriteRequest`.
 """
 
 from __future__ import annotations
@@ -42,24 +47,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ClusterError, ValidationError
-from ..obs import NULL_TRACER, MetricsRegistry, register_server
-from ..query.rowcache import RowCache
-from ..serve.admission import AdmissionController
-from ..serve.coalescer import MicroBatch, MicroBatchCoalescer
+from ..obs import NULL_TRACER, register_server
+from ..serve.coalescer import MicroBatch
 from ..serve.config import ServerConfig
-from ..serve.metrics import ServeMetrics, ServeSnapshot
-from ..serve.request import (
-    DONE,
-    REJECTED,
-    SHED,
-    AnalyticsRequest,
-    JobHandle,
-    ManualClock,
-    ReadRequest,
-    ReplySlot,
-    Request,
-    WriteRequest,
-)
+from ..serve.loop import ServeLoop
+from ..serve.request import DONE, ManualClock, Request
+from ..shard.store import ShardedStore
 from .worker import ShardWorker
 
 __all__ = ["Router", "ClusterStats", "WorkerStats"]
@@ -105,22 +98,56 @@ class ClusterStats:
     quota_rejected: int = 0
 
 
+class TenantLedger:
+    """Per-tenant in-flight counts against quotas, and completions.
+
+    The front door calls :meth:`enter` before admitting a request and
+    :meth:`leave` when it is shed, refused by the queue, completed or
+    failed; tenants without a quota are only counted.
+    """
+
+    def __init__(self, quotas):
+        self.quotas = dict(quotas)
+        self.inflight: dict[str, int] = {}
+        self.completed: dict[str, int] = {}
+        self.rejected = 0
+
+    def enter(self, tenant: str) -> bool:
+        """Count one more request of *tenant* in flight; ``False`` (and
+        nothing counted but the rejection) when its quota is used up."""
+        held = self.inflight.get(tenant, 0)
+        quota = self.quotas.get(tenant)
+        if quota is not None and held >= quota:
+            self.rejected += 1
+            return False
+        self.inflight[tenant] = held + 1
+        return True
+
+    def leave(self, tenant: str, *, completed: bool = True) -> None:
+        """One request of *tenant* left the system (*completed*: it was
+        admitted to the queue first, so it counts in ``per_tenant``)."""
+        left = self.inflight.get(tenant, 0) - 1
+        if left > 0:
+            self.inflight[tenant] = left
+        else:
+            self.inflight.pop(tenant, None)
+        if completed:
+            self.completed[tenant] = self.completed.get(tenant, 0) + 1
+
+
 class _Sub:
     """One shard's slice of a scattered batch (router-internal)."""
 
     __slots__ = (
-        "sub_id", "shard", "nodes", "edges", "node_items", "edge_items",
+        "shard", "nodes", "edges", "items",
         "batch", "attempts", "done", "inflight", "dispatched_to",
     )
 
-    def __init__(self, sub_id, shard, nodes, edges, node_items, edge_items,
-                 batch):
-        self.sub_id = sub_id
+    def __init__(self, shard, nodes, edges, items, batch):
         self.shard = shard
         self.nodes = nodes          # unique node keys owned by this shard
         self.edges = edges          # unique (u, v) rows owned by this shard
-        self.node_items = node_items  # [(request, ...)] per unique node
-        self.edge_items = edge_items  # [(request, ...)] per unique edge
+        self.items = items          # [request, ...] per node, then per edge
         self.batch = batch
         self.attempts = 0
         self.done = False
@@ -131,17 +158,16 @@ class _Sub:
 class _Gather:
     """Per-batch gather state: how many subs are still out."""
 
-    __slots__ = ("batch", "remaining", "scatter_ns", "service_ns", "span")
+    __slots__ = ("remaining", "scatter_ns", "service_ns", "span")
 
-    def __init__(self, batch, remaining, scatter_ns):
-        self.batch = batch
+    def __init__(self, remaining, scatter_ns):
         self.remaining = remaining
         self.scatter_ns = scatter_ns
         self.service_ns = 0.0
         self.span = None            # open dispatch span id (traced batches)
 
 
-class Router:
+class Router(ServeLoop):
     """Scatter-gather front-end over replicated shard workers.
 
     Built by :func:`~repro.cluster.build.build_cluster` (via
@@ -151,10 +177,16 @@ class Router:
     keys to shards, and *clock* is the shared
     :class:`~repro.serve.request.ManualClock` all virtual time runs
     on.  *tracer* is the cluster's shared :class:`~repro.obs.Tracer`
-    (also held by every worker's inner server, so router-side scatter
+    (also held by every worker's server, so router-side scatter
     spans and worker-side kernel spans land in one tree); defaults to
     the no-op :data:`~repro.obs.NULL_TRACER`.
     """
+
+    _layer = "router"
+    _read_only = (
+        "cluster serving is read-only (route writes to a "
+        "single-worker server over an lsm store)"
+    )
 
     def __init__(
         self,
@@ -167,10 +199,10 @@ class Router:
     ):
         if not workers:
             raise ValidationError("a cluster needs at least one worker")
+        super().__init__(config, clock=clock,
+                         tracer=tracer if tracer is not None else NULL_TRACER)
         self.workers = list(workers)
         self.partitioner = partitioner
-        self.config = config
-        self._clock = clock
         self.num_shards = int(partitioner.num_shards)
         self.by_shard: dict[int, list[ShardWorker]] = {
             s: [w for w in self.workers if w.shard_id == s]
@@ -179,22 +211,10 @@ class Router:
         for s, group in self.by_shard.items():
             if not group:
                 raise ValidationError(f"shard {s} has no replica workers")
-        self.coalescer = MicroBatchCoalescer(
-            config.max_batch_size, config.max_wait_ns, clock=clock
-        )
-        self.admission = AdmissionController(config.queue_capacity,
-                                             config.policy)
-        self.metrics = ServeMetrics()
-        self.tenant_quotas = dict(config.tenant_quotas)
-        self._tenant_inflight: dict[str, int] = {}
-        self._tenant_completed: dict[str, int] = {}
-        self._slots: dict[int, ReplySlot] = {}
-        self._jobs: deque[JobHandle] = deque()
+        self._tenants = TenantLedger(config.tenant_quotas)
         self._job_view = None
-        self._next_ticket = 0
         self._events: list = []     # (time_ns, seq, kind, payload)
         self._seq = 0
-        self._next_sub = 0
         self._gathers: dict[int, _Gather] = {}
         self._samples: deque[float] = deque(maxlen=256)
         # counters surfaced via cluster_stats()
@@ -203,213 +223,22 @@ class Router:
         self.duplicate_completions = 0
         self.retries = 0
         self.failed_requests = 0
-        self.quota_rejected = 0
-        self._per_shard_subs: dict[int, int] = {
-            s: 0 for s in range(self.num_shards)
-        }
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        # plain-bool mirror of tracer.enabled (see GraphQueryServer)
-        self._obs = self.tracer.enabled
-        self._traced: dict[int, int] = {}
-        self._traced_jobs: dict[int, int] = {}
-        self.registry = MetricsRegistry()
+        self._per_shard_subs = dict.fromkeys(range(self.num_shards), 0)
         register_server(self.registry, self, prefix="router")
 
-    # -- the request lifecycle (GraphQueryServer surface) ----------------
-    def submit(self, request: Request) -> ReplySlot:
-        """Admit one read request; returns its reply handle immediately.
-
-        Tenant quota, then queue admission, then coalescing — exactly
-        the monolithic order, with fan-out deferred to batch closure.
-        Cluster serving is read-only: a :class:`WriteRequest` raises.
-        """
-        if isinstance(request, AnalyticsRequest):
-            raise ValidationError(
-                "analytics requests are long-running jobs — submit them "
-                "through submit_job(), not submit()"
-            )
-        if isinstance(request, WriteRequest):
-            raise ValidationError(
-                "cluster serving is read-only (route writes to a "
-                "single-worker server over an lsm store)"
-            )
-        if not isinstance(request, ReadRequest) or type(request) is ReadRequest:
-            raise ValidationError(
-                f"unsupported request type {type(request).__name__}"
-            )
-        if request.ticket >= 0:
-            raise ValidationError("request was already submitted")
-        tracer = self.tracer
-        now = self._clock()
-        request.ticket = self._next_ticket
-        self._next_ticket += 1
-        request.enqueue_ns = now
-        slot = ReplySlot(request)
-        if self._obs and tracer.sample_root():
-            self._traced[request.ticket] = tracer.begin(
-                "request", "router", ticket=request.ticket, start_ns=now,
-                meta={"kind": type(request).__name__,
-                      "tenant": request.tenant},
-            )
-        quota = self.tenant_quotas.get(request.tenant)
-        if quota is not None and self._tenant_inflight.get(
-            request.tenant, 0
-        ) >= quota:
-            self.quota_rejected += 1
-            slot._resolve(REJECTED)
-            self._end_root(request.ticket, now, status="quota-rejected")
-            return slot
-        decision = self.admission.decide(self.coalescer.pending)
-        if decision == "reject":
-            slot._resolve(REJECTED)
-            self._end_root(request.ticket, now, status="rejected")
-            return slot
-        if decision == "shed":
-            victim = self.coalescer.evict_oldest()
-            vslot = self._slots.pop(victim.ticket)
-            self._tenant_done(victim.tenant)
-            vslot._resolve(SHED)
-            self._end_root(victim.ticket, now, status="shed")
-        elif decision == "block":
-            batch = self.coalescer.close_batch(now, "flush")
-            if batch is not None:
-                self._scatter(batch)
-        self._slots[request.ticket] = slot
-        self._tenant_inflight[request.tenant] = (
-            self._tenant_inflight.get(request.tenant, 0) + 1
-        )
-        self.coalescer.offer(request)
-        self.admission.record_admitted(self.coalescer.pending)
-        self.metrics.record_depth(self.coalescer.pending)
-        self.pump(now)
-        return slot
-
     # -- analytics jobs --------------------------------------------------
-    def submit_job(self, request: AnalyticsRequest) -> JobHandle:
-        """Admit one analytics job against the whole routed graph.
-
-        The job's stepper runs over a read-only
-        :class:`~repro.shard.ShardedStore` view assembled from one
-        replica of every shard (the union of the shards *is* the
-        graph), so results are identical to the same job on a
-        monolithic server.  Jobs are granted
-        ``config.job_slice_steps`` work slices per :meth:`pump`, FIFO,
-        interleaved with scattered point traffic.
-        """
-        from ..algorithms import make_stepper
-
-        if not isinstance(request, AnalyticsRequest):
-            raise ValidationError(
-                f"submit_job takes an AnalyticsRequest, got "
-                f"{type(request).__name__}"
-            )
-        if request.ticket >= 0:
-            raise ValidationError("request was already submitted")
-        stepper = make_stepper(
-            request.algorithm, self._whole_graph_view(),
-            self.config.executor, **dict(request.params),
-        )
-        now = self._clock()
-        request.ticket = self._next_ticket
-        self._next_ticket += 1
-        request.enqueue_ns = now
-        request.dispatch_ns = now
-        tracer = self.tracer
-        if self._obs and tracer.sample_root():
-            self._traced_jobs[request.ticket] = tracer.begin(
-                "job", "algorithms", ticket=request.ticket, start_ns=now,
-                meta={"algorithm": request.algorithm},
-            )
-        self._jobs.append(JobHandle(request, stepper))
-        return self._jobs[-1]
-
-    def _whole_graph_view(self):
-        """A :class:`~repro.shard.ShardedStore` over replica 0 of every
-        shard — the router's read-only whole-graph surface (built once,
-        reused by every job)."""
+    def _job_target(self):
+        """Jobs run over the whole routed graph on ``config.executor``:
+        a read-only :class:`~repro.shard.ShardedStore` view over replica
+        0 of every shard (the union of the shards *is* the graph, so
+        results equal the same job on a monolithic server), built once
+        and reused by every job."""
         if self._job_view is None:
-            from ..shard import ShardedStore
-
-            shards = []
-            for s in range(self.num_shards):
-                store = self.by_shard[s][0].server.engine.store
-                if isinstance(store, RowCache):
-                    store = store.store
-                shards.append(store)
-            self._job_view = ShardedStore(self.partitioner, shards)
-        return self._job_view
-
-    @property
-    def active_jobs(self) -> int:
-        """Analytics jobs queued or running (FIFO; the front one gets
-        the pump slices)."""
-        return len(self._jobs)
-
-    def _pump_jobs(self) -> int:
-        """Grant the front job one slice allowance; returns jobs that
-        reached a terminal state (0 or 1)."""
-        if not self._jobs:
-            return 0
-        handle = self._jobs[0]
-        if self._advance_job(handle):
-            self._jobs.popleft()
-            self._finish_job(handle)
-            return 1
-        return 0
-
-    def _advance_job(self, handle: JobHandle) -> bool:
-        """Grant one slice allowance inside a ``job-slice`` span (when
-        the job is traced); returns whether the job finished."""
-        jsid = self._traced_jobs.get(handle.request.ticket)
-        if jsid is None:
-            return handle._advance(self.config.job_slice_steps)
-        with self.tracer.span("job-slice", "algorithms",
-                              ticket=handle.request.ticket, parent=jsid):
-            return handle._advance(self.config.job_slice_steps)
-
-    def _finish_job(self, handle: JobHandle) -> None:
-        """Stamp completion and close the job's root span (if traced)."""
-        handle.request.complete_ns = float(self._clock())
-        jsid = self._traced_jobs.pop(handle.request.ticket, None)
-        if jsid is not None:
-            self.tracer.end(jsid, handle.request.complete_ns)
-
-    def pump(self, now: float | None = None) -> int:
-        """Run the event loop up to *now*, scatter every batch the
-        coalescer considers closed, then grant the front analytics job
-        its work slices; returns batches scattered."""
-        if now is None:
-            now = self._clock()
-        self._run_events(now)
-        served = 0
-        while (batch := self.coalescer.poll(now)) is not None:
-            self._scatter(batch)
-            served += 1
-            self._run_events(now)
-        self._pump_jobs()
-        return served
-
-    def drain(self) -> int:
-        """Flush the queue, then run the event loop to quiescence,
-        advancing the virtual clock through every outstanding
-        completion, then run every analytics job to completion;
-        afterwards every admitted slot and every job handle is
-        terminal."""
-        served = 0
-        for batch in self.coalescer.flush(self._clock()):
-            self._scatter(batch)
-            served += 1
-        while self._events:
-            t = self._events[0][0]
-            self._clock.advance_to(t)
-            served += self.pump(t)
-        while self._jobs:
-            handle = self._jobs[0]
-            while not self._advance_job(handle):
-                pass
-            self._jobs.popleft()
-            self._finish_job(handle)
-        return served
+            self._job_view = ShardedStore(self.partitioner, [
+                self.by_shard[s][0].server._job_target()[0]
+                for s in range(self.num_shards)
+            ])
+        return self._job_view, self.config.executor
 
     def next_wakeup_ns(self) -> float | None:
         """Earliest virtual time with work: the oldest queued request's
@@ -423,7 +252,9 @@ class Router:
         return min(candidates) if candidates else None
 
     # -- scatter ---------------------------------------------------------
-    def _scatter(self, batch: MicroBatch) -> None:
+    def _dispatch(self, batch: MicroBatch) -> None:
+        """Scatter one closed batch: a sub-batch per owning shard, each
+        dispatched to a replica; replies gather as completions land."""
         plan = batch.plan
         t = float(batch.closed_ns)
         shard_nodes: dict[int, dict[int, int]] = {}
@@ -449,7 +280,7 @@ class Router:
         for req, lane in zip(plan.edge_requests, plan.edge_lane):
             edge_tickets.setdefault(lane, []).append(req)
         shards = sorted(set(shard_nodes) | set(shard_edges))
-        gather = _Gather(batch, len(shards), t)
+        gather = _Gather(len(shards), t)
         self._gathers[id(batch)] = gather
         tracer = self.tracer
         if self._obs:
@@ -473,44 +304,32 @@ class Router:
                           "closed_by": batch.closed_by,
                           "shards": len(shards)},
                 )
-        if not shards:  # pragma: no cover - empty batches never close
-            if gather.span is not None:
-                tracer.end(gather.span, t)
-            del self._gathers[id(batch)]
-            return
         for s in shards:
             nmap = shard_nodes.get(s, {})
             emap = shard_edges.get(s, {})
             sub = _Sub(
-                sub_id=self._next_sub,
                 shard=s,
                 nodes=np.fromiter(nmap.values(), dtype=np.int64,
                                   count=len(nmap)),
                 edges=np.array(list(emap.values()),
                                dtype=np.int64).reshape(-1, 2),
-                node_items=[node_tickets.get(lane, []) for lane in nmap],
-                edge_items=[edge_tickets.get(lane, []) for lane in emap],
+                items=[node_tickets.get(lane, []) for lane in nmap]
+                + [edge_tickets.get(lane, []) for lane in emap],
                 batch=batch,
             )
-            self._next_sub += 1
             if not self._dispatch_sub(sub, t):
                 # every replica of this shard is already down: fail the
                 # sub's tickets now rather than leaving slots pending
                 self._fail_sub(sub, None, t)
 
     # -- replica selection / dispatch ------------------------------------
-    def _candidates(self, sub: _Sub, t: float) -> list[ShardWorker]:
-        return [
-            w for w in self.by_shard[sub.shard]
-            if w.alive_at(t) and w.worker_id not in sub.dispatched_to
-        ]
-
     def _dispatch_sub(self, sub: _Sub, t: float, *, hedge: bool = False
                       ) -> bool:
         """Dispatch one attempt of *sub* at virtual time *t*; returns
         False when no alive replica remains (the caller fails the sub
         unless another attempt is still in flight)."""
-        candidates = self._candidates(sub, t)
+        candidates = [w for w in self.by_shard[sub.shard]
+                      if w.alive_at(t) and w.worker_id not in sub.dispatched_to]
         if not candidates:
             return False
         worker = min(candidates,
@@ -523,8 +342,8 @@ class Router:
                 meta={"shard": sub.shard, "worker": worker.worker_id,
                       "hedge": hedge, "attempt": sub.attempts + 1},
             )
-        # the worker's inner dispatch/kernel spans nest under the sub
-        # span via the stack — no ids threaded through worker.serve
+        # the worker's dispatch/kernel spans nest under the sub span
+        # via the stack — no ids threaded through worker.serve
         with self.tracer.under(sub_sid):
             rows, exists, service_ns = worker.serve(
                 sub.nodes, sub.edges, wall=self.config.service == "wall"
@@ -560,7 +379,9 @@ class Router:
         self._seq += 1
         heapq.heappush(self._events, (float(t), self._seq, kind, payload))
 
-    def _run_events(self, now: float) -> None:
+    def _run_events(self, now: float | None) -> None:
+        if now is None:
+            now = self._clock()
         while self._events and self._events[0][0] <= now:
             t, _, kind, payload = heapq.heappop(self._events)
             if kind == _COMPLETE:
@@ -587,7 +408,10 @@ class Router:
         if hedged:
             worker.hedge_wins += 1
         self._samples.append(float(service_ns))
-        self._gather(sub, rows, exists, t, service_ns)
+        for value, reqs in zip([*rows, *exists], sub.items):
+            for req in reqs:
+                self._complete(req, value, sub.batch.closed_ns, t)
+        self._finish_sub(sub, service_ns, t)
 
     def _on_hedge(self, t: float, sub: _Sub) -> None:
         if sub.done:
@@ -605,16 +429,6 @@ class Router:
                 )
 
     # -- gather -----------------------------------------------------------
-    def _gather(self, sub: _Sub, rows, exists, t: float,
-                service_ns: float) -> None:
-        for row, reqs in zip(rows, sub.node_items):
-            for req in reqs:
-                self._complete(req, row, sub.batch.closed_ns, t)
-        for flag, reqs in zip(exists, sub.edge_items):
-            for req in reqs:
-                self._complete(req, bool(flag), sub.batch.closed_ns, t)
-        self._finish_sub(sub, service_ns, t)
-
     def _finish_sub(self, sub: _Sub, service_ns: float, t: float) -> None:
         """Account one finished (gathered or failed) sub against its
         batch; the batch's metrics record when the last sub lands,
@@ -641,17 +455,8 @@ class Router:
             raise ClusterError(f"no reply slot for ticket {req.ticket}")
         slot._resolve(DONE, value)
         self._end_root(req.ticket, complete_ns)
-        self._tenant_done(req.tenant)
+        self._tenants.leave(req.tenant)
         self.metrics.record_reply(req.wait_ns, req.latency_ns)
-
-    def _end_root(self, ticket: int, end_ns: float,
-                  status: str | None = None) -> None:
-        """Close a traced request's root span (no-op for untraced)."""
-        sid = self._traced.pop(ticket, None)
-        if sid is not None:
-            if status is not None:
-                self.tracer.annotate(sid, status=status)
-            self.tracer.end(sid, end_ns)
 
     def _fail_sub(self, sub: _Sub, worker: ShardWorker | None,
                   t: float) -> None:
@@ -663,7 +468,7 @@ class Router:
             f"shard {sub.shard}: all {replicas} replicas down "
             f"({last}, {sub.attempts} attempts)"
         )
-        for reqs in list(sub.node_items) + list(sub.edge_items):
+        for reqs in sub.items:
             for req in reqs:
                 slot = self._slots.pop(req.ticket, None)
                 if slot is None:  # pragma: no cover - demux bug guard
@@ -671,27 +476,11 @@ class Router:
                 req.complete_ns = float(t)
                 slot._fail(error)
                 self._end_root(req.ticket, float(t), status="failed")
-                self._tenant_done(req.tenant)
+                self._tenants.leave(req.tenant)
                 self.failed_requests += 1
         self._finish_sub(sub, 0.0, t)
 
-    def _tenant_done(self, tenant: str) -> None:
-        left = self._tenant_inflight.get(tenant, 0) - 1
-        if left > 0:
-            self._tenant_inflight[tenant] = left
-        else:
-            self._tenant_inflight.pop(tenant, None)
-        self._tenant_completed[tenant] = (
-            self._tenant_completed.get(tenant, 0) + 1
-        )
-
     # -- observability ----------------------------------------------------
-    def snapshot(self, *, elapsed_s: float | None = None) -> ServeSnapshot:
-        """Aggregate serve metrics (same shape as the monolithic
-        server's, so the load harness and renders work unchanged)."""
-        return self.metrics.snapshot(self.admission.stats(),
-                                     elapsed_s=elapsed_s)
-
     def cluster_stats(self) -> ClusterStats:
         """Per-worker / per-shard / per-tenant breakdowns plus the
         hedging, retry, and failure counters."""
@@ -711,13 +500,13 @@ class Router:
                 for w in self.workers
             ),
             per_shard=dict(self._per_shard_subs),
-            per_tenant=dict(self._tenant_completed),
+            per_tenant=dict(self._tenants.completed),
             subs_dispatched=self.subs_dispatched,
             hedges_launched=self.hedges_launched,
             duplicate_completions=self.duplicate_completions,
             retries=self.retries,
             failed_requests=self.failed_requests,
-            quota_rejected=self.quota_rejected,
+            quota_rejected=self._tenants.rejected,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

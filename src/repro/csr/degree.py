@@ -103,9 +103,7 @@ def degree_parallel(
             global_deg[nodes[1:]] = counts[1:]
         ctx.charge(Cost(reads=e - s, writes=nodes.shape[0], flops=e - s))
 
-    executor.parallel(
-        [_bind(count_chunk, cid) for cid in range(p)], label="degree:count"
-    )
+    executor.map_chunks(count_chunk, range(p), label="degree:count")
 
     # Algorithm 3 — serial merge of the temp degrees.  O(p) work.
     def merge(ctx: TaskContext):
@@ -117,10 +115,3 @@ def degree_parallel(
 
     executor.serial(merge, label="degree:merge")
     return global_deg
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

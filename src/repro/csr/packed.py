@@ -61,9 +61,7 @@ def pack_array_parallel(
         ctx.charge(Cost(reads=e - s, bit_ops=(e - s) * width))
         return chunk_bits
 
-    chunks = executor.parallel(
-        [_bind(pack_chunk, cid) for cid in range(executor.p)], label=f"{label}:pack"
-    )
+    chunks = executor.map_chunks(pack_chunk, range(executor.p), label=f"{label}:pack")
 
     def merge(ctx: TaskContext):
         out = BitArray.zeros(n * width)
@@ -402,10 +400,3 @@ def build_bitpacked_csr(
     executor = executor or SerialExecutor()
     graph = build_csr(sources, destinations, n, executor, weights=weights, sort=sort)
     return BitPackedCSR.from_csr(graph, executor, gap_encode=gap_encode)
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

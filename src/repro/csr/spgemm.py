@@ -84,9 +84,7 @@ def spgemm(
         ctx.charge(Cost(reads=flops, writes=idx.shape[0], flops=flops))
         return sizes, idx, vals
 
-    parts = executor.parallel(
-        [_bind(chunk_task, cid) for cid in range(executor.p)], label="spgemm:rows"
-    )
+    parts = executor.map_chunks(chunk_task, range(executor.p), label="spgemm:rows")
 
     def assemble(ctx: TaskContext):
         all_sizes = np.zeros(n, dtype=np.int64)
@@ -143,9 +141,7 @@ def two_hop_neighbors(
         ctx.charge(Cost(reads=got.shape[0]))
         return np.unique(got).astype(np.int64)
 
-    parts = executor.parallel(
-        [_bind(gather, cid) for cid in range(executor.p)], label="twohop:gather"
-    )
+    parts = executor.map_chunks(gather, range(executor.p), label="twohop:gather")
 
     def combine(ctx: TaskContext):
         merged = np.unique(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
@@ -153,10 +149,3 @@ def two_hop_neighbors(
         return merged.astype(np.int64)
 
     return executor.serial(combine, label="twohop:combine")
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

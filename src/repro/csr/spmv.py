@@ -77,7 +77,7 @@ def spmv(
         y[lo:hi] = sums
         ctx.charge(Cost(reads=2 * (stop - start), writes=hi - lo, flops=stop - start))
 
-    executor.parallel([_bind(rows, cid) for cid in range(executor.p)], label="spmv")
+    executor.map_chunks(rows, range(executor.p), label="spmv")
     return y
 
 
@@ -126,10 +126,3 @@ def pagerank(
         if delta < tol:
             break
     return rank
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

@@ -50,9 +50,7 @@ def bfs_levels(
             ctx.charge(Cost(reads=out.shape[0]))
             return np.unique(out).astype(np.int64)
 
-        parts = executor.parallel(
-            [_bind(expand, cid) for cid in range(executor.p)], label="bfs:expand"
-        )
+        parts = executor.map_chunks(expand, range(executor.p), label="bfs:expand")
 
         def merge(ctx: TaskContext):
             cand = np.unique(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
@@ -105,10 +103,3 @@ def degree_histogram(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     values, counts = np.unique(deg, return_counts=True)
     return values.astype(np.int64), counts.astype(np.int64)
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

@@ -11,9 +11,9 @@ mechanisms stitch the tree together across layers:
 
 * an explicit **span stack** (:meth:`Tracer.span` /
   :meth:`Tracer.under`): code that runs work inline pushes the current
-  span, so anything opened deeper — including a shard worker's whole
-  inner serving path — parents correctly without threading ids through
-  every signature;
+  span, so anything opened deeper — including a shard worker's kernel
+  step — parents correctly without threading ids through every
+  signature;
 * :meth:`Tracer.on_cost`, the :attr:`Executor.cost_observer
   <repro.parallel.machine.Executor>` hook: kernel phases report their
   declared :class:`~repro.parallel.cost.Cost` and the tracer charges
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 from ..parallel.cost import Cost
@@ -264,6 +264,10 @@ class Tracer:
         )
 
 
+_NULL_SPAN = nullcontext(-1)
+_NULL_UNDER = nullcontext()
+
+
 class NullTracer:
     """The disabled tracer: every operation is a cheap no-op.
 
@@ -299,15 +303,14 @@ class NullTracer:
         """No-op; returns a sentinel id."""
         return -1
 
-    @contextmanager
     def span(self, name, layer, **kwargs):
-        """No-op context manager yielding a sentinel id."""
-        yield -1
+        """No-op context manager yielding a sentinel id (one shared
+        stateless object: untraced batches open these per kernel call)."""
+        return _NULL_SPAN
 
-    @contextmanager
     def under(self, span_id):
         """No-op context manager."""
-        yield
+        return _NULL_UNDER
 
     def current(self) -> None:
         """Always ``None``."""

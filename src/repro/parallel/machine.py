@@ -163,10 +163,15 @@ class Executor(abc.ABC):
 
     # ------------------------------------------------------------------
     # Conveniences shared by all executors.
-    def map_chunks(self, fn: Callable, chunks: Sequence, *, label: str = "") -> list:
-        """Run ``fn(ctx, chunk)`` for every chunk as one parallel phase."""
+    def map_chunks(self, fn: Callable, chunks: Sequence, *, label: str = "",
+                   locked: bool = False) -> list:
+        """Run ``fn(ctx, chunk)`` for every chunk as one parallel phase
+        (or, with *locked*, as one lock-serialised section in chunk
+        order) — ``range(p)`` as *chunks* is the one-task-per-processor
+        shape every chunked kernel uses."""
         tasks = [_bind_chunk(fn, chunk) for chunk in chunks]
-        return self.parallel(tasks, label=label or getattr(fn, "__name__", "phase"))
+        run = self.locked if locked else self.parallel
+        return run(tasks, label=label or getattr(fn, "__name__", "phase"))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(p={self.p})"

@@ -52,8 +52,8 @@ def chunked_reduce(
         ctx.charge(Cost(reads=e - s, flops=e - s))
         return chunk_fn(arr[s:e])
 
-    partials = executor.parallel(
-        [_bind(reduce_chunk, cid) for cid in range(executor.p)], label=f"{label}:chunks"
+    partials = executor.map_chunks(
+        reduce_chunk, range(executor.p), label=f"{label}:chunks"
     )
     partials = [part for part in partials if part is not None]
 
@@ -62,13 +62,6 @@ def chunked_reduce(
         return combine_fn(partials)
 
     return executor.serial(combine, label=f"{label}:combine")
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task
 
 
 def chunked_sum(values: np.ndarray, executor: Executor | None = None) -> int:

@@ -93,9 +93,7 @@ def prefix_sum_parallel(
             np.cumsum(vec[s:e], out=vec[s:e])
             ctx.charge(Cost(reads=e - s, writes=e - s, flops=e - s))
 
-    executor.parallel(
-        [_bind(local_scan, cid) for cid in range(executor.p)], label="scan:local"
-    )
+    executor.map_chunks(local_scan, range(executor.p), label="scan:local")
 
     # Phase 2 — locked carry propagation (lines 6-9).  Strictly
     # sequential in chunk order: chunk i reads chunk i-1's last element
@@ -108,9 +106,7 @@ def prefix_sum_parallel(
                 vec[e - 1] += vec[prev_end - 1]
                 ctx.charge(Cost(reads=2, writes=1, flops=1))
 
-    executor.locked(
-        [_bind(propagate, cid) for cid in range(executor.p)], label="scan:carry"
-    )
+    executor.map_chunks(propagate, range(executor.p), label="scan:carry", locked=True)
 
     # Phase 3 — broadcast add of the previous chunk's last element to
     # every element but the last (lines 11-13).
@@ -122,17 +118,8 @@ def prefix_sum_parallel(
                 vec[s : e - 1] += vec[prev_end - 1]
                 ctx.charge(Cost(reads=e - s, writes=e - 1 - s, flops=e - 1 - s))
 
-    executor.parallel(
-        [_bind(broadcast, cid) for cid in range(executor.p)], label="scan:broadcast"
-    )
+    executor.map_chunks(broadcast, range(executor.p), label="scan:broadcast")
     return vec
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task
 
 
 def _last_nonempty_end(bounds: np.ndarray, cid: int) -> int | None:

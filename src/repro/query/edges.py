@@ -226,10 +226,7 @@ def batch_edge_existence(
             )
         )
 
-    executor.parallel(
-        [_bind(run_chunk, cid) for cid in range(executor.p)],
-        label=f"query:edges-{method}",
-    )
+    executor.map_chunks(run_chunk, range(executor.p), label=f"query:edges-{method}")
     return out
 
 
@@ -275,15 +272,5 @@ def single_edge_exists(
         found[cid] = present
         ctx.charge(Cost(reads=steps, flops=steps))
 
-    executor.parallel(
-        [_bind(search_chunk, cid) for cid in range(executor.p)],
-        label=f"query:single-{method}",
-    )
+    executor.map_chunks(search_chunk, range(executor.p), label=f"query:single-{method}")
     return bool(found.any())
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

@@ -138,15 +138,5 @@ def batch_neighbors(
             Cost(reads=e - s, writes=e - s, bit_ops=decode_units, page_touches=pages)
         )
 
-    executor.parallel(
-        [_bind(run_chunk, cid) for cid in range(executor.p)],
-        label="query:neighbors",
-    )
+    executor.map_chunks(run_chunk, range(executor.p), label="query:neighbors")
     return results if prefetch is None else (results, held[0])
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

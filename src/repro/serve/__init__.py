@@ -5,7 +5,9 @@ the batched kernel calls of Section V: typed requests and reply
 handles (:mod:`~repro.serve.request`), a size/window micro-batch
 coalescer with in-batch hot-key dedup (:mod:`~repro.serve.coalescer`),
 bounded-queue admission control (:mod:`~repro.serve.admission`), the
-:class:`GraphQueryServer` gluing them to a
+one front door that runs them and the analytics-job lifecycle
+(:class:`ServeLoop`, :mod:`~repro.serve.loop`), the
+:class:`GraphQueryServer` that dispatches its closed batches through a
 :class:`~repro.query.engine.QueryEngine`
 (:mod:`~repro.serve.server`), serve-side metrics
 (:mod:`~repro.serve.metrics`), seeded open-loop workload generation
@@ -20,7 +22,7 @@ a replicated scatter-gather :class:`~repro.cluster.Router`.
 
 Long-running analytics ride the same front door: an
 :class:`AnalyticsRequest` submitted through
-:meth:`GraphQueryServer.submit_job` (or the router's) yields a
+:meth:`ServeLoop.submit_job` (server or router alike) yields a
 :class:`JobHandle`, and every ``pump`` interleaves bounded
 :mod:`repro.algorithms` stepper slices with live point-query batches —
 offline analytics and online serving coexist on one store.
@@ -30,6 +32,7 @@ from .admission import POLICIES, AdmissionController, AdmissionStats
 from .coalescer import BatchPlan, MicroBatch, MicroBatchCoalescer
 from .config import ServerConfig, open_server
 from .loadgen import SLO, LoadResult, run_closed_loop, run_open_loop
+from .loop import ServeLoop
 from .metrics import ServeMetrics, ServeSnapshot, log2_histogram, quantiles
 from .request import (
     DEFAULT_TENANT,
@@ -79,6 +82,7 @@ __all__ = [
     "REJECTED",
     "SHED",
     "FAILED",
+    "ServeLoop",
     "GraphQueryServer",
     "SLO",
     "LoadResult",

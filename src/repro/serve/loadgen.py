@@ -214,9 +214,7 @@ def run_open_loop(
     require(offered_qps > 0, "offered_qps must be positive")
     clock = _clock_of(server)
     if num_nodes is None:
-        num_nodes = int(server.workers[0].server.store.num_nodes) if hasattr(
-            server, "workers"
-        ) else int(server.store.num_nodes)
+        num_nodes = server.num_nodes
     workload = synthetic_workload(
         n_requests,
         num_nodes,
@@ -262,9 +260,7 @@ def run_closed_loop(
     require(think_ns >= 0, "think time must be non-negative")
     clock = _clock_of(server)
     if num_nodes is None:
-        num_nodes = int(server.workers[0].server.store.num_nodes) if hasattr(
-            server, "workers"
-        ) else int(server.store.num_nodes)
+        num_nodes = server.num_nodes
     stream = [
         req
         for _, req in synthetic_workload(

@@ -95,9 +95,7 @@ def build_tcsr(
         ctx.charge(Cost(reads=e - s, writes=e - s, flops=(e - s) * 2))
         return partial
 
-    partials = executor.parallel(
-        [_bind(chunk_frames, cid) for cid in range(p)], label="tcsr:chunk-csr"
-    )
+    partials = executor.map_chunks(chunk_frames, range(p), label="tcsr:chunk-csr")
 
     # ------------------------------------------------------------- B
     def merge_overlaps(ctx: TaskContext):
@@ -126,9 +124,7 @@ def build_tcsr(
             work += snaps[f].shape[0]
         ctx.charge(Cost(reads=2 * work, writes=work))
 
-    executor.parallel(
-        [_bind(local_scan, cid) for cid in range(p)], label="tcsr:scan-local"
-    )
+    executor.map_chunks(local_scan, range(p), label="tcsr:scan-local")
 
     def carry(ctx: TaskContext, cid: int):
         s, e = int(fr_bounds[cid]), int(fr_bounds[cid + 1])
@@ -140,7 +136,7 @@ def build_tcsr(
                     Cost(reads=snaps[e - 1].shape[0], writes=snaps[e - 1].shape[0])
                 )
 
-    executor.locked([_bind(carry, cid) for cid in range(p)], label="tcsr:scan-carry")
+    executor.map_chunks(carry, range(p), label="tcsr:scan-carry", locked=True)
 
     def broadcast(ctx: TaskContext, cid: int):
         s, e = int(fr_bounds[cid]), int(fr_bounds[cid + 1])
@@ -153,9 +149,7 @@ def build_tcsr(
                     work += snaps[f].shape[0]
                 ctx.charge(Cost(reads=2 * work, writes=work))
 
-    executor.parallel(
-        [_bind(broadcast, cid) for cid in range(p)], label="tcsr:scan-broadcast"
-    )
+    executor.map_chunks(broadcast, range(p), label="tcsr:scan-broadcast")
 
     # ------------------------------------------------------------- F
     deltas_keys: list[np.ndarray] = [np.zeros(0, np.uint64) for _ in range(num_frames)]
@@ -168,9 +162,7 @@ def build_tcsr(
             work += deltas_keys[f].shape[0]
         ctx.charge(Cost(reads=2 * work, writes=work))
 
-    executor.parallel(
-        [_bind(differential, cid) for cid in range(p)], label="tcsr:differential"
-    )
+    executor.map_chunks(differential, range(p), label="tcsr:differential")
 
     # ------------------------------------------------------------- G
     base = BitPackedCSR.from_csr(
@@ -190,10 +182,3 @@ def _last_nonempty_end(bounds: np.ndarray, cid: int) -> int | None:
         if bounds[j + 1] > bounds[j]:
             return int(bounds[j + 1])
     return None
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

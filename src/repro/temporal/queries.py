@@ -53,10 +53,7 @@ def batch_edge_active(
             out[i] = store.edge_active(int(u), int(v), int(frame))
         ctx.charge(Cost(reads=3 * (e - s), flops=e - s))
 
-    executor.parallel(
-        [_bind(run_chunk, cid) for cid in range(executor.p)],
-        label="tquery:edge-active",
-    )
+    executor.map_chunks(run_chunk, range(executor.p), label="tquery:edge-active")
     return out
 
 
@@ -81,15 +78,5 @@ def batch_neighbors_at(
             touched += row.shape[0]
         ctx.charge(Cost(reads=2 * (e - s) + touched, writes=touched))
 
-    executor.parallel(
-        [_bind(run_chunk, cid) for cid in range(executor.p)],
-        label="tquery:neighbors",
-    )
+    executor.map_chunks(run_chunk, range(executor.p), label="tquery:neighbors")
     return [row if row is not None else np.zeros(0, np.int64) for row in out]
-
-
-def _bind(fn, cid: int):
-    def task(ctx: TaskContext):
-        return fn(ctx, cid)
-
-    return task

@@ -1,7 +1,8 @@
 """Property tests: routed serving is bit-exact, exactly-once, and fails fast.
 
-The cluster router must be observationally identical to a monolithic
-:class:`GraphQueryServer` for completed requests: for random request
+The cluster router and the monolithic :class:`GraphQueryServer` are one
+front door (:class:`~repro.serve.loop.ServeLoop`) and must be
+observationally identical for completed requests: for random request
 interleavings over every shard store kind × worker/replica layout,
 every routed reply equals a direct per-request :class:`QueryEngine`
 call on an unsharded store of the same kind.  On top of parity, the
@@ -20,14 +21,18 @@ from hypothesis import strategies as st
 from repro.csr.builder import ensure_sorted
 from repro.errors import ClusterError, ValidationError
 from repro.query import QueryEngine
+from repro.cluster import Router
+from repro.parallel import SimulatedMachine
 from repro.serve import (
     DONE,
     FAILED,
     REJECTED,
     SHED,
+    AnalyticsRequest,
     EdgeRequest,
     ManualClock,
     NeighborsRequest,
+    ReadRequest,
     ServerConfig,
     WriteRequest,
     open_server,
@@ -40,6 +45,16 @@ SHARD_KINDS = ["csr", "packed", "gap", "adjlist", "edgelist"]
 #: (workers, replicas) layouts: monolithic-on-router, sharded,
 #: replicated single shard, and sharded+replicated.
 LAYOUTS = [(1, 1), (2, 1), (2, 2), (4, 2)]
+
+#: Every way into the one front door: the monolithic server (``None``),
+#: a 1x1 router, and 2 shards x 2 replicas.
+FRONTS = [None, (1, 1), (4, 2)]
+FRONT_IDS = ["monolith", "router-1x1", "router-2x2"]
+
+#: Simulated service time of the full mixed sub-batch of
+#: ``TestShardWorkerServe`` on ``_dense_edges()``, measured on the
+#: per-key worker path this kernel step replaced (PR 18).
+PINNED_SERVICE_NS = 5247.0
 
 
 @st.composite
@@ -86,15 +101,16 @@ def _assert_reply_correct(slot, engine):
 
 
 def _cluster(src, dst, n, *, workers, replicas, kind="packed", **overrides):
+    return _front(src, dst, n, (workers, replicas), kind=kind, **overrides)
+
+
+def _front(src, dst, n, layout, *, kind="packed", **overrides):
+    """The front door for *layout*: a router, or (``None``) the
+    monolithic server — same config otherwise, same clock type."""
     clock = ManualClock()
-    config = ServerConfig(
-        store_kind=kind,
-        edges=(src, dst, n),
-        workers=workers,
-        replicas=replicas,
-        cluster=True,
-        **overrides,
-    )
+    if layout is not None:
+        overrides.update(workers=layout[0], replicas=layout[1], cluster=True)
+    config = ServerConfig(store_kind=kind, edges=(src, dst, n), **overrides)
     return open_server(config, clock=clock), clock
 
 
@@ -134,18 +150,11 @@ def test_routed_replies_bit_exact(workers, replicas, data, edges):
         _assert_reply_correct(slot, engine)
 
 
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data(), edges=edge_lists())
-@pytest.mark.parametrize("policy", ["reject", "shed-oldest", "block"])
-def test_routed_tickets_resolved_exactly_once(policy, data, edges):
-    """Every routed ticket ends in exactly one terminal state, with the
-    router's snapshot and cluster counters agreeing with the slots."""
+def _check_exactly_once(layout, policy, data, edges):
     src, dst, n = edges
     engine = QueryEngine(open_store("packed", src, dst, n))
-    router, clock = _cluster(
-        src, dst, n,
-        workers=2, replicas=1,
+    front, clock = _front(
+        src, dst, n, layout,
         max_batch_size=data.draw(st.integers(1, 6)),
         max_wait_ns=float(data.draw(st.integers(0, 1000))),
         queue_capacity=data.draw(st.integers(1, 6)),
@@ -154,24 +163,47 @@ def test_routed_tickets_resolved_exactly_once(policy, data, edges):
     slots = []
     for arrival, req in data.draw(request_streams(n)):
         clock.advance_to(arrival)
-        slots.append(router.submit(req))
-    router.drain()
+        slots.append(front.submit(req))
+    front.drain()
 
     # ReplySlot._resolve raises on double resolution, so reaching a
     # terminal state here proves exactly-once delivery
     assert all(s.ready for s in slots)
     statuses = [s.status for s in slots]
-    snap = router.snapshot()
-    stats = router.cluster_stats()
+    snap = front.snapshot()
     assert statuses.count(DONE) == snap.completed
     assert statuses.count(REJECTED) == snap.rejected
     assert statuses.count(SHED) == snap.shed
-    assert statuses.count(FAILED) == stats.failed_requests == 0
+    assert statuses.count(FAILED) == 0
     assert len(slots) == snap.accepted + snap.rejected
-    assert sum(stats.per_shard.values()) == stats.subs_dispatched
+    assert not front._slots and not front._traced
+    if isinstance(front, Router):
+        stats = front.cluster_stats()
+        assert stats.failed_requests == 0
+        assert sum(stats.per_shard.values()) == stats.subs_dispatched
     for slot in slots:
         if slot.status == DONE:
             _assert_reply_correct(slot, engine)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), edges=edge_lists())
+@pytest.mark.parametrize("policy", ["reject", "shed-oldest", "block"])
+def test_routed_tickets_resolved_exactly_once(policy, data, edges):
+    """Every routed ticket ends in exactly one terminal state, with the
+    router's snapshot and cluster counters agreeing with the slots."""
+    _check_exactly_once((2, 1), policy, data, edges)
+
+
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), edges=edge_lists())
+@pytest.mark.parametrize("policy", ["reject", "shed-oldest", "block"])
+@pytest.mark.parametrize("layout", FRONTS, ids=FRONT_IDS)
+def test_front_door_tickets_resolved_exactly_once(layout, policy, data, edges):
+    """The same property through every entry to the one front door."""
+    _check_exactly_once(layout, policy, data, edges)
 
 
 class TestFailureInjection:
@@ -300,6 +332,94 @@ class TestHedging:
             router.submit(NeighborsRequest(node=u % n))
         router.drain()
         assert router.hedges_launched == 0
+
+
+@pytest.mark.parametrize("layout", FRONTS, ids=FRONT_IDS)
+class TestFrontDoorSurface:
+    """What ``submit`` / ``submit_job`` refuse is decided once, in the
+    shared front door — and a refused request keeps no ticket."""
+
+    def _front(self, layout, **overrides):
+        return _front(*_dense_edges(), layout, **overrides)[0]
+
+    def test_double_submit_rejected_on_both_entries(self, layout):
+        front = self._front(layout)
+        req = NeighborsRequest(node=0)
+        front.submit(req)
+        with pytest.raises(ValidationError, match="already submitted"):
+            front.submit(req)
+        job = AnalyticsRequest(algorithm="bfs", params={"source": 0})
+        front.submit_job(job)
+        with pytest.raises(ValidationError, match="already submitted"):
+            front.submit_job(job)
+        front.drain()
+        assert front.active_jobs == 0
+
+    def test_analytics_via_submit_rejected(self, layout):
+        front = self._front(layout)
+        req = AnalyticsRequest(algorithm="bfs")
+        with pytest.raises(ValidationError, match="submit_job"):
+            front.submit(req)
+        assert req.ticket < 0
+
+    def test_point_request_via_submit_job_rejected(self, layout):
+        front = self._front(layout)
+        req = NeighborsRequest(node=0)
+        with pytest.raises(ValidationError, match="AnalyticsRequest"):
+            front.submit_job(req)
+        assert req.ticket < 0 and front.active_jobs == 0
+
+    def test_unsupported_request_types_rejected(self, layout):
+        front = self._front(layout)
+        for bad in (ReadRequest(), object()):
+            with pytest.raises(ValidationError, match="unsupported"):
+                front.submit(bad)
+
+    def test_refused_write_takes_no_ticket_and_no_root(self, layout):
+        # a packed store is read-only behind either front door
+        front = self._front(layout, obs=True)
+        req = WriteRequest(op="insert", u=0, v=1)
+        with pytest.raises(ValidationError, match="writes|read-only"):
+            front.submit(req)
+        assert req.ticket < 0
+        assert not front._traced and front.tracer.spans() == []
+
+    def test_num_nodes_is_the_served_id_space(self, layout):
+        assert self._front(layout).num_nodes == _dense_edges()[2]
+
+
+class TestShardWorkerServe:
+    """``ShardWorker.serve`` is the kernel step on the router's arrays."""
+
+    def test_full_mixed_sub_is_one_kernel_step(self):
+        """A sub of exactly ``max_batch_size`` keys, nodes and edges
+        mixed — where a per-key inner front door would have closed its
+        batch by size mid-submit — is still one kernel call: replies
+        bit-exact to ``QueryEngine``, simulated service time the value
+        pinned from the per-key implementation on this graph."""
+        src, dst, n = _dense_edges()
+        batch = 16
+        router, _ = _cluster(src, dst, n, workers=1, replicas=1,
+                             max_batch_size=batch,
+                             executor=SimulatedMachine(1))
+        (worker,) = router.workers
+        nodes = np.arange(10, dtype=np.int64)
+        edges = np.stack([np.arange(6), (np.arange(6) * 7 + 3) % n], 1)
+        assert len(nodes) + len(edges) == batch
+        rows, exists, service_ns = worker.serve(nodes, edges)
+        engine = QueryEngine(open_store("packed", src, dst, n))
+        want = engine.neighbors(nodes)
+        assert len(rows) == len(want)
+        for got, row in zip(rows, want):
+            assert got.dtype == row.dtype and np.array_equal(got, row)
+        assert exists == engine.has_edges(edges).tolist()
+        assert all(type(flag) is bool for flag in exists)
+        assert service_ns == PINNED_SERVICE_NS
+        assert (worker.subs_served, worker.requests_served) == (1, batch)
+        assert worker.busy_ns == service_ns
+        # no front door ran: nothing was ticketed, queued or counted
+        assert worker.server._next_ticket == 0
+        assert worker.server.snapshot().batches == 0
 
 
 class TestRouterSurface:

@@ -25,6 +25,7 @@ from repro.serve import (
     NeighborsRequest,
     ServerConfig,
     WriteRequest,
+    open_server,
 )
 from repro.stores import open_store
 
@@ -140,8 +141,16 @@ class TestWriteAndJobSpans:
         assert write.meta["op"] == "insert"
         assert write.meta["applied"] is True
 
-    def test_job_and_slice_spans(self, packed):
-        server = _server(packed, job_slice_steps=2)
+    @staticmethod
+    def _slice_cost(edges, layout, executor):
+        """Summed ``job-slice`` Cost of one traced BFS job behind the
+        front door for *layout* (``None``: the monolithic server)."""
+        src, dst, n = edges
+        knobs = dict(store_kind="packed", edges=(src, dst, n), obs=True,
+                     job_slice_steps=2, executor=executor)
+        if layout is not None:
+            knobs.update(workers=layout[0], replicas=layout[1], cluster=True)
+        server = open_server(ServerConfig(**knobs), clock=ManualClock())
         server.submit_job(AnalyticsRequest(algorithm="bfs",
                                            params={"source": 0}))
         server.drain()
@@ -151,11 +160,29 @@ class TestWriteAndJobSpans:
         assert job.meta["algorithm"] == "bfs"
         slices = named["job-slice"]
         assert slices and all(s.parent_id == job.span_id for s in slices)
-        # the traversal's kernel cost lands inside the slices
         total = Cost.zero()
         for s in slices:
             total = total + s.cost
+        return total
+
+    def test_job_and_slice_spans(self, edges):
+        # the traversal's kernel cost lands inside the slices
+        assert self._slice_cost(edges, None, None) != Cost.zero()
+
+    @pytest.mark.parametrize("layout", [(1, 1), (4, 2)],
+                             ids=["router-1x1", "router-4x2"])
+    @pytest.mark.parametrize("executor", [None, SerialExecutor],
+                             ids=["default-executor", "serial"])
+    def test_routed_job_slices_charged_like_monolithic(self, edges, layout,
+                                                       executor):
+        """The shared ``_advance_job`` scopes the cost observer on the
+        executor the stepper runs on — also one the stepper defaulted
+        for itself — so a routed slice is charged what a monolithic
+        one is (the router's own copy charged nothing)."""
+        make = executor or (lambda: None)
+        total = self._slice_cost(edges, layout, make())
         assert total != Cost.zero()
+        assert total == self._slice_cost(edges, None, make())
 
 
 class TestKnobs:

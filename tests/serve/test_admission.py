@@ -1,10 +1,13 @@
 """Admission control: bounded queues, overload policies, backpressure.
 
-Exercised both as a bare policy object and end-to-end through
-:class:`GraphQueryServer` on a deterministic clock, asserting the
-overload contract: reject refuses the newcomer, shed-oldest evicts the
-longest-queued ticket, block serves a batch to make room, and the
-queue never exceeds its capacity under any policy.
+Exercised both as a bare policy object and end-to-end through the one
+front door (:class:`~repro.serve.loop.ServeLoop`) on a deterministic
+clock — as a monolithic :class:`GraphQueryServer` and, in the
+``*Routed`` classes, as a 1x1 and a 2-shard x 2-replica cluster
+:class:`~repro.cluster.Router` — asserting the overload contract:
+reject refuses the newcomer, shed-oldest evicts the longest-queued
+ticket, block serves a batch to make room, and the queue never exceeds
+its capacity under any policy.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ from repro.serve import (
     ManualClock,
     NeighborsRequest,
     ServerConfig,
+    open_server,
 )
 
 
@@ -32,20 +36,33 @@ def store(rng):
     return build_csr_serial(src, dst, n)
 
 
-def _server(store, policy, *, capacity=4, batch=100):
+@pytest.fixture
+def layout():
+    """``(workers, replicas)`` of the front door under test; ``None``
+    is the monolithic server (the ``*Routed`` classes override this)."""
+    return None
+
+
+class Routed:
+    """Mixin: rerun a policy class's tests through cluster routers."""
+
+    @pytest.fixture(params=[(1, 1), (4, 2)], ids=["router-1x1", "router-2x2"])
+    def layout(self, request):
+        return request.param
+
+
+def _server(store, policy, *, capacity=4, batch=100, layout=None):
     clock = ManualClock()
     # a huge window so nothing closes on its own: overload is the test
-    srv = GraphQueryServer(
-        store,
-        config=ServerConfig(
-            max_batch_size=batch,
-            max_wait_ns=1 << 50,
-            queue_capacity=capacity,
-            policy=policy,
-        ),
-        clock=clock,
-    )
-    return srv, clock
+    knobs = dict(max_batch_size=batch, max_wait_ns=1 << 50,
+                 queue_capacity=capacity, policy=policy)
+    if layout is None:
+        return GraphQueryServer(store, config=ServerConfig(**knobs),
+                                clock=clock), clock
+    workers, replicas = layout
+    config = ServerConfig(store=store, workers=workers, replicas=replicas,
+                          cluster=True, **knobs)
+    return open_server(config, clock=clock), clock
 
 
 class TestController:
@@ -75,8 +92,8 @@ class TestController:
 
 
 class TestRejectPolicy:
-    def test_newcomers_refused_at_capacity(self, store):
-        srv, _ = _server(store, "reject", capacity=3)
+    def test_newcomers_refused_at_capacity(self, store, layout):
+        srv, _ = _server(store, "reject", capacity=3, layout=layout)
         slots = [srv.submit(NeighborsRequest(node=i)) for i in range(5)]
         assert [s.status for s in slots[:3]] == ["pending"] * 3
         assert [s.status for s in slots[3:]] == [REJECTED] * 2
@@ -88,9 +105,13 @@ class TestRejectPolicy:
         assert (snap.accepted, snap.rejected, snap.completed) == (3, 2, 3)
 
 
+class TestRejectPolicyRouted(Routed, TestRejectPolicy):
+    pass
+
+
 class TestShedOldestPolicy:
-    def test_oldest_evicted_newest_admitted(self, store):
-        srv, _ = _server(store, "shed-oldest", capacity=3)
+    def test_oldest_evicted_newest_admitted(self, store, layout):
+        srv, _ = _server(store, "shed-oldest", capacity=3, layout=layout)
         slots = [srv.submit(NeighborsRequest(node=i)) for i in range(5)]
         # 0 and 1 were the oldest when 3 and 4 arrived
         assert [s.status for s in slots] == [SHED, SHED, "pending", "pending", "pending"]
@@ -101,8 +122,8 @@ class TestShedOldestPolicy:
         assert snap.accepted == 5  # all five were admitted at some point
         assert snap.completed == 3
 
-    def test_shed_slot_raises_on_result(self, store):
-        srv, _ = _server(store, "shed-oldest", capacity=1)
+    def test_shed_slot_raises_on_result(self, store, layout):
+        srv, _ = _server(store, "shed-oldest", capacity=1, layout=layout)
         first = srv.submit(NeighborsRequest(node=0))
         srv.submit(NeighborsRequest(node=1))
         assert first.status == SHED
@@ -110,9 +131,13 @@ class TestShedOldestPolicy:
             first.result()
 
 
+class TestShedOldestPolicyRouted(Routed, TestShedOldestPolicy):
+    pass
+
+
 class TestBlockPolicy:
-    def test_backpressure_serves_to_make_room(self, store):
-        srv, _ = _server(store, "block", capacity=3)
+    def test_backpressure_serves_to_make_room(self, store, layout):
+        srv, _ = _server(store, "block", capacity=3, layout=layout)
         slots = [srv.submit(NeighborsRequest(node=i)) for i in range(7)]
         # every overflow submit forced a dispatch: nothing lost, nothing shed
         srv.drain()
@@ -123,18 +148,26 @@ class TestBlockPolicy:
         # submits 3 and 6 found the queue full; each forced one dispatch
         assert snap.blocked == 2
 
-    def test_block_with_small_batches(self, store):
-        srv, _ = _server(store, "block", capacity=4, batch=2)
+    def test_block_with_small_batches(self, store, layout):
+        srv, _ = _server(store, "block", capacity=4, batch=2, layout=layout)
         slots = [srv.submit(NeighborsRequest(node=i % 5)) for i in range(20)]
         srv.drain()
         assert all(s.status == DONE for s in slots)
 
 
+class TestBlockPolicyRouted(Routed, TestBlockPolicy):
+    pass
+
+
 class TestQueueBound:
     @pytest.mark.parametrize("policy", ["reject", "shed-oldest", "block"])
-    def test_depth_never_exceeds_capacity(self, store, policy):
-        srv, _ = _server(store, policy, capacity=5)
+    def test_depth_never_exceeds_capacity(self, store, policy, layout):
+        srv, _ = _server(store, policy, capacity=5, layout=layout)
         for i in range(50):
             srv.submit(NeighborsRequest(node=i % 10))
             assert srv.coalescer.pending <= 5
         assert srv.snapshot().queue_depth_high_watermark <= 5
+
+
+class TestQueueBoundRouted(Routed, TestQueueBound):
+    pass

@@ -1,5 +1,6 @@
 """``check_bench_baselines.py``: schema of the committed baselines, and
-the exact gates of their deterministic (``domain: count``) figures."""
+the exact gates of their deterministic (``domain: count`` / ``domain:
+virtual``) figures."""
 
 import importlib.util
 import json
@@ -28,13 +29,18 @@ def test_exact_count_gate_is_enforced(tmp_path):
             "bound": {"value": 12.06, "gate": "<= 14", "domain": "count"},
             "ratio": {"value": 0.2, "gate": "== 1 (exact)", "domain": "wall"},
             "missing": {"gate": "== 0 (exact)", "domain": "count"},
+            "qps": {"value": 226031.7454239363, "domain": "virtual",
+                    "gate": "== 226031.7454239363 (exact)"},
+            "p99": {"value": 24.3, "domain": "virtual",
+                    "gate": "== 24.29193543864694 (exact)"},
         },
         "runs": [{"copies": {"value": 5, "gate": "==0 (exact)", "domain": "count"}}],
     }
     path = tmp_path / "BENCH_x.json"
     path.write_text(json.dumps(doc))
     problems = checker.check_baseline(path)
-    assert len(problems) == 3
+    assert len(problems) == 4
+    assert any("section.p99: value 24.3 violates" in p for p in problems)
     assert any("section.calls: value 3 violates" in p for p in problems)
     assert any("section.missing" in p for p in problems)
     assert any("runs[0].copies" in p for p in problems)
