@@ -893,16 +893,12 @@ def _cmd_serve_bench(args) -> int:
 
     if args.workers > 1 or args.replicas > 1:
         return _cmd_serve_bench_cluster(args)
+    from .cluster import extract_edges
+
     store = _serve_store(args)
     # re-derive planted edges from the store itself so half the edge
     # queries hit regardless of where the graph came from
-    offsets_src = np.repeat(
-        np.arange(store.num_nodes, dtype=np.int64), store.degrees()
-    )
-    dst_all = np.concatenate(
-        [store.neighbors(u) for u in range(store.num_nodes)]
-    ).astype(np.int64) if store.num_edges else np.zeros(0, dtype=np.int64)
-    src_edges = (offsets_src, dst_all)
+    src_edges = extract_edges(store)
 
     def fresh_workload():
         return synthetic_workload(

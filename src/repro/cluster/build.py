@@ -5,14 +5,15 @@ Topology: ``config.workers`` total worker loops serving
 each; worker ``w`` serves shard ``w // replicas``.  Shard stores come
 from one of three sources:
 
-* an edge list (``config.edges`` / ``store_kind``) — sharded with
-  :func:`~repro.shard.build.shard_edge_list` and each shard built as
-  ``config.shard_inner`` spanning the full global node space;
+* an edge list (``config.edges`` / ``store_kind``) — built by
+  :func:`~repro.shard.build.build_sharded_store`, each shard of
+  ``store_kind`` (else ``config.shard_inner``) spanning the full global
+  node space;
 * a ready :class:`~repro.shard.ShardedStore` — its sub-stores and
   partitioner are adopted as-is (the shard layout was already chosen);
-* any other ready/loadable store — its edges are extracted row by row
-  and sharded as above (fine at bench scale; pass edges directly to
-  skip the extraction walk).
+* any other ready/loadable store — its edges are extracted in one
+  whole-graph batch and sharded as above (fine at bench scale; pass
+  edges directly to skip the extraction walk).
 
 All replicas of one shard share the **same store object** — the
 in-process analogue of replica processes memory-mapping one read-only
@@ -29,12 +30,11 @@ import numpy as np
 from ..errors import ValidationError
 from ..obs import Tracer
 from ..parallel.machine import SimulatedMachine
-from ..parallel.sort import ensure_sorted
+from ..query.stores import neighbors_batch
 from ..serve.config import ServerConfig
 from ..serve.request import ManualClock
 from ..serve.server import GraphQueryServer
-from ..shard.build import shard_edge_list
-from ..shard.partition import make_partitioner
+from ..shard.build import build_sharded_store
 from ..shard.store import ShardedStore
 from .router import Router
 from .worker import ShardWorker
@@ -45,53 +45,36 @@ __all__ = ["build_cluster", "extract_edges"]
 def extract_edges(store):
     """Recover the (u-sorted) edge list of any readable store.
 
-    The row-by-row walk every store supports; used when a cluster is
-    asked to serve a pre-built monolithic store without its edge list.
+    One whole-graph batch read; used when a cluster is asked to serve
+    a pre-built monolithic store without its edge list.
     """
-    n = int(store.num_nodes)
-    srcs, dsts = [], []
-    for u in range(n):
-        row = np.asarray(store.neighbors(u), dtype=np.int64)
-        if row.shape[0]:
-            srcs.append(np.full(row.shape[0], u, dtype=np.int64))
-            dsts.append(row)
-    if not srcs:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(srcs), np.concatenate(dsts)
+    nodes = np.arange(int(store.num_nodes), dtype=np.int64)
+    flat, offsets = neighbors_batch(store, nodes)
+    return np.repeat(nodes, np.diff(offsets)), flat.astype(np.int64, copy=False)
 
 
 def _shard_stores(config: ServerConfig):
-    """Resolve (per-shard stores, partitioner, num_nodes)."""
-    shards = config.shards
-    if config.edges is not None:
-        src = np.asarray(config.edges[0], dtype=np.int64)
-        dst = np.asarray(config.edges[1], dtype=np.int64)
-        n = int(config.edges[2])
-    else:
-        store = config.resolve_store()
-        if isinstance(store, ShardedStore):
-            if len(store.shards) != shards:
-                raise ValidationError(
-                    f"sharded store has {len(store.shards)} shards but the "
-                    f"cluster layout needs {shards} "
-                    f"(workers={config.workers}, replicas={config.replicas})"
-                )
-            return list(store.shards), store.partitioner, int(store.num_nodes)
-        src, dst = extract_edges(store)
-        n = int(store.num_nodes)
-    src, dst = ensure_sorted(src, dst)
-    part = make_partitioner(config.partitioner, shards, src, n)
-    from ..stores import open_store
-
-    # edges passed with an explicit kind build shards of that kind;
-    # extracted edges fall back to the cluster's shard_inner default
-    kind = config.store_kind or config.shard_inner
-    opts = dict(config.store_opts) if config.store_kind else {}
-    stores = [
-        open_store(kind, s_src, s_dst, n, **opts)
-        for s_src, s_dst in shard_edge_list(src, dst, part)
-    ]
-    return stores, part, n
+    """Resolve (per-shard stores, partitioner)."""
+    store = None if config.edges is not None else config.resolve_store()
+    if not isinstance(store, ShardedStore):
+        if store is None:
+            # edges passed with an explicit kind build shards of that kind
+            edges, kind, opts = config.edges, config.store_kind, config.store_opts
+        else:
+            # extracted edges fall back to the cluster's shard_inner default
+            edges, kind, opts = (*extract_edges(store), store.num_nodes), config.shard_inner, {}
+        src, dst, n = edges
+        store = build_sharded_store(
+            src, dst, int(n), shards=config.shards, partitioner=config.partitioner,
+            inner=kind, **{**opts, "sort": True},
+        )
+    if len(store.shards) != config.shards:
+        raise ValidationError(
+            f"sharded store has {len(store.shards)} shards but the "
+            f"cluster layout needs {config.shards} "
+            f"(workers={config.workers}, replicas={config.replicas})"
+        )
+    return list(store.shards), store.partitioner
 
 
 def build_cluster(config: ServerConfig, *, clock: ManualClock | None = None
@@ -109,7 +92,7 @@ def build_cluster(config: ServerConfig, *, clock: ManualClock | None = None
         raise ValidationError(
             "cluster serving runs in virtual time and needs a ManualClock"
         )
-    stores, part, _n = _shard_stores(config)
+    stores, part = _shard_stores(config)
     replicas = config.replicas
     # one tracer shared by the router and every worker's server, so
     # scatter spans and worker-side kernel spans form one tree

@@ -31,8 +31,8 @@ from ..bitpack.segcodec import (
     resolve_codecs,
     row_windows,
 )
-from ..errors import QueryError, ValidationError
-from ..query.stores import distinct_keys, expand_rows
+from ..errors import ValidationError
+from ..query.stores import BaseStore
 from ..utils import bits_for_count, bits_for_value, human_bytes
 from .graph import CSRGraph
 from .packed import pack_array_parallel
@@ -62,7 +62,7 @@ class CompactSegment:
         return self.payload.nbits + (self.starts.nbits if self.starts else 0)
 
 
-class CompactStore:
+class CompactStore(BaseStore):
     """A ``GraphStore`` whose edge column mixes codecs per segment.
 
     Construct via :meth:`from_csr` or :func:`build_compact_csr`; the
@@ -178,10 +178,6 @@ class CompactStore:
         """Always true: every segment codec works on the gap transform."""
         return True
 
-    def _check_node(self, u: int) -> None:
-        if not (0 <= u < self.num_nodes):
-            raise QueryError(f"node {u} out of range [0, {self.num_nodes})")
-
     def degree(self, u: int) -> int:
         """Out-degree of *u*."""
         self._check_node(u)
@@ -193,34 +189,17 @@ class CompactStore:
         offs = unpack_fixed(self.offsets, self.num_nodes + 1, self.offset_width)
         return np.diff(offs).astype(np.int64)
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Decode node *u*'s row (sorted ids, ``uint64``)."""
-        self._check_node(u)
-        flat, _ = self.neighbors_batch(np.asarray([u], dtype=np.int64))
-        return flat
-
-    def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
-        """Decode many rows in one vectorised pass per codec class.
-
-        Returns ``(flat, offsets)`` with row *i* at
-        ``flat[offsets[i]:offsets[i + 1]]`` — values and dtype identical
-        to the equivalent :class:`~repro.csr.packed.BitPackedCSR`.
-        """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        if us.size == 0:
-            return np.zeros(0, dtype=np.uint64), np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
-        uniq, inv = distinct_keys(us)
+    def _decode_rows(self, uniq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decode the rows of *uniq* in one vectorised pass per codec
+        class — values and dtype identical to the equivalent
+        :class:`~repro.csr.packed.BitPackedCSR`."""
         field_starts, ends = row_windows(self.offsets, self.offset_width, uniq)
         degrees = ends - field_starts
 
         uniq_offs = np.zeros(uniq.shape[0] + 1, dtype=np.int64)
         np.cumsum(degrees, out=uniq_offs[1:])
         if int(uniq_offs[-1]) == 0:
-            return expand_rows(np.zeros(0, dtype=np.uint64), uniq_offs, inv)
+            return np.zeros(0, dtype=np.uint64), uniq_offs
         if int(degrees.min()) == 0:  # empty rows own no bytes in any segment
             live = np.flatnonzero(degrees)
             uniq, degrees, field_starts = uniq[live], degrees[live], field_starts[live]
@@ -233,16 +212,7 @@ class CompactStore:
             degrees,
             field_starts - self._seg_first_field[seg],
         )
-        uniq_flat = rows_from_gaps(uniq_offs, gaps)
-        return expand_rows(uniq_flat, uniq_offs, inv)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Decode *u*'s row, then binary search."""
-        self._check_node(u)
-        self._check_node(v)
-        row = self.neighbors(u)
-        pos = int(np.searchsorted(row, v))
-        return pos < row.shape[0] and int(row[pos]) == v
+        return rows_from_gaps(uniq_offs, gaps), uniq_offs
 
     # -- accounting ------------------------------------------------------
     def codec_breakdown(self) -> dict:

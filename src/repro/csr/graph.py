@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import QueryError, ValidationError
+from ..query.stores import BaseStore
 from ..utils import human_bytes, min_uint_dtype, require
 
 __all__ = ["CSRGraph", "MemoryBreakdown"]
@@ -41,7 +42,7 @@ class MemoryBreakdown:
         return f"{human_bytes(self.total)} ({', '.join(parts)})"
 
 
-class CSRGraph:
+class CSRGraph(BaseStore):
     """Directed graph in Compressed Sparse Row form.
 
     Parameters
@@ -133,14 +134,12 @@ class CSRGraph:
         Returns ``(flat, offsets)``: the concatenation of every
         requested row (same dtype as :attr:`indices`) plus ``int64``
         offsets delimiting row *i* as ``flat[offsets[i]:offsets[i+1]]``.
+        A gather costs the same whatever the key order, so the batch is
+        not deduplicated first.
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        if us.size == 0:
-            return self.indices[:0], np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
+        return self._decode_rows(self._check_keys(unodes))
+
+    def _decode_rows(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         starts = self.indptr[us].astype(np.int64)
         counts = self.indptr[us + 1].astype(np.int64) - starts
         offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
@@ -165,14 +164,6 @@ class CSRGraph:
         self._check_node(u)
         return self.values[self.indptr[u] : self.indptr[u + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Binary search of *v* in *u*'s sorted row."""
-        self._check_node(u)
-        self._check_node(v)
-        row = self.neighbors(u)
-        pos = int(np.searchsorted(row, v))
-        return pos < row.shape[0] and int(row[pos]) == v
-
     def rows_sorted(self) -> bool:
         """True when every row's neighbour slice is non-decreasing."""
         idx, iptr = self.indices, self.indptr
@@ -183,10 +174,6 @@ class CSRGraph:
         mask = np.ones(idx.shape[0] - 1, dtype=bool)
         mask[row_starts[(row_starts > 0) & (row_starts < idx.shape[0])] - 1] = False
         return not bool(np.any(decreasing & mask))
-
-    def _check_node(self, u: int) -> None:
-        if not (0 <= u < self.num_nodes):
-            raise QueryError(f"node {u} out of range [0, {self.num_nodes})")
 
     # ------------------------------------------------------------------
     def edges(self) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ from ..errors import QueryError, ValidationError
 from ..parallel.chunking import chunk_bounds
 from ..parallel.cost import Cost
 from ..parallel.machine import Executor, SerialExecutor, TaskContext
+from ..query.stores import BaseStore
 from ..utils import bits_for_count, bits_for_value, human_bytes, require
 from .getrow import (
     get_row_from_csr,
@@ -77,7 +78,7 @@ def pack_array_parallel(
     return executor.serial(merge, label=f"{label}:merge")
 
 
-class BitPackedCSR:
+class BitPackedCSR(BaseStore):
     """A CSR whose offset and column arrays live in packed bit arrays.
 
     Queryable without decompression: :meth:`neighbors` decodes exactly
@@ -218,23 +219,20 @@ class BitPackedCSR:
         return get_row_from_csr(self.columns, start, deg, self.column_width)
 
     def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of many nodes, decoded in batch order — ``(flat, offsets)``.
+        Fixed-width fields decode at one cost per element whatever the
+        key order, and the callers that repeat keys (the row cache, the
+        router's plan) hand in distinct ones, so nothing is deduplicated."""
+        return self._decode_rows(self._check_keys(unodes))
+
+    def _decode_rows(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode many rows with one gather per packed array.
 
         All ``iA`` offset pairs are fetched in a single
         :func:`unpack_fields_gather` pass (the run ``[u, u + 2)`` of the
         offset stream is exactly ``iA[u], iA[u + 1]``), then every
-        requested row is decoded from ``jA`` in one more pass.  Returns
-        ``(flat, offsets)`` with row *i* at
-        ``flat[offsets[i]:offsets[i + 1]]`` — values and dtype identical
-        to per-row :meth:`neighbors` calls.
+        requested row is decoded from ``jA`` in one more pass.
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        if us.size == 0:
-            return np.zeros(0, dtype=np.uint64), np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
         pairs, _ = unpack_fields_gather(
             self.offsets, self.offset_width, us, np.full(us.shape[0], 2, np.int64)
         )
@@ -261,18 +259,6 @@ class BitPackedCSR:
         start = self.offset(u)
         deg = self.offset(u + 1) - start
         return get_row_from_csr(self.values, start, deg, self.values_width)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Decode *u*'s row, then binary search (the §V-B extension)."""
-        self._check_node(u)
-        self._check_node(v)
-        row = self.neighbors(u)
-        pos = int(np.searchsorted(row, v))
-        return pos < row.shape[0] and int(row[pos]) == v
-
-    def _check_node(self, u: int) -> None:
-        if not (0 <= u < self.num_nodes):
-            raise QueryError(f"node {u} out of range [0, {self.num_nodes})")
 
     # ------------------------------------------------------------------
     def to_csr(self) -> CSRGraph:
@@ -337,46 +323,53 @@ class BitPackedCSR:
         )
 
     # ------------------------------------------------------------------
-    def save(self, path) -> None:
-        """Persist to an ``.npz`` file."""
-        payload = dict(
-            num_nodes=self.num_nodes,
-            num_edges=self.num_edges,
-            offset_width=self.offset_width,
-            column_width=self.column_width,
-            gap_encoded=int(self.gap_encoded),
-            offsets=self.offsets.buffer,
-            offsets_nbits=self.offsets.nbits,
-            columns=self.columns.buffer,
-            columns_nbits=self.columns.nbits,
-        )
+    def npz_payload(self, prefix: str = "") -> dict:
+        """Flat npz key/value payload (shared by :meth:`save` and wrappers)."""
+        payload = {
+            f"{prefix}num_nodes": self.num_nodes,
+            f"{prefix}num_edges": self.num_edges,
+            f"{prefix}offset_width": self.offset_width,
+            f"{prefix}column_width": self.column_width,
+            f"{prefix}gap_encoded": int(self.gap_encoded),
+            f"{prefix}offsets": self.offsets.buffer,
+            f"{prefix}offsets_nbits": self.offsets.nbits,
+            f"{prefix}columns": self.columns.buffer,
+            f"{prefix}columns_nbits": self.columns.nbits,
+        }
         if self.values is not None:
-            payload.update(
-                values=self.values.buffer,
-                values_nbits=self.values.nbits,
-                values_width=self.values_width,
-            )
-        np.savez_compressed(path, **payload)
+            payload[f"{prefix}values"] = self.values.buffer
+            payload[f"{prefix}values_nbits"] = self.values.nbits
+            payload[f"{prefix}values_width"] = self.values_width
+        return payload
+
+    @classmethod
+    def from_npz_payload(cls, data, prefix: str = "") -> "BitPackedCSR":
+        """Rebuild from the key/value payload of :meth:`npz_payload`."""
+
+        def bits(key: str) -> BitArray:
+            return BitArray(data[f"{prefix}{key}"], int(data[f"{prefix}{key}_nbits"]))
+
+        weighted = f"{prefix}values" in data.files
+        return cls(
+            int(data[f"{prefix}num_nodes"]),
+            int(data[f"{prefix}num_edges"]),
+            bits("offsets"),
+            int(data[f"{prefix}offset_width"]),
+            bits("columns"),
+            int(data[f"{prefix}column_width"]),
+            gap_encoded=bool(int(data[f"{prefix}gap_encoded"])),
+            values=bits("values") if weighted else None,
+            values_width=int(data[f"{prefix}values_width"]) if weighted else 0,
+        )
+
+    def save(self, path) -> None:
+        """Persist to an ``.npz`` file (the untagged packed layout)."""
+        np.savez_compressed(path, **self.npz_payload())
 
     @classmethod
     def load(cls, path) -> "BitPackedCSR":
         with np.load(path) as data:
-            values = None
-            values_width = 0
-            if "values" in data.files:
-                values = BitArray(data["values"], int(data["values_nbits"]))
-                values_width = int(data["values_width"])
-            return cls(
-                int(data["num_nodes"]),
-                int(data["num_edges"]),
-                BitArray(data["offsets"], int(data["offsets_nbits"])),
-                int(data["offset_width"]),
-                BitArray(data["columns"], int(data["columns_nbits"])),
-                int(data["column_width"]),
-                gap_encoded=bool(int(data["gap_encoded"])),
-                values=values,
-                values_width=values_width,
-            )
+            return cls.from_npz_payload(data)
 
 
 def build_bitpacked_csr(

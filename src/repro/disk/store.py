@@ -32,7 +32,7 @@ from ..bitpack.segcodec import decode_rows as _decode_codec_rows
 from ..bitpack.segcodec import row_windows
 from ..csr.getrow import get_rows_from_csr, get_rows_gap_decoded
 from ..errors import QueryError
-from ..query.stores import distinct_keys, expand_rows
+from ..query.stores import BaseStore
 from ..utils import human_bytes
 from .format import MANIFEST_NAME, PAGE_BYTES, Manifest
 
@@ -56,7 +56,7 @@ def _union_length(lo: np.ndarray, hi: np.ndarray) -> int:
     return int(np.maximum(contrib, 0).sum())
 
 
-class DiskStore:
+class DiskStore(BaseStore):
     """A packed CSR served straight from memory-mapped segment files.
 
     Open one with :meth:`open`; build one with
@@ -171,9 +171,6 @@ class DiskStore:
             self._col_maps[s] = cached
         return cached
 
-    def _column_bits(self, s: int) -> BitArray:
-        return self._column_parts(s)[0]
-
     def mapped_segments(self) -> int:
         """Segment files currently memory-mapped (observability)."""
         return sum(m is not None for m in (*self._off_maps, *self._col_maps))
@@ -278,33 +275,17 @@ class DiskStore:
         """Dtype of decoded neighbour rows."""
         return np.dtype(np.uint64)
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Decode node *u*'s row (sorted ids, ``uint64``)."""
-        self._check_node(u)
-        flat, _ = self.neighbors_batch(np.asarray([u], dtype=np.int64))
-        return flat
+    def _decode_rows(self, uniq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of *uniq*, selectively loaded.
 
-    def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk row fetch — ``(flat, offsets)``, selective loading.
-
-        Offset pairs are gathered from the mapped ``iA`` segments, the
-        *distinct* requested rows are decoded segment-locally with the
-        vectorised gather kernels (each row lives in exactly one
-        segment file by construction), and one fused indexed copy
-        expands the rows back into caller order.  Only the byte windows
-        of the touched rows are read, so a batch faults in a bounded
-        set of pages no matter how large the graph is.  Values and
-        dtype are bit-exact with :class:`~repro.csr.BitPackedCSR`.
+        Offset pairs are gathered from the mapped ``iA`` segments and
+        the rows decoded segment-locally with the vectorised gather
+        kernels (each row lives in exactly one segment file by
+        construction).  Only the byte windows of the touched rows are
+        read, so a batch faults in a bounded set of pages no matter how
+        large the graph is.  Values and dtype are bit-exact with
+        :class:`~repro.csr.BitPackedCSR`.
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        if us.size == 0:
-            return np.zeros(0, dtype=np.uint64), np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
-
-        uniq, inv = distinct_keys(us)
         fields = np.unique(np.concatenate([uniq, uniq + 1]))
         vals = self._read_offset_fields(fields).astype(np.int64)
         starts = vals[np.searchsorted(fields, uniq)]
@@ -373,19 +354,7 @@ class DiskStore:
         )
         offs_u = np.zeros(uniq.shape[0] + 1, dtype=np.int64)
         np.cumsum(degrees, out=offs_u[1:])
-        return expand_rows(src_flat, offs_u, inv)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Decode *u*'s row, then binary search (as the packed store)."""
-        self._check_node(u)
-        self._check_node(v)
-        row = self.neighbors(u)
-        pos = int(np.searchsorted(row, v))
-        return pos < row.shape[0] and int(row[pos]) == v
-
-    def _check_node(self, u: int) -> None:
-        if not (0 <= u < self.num_nodes):
-            raise QueryError(f"node {u} out of range [0, {self.num_nodes})")
+        return src_flat, offs_u
 
     # -- accounting ------------------------------------------------------
     def memory_bytes(self) -> int:
@@ -471,7 +440,7 @@ class DiskStore:
             )
             return CSRGraph(indptr, flat.astype(np.int64), None, validate=False)
         payload = [
-            unpack_fixed(self._column_bits(s), seg.num_fields, self.column_width)
+            unpack_fixed(self._column_parts(s)[0], seg.num_fields, self.column_width)
             for s, seg in enumerate(self.manifest.columns)
         ]
         fields = (

@@ -16,6 +16,7 @@ __all__ = [
     "DiskFormatError",
     "FieldOverflowError",
     "QueryError",
+    "BatchShapeError",
     "FrameError",
     "AdmissionError",
     "ClusterError",
@@ -60,6 +61,12 @@ class FieldOverflowError(CodecError, OverflowError):
 
 class QueryError(ReproError, ValueError):
     """A query referenced a node, edge, or time outside the graph."""
+
+
+class BatchShapeError(QueryError, ValidationError):
+    """A node batch is not a 1-D array: malformed input, met on the
+    query path — the one key check raises it for every store, and it is
+    catchable as either parent."""
 
 
 class FrameError(ReproError, ValueError):

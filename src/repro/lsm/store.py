@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import QueryError, ValidationError
+from ..errors import ValidationError
 from ..query.capabilities import capabilities
-from ..query.stores import locate_keys
+from ..query.stores import WrapperStore, join_rows, locate_keys
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes, require
 from .memtable import DeltaMemtable
@@ -85,7 +85,7 @@ def _apply_delta(offsets, dst, us, vs, alive) -> tuple[np.ndarray, np.ndarray]:
     return degrees, np.insert(dst, lo[new] - np.searchsorted(dropped, lo[new]), vs[new])
 
 
-class LsmStore:
+class LsmStore(WrapperStore):
     """A mutable graph store satisfying the ``GraphStore`` protocol.
 
     The store models a *set* of directed edges: checked writes dedup
@@ -176,17 +176,9 @@ class LsmStore:
         self._base_cache: dict[int, np.ndarray] = {}
         self._caps_segment = None
         self._caps = None
-        self._num_edges = (
-            int(num_edges) if num_edges is not None else self._count_edges()
-        )
-
-    def _count_edges(self) -> int:
-        if not self.segments and not len(self.memtable):
-            return 0
-        flat, offs = self.neighbors_batch(
-            np.arange(self.num_nodes, dtype=np.int64)
-        )
-        return int(offs[-1])
+        if num_edges is None:  # count the merged view (an empty store has none to walk)
+            num_edges = self.degrees().sum() if segments or len(self.memtable) else 0
+        self._num_edges = int(num_edges)
 
     # -- protocol surface -----------------------------------------------
     @property
@@ -207,9 +199,8 @@ class LsmStore:
         """
         return np.dtype(np.int64)
 
-    def _check_node(self, u: int) -> None:
-        if not (0 <= u < self.num_nodes):
-            raise QueryError(f"node {u} out of range [0, {self.num_nodes})")
+    def _inner_stores(self):
+        return self.segments
 
     def _segment_batch(self, us) -> tuple[np.ndarray, np.ndarray]:
         """Bulk fetch from the single base segment.  Its capabilities
@@ -263,51 +254,38 @@ class LsmStore:
         self._merged_cache[u] = row
         return row
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Sorted destinations of *u*, snapshot-consistent with every
-        applied write."""
-        self._check_node(int(u))
-        if not self.memtable.is_dirty(int(u)):
-            return self._base_row(int(u))
-        return self._merged_row(int(u))
-
     def _dirty_mask(self, us: np.ndarray) -> np.ndarray | None:
         """Which of *us* have a resident delta (``None`` when none has):
         one binary search against the memtable's sorted dirty sources."""
         nodes = self.memtable.dirty_nodes()
-        if nodes.size == 0 or us.size == 0:
+        if nodes.size == 0:
             return None
         mask = locate_keys(nodes, us)[1]
         return mask if mask.any() else None
 
     def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk row fetch — ``(flat, offsets)``.
+        """Bulk row fetch — ``(flat, offsets)``.  The dirty-row patch
+        works in any key order, so deduplicating is left to the segment."""
+        return self._decode_rows(self._check_keys(unodes))
+
+    def _decode_rows(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of *us* under the merged view.
 
         Clean batches over a single segment pass straight through the
-        segment's own vectorised kernel (same dtype, zero merge work);
-        otherwise rows are fetched through the segment batch path and
-        dirty rows patched with their memtable delta.
+        segment's own vectorised kernel (zero merge work); otherwise
+        rows are fetched through the segment batch path and dirty rows
+        patched with their memtable delta.
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        if us.size and (int(us.min()) < 0 or int(us.max()) >= self.num_nodes):
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
         single = len(self.segments) == 1
         dirty = self._dirty_mask(us)
         if single and dirty is None:
             flat, offs = self._segment_batch(us)
             return _as_int64(flat), offs
-        if us.size == 0:
-            return np.zeros(0, dtype=self.row_dtype), np.zeros(1, np.int64)
         if not single:
-            rows = [
+            return join_rows([
                 self._merged_row(u) if self.memtable.is_dirty(u) else self._base_row(u)
                 for u in us.tolist()
-            ]
-            offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
-            np.cumsum([r.shape[0] for r in rows], out=offsets[1:])
-            return np.concatenate(rows).astype(np.int64, copy=False), offsets
+            ], np.int64)
         # one segment: a memoised dirty row is served from the per-node
         # caches (a hub written and re-read under skewed traffic decodes
         # its base once per compaction epoch, not once per write); every
@@ -537,25 +515,6 @@ class LsmStore:
             self.memtable.memory_bytes()
         ) + int(memo)
 
-    def __getattr__(self, name: str):
-        # Conditional page-touch surface: present exactly when every
-        # segment meters mapped pages, mirroring ShardedStore.
-        if name == "take_page_touches":
-            try:
-                segments = object.__getattribute__(self, "segments")
-            except AttributeError:
-                raise AttributeError(name) from None
-            if segments and all(
-                callable(getattr(s, "take_page_touches", None))
-                for s in segments
-            ):
-                def take_page_touches() -> int:
-                    """Drain every segment's distinct-page counter."""
-                    return sum(int(s.take_page_touches()) for s in segments)
-
-                return take_page_touches
-        raise AttributeError(name)
-
     def __repr__(self) -> str:
         return (
             f"LsmStore(n={self.num_nodes}, m={self.num_edges}, "
@@ -596,47 +555,21 @@ class LsmStore:
             "mt_alive": alive,
         }
         for i, seg in enumerate(self.segments):
-            prefix = f"segment{i}_"
-            payload[f"{prefix}num_nodes"] = seg.num_nodes
-            payload[f"{prefix}num_edges"] = seg.num_edges
-            payload[f"{prefix}offset_width"] = seg.offset_width
-            payload[f"{prefix}column_width"] = seg.column_width
-            payload[f"{prefix}gap_encoded"] = int(seg.gap_encoded)
-            payload[f"{prefix}offsets"] = seg.offsets.buffer
-            payload[f"{prefix}offsets_nbits"] = seg.offsets.nbits
-            payload[f"{prefix}columns"] = seg.columns.buffer
-            payload[f"{prefix}columns_nbits"] = seg.columns.nbits
+            payload.update(seg.npz_payload(prefix=f"segment{i}_"))
         np.savez_compressed(path, **payload)
 
     @classmethod
     def load(cls, path) -> "LsmStore":
         """Rebuild a live LSM store saved by :meth:`save`."""
-        from ..bitpack.bitarray import BitArray
         from ..csr.packed import BitPackedCSR
 
         with np.load(path) as data:
             if "store_kind" not in data.files or str(data["store_kind"]) != "lsm":
                 raise ValidationError(f"{path} is not an lsm store file")
-            segments = []
-            for i in range(int(data["num_segments"])):
-                prefix = f"segment{i}_"
-                segments.append(
-                    BitPackedCSR(
-                        int(data[f"{prefix}num_nodes"]),
-                        int(data[f"{prefix}num_edges"]),
-                        BitArray(
-                            data[f"{prefix}offsets"],
-                            int(data[f"{prefix}offsets_nbits"]),
-                        ),
-                        int(data[f"{prefix}offset_width"]),
-                        BitArray(
-                            data[f"{prefix}columns"],
-                            int(data[f"{prefix}columns_nbits"]),
-                        ),
-                        int(data[f"{prefix}column_width"]),
-                        gap_encoded=bool(int(data[f"{prefix}gap_encoded"])),
-                    )
-                )
+            segments = [
+                BitPackedCSR.from_npz_payload(data, prefix=f"segment{i}_")
+                for i in range(int(data["num_segments"]))
+            ]
             memtable = DeltaMemtable.from_entries(
                 data["mt_u"], data["mt_v"], data["mt_alive"]
             )

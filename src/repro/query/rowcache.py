@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
 from ..utils import require
 from .capabilities import capabilities
-from .stores import join_rows
+from .stores import WrapperStore, join_rows
 from .stores import neighbors_batch as _store_batch
 
 __all__ = ["RowCache", "RowCacheStats"]
@@ -45,7 +44,7 @@ class RowCacheStats:
         return self.hits / total if total else 0.0
 
 
-class RowCache:
+class RowCache(WrapperStore):
     """LRU cache of decoded rows over any graph store.
 
     Parameters
@@ -135,10 +134,7 @@ class RowCache:
         resident row itself; misses are decoded through the wrapped
         store's own batch path (once per distinct node) and inserted —
         plus whether every one of them is internally sorted."""
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise ValidationError("node batch must be 1-D")
-        keys = us.tolist()
+        keys = self._key_array(unodes).tolist()  # range: a hit is valid, a miss the store checks
         rows: list[np.ndarray | None] = [None] * len(keys)
         missing: dict[int, list[int]] = {}
         for i, u in enumerate(keys):
@@ -173,30 +169,13 @@ class RowCache:
         """:meth:`neighbor_rows` joined into one ``(flat, offsets)`` payload."""
         return join_rows(self.neighbor_rows(unodes)[0], self.row_dtype)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Binary search of *v* in *u*'s (possibly cached) row."""
-        row = self.neighbors(u)
-        pos = int(np.searchsorted(row, v))
-        return pos < row.shape[0] and int(row[pos]) == v
-
     def memory_bytes(self) -> int:
         """Wrapped payload plus resident cached rows."""
         return int(self.store.memory_bytes()) + self._elements * self.row_dtype.itemsize
 
-    def __getattr__(self, name: str):
-        # Conditional page-touch surface: a cache over an out-of-core
-        # store stays meterable (hits fault no pages, misses delegate),
-        # while a cache over an in-memory store keeps not advertising
-        # the capability.
-        if name == "take_page_touches":
-            try:
-                store = object.__getattribute__(self, "store")
-            except AttributeError:
-                raise AttributeError(name) from None
-            inner = getattr(store, "take_page_touches", None)
-            if callable(inner):
-                return inner
-        raise AttributeError(name)
+    def _inner_stores(self):
+        # hits fault no pages and misses delegate: meterable as the store is
+        return (self.store,)
 
     # -- cache mechanics ------------------------------------------------
     def _insert(self, u: int, row: np.ndarray, unsorted: bool | None = None):

@@ -6,10 +6,11 @@ every baseline store interchangeably — the apples-to-apples setup of
 Section VI.
 
 Capability resolution (which optional members a store provides) lives
-in :mod:`repro.query.capabilities`; this module contains **no**
-``getattr`` probing — every dispatcher below resolves a
-:class:`~repro.query.capabilities.StoreCapabilities` once and branches
-on its explicit fields.
+in :mod:`repro.query.capabilities`; the dispatchers below resolve a
+:class:`~repro.query.capabilities.StoreCapabilities` once and branch on
+its explicit fields.  :class:`BaseStore` is what the serving-path
+stores inherit: a store supplies one row-decode primitive, and the key
+check, dedup, expansion and the scalar surface are defined here, once.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..errors import BatchShapeError, QueryError
 from .capabilities import StoreCapabilities, capabilities
 
 __all__ = [
+    "BaseStore",
     "GraphStore",
+    "WrapperStore",
     "StoreCapabilities",
     "capabilities",
     "distinct_keys",
@@ -37,6 +41,13 @@ __all__ = [
 @runtime_checkable
 class GraphStore(Protocol):
     """Minimal query surface of a graph store.
+
+    For a :class:`BaseStore` subclass: **required** — the row-decode
+    primitive ``_decode_rows(keys)``, four attributes (``num_nodes``,
+    ``num_edges``, ``row_dtype``, ``memory_bytes()``) and its own
+    ``degree``; **derived** — everything else, overridable where a store
+    has a cheaper or paper-mandated way.  A store outside the hierarchy
+    (the baselines) implements the members below itself.
 
     Optional members (resolved once per store by
     :func:`~repro.query.capabilities.capabilities`, never probed
@@ -79,6 +90,105 @@ class GraphStore(Protocol):
     def memory_bytes(self) -> int:
         """Resident bytes of this structure's payload."""
         ...
+
+
+class BaseStore:
+    """The derived half of the store protocol, defined once.
+
+    A subclass supplies ``_decode_rows(keys) -> (flat, offsets)`` over
+    *validated, strictly increasing, in-range* ``int64`` keys (at least
+    one); the key check, ``neighbors_batch``, and the scalar surface are
+    built on it here.  A wrapper (:class:`WrapperStore`) reaches the
+    stores it wraps only through the public ``GraphStore`` calls — the
+    primitive is called on ``self`` alone.
+    """
+
+    __slots__ = ()
+
+    def _decode_rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def _check_node(self, u: int) -> None:
+        if not (0 <= u < self.num_nodes):
+            raise QueryError(f"node {u} out of range [0, {self.num_nodes})")
+
+    def _key_array(self, unodes) -> np.ndarray:
+        us = np.asarray(unodes, dtype=np.int64)
+        if us.ndim != 1:
+            raise BatchShapeError("node batch must be 1-D")
+        return us
+
+    def _check_range(self, lo, hi) -> None:
+        if lo < 0 or hi >= self.num_nodes:
+            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
+
+    def _check_keys(self, unodes) -> np.ndarray:
+        """*unodes* as a 1-D ``int64`` array of in-range node ids, in
+        batch order (for a store that decodes without deduplicating)."""
+        us = self._key_array(unodes)
+        if us.shape[0]:
+            self._check_range(us.min(), us.max())
+        return us
+
+    def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
+        """Bulk row fetch — ``(flat, offsets)`` with row *i* at
+        ``flat[offsets[i]:offsets[i + 1]]``: each distinct row is decoded
+        once, then expanded back into batch order.  Values and dtype are
+        identical to per-row :meth:`neighbors` calls."""
+        us = self._key_array(unodes)
+        if us.shape[0] == 0:
+            return np.zeros(0, dtype=self.row_dtype), np.zeros(1, dtype=np.int64)
+        # sortedness is tested first (one pass for the increasing batch a
+        # wrapper hands down), and the distinct keys ascend either way:
+        # their two end keys bound the batch
+        uniq, inverse = distinct_keys(us)
+        self._check_range(uniq[0], uniq[-1])
+        return expand_rows(*self._decode_rows(uniq), inverse)
+
+    def neighbors(self, u: int) -> np.ndarray:
+        """Sorted destinations of *u* (one row through the primitive)."""
+        self._check_node(u)
+        return self._decode_rows(np.asarray([u], dtype=np.int64))[0]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Decode *u*'s row, then binary search (the §V-B extension)."""
+        self._check_node(u)
+        self._check_node(v)
+        row = self.neighbors(u)
+        pos = int(np.searchsorted(row, v))
+        return pos < row.shape[0] and int(row[pos]) == v
+
+
+class WrapperStore(BaseStore):
+    """The part of :class:`BaseStore` only a wrapper needs — kept off
+    the leaf stores so a failed attribute probe on one stays a C-level
+    miss (``capabilities()`` runs per batch).  A subclass names the
+    stores it serves from: ``_inner_stores() -> sequence``."""
+
+    __slots__ = ()
+
+    def _resolve_inner(self, inner) -> StoreCapabilities:
+        """A wrapper's constructor step: resolve the (fixed) inner
+        store's optional surface once — not per batch — and declare the
+        same ``row_dtype`` and, for a packed inner, ``column_width``, so
+        the wrapper is charged the decode cost of what it wraps."""
+        caps = capabilities(inner)
+        self.row_dtype = caps.row_dtype
+        self.column_width = caps.decode_bits if caps.is_packed else None
+        return caps
+
+    def __getattr__(self, name: str):
+        # Conditional page-touch surface: present exactly when every
+        # wrapped store meters mapped pages (a wrapper over in-memory stores
+        # probes as unmetered), evaluated per lookup (an LSM swaps segments).
+        if name == "take_page_touches":
+            inners = self._inner_stores()
+            for s in inners:  # a plain loop: this runs once per batch, under capabilities()
+                if not callable(getattr(s, name, None)):
+                    raise AttributeError(name)
+            if inners:
+                return lambda: sum(int(s.take_page_touches()) for s in inners)
+        raise AttributeError(name)
 
 
 def row_dtype(store, caps: StoreCapabilities | None = None) -> np.dtype:

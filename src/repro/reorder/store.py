@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import QueryError, ValidationError
+from ..errors import ValidationError
 from ..parallel.sort import sort_within_rows
-from ..query.capabilities import capabilities
-from ..query.stores import distinct_keys, expand_rows
+from ..query.stores import WrapperStore
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes
 from .orderings import compute_ordering
@@ -25,7 +24,7 @@ from .orderings import compute_ordering
 __all__ = ["ReorderedStore", "build_reordered_store"]
 
 
-class ReorderedStore:
+class ReorderedStore(WrapperStore):
     """An id-translating wrapper satisfying the ``GraphStore`` protocol.
 
     Parameters
@@ -60,16 +59,7 @@ class ReorderedStore:
         self.inv[p] = np.arange(n, dtype=np.int64)
         self.ordering = str(ordering)
         self.num_nodes = n
-        # the inner store is fixed for the wrapper's life, so its
-        # optional surface is resolved here, once — not per batch
-        caps = capabilities(inner)
-        self._inner_caps = caps
-        #: dtype of decoded rows (the inner store's)
-        self.row_dtype = caps.row_dtype
-        #: inner packed column width, ``None`` for unpacked inners —
-        #: declared so capability resolution charges the same
-        #: per-element decode cost as the wrapped store
-        self.column_width = caps.decode_bits if caps.is_packed else None
+        self._inner_caps = self._resolve_inner(inner)
 
     # -- protocol surface -----------------------------------------------
     @property
@@ -77,9 +67,8 @@ class ReorderedStore:
         """Edge count (unchanged by relabeling)."""
         return int(self.inner.num_edges)
 
-    def _check_node(self, u: int) -> None:
-        if not (0 <= u < self.num_nodes):
-            raise QueryError(f"node {u} out of range [0, {self.num_nodes})")
+    def _inner_stores(self):
+        return (self.inner,)
 
     def degree(self, u: int) -> int:
         """Out-degree of original node *u*."""
@@ -104,42 +93,25 @@ class ReorderedStore:
         self._check_node(v)
         return bool(self.inner.has_edge(int(self.perm[u]), int(self.perm[v])))
 
-    def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk row fetch in original ids — ``(flat, offsets)``.
+    def _decode_rows(self, uniq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of *uniq* in original ids.
 
-        Deduplicates the batch first — skewed serving workloads repeat
-        the same hub rows thousands of times, and decoding (plus
-        re-sorting) each distinct row once turns the translation cost
-        from O(output) into O(distinct rows) + one expansion gather.
-        Each distinct row runs through the inner store's vectorised
-        batch kernel, maps back through the inverse permutation, and is
-        re-sorted (relabeled rows are sorted by *new* id) by one
-        :func:`~repro.parallel.sort.sort_within_rows` over the batch.
+        Each row runs through the inner store's vectorised batch kernel,
+        maps back through the inverse permutation, and is re-sorted
+        (relabeled rows are sorted by *new* id) by one
+        :func:`~repro.parallel.sort.sort_within_rows` over the batch —
+        once per distinct row, however often a skewed batch repeats it.
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        if us.size == 0:
-            return np.zeros(0, dtype=self.row_dtype), np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
-        uniq, inverse = distinct_keys(us)
         flat_u, offs_u = _store_batch(self.inner, self.perm[uniq], self._inner_caps)
         mapped = self.inv[np.asarray(flat_u, dtype=np.int64)]
-        sorted_u = sort_within_rows(offs_u, mapped).astype(self.row_dtype, copy=False)
-        return expand_rows(sorted_u, offs_u, inverse)
+        return sort_within_rows(offs_u, mapped).astype(self.row_dtype, copy=False), offs_u
 
     def __getattr__(self, name: str):
-        # Conditional forwards: the page-touch surface (and the packed
-        # metadata some tools introspect) exist exactly when the inner
-        # store provides them, keeping capability probes accurate.
-        if name in ("take_page_touches", "gap_encoded", "offset_width"):
-            inner = object.__getattribute__(self, "inner")
-            missing = object()
-            value = getattr(inner, name, missing)
-            if value is not missing:
-                return value
-        raise AttributeError(name)
+        # the packed metadata some tools introspect exists exactly when
+        # the inner store provides it
+        if name in ("gap_encoded", "offset_width"):
+            return getattr(object.__getattribute__(self, "inner"), name)
+        return super().__getattr__(name)
 
     # -- accounting ------------------------------------------------------
     def bits_per_edge(self) -> float:
@@ -179,65 +151,45 @@ class ReorderedStore:
         permutation, plus the inner store's own payload under an
         ``inner_`` prefix.
         """
-        from ..csr.compact import CompactStore
-        from ..csr.packed import BitPackedCSR
-
-        payload: dict = {
-            "store_kind": "reordered",
-            "ordering": self.ordering,
-            "perm": self.perm,
-        }
-        if isinstance(self.inner, BitPackedCSR):
-            payload["inner_kind"] = "packed"
-            if self.inner.values is not None:
-                raise ValidationError("weighted inner stores cannot be saved")
-            payload["inner_num_nodes"] = self.inner.num_nodes
-            payload["inner_num_edges"] = self.inner.num_edges
-            payload["inner_offset_width"] = self.inner.offset_width
-            payload["inner_column_width"] = self.inner.column_width
-            payload["inner_gap_encoded"] = int(self.inner.gap_encoded)
-            payload["inner_offsets"] = self.inner.offsets.buffer
-            payload["inner_offsets_nbits"] = self.inner.offsets.nbits
-            payload["inner_columns"] = self.inner.columns.buffer
-            payload["inner_columns_nbits"] = self.inner.columns.nbits
-        elif isinstance(self.inner, CompactStore):
-            payload["inner_kind"] = "compact"
-            payload.update(self.inner.npz_payload(prefix="inner_"))
-        else:
+        kind = {cls: k for k, cls in _saved_inner_kinds().items()}.get(type(self.inner))
+        if kind is None:
             raise ValidationError(
                 f"only packed or compact inner stores can be saved "
                 f"(got {type(self.inner).__name__})"
             )
-        np.savez_compressed(path, **payload)
+        if getattr(self.inner, "values", None) is not None:
+            raise ValidationError("weighted inner stores cannot be saved")
+        np.savez_compressed(
+            path,
+            store_kind="reordered",
+            ordering=self.ordering,
+            perm=self.perm,
+            inner_kind=kind,
+            **self.inner.npz_payload(prefix="inner_"),
+        )
 
     @classmethod
     def load(cls, path) -> "ReorderedStore":
         """Rebuild a reordered store saved by :meth:`save`."""
-        from ..bitpack.bitarray import BitArray
-        from ..csr.compact import CompactStore
-        from ..csr.packed import BitPackedCSR
-
         with np.load(path) as data:
             if "store_kind" not in data.files or str(data["store_kind"]) != "reordered":
                 raise ValidationError(f"{path} is not a reordered store file")
             inner_kind = str(data["inner_kind"])
-            if inner_kind == "packed":
-                inner = BitPackedCSR(
-                    int(data["inner_num_nodes"]),
-                    int(data["inner_num_edges"]),
-                    BitArray(data["inner_offsets"], int(data["inner_offsets_nbits"])),
-                    int(data["inner_offset_width"]),
-                    BitArray(data["inner_columns"], int(data["inner_columns_nbits"])),
-                    int(data["inner_column_width"]),
-                    gap_encoded=bool(int(data["inner_gap_encoded"])),
-                )
-            elif inner_kind == "compact":
-                inner = CompactStore.from_npz_payload(data, prefix="inner_")
-            else:
+            inner_cls = _saved_inner_kinds().get(inner_kind)
+            if inner_cls is None:
                 raise ValidationError(f"unknown inner store kind '{inner_kind}'")
+            inner = inner_cls.from_npz_payload(data, prefix="inner_")
             perm = np.asarray(data["perm"], dtype=np.int64)
             ordering = str(data["ordering"])
         return cls(inner, perm, ordering=ordering)
+
+
+def _saved_inner_kinds() -> dict:
+    """Inner store classes with an ``.npz`` payload, by saved kind name."""
+    from ..csr.compact import CompactStore
+    from ..csr.packed import BitPackedCSR
+
+    return {"packed": BitPackedCSR, "compact": CompactStore}
 
 
 def build_reordered_store(

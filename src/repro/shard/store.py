@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import QueryError, ValidationError
-from ..query.capabilities import capabilities
-from ..query.stores import distinct_keys, expand_rows
+from ..errors import ValidationError
+from ..query.stores import WrapperStore, expand_rows
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes, require
 from .partition import Partitioner, partitioner_from_state
@@ -31,7 +30,7 @@ from .partition import Partitioner, partitioner_from_state
 __all__ = ["ShardedStore"]
 
 
-class ShardedStore:
+class ShardedStore(WrapperStore):
     """A partitioned graph store satisfying the ``GraphStore`` protocol.
 
     Parameters
@@ -75,17 +74,8 @@ class ShardedStore:
         self.num_nodes = n
         self._num_edges = int(sum(int(s.num_edges) for s in shards))
         self._scatters = np.zeros(len(shards), dtype=np.int64)
-        # shards share one kind and are fixed for the store's life, so
-        # their optional surface is resolved here, once — not per batch
-        caps = capabilities(shards[0])
-        self._shard_caps = caps
-        #: dtype of decoded rows (the inner store kind's)
-        self.row_dtype = caps.row_dtype
-        #: inner packed column width, ``None`` for unpacked shards —
-        #: declared so a sharded-over-packed store resolves as packed
-        #: with the same per-element decode charge as its monolithic
-        #: equivalent, keeping simulated query costs comparable
-        self.column_width = caps.decode_bits if caps.is_packed else None
+        # shards share one kind, so the first one's surface is all of theirs
+        self._shard_caps = self._resolve_inner(shards[0])
 
     # -- protocol surface -----------------------------------------------
     @property
@@ -98,9 +88,8 @@ class ShardedStore:
         """Shard fan-out."""
         return len(self.shards)
 
-    def _check_node(self, u: int) -> None:
-        if not (0 <= u < self.num_nodes):
-            raise QueryError(f"node {u} out of range [0, {self.num_nodes})")
+    def _inner_stores(self):
+        return self.shards
 
     def degree(self, u: int) -> int:
         """Out-degree of *u* (routed to the owning shard)."""
@@ -130,63 +119,38 @@ class ShardedStore:
         return self.shards[self.partitioner.shard_of(u)].has_edge(u, v)
 
     # -- scatter-gather batch surface -----------------------------------
-    def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk row fetch via scatter-gather — ``(flat, offsets)``.
+    def _decode_rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of *keys* via scatter-gather.
 
-        Scatters the query keys to their owning shards, runs each
-        shard's own vectorised batch kernel over that shard's
-        *distinct* keys, then gathers the rows back into the caller's
-        original order.  Values and dtype are identical to per-row
-        :meth:`neighbors` calls (and therefore to the monolithic
-        store's batch path).
+        Scatters the keys to their owning shards and runs each shard's
+        own vectorised batch kernel over its (still increasing) share.
+        Over range-partitioned shards an increasing batch is already
+        grouped by shard, so the shards' payloads concatenate in batch
+        order and nothing is copied; otherwise one fused indexed copy
+        gathers the rows back.
         """
-        us = np.asarray(unodes, dtype=np.int64)
-        if us.ndim != 1:
-            raise QueryError("node batch must be 1-D")
-        if us.size == 0:
-            return np.zeros(0, dtype=self.row_dtype), np.zeros(1, dtype=np.int64)
-        if int(us.min()) < 0 or int(us.max()) >= self.num_nodes:
-            raise QueryError(f"node ids must lie in [0, {self.num_nodes})")
-
-        # Scatter: each shard decodes only its *distinct* keys, so a
-        # hot row repeated across the batch is decoded exactly once.
-        sid = self.partitioner.shard_of_array(us)
-        inverse = np.empty(us.shape[0], dtype=np.int64)  # key -> decoded row
+        sid = self.partitioner.shard_of_array(keys)
+        order = None
+        if not bool((sid[1:] >= sid[:-1]).all()):
+            order = np.argsort(sid, kind="stable")
+            keys, sid = keys[order], sid[order]
+        cuts = [0, *(np.flatnonzero(sid[1:] != sid[:-1]) + 1).tolist(), keys.shape[0]]
         chunks, row_offs = [], [np.zeros(1, dtype=np.int64)]
-        rows = base = 0
-        for s in np.unique(sid):
-            pos = np.flatnonzero(sid == s)
-            uniq, inv = distinct_keys(us[pos])
-            flat_s, offs_s = _store_batch(self.shards[int(s)], uniq, self._shard_caps)
-            inverse[pos] = rows + (
-                inv if inv is not None else np.arange(uniq.shape[0], dtype=np.int64)
-            )
+        base = 0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            s = int(sid[lo])
+            flat_s, offs_s = _store_batch(self.shards[s], keys[lo:hi], self._shard_caps)
             row_offs.append(base + offs_s[1:])
             chunks.append(flat_s)
-            rows += uniq.shape[0]
             base += flat_s.shape[0]
-            self._scatters[int(s)] += 1
-        src_flat = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        # Gather: one fused indexed copy expands the shards' distinct
-        # rows back into the caller's order.
-        return expand_rows(src_flat, np.concatenate(row_offs), inverse)
-
-    def __getattr__(self, name: str):
-        # Conditional page-touch surface: present exactly when every
-        # shard meters mapped pages (e.g. DiskStore shards), so the
-        # capability probe stays accurate for in-memory shards.
-        if name == "take_page_touches":
-            try:
-                shards = object.__getattribute__(self, "shards")
-            except AttributeError:
-                raise AttributeError(name) from None
-            if all(callable(getattr(s, "take_page_touches", None)) for s in shards):
-                def take_page_touches() -> int:
-                    """Drain every shard's distinct-page counter (summed)."""
-                    return sum(int(s.take_page_touches()) for s in shards)
-
-                return take_page_touches
-        raise AttributeError(name)
+            self._scatters[s] += 1
+        flat = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        offsets = np.concatenate(row_offs)
+        if order is None:
+            return flat, offsets
+        back = np.empty_like(order)
+        back[order] = np.arange(order.shape[0], dtype=np.int64)
+        return expand_rows(flat, offsets, back)
 
     # -- observability and accounting -----------------------------------
     def scatter_counts(self) -> np.ndarray:
@@ -227,22 +191,12 @@ class ShardedStore:
         for key, value in self.partitioner.state().items():
             payload[f"partitioner_{key}"] = value
         for s, shard in enumerate(self.shards):
-            prefix = f"shard{s}_"
-            payload[f"{prefix}num_nodes"] = shard.num_nodes
-            payload[f"{prefix}num_edges"] = shard.num_edges
-            payload[f"{prefix}offset_width"] = shard.offset_width
-            payload[f"{prefix}column_width"] = shard.column_width
-            payload[f"{prefix}gap_encoded"] = int(shard.gap_encoded)
-            payload[f"{prefix}offsets"] = shard.offsets.buffer
-            payload[f"{prefix}offsets_nbits"] = shard.offsets.nbits
-            payload[f"{prefix}columns"] = shard.columns.buffer
-            payload[f"{prefix}columns_nbits"] = shard.columns.nbits
+            payload.update(shard.npz_payload(prefix=f"shard{s}_"))
         np.savez_compressed(path, **payload)
 
     @classmethod
     def load(cls, path) -> "ShardedStore":
         """Rebuild a sharded packed store saved by :meth:`save`."""
-        from ..bitpack.bitarray import BitArray
         from ..csr.packed import BitPackedCSR
 
         with np.load(path) as data:
@@ -256,24 +210,8 @@ class ShardedStore:
             if "kind" in state:
                 state["kind"] = str(state["kind"])
             partitioner = partitioner_from_state(state)
-            shards = []
-            for s in range(int(data["num_shards"])):
-                prefix = f"shard{s}_"
-                shards.append(
-                    BitPackedCSR(
-                        int(data[f"{prefix}num_nodes"]),
-                        int(data[f"{prefix}num_edges"]),
-                        BitArray(
-                            data[f"{prefix}offsets"],
-                            int(data[f"{prefix}offsets_nbits"]),
-                        ),
-                        int(data[f"{prefix}offset_width"]),
-                        BitArray(
-                            data[f"{prefix}columns"],
-                            int(data[f"{prefix}columns_nbits"]),
-                        ),
-                        int(data[f"{prefix}column_width"]),
-                        gap_encoded=bool(int(data[f"{prefix}gap_encoded"])),
-                    )
-                )
+            shards = [
+                BitPackedCSR.from_npz_payload(data, prefix=f"shard{s}_")
+                for s in range(int(data["num_shards"]))
+            ]
         return cls(partitioner, shards)

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from repro.csr.builder import ensure_sorted
 from repro.errors import ClusterError, ValidationError
 from repro.query import QueryEngine
-from repro.cluster import Router
+from repro.cluster import Router, extract_edges
+from repro.datasets import rmat_edges
 from repro.parallel import SimulatedMachine
 from repro.serve import (
     DONE,
@@ -482,3 +483,40 @@ class TestRouterSurface:
         assert len(stats.per_worker) == 4
         assert sum(w.requests_served for w in stats.per_worker) >= 60
         assert sum(stats.per_shard.values()) == stats.subs_dispatched
+
+
+class TestShardBuild:
+    """The cluster builds its shards through ``build_sharded_store``."""
+
+    @pytest.mark.parametrize("workers,replicas", [(2, 1), (4, 2)])
+    def test_disk_shards_get_their_own_directories(self, tmp_path, workers, replicas):
+        """Shards of a directory-backed kind must not clobber one path:
+        every reply equals the monolithic packed store's row."""
+        src, dst, n = rmat_edges(8, 2000, rng=np.random.default_rng(1))
+        src, dst = ensure_sorted(src, dst)
+        router, _ = _cluster(src, dst, n, workers=workers, replicas=replicas,
+                             kind="disk", store_opts={"path": tmp_path})
+        slots = [router.submit(NeighborsRequest(node=u)) for u in range(n)]
+        router.drain()
+        reference = open_store("packed", src, dst, n)
+        for u, slot in enumerate(slots):
+            got, want = slot.result(), reference.neighbors(u)
+            assert got.dtype == want.dtype and np.array_equal(got, want), u
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shard-0", "shard-1"]
+
+
+@pytest.mark.parametrize("kind", ["packed", "compact", "disk", "lsm"])
+def test_extract_edges_equals_the_row_walk(kind):
+    src, dst, n = _dense_edges()
+    src, dst = ensure_sorted(src, dst)
+    store = open_store(kind, src, dst, n)
+    if kind == "lsm":  # a dirty memtable: the walk must see the merged view
+        store.delete_edge(int(src[0]), int(dst[0]))
+        store.insert_edge(n - 1, 0)
+        store.insert_edge(5, n - 1)
+    rows = [np.asarray(store.neighbors(u), dtype=np.int64) for u in range(n)]
+    want_src = np.repeat(np.arange(n, dtype=np.int64), [len(r) for r in rows])
+    got_src, got_dst = extract_edges(store)
+    assert got_src.dtype == got_dst.dtype == np.int64
+    assert np.array_equal(got_src, want_src)
+    assert np.array_equal(got_dst, np.concatenate(rows))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import (
+    BatchShapeError,
     CodecError,
     FieldOverflowError,
     FrameError,
@@ -30,6 +31,13 @@ def test_validation_is_value_error():
 
 def test_not_sorted_is_validation():
     assert issubclass(NotSortedError, ValidationError)
+
+
+def test_batch_shape_is_both_query_and_validation():
+    # stores historically raised QueryError for a 2-D batch, the row
+    # cache ValidationError; the one shared key check satisfies both
+    assert issubclass(BatchShapeError, QueryError)
+    assert issubclass(BatchShapeError, ValidationError)
 
 
 def test_overflow_is_both_codec_and_overflow():

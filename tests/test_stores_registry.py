@@ -8,12 +8,19 @@ and batch paths, and the neighbors_batch offset invariants.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import available_stores, open_store, register_store
-from repro.errors import ValidationError
-from repro.query import capabilities
+from repro.errors import QueryError, ValidationError
+from repro.query import RowCache, capabilities
 from repro.query.stores import GraphStore, neighbors_batch
-from repro.stores import get_store_spec
+from repro.shard import ShardedStore, make_partitioner, shard_edge_list
+from repro.stores import get_store_spec, load_store
+
+#: registered kinds whose store decodes a batch natively
+NATIVE_BATCH_KINDS = ["compact", "csr", "csr-serial", "disk", "gap", "lsm",
+                      "packed", "reordered", "sharded"]
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +159,122 @@ class TestProtocolConformance:
         for i, u in enumerate(us.tolist()):
             assert np.array_equal(flat[offs[i]: offs[i + 1]], store.neighbors(u))
 
+    @pytest.mark.parametrize("kind", NATIVE_BATCH_KINDS)
+    def test_native_batch_edge_cases(self, built, edges, kind):
+        """One key check and one dedup/expand for every native batch:
+        same rows as the scalar path, same errors from every kind."""
+        n = edges[2]
+        store = built[kind]
+        caps = capabilities(store)
+        keys = np.array([n - 1, 3, 17, 3, 0, n - 1, 3])  # duplicates, unsorted
+        flat, offs = store.neighbors_batch(keys)
+        assert flat.dtype == caps.row_dtype and offs.dtype == np.int64
+        assert offs.shape == (len(keys) + 1,) and int(offs[-1]) == flat.shape[0]
+        for i, u in enumerate(keys.tolist()):
+            row = store.neighbors(u)
+            assert row.dtype == flat.dtype
+            assert np.array_equal(flat[offs[i]: offs[i + 1]], row)
+        flat, offs = store.neighbors_batch(np.zeros(0, dtype=np.int64))
+        assert flat.dtype == caps.row_dtype and flat.shape == (0,)
+        assert offs.dtype == np.int64 and offs.tolist() == [0]
+        out_of_range = f"node ids must lie in [0, {n})"
+        for bad, text in [
+            ([[0, 1]], "node batch must be 1-D"),
+            ([0, -1], out_of_range), ([-1, 5], out_of_range),
+            ([n, 0], out_of_range), ([2, n], out_of_range),
+        ]:
+            with pytest.raises(QueryError) as excinfo:
+                store.neighbors_batch(np.array(bad))
+            assert str(excinfo.value) == text
+
+    def test_native_batch_kinds_in_sync(self, built):
+        assert NATIVE_BATCH_KINDS == sorted(
+            kind for kind, store in built.items()
+            if capabilities(store).has_native_batch
+        )
+
     def test_registry_and_parametrisation_in_sync(self, built):
         assert sorted(built) == sorted(
             ["csr", "csr-serial", "packed", "gap", "disk", "sharded", "adjlist",
              "edgelist", "edgelist-unsorted", "adjmatrix", "bitmatrix",
              "k2tree", "compact", "reordered", "lsm"]
         ), "new registered kinds must be added to TestProtocolConformance"
+
+
+@pytest.fixture(scope="module", params=["range", "hash"])
+def disk_stack(request, edges):
+    """ShardedStore(ReorderedStore(DiskStore)) — every wrapper level."""
+    src, dst, n = edges
+    part = make_partitioner(request.param, 3, src, n)
+    return ShardedStore(part, [
+        open_store("reordered", s_src, s_dst, n, inner="disk")
+        for s_src, s_dst in shard_edge_list(src, dst, part)
+    ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_order_changes_neither_rows_nor_pages(disk_stack, data):
+    """A strictly increasing batch and its shuffled, duplicated form
+    decode the same distinct rows: equal replies, equal page touches."""
+    n = disk_stack.num_nodes
+    rising = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=25)))
+    repeats = data.draw(st.lists(st.sampled_from(rising), max_size=25))
+    mixed = data.draw(st.permutations(rising + repeats))
+
+    def read(keys):
+        cache = RowCache(disk_stack, capacity=10_000)
+        cache.take_page_touches()
+        flat, offs = cache.neighbors_batch(np.asarray(keys, dtype=np.int64))
+        rows = [flat[offs[i]: offs[i + 1]] for i in range(len(keys))]
+        return rows, cache.take_page_touches()
+
+    rows, pages = read(rising)
+    want = dict(zip(rising, rows))
+    got, mixed_pages = read(mixed)
+    assert mixed_pages == pages > 0
+    for u, row in zip(mixed, got):
+        assert row.dtype == want[u].dtype and np.array_equal(row, want[u])
+
+
+#: sorted key list of one saved file of each ``.npz`` kind
+_PACKED_KEYS = ["column_width", "columns", "columns_nbits", "gap_encoded",
+                "num_edges", "num_nodes", "offset_width", "offsets", "offsets_nbits"]
+NPZ_KEYS = {
+    "packed": _PACKED_KEYS,
+    "compact": sorted(
+        ["store_kind", "num_nodes", "num_edges", "offset_width", "offsets",
+         "offsets_nbits", "num_segments"]
+        + [f"seg0_{k}" for k in ("meta", "codec", "payload", "payload_nbits",
+                                 "starts", "starts_nbits")]),
+    "sharded": sorted(
+        ["store_kind", "num_shards", "partitioner_kind", "partitioner_bounds"]
+        + [f"shard{s}_{k}" for s in range(2) for k in _PACKED_KEYS]),
+    "reordered": sorted(
+        ["store_kind", "ordering", "perm", "inner_kind"]
+        + [f"inner_{k}" for k in _PACKED_KEYS]),
+    "lsm": sorted(
+        ["store_kind", "num_nodes", "num_edges", "num_segments", "inner",
+         "compact_watermark", "mt_u", "mt_v", "mt_alive"]
+        + [f"segment0_{k}" for k in _PACKED_KEYS]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NPZ_KEYS))
+def test_npz_layout_pinned_and_loadable(edges, tmp_path, kind):
+    """The saved key names are a file format: pinned per kind, and a
+    saved file comes back through ``load_store`` answering the same."""
+    src, dst, n = edges
+    opts = {"sharded": {"shards": 2}}.get(kind, {})
+    store = open_store(kind, src, dst, n, **opts)
+    if kind == "lsm":
+        store.insert_edge(0, 0) or store.delete_edge(0, 0)
+    path = tmp_path / f"{kind}.npz"
+    store.save(path)
+    with np.load(path) as data:
+        assert sorted(data.files) == NPZ_KEYS[kind]
+    loaded = load_store(path)
+    assert type(loaded) is type(store)
+    nodes = np.arange(n)
+    for got, want in zip(loaded.neighbors_batch(nodes), store.neighbors_batch(nodes)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
