@@ -90,7 +90,7 @@ def test_codec_size_matrix(benchmark, graphs):
 
 def test_representation_comparison(benchmark, graphs):
     """Whole-structure bits/edge: the paper's packed CSR vs the
-    gap-transformed variant vs the related-work k²-tree [18]."""
+    gap-transformed variant."""
 
     def build():
         rows = []
@@ -100,13 +100,11 @@ def test_representation_comparison(benchmark, graphs):
             edges = (*g.edges(), g.num_nodes)
             packed = open_store("packed", *edges)
             gap = open_store("gap", *edges)
-            k2 = open_store("k2tree", *edges)
             rows.append(
                 [
                     name,
                     f"{packed.bits_per_edge():.2f}",
                     f"{gap.bits_per_edge():.2f}",
-                    f"{k2.bits_per_edge():.2f}",
                 ]
             )
         return rows
@@ -114,7 +112,7 @@ def test_representation_comparison(benchmark, graphs):
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
     report(
         "Representation comparison: total bits/edge",
-        render_table(["graph", "bit-packed CSR (paper)", "gap + packed", "k2-tree [18]"], rows),
+        render_table(["graph", "bit-packed CSR (paper)", "gap + packed"], rows),
     )
     assert len(rows) == 4
 

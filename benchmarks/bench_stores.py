@@ -34,7 +34,6 @@ def all_stores(small_graph):
     return {
         "csr": open_store("csr-serial", *args),
         "bitpacked-csr": open_store("packed", *args),
-        "k2tree": open_store("k2tree", *args),
         "edgelist-sorted": open_store("edgelist", *args),
         "edgelist-raw": open_store("edgelist-unsorted", *args),
         "adjlist": open_store("adjlist", *args),
@@ -57,7 +56,7 @@ def queries(small_graph):
 
 @pytest.mark.parametrize(
     "store_name",
-    ["csr", "bitpacked-csr", "k2tree", "edgelist-sorted", "edgelist-raw", "adjlist"],
+    ["csr", "bitpacked-csr", "edgelist-sorted", "edgelist-raw", "adjlist"],
 )
 def test_has_edge_wallclock(benchmark, all_stores, queries, store_name):
     store = all_stores[store_name]

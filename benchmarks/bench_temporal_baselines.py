@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import render_table
-from repro.temporal import CASIndex, CETIndex, CKDTree, EdgeLog, EveLog, TGCSA, build_tcsr
+from repro.temporal import EdgeLog, EveLog, build_tcsr
 from repro.utils import human_bytes
 
 from conftest import report
@@ -26,10 +26,6 @@ def temporal_stores(event_stream):
         "tcsr": build_tcsr(event_stream),
         "evelog": EveLog(event_stream),
         "edgelog": EdgeLog(event_stream),
-        "cas": CASIndex(event_stream),
-        "cet": CETIndex(event_stream),
-        "tgcsa": TGCSA.from_events(event_stream),
-        "ckdtree": CKDTree.from_events(event_stream),
     }
 
 
@@ -46,7 +42,7 @@ def point_queries(event_stream):
     ]
 
 
-@pytest.mark.parametrize("store_name", ["tcsr", "evelog", "edgelog", "cas", "cet", "tgcsa", "ckdtree"])
+@pytest.mark.parametrize("store_name", ["tcsr", "evelog", "edgelog"])
 def test_edge_active_wallclock(benchmark, temporal_stores, point_queries, store_name):
     store = temporal_stores[store_name]
 
@@ -70,11 +66,7 @@ def test_temporal_store_comparison_report(benchmark, temporal_stores, point_quer
 
     rows, answers = benchmark.pedantic(measure, rounds=1, iterations=1)
     # all stores must agree before any speed claims count
-    assert (
-        answers["tcsr"] == answers["evelog"] == answers["edgelog"]
-        == answers["cas"] == answers["cet"] == answers["tgcsa"]
-        == answers["ckdtree"]
-    )
+    assert answers["tcsr"] == answers["evelog"] == answers["edgelog"]
     report(
         "Temporal baselines: storage and point-query latency",
         render_table(["store", "bytes", "us/query"], rows),

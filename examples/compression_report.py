@@ -78,7 +78,7 @@ print(render_table(
 ))
 
 # -- WebGraph-style preprocessing: relabel hubs to small ids -----------
-from repro.csr import degree_order, relabel  # noqa: E402
+from repro.reorder import degree_order, relabel  # noqa: E402
 
 print()
 reordered = relabel(graph, degree_order(graph))

@@ -12,7 +12,7 @@ Run:  python examples/social_network_queries.py
 import numpy as np
 
 from repro import SimulatedMachine, build_csr
-from repro.csr import BitPackedCSR, bfs_levels, degree_histogram, two_hop_neighbors
+from repro.csr import BitPackedCSR, bfs_levels, degree_histogram
 from repro.datasets import standin
 from repro.query import QueryEngine
 from repro.utils import human_bytes
@@ -39,8 +39,8 @@ celebrity = int(np.argmax(graph.degrees()))
 friends = engine.neighbors([celebrity])[0]
 print(f"celebrity node {celebrity}: {len(friends):,} direct neighbours")
 
-# friends-of-friends via the row-parallel SpGEMM primitive of [28]
-fof = two_hop_neighbors(graph, celebrity, SimulatedMachine(8))
+# friends-of-friends: one batched read of every friend's row
+fof = np.unique(packed.neighbors_batch(friends)[0])
 print(f"  two-hop audience: {len(fof):,} nodes "
       f"({len(fof) / graph.num_nodes:.1%} of the graph)")
 

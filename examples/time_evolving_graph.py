@@ -14,11 +14,8 @@ import numpy as np
 from repro import SimulatedMachine
 from repro.datasets import churn_events
 from repro.temporal import (
-    CASIndex,
-    CETIndex,
     EdgeLog,
     EveLog,
-    TGCSA,
     build_tcsr,
     batch_edge_active,
     full_frame_csrs,
@@ -44,15 +41,12 @@ print(f"per-frame churn: min {churn.min():,}, max {churn.max():,} toggled edges"
 
 # -- storage comparison (Section IV's motivation) ----------------------
 full = sum(c.memory_bytes() for c in full_frame_csrs(events))
-print("storage (every cited temporal structure, same data):")
+print("storage (TCSR against the cited log baselines, same data):")
 for name, nbytes in [
     ("differential TCSR", tcsr.memory_bytes()),
     ("full CSR per frame", full),
     ("EveLog [21]", EveLog(events).memory_bytes()),
     ("EdgeLog [21]", EdgeLog(events).memory_bytes()),
-    ("CAS wavelet [21]", CASIndex(events).memory_bytes()),
-    ("CET wavelet [21]", CETIndex(events).memory_bytes()),
-    ("TGCSA [27]", TGCSA.from_events(events).memory_bytes()),
 ]:
     print(f"  {name:20s} {human_bytes(nbytes):>12s}  "
           f"({nbytes / tcsr.memory_bytes():.1f}x TCSR)")

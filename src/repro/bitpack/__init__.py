@@ -6,9 +6,6 @@ provided for the codec ablation bench and the temporal baselines.
 """
 
 from .bitarray import BitArray, BitReader, BitWriter, blit_bits
-from .k2tree import K2Tree
-from .rank import RankBitVector
-from .wavelet import WaveletTree
 from .delta import (
     delta_decode_sorted,
     delta_encode_sorted,
@@ -64,9 +61,6 @@ __all__ = [
     "BitReader",
     "BitWriter",
     "blit_bits",
-    "K2Tree",
-    "RankBitVector",
-    "WaveletTree",
     "delta_decode_sorted",
     "delta_encode_sorted",
     "row_gaps",

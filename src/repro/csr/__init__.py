@@ -25,10 +25,7 @@ from .io import (
 )
 from .compact import CompactStore, build_compact_csr
 from .packed import BitPackedCSR, build_bitpacked_csr, pack_array_parallel
-from .reorder import bfs_order, degree_order, induced_subgraph, relabel
-from .spgemm import spgemm, spgemm_bool, spgemm_count, two_hop_neighbors
 from .spmv import pagerank, spmv
-from .streaming import StreamingCSRBuilder
 from .transpose import transpose_csr
 from .traversal import bfs_levels, connected_components, degree_histogram
 
@@ -58,18 +55,9 @@ __all__ = [
     "pack_array_parallel",
     "CompactStore",
     "build_compact_csr",
-    "spgemm",
-    "spgemm_bool",
-    "spgemm_count",
-    "two_hop_neighbors",
     "pagerank",
     "spmv",
-    "StreamingCSRBuilder",
     "transpose_csr",
-    "bfs_order",
-    "degree_order",
-    "induced_subgraph",
-    "relabel",
     "bfs_levels",
     "connected_components",
     "degree_histogram",

@@ -111,13 +111,14 @@ def flamegraph_folded(spans, *, cost_model: CostModel = DEFAULT_COST_MODEL
                       ) -> list[str]:
     """Folded flamegraph stacks: ``root;child;leaf <cost_ns>`` lines.
 
-    One line per span carrying non-zero cost, path built from span
-    names root-down, value the span's **own** cost priced through
-    *cost_model* (rounded to integer ns; flamegraph tools sum the
-    self-values up the stacks themselves).
+    One line per distinct stack, in order of the stack's first span:
+    path built from span names root-down, value the summed **own** cost
+    of every span with that path, priced through *cost_model* (rounded
+    to integer ns; flamegraph tools sum the self-values up the stacks
+    themselves).  Zero-cost spans emit nothing.
     """
     by_id = {s.span_id: s for s in spans}
-    lines = []
+    stacks: dict[str, float] = {}
     for span in sorted(spans, key=lambda s: s.span_id):
         ns = cost_model.time_ns(span.cost)
         if ns <= 0:
@@ -129,5 +130,6 @@ def flamegraph_folded(spans, *, cost_model: CostModel = DEFAULT_COST_MODEL
             seen.add(parent)
             path.append(by_id[parent].name)
             parent = by_id[parent].parent_id
-        lines.append(";".join(reversed(path)) + f" {int(round(ns))}")
-    return lines
+        stack = ";".join(reversed(path))
+        stacks[stack] = stacks.get(stack, 0.0) + ns
+    return [f"{stack} {int(round(ns))}" for stack, ns in stacks.items()]

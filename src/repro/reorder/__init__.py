@@ -15,6 +15,7 @@ from .orderings import (
     bfs_order,
     compute_ordering,
     degree_order,
+    relabel,
     slashburn_order,
 )
 from .store import ReorderedStore, build_reordered_store
@@ -24,6 +25,7 @@ __all__ = [
     "bfs_order",
     "compute_ordering",
     "degree_order",
+    "relabel",
     "slashburn_order",
     "ReorderedStore",
     "build_reordered_store",

@@ -1,8 +1,12 @@
 """Compression orderings: natural, degree, BFS, and SlashBurn.
 
-Each ordering maps a :class:`~repro.csr.graph.CSRGraph` to a
-permutation ``perm[old_id] = new_id``.  ``degree`` and ``bfs`` reuse
-the kernels in :mod:`repro.csr.reorder`; ``slashburn`` implements the
+Compression preprocessing in the WebGraph tradition [2]: gap codes pay
+for *large* gaps, so relabeling nodes to put popular neighbours close
+together shrinks the encoded column array.  Each ordering maps a
+:class:`~repro.csr.graph.CSRGraph` to a permutation
+``perm[old_id] = new_id`` and :func:`relabel` applies one.  ``degree``
+puts hubs at small ids (most gaps then point into a dense prefix),
+``bfs`` takes locality from traversal; ``slashburn`` implements the
 hub-peeling scheme of Kang & Faloutsos (PAPERS.md; "Beyond Caveman
 Communities"): repeatedly remove the top ``hub_fraction`` highest-degree
 hubs (assigning them the smallest remaining ids), find the connected
@@ -18,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..csr.builder import build_csr_serial
 from ..csr.graph import CSRGraph
-from ..csr.reorder import bfs_order, degree_order
 from ..errors import ValidationError
 from ..parallel.sort import sort_edges
 from ..utils import require
@@ -30,7 +34,71 @@ __all__ = [
     "degree_order",
     "bfs_order",
     "slashburn_order",
+    "relabel",
 ]
+
+
+def degree_order(graph: CSRGraph) -> np.ndarray:
+    """Permutation ``perm[old_id] = new_id`` by descending total degree.
+
+    Ties break on the old id, so the order is deterministic.
+    """
+    out_deg = graph.degrees()
+    src, dst = graph.edges()
+    in_deg = np.bincount(dst, minlength=graph.num_nodes)
+    total = out_deg + in_deg
+    ranking = np.argsort(-total, kind="stable")
+    perm = np.empty(graph.num_nodes, dtype=np.int64)
+    perm[ranking] = np.arange(graph.num_nodes, dtype=np.int64)
+    return perm
+
+
+def bfs_order(graph: CSRGraph, source: int = 0) -> np.ndarray:
+    """Permutation assigning ids in BFS discovery order from *source*.
+
+    Unreached nodes keep their relative order after all reached ones.
+    """
+    require(0 <= source < max(1, graph.num_nodes), "source out of range")
+    n = graph.num_nodes
+    perm = np.full(n, -1, dtype=np.int64)
+    next_id = 0
+    queue = [source]
+    perm[source] = next_id
+    next_id += 1
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for v in graph.neighbors(u).tolist():
+            if perm[v] < 0:
+                perm[v] = next_id
+                next_id += 1
+                queue.append(v)
+    for u in range(n):
+        if perm[u] < 0:
+            perm[u] = next_id
+            next_id += 1
+    return perm
+
+
+def relabel(graph: CSRGraph, perm: np.ndarray) -> CSRGraph:
+    """The same graph with node ``u`` renamed to ``perm[u]``.
+
+    *perm* must be a permutation of ``range(n)``; weights follow their
+    edges.
+    """
+    p = np.asarray(perm, dtype=np.int64)
+    n = graph.num_nodes
+    if p.shape != (n,):
+        raise ValidationError(f"permutation must have shape ({n},)")
+    seen = np.zeros(n, dtype=bool)
+    seen[p] = True
+    if not seen.all():
+        raise ValidationError("perm must be a permutation of range(n)")
+    src, dst = graph.edges()
+    ns, nd, vals = sort_edges(p[src], p[dst], graph.values)
+    g = build_csr_serial(ns, nd, n)
+    return CSRGraph(g.indptr, g.indices, vals, validate=False)
 
 
 def _natural_order(graph: CSRGraph) -> np.ndarray:

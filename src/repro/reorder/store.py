@@ -19,7 +19,7 @@ from ..parallel.sort import sort_within_rows
 from ..query.stores import WrapperStore
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes
-from .orderings import compute_ordering
+from .orderings import compute_ordering, relabel
 
 __all__ = ["ReorderedStore", "build_reordered_store"]
 
@@ -132,8 +132,6 @@ class ReorderedStore(WrapperStore):
 
     def to_csr(self):
         """Materialise as a plain CSR graph in *original* ids."""
-        from ..csr.reorder import relabel
-
         return relabel(self.inner.to_csr(), self.inv)
 
     def __repr__(self) -> str:

@@ -280,7 +280,6 @@ def _register_builtins() -> None:
         EdgeListStore,
         UnsortedEdgeListStore,
     )
-    from .bitpack.k2tree import K2Tree
 
     builtins = [
         ("csr", _build_csr,
@@ -312,8 +311,6 @@ def _register_builtins() -> None:
          "dense 0/1 matrix (small graphs; opts: node_cap)"),
         ("bitmatrix", _ignores_executor(BitMatrixStore),
          "bit-packed dense matrix (opts: node_cap)"),
-        ("k2tree", _ignores_executor(K2Tree),
-         "k^2-tree compressed adjacency"),
         ("compact", _build_compact,
          "bit-packed CSR with adaptive per-segment edge codecs "
          "(opts: executor, sort, codecs, segment_bytes)"),

@@ -7,10 +7,6 @@ cited log-structured comparators [21] used by the temporal benches.
 """
 
 from .builder import build_tcsr, build_tcsr_serial
-from .cas import CASIndex
-from .cet import CETIndex
-from .ckdtree import CKDTree
-from .contacts import ContactList, contacts_from_events, events_from_contacts
 from .edgelog import EdgeLog
 from .events import (
     EventList,
@@ -29,17 +25,10 @@ from .frames import (
 )
 from .queries import TemporalStore, batch_edge_active, batch_neighbors_at
 from .tcsr import TemporalCSR
-from .tgcsa import TGCSA, suffix_array
 
 __all__ = [
     "build_tcsr",
     "build_tcsr_serial",
-    "CASIndex",
-    "CETIndex",
-    "CKDTree",
-    "ContactList",
-    "contacts_from_events",
-    "events_from_contacts",
     "EdgeLog",
     "EventList",
     "decode_keys",
@@ -56,6 +45,4 @@ __all__ = [
     "batch_edge_active",
     "batch_neighbors_at",
     "TemporalCSR",
-    "TGCSA",
-    "suffix_array",
 ]

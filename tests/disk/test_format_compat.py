@@ -7,7 +7,7 @@ import pytest
 
 from repro.csr.builder import ensure_sorted
 from repro.csr.packed import build_bitpacked_csr
-from repro.csr.reorder import degree_order
+from repro.reorder import degree_order
 from repro.disk import (
     DiskStore,
     SUPPORTED_VERSIONS,

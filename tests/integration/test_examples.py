@@ -48,9 +48,8 @@ class TestExamples:
         "name,landmark",
         [
             ("social_network_queries.py", "influence spread"),
-            ("time_evolving_graph.py", "TGCSA"),
+            ("time_evolving_graph.py", "TCSR"),
             ("compression_report.py", "degree reordering"),
-            ("streaming_and_dynamic.py", "dynamic updates"),
         ],
     )
     def test_remaining_examples(self, name, landmark):

@@ -81,6 +81,22 @@ class TestFlamegraph:
         expected = DEFAULT_COST_MODEL.time_ns(Cost(reads=4, bit_ops=10))
         assert int(value) == int(round(expected))
 
+    def test_identical_stacks_merge_in_first_seen_order(self):
+        """Two requests through the same stack fold into one line whose
+        value is the sum of their self costs."""
+        one, two = Cost(reads=4, bit_ops=10), Cost(reads=7)
+        spans = sample_tree() + [
+            span(6, "dispatch", "serve", parent=5),
+            span(7, "kernel:edges", "query", parent=6, cost=Cost(reads=2)),
+            span(8, "kernel:neighbors", "query", parent=6, cost=two),
+        ]
+        lines = flamegraph_folded(spans)
+        ns = DEFAULT_COST_MODEL.time_ns
+        assert lines == [
+            f"request;dispatch;kernel:neighbors {int(round(ns(one) + ns(two)))}",
+            f"request;dispatch;kernel:edges {int(round(ns(Cost(reads=2))))}",
+        ]
+
     def test_orphan_parent_truncates_path(self):
         orphan = [span(7, "kernel:edges", "query", parent=99,
                        cost=Cost(reads=1))]

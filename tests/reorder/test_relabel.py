@@ -1,4 +1,4 @@
-"""Relabeling, ordering heuristics, induced subgraphs."""
+"""Relabeling and the degree / BFS ordering kernels."""
 
 import networkx as nx
 import numpy as np
@@ -6,8 +6,8 @@ import pytest
 
 from repro.bitpack import row_gaps, varint_encode
 from repro.csr.builder import build_csr, build_csr_serial, ensure_sorted
-from repro.csr.reorder import bfs_order, degree_order, induced_subgraph, relabel
 from repro.errors import ValidationError
+from repro.reorder import bfs_order, degree_order, relabel
 
 
 @pytest.fixture
@@ -91,42 +91,3 @@ class TestOrders:
         reordered = relabel(g, degree_order(g))
         after = varint_encode(row_gaps(reordered.indptr, reordered.indices)).nbytes
         assert after < before
-
-
-class TestInducedSubgraph:
-    def test_matches_networkx(self, graph, rng):
-        nodes = rng.choice(graph.num_nodes, size=40, replace=False)
-        sub, kept = induced_subgraph(graph, nodes)
-        nxg = graph.to_networkx().subgraph(kept.tolist())
-        relab = {old: i for i, old in enumerate(kept.tolist())}
-        want = {(relab[a], relab[b]) for a, b in nxg.edges()}
-        ss, dd = sub.edges()
-        got = set(zip(ss.tolist(), dd.tolist()))
-        # the CSR keeps duplicate edges; as *sets* they must agree
-        assert got == want
-
-    def test_duplicate_input_nodes_collapse(self, graph):
-        sub, kept = induced_subgraph(graph, [3, 3, 5, 5])
-        assert kept.tolist() == [3, 5]
-        assert sub.num_nodes == 2
-
-    def test_empty_selection(self, graph):
-        sub, kept = induced_subgraph(graph, [])
-        assert sub.num_nodes == 0 and sub.num_edges == 0
-
-    def test_weights_carried(self, rng):
-        n, m = 20, 120
-        src = np.sort(rng.integers(0, n, m))
-        dst = rng.integers(0, n, m)
-        w = rng.integers(1, 9, m)
-        g = build_csr(src, dst, n, weights=w, sort=True)
-        sub, kept = induced_subgraph(g, list(range(10)))
-        assert sub.is_weighted
-        total_kept = sum(
-            int(wi) for s, d, wi in zip(src, dst, w) if s < 10 and d < 10
-        )
-        assert int(np.asarray(sub.values).sum()) == total_kept
-
-    def test_out_of_range(self, graph):
-        with pytest.raises(ValidationError):
-            induced_subgraph(graph, [graph.num_nodes])

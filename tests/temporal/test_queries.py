@@ -22,28 +22,12 @@ def stream(rng):
     )
 
 
-@pytest.fixture(params=["tcsr", "evelog", "edgelog", "cas", "cet", "tgcsa", "ckdtree"])
+@pytest.fixture(params=["tcsr", "evelog", "edgelog"])
 def store(request, stream):
     if request.param == "tcsr":
         return build_tcsr(stream)
     if request.param == "evelog":
         return EveLog(stream)
-    if request.param == "cas":
-        from repro.temporal import CASIndex
-
-        return CASIndex(stream)
-    if request.param == "cet":
-        from repro.temporal import CETIndex
-
-        return CETIndex(stream)
-    if request.param == "tgcsa":
-        from repro.temporal import TGCSA
-
-        return TGCSA.from_events(stream)
-    if request.param == "ckdtree":
-        from repro.temporal import CKDTree
-
-        return CKDTree.from_events(stream)
     return EdgeLog(stream)
 
 

@@ -15,12 +15,9 @@ import repro
 ROOT = Path(repro.__file__).parent
 HOME = "parallel/sort.py"
 ALLOWED = {
-    "temporal/cas.py",
-    "temporal/contacts.py",
     "temporal/edgelog.py",
     "temporal/evelog.py",
     "temporal/events.py",
-    "temporal/tgcsa.py",
 }
 
 

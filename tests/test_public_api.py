@@ -20,7 +20,9 @@ PACKAGES = [
     "repro.baselines",
     "repro.disk",
     "repro.reorder",
-    "repro.pcsr",
+    "repro.lsm",
+    "repro.shard",
+    "repro.stores",
     "repro.datasets",
     "repro.analysis",
     "repro.serve",

@@ -27,7 +27,6 @@ OTHER_SNAPSHOTS = {
     ("serve/metrics.py", "ServeMetrics"),
     ("obs/registry.py", "MetricsRegistry"),
     ("temporal/tcsr.py", "TemporalCSR"),
-    ("csr/streaming.py", "StreamingCSRBuilder"),
 }
 
 

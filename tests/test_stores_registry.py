@@ -46,9 +46,10 @@ class TestRegistry:
         kinds = available_stores()
         for kind in ("csr", "csr-serial", "packed", "gap", "disk", "sharded",
                      "adjlist", "edgelist", "edgelist-unsorted",
-                     "adjmatrix", "bitmatrix", "k2tree", "compact",
-                     "reordered", "lsm"):
+                     "adjmatrix", "bitmatrix", "compact", "reordered", "lsm"):
             assert kind in kinds
+        # pinned: a kind enters or leaves the registry deliberately
+        assert len(kinds) == 14
 
     def test_unknown_kind_lists_known(self):
         with pytest.raises(ValidationError, match="unknown store kind"):
@@ -128,7 +129,7 @@ class TestProtocolConformance:
         # module-scope fixture can't parametrise itself; keep in sync
         # via the assertion inside test_builtin_kinds_present
         ["csr", "csr-serial", "packed", "gap", "disk", "sharded", "adjlist",
-         "edgelist", "edgelist-unsorted", "adjmatrix", "bitmatrix", "k2tree",
+         "edgelist", "edgelist-unsorted", "adjmatrix", "bitmatrix",
          "compact", "reordered", "lsm"]
     ))
     def test_kind(self, built, edges, kind):
@@ -197,7 +198,7 @@ class TestProtocolConformance:
         assert sorted(built) == sorted(
             ["csr", "csr-serial", "packed", "gap", "disk", "sharded", "adjlist",
              "edgelist", "edgelist-unsorted", "adjmatrix", "bitmatrix",
-             "k2tree", "compact", "reordered", "lsm"]
+             "compact", "reordered", "lsm"]
         ), "new registered kinds must be added to TestProtocolConformance"
 
 
