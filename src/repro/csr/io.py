@@ -25,6 +25,7 @@ __all__ = [
     "write_edge_list",
     "read_edge_list_binary",
     "write_edge_list_binary",
+    "is_binary_edge_list",
     "binary_edge_list_info",
     "iter_edge_list_binary",
     "edge_list_text_size",
@@ -181,6 +182,16 @@ def read_edge_list_binary(path) -> tuple[np.ndarray, np.ndarray, int]:
     dst = arr[count:].astype(np.int64)
     n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
     return src, dst, max(n, 0)
+
+
+def is_binary_edge_list(path) -> bool:
+    """True when *path* is readable and starts with the binary edge-list
+    magic (anything else is read as text)."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
+    except OSError:
+        return False
 
 
 def binary_edge_list_info(path) -> tuple[int, int]:

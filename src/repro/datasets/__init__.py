@@ -9,7 +9,7 @@ from .registry import (
     paper_names,
     standin,
 )
-from .rmat import SOCIAL_RMAT, WEB_RMAT, rmat_edges
+from .rmat import SOCIAL_RMAT, WEB_RMAT, rmat_edges, rmat_scale
 from .temporal import churn_events
 from .ws import ws_edges
 
@@ -24,6 +24,7 @@ __all__ = [
     "SOCIAL_RMAT",
     "WEB_RMAT",
     "rmat_edges",
+    "rmat_scale",
     "churn_events",
     "ws_edges",
 ]

@@ -14,11 +14,16 @@ import numpy as np
 from ..errors import ValidationError
 from ..utils import require
 
-__all__ = ["rmat_edges", "SOCIAL_RMAT", "WEB_RMAT"]
+__all__ = ["rmat_edges", "rmat_scale", "SOCIAL_RMAT", "WEB_RMAT"]
 
 # canonical parameter sets
 SOCIAL_RMAT = (0.57, 0.19, 0.19, 0.05)  # Graph500-style social skew
 WEB_RMAT = (0.45, 0.25, 0.15, 0.15)  # milder skew, web-graph-ish
+
+
+def rmat_scale(num_nodes: int) -> int:
+    """The R-MAT ``scale`` whose ``2**scale`` ids cover *num_nodes*."""
+    return max(1, int(np.ceil(np.log2(max(2, num_nodes)))))
 
 
 def rmat_edges(

@@ -14,7 +14,7 @@ import numpy as np
 from ..temporal.events import EventList, decode_keys, encode_keys, sym_diff_sorted
 from ..utils import require
 from .er import er_edges
-from .rmat import SOCIAL_RMAT, rmat_edges
+from .rmat import SOCIAL_RMAT, rmat_edges, rmat_scale
 
 __all__ = ["churn_events"]
 
@@ -46,8 +46,7 @@ def churn_events(
         if count == 0:
             return np.zeros(0, dtype=np.uint64)
         if social:
-            scale = max(1, int(np.ceil(np.log2(n))))
-            su, sv, nn = rmat_edges(scale, count, params=SOCIAL_RMAT, rng=rng)
+            su, sv, nn = rmat_edges(rmat_scale(n), count, params=SOCIAL_RMAT, rng=rng)
             su, sv = su % n, sv % n
         else:
             su, sv, _ = er_edges(n, count, rng=rng)

@@ -10,7 +10,7 @@ out of core from a binary edge-list file in streaming chunk passes
 pack), with peak working memory bounded by the chunk and segment sizes.
 """
 
-from .build import build_disk_store, write_disk_store
+from .build import build_disk_store, pack_disk_store, write_disk_store
 from .format import (
     DEFAULT_SEGMENT_BYTES,
     FORMAT_VERSION,
@@ -26,6 +26,7 @@ __all__ = [
     "DiskStore",
     "build_disk_store",
     "open_disk_store",
+    "pack_disk_store",
     "write_disk_store",
     "Manifest",
     "Segment",
@@ -40,16 +41,7 @@ __all__ = [
 def open_disk_store(path, *, verify: bool = True):
     """Open a store directory, restoring original node ids if reordered.
 
-    A plain directory opens as a :class:`DiskStore`.  When the manifest
-    records a vertex permutation (a store written with ``perm=``), the
-    store is wrapped in a
-    :class:`~repro.reorder.ReorderedStore` so queries speak the
-    *original* id space while the packed bits stay in the compact
-    relabeled layout.
+    A plain directory opens as a :class:`DiskStore`; one written with
+    ``perm=`` comes back through :meth:`DiskStore.in_original_ids`.
     """
-    store = DiskStore.open(path, verify=verify)
-    if store.manifest.perm is None:
-        return store
-    from ..reorder.store import ReorderedStore
-
-    return ReorderedStore(store, store.load_perm(), ordering=store.ordering)
+    return DiskStore.open(path, verify=verify).in_original_ids()

@@ -1,10 +1,14 @@
 """Builders for the on-disk store: re-layout and out-of-core construction.
 
-Two entry points:
+Three entry points:
 
 * :func:`write_disk_store` — persist an in-memory
   :class:`~repro.csr.BitPackedCSR` as a store directory (segment
   re-pack, checksums, manifest).
+* :func:`pack_disk_store` — edge arrays → optional vertex reordering →
+  packed CSR → :func:`write_disk_store`: the one place ordering,
+  codecs and the directory are composed (the ``disk`` store kind and
+  the CLI's ``build`` / ``compact --format disk`` both call it).
 * :func:`build_disk_store` — construct the directory **out of core**
   from a binary edge-list file (:func:`~repro.csr.io.write_edge_list_binary`
   format), streaming the edges in bounded chunks so peak working memory
@@ -42,7 +46,7 @@ from .format import (
 )
 from .store import DiskStore
 
-__all__ = ["write_disk_store", "build_disk_store"]
+__all__ = ["write_disk_store", "pack_disk_store", "build_disk_store"]
 
 _TMP_COLUMNS = "columns.tmp"
 
@@ -308,6 +312,47 @@ def write_disk_store(
     )
     manifest.save(directory)
     return DiskStore(directory, manifest)
+
+
+def pack_disk_store(
+    sources,
+    destinations,
+    n: int,
+    path,
+    *,
+    order: str = "natural",
+    codecs=None,
+    segment_bytes: int | None = None,
+    executor: Executor | None = None,
+    **pack_opts,
+) -> DiskStore:
+    """Edge arrays → store directory, relabeled under *order* first.
+
+    With an *order* other than ``natural`` the edges are relabeled by
+    that ordering's permutation (and so re-sorted, charged to
+    *executor*) before packing; *order*, the permutation and *codecs*
+    are then :func:`write_disk_store`'s parameters of the same meaning,
+    and *pack_opts* (``sort``, ``gap_encode``) go to
+    :func:`~repro.csr.packed.build_bitpacked_csr`.  Like
+    :func:`write_disk_store` this returns the raw :class:`DiskStore`,
+    which answers in *relabeled* ids — :meth:`DiskStore.in_original_ids`
+    (or reopening through :func:`~repro.disk.open_disk_store`)
+    translates.
+    """
+    from ..csr.packed import build_bitpacked_csr
+
+    perm = None
+    if order != "natural":
+        from ..reorder.orderings import edge_ordering
+
+        perm = edge_ordering(order, sources, destinations, n)
+        sources, destinations = perm[np.asarray(sources)], perm[np.asarray(destinations)]
+        pack_opts["sort"] = True
+    packed = build_bitpacked_csr(sources, destinations, n, executor, **pack_opts)
+    return write_disk_store(
+        packed, path, segment_bytes=int(segment_bytes or DEFAULT_SEGMENT_BYTES),
+        codecs=codecs, ordering=order, perm=perm,
+    )
 
 
 def build_disk_store(

@@ -413,6 +413,17 @@ class DiskStore(BaseStore):
         bits = BitArray(mm, seg.num_fields * seg.enc_width)
         return unpack_fixed(bits, seg.num_fields, seg.enc_width).astype(np.int64)
 
+    def in_original_ids(self):
+        """This store, behind a :class:`~repro.reorder.ReorderedStore`
+        when the manifest records a vertex permutation — queries then
+        speak the *original* id space while the packed bits stay in the
+        compact relabeled layout."""
+        if self.manifest.perm is None:
+            return self
+        from ..reorder.store import ReorderedStore
+
+        return ReorderedStore(self, self.load_perm(), ordering=self.ordering)
+
     # -- escape hatch ----------------------------------------------------
     def to_csr(self):
         """Full decode into an in-memory :class:`~repro.csr.CSRGraph`.

@@ -16,7 +16,7 @@ the serving layer routes :class:`~repro.serve.request.WriteRequest`
 traffic to it (see :mod:`repro.serve.server`).
 """
 
-from .build import apply_random_writes, build_lsm_store
+from .build import apply_random_writes, build_lsm_store, writable_overlay
 from .memtable import DeltaMemtable
 from .store import LsmStats, LsmStore
 
@@ -26,4 +26,5 @@ __all__ = [
     "LsmStore",
     "apply_random_writes",
     "build_lsm_store",
+    "writable_overlay",
 ]

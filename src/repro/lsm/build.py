@@ -16,7 +16,7 @@ from ..csr.builder import check_edge_list, ensure_sorted
 from ..utils import require
 from .store import LsmStore
 
-__all__ = ["build_lsm_store", "apply_random_writes"]
+__all__ = ["build_lsm_store", "writable_overlay", "apply_random_writes"]
 
 
 def build_lsm_store(
@@ -71,6 +71,22 @@ def build_lsm_store(
         executor=executor,
         num_edges=int(src.size),
     )
+
+
+def writable_overlay(store, compact_watermark: int = 0) -> LsmStore:
+    """The mutable view of any readable *store*, compacting at *compact_watermark*.
+
+    An :class:`LsmStore` is its own overlay (its watermark is set);
+    anything else becomes the immutable base segment of a fresh one,
+    whose memtable takes the writes.  The one place a read-only store
+    is given a write path — ``query --writes``, ``serve-bench
+    --write-fraction`` and :class:`~repro.serve.ServerConfig`'s
+    ``write_watermark`` all come here.
+    """
+    if isinstance(store, LsmStore):
+        store.compact_watermark = int(compact_watermark)
+        return store
+    return LsmStore(store.num_nodes, [store], compact_watermark=int(compact_watermark))
 
 
 def apply_random_writes(

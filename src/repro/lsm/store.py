@@ -526,6 +526,15 @@ class LsmStore(WrapperStore):
         )
 
     # -- persistence (packed segments) ----------------------------------
+    @property
+    def saveable(self) -> bool:
+        """Whether :meth:`save` can persist the store as it stands —
+        every segment is bit-packed.  :meth:`compact` makes it so when
+        the inner kind is ``packed``."""
+        from ..csr.packed import BitPackedCSR
+
+        return all(isinstance(seg, BitPackedCSR) for seg in self.segments)
+
     def save(self, path) -> None:
         """Persist to ``.npz`` (bit-packed segments only).
 

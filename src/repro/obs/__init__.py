@@ -13,11 +13,10 @@ Three pieces:
   ring buffer, and a ``sample_every`` overhead knob
   (:class:`ObsConfig`).  Disabled servers share the no-op
   :data:`NULL_TRACER`.
-* :class:`MetricsRegistry` holds counters/gauges/log2 histograms and
-  pull-based **sources** — the existing per-layer stats objects,
-  adapted rather than rewritten (:func:`register_server`,
-  :func:`to_jsonable`) — and renders one whole-system
-  ``snapshot()``.
+* :class:`MetricsRegistry` holds pull-based **sources** — the
+  per-layer stats snapshots, which are the one stats mechanism
+  (:func:`register_server` wires a front-end's, :func:`to_jsonable`
+  makes them JSON-safe) — and renders one whole-system ``snapshot()``.
 * the rollup helpers (:func:`rollup_spans`, :func:`subtree_cost`,
   :func:`flamegraph_folded`) aggregate span trees into per-phase
   attribution: decode vs gather vs queue-wait vs hedge-wait, priced
@@ -29,8 +28,7 @@ and read the result with the CLI ``trace`` subcommand or
 schema and the sampling/overhead policy.
 """
 
-from .adapters import register_server, stats_dict, to_jsonable
-from .registry import Counter, Gauge, Log2Histogram, MetricsRegistry
+from .registry import MetricsRegistry, register_server, to_jsonable
 from .rollup import (
     RollupRow,
     children_index,
@@ -48,12 +46,8 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Log2Histogram",
     "MetricsRegistry",
     "to_jsonable",
-    "stats_dict",
     "register_server",
     "RollupRow",
     "rollup_spans",

@@ -1,130 +1,76 @@
 """The metrics registry: one pull-based whole-system view.
 
-Every layer of the stack already keeps its own stats object
+Every layer of the stack keeps its own stats object
 (:class:`~repro.serve.metrics.ServeMetrics`,
 :class:`~repro.query.rowcache.RowCacheStats`,
 :class:`~repro.serve.admission.AdmissionStats`,
-:class:`~repro.lsm.LsmStats`, the cluster's per-worker reports).
-:class:`MetricsRegistry` does not replace them — they register as
-**sources** (zero-argument callables returning their current snapshot)
-and :meth:`MetricsRegistry.snapshot` pulls them all at once, merged
-with the registry's own counters, gauges, and log2 histograms, into a
-single JSON-safe dict.  Pull-based means registration costs nothing on
-the hot path: work happens only when somebody asks for the view.
+:class:`~repro.lsm.LsmStats`, the cluster's per-worker reports), and
+those snapshot dataclasses are the **one** stats mechanism:
+:class:`MetricsRegistry` holds no instruments of its own.  Layers
+register as **sources** (zero-argument callables returning their
+current snapshot, wired for a serving front-end by
+:func:`register_server`) and :meth:`MetricsRegistry.snapshot` pulls
+them all at once into a single JSON-safe dict through
+:func:`to_jsonable` — the same conversion behind the CLI's ``--json``
+outputs, so ``info``, ``serve-bench --json``, ``trace --json`` and
+registry snapshots speak one schema.  Pull-based means registration
+costs nothing on the hot path: work happens only when somebody asks
+for the view.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
+
+import numpy as np
 
 from ..errors import ValidationError
 from ..utils import require
-from .adapters import to_jsonable
 
-__all__ = ["Counter", "Gauge", "Log2Histogram", "MetricsRegistry"]
-
-
-class Counter:
-    """A named monotonically increasing counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        """Add *n* (>= 0) to the counter."""
-        require(n >= 0, "counters only increase")
-        self.value += int(n)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Counter({self.name}={self.value})"
+__all__ = ["MetricsRegistry", "to_jsonable", "register_server"]
 
 
-class Gauge:
-    """A named instantaneous value (last write wins)."""
+def to_jsonable(value):
+    """Recursively convert *value* into JSON-serialisable Python.
 
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current value."""
-        self.value = float(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Gauge({self.name}={self.value})"
-
-
-class Log2Histogram:
-    """An incremental power-of-two histogram.
-
-    Same bucketing as :func:`repro.serve.metrics.log2_histogram`
-    (bucket ``b`` counts values in ``(2**(b-1), 2**b]``, bucket 0
-    holds values <= 1) but built one observation at a time, so
-    long-running servers can histogram without keeping samples.
+    Handles dataclasses (by field), numpy scalars and arrays, mappings
+    (keys coerced to ``str``), sequences, and objects exposing
+    ``to_dict``; everything else must already be JSON-safe.
     """
-
-    __slots__ = ("name", "buckets", "count")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.buckets: dict[int, int] = {}
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Count one sample (NaN raises a one-line error)."""
-        v = float(value)
-        if math.isnan(v):
-            raise ValidationError(
-                f"histogram {self.name!r}: NaN is not a sample"
-            )
-        b = 0 if v <= 1 else int(math.ceil(math.log2(v)))
-        self.buckets[b] = self.buckets.get(b, 0) + 1
-        self.count += 1
-
-    def to_dict(self) -> dict[int, int]:
-        """Bucket -> count, sorted by bucket."""
-        return dict(sorted(self.buckets.items()))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Log2Histogram({self.name}, n={self.count})"
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    to_dict = getattr(value, "to_dict", None)
+    if callable(to_dict):
+        return to_jsonable(to_dict())
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: to_jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, dict):
+        return {str(k): to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [to_jsonable(v) for v in value]
+    return value
 
 
 class MetricsRegistry:
-    """Get-or-create metric primitives plus pull-based stat sources.
+    """Pull-based stat sources behind one ``snapshot()``.
 
     One registry fronts one serving process: the server (or router)
-    auto-registers its existing stats objects as sources at
-    construction, application code can hang extra counters/gauges off
-    the same registry, and :meth:`snapshot` renders everything as one
-    nested JSON-safe dict — the whole-system view the CLI ``--json``
-    surfaces share.
+    registers its existing stats objects as sources at construction,
+    and :meth:`snapshot` renders everything as one nested JSON-safe
+    dict — the whole-system view the CLI ``--json`` surfaces share.
     """
 
     def __init__(self):
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Log2Histogram] = {}
         self._sources: dict[str, object] = {}
-
-    def counter(self, name: str) -> Counter:
-        """The counter called *name* (created on first use)."""
-        self._check_name(name, self._counters)
-        return self._counters.setdefault(name, Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge called *name* (created on first use)."""
-        self._check_name(name, self._gauges)
-        return self._gauges.setdefault(name, Gauge(name))
-
-    def histogram(self, name: str) -> Log2Histogram:
-        """The log2 histogram called *name* (created on first use)."""
-        self._check_name(name, self._histograms)
-        return self._histograms.setdefault(name, Log2Histogram(name))
 
     def register_source(self, name: str, fn) -> None:
         """Register a zero-argument snapshot callable under *name*.
@@ -141,30 +87,9 @@ class MetricsRegistry:
             )
         self._sources[name] = fn
 
-    def _check_name(self, name: str, own: dict) -> None:
-        for kind, table in (("counter", self._counters),
-                            ("gauge", self._gauges),
-                            ("histogram", self._histograms)):
-            if table is not own and name in table:
-                raise ValidationError(
-                    f"metric {name!r} already exists as a {kind}"
-                )
-
     def snapshot(self) -> dict:
-        """The whole-system view: primitives plus every source, pulled now."""
+        """The whole-system view: every source, pulled now."""
         out: dict = {}
-        if self._counters:
-            out["counters"] = {
-                n: c.value for n, c in sorted(self._counters.items())
-            }
-        if self._gauges:
-            out["gauges"] = {
-                n: g.value for n, g in sorted(self._gauges.items())
-            }
-        if self._histograms:
-            out["histograms"] = {
-                n: h.to_dict() for n, h in sorted(self._histograms.items())
-            }
         for name, fn in sorted(self._sources.items()):
             value = fn()
             if value is not None:
@@ -172,9 +97,36 @@ class MetricsRegistry:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MetricsRegistry(counters={len(self._counters)}, "
-            f"gauges={len(self._gauges)}, "
-            f"histograms={len(self._histograms)}, "
-            f"sources={len(self._sources)})"
+        return f"MetricsRegistry(sources={len(self._sources)})"
+
+
+def register_server(registry, server, *, prefix: str = "server") -> None:
+    """Register a serving front-end's stats surfaces as registry sources.
+
+    Duck-typed over both :class:`~repro.serve.server.GraphQueryServer`
+    and the cluster :class:`~repro.cluster.Router`: always registers
+    ``{prefix}.serve`` (the :meth:`snapshot` serve metrics), plus
+    ``{prefix}.cache`` / ``{prefix}.cluster`` / ``{prefix}.trace``
+    when the front-end exposes a row cache, cluster stats, or an
+    enabled tracer.  Sources returning ``None`` are omitted from
+    snapshots, so optional layers cost nothing while absent.
+    """
+    registry.register_source(f"{prefix}.serve", lambda: server.snapshot())
+    if hasattr(server, "row_cache"):
+        registry.register_source(
+            f"{prefix}.cache",
+            lambda: (server.row_cache.stats()
+                     if server.row_cache is not None else None),
+        )
+    if hasattr(server, "cluster_stats"):
+        registry.register_source(
+            f"{prefix}.cluster", lambda: server.cluster_stats()
+        )
+    tracer = getattr(server, "tracer", None)
+    if tracer is not None and tracer.enabled:
+        registry.register_source(
+            f"{prefix}.trace",
+            lambda: {"finished_spans": len(tracer.spans()),
+                     "dropped_spans": tracer.dropped,
+                     "sample_every": tracer.config.sample_every},
         )

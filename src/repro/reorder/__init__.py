@@ -15,6 +15,7 @@ from .orderings import (
     bfs_order,
     compute_ordering,
     degree_order,
+    edge_ordering,
     relabel,
     slashburn_order,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "bfs_order",
     "compute_ordering",
     "degree_order",
+    "edge_ordering",
     "relabel",
     "slashburn_order",
     "ReorderedStore",

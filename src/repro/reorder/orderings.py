@@ -25,12 +25,13 @@ import numpy as np
 from ..csr.builder import build_csr_serial
 from ..csr.graph import CSRGraph
 from ..errors import ValidationError
-from ..parallel.sort import sort_edges
+from ..parallel.sort import ensure_sorted, sort_edges
 from ..utils import require
 
 __all__ = [
     "available_orderings",
     "compute_ordering",
+    "edge_ordering",
     "degree_order",
     "bfs_order",
     "slashburn_order",
@@ -226,3 +227,10 @@ def compute_ordering(name: str, graph: CSRGraph, **kwargs) -> np.ndarray:
         known = ", ".join(sorted(_ORDERINGS))
         raise ValidationError(f"unknown ordering '{name}' (known: {known})") from None
     return fn(graph, **kwargs)
+
+
+def edge_ordering(name: str, sources, destinations, num_nodes: int) -> np.ndarray:
+    """:func:`compute_ordering` for the graph of an edge list in any
+    order — what a builder calls before it relabels and packs."""
+    src, dst = ensure_sorted(sources, destinations)
+    return compute_ordering(name, build_csr_serial(src, dst, num_nodes))

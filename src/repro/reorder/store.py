@@ -19,7 +19,7 @@ from ..parallel.sort import sort_within_rows
 from ..query.stores import WrapperStore
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes
-from .orderings import compute_ordering, relabel
+from .orderings import edge_ordering, relabel
 
 __all__ = ["ReorderedStore", "build_reordered_store"]
 
@@ -207,15 +207,14 @@ def build_reordered_store(
     ``reordered`` itself; extra keyword options pass through to the
     inner builder.
     """
-    from ..csr.builder import build_csr_serial, ensure_sorted
+    from ..csr.builder import ensure_sorted
     from ..stores import inner_store_spec, open_store
 
     if inner == "reordered":
         raise ValidationError("reordered stores cannot nest directly")
     inner_store_spec(inner, "reordered")
     src, dst = ensure_sorted(sources, destinations)
-    graph = build_csr_serial(src, dst, num_nodes)
-    perm = compute_ordering(order, graph)
+    perm = edge_ordering(order, src, dst, num_nodes)
     new_src, new_dst = ensure_sorted(perm[src], perm[dst])
     built = open_store(inner, new_src, new_dst, num_nodes, executor=executor, **inner_opts)
     return ReorderedStore(built, perm, ordering=order)

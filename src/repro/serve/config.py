@@ -21,10 +21,11 @@ that :func:`repro.open_store` gave stores:
 single-worker configs and a :class:`~repro.cluster.Router` fronting
 replicated :class:`~repro.cluster.ShardWorker` loops whenever any
 cluster option is set (``workers``/``replicas`` > 1, tenant quotas, or
-a hedge percentile).  This is the **only** construction path: the old
-``GraphQueryServer(store, **kwargs)`` form (deprecated one release
-ago) now raises a one-line :class:`~repro.errors.ReproError` pointing
-here.
+a hedge percentile).  This is the **only** construction path — the
+CLI's ``serve-bench`` and ``trace`` come through it like every bench
+and test: the old ``GraphQueryServer(store, **kwargs)`` form
+(deprecated one release ago) now raises a one-line
+:class:`~repro.errors.ReproError` pointing here.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class ServerConfig:
 
     Serving knobs: ``executor``, ``cache_elements``, coalescer bounds
     (``max_batch_size`` / ``max_wait_ns``), admission bounds
-    (``queue_capacity`` / ``policy``), ``edge_method``, the LSM
-    ``write_watermark`` (> 0 wraps a read-only store in an
-    :class:`~repro.lsm.LsmStore` overlay compacting at that memtable
+    (``queue_capacity`` / ``policy``), the LSM ``write_watermark``
+    (> 0 serves a read-only store through
+    :func:`~repro.lsm.writable_overlay`, compacting at that memtable
     size), and ``job_slice_steps`` — how many analytics-stepper slices
     each :meth:`~repro.serve.server.GraphQueryServer.pump` grants the
     front queued job before returning to point traffic (higher
@@ -72,13 +73,12 @@ class ServerConfig:
     Cluster options (any of them switches :func:`open_server` to the
     router): ``workers`` total worker loops, ``replicas`` per shard
     (``workers`` must divide evenly; shards = workers // replicas),
-    ``partitioner`` routing, ``shard_inner`` store kind each replica
-    serves, ``hedge_percentile`` (service-time percentile after which
-    a straggling scatter sub-request is hedged to another replica;
-    ``None`` disables), ``hedge_min_samples`` warmup, ``service``
-    time source (``"simulated"`` — deterministic, charged on each
-    worker's :class:`~repro.parallel.SimulatedMachine` group — or
-    ``"wall"``), and ``tenant_quotas`` (max in-flight requests per
+    ``partitioner`` routing, ``hedge_percentile`` (service-time
+    percentile after which a straggling scatter sub-request is hedged
+    to another replica; ``None`` disables), ``hedge_min_samples``
+    warmup, ``service`` time source (``"simulated"`` — deterministic,
+    charged on each worker's :class:`~repro.parallel.SimulatedMachine`
+    group — or ``"wall"``), and ``tenant_quotas`` (max in-flight requests per
     tenant; missing tenants are unlimited).  ``cluster`` forces the
     router on (``True``, even with one worker — the scaling bench's
     1-worker baseline) or off (``False``).
@@ -101,13 +101,11 @@ class ServerConfig:
     max_wait_ns: float = 1_000_000.0
     queue_capacity: int = 4096
     policy: str = "reject"
-    edge_method: str = "scan"
     write_watermark: int = 0
     job_slice_steps: int = 1
     workers: int = 1
     replicas: int = 1
     partitioner: str = "range"
-    shard_inner: str = "packed"
     hedge_percentile: float | None = None
     hedge_min_samples: int = 16
     service: str = "simulated"
@@ -217,18 +215,13 @@ class ServerConfig:
                 "store_kind= with edges=)"
             )
         if self.write_watermark > 0:
-            from ..lsm import LsmStore
+            from ..lsm import LsmStore, writable_overlay
             from ..query.capabilities import capabilities
 
-            if isinstance(store, LsmStore):
-                store.compact_watermark = int(self.write_watermark)
-            elif not capabilities(store).supports_writes:
-                # a read-only store under a write watermark gets the
-                # standard mutable overlay, same as `query --writes`
-                store = LsmStore(
-                    store.num_nodes, [store],
-                    compact_watermark=int(self.write_watermark),
-                )
+            # a read-only store under a write watermark gets the
+            # standard mutable overlay, same as `query --writes`
+            if isinstance(store, LsmStore) or not capabilities(store).supports_writes:
+                store = writable_overlay(store, self.write_watermark)
         return store
 
 

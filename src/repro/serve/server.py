@@ -43,6 +43,9 @@ from .request import DONE, ReplySlot, WriteRequest, default_clock
 
 __all__ = ["GraphQueryServer"]
 
+#: How the edge kernel probes a row on the serving path.
+EDGE_METHOD: Method = "scan"
+
 
 class GraphQueryServer(ServeLoop):
     """Micro-batching front-end over a graph store.
@@ -57,7 +60,7 @@ class GraphQueryServer(ServeLoop):
     config:
         A :class:`~repro.serve.config.ServerConfig` carrying every
         serving knob (cache elements, coalescer bounds, admission
-        bounds, edge method) — the construction path
+        bounds) — the construction path
         :func:`~repro.serve.config.open_server` uses.
     clock:
         Nanosecond monotonic clock for every lifecycle stamp;
@@ -103,7 +106,6 @@ class GraphQueryServer(ServeLoop):
         if config.cache_elements and not isinstance(store, RowCache):
             store = RowCache(store, capacity=config.cache_elements)
         self.engine = QueryEngine(store, executor)
-        self.edge_method: Method = config.edge_method
         # the write target is the store under any RowCache wrap — a
         # WriteRequest mutates it directly, then invalidates the
         # touched row so no pre-write copy can ever be served
@@ -250,7 +252,7 @@ class GraphQueryServer(ServeLoop):
                     with tracer.span("kernel:edges", "query",
                                      meta={"keys": int(edges.shape[0])}):
                         exists = self.engine.has_edges(
-                            edges, method=self.edge_method,
+                            edges, method=EDGE_METHOD,
                             rows=fetched).tolist()
                 else:
                     exists = []

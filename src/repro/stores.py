@@ -222,36 +222,20 @@ def _build_sharded(sources, destinations, n, **opts):
     return build_sharded_store(sources, destinations, n, **opts)
 
 
-def _build_disk(
-    sources,
-    destinations,
-    n,
-    *,
-    executor=None,
-    path=None,
-    segment_bytes=None,
-    **opts,
-):
+def _build_disk(sources, destinations, n, *, path=None, **opts):
     import tempfile
 
-    from .csr.packed import build_bitpacked_csr
-    from .disk.build import write_disk_store
-    from .disk.format import DEFAULT_SEGMENT_BYTES
+    from .disk.build import pack_disk_store
 
-    packed = build_bitpacked_csr(sources, destinations, n, executor, **opts)
     tmpdir = None
     if path is None:
         # no directory requested: anchor the store in a temporary one
         # that lives exactly as long as the store object
         tmpdir = tempfile.TemporaryDirectory(prefix="repro-disk-")
         path = tmpdir.name
-    store = write_disk_store(
-        packed,
-        path,
-        segment_bytes=int(segment_bytes or DEFAULT_SEGMENT_BYTES),
-    )
+    store = pack_disk_store(sources, destinations, n, path, **opts)
     store._tmpdir = tmpdir
-    return store
+    return store.in_original_ids()
 
 
 def _build_compact(sources, destinations, n, *, executor=None, **opts):
@@ -296,7 +280,8 @@ def _register_builtins() -> None:
          "(opts: executor, sort, weights)"),
         ("disk", _build_disk,
          "memory-mapped on-disk packed CSR in a store directory "
-         "(opts: path, segment_bytes, executor, sort, gap_encode)"),
+         "(opts: path, segment_bytes, codecs, order, executor, sort, "
+         "gap_encode)"),
         ("sharded", _build_sharded,
          "partitioned store of per-shard sub-stores "
          "(opts: shards, partitioner, inner, executor, sort, "

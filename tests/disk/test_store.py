@@ -204,6 +204,30 @@ class TestComposition:
         assert store.path == tmp_path / "here"
         assert (tmp_path / "here" / "manifest.json").is_file()
 
+    def test_registry_passes_ordering_and_codecs_through(self, tmp_path, rng):
+        """``order=`` / ``codecs=`` are ``write_disk_store``'s own
+        parameters: the directory equals the hand-composed one, and the
+        store answers in original ids."""
+        from repro.csr.builder import build_csr_serial, ensure_sorted
+        from repro.reorder import compute_ordering
+
+        src, dst = _random_graph(11, 80, 400)
+        store = open_store("disk", src, dst, 80, path=tmp_path / "kind",
+                           order="degree", codecs="auto", sort=True)
+        s2, d2 = ensure_sorted(src, dst)
+        perm = compute_ordering("degree", build_csr_serial(s2, d2, 80))
+        write_disk_store(
+            build_bitpacked_csr(perm[src], perm[dst], 80, sort=True),
+            tmp_path / "hand", codecs="auto", ordering="degree", perm=perm,
+        ).close()
+        assert ((tmp_path / "kind" / "manifest.json").read_bytes()
+                == (tmp_path / "hand" / "manifest.json").read_bytes())
+        q = rng.integers(0, 80, 50)
+        ref = open_store("packed", src, dst, 80, sort=True)
+        f1, o1 = ref.neighbors_batch(q)
+        f2, o2 = store.neighbors_batch(q)
+        assert np.array_equal(f1, f2) and np.array_equal(o1, o2)
+
 
 class TestOpenAndErrors:
     def test_reopen_is_bit_exact(self, pair, tmp_path):

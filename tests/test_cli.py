@@ -1,10 +1,14 @@
 """CLI: every command end-to-end through main()."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.csr.packed import BitPackedCSR
+
+from . import cli_golden
 
 
 @pytest.fixture
@@ -279,6 +283,61 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestFlagConflicts:
+    """Flag combinations that used to be silently dropped fail with the
+    one-line error their neighbours already raise."""
+
+    def test_segment_bytes_needs_segments(self, tmp_path, edge_file, capsys):
+        out = tmp_path / "g.npz"
+        rc = main(["build", str(edge_file), str(out), "--segment-bytes", "512"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --segment-bytes") and err.count("\n") == 1
+        assert not out.exists()
+        assert main(["build", str(edge_file), str(out), "--segment-bytes", "512",
+                     "--codec", "auto"]) == 0
+
+    def test_cluster_serve_bench_rejects_shards(self, capsys):
+        rc = main(["serve-bench", "--workers", "2", "--shards", "4",
+                   "--nodes", "64", "--edges", "300", "--requests", "10"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--shards" in err
+        assert err.count("\n") == 1
+
+    def test_ordered_disk_build_reports_the_input_files_text_size(
+            self, tmp_path, capsys):
+        edges = tmp_path / "ba.txt"
+        main(["generate", "ba", str(edges), "--nodes", "128", "--edges", "900"])
+        size = capsys.readouterr().out.split("(")[1].split(")")[0]
+        main(["build", str(edges), str(tmp_path / "d"), "--format", "disk",
+              "--order", "degree"])
+        assert f"({size} as text)" in capsys.readouterr().out
+
+
+class TestGoldenSurface:
+    """``tests/data``: the help of every parser byte for byte, and the
+    seeded command matrix of :mod:`tests.cli_golden` row by row."""
+
+    def test_help_of_every_parser(self):
+        assert cli_golden.help_text() == cli_golden.HELP_GOLDEN.read_text()
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        return cli_golden.run_matrix()
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(cli_golden.MATRIX_GOLDEN.read_text())
+
+    @pytest.mark.parametrize("row", [name for name, _ in cli_golden.MATRIX])
+    def test_matrix_row(self, matrix, golden, row):
+        assert matrix["rows"][row] == golden["rows"][row]
+
+    def test_saved_stores_bit_identical(self, matrix, golden):
+        assert matrix["artifacts"] == golden["artifacts"]
 
 
 class TestParser:
