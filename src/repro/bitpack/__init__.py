@@ -23,7 +23,6 @@ from .elias import (
 from .fixed import (
     FixedWidthCodec,
     pack_fixed,
-    packed_nbits,
     read_field,
     read_fields,
     unpack_fields_gather,
@@ -34,8 +33,6 @@ from .registry import (
     Codec,
     Encoded,
     available_codecs,
-    best_codec,
-    encoded_nbits,
     get_codec,
     register_codec,
 )
@@ -43,9 +40,10 @@ from .segcodec import (
     DEFAULT_CANDIDATES,
     SEGMENT_CODECS,
     SegmentEncoding,
-    decode_rows,
     encode_row_segment,
+    encode_row_segments,
     resolve_codecs,
+    segment_codec,
 )
 from .varint import VarintCodec, varint_decode, varint_encode, varint_nbytes
 from .zeta import (
@@ -73,7 +71,6 @@ __all__ = [
     "gamma_encode",
     "FixedWidthCodec",
     "pack_fixed",
-    "packed_nbits",
     "read_field",
     "read_fields",
     "unpack_fields_gather",
@@ -82,8 +79,6 @@ __all__ = [
     "Codec",
     "Encoded",
     "available_codecs",
-    "best_codec",
-    "encoded_nbits",
     "get_codec",
     "register_codec",
     "VarintCodec",
@@ -98,7 +93,8 @@ __all__ = [
     "DEFAULT_CANDIDATES",
     "SEGMENT_CODECS",
     "SegmentEncoding",
-    "decode_rows",
     "encode_row_segment",
+    "encode_row_segments",
     "resolve_codecs",
+    "segment_codec",
 ]

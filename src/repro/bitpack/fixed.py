@@ -45,7 +45,6 @@ __all__ = [
     "unpack_slice",
     "read_field",
     "read_fields",
-    "packed_nbits",
     "FixedWidthCodec",
 ]
 
@@ -140,11 +139,6 @@ def _validate_values(values) -> np.ndarray:
     if arr.size and np.issubdtype(arr.dtype, np.signedinteger) and int(arr.min()) < 0:
         raise ValidationError("pack input must be non-negative")
     return arr.astype(np.uint64, copy=False)
-
-
-def packed_nbits(count: int, width: int) -> int:
-    """Total bits used by *count* fields of *width* bits."""
-    return int(count) * int(width)
 
 
 def _pack_bitmatrix(arr: np.ndarray, width: int) -> np.ndarray:

@@ -22,8 +22,6 @@ __all__ = [
     "register_codec",
     "get_codec",
     "available_codecs",
-    "best_codec",
-    "encoded_nbits",
 ]
 
 
@@ -87,28 +85,6 @@ def get_codec(name: str) -> Codec:
 def available_codecs() -> list[str]:
     """Names of every registered codec, sorted."""
     return sorted(_REGISTRY)
-
-
-def encoded_nbits(name: str, values) -> int:
-    """Encoded size in bits of *values* under codec *name*."""
-    return get_codec(name).encode(values).nbits
-
-
-def best_codec(values, names: list[str] | None = None) -> tuple[str, Encoded]:
-    """Encode under every candidate codec and return the smallest.
-
-    Ties break toward the earlier name in sorted order for determinism.
-    """
-    candidates = names or available_codecs()
-    if not candidates:
-        raise CodecError("no codecs registered")
-    best: tuple[str, Encoded] | None = None
-    for name in sorted(candidates):
-        enc = get_codec(name).encode(values)
-        if best is None or enc.nbits < best[1].nbits:
-            best = (name, enc)
-    assert best is not None
-    return best
 
 
 def _register_builtins() -> None:

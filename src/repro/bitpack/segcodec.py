@@ -1,16 +1,28 @@
-"""Per-row-range adaptive codec selection — the compact pipeline core.
+"""The column segment: codec table, encoder, record and decode dispatch.
 
-The builder splits a CSR's gap-transformed column array into row-aligned
-segments (:func:`repro.disk.format.plan_row_segments` granularity) and,
-for every segment, *measures* each candidate codec and keeps the
-smallest — the per-region adaptivity recommended by the Besta–Hoefler
-compression survey (PAPERS.md).  A hub-heavy segment full of tiny gaps
-compresses best under a variable-length code; a sparse tail segment
-with huge absolute first-neighbour values often stays cheapest at fixed
-width.  The winner's name and parameters travel with the segment (npz
-keys for :class:`~repro.csr.compact.CompactStore`, manifest-v2 fields
-for the disk store), and the decode side dispatches back through
-:func:`decode_rows` here.
+This module is the one home of a row-aligned codec segment.  The
+builder cuts a CSR's edge column into row-aligned segments
+(:func:`plan_row_segments`) and, for every segment, *measures* each
+candidate codec on the gap-transformed rows and keeps the smallest —
+the per-region adaptivity recommended by the Besta–Hoefler compression
+survey (PAPERS.md).  A hub-heavy segment full of tiny gaps compresses
+best under a variable-length code; a sparse tail segment with huge
+absolute first-neighbour values often stays cheapest at fixed width.
+
+The pipeline, top to bottom:
+
+* **codec table** — one :class:`SegmentCodec` entry per name in
+  :data:`SEGMENT_CODECS`.  Adding or removing a codec is one entry
+  here; no other module names a codec.
+* **generator** — :func:`encode_row_segments` (over
+  :func:`row_segments`) is the only loop that plans, gap-transforms
+  and encodes segments, from any ``fields_of`` source.
+* **record** — :class:`SegmentEncoding`: the winner's name, parameters
+  and bytes plus the rows / fields it covers (npz keys for
+  :class:`~repro.csr.compact.CompactStore`, manifest-v2 fields for the
+  disk store).
+* **decode** — :class:`SegmentArena` and the disk store's mapped files
+  both hand a row's payload window to the entry's ``decode``.
 
 Three codec families are wired in:
 
@@ -37,39 +49,162 @@ winning decoder per touched segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from ..errors import CodecError, ValidationError
 from ..utils import bits_for_value
 from .bitarray import BitArray
-from .delta import rows_from_gaps
-from .fixed import _decode_at, pack_fixed, read_fields
+from .delta import row_gaps
+from .fixed import _decode_at, pack_fixed, read_fields, unpack_fields_gather
 from .varint import varint_decode, varint_encode, varint_nbytes
 from .zeta import zeta_decode_rows, zeta_encode, zeta_value_nbits
 
 __all__ = [
     "SEGMENT_CODECS",
     "DEFAULT_CANDIDATES",
+    "SegmentCodec",
     "SegmentEncoding",
+    "segment_codec",
     "resolve_codecs",
+    "plan_row_segments",
+    "row_segments",
     "encode_row_segment",
+    "encode_row_segments",
     "row_windows",
-    "decode_rows",
     "SegmentArena",
 ]
 
+
+@dataclass(frozen=True)
+class SegmentCodec:
+    """One entry of the codec table: everything the segment layer knows
+    about a codec.
+
+    ``starts_unit`` is the payload bits one unit of the row-starts table
+    addresses: ``8`` (byte offsets), ``1`` (bit offsets), or ``0`` for a
+    self-indexing codec that keeps no table — its rows start at their
+    CSR field index times the segment's field width.
+
+    ``measure(gaps)`` is the exact payload size in bits, from the
+    per-value code lengths alone.  ``encode(gaps)`` returns
+    ``(enc_width, payload, ends)``: the codec parameter stored with the
+    segment, the payload, and (table codecs) the ``len(gaps) + 1``
+    positions, in ``starts_unit`` units, at which each value starts.
+    ``decode(bits, lo, hi, degrees, enc_width)`` returns the gaps of
+    rows whose payload windows are ``[lo[i], hi[i])`` of *bits* — in
+    ``starts_unit`` units, or bits for a self-indexing codec —
+    concatenated in the order given.
+    """
+
+    name: str
+    starts_unit: int
+    measure: Callable
+    encode: Callable
+    decode: Callable
+
+
+def _fixed_width(gaps: np.ndarray) -> int:
+    return bits_for_value(int(gaps.max()) if gaps.size else 0)
+
+
+def _fixed_encode(gaps: np.ndarray):
+    width = _fixed_width(gaps)
+    return width, pack_fixed(gaps, width), None
+
+
+def _fixed_decode(bits, lo, hi, degrees, width) -> np.ndarray:
+    # Two kernels behind the one entry: a mapped segment file has one
+    # width and takes the scalar gather; an arena holds segments of
+    # different widths in one buffer and passes one width per row.  The
+    # per-field width vector costs 1.5-1.7x on scan-sized batches, so
+    # the single-width caller is not routed through it.
+    if not isinstance(width, np.ndarray):
+        return unpack_fields_gather(bits, width, lo // width, degrees)[0]
+    first = np.cumsum(degrees)
+    first -= degrees
+    widths = np.repeat(width, degrees)
+    bitpos = np.arange(int(degrees.sum()), dtype=np.int64)
+    bitpos *= widths
+    bitpos += np.repeat(lo - first * width, degrees)
+    return _decode_at(bits, widths.view(np.uint64), bitpos)
+
+
+def _varint_encode(gaps: np.ndarray):
+    stream = varint_encode(gaps)
+    ends = np.zeros(gaps.shape[0] + 1, dtype=np.int64)
+    ends[1:] = np.flatnonzero(stream < 0x80)  # each value's last byte
+    ends[1:] += 1
+    return 0, BitArray(stream, stream.shape[0] * 8), ends
+
+
+def _varint_decode(bits, lo, hi, degrees, enc_width) -> np.ndarray:
+    return varint_decode(
+        bits.buffer[: bits.nbytes], int(degrees.sum()), windows=(lo, hi)
+    )
+
+
+def _zeta_encode(k: int, gaps: np.ndarray):
+    ends = np.zeros(gaps.shape[0] + 1, dtype=np.int64)
+    np.cumsum(zeta_value_nbits(gaps, k), out=ends[1:])
+    return k, zeta_encode(gaps, k), ends
+
+
+def _zeta_decode(k: int, bits, lo, hi, degrees, enc_width) -> np.ndarray:
+    return zeta_decode_rows(bits, lo, degrees, k, bit_ends=hi)[0]
+
+
+def _zeta(k: int) -> SegmentCodec:
+    return SegmentCodec(
+        f"zeta{k}",
+        1,
+        lambda gaps: int(zeta_value_nbits(gaps, k).sum()),
+        partial(_zeta_encode, k),
+        partial(_zeta_decode, k),
+    )
+
+
+_CODECS = {
+    codec.name: codec
+    for codec in (
+        SegmentCodec(
+            "fixed", 0, lambda gaps: gaps.shape[0] * _fixed_width(gaps),
+            _fixed_encode, _fixed_decode,
+        ),
+        SegmentCodec(
+            "varint", 8, lambda gaps: 8 * int(varint_nbytes(gaps).sum()),
+            _varint_encode, _varint_decode,
+        ),
+        _zeta(2),
+        _zeta(3),
+        _zeta(4),
+    )
+}
+
 #: every codec the segment layer can tag and decode
-SEGMENT_CODECS = ("fixed", "varint", "zeta2", "zeta3", "zeta4")
+SEGMENT_CODECS = tuple(_CODECS)
 
 #: the ``auto`` candidate set: rank-independent decoders only
 DEFAULT_CANDIDATES = ("fixed", "varint")
 
 
+def segment_codec(name: str) -> SegmentCodec:
+    """The table entry of codec *name*; one-line
+    :class:`~repro.errors.CodecError` listing the choices otherwise."""
+    try:
+        return _CODECS[name]
+    except KeyError:
+        known = ", ".join(SEGMENT_CODECS)
+        raise CodecError(f"unknown codec '{name}' (known: {known}, auto)") from None
+
+
 @dataclass(frozen=True)
 class SegmentEncoding:
-    """One segment's winning encoding: payload plus row-access metadata.
+    """One row-aligned run of the edge column under its winning codec:
+    the rows and fields it covers, payload, and row-access metadata.
 
     ``enc_width`` is codec-specific: the field width for ``fixed``, the
     shard parameter *k* for ``zeta``, and zero for ``varint``.  The
@@ -78,6 +213,10 @@ class SegmentEncoding:
     bit offsets for ``zeta`` — packed at ``starts_width`` bits each.
     """
 
+    first_row: int
+    num_rows: int
+    first_field: int
+    num_fields: int
     codec: str
     enc_width: int
     payload: BitArray
@@ -113,50 +252,16 @@ def resolve_codecs(spec) -> tuple[str, ...]:
         names = [str(part) for part in spec]
     if not names:
         raise ValidationError("empty codec list")
-    for name in names:
-        if name not in SEGMENT_CODECS:
-            known = ", ".join(SEGMENT_CODECS)
-            raise CodecError(f"unknown codec '{name}' (known: {known}, auto)")
-    return tuple(names)
+    return tuple(segment_codec(name).name for name in names)
 
 
-def _zeta_k(codec: str) -> int:
-    return int(codec[len("zeta"):])
-
-
-def _encode_one(codec: str, gaps: np.ndarray, local_indptr: np.ndarray) -> SegmentEncoding:
-    if codec == "fixed":
-        width = bits_for_value(int(gaps.max()) if gaps.size else 0)
-        return SegmentEncoding(codec, width, pack_fixed(gaps, width))
-    if codec == "varint":
-        stream = varint_encode(gaps)
-        positions = np.zeros(gaps.shape[0] + 1, dtype=np.int64)
-        positions[1:] = np.flatnonzero(stream < 0x80)  # each value's last byte
-        positions[1:] += 1
-        starts_width = bits_for_value(int(stream.shape[0]))
-        starts = pack_fixed(positions[local_indptr], starts_width)
-        return SegmentEncoding(
-            codec, 0, BitArray(stream, stream.shape[0] * 8), starts, starts_width
-        )
-    k = _zeta_k(codec)
-    payload = zeta_encode(gaps, k)
-    positions = np.zeros(gaps.shape[0] + 1, dtype=np.int64)
-    np.cumsum(zeta_value_nbits(gaps, k), out=positions[1:])
-    starts_width = bits_for_value(payload.nbits)
-    starts = pack_fixed(positions[local_indptr], starts_width)
-    return SegmentEncoding(codec, k, payload, starts, starts_width)
-
-
-def _measure(codec: str, gaps: np.ndarray, num_rows: int) -> int:
-    """Exact :attr:`SegmentEncoding.total_bits` of *gaps* under *codec*,
-    from the per-value code lengths alone — nothing is materialised."""
-    if codec == "fixed":
-        return gaps.shape[0] * bits_for_value(int(gaps.max()) if gaps.size else 0)
-    if codec == "varint":
-        nbytes = int(varint_nbytes(gaps).sum())
-        return 8 * nbytes + (num_rows + 1) * bits_for_value(nbytes)
-    nbits = int(zeta_value_nbits(gaps, _zeta_k(codec)).sum())
-    return nbits + (num_rows + 1) * bits_for_value(nbits)
+def _total_bits(codec: SegmentCodec, gaps: np.ndarray, num_rows: int) -> int:
+    """Exact :attr:`SegmentEncoding.total_bits` of *gaps* under *codec* —
+    nothing is materialised."""
+    nbits = codec.measure(gaps)
+    if not codec.starts_unit:
+        return nbits
+    return nbits + (num_rows + 1) * bits_for_value(nbits // codec.starts_unit)
 
 
 def encode_row_segment(gaps, local_indptr, candidates=None) -> SegmentEncoding:
@@ -167,7 +272,8 @@ def encode_row_segment(gaps, local_indptr, candidates=None) -> SegmentEncoding:
     based).  Sizes compare on :attr:`SegmentEncoding.total_bits` — the
     starts table counts against variable-length codecs, so a win must
     pay for its own index.  Ties keep the earlier candidate; only the
-    winner is encoded.
+    winner is encoded.  The record's extents start at row and field
+    zero (:func:`encode_row_segments` places it in its column).
     """
     gaps = np.asarray(gaps, dtype=np.uint64)
     local_indptr = np.asarray(local_indptr, dtype=np.int64)
@@ -175,10 +281,75 @@ def encode_row_segment(gaps, local_indptr, candidates=None) -> SegmentEncoding:
         raise ValidationError("local_indptr must be a non-empty 1-D array")
     if int(local_indptr[-1]) != gaps.shape[0]:
         raise ValidationError("local_indptr must end at len(gaps)")
-    names = resolve_codecs(candidates)
+    codecs = [segment_codec(name) for name in resolve_codecs(candidates)]
     rows = local_indptr.shape[0] - 1
-    sizes = [_measure(name, gaps, rows) for name in names] if len(names) > 1 else [0]
-    return _encode_one(names[sizes.index(min(sizes))], gaps, local_indptr)
+    sizes = [_total_bits(c, gaps, rows) for c in codecs] if len(codecs) > 1 else [0]
+    codec = codecs[sizes.index(min(sizes))]
+    enc_width, payload, ends = codec.encode(gaps)
+    starts, starts_width = None, 0
+    if ends is not None:
+        starts_width = bits_for_value(int(ends[-1]))
+        starts = pack_fixed(ends[local_indptr], starts_width)
+    return SegmentEncoding(
+        0, rows, 0, gaps.shape[0], codec.name, enc_width, payload, starts, starts_width
+    )
+
+
+def plan_row_segments(
+    indptr: np.ndarray, width: int, segment_bytes: int
+) -> list[tuple[int, int]]:
+    """Cut the edge column into ``(first_row, end_row)`` runs.
+
+    Greedy: each segment takes whole rows until its payload at *width*
+    bits per field would exceed ``segment_bytes`` — but always at least
+    one row, so a single row wider than the target still lands in one
+    (oversized) segment and never straddles files.  Runs in one
+    ``searchsorted`` per produced segment, not per row.
+    """
+    iptr = np.asarray(indptr, dtype=np.int64)
+    n = iptr.shape[0] - 1
+    budget_fields = max(1, (int(segment_bytes) * 8) // int(width))
+    plan: list[tuple[int, int]] = []
+    row = 0
+    while row < n:
+        # furthest row end whose cumulative fields fit in the budget
+        end = int(np.searchsorted(iptr, iptr[row] + budget_fields, side="right")) - 1
+        end = max(row + 1, min(end, n))
+        plan.append((row, end))
+        row = end
+    return plan
+
+
+def row_segments(indptr, fields_of, width: int, segment_bytes: int):
+    """Walk the :func:`plan_row_segments` plan of a column, yielding
+    ``(index, first_row, first_field, local_indptr, values)`` per segment.
+
+    *index* is the segment's place in the plan; an all-empty row run
+    keeps its index but is not yielded — there is nothing to store.
+    ``fields_of(f0, f1, local_indptr)`` supplies the column's fields
+    ``[f0, f1)`` (a CSR's ``indices`` slice, or the out-of-core
+    builder's temporary memmap, which sorts the rows *local_indptr*
+    delimits on the way out).
+    """
+    iptr = np.asarray(indptr, dtype=np.int64)
+    for index, (r0, r1) in enumerate(plan_row_segments(iptr, width, segment_bytes)):
+        f0, f1 = int(iptr[r0]), int(iptr[r1])
+        if f1 > f0:
+            local_indptr = iptr[r0 : r1 + 1] - f0
+            yield index, r0, f0, local_indptr, fields_of(f0, f1, local_indptr)
+
+
+def encode_row_segments(indptr, fields_of, width, segment_bytes, candidates=None):
+    """Plan, gap-transform and encode a column: ``(index, encoding)`` per
+    non-empty segment of :func:`row_segments`, each under the smallest
+    of *candidates* (:func:`encode_row_segment`) and carrying its
+    extents in the column."""
+    candidates = resolve_codecs(candidates)
+    for index, r0, f0, local_indptr, values in row_segments(
+        indptr, fields_of, width, segment_bytes
+    ):
+        enc = encode_row_segment(row_gaps(local_indptr, values), local_indptr, candidates)
+        yield index, replace(enc, first_row=r0, first_field=f0)
 
 
 def row_windows(
@@ -190,59 +361,12 @@ def row_windows(
 
     One field gather; a caller that also needs the windows itself (the
     disk store meters the pages they span) reads them once here and
-    hands them to :func:`decode_rows`.
+    hands them to its codec's ``decode``.
     """
     rows = np.asarray(rows, dtype=np.int64)
     ends = read_fields(starts, starts_width, np.concatenate([rows, rows + 1]))
     ends = ends.astype(np.int64)
     return ends[: rows.shape[0]], ends[rows.shape[0] :]
-
-
-def decode_rows(
-    codec: str,
-    payload: BitArray,
-    enc_width: int,
-    starts: BitArray | None,
-    starts_width: int,
-    rows,
-    degrees,
-    field_starts,
-    *,
-    windows: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode selected *rows* of one encoded segment, vectorised.
-
-    *rows* are segment-local row indices, *degrees* their lengths, and
-    *field_starts* their segment-local first-field indices (used by the
-    self-indexing ``fixed`` codec; the others consult their ``starts``
-    table, or take the rows' :func:`row_windows` ready-made through
-    *windows*).  Returns ``(values, offsets)`` with the gap transform
-    already undone — values are absolute neighbour ids as stored.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    degrees = np.asarray(degrees, dtype=np.int64)
-    if codec not in SEGMENT_CODECS:
-        known = ", ".join(SEGMENT_CODECS)
-        raise CodecError(f"unknown codec '{codec}' (known: {known}, auto)")
-    if codec == "fixed":
-        from ..csr.getrow import get_rows_gap_decoded
-
-        return get_rows_gap_decoded(payload, np.asarray(field_starts, dtype=np.int64),
-                                    degrees, enc_width)
-    if windows is None:
-        if starts is None:
-            raise CodecError(f"codec '{codec}' requires a row-starts table")
-        windows = row_windows(starts, starts_width, rows)
-    b0, b1 = windows
-    offsets = np.zeros(rows.shape[0] + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    if codec == "varint":
-        gaps = varint_decode(
-            payload.buffer[: payload.nbytes], int(offsets[-1]), windows=windows
-        )
-        return rows_from_gaps(offsets, gaps), offsets
-    gaps, offs = zeta_decode_rows(payload, b0, degrees, enc_width, bit_ends=b1)
-    return rows_from_gaps(offs, gaps), offs
 
 
 class SegmentArena:
@@ -258,7 +382,7 @@ class SegmentArena:
     """
 
     __slots__ = ("bits", "views", "codec", "enc_width", "starts_bit",
-                 "starts_width", "payload_bit", "payload_nbits")
+                 "starts_width", "payload_lo", "payload_hi")
 
     def __init__(self, segments):
         segments = list(segments)
@@ -270,7 +394,7 @@ class SegmentArena:
         cuts = np.zeros(2 * nseg + 1, dtype=np.int64)
         np.cumsum([p.shape[0] for p in parts], out=cuts[1:])
         self.bits = BitArray(buf, 8 * int(cuts[-1]))
-        self.starts_bit, self.payload_bit = 8 * cuts[:nseg], 8 * cuts[nseg:-1]
+        self.starts_bit = 8 * cuts[:nseg]
         self.views = [
             (
                 BitArray(buf[cuts[nseg + i] : cuts[nseg + i + 1]], s.payload.nbits),
@@ -281,12 +405,17 @@ class SegmentArena:
         ]
         table = np.asarray(
             [(SEGMENT_CODECS.index(s.codec), s.enc_width, s.starts_width,
-              s.payload.nbits) for s in segments],
+              s.payload.nbits, segment_codec(s.codec).starts_unit or 1)
+             for s in segments],
             dtype=np.int64,
-        ).reshape(nseg, 4)
-        self.codec, self.enc_width, self.starts_width, self.payload_nbits = (
+        ).reshape(nseg, 5)
+        self.codec, self.enc_width, self.starts_width, nbits, unit = (
             np.ascontiguousarray(table.T)
         )
+        # each payload's extent in the buffer, in the unit its codec's
+        # windows come in (payloads are byte aligned: the division is exact)
+        self.payload_lo = 8 * cuts[nseg:-1] // unit
+        self.payload_hi = self.payload_lo + nbits // unit
 
     def decode_gaps(self, seg, rows, degrees, fields) -> np.ndarray:
         """Gaps of the given non-empty rows, concatenated in their order.
@@ -308,33 +437,24 @@ class SegmentArena:
             )
         return gaps
 
-    def _decode(self, codec: int, seg, rows, degrees, fields) -> np.ndarray:
-        total = int(degrees.sum())
-        base, limit = self.payload_bit[seg], self.payload_nbits[seg]
-        if codec == 0:  # fixed: gap j of a row sits j fields after its first
-            width = self.enc_width[seg]
-            if ((fields + degrees) * width > limit).any():
-                raise CodecError("row runs past its segment's payload")
-            ends = np.cumsum(degrees)
-            ends -= degrees
-            widths = np.repeat(width, degrees)
-            bitpos = np.arange(total, dtype=np.int64)
-            bitpos *= widths
-            bitpos += np.repeat(base + (fields - ends) * width, degrees)
-            return _decode_at(self.bits, widths.view(np.uint64), bitpos)
-        # the row-starts table: byte offsets for varint, bit offsets for zeta
-        width = self.starts_width[seg]
-        at = self.starts_bit[seg] + rows * width
-        ends = _decode_at(
-            self.bits,
-            np.concatenate([width, width]).view(np.uint64),
-            np.concatenate([at, at + width]),
-        ).astype(np.int64)
-        b0, b1 = ends[: seg.shape[0]], ends[seg.shape[0] :]
-        if ((8 * b1 if codec == 1 else b1) > limit).any():
+    def _decode(self, index: int, seg, rows, degrees, fields) -> np.ndarray:
+        codec = _CODECS[SEGMENT_CODECS[index]]
+        width = self.enc_width[seg]
+        if codec.starts_unit:  # the rows' windows, from the row-starts table
+            starts_width = self.starts_width[seg]
+            at = self.starts_bit[seg] + rows * starts_width
+            ends = _decode_at(
+                self.bits,
+                np.concatenate([starts_width, starts_width]).view(np.uint64),
+                np.concatenate([at, at + starts_width]),
+            ).astype(np.int64)
+            lo = ends[: seg.shape[0]]
+            hi = ends[seg.shape[0] :]
+        else:  # self-indexing: gap j of a row sits j fields after its first
+            lo = fields * width
+            hi = lo + degrees * width
+        base = self.payload_lo[seg]
+        hi = base + hi
+        if (hi > self.payload_hi[seg]).any():
             raise CodecError("row window runs past its segment's payload")
-        if codec == 1:
-            base = base >> 3
-            return varint_decode(self.bits.buffer, total, windows=(base + b0, base + b1))
-        k = _zeta_k(SEGMENT_CODECS[codec])
-        return zeta_decode_rows(self.bits, base + b0, degrees, k, bit_ends=base + b1)[0]
+        return codec.decode(self.bits, base + lo, hi, degrees, width)

@@ -18,17 +18,17 @@ entropy instead of the global maximum gap width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from ..bitpack.bitarray import BitArray
-from ..bitpack.delta import row_gaps, rows_from_gaps
+from ..bitpack.delta import rows_from_gaps
 from ..bitpack.fixed import unpack_fixed
 from ..bitpack.segcodec import (
     SegmentArena,
-    encode_row_segment,
-    resolve_codecs,
+    SegmentEncoding,
+    encode_row_segments,
     row_windows,
 )
 from ..errors import ValidationError
@@ -37,29 +37,9 @@ from ..utils import bits_for_count, bits_for_value, human_bytes
 from .graph import CSRGraph
 from .packed import pack_array_parallel
 
-__all__ = ["CompactSegment", "CompactStore", "build_compact_csr"]
+__all__ = ["CompactStore", "build_compact_csr"]
 
 _DEFAULT_SEGMENT_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class CompactSegment:
-    """One row-aligned run of the edge column under its winning codec."""
-
-    first_row: int
-    num_rows: int
-    first_field: int
-    num_fields: int
-    codec: str
-    enc_width: int
-    payload: BitArray
-    starts: BitArray | None = None
-    starts_width: int = 0
-
-    @property
-    def total_bits(self) -> int:
-        """Payload plus row-starts-table bits."""
-        return self.payload.nbits + (self.starts.nbits if self.starts else 0)
 
 
 class CompactStore(BaseStore):
@@ -113,45 +93,28 @@ class CompactStore(BaseStore):
         """Gap-encode *graph* segment by segment, keeping the smallest codec.
 
         Segments are planned on the fixed-width footprint
-        (:func:`~repro.disk.format.plan_row_segments` at
-        ``bits_for_count(n)``), then each segment is measured under
-        every candidate in *codecs* (``None``/``"auto"`` → the default
-        candidate set) and tagged with the winner.
+        (``bits_for_count(n)`` bits per field), then
+        :func:`~repro.bitpack.segcodec.encode_row_segments` measures
+        each under every candidate in *codecs* (``None``/``"auto"`` →
+        the default candidate set) and tags it with the winner.
         """
-        from ..disk.format import plan_row_segments
-
         if graph.values is not None:
             raise ValidationError("compact stores hold unweighted graphs")
-        candidates = resolve_codecs(codecs)
         n, m = graph.num_nodes, graph.num_edges
         offset_width = bits_for_value(m)
         offsets = pack_array_parallel(
             graph.indptr, offset_width, executor, label="compact:iA"
         )
-        width_hint = bits_for_count(n)
-        segments = []
-        if m:
-            iptr = np.asarray(graph.indptr, dtype=np.int64)
-            for r0, r1 in plan_row_segments(iptr, width_hint, segment_bytes):
-                f0, f1 = int(iptr[r0]), int(iptr[r1])
-                if f1 == f0:
-                    continue  # all-empty row run: nothing to encode
-                local_indptr = iptr[r0 : r1 + 1] - f0
-                gaps = row_gaps(local_indptr, graph.indices[f0:f1])
-                enc = encode_row_segment(gaps, local_indptr, candidates)
-                segments.append(
-                    CompactSegment(
-                        first_row=r0,
-                        num_rows=r1 - r0,
-                        first_field=f0,
-                        num_fields=f1 - f0,
-                        codec=enc.codec,
-                        enc_width=enc.enc_width,
-                        payload=enc.payload,
-                        starts=enc.starts,
-                        starts_width=enc.starts_width,
-                    )
-                )
+        segments = [
+            enc
+            for _, enc in encode_row_segments(
+                graph.indptr,
+                lambda f0, f1, _: graph.indices[f0:f1],
+                bits_for_count(n),
+                segment_bytes,
+                codecs,
+            )
+        ]
         return cls(n, m, offsets, offset_width, segments)
 
     # -- protocol surface -----------------------------------------------
@@ -295,7 +258,7 @@ class CompactStore(BaseStore):
                 BitArray(data[f"{p}starts"], starts_nbits) if starts_nbits else None
             )
             segments.append(
-                CompactSegment(
+                SegmentEncoding(
                     first_row=int(meta[0]),
                     num_rows=int(meta[1]),
                     first_field=int(meta[2]),

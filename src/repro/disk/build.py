@@ -28,7 +28,12 @@ import numpy as np
 
 from ..bitpack.delta import row_gaps
 from ..bitpack.fixed import pack_fixed, unpack_fixed, unpack_slice
-from ..bitpack.segcodec import SegmentEncoding, encode_row_segment, resolve_codecs
+from ..bitpack.segcodec import (
+    SegmentEncoding,
+    encode_row_segments,
+    resolve_codecs,
+    row_segments,
+)
 from ..csr.io import binary_edge_list_info, iter_edge_list_binary
 from ..errors import DiskFormatError, ValidationError
 from ..parallel.machine import Executor, SerialExecutor
@@ -42,7 +47,6 @@ from .format import (
     Manifest,
     Segment,
     plan_field_segments,
-    plan_row_segments,
 )
 from .store import DiskStore
 
@@ -54,27 +58,44 @@ _TMP_COLUMNS = "columns.tmp"
 def _prepare_directory(path) -> Path:
     """Create (or clear) a store directory; refuse foreign content.
 
-    An existing directory is reused only when it already *is* a disk
-    store (has a manifest) — its manifest, segment files, and stale
-    build temporaries are removed first.  A non-empty directory without
-    a manifest is refused so a typo'd path cannot clobber user data.
+    An existing directory is reused when it already *is* a disk store
+    (has a manifest), or when every entry is a builder-owned name
+    (segment files, the build temporary): a build that died before its
+    manifest was written.  The builder-owned names are removed first.
+    A directory with no manifest that holds anything else is refused so
+    a typo'd path cannot clobber user data.
     """
     directory = Path(path)
     if directory.exists() and not directory.is_dir():
         raise DiskFormatError(f"{directory}: not a directory")
     directory.mkdir(parents=True, exist_ok=True)
     entries = sorted(p.name for p in directory.iterdir())
-    if not entries:
-        return directory
-    if MANIFEST_NAME not in entries and _TMP_COLUMNS not in entries:
+    owned = [
+        name for name in entries
+        if name in (MANIFEST_NAME, _TMP_COLUMNS) or name.endswith(".seg")
+    ]
+    if MANIFEST_NAME not in entries and len(owned) < len(entries):
         raise DiskFormatError(
-            f"{directory}: directory is not empty and holds no {MANIFEST_NAME}; "
-            "refusing to overwrite"
+            f"{directory}: directory holds no {MANIFEST_NAME} and files that are "
+            "not a disk store's; refusing to overwrite"
         )
-    for name in entries:
-        if name == MANIFEST_NAME or name == _TMP_COLUMNS or name.endswith(".seg"):
-            (directory / name).unlink()
+    for name in owned:
+        (directory / name).unlink()
     return directory
+
+
+def _write_chunks(path: Path, chunks) -> tuple[int, int]:
+    """Stream *chunks* (bit arrays of whole bytes) into the file *path*;
+    returns ``(nbytes, crc32)`` of what was written."""
+    crc = 0
+    nbytes = 0
+    with open(path, "wb") as fh:
+        for bits in chunks:
+            payload = bits.buffer[: bits.nbytes].tobytes()
+            fh.write(payload)
+            crc = zlib.crc32(payload, crc)
+            nbytes += len(payload)
+    return nbytes, crc
 
 
 # Packed bits emitted per pack_fixed slice while writing a segment, so
@@ -85,7 +106,7 @@ def _prepare_directory(path) -> Path:
 _PACK_STREAM_BITS = 1 << 17
 
 
-def _write_segment(
+def _write_packed(
     directory: Path,
     filename: str,
     values: np.ndarray,
@@ -97,15 +118,11 @@ def _write_segment(
 ) -> Segment:
     """Pack *values* from bit 0, write the file, return its table entry."""
     step = max(8, (_PACK_STREAM_BITS // width) & ~7)
-    crc = 0
-    nbytes = 0
-    with open(directory / filename, "wb") as fh:
-        for lo in range(0, values.shape[0], step):
-            bits = pack_fixed(values[lo : lo + step], width)
-            payload = bits.buffer[: bits.nbytes].tobytes()
-            fh.write(payload)
-            crc = zlib.crc32(payload, crc)
-            nbytes += len(payload)
+    nbytes, crc = _write_chunks(
+        directory / filename,
+        (pack_fixed(values[lo : lo + step], width)
+         for lo in range(0, values.shape[0], step)),
+    )
     return Segment(
         filename=filename,
         first_field=int(first_field),
@@ -117,37 +134,23 @@ def _write_segment(
     )
 
 
-def _write_encoded_segment(
-    directory: Path,
-    filename: str,
-    enc: SegmentEncoding,
-    *,
-    first_field: int,
-    num_fields: int,
-    first_row: int,
-    num_rows: int,
-) -> Segment:
+def _write_encoded(directory: Path, filename: str, enc: SegmentEncoding) -> Segment:
     """Write one adaptively encoded segment: [starts table][payload].
 
     The row-starts table (when the codec needs one) occupies the file's
     first ``starts_nbytes`` bytes so the store can map both regions
     from a single file handle.
     """
-    crc = 0
-    nbytes = 0
-    parts = ([enc.starts] if enc.starts is not None else []) + [enc.payload]
-    with open(directory / filename, "wb") as fh:
-        for bits in parts:
-            payload = bits.buffer[: bits.nbytes].tobytes()
-            fh.write(payload)
-            crc = zlib.crc32(payload, crc)
-            nbytes += len(payload)
+    nbytes, crc = _write_chunks(
+        directory / filename,
+        [bits for bits in (enc.starts, enc.payload) if bits is not None],
+    )
     return Segment(
         filename=filename,
-        first_field=int(first_field),
-        num_fields=int(num_fields),
-        first_row=int(first_row),
-        num_rows=int(num_rows),
+        first_field=int(enc.first_field),
+        num_fields=int(enc.num_fields),
+        first_row=int(enc.first_row),
+        num_rows=int(enc.num_rows),
         nbytes=nbytes,
         crc32=crc,
         codec=enc.codec,
@@ -167,7 +170,7 @@ def _write_perm_segment(directory: Path, perm, num_nodes: int) -> Segment:
     if not seen.all():
         raise ValidationError("perm must be a permutation of range(n)")
     width = bits_for_count(num_nodes)
-    seg = _write_segment(
+    seg = _write_packed(
         directory,
         "perm.seg",
         arr.astype(np.uint64),
@@ -183,28 +186,84 @@ def _write_offset_segments(
     directory: Path, indptr: np.ndarray, offset_width: int, segment_bytes: int
 ) -> list[Segment]:
     """Segment and write the packed ``iA`` column."""
-    segments = []
-    for i, (lo, hi) in enumerate(
-        plan_field_segments(indptr.shape[0], offset_width, segment_bytes)
-    ):
-        segments.append(
-            _write_segment(
-                directory,
-                f"offsets-{i:05d}.seg",
-                indptr[lo:hi].astype(np.uint64),
-                offset_width,
-                first_field=lo,
-                first_row=lo,
-                num_rows=hi - lo,
-            )
+    return [
+        _write_packed(
+            directory,
+            f"offsets-{i:05d}.seg",
+            indptr[lo:hi].astype(np.uint64),
+            offset_width,
+            first_field=lo,
+            first_row=lo,
+            num_rows=hi - lo,
         )
-    return segments
+        for i, (lo, hi) in enumerate(
+            plan_field_segments(indptr.shape[0], offset_width, segment_bytes)
+        )
+    ]
 
 
-def _local_gaps(indptr: np.ndarray, r0: int, r1: int, vals: np.ndarray) -> np.ndarray:
-    """Row-gap transform of one segment's rows (chain resets per row)."""
-    local_iptr = indptr[r0 : r1 + 1] - indptr[r0]
-    return row_gaps(local_iptr, vals)
+def _write_columns(
+    directory: Path,
+    indptr: np.ndarray,
+    fields_of,
+    width: int,
+    segment_bytes: int,
+    candidates,
+    gap_transform: bool = False,
+) -> list[Segment]:
+    """Segment and write the ``jA`` column from a ``fields_of`` source
+    (see :func:`~repro.bitpack.segcodec.row_segments`).
+
+    With *candidates* each segment is gap-transformed and stored under
+    the smallest of them; without, its fields are packed at *width* as
+    they come (after the row-gap transform when *gap_transform*).  An
+    all-empty row run writes no file but keeps its number.
+    """
+    name = "columns-{:05d}.seg".format
+    if candidates is not None:
+        return [
+            _write_encoded(directory, name(i), enc)
+            for i, enc in encode_row_segments(
+                indptr, fields_of, width, segment_bytes, candidates
+            )
+        ]
+    return [
+        _write_packed(
+            directory,
+            name(i),
+            row_gaps(local_indptr, values) if gap_transform else values,
+            width,
+            first_field=f0,
+            first_row=r0,
+            num_rows=local_indptr.shape[0] - 1,
+        )
+        for i, r0, f0, local_indptr, values in row_segments(
+            indptr, fields_of, width, segment_bytes
+        )
+    ]
+
+
+def _write_manifest(
+    directory: Path, n, m, offset_width, column_width, gap_encoded,
+    segment_bytes, offsets, columns, ordering="natural", perm=None,
+) -> DiskStore:
+    """Write the manifest — last, so a crashed build never looks like a
+    valid store — and open the finished directory."""
+    manifest = Manifest(
+        version=FORMAT_VERSION,
+        num_nodes=n,
+        num_edges=m,
+        offset_width=offset_width,
+        column_width=column_width,
+        gap_encoded=gap_encoded,
+        segment_bytes=int(segment_bytes),
+        offsets=tuple(offsets),
+        columns=tuple(columns),
+        ordering=ordering,
+        perm=perm,
+    )
+    manifest.save(directory)
+    return DiskStore(directory, manifest)
 
 
 def write_disk_store(
@@ -247,71 +306,27 @@ def write_disk_store(
     offset_segments = _write_offset_segments(
         directory, indptr, packed.offset_width, segment_bytes
     )
-    column_segments = []
     if candidates is None:
-        column_width = packed.column_width
-        gap_encoded = packed.gap_encoded
-        for i, (r0, r1) in enumerate(
-            plan_row_segments(indptr, packed.column_width, segment_bytes)
-        ):
-            f0, f1 = int(indptr[r0]), int(indptr[r1])
-            if f1 == f0:
-                continue  # all-empty row run: nothing to store, no file
-            column_segments.append(
-                _write_segment(
-                    directory,
-                    f"columns-{i:05d}.seg",
-                    unpack_slice(packed.columns, packed.column_width, f0, f1 - f0),
-                    packed.column_width,
-                    first_field=f0,
-                    first_row=r0,
-                    num_rows=r1 - r0,
-                )
-            )
+        column_width, gap_encoded = packed.column_width, packed.gap_encoded
+
+        def fields_of(f0, f1, _):
+            return unpack_slice(packed.columns, column_width, f0, f1 - f0)
     else:
         # adaptive path: decode once, gap-transform and measure per segment
-        graph = packed.to_csr()
-        column_width = bits_for_count(n)
-        gap_encoded = True
-        for i, (r0, r1) in enumerate(
-            plan_row_segments(indptr, column_width, segment_bytes)
-        ):
-            f0, f1 = int(indptr[r0]), int(indptr[r1])
-            if f1 == f0:
-                continue
-            vals = graph.indices[f0:f1].astype(np.uint64)
-            local_iptr = indptr[r0 : r1 + 1] - f0
-            enc = encode_row_segment(row_gaps(local_iptr, vals), local_iptr, candidates)
-            column_segments.append(
-                _write_encoded_segment(
-                    directory,
-                    f"columns-{i:05d}.seg",
-                    enc,
-                    first_field=f0,
-                    num_fields=f1 - f0,
-                    first_row=r0,
-                    num_rows=r1 - r0,
-                )
-            )
+        indices = packed.to_csr().indices
+        column_width, gap_encoded = bits_for_count(n), True
 
-    perm_segment = (
-        _write_perm_segment(directory, perm, n) if perm is not None else None
+        def fields_of(f0, f1, _):
+            return indices[f0:f1]
+    column_segments = _write_columns(
+        directory, indptr, fields_of, column_width, segment_bytes, candidates
     )
-    manifest = Manifest(
-        version=FORMAT_VERSION,
-        num_nodes=n,
-        num_edges=m,
-        offset_width=packed.offset_width,
-        column_width=column_width,
-        gap_encoded=gap_encoded,
-        segment_bytes=int(segment_bytes),
-        offsets=tuple(offset_segments),
-        columns=tuple(column_segments),
-        ordering=str(ordering),
-        perm=perm_segment,
+
+    return _write_manifest(
+        directory, n, m, packed.offset_width, column_width, gap_encoded,
+        segment_bytes, offset_segments, column_segments, str(ordering),
+        _write_perm_segment(directory, perm, n) if perm is not None else None,
     )
-    manifest.save(directory)
-    return DiskStore(directory, manifest)
 
 
 def pack_disk_store(
@@ -450,6 +465,13 @@ def build_disk_store(
         tmp[cursors[ssrc] + ranks] = sdst
         cursors[uniq] += counts
 
+    def tmp_fields(sort_rows: bool):
+        def fields_of(f0, f1, local_indptr):
+            vals = np.array(tmp[f0:f1], dtype=np.uint64)
+            return sort_within_rows(local_indptr, vals) if sort_rows else vals
+
+        return fields_of
+
     # Column width.  Gap mode needs the global maximum gap, which only
     # exists after per-row sorting — one extra segment-bounded pass that
     # sorts each row in place (in the temporary) and records the max.
@@ -459,16 +481,12 @@ def build_disk_store(
         sort_in_pack = True
     elif gap_encode:
         max_gap = 0
-        for r0, r1 in plan_row_segments(indptr, bits_for_count(n), segment_bytes):
-            f0, f1 = int(indptr[r0]), int(indptr[r1])
-            if f1 == f0:
-                continue
-            vals = np.array(tmp[f0:f1], dtype=np.uint64)
+        for _, _, f0, local_indptr, vals in row_segments(
+            indptr, tmp_fields(sort), bits_for_count(n), segment_bytes
+        ):
             if sort:
-                vals = sort_within_rows(indptr[r0 : r1 + 1], vals)
-                tmp[f0:f1] = vals
-            gaps = _local_gaps(indptr, r0, r1, vals)
-            max_gap = max(max_gap, int(gaps.max()))
+                tmp[f0 : f0 + vals.shape[0]] = vals
+            max_gap = max(max_gap, int(row_gaps(local_indptr, vals).max()))
         column_width = bits_for_value(max_gap) if m else 1
         sort_in_pack = False  # rows already sorted in the temporary
     else:
@@ -479,59 +497,15 @@ def build_disk_store(
     offset_segments = _write_offset_segments(
         directory, indptr, offset_width, segment_bytes
     )
-    column_segments = []
-    for i, (r0, r1) in enumerate(
-        plan_row_segments(indptr, column_width, segment_bytes)
-    ):
-        f0, f1 = int(indptr[r0]), int(indptr[r1])
-        if f1 == f0:
-            continue
-        vals = np.array(tmp[f0:f1], dtype=np.uint64)
-        if sort_in_pack:
-            vals = sort_within_rows(indptr[r0 : r1 + 1], vals)
-        if candidates is not None:
-            local_iptr = indptr[r0 : r1 + 1] - f0
-            enc = encode_row_segment(
-                row_gaps(local_iptr, vals), local_iptr, candidates
-            )
-            column_segments.append(
-                _write_encoded_segment(
-                    directory,
-                    f"columns-{i:05d}.seg",
-                    enc,
-                    first_field=f0,
-                    num_fields=f1 - f0,
-                    first_row=r0,
-                    num_rows=r1 - r0,
-                )
-            )
-            continue
-        if gap_encode:
-            vals = _local_gaps(indptr, r0, r1, vals)
-        column_segments.append(
-            _write_segment(
-                directory,
-                f"columns-{i:05d}.seg",
-                vals,
-                column_width,
-                first_field=f0,
-                first_row=r0,
-                num_rows=r1 - r0,
-            )
-        )
+    column_segments = _write_columns(
+        directory, indptr, tmp_fields(sort_in_pack), column_width, segment_bytes,
+        candidates, gap_transform=gap_encode,
+    )
     del tmp  # release the mapping before unlinking the file
     tmp_path.unlink()
 
-    manifest = Manifest(
-        version=FORMAT_VERSION,
-        num_nodes=n,
-        num_edges=m,
-        offset_width=offset_width,
-        column_width=column_width,
-        gap_encoded=bool(gap_encode) or candidates is not None,
-        segment_bytes=int(segment_bytes),
-        offsets=tuple(offset_segments),
-        columns=tuple(column_segments),
+    return _write_manifest(
+        directory, n, m, offset_width, column_width,
+        bool(gap_encode) or candidates is not None, segment_bytes,
+        offset_segments, column_segments,
     )
-    manifest.save(directory)
-    return DiskStore(directory, manifest)

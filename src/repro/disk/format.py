@@ -26,10 +26,7 @@ import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import DiskFormatError
-from ..utils import ceil_div
 
 __all__ = [
     "FORMAT_VERSION",
@@ -41,8 +38,6 @@ __all__ = [
     "Manifest",
     "file_crc32",
     "plan_field_segments",
-    "plan_row_segments",
-    "segment_nbytes",
 ]
 
 # Version 2 added per-segment codec tags (``codec``/``enc_width``/
@@ -235,33 +230,3 @@ def plan_field_segments(
         (lo, min(lo + per_seg, num_fields))
         for lo in range(0, num_fields, per_seg)
     ]
-
-
-def plan_row_segments(
-    indptr: np.ndarray, width: int, segment_bytes: int
-) -> list[tuple[int, int]]:
-    """Cut the edge column into ``(first_row, end_row)`` runs.
-
-    Greedy: each segment takes whole rows until its packed payload
-    would exceed ``segment_bytes`` — but always at least one row, so a
-    single row wider than the target still lands in one (oversized)
-    segment and never straddles files.  Runs in one ``searchsorted``
-    per produced segment, not per row.
-    """
-    iptr = np.asarray(indptr, dtype=np.int64)
-    n = iptr.shape[0] - 1
-    budget_fields = max(1, (int(segment_bytes) * 8) // int(width))
-    plan: list[tuple[int, int]] = []
-    row = 0
-    while row < n:
-        # furthest row end whose cumulative fields fit in the budget
-        end = int(np.searchsorted(iptr, iptr[row] + budget_fields, side="right")) - 1
-        end = max(row + 1, min(end, n))
-        plan.append((row, end))
-        row = end
-    return plan
-
-
-def segment_nbytes(num_fields: int, width: int) -> int:
-    """Exact file size of a segment holding *num_fields* packed fields."""
-    return ceil_div(int(num_fields) * int(width), 8)

@@ -3,8 +3,8 @@
 :class:`DiskStore` satisfies the :class:`~repro.query.stores.GraphStore`
 protocol against a store *directory* (see :mod:`repro.disk.format`)
 without ever materialising the graph: each packed segment file is
-``np.memmap``-ed lazily on first touch, and the decode kernels
-(:func:`~repro.csr.getrow.get_rows_from_csr` and friends) read only the
+``np.memmap``-ed lazily on first touch, and the decode kernels (each
+segment's :mod:`~repro.bitpack.segcodec` table entry) read only the
 byte windows of the rows a query asks for — the OS faults in just
 those pages.  This is the selective-loading design of systems like
 swh-graph and ParaGrapher, applied to the paper's packed CSR.
@@ -27,10 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from ..bitpack.bitarray import BitArray
+from ..bitpack.delta import rows_from_gaps
 from ..bitpack.fixed import read_fields, unpack_fixed
-from ..bitpack.segcodec import decode_rows as _decode_codec_rows
-from ..bitpack.segcodec import row_windows
-from ..csr.getrow import get_rows_from_csr, get_rows_gap_decoded
+from ..bitpack.segcodec import row_windows, segment_codec
 from ..errors import QueryError
 from ..query.stores import BaseStore
 from ..utils import human_bytes
@@ -146,29 +145,30 @@ class DiskStore(BaseStore):
         return ba
 
     def _column_parts(self, s: int) -> tuple:
-        """Map column segment *s*: ``(payload, starts-or-None)`` bit arrays.
+        """Map column segment *s*: its codec's table entry and the
+        ``(payload, starts-or-None)`` bit arrays.
 
-        Fixed segments are one contiguous packed field stream.  Codec
-        segments (format v2) store their packed row-starts table in the
-        file's first ``starts_nbytes`` bytes and the variable-length
+        A self-indexing segment is one contiguous packed field stream.
+        A codec with a row-starts table (format v2) stores it packed in
+        the file's first ``starts_nbytes`` bytes and the variable-length
         payload after it; both views share one mapping.
         """
         cached = self._col_maps[s]
         if cached is None:
             seg = self.manifest.columns[s]
+            codec = segment_codec(seg.codec)
             mm = np.memmap(self.path / seg.filename, dtype=np.uint8, mode="r")
-            if seg.codec == "fixed":
-                width = seg.enc_width or self.column_width
-                cached = (BitArray(mm, seg.num_fields * width), None)
-            else:
+            if codec.starts_unit:
                 starts = BitArray(
                     mm[: seg.starts_nbytes], (seg.num_rows + 1) * seg.starts_width
                 )
                 payload = BitArray(
                     mm[seg.starts_nbytes :], (seg.nbytes - seg.starts_nbytes) * 8
                 )
-                cached = (payload, starts)
-            self._col_maps[s] = cached
+            else:
+                width = seg.enc_width or self.column_width
+                payload, starts = BitArray(mm, seg.num_fields * width), None
+            cached = self._col_maps[s] = (codec, payload, starts)
         return cached
 
     def mapped_segments(self) -> int:
@@ -252,8 +252,8 @@ class DiskStore(BaseStore):
         self._flush_pages()
         return int(pair[1]) - int(pair[0])
 
-    def degrees(self) -> np.ndarray:
-        """Degree of every node as an ``int64`` array (full offset scan)."""
+    def _all_offsets(self) -> np.ndarray:
+        """The whole ``iA`` column (``uint64``, ``n + 1`` entries), metered."""
         parts = []
         for s, seg in enumerate(self.manifest.offsets):
             parts.append(
@@ -266,8 +266,11 @@ class DiskStore(BaseStore):
                 self.offset_width,
             )
         self._flush_pages()
-        offs = np.concatenate(parts) if parts else np.zeros(1, dtype=np.uint64)
-        return np.diff(offs).astype(np.int64)
+        return np.concatenate(parts) if parts else np.zeros(1, dtype=np.uint64)
+
+    def degrees(self) -> np.ndarray:
+        """Degree of every node as an ``int64`` array (full offset scan)."""
+        return np.diff(self._all_offsets()).astype(np.int64)
 
     # -- row (jA) decoding ----------------------------------------------
     @property
@@ -294,58 +297,45 @@ class DiskStore(BaseStore):
         # segments are visited in ascending order and hold ascending row
         # ranges, so the decoded chunks concatenate in *uniq* order
         chunks: list[np.ndarray] = []
-        if self._col_first_row.size:
-            seg = np.searchsorted(self._col_first_row, uniq, side="right") - 1
-        else:
-            seg = np.zeros(uniq.shape[0], dtype=np.int64)
+        seg = np.searchsorted(self._col_first_row, uniq, side="right") - 1
         seg = np.where(degrees > 0, seg, np.int64(-1))
         for s in np.unique(seg):
             if s < 0:
                 continue  # empty rows decode nothing
             spec = self.manifest.columns[int(s)]
             pos = np.flatnonzero(seg == s)
-            local = starts[pos] - self._col_first_field[s]
+            counts = degrees[pos]
             file_id = len(self.manifest.offsets) + int(s)
-            payload, seg_starts = self._column_parts(int(s))
-            if spec.codec == "fixed":
-                width = spec.enc_width or self.column_width
-                if self.gap_encoded or spec.enc_width:
-                    flat_s, _ = get_rows_gap_decoded(
-                        payload, local, degrees[pos], width
-                    )
-                else:
-                    flat_s, _ = get_rows_from_csr(
-                        payload, local, degrees[pos], width
-                    )
-                self._record_pages(file_id, local, degrees[pos], width)
-            else:
+            codec, payload, seg_starts = self._column_parts(int(s))
+            # the rows' payload windows, in the codec's unit: read once,
+            # they serve both the decode and the metering of its pages
+            if codec.starts_unit:
                 rows = uniq[pos] - spec.first_row
-                # one read of the starts table serves both the decode
-                # and the metering of the payload windows it reads
-                b0, b1 = row_windows(seg_starts, spec.starts_width, rows)
-                flat_s, _ = _decode_codec_rows(
-                    spec.codec,
-                    payload,
-                    spec.enc_width,
-                    seg_starts,
-                    spec.starts_width,
-                    rows,
-                    degrees[pos],
-                    local,
-                    windows=(b0, b1),
-                )
+                lo, hi = row_windows(seg_starts, spec.starts_width, rows)
                 self._record_pages(
                     file_id, rows, np.full(rows.shape[0], 2, np.int64),
                     spec.starts_width,
                 )
                 pay_base = spec.starts_nbytes * 8
-                if spec.codec == "varint":
-                    lo_bits = pay_base + b0 * 8
-                    hi_bits = pay_base + b1 * 8 - 1
-                else:
-                    lo_bits = pay_base + b0
-                    hi_bits = pay_base + b1 - 1
-                self._record_bit_windows(file_id, lo_bits, hi_bits)
+                self._record_bit_windows(
+                    file_id,
+                    pay_base + lo * codec.starts_unit,
+                    pay_base + hi * codec.starts_unit - 1,
+                )
+                width, undo_gaps = spec.enc_width, True
+            else:
+                # a v1 segment carries no width of its own: the manifest's
+                # column width, gap-encoded or not as the manifest says
+                width = spec.enc_width or self.column_width
+                lo = (starts[pos] - self._col_first_field[s]) * width
+                hi = lo + counts * width
+                self._record_bit_windows(file_id, lo, hi - 1)
+                undo_gaps = self.gap_encoded or spec.enc_width
+            flat_s = codec.decode(payload, lo, hi, counts, width)
+            if undo_gaps:
+                local_offs = np.zeros(pos.shape[0] + 1, dtype=np.int64)
+                np.cumsum(counts, out=local_offs[1:])
+                flat_s = rows_from_gaps(local_offs, flat_s)
             chunks.append(flat_s)
         self._flush_pages()
         src_flat = (
@@ -433,35 +423,9 @@ class DiskStore(BaseStore):
         """
         from ..csr.graph import CSRGraph
 
-        parts = [
-            unpack_fixed(self._offset_bits(s), seg.num_fields, self.offset_width)
-            for s, seg in enumerate(self.manifest.offsets)
-        ]
-        indptr = (
-            np.concatenate(parts) if parts else np.zeros(1, dtype=np.uint64)
-        ).astype(np.int64)
-        uniform = all(
-            seg.codec == "fixed" and seg.enc_width == 0
-            for seg in self.manifest.columns
-        )
-        if not uniform:
-            # adaptive segments: decode through the codec dispatch
-            flat, _ = self.neighbors_batch(
-                np.arange(self.num_nodes, dtype=np.int64)
-            )
-            return CSRGraph(indptr, flat.astype(np.int64), None, validate=False)
-        payload = [
-            unpack_fixed(self._column_parts(s)[0], seg.num_fields, self.column_width)
-            for s, seg in enumerate(self.manifest.columns)
-        ]
-        fields = (
-            np.concatenate(payload) if payload else np.zeros(0, dtype=np.uint64)
-        )
-        if self.gap_encoded:
-            from ..bitpack.delta import rows_from_gaps
-
-            fields = rows_from_gaps(indptr, fields)
-        return CSRGraph(indptr, fields.astype(np.int64), None, validate=False)
+        indptr = self._all_offsets().astype(np.int64)
+        flat, _ = self.neighbors_batch(np.arange(self.num_nodes, dtype=np.int64))
+        return CSRGraph(indptr, flat.astype(np.int64), None, validate=False)
 
     def __repr__(self) -> str:
         return (

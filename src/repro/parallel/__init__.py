@@ -1,4 +1,4 @@
-"""Parallel execution substrate: executors, chunking, scan, reductions.
+"""Parallel execution substrate: executors, chunking, scan, sort.
 
 The paper's machine is a 32-core shared-memory box; ours is whatever
 executes the :class:`Executor` interface — a serial inliner, a thread
@@ -11,10 +11,8 @@ from .chunking import (
     aligned_chunks,
     balance_ratio,
     chunk_bounds,
-    chunk_of_index,
     edge_balanced_row_bounds,
     even_chunks,
-    split_array,
 )
 from .cost import Cost, CostAccumulator, CostModel, DEFAULT_COST_MODEL
 from .machine import (
@@ -25,11 +23,9 @@ from .machine import (
     TaskContext,
     ThreadExecutor,
 )
-from .reduce import chunked_any, chunked_max, chunked_reduce, chunked_sum
-from .sort import parallel_argsort, parallel_sort
+from .sort import parallel_sort
 from .scan import (
     exclusive_from_inclusive,
-    exclusive_scan_parallel,
     prefix_sum_parallel,
     prefix_sum_serial,
 )
@@ -39,10 +35,8 @@ __all__ = [
     "aligned_chunks",
     "balance_ratio",
     "chunk_bounds",
-    "chunk_of_index",
     "edge_balanced_row_bounds",
     "even_chunks",
-    "split_array",
     "Cost",
     "CostAccumulator",
     "CostModel",
@@ -53,14 +47,8 @@ __all__ = [
     "SimulatedMachine",
     "TaskContext",
     "ThreadExecutor",
-    "chunked_any",
-    "chunked_max",
-    "chunked_reduce",
-    "chunked_sum",
     "exclusive_from_inclusive",
-    "exclusive_scan_parallel",
     "prefix_sum_parallel",
     "prefix_sum_serial",
-    "parallel_argsort",
     "parallel_sort",
 ]

@@ -22,7 +22,6 @@ __all__ = [
     "chunk_bounds",
     "aligned_chunks",
     "edge_balanced_row_bounds",
-    "chunk_of_index",
 ]
 
 
@@ -129,19 +128,6 @@ def edge_balanced_row_bounds(indptr: np.ndarray, p: int) -> np.ndarray:
     bounds[0] = 0
     bounds[-1] = n
     return np.minimum(bounds, n)
-
-
-def chunk_of_index(bounds: np.ndarray, index: int) -> int:
-    """Which chunk of *bounds* (from :func:`chunk_bounds`) holds *index*."""
-    n = int(bounds[-1])
-    require(0 <= index < n, f"index {index} out of range for length {n}")
-    return int(np.searchsorted(bounds, index, side="right")) - 1
-
-
-def split_array(arr: np.ndarray, p: int) -> list[np.ndarray]:
-    """Views of *arr* for each balanced chunk (no copies)."""
-    bounds = chunk_bounds(len(arr), p)
-    return [arr[bounds[i] : bounds[i + 1]] for i in range(p)]
 
 
 def balance_ratio(chunks: Sequence[Chunk]) -> float:

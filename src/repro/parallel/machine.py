@@ -191,7 +191,9 @@ class SerialExecutor(Executor):
         super().__init__(p)
         self._elapsed = 0.0
 
-    def parallel(self, tasks: Sequence[Task], *, label: str = "") -> list:
+    def _inline(self, tasks: Sequence[Task], label: str) -> list:
+        """Run *tasks* in order on the calling thread, timed and
+        cost-observed as one phase."""
         start = time.perf_counter_ns()
         acc = CostAccumulator() if self.cost_observer is not None else None
         results = [
@@ -203,17 +205,14 @@ class SerialExecutor(Executor):
             self._observe_cost(label, acc.total)
         return results
 
+    def parallel(self, tasks: Sequence[Task], *, label: str = "") -> list:
+        return self._inline(tasks, label)
+
     def locked(self, tasks: Sequence[Task], *, label: str = "") -> list:
-        return self.parallel(tasks, label=label)
+        return self._inline(tasks, label)
 
     def serial(self, task: Task, *, label: str = "") -> Any:
-        start = time.perf_counter_ns()
-        acc = CostAccumulator() if self.cost_observer is not None else None
-        result = task(TaskContext(0, self.p, acc))
-        self._elapsed += time.perf_counter_ns() - start
-        if acc is not None:
-            self._observe_cost(label, acc.total)
-        return result
+        return self._inline((task,), label)[0]
 
     def elapsed_ns(self) -> float:
         return self._elapsed
@@ -223,19 +222,19 @@ class SerialExecutor(Executor):
         self._elapsed = 0.0
 
 
-class ThreadExecutor(Executor):
+class ThreadExecutor(SerialExecutor):
     """Runs parallel phases on a shared :class:`ThreadPoolExecutor`.
 
-    Locked sections run sequentially on the calling thread, matching the
-    paper's lock semantics (one processor in the section at a time, in
-    chunk order — the carry propagation of Algorithm 1 is order-
-    dependent, so we serialise deterministically rather than racing).
+    Locked and serial sections run inline on the calling thread (the
+    :class:`SerialExecutor` it extends), matching the paper's lock
+    semantics (one processor in the section at a time, in chunk order —
+    the carry propagation of Algorithm 1 is order-dependent, so we
+    serialise deterministically rather than racing).
     """
 
     def __init__(self, p: int):
         super().__init__(p)
         self._pool = ThreadPoolExecutor(max_workers=self.p, thread_name_prefix="repro")
-        self._elapsed = 0.0
 
     def parallel(self, tasks: Sequence[Task], *, label: str = "") -> list:
         start = time.perf_counter_ns()
@@ -256,34 +255,6 @@ class ThreadExecutor(Executor):
                 total = total + acc.total
             self._observe_cost(label, total)
         return results
-
-    def locked(self, tasks: Sequence[Task], *, label: str = "") -> list:
-        start = time.perf_counter_ns()
-        acc = CostAccumulator() if self.cost_observer is not None else None
-        results = [
-            task(TaskContext(i % self.p, self.p, acc))
-            for i, task in enumerate(tasks)
-        ]
-        self._elapsed += time.perf_counter_ns() - start
-        if acc is not None:
-            self._observe_cost(label, acc.total)
-        return results
-
-    def serial(self, task: Task, *, label: str = "") -> Any:
-        start = time.perf_counter_ns()
-        acc = CostAccumulator() if self.cost_observer is not None else None
-        result = task(TaskContext(0, self.p, acc))
-        self._elapsed += time.perf_counter_ns() - start
-        if acc is not None:
-            self._observe_cost(label, acc.total)
-        return result
-
-    def elapsed_ns(self) -> float:
-        return self._elapsed
-
-    def reset(self) -> None:
-        """Zero the accumulator."""
-        self._elapsed = 0.0
 
     def shutdown(self) -> None:
         """Stop the worker threads (idempotent)."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from ..utils import as_int_array
 from .chunking import chunk_bounds
 from .cost import Cost
 from .machine import Executor, SerialExecutor, TaskContext
@@ -31,7 +30,6 @@ from .machine import Executor, SerialExecutor, TaskContext
 __all__ = [
     "prefix_sum_serial",
     "prefix_sum_parallel",
-    "exclusive_scan_parallel",
     "exclusive_from_inclusive",
 ]
 
@@ -144,11 +142,3 @@ def exclusive_from_inclusive(inclusive: np.ndarray) -> np.ndarray:
     out[0] = 0
     out[1:] = inc
     return out
-
-
-def exclusive_scan_parallel(
-    values: np.ndarray, executor: Executor | None = None, *, dtype=np.int64
-) -> np.ndarray:
-    """Exclusive scan with total: the CSR offset array of a degree array."""
-    arr = as_int_array(values, name="values")
-    return exclusive_from_inclusive(prefix_sum_parallel(arr, executor, dtype=dtype))

@@ -30,7 +30,7 @@ from .chunking import chunk_bounds
 from .cost import Cost
 from .machine import Executor, SerialExecutor, TaskContext
 
-__all__ = ["parallel_sort", "parallel_argsort", "ensure_sorted", "sort_edges", "sort_within_rows"]
+__all__ = ["parallel_sort", "ensure_sorted", "sort_edges", "sort_within_rows"]
 
 
 def parallel_sort(values: np.ndarray, executor: Executor | None = None) -> np.ndarray:
@@ -40,11 +40,6 @@ def parallel_sort(values: np.ndarray, executor: Executor | None = None) -> np.nd
     width (property-tested); no permutation is built.
     """
     return _sample_sort(values, executor, want_order=False)
-
-
-def parallel_argsort(values: np.ndarray, executor: Executor | None = None) -> np.ndarray:
-    """Indices that sort *values* stably (``np.argsort(kind="stable")``)."""
-    return _sample_sort(values, executor, want_order=True)
 
 
 def _compares(k: int) -> int:

@@ -31,7 +31,7 @@ offline analytics and online serving coexist on one store.
 from .admission import POLICIES, AdmissionController, AdmissionStats
 from .coalescer import BatchPlan, MicroBatch, MicroBatchCoalescer
 from .config import ServerConfig, open_server
-from .loadgen import SLO, LoadResult, run_closed_loop, run_open_loop
+from .loadgen import SLO, LoadResult, run_open_loop
 from .loop import ServeLoop
 from .metrics import ServeMetrics, ServeSnapshot, log2_histogram, quantiles
 from .request import (
@@ -87,7 +87,6 @@ __all__ = [
     "SLO",
     "LoadResult",
     "run_open_loop",
-    "run_closed_loop",
     "synthetic_workload",
     "zipf_nodes",
     "replay",

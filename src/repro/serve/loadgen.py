@@ -1,22 +1,15 @@
-"""Closed- and open-loop load generation against a declared SLO.
+"""Open-loop load generation against a declared SLO.
 
-The serving benches need the two classic load shapes:
+:func:`run_open_loop` — requests arrive on a Poisson schedule at a
+configured *offered* rate whether or not the server keeps up; the
+honest way to measure tail latency under load, since a slow server
+cannot slow the arrival process down (no coordinated omission).
 
-* **open loop** (:func:`run_open_loop`) — requests arrive on a Poisson
-  schedule at a configured *offered* rate whether or not the server
-  keeps up; the honest way to measure tail latency under load, since a
-  slow server cannot slow the arrival process down (no coordinated
-  omission).
-* **closed loop** (:func:`run_closed_loop`) — a fixed population of
-  clients, each with one outstanding request and an optional think
-  time; measures peak sustainable throughput, since the offered rate
-  adapts to completion rate.
-
-Both run in virtual time on the server's
-:class:`~repro.serve.request.ManualClock` — they drive the clock
+It runs in virtual time on the server's
+:class:`~repro.serve.request.ManualClock` — it drives the clock
 through every arrival and every scheduled wakeup
 (:meth:`next_wakeup_ns`), so cluster hedging deadlines and replica
-completions fire exactly when they should — and work unchanged
+completions fire exactly when they should — and works unchanged
 against a monolithic :class:`~repro.serve.server.GraphQueryServer` or
 a :class:`~repro.cluster.Router`.
 
@@ -27,7 +20,6 @@ named, not just boolean, so a failed gate says *which* bound broke.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +28,7 @@ from ..utils import require
 from .request import DONE, FAILED, REJECTED, SHED, ManualClock
 from .workload import synthetic_workload
 
-__all__ = ["SLO", "LoadResult", "run_open_loop", "run_closed_loop"]
+__all__ = ["SLO", "LoadResult", "run_open_loop"]
 
 
 @dataclass(frozen=True)
@@ -44,8 +36,10 @@ class SLO:
     """A declared service-level objective: latency bounds and a rate floor.
 
     Any field left ``None`` is unconstrained.  Latency bounds are
-    milliseconds of enqueue-to-reply time at the named percentile;
-    ``min_qps`` floors the achieved completion rate.
+    milliseconds of enqueue-to-reply time at the named percentile, and
+    a run that completed nothing has no percentile to hold one: each
+    declared latency bound is then a violation.  ``min_qps`` floors the
+    achieved completion rate.
     """
 
     p50_ms: float | None = None
@@ -61,7 +55,11 @@ class SLO:
             ("p95", self.p95_ms, result.p95_ms),
             ("p99", self.p99_ms, result.p99_ms),
         ):
-            if bound is not None and got is not None and got > bound:
+            if bound is None:
+                continue
+            if got is None:
+                out.append(f"{name} undefined (no completions) vs SLO {bound:.3f} ms")
+            elif got > bound:
                 out.append(f"{name} {got:.3f} ms > SLO {bound:.3f} ms")
         if (
             self.min_qps is not None
@@ -78,9 +76,8 @@ class SLO:
 class LoadResult:
     """One load run's outcome: rates, tail latencies, SLO verdict.
 
-    ``offered_qps`` is ``None`` for closed-loop runs (the loop adapts
-    its rate); latency percentiles are over completed requests only,
-    with refusals counted separately (``rejected`` / ``shed`` /
+    Latency percentiles are over completed requests only, with
+    refusals counted separately (``rejected`` / ``shed`` /
     ``failed``) — an SLO over completions plus an explicit drop count
     is the standard serving contract.
     """
@@ -233,83 +230,3 @@ def run_open_loop(
     return _result(
         "open-loop", slots, start_ns, clock(), float(offered_qps), slo
     )
-
-
-def run_closed_loop(
-    server,
-    *,
-    clients: int = 32,
-    n_requests: int = 10_000,
-    think_ns: float = 0.0,
-    num_nodes: int | None = None,
-    kind: str = "zipf",
-    skew: float = 1.2,
-    edge_fraction: float = 0.25,
-    seed: int = 2023,
-    slo: SLO | None = None,
-) -> LoadResult:
-    """Measure peak sustainable throughput with a closed client loop.
-
-    *clients* virtual users each keep exactly one request outstanding;
-    a client issues its next request ``think_ns`` after its previous
-    reply lands.  The discrete-event loop interleaves client submits
-    with server wakeups (window closures, cluster completions, hedge
-    deadlines) in virtual-time order.
-    """
-    require(clients >= 1, "need at least one client")
-    require(think_ns >= 0, "think time must be non-negative")
-    clock = _clock_of(server)
-    if num_nodes is None:
-        num_nodes = server.num_nodes
-    stream = [
-        req
-        for _, req in synthetic_workload(
-            n_requests,
-            num_nodes,
-            kind=kind,
-            skew=skew,
-            edge_fraction=edge_fraction,
-            mean_interarrival_ns=0.0,
-            seed=seed,
-        )
-    ]
-    start_ns = clock()
-    ready = [(start_ns, c) for c in range(min(clients, n_requests))]
-    heapq.heapify(ready)
-    waiting: dict[int, object] = {}
-    slots = []
-    issued = 0
-    while issued < len(stream) or waiting:
-        # clients whose outstanding slot went terminal rejoin the pool
-        for c, slot in list(waiting.items()):
-            if slot.ready:
-                del waiting[c]
-                if issued < len(stream):
-                    done_ns = (
-                        slot.request.complete_ns
-                        if slot.request.complete_ns is not None
-                        else clock()
-                    )
-                    # a refused request frees its client immediately,
-                    # but never earlier than now (time is monotone)
-                    heapq.heappush(
-                        ready,
-                        (max(float(done_ns) + think_ns, clock()), c),
-                    )
-        wake = server.next_wakeup_ns()
-        next_sub = ready[0][0] if ready and issued < len(stream) else None
-        if next_sub is not None and (wake is None or next_sub <= wake):
-            t, c = heapq.heappop(ready)
-            clock.advance_to(t)
-            server.pump(clock())
-            slot = server.submit(stream[issued])
-            issued += 1
-            slots.append(slot)
-            waiting[c] = slot
-        elif wake is not None:
-            clock.advance_to(wake)
-            server.pump(clock())
-        else:
-            server.drain()
-    server.drain()
-    return _result("closed-loop", slots, start_ns, clock(), None, slo)

@@ -6,7 +6,6 @@ every subpackage; anything domain-specific lives with its domain.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -154,13 +153,3 @@ def batched(iterable: Iterable, size: int):
             batch = []
     if batch:
         yield batch
-
-
-def geometric_mean(values) -> float:
-    """Geometric mean of positive floats (0.0 for an empty input)."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return 0.0
-    if any(v <= 0 for v in vals):
-        raise ValidationError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))

@@ -10,7 +10,6 @@ from repro.bitpack.bitarray import BitArray
 from repro.bitpack.fixed import (
     FixedWidthCodec,
     pack_fixed,
-    packed_nbits,
     read_field,
     unpack_fixed,
     unpack_slice,
@@ -104,9 +103,6 @@ class TestUnpackSliceAndReadField:
             unpack_fixed(bits, 1, 65)
         with pytest.raises(ValidationError):
             unpack_fixed(bits, -1, 3)
-
-    def test_packed_nbits(self):
-        assert packed_nbits(10, 7) == 70
 
 
 class TestFixedWidthCodec:

@@ -7,8 +7,6 @@ from repro.bitpack.registry import (
     Codec,
     Encoded,
     available_codecs,
-    best_codec,
-    encoded_nbits,
     get_codec,
     register_codec,
 )
@@ -55,27 +53,6 @@ class TestRegisterCodec:
             assert isinstance(get_codec("fixed"), Dummy)
         finally:
             register_codec(original, replace=True)
-
-
-class TestBestCodec:
-    def test_picks_smallest(self, rng):
-        # near-uniform small values: fixed-width is optimal
-        values = rng.integers(0, 8, 2000).astype(np.uint64)
-        name, enc = best_codec(values)
-        sizes = {n: encoded_nbits(n, values) for n in available_codecs()}
-        assert enc.nbits == min(sizes.values())
-        assert sizes[name] == enc.nbits
-
-    def test_restricted_candidates(self, rng):
-        values = rng.integers(0, 100, 50).astype(np.uint64)
-        name, _ = best_codec(values, names=["varint"])
-        assert name == "varint"
-
-    def test_deterministic_tie_break(self):
-        values = np.zeros(8, dtype=np.uint64)
-        name1, _ = best_codec(values)
-        name2, _ = best_codec(values)
-        assert name1 == name2
 
 
 class TestEncoded:

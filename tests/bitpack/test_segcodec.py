@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitpack.delta import row_gaps
+from repro.bitpack.delta import row_gaps, rows_from_gaps
 from repro.bitpack.segcodec import (
     DEFAULT_CANDIDATES,
     SEGMENT_CODECS,
-    decode_rows,
+    SegmentArena,
     encode_row_segment,
     resolve_codecs,
     row_windows,
+    segment_codec,
 )
 from repro.errors import CodecError, ValidationError
 
@@ -30,14 +31,26 @@ def _segment(rng, *, num_rows, max_deg, max_id, empty_every=0):
     return vals, indptr
 
 
+def decode_rows(enc, rows, degrees, field_starts):
+    """Rows of one encoded segment through the arena — the compact
+    store's decode entry (empty rows own no bytes, as there)."""
+    offsets = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    live = np.flatnonzero(degrees)
+    if live.size == 0:
+        return np.zeros(0, dtype=np.uint64), offsets
+    gaps = SegmentArena([enc]).decode_gaps(
+        np.zeros(live.size, dtype=np.int64), rows[live], degrees[live],
+        np.asarray(field_starts, dtype=np.int64)[live],
+    )
+    return rows_from_gaps(offsets, gaps), offsets
+
+
 def _roundtrip(enc, vals, indptr):
     num_rows = indptr.shape[0] - 1
     rows = np.arange(num_rows, dtype=np.int64)
     degrees = np.diff(indptr)
-    flat, offsets = decode_rows(
-        enc.codec, enc.payload, enc.enc_width, enc.starts, enc.starts_width,
-        rows, degrees, indptr[:-1],
-    )
+    flat, offsets = decode_rows(enc, rows, degrees, indptr[:-1])
     assert np.array_equal(offsets, indptr)
     assert np.array_equal(flat, vals)
 
@@ -77,7 +90,7 @@ class TestSelection:
     def test_sized_winner_equals_encode_all(self, seed, num_rows, max_deg, max_id, order):
         """Sizing without encoding picks what encoding everything picked:
         same codec (ties to the earlier candidate), payload and starts."""
-        from repro.bitpack.segcodec import _measure
+        from repro.bitpack.segcodec import _total_bits
 
         vals, indptr = _segment(
             np.random.default_rng(seed), num_rows=num_rows, max_deg=max_deg,
@@ -86,7 +99,7 @@ class TestSelection:
         gaps = row_gaps(indptr, vals)
         encoded = [encode_row_segment(gaps, indptr, [name]) for name in order]
         for name, enc in zip(order, encoded):
-            assert _measure(name, gaps, num_rows) == enc.total_bits
+            assert _total_bits(segment_codec(name), gaps, num_rows) == enc.total_bits
         want = min(encoded, key=lambda enc: enc.total_bits)  # min keeps the first
         got = encode_row_segment(gaps, indptr, order)
         assert (got.codec, got.enc_width, got.starts_width) == (
@@ -153,23 +166,20 @@ class TestRoundtrip:
         enc = encode_row_segment(row_gaps(indptr, vals), indptr, [codec])
         rows = rng.permutation(50)[:17].astype(np.int64)
         degrees = np.diff(indptr)[rows]
-        flat, offsets = decode_rows(
-            enc.codec, enc.payload, enc.enc_width, enc.starts, enc.starts_width,
-            rows, degrees, indptr[:-1][rows],
-        )
+        flat, offsets = decode_rows(enc, rows, degrees, indptr[:-1][rows])
         for i, r in enumerate(rows):
             assert np.array_equal(
                 flat[offsets[i]:offsets[i + 1]], vals[indptr[r]:indptr[r + 1]]
             )
         if enc.starts is not None:
             # a caller that read the starts table itself (the disk
-            # store meters those windows) hands them in: same decode
-            again, _ = decode_rows(
-                enc.codec, enc.payload, enc.enc_width, None, 0,
-                rows, degrees, indptr[:-1][rows],
-                windows=row_windows(enc.starts, enc.starts_width, rows),
+            # store meters those windows) hands them to the table
+            # entry: same decode
+            gaps = segment_codec(enc.codec).decode(
+                enc.payload, *row_windows(enc.starts, enc.starts_width, rows),
+                degrees, enc.enc_width,
             )
-            assert np.array_equal(again, flat)
+            assert np.array_equal(rows_from_gaps(offsets, gaps), flat)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -200,11 +210,5 @@ class TestValidation:
             )
 
     def test_unknown_codec_in_decode(self):
-        from repro.bitpack.bitarray import BitArray
-
         with pytest.raises(CodecError, match="unknown codec"):
-            decode_rows(
-                "snappy", BitArray(np.zeros(0, dtype=np.uint8), 0), 0, None, 0,
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-            )
+            segment_codec("snappy")

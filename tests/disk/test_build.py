@@ -1,8 +1,12 @@
 """Out-of-core construction: bit-exact with the in-memory pipeline."""
 
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.csr.builder import build_csr_serial, ensure_sorted
+from repro.csr.compact import CompactStore
 from repro.csr.io import write_edge_list_binary
 from repro.csr.packed import build_bitpacked_csr
 from repro.disk import DiskStore, build_disk_store, write_disk_store
@@ -47,6 +51,43 @@ class TestBitExactness:
         assert sorted(p.name for p in disk.path.iterdir()) == names
         for name in names:  # every segment file and the manifest itself
             assert (disk.path / name).read_bytes() == (ref.path / name).read_bytes()
+
+    def test_three_entry_points_emit_one_segment_stream(self, tmp_path, rng):
+        """In memory, written from a packed CSR, or built out of core: the
+        same segments — codec, row / field extents and payload CRC-32."""
+        from tests.csr.test_compact import _mixed_codec_graph
+
+        src, dst, n = _mixed_codec_graph()  # every codec class wins somewhere
+        shuffle = rng.permutation(src.shape[0])
+        src, dst = src[shuffle], dst[shuffle]
+        write_edge_list_binary(tmp_path / "edges.bin", src, dst)
+        opts = {"codecs": "fixed,varint,zeta2", "segment_bytes": 2048}
+        compact = CompactStore.from_csr(
+            build_csr_serial(*ensure_sorted(src, dst), n), **opts
+        )
+        written = write_disk_store(
+            build_bitpacked_csr(src, dst, n, sort=True), tmp_path / "mem", **opts
+        )
+        built = build_disk_store(
+            tmp_path / "edges.bin", tmp_path / "ooc", num_nodes=n,
+            chunk_edges=1000, **opts,
+        )
+
+        def in_memory(seg):
+            crc = 0
+            for bits in (seg.starts, seg.payload):
+                if bits is not None:
+                    crc = zlib.crc32(bits.buffer[: bits.nbytes].tobytes(), crc)
+            return crc
+
+        def rows(segments, crc_of):
+            return [(s.codec, s.first_row, s.num_rows, s.first_field,
+                     s.num_fields, crc_of(s)) for s in segments]
+
+        want = rows(compact.segments, in_memory)
+        assert len(want) == 18 and len({row[0] for row in want}) == 3
+        for disk in (written, built):
+            assert rows(disk.manifest.columns, lambda s: s.crc32) == want
 
     def test_unsorted_rows_preserved_when_sort_false(self, tmp_path, rng):
         n = 50
@@ -142,6 +183,38 @@ class TestDirectoryHandling:
         with pytest.raises(DiskFormatError, match="refusing to overwrite"):
             build_disk_store(path, target, num_nodes=n)
         assert (target / "thesis.tex").read_text() == "do not clobber"
+
+    @pytest.mark.parametrize("builder", ["write", "build"])
+    def test_crashed_build_is_cleared_and_foreign_file_refused(
+            self, tmp_path, rng, builder):
+        """A build that died before its manifest leaves only builder-owned
+        names behind: the retry clears them.  One foreign file refuses."""
+        path, src, dst, n = _edge_file(tmp_path, rng)
+        target = tmp_path / "store"
+
+        def run():
+            if builder == "build":
+                return build_disk_store(path, target, num_nodes=n,
+                                        segment_bytes=512, codecs="auto")
+            packed = build_bitpacked_csr(src, dst, n, sort=True)
+            return write_disk_store(packed, target, segment_bytes=512,
+                                    codecs="auto")
+
+        first = run().manifest
+        (target / "manifest.json").unlink()  # died after the last segment
+        assert run().manifest == first
+        (target / "manifest.json").unlink()  # died in the scatter pass
+        (target / "columns.tmp").write_bytes(b"half a scatter pass")
+        assert run().manifest == first
+        DiskStore.open(target)  # verifies CRCs
+        assert "columns.tmp" not in {p.name for p in target.iterdir()}
+
+        (target / "manifest.json").unlink()
+        (target / "notes.txt").write_text("mine")
+        with pytest.raises(DiskFormatError, match="refusing to overwrite"):
+            run()
+        assert (target / "notes.txt").read_text() == "mine"
+        assert (target / "offsets-00000.seg").exists()  # nothing was cleared
 
     def test_refuses_file_path(self, tmp_path, rng):
         path, _, _, n = _edge_file(tmp_path, rng)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.bitpack.segcodec import plan_row_segments
 from repro.disk.format import (
     DEFAULT_SEGMENT_BYTES,
     FORMAT_VERSION,
@@ -13,8 +14,6 @@ from repro.disk.format import (
     Segment,
     file_crc32,
     plan_field_segments,
-    plan_row_segments,
-    segment_nbytes,
 )
 from repro.errors import DiskFormatError, ReproError
 
@@ -133,7 +132,7 @@ class TestPlanning:
             assert a1 == b0
         for lo, hi in plan:
             assert hi > lo
-            assert segment_nbytes(hi - lo, 13) <= 64
+            assert -(-(hi - lo) * 13 // 8) <= 64  # packed bytes
 
     def test_field_segments_at_least_one_field(self):
         # a budget smaller than one field still makes progress

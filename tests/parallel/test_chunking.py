@@ -11,10 +11,8 @@ from repro.parallel.chunking import (
     aligned_chunks,
     balance_ratio,
     chunk_bounds,
-    chunk_of_index,
     edge_balanced_row_bounds,
     even_chunks,
-    split_array,
 )
 
 
@@ -136,28 +134,6 @@ class TestEdgeBalancedRowBounds:
         assert bounds[0] == 0
         assert bounds[-1] == len(degrees)
         assert np.all(np.diff(bounds) >= 0)
-
-
-class TestChunkOfIndex:
-    def test_lookup(self):
-        bounds = chunk_bounds(10, 3)  # sizes 4,3,3
-        assert chunk_of_index(bounds, 0) == 0
-        assert chunk_of_index(bounds, 3) == 0
-        assert chunk_of_index(bounds, 4) == 1
-        assert chunk_of_index(bounds, 9) == 2
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            chunk_of_index(chunk_bounds(10, 3), 10)
-
-
-class TestSplitArray:
-    def test_views_not_copies(self):
-        arr = np.arange(10)
-        parts = split_array(arr, 3)
-        parts[0][0] = 99
-        assert arr[0] == 99
-        assert sum(len(p) for p in parts) == 10
 
 
 class TestBalanceRatio:

@@ -9,7 +9,6 @@ from repro.errors import ValidationError
 from repro.parallel.machine import SerialExecutor, SimulatedMachine, ThreadExecutor
 from repro.parallel.scan import (
     exclusive_from_inclusive,
-    exclusive_scan_parallel,
     prefix_sum_parallel,
     prefix_sum_serial,
 )
@@ -86,11 +85,6 @@ class TestExclusiveScan:
     def test_from_inclusive(self):
         out = exclusive_from_inclusive(np.array([1, 3, 6]))
         assert out.tolist() == [0, 1, 3, 6]
-
-    def test_parallel_exclusive_is_csr_offsets(self, executor):
-        deg = np.array([2, 0, 3, 1], dtype=np.int64)
-        out = exclusive_scan_parallel(deg, executor)
-        assert out.tolist() == [0, 2, 2, 5, 6]
 
     def test_empty(self):
         assert exclusive_from_inclusive(np.zeros(0, dtype=np.int64)).tolist() == [0]

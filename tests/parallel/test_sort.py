@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.parallel import SimulatedMachine, ThreadExecutor
-from repro.parallel.sort import parallel_argsort, parallel_sort
+from repro.parallel.sort import parallel_sort
 
 
 class TestParallelSort:
@@ -37,12 +37,6 @@ class TestParallelSort:
         assert np.array_equal(parallel_sort(a, SimulatedMachine(5)), a)
         assert np.array_equal(parallel_sort(a[::-1], SimulatedMachine(5)), a)
 
-    def test_argsort_is_stable(self, rng):
-        a = rng.integers(0, 5, 800)
-        order = parallel_argsort(a, SimulatedMachine(6))
-        ref = np.argsort(a, kind="stable")
-        assert np.array_equal(order, ref)
-
     # simulated ns of the seed's implementation (argsort per chunk, then a
     # lexsort per bucket): the phases' declared costs are the model and
     # must not move when only the executed numpy work changes
@@ -51,14 +45,10 @@ class TestParallelSort:
     @pytest.mark.parametrize("p", sorted(PINNED_NS))
     def test_heavy_ties_permutation_and_pinned_cost(self, rng, p):
         a = rng.integers(0, 7, 5000)
-        for fn, want in (
-            (parallel_argsort, np.argsort(a, kind="stable")),
-            (parallel_sort, np.sort(a)),
-        ):
-            machine = SimulatedMachine(p)
-            out = fn(a, machine)
-            assert out.dtype == want.dtype and np.array_equal(out, want)
-            assert machine.elapsed_ns() == self.PINNED_NS[p]
+        machine = SimulatedMachine(p)
+        out, want = parallel_sort(a, machine), np.sort(a)
+        assert out.dtype == want.dtype and np.array_equal(out, want)
+        assert machine.elapsed_ns() == self.PINNED_NS[p]
 
     def test_input_untouched_and_not_aliased(self, rng):
         a = rng.integers(0, 10**6, 3000)

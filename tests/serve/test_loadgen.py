@@ -1,9 +1,9 @@
-"""The SLO load harness: open/closed loops in virtual time.
+"""The SLO load harness: the open loop in virtual time.
 
-Both loops must complete every request (at friendly queue capacities),
-report rates and tails consistent with the server's own accounting,
-name each violated SLO bound, and drive a cluster router exactly the
-way they drive a monolithic server.
+It must complete every request (at friendly queue capacities), report
+rates and tails consistent with the server's own accounting, name each
+violated SLO bound, and drive a cluster router exactly the way it
+drives a monolithic server.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.serve import (
     ManualClock,
     ServerConfig,
     open_server,
-    run_closed_loop,
     run_open_loop,
 )
 
@@ -74,6 +73,21 @@ class TestOpenLoop:
         assert result.met
         assert result.violations == ()
 
+    def test_latency_bound_over_no_completions_is_violated(self, edges):
+        """Every request refused: there is no p99 to be inside the bound."""
+        from dataclasses import replace
+
+        served = run_open_loop(_server(edges), n_requests=50, offered_qps=1e6)
+        refused = replace(
+            served, completed=0, rejected=served.requests, achieved_qps=0.0,
+            p50_ms=None, p95_ms=None, p99_ms=None,
+        )
+        assert SLO(p99_ms=1.0).violations(refused) == (
+            "p99 undefined (no completions) vs SLO 1.000 ms",
+        )
+        assert len(SLO(p50_ms=1.0, p95_ms=1.0, min_qps=1.0).violations(refused)) == 3
+        assert SLO().violations(refused) == ()  # nothing declared, nothing broken
+
     def test_same_seed_same_result(self, edges):
         a = run_open_loop(_server(edges), n_requests=200, offered_qps=2e6,
                           seed=42)
@@ -95,25 +109,3 @@ class TestOpenLoop:
         wall_server = GraphQueryServer(store)  # production wall clock
         with pytest.raises(ValidationError, match="ManualClock"):
             run_open_loop(wall_server, n_requests=10)
-
-
-class TestClosedLoop:
-    def test_completes_everything(self, edges):
-        result = run_closed_loop(_server(edges), clients=8, n_requests=200)
-        assert result.mode == "closed-loop"
-        assert result.requests == 200
-        assert result.completed == 200
-        assert result.offered_qps is None
-        assert result.achieved_qps > 0
-
-    def test_think_time_lowers_throughput(self, edges):
-        busy = run_closed_loop(_server(edges), clients=4, n_requests=150)
-        idle = run_closed_loop(_server(edges), clients=4, n_requests=150,
-                               think_ns=1e6)
-        assert idle.achieved_qps < busy.achieved_qps
-
-    def test_drives_cluster_router(self, edges):
-        router = _server(edges, workers=2, replicas=2)
-        result = run_closed_loop(router, clients=16, n_requests=300)
-        assert result.completed == 300
-        assert router.snapshot().completed == 300

@@ -1,7 +1,5 @@
 """Unit tests for repro.utils."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +14,6 @@ from repro.utils import (
     bits_for_value,
     ceil_div,
     digits10,
-    geometric_mean,
     human_bytes,
     is_sorted,
     min_uint_dtype,
@@ -154,15 +151,3 @@ class TestBatched:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             list(batched([1], 0))
-
-
-class TestGeometricMean:
-    def test_empty(self):
-        assert geometric_mean([]) == 0.0
-
-    def test_value(self):
-        assert math.isclose(geometric_mean([1, 4]), 2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            geometric_mean([1.0, 0.0])
