@@ -11,7 +11,9 @@ ratio of two sub-second wall-clock runs spreads wider than any floor
 worth setting, and ``ops_per_s`` @ ``serve_mixed`` of ``benchmarks/e2e``
 is the gate for that path.  The compact()-vs-rebuild cost ratio is
 recorded the same way, for the same reason (``serve_mixed`` runs one
-compaction per round).
+compaction per round).  What the write path's row memo saves is gated
+as exact counts of segment decodes (``domain: count``), which repeat
+for the seed.
 """
 
 import os
@@ -181,6 +183,50 @@ def test_write_mix_gate(packed, schedules, medium_standin):
             ],
             title=f"mixed/read-only qps ratio {ratio:.2f}x (recorded, not gated)",
         ) + "\n" + render_lsm_stats(lsm),
+    )
+
+
+def test_write_path_decode_counts(graph, schedules, monkeypatch):
+    """Count gate (domain "count", exact for the seed): the writes of the
+    10%-write stream, applied to an LSM over the compact codec, decode
+    each written row from the segment once — its first write of the
+    epoch — and a write to an already materialised row decodes nothing."""
+    from repro.csr.compact import CompactStore
+
+    src, dst, n = graph
+    lsm = open_store("lsm", src, dst, n, inner="compact")
+    writes = [r for _, r in schedules(write_fraction=WRITE_FRACTION)
+              if isinstance(r, WriteRequest)]
+    decoded, inner = [], CompactStore._decode_rows  # rows per segment decode
+    monkeypatch.setattr(
+        CompactStore, "_decode_rows",
+        lambda self, keys: decoded.append(keys.shape[0]) or inner(self, keys))
+    seen, rows_on_rewrite = set(), 0
+    for w in writes:
+        calls = len(decoded)
+        (lsm.insert_edge if w.op == "insert" else lsm.delete_edge)(w.u, w.v)
+        if w.u in seen:
+            rows_on_rewrite += sum(decoded[calls:])
+        seen.add(w.u)
+    rows_decoded = sum(decoded)
+    assert lsm.stats().compactions == 0  # one epoch
+    assert rows_on_rewrite == 0 and rows_decoded == len(seen)
+
+    section = {
+        "segment_decodes_per_write_to_memoised_row": {
+            "value": rows_on_rewrite, "gate": "== 0 (exact)", "domain": "count"},
+        "segment_row_decodes_per_epoch": {
+            "value": rows_decoded, "domain": "count",
+            "gate": f"== {len(seen)} (exact)"},
+        "distinct_rows_written": len(seen),
+        "writes": len(writes),
+    }
+    if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
+        baseline_section(BASELINE_PATH, {"write_path_decodes": section})
+    report(
+        "LSM write path (count domain, compact inner)",
+        f"{len(writes)} writes to {len(seen)} distinct rows: {rows_decoded} "
+        f"segment row decodes, {rows_on_rewrite} on a write to a materialised row",
     )
 
 

@@ -97,7 +97,10 @@ class SegmentCodec:
     ``decode(bits, lo, hi, degrees, enc_width)`` returns the gaps of
     rows whose payload windows are ``[lo[i], hi[i])`` of *bits* — in
     ``starts_unit`` units, or bits for a self-indexing codec —
-    concatenated in the order given.
+    concatenated in the order given.  ``decode_row(bits, lo, hi,
+    degree)``, where a codec has one, is ``decode`` of a single window
+    given as scalars: a one-row read is all fixed cost, and a codec that
+    can decode a plain slice of the payload skips the window plumbing.
     """
 
     name: str
@@ -105,6 +108,7 @@ class SegmentCodec:
     measure: Callable
     encode: Callable
     decode: Callable
+    decode_row: Callable | None = None
 
 
 def _fixed_width(gaps: np.ndarray) -> int:
@@ -177,6 +181,7 @@ _CODECS = {
         SegmentCodec(
             "varint", 8, lambda gaps: 8 * int(varint_nbytes(gaps).sum()),
             _varint_encode, _varint_decode,
+            lambda bits, lo, hi, degree: varint_decode(bits.buffer[lo:hi], degree),
         ),
         _zeta(2),
         _zeta(3),
@@ -436,6 +441,27 @@ class SegmentArena:
                 c, seg[pick], rows[pick], degrees[pick], fields[pick]
             )
         return gaps
+
+    def decode_row(self, seg: int, row: int, degree: int, field: int) -> np.ndarray:
+        """:meth:`decode_gaps` of one non-empty row, its window read as
+        two scalar fields and checked against the same extent."""
+        codec = _CODECS[SEGMENT_CODECS[self.codec[seg]]]
+        width = int(self.enc_width[seg])
+        if codec.starts_unit:
+            starts_width = int(self.starts_width[seg])
+            at = int(self.starts_bit[seg]) + row * starts_width
+            lo = self.bits.read_uint(at, starts_width)
+            hi = self.bits.read_uint(at + starts_width, starts_width)
+        else:
+            lo = field * width
+            hi = lo + degree * width
+        base = int(self.payload_lo[seg])
+        if base + hi > self.payload_hi[seg]:
+            raise CodecError("row window runs past its segment's payload")
+        if codec.decode_row is not None:
+            return codec.decode_row(self.bits, base + lo, base + hi, degree)
+        one = (np.asarray([x], dtype=np.int64) for x in (base + lo, base + hi, degree, width))
+        return codec.decode(self.bits, *one)
 
     def _decode(self, index: int, seg, rows, degrees, fields) -> np.ndarray:
         codec = _CODECS[SEGMENT_CODECS[index]]

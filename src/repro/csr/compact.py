@@ -18,13 +18,14 @@ entropy instead of the global maximum gap width.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
 
 from ..bitpack.bitarray import BitArray
 from ..bitpack.delta import rows_from_gaps
-from ..bitpack.fixed import unpack_fixed
+from ..bitpack.fixed import read_field, unpack_fixed
 from ..bitpack.segcodec import (
     SegmentArena,
     SegmentEncoding,
@@ -59,6 +60,7 @@ class CompactStore(BaseStore):
         "_arena",
         "_seg_first_row",
         "_seg_first_field",
+        "_first_rows",
     )
 
     def __init__(self, num_nodes, num_edges, offsets, offset_width, segments):
@@ -79,6 +81,7 @@ class CompactStore(BaseStore):
         self._seg_first_field = np.asarray(
             [s.first_field for s in self.segments], dtype=np.int64
         )
+        self._first_rows = self._seg_first_row.tolist()  # the one-row kernel bisects it
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -144,8 +147,8 @@ class CompactStore(BaseStore):
     def degree(self, u: int) -> int:
         """Out-degree of *u*."""
         self._check_node(u)
-        pair = unpack_fixed(self.offsets, 2, self.offset_width, bit_offset=u * self.offset_width)
-        return int(pair[1] - pair[0])
+        first = read_field(self.offsets, self.offset_width, u)
+        return read_field(self.offsets, self.offset_width, u + 1) - first
 
     def degrees(self) -> np.ndarray:
         """Degree of every node as an ``int64`` array."""
@@ -155,7 +158,11 @@ class CompactStore(BaseStore):
     def _decode_rows(self, uniq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode the rows of *uniq* in one vectorised pass per codec
         class — values and dtype identical to the equivalent
-        :class:`~repro.csr.packed.BitPackedCSR`."""
+        :class:`~repro.csr.packed.BitPackedCSR`.  A single key (the
+        scalar surface, an LSM's first touch of a row) is read field by
+        field instead: a batch of one is all fixed cost."""
+        if uniq.shape[0] == 1:
+            return self._decode_row(int(uniq[0]))
         field_starts, ends = row_windows(self.offsets, self.offset_width, uniq)
         degrees = ends - field_starts
 
@@ -176,6 +183,20 @@ class CompactStore(BaseStore):
             field_starts - self._seg_first_field[seg],
         )
         return rows_from_gaps(uniq_offs, gaps), uniq_offs
+
+    def _decode_row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_decode_rows` of the one key *u*, on scalars."""
+        first = read_field(self.offsets, self.offset_width, u)
+        degree = read_field(self.offsets, self.offset_width, u + 1) - first
+        offs = np.asarray([0, degree], dtype=np.int64)
+        if degree == 0:
+            return np.zeros(0, dtype=np.uint64), offs
+        seg = bisect_right(self._first_rows, u) - 1
+        segment = self.segments[seg]
+        gaps = self._arena.decode_row(
+            seg, u - segment.first_row, degree, first - segment.first_field
+        )
+        return gaps.cumsum(out=gaps), offs
 
     # -- accounting ------------------------------------------------------
     def codec_breakdown(self) -> dict:

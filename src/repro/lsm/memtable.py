@@ -6,8 +6,8 @@ key is a directed edge ``(u, v)`` and the value is one bit — alive
 base segment).  The table is a two-level dict keyed by source node so
 that the read path can ask one question cheaply: "what does the delta
 say about row ``u``?"  :meth:`row_delta` answers with two sorted int64
-arrays (additions, deletions) and memoises them per row, since serving
-decodes the same hot rows far more often than it writes them.
+arrays (additions, deletions); the store asks once per row and epoch —
+it keeps the merged row and splices its own writes into it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from ..utils import require
 __all__ = ["DeltaMemtable"]
 
 #: Rough per-entry cost of the two-level dict in CPython (key boxes,
-#: hash slots, the cached row arrays) — for honest memory_bytes().
+#: hash slots) — for honest memory_bytes().
 _ENTRY_BYTES = 96
 
 
@@ -32,14 +32,12 @@ class DeltaMemtable:
     the quantity compaction watermarks trigger on.
     """
 
-    __slots__ = ("_rows", "_entries", "_tombstones", "_row_cache",
-                 "_dirty_cache")
+    __slots__ = ("_rows", "_entries", "_tombstones", "_dirty_cache")
 
     def __init__(self):
         self._rows: dict[int, dict[int, bool]] = {}
         self._entries = 0
         self._tombstones = 0
-        self._row_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._dirty_cache: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -63,7 +61,6 @@ class DeltaMemtable:
         elif not alive and prev is not False:
             self._tombstones += 1
         row[v] = alive
-        self._row_cache.pop(u, None)
 
     def insert(self, u: int, v: int) -> None:
         """Record edge ``(u, v)`` as alive (overwrites a tombstone)."""
@@ -92,7 +89,6 @@ class DeltaMemtable:
         if not row:
             del self._rows[u]
             self._dirty_cache = None
-        self._row_cache.pop(u, None)
 
     # -- reads ----------------------------------------------------------
     def state(self, u: int, v: int) -> bool | None:
@@ -123,21 +119,15 @@ class DeltaMemtable:
 
     def row_delta(self, u: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Sorted ``(adds, dels)`` int64 arrays for row *u*, or None
-        when the row is clean.  Memoised until the next write to *u*."""
-        u = int(u)
-        row = self._rows.get(u)
+        when the row is clean."""
+        row = self._rows.get(int(u))
         if row is None:
             return None
-        cached = self._row_cache.get(u)
-        if cached is not None:
-            return cached
         adds = np.sort(np.array(
             [v for v, alive in row.items() if alive], dtype=np.int64))
         dels = np.sort(np.array(
             [v for v, alive in row.items() if not alive], dtype=np.int64))
-        out = (adds, dels)
-        self._row_cache[u] = out
-        return out
+        return adds, dels
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every resident entry as ``(u, v, alive)`` arrays, sorted by
@@ -158,15 +148,13 @@ class DeltaMemtable:
     def clear(self) -> None:
         """Drop every entry (after a compaction folded them in)."""
         self._rows.clear()
-        self._row_cache.clear()
         self._dirty_cache = None
         self._entries = 0
         self._tombstones = 0
 
     def memory_bytes(self) -> int:
         """Estimated resident bytes of the delta structure."""
-        cached = sum(a.nbytes + d.nbytes for a, d in self._row_cache.values())
-        return self._entries * _ENTRY_BYTES + cached
+        return self._entries * _ENTRY_BYTES
 
     @classmethod
     def from_entries(cls, us, vs, alive) -> "DeltaMemtable":

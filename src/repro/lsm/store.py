@@ -53,14 +53,21 @@ class LsmStats:
     compact_watermark: int
 
 
+def _locate(row: np.ndarray, v: int) -> tuple[int, bool]:
+    """Where *v* sits (or would go) in the sorted *row* — ``(at, found)``."""
+    at = int(row.searchsorted(v))
+    return at, at < row.shape[0] and int(row[at]) == v
+
+
 def _apply_delta(offsets, dst, us, vs, alive) -> tuple[np.ndarray, np.ndarray]:
     """Apply memtable entries to sorted, distinct CSR rows.
 
     ``(us, vs, alive)`` are :meth:`DeltaMemtable.entries` — sorted by
-    ``(u, v)``, *alive* saying whether the edge is to be present or
-    absent.  Every entry is located in its row by one bisection run
-    over all entries at once; the absent ones found are dropped and the
-    present ones not found inserted, one pass over *dst* each.
+    ``(u, v)`` (the present and the absent ones each, at least), *alive*
+    saying whether the edge is to be present or absent.  Every entry is
+    located in its row by one bisection run over all entries at once;
+    the absent ones found are dropped and the present ones not found
+    inserted, one pass over *dst* each.
     Returns ``(degrees, dst)`` of the new rows.
     """
     degrees = np.diff(offsets)
@@ -127,8 +134,7 @@ class LsmStore(WrapperStore):
         "compactions",
         "flushes",
         "_num_edges",
-        "_merged_cache",
-        "_base_cache",
+        "_rows",
         "_caps_segment",
         "_caps",
     )
@@ -166,14 +172,12 @@ class LsmStore(WrapperStore):
         self.write_noops = 0
         self.compactions = 0
         self.flushes = 0
-        # merged (base ∪ delta) rows, memoised per dirty node: hub-skewed
-        # traffic re-reads the same written rows far more often than it
-        # writes them, so each hot row pays the python merge once.  The
-        # decoded *base* row is kept separately — it is immutable until
-        # the next compaction, so a write costs a re-merge, not a
-        # re-decode of the bit-packed segment row
-        self._merged_cache: dict[int, np.ndarray] = {}
-        self._base_cache: dict[int, np.ndarray] = {}
+        # the current sorted row of every node written this epoch (and of
+        # every dirty node read): hub-skewed traffic writes and re-reads
+        # the same rows, so each is decoded once per compaction epoch and
+        # a write replaces it with a splice — a new array, never an
+        # in-place edit, so a reply already handed out keeps its contents
+        self._rows: dict[int, np.ndarray] = {}
         self._caps_segment = None
         self._caps = None
         if num_edges is None:  # count the merged view (an empty store has none to walk)
@@ -215,43 +219,36 @@ class LsmStore(WrapperStore):
         """Union of *u*'s row across every segment, as int64."""
         if not self.segments:
             return np.zeros(0, dtype=np.int64)
-        if len(self.segments) == 1:
-            return np.asarray(
-                self.segments[0].neighbors(u), dtype=np.int64
-            )
-        rows = [np.asarray(s.neighbors(u), dtype=np.int64)
-                for s in self.segments]
-        out = rows[0]
-        for row in rows[1:]:
-            out = np.union1d(out, row)
+        out = _as_int64(np.asarray(self.segments[0].neighbors(u)))
+        for segment in self.segments[1:]:
+            out = np.union1d(out, _as_int64(np.asarray(segment.neighbors(u))))
         return out
 
-    def _merge_row(self, base: np.ndarray, delta) -> np.ndarray:
-        adds, dels = delta
-        row = np.asarray(base, dtype=np.int64)
-        if dels.size:
-            row = row[np.isin(row, dels, invert=True, assume_unique=True)]
-        if adds.size:
-            row = np.union1d(row, adds)
-        return row
+    def _row(self, u: int) -> np.ndarray:
+        """Row *u* under the merged view, materialised once per epoch.
 
-    def _merged_row(self, u: int, base=None) -> np.ndarray:
-        """Row *u* with its memtable delta applied, memoised until the
-        next write to *u* (or compaction)."""
-        cached = self._merged_cache.get(u)
-        if cached is not None:
-            return cached
-        if base is None:
-            base = self._base_cache.get(u)
-            if base is None:
-                base = self._base_row(u)
-        if u not in self._base_cache:
-            # a view (a slice of a batch decode) would pin its whole
-            # source buffer — cache an owning copy instead
-            self._base_cache[u] = base if base.base is None else base.copy()
+        Writes keep it current themselves; only a delta that arrived
+        with the memtable (:meth:`load`, a :meth:`flush`'s tombstones)
+        is merged here, through compaction's :func:`_apply_delta`."""
+        row = self._rows.get(u)
+        if row is not None:
+            return row
+        row = self._base_row(u)
         delta = self.memtable.row_delta(u)
-        row = base if delta is None else self._merge_row(base, delta)
-        self._merged_cache[u] = row
+        if delta is not None:
+            adds, dels = delta
+            if row.shape[0] and adds.shape[0]:
+                # alive yet in a base: written before a re-insert dropped
+                # its tombstone.  Dropped, so "alive" means memtable-only
+                for v in adds[locate_keys(row, adds)[1]].tolist():
+                    self.memtable.remove(u, v)
+            vs = np.concatenate([adds, dels])
+            alive = np.arange(vs.shape[0]) < adds.shape[0]
+            ends = np.asarray([0, row.shape[0]])
+            row = _apply_delta(ends, row, np.zeros_like(vs), vs, alive)[1]
+        elif row.base is not None:  # a view would pin its whole decode buffer
+            row = row.copy()
+        self._rows[u] = row
         return row
 
     def _dirty_mask(self, us: np.ndarray) -> np.ndarray | None:
@@ -283,41 +280,26 @@ class LsmStore(WrapperStore):
             return _as_int64(flat), offs
         if not single:
             return join_rows([
-                self._merged_row(u) if self.memtable.is_dirty(u) else self._base_row(u)
+                self._row(u) if self.memtable.is_dirty(u) else self._base_row(u)
                 for u in us.tolist()
             ], np.int64)
-        # one segment: a memoised dirty row is served from the per-node
-        # caches (a hub written and re-read under skewed traffic decodes
-        # its base once per compaction epoch, not once per write); every
-        # other key is decoded in one segment batch, whose clean runs
-        # pass through as slices with only the dirty rows patched
+        # one segment: a dirty row is its materialised row (a hub written
+        # and re-read under skewed traffic is decoded once per compaction
+        # epoch, not once per write); the clean keys are decoded in one
+        # segment batch, whose runs pass through as slices between them
         dirty_at = np.flatnonzero(dirty)
-        memo = {}
-        for i, u in zip(dirty_at.tolist(), us[dirty_at].tolist()):
-            row = self._merged_cache.get(u)
-            if row is None and u in self._base_cache:
-                row = self._merged_row(u)
-            if row is not None:
-                memo[i] = row
-        fetch = np.ones(us.shape[0], dtype=bool)
-        fetch[list(memo)] = False
-        fetch_at = np.flatnonzero(fetch)
-        flat, offs = self._segment_batch(us[fetch_at])
+        rows = [self._row(u) for u in us[dirty_at].tolist()]
+        clean = ~dirty
+        flat, offs = self._segment_batch(us[clean])
         flat = _as_int64(flat)
-        lengths = np.zeros(us.shape[0], dtype=np.int64)
-        lengths[fetch_at] = np.diff(offs)
-        # rows of the segment batch that precede each dirty position
-        before = np.searchsorted(fetch_at, dirty_at).tolist()
+        lengths = np.empty(us.shape[0], dtype=np.int64)
+        lengths[clean] = np.diff(offs)
+        lengths[dirty_at] = [row.shape[0] for row in rows]
         pieces, done = [], 0
-        for i, j in zip(dirty_at.tolist(), before):
-            pieces.append(flat[offs[done] : offs[j]])
-            row = memo.get(i)
-            if row is None:
-                row = self._merged_row(int(us[i]), base=flat[offs[j] : offs[j + 1]])
-                j += 1
-            pieces.append(row)
-            lengths[i] = row.shape[0]
-            done = j
+        # the j-th dirty position has i - j clean keys before it
+        for j, (i, row) in enumerate(zip(dirty_at.tolist(), rows)):
+            pieces += (flat[offs[done] : offs[i - j]], row)
+            done = i - j
         pieces.append(flat[offs[done] :])
         offsets = np.zeros(us.shape[0] + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
@@ -325,10 +307,14 @@ class LsmStore(WrapperStore):
 
     def degree(self, u: int) -> int:
         """Out-degree of *u* under the merged view."""
-        self._check_node(int(u))
-        if not self.memtable.is_dirty(int(u)) and len(self.segments) == 1:
-            return int(self.segments[0].degree(int(u)))
-        return int(self.neighbors(int(u)).shape[0])
+        u = int(u)
+        self._check_node(u)
+        row = self._rows.get(u)
+        if row is not None:
+            return int(row.shape[0])
+        if not self.memtable.is_dirty(u) and len(self.segments) == 1:
+            return int(self.segments[0].degree(u))
+        return int(self.neighbors(u).shape[0])
 
     def degrees(self) -> np.ndarray:
         """Degree of every node as an ``int64`` array."""
@@ -338,45 +324,46 @@ class LsmStore(WrapperStore):
         return np.diff(offs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Edge test: the memtable's verdict wins; otherwise the
-        (memoised) base row decides.
-
-        The fallback decodes and caches row *u*, so the write path —
-        every checked write probes ``has_edge`` — touches the
-        bit-packed segment once per node per compaction epoch instead
-        of once per write."""
+        """Edge test: the materialised row of a written node decides;
+        otherwise the memtable's verdict, then the base row — decoded,
+        bisected and not kept (only the write path memoises, so probing
+        a write-free overlay grows nothing)."""
         u, v = int(u), int(v)
         self._check_node(u)
         self._check_node(v)
-        state = self.memtable.state(u, v)
-        if state is not None:
-            return state
-        return self._in_base(u, v)
-
-    def _in_base(self, u: int, v: int) -> bool:
-        """Membership of ``(u, v)`` in the segment layers, via the
-        memoised base row."""
-        row = self._base_cache.get(u)
+        row = self._rows.get(u)
         if row is None:
-            if not self.segments:
-                return False
+            state = self.memtable.state(u, v)
+            if state is not None:
+                return state
             row = self._base_row(u)
-            # as in _merged_row: never pin a decode buffer through a view
-            row = self._base_cache[u] = row if row.base is None else row.copy()
-        at = int(row.searchsorted(v))  # rows are sorted by contract
-        return at < row.shape[0] and int(row[at]) == v
+        return _locate(row, v)[1]
 
     # -- writes ---------------------------------------------------------
+    def _locate_for_write(self, u: int, v: int) -> tuple[np.ndarray, int, bool]:
+        """Checked ``(row, at, found)`` of ``(u, v)`` in *u*'s materialised
+        row: a no-op write leaves it memoised too, so the next write to a
+        hub does not decode again."""
+        self._check_node(u)
+        self._check_node(v)
+        row = self._row(u)
+        return (row, *_locate(row, v))
+
     def insert_edge(self, u: int, v: int) -> bool:
         """Insert edge ``(u, v)``; returns False (a no-op) when the
-        edge already exists in the merged view."""
-        self._check_node(int(u))
-        self._check_node(int(v))
-        if self.has_edge(u, v):
+        edge already exists in the merged view.  An insert landing on a
+        tombstone drops it — the delta falls silent and the base edge
+        shows again — so an alive entry is always memtable-only."""
+        u, v = int(u), int(v)
+        row, at, found = self._locate_for_write(u, v)
+        if found:
             self.write_noops += 1
             return False
-        self.memtable.insert(u, v)
-        self._merged_cache.pop(int(u), None)
+        if self.memtable.state(u, v) is False:
+            self.memtable.remove(u, v)
+        else:
+            self.memtable.insert(u, v)
+        self._rows[u] = np.concatenate((row[:at], (v,), row[at:]))
         self.inserts += 1
         self._num_edges += 1
         return True
@@ -386,16 +373,16 @@ class LsmStore(WrapperStore):
         edge is already absent.  A delete landing on a memtable-only
         insert removes the entry outright — the edge never reached a
         segment, so no tombstone is needed."""
-        self._check_node(int(u))
-        self._check_node(int(v))
-        if not self.has_edge(u, v):
+        u, v = int(u), int(v)
+        row, at, found = self._locate_for_write(u, v)
+        if not found:
             self.write_noops += 1
             return False
-        if self._in_base(int(u), int(v)):
-            self.memtable.delete(u, v)
-        else:
+        if self.memtable.state(u, v):
             self.memtable.remove(u, v)
-        self._merged_cache.pop(int(u), None)
+        else:
+            self.memtable.delete(u, v)
+        self._rows[u] = np.concatenate((row[:at], row[at + 1 :]))
         self.deletes += 1
         self._num_edges -= 1
         return True
@@ -447,8 +434,7 @@ class LsmStore(WrapperStore):
         )
         self.segments = [segment]
         self.memtable.clear()
-        self._merged_cache.clear()
-        self._base_cache.clear()
+        self._rows.clear()
         self.compactions += 1
         self._num_edges = int(segment.num_edges)
 
@@ -475,8 +461,7 @@ class LsmStore(WrapperStore):
         self.segments.append(segment)
         for u, v in zip(src.tolist(), dst.tolist()):
             self.memtable.remove(u, v)
-        self._merged_cache.clear()
-        self._base_cache.clear()
+        self._rows.clear()
         self.flushes += 1
 
     def maybe_compact(self, executor=None) -> bool:
@@ -507,10 +492,8 @@ class LsmStore(WrapperStore):
         )
 
     def memory_bytes(self) -> int:
-        """Segment payloads plus the resident memtable and row memos."""
-        memo = sum(r.nbytes for r in self._merged_cache.values()) + sum(
-            r.nbytes for r in self._base_cache.values()
-        )
+        """Segment payloads plus the resident memtable and materialised rows."""
+        memo = sum(r.nbytes for r in self._rows.values())
         return int(sum(int(s.memory_bytes()) for s in self.segments)) + int(
             self.memtable.memory_bytes()
         ) + int(memo)

@@ -307,3 +307,95 @@ class TestSegmentArena:
         assert np.array_equal(
             loaded.neighbors_batch(batch)[0], packed.neighbors_batch(batch)[0]
         )
+
+
+def _store_of_rows(rows, codec, segment_bytes=64):
+    """A compact store over arbitrary sorted ``uint64`` rows (values need
+    not be node ids: the decoders never look at ``num_nodes``)."""
+    from repro.bitpack.fixed import pack_fixed
+    from repro.bitpack.segcodec import encode_row_segments
+    from repro.utils import bits_for_value
+
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    values = np.concatenate([np.asarray(r, dtype=np.uint64) for r in rows])
+    width = bits_for_value(int(indptr[-1]))
+    segments = [enc for _, enc in encode_row_segments(
+        indptr, lambda f0, f1, _: values[f0:f1], 64, segment_bytes, codec)]
+    return CompactStore(
+        len(rows), int(indptr[-1]), pack_fixed(indptr, width), width, segments)
+
+
+class TestOneRowKernel:
+    """A one-key batch is decoded on scalars (two offset fields, two
+    row-starts fields, a slice of the payload): the same rows, and the
+    same refusals, as the batch path gives for the same keys."""
+
+    @staticmethod
+    def _rows(rng, top):
+        rows = [np.unique(rng.integers(0, 5_000, int(d)))
+                for d in rng.integers(0, 9, 60)]
+        rows[7] = np.unique(rng.integers(0, 1 << 40, 700))  # longer than a segment
+        rows[20] = np.asarray([3, 1 << 57, (1 << 57) + 5, top], dtype=np.uint64)
+        rows[0] = rows[31] = rows[59] = np.zeros(0, dtype=np.int64)
+        return rows
+
+    @pytest.mark.parametrize("codec", SEGMENT_CODECS)
+    def test_every_row_alone_equals_itself_in_a_batch(self, rng, codec, monkeypatch):
+        from repro.bitpack.segcodec import SegmentArena
+
+        # 9- and 10-byte varints; the zeta coder stops at 63-bit gaps
+        top = (1 << 64) - 1 if codec in ("fixed", "varint") else (1 << 62)
+        rows = self._rows(rng, top)
+        store = _store_of_rows(rows, codec)
+        assert len(store.segments) > 5 and {s.codec for s in store.segments} == {codec}
+        ones = []
+        kernel = SegmentArena.decode_row
+        monkeypatch.setattr(
+            SegmentArena, "decode_row",
+            lambda self, *a: ones.append(a) or kernel(self, *a))
+        keys = np.arange(len(rows))
+        flat, offs = store.neighbors_batch(keys)
+        assert ones == []  # a multi-key batch takes the vectorised path
+        edges = {s.first_row for s in store.segments}
+        edges |= {s.first_row + s.num_rows - 1 for s in store.segments}
+        assert {0, 7, 20, 31, 59} | edges <= set(keys.tolist())
+        for u, want in enumerate(rows):
+            alone, alone_offs = store.neighbors_batch([u])
+            for got in (store.neighbors(u), alone, flat[offs[u]:offs[u + 1]]):
+                assert got.dtype == np.uint64 and got.tolist() == want.tolist()
+            assert alone_offs.tolist() == [0, len(want)]
+            assert store.degree(u) == len(want)
+        assert len(ones) == 2 * sum(len(r) > 0 for r in rows)
+
+    def _broken(self, store, seg, entry, value):
+        bad = BitArray(seg.starts.buffer.copy(), seg.starts.nbits)
+        bad.write_uint(entry * seg.starts_width, seg.starts_width, value)
+        return CompactStore(
+            store.num_nodes, store.num_edges, store.offsets, store.offset_width,
+            [replace(s, starts=bad) if s is seg else s for s in store.segments])
+
+    def test_both_paths_refuse_a_corrupt_window_alike(self, rng):
+        store = _store_of_rows(self._rows(rng, (1 << 64) - 1), "varint")
+        seg = store.segments[2]
+        last = seg.first_row + seg.num_rows - 1
+        assert store.degree(last)
+        # the last row's window pushed past the segment's payload
+        broken = self._broken(store, seg, seg.num_rows, seg.payload.nbytes + 1)
+        message = "^row window runs past its segment's payload$"
+        with pytest.raises(CodecError, match=message):
+            broken.neighbors(last)
+        with pytest.raises(CodecError, match=message):
+            broken.neighbors_batch([last - 1, last])
+        # row 20 ends in a 10-byte value: a window one byte short of it
+        seg = next(s for s in store.segments
+                   if s.first_row <= 20 < s.first_row + s.num_rows)
+        local = 20 - seg.first_row + 1
+        end = int(store._arena.bits.read_uint(
+            int(store._arena.starts_bit[store.segments.index(seg)])
+            + local * seg.starts_width, seg.starts_width))
+        broken = self._broken(store, seg, local, end - 1)
+        with pytest.raises(CodecError, match="^truncated varint stream"):
+            broken.neighbors(20)
+        with pytest.raises(CodecError, match="^truncated varint stream"):
+            broken.neighbors_batch([19, 20])

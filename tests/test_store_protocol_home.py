@@ -102,3 +102,13 @@ def test_cluster_builds_shards_through_the_shard_builder():
     calls = _calls(build)
     assert "build_sharded_store" in calls
     assert "open_store" not in calls
+
+
+def test_lsm_rebuilds_a_row_as_a_set_only_across_segments():
+    """A write splices one element into its sorted row and the delta is
+    merged by ``_apply_delta``'s bisection: under ``lsm/`` the whole-row
+    set operations survive only where several segments' rows are united."""
+    set_ops = {"union1d", "isin", "setdiff1d"}
+    users = [(rel, name) for rel, _, name, node in STORE_DEFS
+             if rel.startswith("lsm/") and set_ops & _calls(node)]
+    assert users == [("lsm/store.py", "_base_row")]
