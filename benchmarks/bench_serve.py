@@ -11,7 +11,10 @@ A second, deterministic gate counts store reads: every micro-batch of
 the same workload — all of them mixed, neighbour and edge requests
 together — must walk a cache-less packed store exactly **once** (the
 edge lane's source rows ride on the neighbour kernel's fetch), counted
-by a proxy and checked exactly, not against a round multiple.
+by a proxy and checked exactly, not against a round multiple.  Two more
+count the serve loop's per-request work on that workload: no
+``Request.key`` tuple is built and no admission decision is asked for
+below capacity.
 
 The wait-window sweep runs on a :class:`ManualClock` — the arrival
 schedule is the timebase — so the batch-size/latency trade-off table
@@ -33,6 +36,7 @@ from repro import open_store
 from repro.query import QueryEngine
 from repro.serve import (
     DONE,
+    AdmissionController,
     EdgeRequest,
     GraphQueryServer,
     ManualClock,
@@ -42,7 +46,7 @@ from repro.serve import (
     synthetic_workload,
 )
 
-from conftest import baseline_record, report
+from conftest import baseline_record, baseline_section, report
 
 N_REQUESTS = 10_000
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
@@ -159,6 +163,62 @@ def test_one_store_read_per_mixed_batch(store_reads):
         if recorded is not None:
             assert recorded["domain"] == "count"
             assert reads == recorded["value"]
+
+
+def test_serve_loop_per_request_counts(packed, zipf_schedule, monkeypatch):
+    """Count gate (domain "count", exact for the seed): serving the 10k
+    Zipf workload — size-closed batches on a frozen :class:`ManualClock`,
+    the coalesced run's queue and policy — reads no ``Request.key`` (the
+    batch plan keys lanes by the ids; parent: one tuple per request,
+    10,000) and asks the admission policy for no decision below capacity
+    (parent: one per submit, 10,000)."""
+    counts = {"request_keys_built": 0, "admission_decisions_below_capacity": 0}
+
+    def counted_key(fget):
+        def key(self):
+            counts["request_keys_built"] += 1
+            return fget(self)
+        return property(key)
+
+    for cls in (NeighborsRequest, EdgeRequest):
+        monkeypatch.setattr(cls, "key", counted_key(cls.key.fget))
+    decide = AdmissionController.decide
+
+    def counted_decide(self, depth):
+        counts["admission_decisions_below_capacity"] += depth < self.capacity
+        return decide(self, depth)
+
+    monkeypatch.setattr(AdmissionController, "decide", counted_decide)
+    server = GraphQueryServer(
+        packed,
+        config=ServerConfig(max_batch_size=256, max_wait_ns=500e3,
+                            queue_capacity=1 << 16, policy="block"),
+        clock=ManualClock(),
+    )
+    for _, request in zipf_schedule():
+        server.submit(request)
+    server.drain()
+    assert server.snapshot().completed == N_REQUESTS
+
+    section = {
+        name: {"value": value, "gate": "== 0 (exact)", "domain": "count"}
+        for name, value in counts.items()
+    }
+    section["requests"] = N_REQUESTS
+    if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
+        baseline_section(BASELINE_PATH, {"serve_loop_counts": section})
+    report(
+        "Serve loop per-request work (count domain, 10k Zipf requests)",
+        render_table(["count", "value", "gate"],
+                     [[name, value, "== 0"] for name, value in counts.items()]),
+    )
+    assert counts == dict.fromkeys(counts, 0)
+    if BASELINE_PATH.exists():
+        recorded = json.loads(BASELINE_PATH.read_text()).get("serve_loop_counts")
+        if recorded is not None:
+            for name, value in counts.items():
+                assert recorded[name]["domain"] == "count"
+                assert value == recorded[name]["value"]
 
 
 def test_coalesced_vs_single_request_throughput(packed, zipf_schedule, store_reads):

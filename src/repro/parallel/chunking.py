@@ -63,6 +63,8 @@ def chunk_bounds(n: int, p: int) -> np.ndarray:
     """
     require(p >= 1, "number of processors must be >= 1")
     require(n >= 0, "array length must be non-negative")
+    if p == 1:  # the serial executor: every kernel call of the serve path
+        return np.array([0, n], dtype=np.int64)
     base, extra = divmod(n, p)
     sizes = np.full(p, base, dtype=np.int64)
     sizes[:extra] += 1

@@ -84,38 +84,32 @@ class MicroBatch:
 
         First occurrence of a key claims a lane (stable order, so
         kernel inputs are deterministic for a given arrival order);
-        later occurrences map onto it.
+        later occurrences map onto it.  The dicts are keyed by the ids
+        themselves, so their keys in insertion order are the lanes.
         """
         nreqs: list[NeighborsRequest] = []
         nlane: list[int] = []
-        node_of: dict[tuple, int] = {}
-        uniq_nodes: list[int] = []
+        node_of: dict = {}
         ereqs: list[EdgeRequest] = []
         elane: list[int] = []
-        edge_of: dict[tuple, int] = {}
-        uniq_edges: list[tuple[int, int]] = []
+        edge_of: dict = {}
         for req in self.requests:
-            if isinstance(req, NeighborsRequest):
-                lane = node_of.setdefault(req.key, len(uniq_nodes))
-                if lane == len(uniq_nodes):
-                    uniq_nodes.append(int(req.node))
+            kind = type(req)
+            if kind is NeighborsRequest or (
+                kind is not EdgeRequest and isinstance(req, NeighborsRequest)
+            ):
+                nlane.append(node_of.setdefault(req.node, len(node_of)))
                 nreqs.append(req)
-                nlane.append(lane)
-            elif isinstance(req, EdgeRequest):
-                lane = edge_of.setdefault(req.key, len(uniq_edges))
-                if lane == len(uniq_edges):
-                    uniq_edges.append((int(req.u), int(req.v)))
+            else:  # submit admits nothing else into a batch
+                elane.append(edge_of.setdefault((req.u, req.v), len(edge_of)))
                 ereqs.append(req)
-                elane.append(lane)
-            else:  # pragma: no cover - guarded by submit-time validation
-                raise TypeError(f"unknown request type {type(req).__name__}")
         return BatchPlan(
             neighbor_requests=tuple(nreqs),
             node_lane=tuple(nlane),
-            unique_nodes=np.asarray(uniq_nodes, dtype=np.int64),
+            unique_nodes=np.array(list(node_of), dtype=np.int64),
             edge_requests=tuple(ereqs),
             edge_lane=tuple(elane),
-            unique_edges=np.asarray(uniq_edges, dtype=np.int64).reshape(-1, 2),
+            unique_edges=np.array(list(edge_of), dtype=np.int64).reshape(-1, 2),
         )
 
 
@@ -136,7 +130,7 @@ class MicroBatchCoalescer:
         Nanosecond monotonic clock; injectable for deterministic tests.
     """
 
-    __slots__ = ("max_batch_size", "max_wait_ns", "_clock", "_fifo")
+    __slots__ = ("max_batch_size", "max_wait_ns", "_clock", "queue")
 
     def __init__(
         self,
@@ -150,12 +144,13 @@ class MicroBatchCoalescer:
         self.max_batch_size = int(max_batch_size)
         self.max_wait_ns = float(max_wait_ns)
         self._clock = clock
-        self._fifo: deque[Request] = deque()
+        #: the FIFO of admitted, not yet closed requests (oldest first)
+        self.queue: deque[Request] = deque()
 
     @property
     def pending(self) -> int:
         """Requests queued and not yet closed into a batch."""
-        return len(self._fifo)
+        return len(self.queue)
 
     @property
     def next_close_ns(self) -> float | None:
@@ -163,23 +158,25 @@ class MicroBatchCoalescer:
         expires (``None`` with an empty queue) — the wakeup a
         virtual-time driver must pump at to avoid stalling a partial
         batch."""
-        if not self._fifo:
+        if not self.queue:
             return None
-        oldest = self._fifo[0].enqueue_ns
+        oldest = self.queue[0].enqueue_ns
         if oldest is None:  # pragma: no cover - offers always stamped
             return None
         return float(oldest) + self.max_wait_ns
 
-    def offer(self, request: Request) -> None:
-        """Append one admitted request to the FIFO (never closes here;
-        callers :meth:`poll` right after, so size closure happens at
-        the submit that filled the batch)."""
-        self._fifo.append(request)
-
-    def evict_oldest(self) -> Request:
-        """Remove and return the oldest queued request (shed-oldest
-        admission); raises ``IndexError`` when the queue is empty."""
-        return self._fifo.popleft()
+    def offer(self, request: Request, now: float | None = None) -> bool:
+        """Append one admitted request (never closes here); True when
+        :meth:`poll` at *now* would close a batch — size reached or the
+        oldest window expired — so a caller polls only then."""
+        queue = self.queue
+        queue.append(request)
+        if len(queue) >= self.max_batch_size:
+            return True
+        if now is None:
+            now = self._clock()
+        oldest = queue[0].enqueue_ns
+        return oldest is not None and now >= oldest + self.max_wait_ns
 
     def poll(self, now: float | None = None) -> MicroBatch | None:
         """Return the next closed batch, or None while both bounds hold.
@@ -187,19 +184,19 @@ class MicroBatchCoalescer:
         Size closure wins when both trip at once (it yields the fuller
         batch and stamps the later close time).
         """
-        if not self._fifo:
+        if not self.queue:
             return None
         if now is None:
             now = self._clock()
-        if len(self._fifo) >= self.max_batch_size:
+        if len(self.queue) >= self.max_batch_size:
             return self._close(self.max_batch_size, "size", now)
-        oldest = self._fifo[0].enqueue_ns
+        oldest = self.queue[0].enqueue_ns
         # compare against the same `oldest + max_wait_ns` expression
         # next_close_ns advertises: `now - oldest >= max_wait_ns` can
         # round the other way, leaving a wakeup that never fires
         if oldest is not None and now >= oldest + self.max_wait_ns:
             # analytic close time: independent of when the poll ran
-            return self._close(len(self._fifo), "window", oldest + self.max_wait_ns)
+            return self._close(len(self.queue), "window", oldest + self.max_wait_ns)
         return None
 
     def flush(self, now: float | None = None) -> list[MicroBatch]:
@@ -207,9 +204,8 @@ class MicroBatchCoalescer:
         if now is None:
             now = self._clock()
         out = []
-        while self._fifo:
-            out.append(self._close(min(len(self._fifo), self.max_batch_size),
-                                   "flush", now))
+        while (batch := self.close_batch(now)) is not None:
+            out.append(batch)
         return out
 
     def close_batch(self, now: float | None = None, reason: str = "flush"
@@ -217,14 +213,14 @@ class MicroBatchCoalescer:
         """Force-close one batch of up to ``max_batch_size`` oldest
         requests (the ``block`` admission policy making room), or None
         when the queue is empty."""
-        if not self._fifo:
+        if not self.queue:
             return None
         if now is None:
             now = self._clock()
-        return self._close(min(len(self._fifo), self.max_batch_size), reason, now)
+        return self._close(min(len(self.queue), self.max_batch_size), reason, now)
 
     def _close(self, k: int, reason: str, closed_ns: float) -> MicroBatch:
-        taken = tuple(self._fifo.popleft() for _ in range(k))
+        taken = tuple(self.queue.popleft() for _ in range(k))
         return MicroBatch(requests=taken, closed_by=reason, closed_ns=float(closed_ns))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -11,8 +11,9 @@ subclasses the loop and supplies only what differs:
 
 * ``_dispatch(batch)`` — what happens to a closed micro-batch (run the
   kernels inline, or scatter it across shard workers);
-* ``_run_events(now)`` and ``next_wakeup_ns`` — work still in flight
-  after ``_dispatch`` returned (none when batches complete inline);
+* ``_events``, ``_run_events(now)`` and ``next_wakeup_ns`` — work
+  still in flight after ``_dispatch`` returned (none when batches
+  complete inline);
 * ``_job_target()`` — the ``(store, executor)`` a job stepper runs on;
 * ``_write_target`` / ``_apply_write`` — a front door that accepts
   :class:`~repro.serve.request.WriteRequest` sets the mutable store and
@@ -42,7 +43,9 @@ from .request import (
     REJECTED,
     SHED,
     AnalyticsRequest,
+    EdgeRequest,
     JobHandle,
+    NeighborsRequest,
     ReadRequest,
     ReplySlot,
     Request,
@@ -50,6 +53,9 @@ from .request import (
 )
 
 __all__ = ["ServeLoop"]
+
+#: The request types ``submit`` admits without its isinstance chain.
+_POINT_READS = (NeighborsRequest, EdgeRequest)
 
 
 class ServeLoop:
@@ -65,6 +71,8 @@ class ServeLoop:
     _layer = "serve"
     #: why a write is refused while ``_write_target`` is ``None``
     _read_only = "this front door is read-only"
+    #: in-flight events: a heap of ``(due_ns, ...)``, empty when inline
+    _events = ()
 
     def __init__(self, config: ServerConfig, *, clock, tracer):
         self.config = config
@@ -72,6 +80,7 @@ class ServeLoop:
         self.coalescer = MicroBatchCoalescer(
             config.max_batch_size, config.max_wait_ns, clock=clock
         )
+        self._queue = self.coalescer.queue  # its depth gates admission
         self.admission = AdmissionController(config.queue_capacity,
                                              config.policy)
         self.metrics = ServeMetrics()
@@ -117,76 +126,84 @@ class ServeLoop:
         (by size, by an expired window, or by the ``block`` policy
         draining to make room) or applied a write.
         """
-        if isinstance(request, AnalyticsRequest):
-            raise ValidationError(
-                "analytics requests are long-running jobs — submit them "
-                "through submit_job(), not submit()"
-            )
-        if not isinstance(request, (ReadRequest, WriteRequest)) or (
-            type(request) is ReadRequest
-        ):
-            raise ValidationError(
-                f"unsupported request type {type(request).__name__}"
-            )
-        require(request.ticket < 0, "request was already submitted")
-        write = isinstance(request, WriteRequest)
-        if write:
-            if self._write_target is None:
-                raise ValidationError(self._read_only)
-            if request.op not in ("insert", "delete"):
-                raise ValidationError(
-                    f"unknown write op {request.op!r} (known: insert, delete)"
-                )
-        tracer = self.tracer
+        # an exact point read skips the isinstance chain; writes,
+        # subclasses and whatever must be refused go through it
+        write = False
+        if type(request) not in _POINT_READS or request.ticket >= 0:
+            write = self._check_request(request)
         tenants = self._tenants
         now = self._clock()
-        request.ticket = self._next_ticket
-        self._next_ticket += 1
+        request.ticket = ticket = self._next_ticket
+        self._next_ticket = ticket + 1
         request.enqueue_ns = now
         slot = ReplySlot(request)
         # root sampling: only top-level submits start a trace — a submit
         # that runs under an open span is never a new root
-        if self._obs and tracer.sample_root():
+        if self._obs and self.tracer.sample_root():
             meta = {"kind": type(request).__name__}
             if tenants is not None:
                 meta["tenant"] = request.tenant
-            self._traced[request.ticket] = tracer.begin(
-                "request", self._layer, ticket=request.ticket, start_ns=now,
-                meta=meta,
-            )
+            self._traced[ticket] = self.tracer.begin(
+                "request", self._layer, ticket=ticket, start_ns=now, meta=meta)
         if write:
             return self._apply_write(request, slot, now)
         if tenants is not None and not tenants.enter(request.tenant):
             slot._resolve(REJECTED)
-            self._end_root(request.ticket, now, status="quota-rejected")
+            self._end_root(ticket, now, status="quota-rejected")
             return slot
-        depth = self.coalescer.pending  # read once, then tracked
-        decision = self.admission.decide(depth)
-        if decision == "reject":
-            if tenants is not None:
-                tenants.leave(request.tenant, completed=False)
-            slot._resolve(REJECTED)
-            self._end_root(request.ticket, now, status="rejected")
-            return slot
-        if decision == "shed":
-            victim = self.coalescer.evict_oldest()
-            depth -= 1
-            self._slots.pop(victim.ticket)._resolve(SHED)
-            if tenants is not None:
-                tenants.leave(victim.tenant)
-            self._end_root(victim.ticket, now, status="shed")
-        elif decision == "block":
-            # backpressure: serve a batch now so the queue has room
-            batch = self.coalescer.close_batch(now, "flush")
-            if batch is not None:
-                depth -= len(batch)
-                self._dispatch(batch)
-        self._slots[request.ticket] = slot
-        self.coalescer.offer(request)
-        self.admission.record_admitted(depth + 1)
-        self.metrics.record_depth(depth + 1)
-        self.pump(now)
+        admission = self.admission
+        depth = len(self._queue)
+        if depth >= admission.capacity:  # the policy decides only when full
+            decision = admission.decide(depth)
+            if decision == "reject":
+                if tenants is not None:
+                    tenants.leave(request.tenant, completed=False)
+                slot._resolve(REJECTED)
+                self._end_root(ticket, now, status="rejected")
+                return slot
+            if decision == "shed":
+                victim = self._queue.popleft()
+                depth -= 1
+                self._slots.pop(victim.ticket)._resolve(SHED)
+                if tenants is not None:
+                    tenants.leave(victim.tenant)
+                self._end_root(victim.ticket, now, status="shed")
+            else:
+                # block — backpressure: serve a batch now to make room
+                batch = self.coalescer.close_batch(now, "flush")
+                if batch is not None:
+                    depth -= len(batch)
+                    self._dispatch(batch)
+        self._slots[ticket] = slot
+        admission.record_admitted(depth + 1)
+        # pump only when it has work at `now`: a batch to close, a job
+        # slice to grant, or an in-flight event (router) that is due
+        events = self._events
+        if (self.coalescer.offer(request, now) or self._jobs
+                or (events and events[0][0] <= now)):
+            self.pump(now)
         return slot
+
+    def _check_request(self, request) -> bool:
+        """Refuse what ``submit`` may not accept with a one-line
+        :class:`ValidationError`; returns whether *request* is a write."""
+        if isinstance(request, AnalyticsRequest):
+            raise ValidationError(
+                "analytics requests are long-running jobs — submit them "
+                "through submit_job(), not submit()")
+        if not isinstance(request, (ReadRequest, WriteRequest)) or (
+                type(request) is ReadRequest):
+            raise ValidationError(
+                f"unsupported request type {type(request).__name__}")
+        require(request.ticket < 0, "request was already submitted")
+        if not isinstance(request, WriteRequest):
+            return False
+        if self._write_target is None:
+            raise ValidationError(self._read_only)
+        if request.op not in ("insert", "delete"):
+            raise ValidationError(
+                f"unknown write op {request.op!r} (known: insert, delete)")
+        return True
 
     def _end_root(self, ticket: int, end_ns: float,
                   status: str | None = None) -> None:
@@ -283,7 +300,7 @@ class ServeLoop:
             self._dispatch(batch)
             served += 1
             self._run_events(now)
-        if self._jobs:  # tested here: pump runs once per submit
+        if self._jobs:
             self._pump_jobs()
         return served
 

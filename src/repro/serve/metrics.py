@@ -4,7 +4,7 @@ The serving layer's behaviour is a three-way trade — batch size buys
 throughput, wait window costs latency, admission drops traffic — and
 none of it is visible from kernel benchmarks alone.
 :class:`ServeMetrics` records the request lifecycle as it happens
-(queue depth at submit, batch size and close reason at dispatch,
+(batch size and close reason at dispatch,
 per-request wait and latency at reply) and freezes into an immutable
 :class:`ServeSnapshot` with p50/p95/p99 percentiles and power-of-two
 histograms.  Rendering lives in :mod:`repro.analysis.serving`, beside
@@ -119,7 +119,6 @@ class ServeMetrics:
         "batches",
         "close_reasons",
         "duplicates_coalesced",
-        "depth_high_watermark",
         "service_ns_total",
         "writes",
         "write_noops",
@@ -134,7 +133,6 @@ class ServeMetrics:
         self.batches = 0
         self.close_reasons: dict[str, int] = {}
         self.duplicates_coalesced = 0
-        self.depth_high_watermark = 0
         self.service_ns_total = 0.0
         self.writes = 0
         self.write_noops = 0
@@ -142,11 +140,6 @@ class ServeMetrics:
         self._waits_ns: list[float] = []
         self._latencies_ns: list[float] = []
         self._write_ns: list[float] = []
-
-    def record_depth(self, depth: int) -> None:
-        """Track the queue depth observed after an admit."""
-        if depth > self.depth_high_watermark:
-            self.depth_high_watermark = depth
 
     def record_batch(self, size: int, closed_by: str, duplicates: int,
                      service_ns: float) -> None:
@@ -184,7 +177,8 @@ class ServeMetrics:
 
         ``admission_stats`` (an
         :class:`~repro.serve.admission.AdmissionStats`) contributes the
-        accepted/rejected/shed/blocked counts — passing ``None`` marks
+        accepted/rejected/shed/blocked counts and the queue-depth
+        high-water mark — passing ``None`` marks
         the snapshot ``admission_enabled=False``, so renderers can show
         "admission off" instead of a misleading zero-rejects row;
         ``elapsed_s`` enables
@@ -204,10 +198,8 @@ class ServeMetrics:
             batches=self.batches,
             close_reasons=dict(self.close_reasons),
             duplicates_coalesced=self.duplicates_coalesced,
-            queue_depth_high_watermark=max(
-                self.depth_high_watermark,
-                admission_stats.high_watermark if admission_stats else 0,
-            ),
+            queue_depth_high_watermark=(
+                admission_stats.high_watermark if admission_stats else 0),
             batch_size_histogram=log2_histogram(self._batch_sizes),
             wait_ns_histogram=log2_histogram(self._waits_ns),
             wait_ns_p50=wp50,

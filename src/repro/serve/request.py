@@ -194,7 +194,40 @@ class AnalyticsRequest(Request):
         return ("a", self.algorithm)
 
 
-class ReplySlot:
+class _Handle:
+    """What a :class:`ReplySlot` and a :class:`JobHandle` share: the
+    request, its status, and server-side resolution exactly once."""
+
+    __slots__ = ("request", "status", "_value", "error")
+    _noun = "handle"  # named by the double-resolution message
+
+    def __init__(self, request: Request):
+        self.request = request
+        self.status = PENDING
+        self._value = None
+        self.error: Exception | None = None
+
+    @property
+    def ready(self) -> bool:
+        """True once the handle reached any terminal state."""
+        return self.status in _TERMINAL
+
+    # -- server-side resolution (exactly once) --------------------------
+    def _resolve(self, status: str, value=None) -> None:
+        if self.status != PENDING:
+            raise ValidationError(
+                f"{self._noun} for ticket={self.request.ticket} resolved "
+                f"twice ({self.status} -> {status})"
+            )
+        self.status = status
+        self._value = value
+
+    def _fail(self, error: Exception) -> None:
+        self._resolve(FAILED)
+        self.error = error
+
+
+class ReplySlot(_Handle):
     """Synchronous future-like handle for one submitted request.
 
     The server resolves every slot exactly once into one of four
@@ -209,18 +242,8 @@ class ReplySlot:
     :class:`~repro.errors.ValidationError`.
     """
 
-    __slots__ = ("request", "status", "_value", "error")
-
-    def __init__(self, request: Request):
-        self.request = request
-        self.status = PENDING
-        self._value = None
-        self.error: Exception | None = None
-
-    @property
-    def ready(self) -> bool:
-        """True once the slot reached any terminal state."""
-        return self.status in _TERMINAL
+    __slots__ = ()
+    _noun = "reply slot"
 
     def result(self):
         """The query result (row array or edge bool).
@@ -243,20 +266,6 @@ class ReplySlot:
             f"request ticket={self.request.ticket} has no reply yet"
         )
 
-    # -- server-side resolution (exactly once) --------------------------
-    def _resolve(self, status: str, value=None) -> None:
-        if self.status != PENDING:
-            raise ValidationError(
-                f"reply slot for ticket={self.request.ticket} resolved twice "
-                f"({self.status} -> {status})"
-            )
-        self.status = status
-        self._value = value
-
-    def _fail(self, error: Exception) -> None:
-        self._resolve(FAILED)
-        self.error = error
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         shape = (
             f", value.shape={self._value.shape}"
@@ -266,7 +275,7 @@ class ReplySlot:
         return f"ReplySlot(ticket={self.request.ticket}, status={self.status}{shape})"
 
 
-class JobHandle:
+class JobHandle(_Handle):
     """Future-like handle for one submitted analytics job.
 
     The job-API twin of :class:`ReplySlot`: resolved exactly once into
@@ -278,21 +287,13 @@ class JobHandle:
     the algorithm's own round counter.
     """
 
-    __slots__ = ("request", "status", "slices", "_stepper", "_value",
-                 "error")
+    __slots__ = ("slices", "_stepper")
+    _noun = "job handle"
 
     def __init__(self, request: AnalyticsRequest, stepper):
-        self.request = request
-        self.status = PENDING
+        super().__init__(request)
         self.slices = 0
         self._stepper = stepper
-        self._value = None
-        self.error: Exception | None = None
-
-    @property
-    def ready(self) -> bool:
-        """True once the job reached a terminal state."""
-        return self.status in _TERMINAL
 
     @property
     def rounds(self) -> int:
@@ -313,20 +314,6 @@ class JobHandle:
             f"job ticket={self.request.ticket} is still running "
             f"({self.slices} slices, {self.rounds} rounds)"
         )
-
-    # -- server-side resolution (exactly once) --------------------------
-    def _resolve(self, status: str, value=None) -> None:
-        if self.status != PENDING:
-            raise ValidationError(
-                f"job handle for ticket={self.request.ticket} resolved "
-                f"twice ({self.status} -> {status})"
-            )
-        self.status = status
-        self._value = value
-
-    def _fail(self, error: Exception) -> None:
-        self._resolve(FAILED)
-        self.error = error
 
     def _advance(self, steps: int) -> bool:
         """Grant the job up to *steps* stepper slices; True when the

@@ -265,7 +265,9 @@ class GraphQueryServer(ServeLoop):
 
     def _complete(self, requests, lanes, values, dispatch_ns: float,
                   complete_ns: float) -> None:
-        """Resolve one lane of a batch: request *i* gets ``values[lanes[i]]``."""
+        """Resolve one lane of a batch: request *i* gets ``values[lanes[i]]``.
+        ``_slots`` holds exactly the pending slots, so popping a ticket's
+        slot is the exactly-once check and the slot is resolved in place."""
         take = self._slots.pop
         enqueued = []
         for req, lane in zip(requests, lanes):
@@ -274,7 +276,8 @@ class GraphQueryServer(ServeLoop):
             slot = take(req.ticket, None)
             if slot is None:  # pragma: no cover - would be a demux bug
                 raise QueryError(f"no reply slot for ticket {req.ticket}")
-            slot._resolve(DONE, values[lane])
+            slot.status = DONE
+            slot._value = values[lane]
             enqueued.append(req.enqueue_ns)
         if self._traced:
             for req in requests:

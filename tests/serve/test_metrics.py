@@ -63,21 +63,31 @@ class TestHistogram:
 class TestServeMetrics:
     def _filled(self):
         m = ServeMetrics()
-        m.record_depth(3)
-        m.record_depth(7)
         m.record_batch(4, "size", 1, 10_000.0)
         m.record_batch(2, "window", 0, 5_000.0)
         for i in range(6):
             m.record_reply(wait_ns=100.0 * i, latency_ns=200.0 * i)
         return m
 
+    @staticmethod
+    def _depths():
+        """Two queue-depth samples, on the one high-water mark there is:
+        the admission controller's."""
+        from repro.serve import AdmissionController
+
+        ac = AdmissionController(8, "reject")
+        ac.record_admitted(3)
+        ac.record_admitted(7)
+        return ac.stats()
+
     def test_snapshot_counters(self):
-        snap = self._filled().snapshot()
+        snap = self._filled().snapshot(self._depths())
         assert snap.completed == 6
         assert snap.batches == 2
         assert snap.close_reasons == {"size": 1, "window": 1}
         assert snap.duplicates_coalesced == 1
         assert snap.queue_depth_high_watermark == 7
+        assert self._filled().snapshot().queue_depth_high_watermark == 0
         assert snap.mean_batch_size == 3.0
         assert snap.service_ns_total == 15_000.0
         assert snap.wait_ns_p50 == pytest.approx(250.0)

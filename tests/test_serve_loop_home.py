@@ -7,7 +7,9 @@ The request / job lifecycle of a serving front door —
 again, and a shard worker reaches the kernels through the server's
 kernel step, not through a front door of its own.  ``_bind(fn, cid)``
 closures, once copied into fourteen modules, stay folded into
-``Executor.map_chunks``.
+``Executor.map_chunks``.  The per-request path stays straight-line: no
+``Request.key`` tuple in the batch plan, one queue-depth sample per
+submit.
 """
 
 import ast
@@ -70,6 +72,19 @@ def test_shard_worker_runs_no_front_door():
     built = {n.func.id for n in ast.walk(serve)
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     assert not {name for name in built if name.endswith("Request")}
+
+
+def test_per_request_path_builds_no_key_and_no_second_depth_sample():
+    """The batch plan keys its dedup dicts by the ids, never by a
+    per-request ``Request.key`` tuple, and ``submit`` reads the queue
+    depth once and samples it once (the admission controller's mark)."""
+    found = {(rel, owner, name): node for rel, owner, name, node in _definitions()}
+    plan = found[("serve/coalescer.py", "MicroBatch", "plan")]
+    submit = found[HOME + ("submit",)]
+    assert not [n for n in ast.walk(plan)
+                if isinstance(n, ast.Attribute) and n.attr == "key"]
+    touched = {n.attr for n in ast.walk(submit) if isinstance(n, ast.Attribute)}
+    assert not touched & {"record_depth", "pending"}
 
 
 def test_build_cluster_overrides_no_front_door_knob():
