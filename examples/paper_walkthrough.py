@@ -15,10 +15,11 @@ Run:  python examples/paper_walkthrough.py
 import numpy as np
 
 from repro import SimulatedMachine
-from repro.analysis import render_trace
+from repro.analysis import render_rollup
 from repro.analysis.memory import projected_dense_matrix_bytes
 from repro.csr import BitPackedCSR, CSRGraph, build_bitpacked_csr
 from repro.csr.degree import degree_parallel
+from repro.obs import Tracer
 from repro.parallel import prefix_sum_parallel
 from repro.temporal import EventList, build_tcsr
 from repro.utils import human_bytes
@@ -46,7 +47,7 @@ assert out.tolist() == np.cumsum(vec).tolist()
 # ---------------------------------------------------------------- Figure 3
 print("\n== Figure 3: chunked degree computation (p=4) ==")
 sources = np.array([0, 0, 0, 1, 1, 1, 1, 2, 3, 3, 4, 5, 5, 5, 5, 5])
-machine = SimulatedMachine(4, record_trace=True)
+machine = SimulatedMachine(4)
 deg = degree_parallel(sources, 6, machine)
 print("sorted sources:", sources.tolist())
 print("degree array:  ", deg.tolist())
@@ -78,6 +79,8 @@ print("\n== Where simulated time goes (pipeline on 100k random edges) ==")
 rng = np.random.default_rng(0)
 src = np.sort(rng.integers(0, 10_000, 100_000))
 dst = rng.integers(0, 10_000, 100_000)
-machine = SimulatedMachine(16, record_trace=True)
+machine = SimulatedMachine(16)
+machine.tracer = Tracer()  # no span is open: every phase is a root span
 build_bitpacked_csr(src, dst, 10_000, machine)
-print(render_trace(machine, title=f"p=16, total {machine.elapsed_ms():.2f} ms"))
+print(render_rollup(machine.tracer.spans(),
+                    title=f"p=16, total {machine.elapsed_ms():.2f} ms"))

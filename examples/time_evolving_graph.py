@@ -33,7 +33,7 @@ print(f"stream: {len(events):,} events over {events.num_frames} frames, "
       f"{events.num_nodes:,} nodes")
 
 # -- build in parallel (Algorithm 5) ----------------------------------
-machine = SimulatedMachine(16, record_trace=True)
+machine = SimulatedMachine(16)
 tcsr = build_tcsr(events, machine)
 print(f"built {tcsr} in {machine.elapsed_ms():.2f} simulated ms on p=16")
 churn = tcsr.delta_edge_counts()

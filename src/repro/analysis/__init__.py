@@ -38,19 +38,13 @@ from .speedup import (
     speedup_ratio,
 )
 from .serving import (
+    render_cache_stats,
     render_lsm_stats,
     render_serve_histograms,
     render_serve_metrics,
     render_serve_report,
 )
 from .tables import format_value, render_series, render_table, sparkline
-from .tracing import (
-    TraceSummary,
-    render_cache_stats,
-    render_trace,
-    serial_fraction,
-    summarize_trace,
-)
 
 __all__ = [
     "ShapeCheck",
@@ -86,6 +80,7 @@ __all__ = [
     "sparkline",
     "build_report",
     "write_report",
+    "render_cache_stats",
     "render_lsm_stats",
     "render_serve_histograms",
     "render_serve_metrics",
@@ -93,9 +88,4 @@ __all__ = [
     "render_flamegraph",
     "render_rollup",
     "render_span_tree",
-    "TraceSummary",
-    "render_cache_stats",
-    "render_trace",
-    "serial_fraction",
-    "summarize_trace",
 ]

@@ -11,9 +11,9 @@ kernels.
 from __future__ import annotations
 
 from .tables import render_table
-from .tracing import render_cache_stats
 
 __all__ = [
+    "render_cache_stats",
     "render_serve_metrics",
     "render_serve_histograms",
     "render_serve_report",
@@ -107,11 +107,32 @@ def render_lsm_stats(store, *, title: str = "lsm store") -> str:
     return render_table(["counter", "value"], rows, title=title)
 
 
+def render_cache_stats(cache, *, title: str = "row cache") -> str:
+    """Hit/miss table for a :class:`~repro.query.rowcache.RowCache`.
+
+    Accepts anything exposing ``stats()`` returning a
+    :class:`~repro.query.rowcache.RowCacheStats`-shaped snapshot, so the
+    serving report and the CLI's ``info`` share one table.
+    """
+    stats = cache.stats()
+    rows = [
+        ["hits", stats.hits],
+        ["misses", stats.misses],
+        ["hit rate", f"{stats.hit_rate * 100:.1f}%"],
+        ["evictions", stats.evictions],
+        ["invalidations", getattr(stats, "invalidations", 0)],
+        ["resident rows", stats.rows],
+        ["resident elements", stats.elements],
+        ["capacity (elements)", stats.capacity],
+    ]
+    return render_table(["counter", "value"], rows, title=title)
+
+
 def render_serve_report(snap, cache=None, *, title: str = "serving report") -> str:
     """Metrics + histograms, plus the row cache's counters when given.
 
     *cache* is anything accepted by
-    :func:`~repro.analysis.tracing.render_cache_stats` (a
+    :func:`render_cache_stats` (a
     :class:`~repro.query.rowcache.RowCache` or compatible); pass a
     server's ``row_cache`` to see coalescing and caching side by side.
     """

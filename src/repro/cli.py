@@ -579,8 +579,7 @@ def _cmd_compact(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    from .analysis.serving import render_lsm_stats
-    from .analysis.tracing import render_cache_stats
+    from .analysis.serving import render_cache_stats, render_lsm_stats
     from .lsm import apply_random_writes, writable_overlay
     from .query import RowCache
     from .query.capabilities import capabilities

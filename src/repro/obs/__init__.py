@@ -9,7 +9,7 @@ Three pieces:
 
 * :class:`Tracer` produces structured :class:`Span` trees for sampled
   requests and jobs, with kernel :class:`~repro.parallel.cost.Cost`
-  attached through the executor's ``cost_observer`` hook, a bounded
+  attached through the executor's ``tracer`` slot, a bounded
   ring buffer, and a ``sample_every`` overhead knob
   (:class:`ObsConfig`).  Disabled servers share the no-op
   :data:`NULL_TRACER`.

@@ -4,10 +4,12 @@ A :class:`Span` is the unit every layer of the stack reports in: the
 serve front door opens one per sampled request, the coalescer's queue
 wait and the router's scatter/fan-out become analytic child spans, and
 the query kernels underneath attach their declared
-:class:`~repro.parallel.cost.Cost` through the executor's
-``cost_observer`` hook.  Spans form a tree via ``parent_id``; the
-rollup helpers in :mod:`repro.obs.rollup` aggregate that tree into
-per-layer/per-phase attribution tables and flamegraph folded stacks.
+:class:`~repro.parallel.cost.Cost` through the executor's ``tracer``
+slot (:meth:`~repro.obs.Tracer.phase`), which also makes each phase of
+a construction run, where no span is open, a root span of its own.
+Spans form a tree via ``parent_id``; the rollup helpers in
+:mod:`repro.obs.rollup` aggregate that tree into per-layer/per-phase
+attribution tables and flamegraph folded stacks.
 
 Times are nanoseconds on whatever clock the owning
 :class:`~repro.obs.Tracer` was given — the wall monotonic clock in

@@ -1,9 +1,10 @@
 """The tracer: sampled structured spans with bounded memory.
 
-:class:`Tracer` is the one span factory every layer shares.  A serving
-front door (:class:`~repro.serve.server.GraphQueryServer` or the
-cluster :class:`~repro.cluster.Router`) decides at submit time whether
-a request is **sampled** (:meth:`Tracer.should_sample`, every
+:class:`Tracer` is the one span factory every layer shares, for serving
+and for construction alike.  A serving front door
+(:class:`~repro.serve.server.GraphQueryServer` or the cluster
+:class:`~repro.cluster.Router`) decides at submit time whether a
+request is **sampled** (:meth:`Tracer.sample_root`, every
 ``sample_every``-th root); everything that happens on behalf of a
 sampled request — queue wait, batch dispatch, scatter fan-out, kernel
 calls, job slices — is recorded as child spans.  Two propagation
@@ -14,10 +15,13 @@ mechanisms stitch the tree together across layers:
   span, so anything opened deeper — including a shard worker's kernel
   step — parents correctly without threading ids through every
   signature;
-* :meth:`Tracer.on_cost`, the :attr:`Executor.cost_observer
-  <repro.parallel.machine.Executor>` hook: kernel phases report their
-  declared :class:`~repro.parallel.cost.Cost` and the tracer charges
-  it to the innermost open span.
+* :meth:`Tracer.phase`, called by an executor whose
+  :attr:`~repro.parallel.machine.Executor.tracer` slot holds this
+  tracer at the end of every parallel / locked / serial phase: inside
+  an open span the phase's declared
+  :class:`~repro.parallel.cost.Cost` is charged to the innermost span;
+  outside any span the phase becomes a root span of its own, which is
+  how a construction run reads its per-phase breakdown.
 
 Finished spans land in a bounded ring (``ObsConfig.capacity``); when
 it overflows the oldest span is dropped and counted, so tracing can
@@ -100,19 +104,10 @@ class Tracer:
         """Whether this tracer records spans at all."""
         return self.config.enabled
 
-    def should_sample(self) -> bool:
-        """Decide (and count) one root: every ``sample_every``-th is traced."""
-        if not self.config.enabled:
-            return False
-        picked = self._sample_counter % self.config.sample_every == 0
-        self._sample_counter += 1
-        return picked
-
     def sample_root(self) -> bool:
-        """One-call root decision for the serve hot path.
+        """Decide (and count) one root: every ``sample_every``-th is traced.
 
-        Equivalent to ``current() is None and should_sample()``: a
-        submit that already runs under an open span (a shard worker
+        A submit that already runs under an open span (a shard worker
         inside a router's ``sub`` span) is never a new root and must
         not consume a sample.  Callers gate on :attr:`enabled` first,
         so this skips the config check entirely.
@@ -186,7 +181,8 @@ class Tracer:
         """Open a span for the duration of a ``with`` block.
 
         The span is pushed on the parent stack, so nested spans and
-        :meth:`on_cost` charges attribute to it while the block runs.
+        executor :meth:`phase` charges attribute to it while the block
+        runs.
         """
         sid = self.begin(name, layer, ticket=ticket, parent=parent, meta=meta)
         self._stack.append(sid)
@@ -220,14 +216,22 @@ class Tracer:
         return self._stack[-1] if self._stack else None
 
     # -- cost attribution -----------------------------------------------
-    def on_cost(self, label: str, cost: Cost) -> None:
-        """Executor ``cost_observer`` hook: charge the innermost span.
+    def phase(self, label: str, kind: str, cost: Cost, start_ns: float,
+              end_ns: float, meta: dict) -> None:
+        """Executor hook: one finished ``parallel`` / ``locked`` /
+        ``serial`` phase.
 
-        Phases that run outside any open span are dropped — untraced
-        traffic charges nothing, which is what keeps sampling cheap.
+        Inside an open span the phase's *cost* is charged to the
+        innermost span (a kernel's phases bill its ``kernel:*`` span).
+        Outside any span the phase becomes a root span of its own:
+        layer *kind*, name *label*, the executor's *start_ns* / *end_ns*
+        stamps (wall or virtual, as ``meta["clock"]`` says) and *meta*.
         """
         if self._stack:
             self.add_cost(self._stack[-1], cost)
+        else:
+            self.record(label or "phase", kind, start_ns=start_ns,
+                        end_ns=end_ns, cost=cost, meta=meta)
 
     def add_cost(self, span_id: int, cost: Cost) -> None:
         """Add *cost* to an open span (no-op once the span is closed)."""
@@ -284,10 +288,6 @@ class NullTracer:
         """Always ``False``."""
         return False
 
-    def should_sample(self) -> bool:
-        """Never samples."""
-        return False
-
     def sample_root(self) -> bool:
         """Never samples."""
         return False
@@ -316,7 +316,7 @@ class NullTracer:
         """Always ``None``."""
         return None
 
-    def on_cost(self, label, cost) -> None:
+    def phase(self, label, kind, cost, start_ns, end_ns, meta) -> None:
         """No-op."""
 
     def add_cost(self, span_id, cost) -> None:

@@ -17,7 +17,6 @@ from .chunking import (
 from .cost import Cost, CostAccumulator, CostModel, DEFAULT_COST_MODEL
 from .machine import (
     Executor,
-    PhaseRecord,
     SerialExecutor,
     SimulatedMachine,
     TaskContext,
@@ -42,7 +41,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "Executor",
-    "PhaseRecord",
     "SerialExecutor",
     "SimulatedMachine",
     "TaskContext",

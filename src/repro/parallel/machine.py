@@ -17,8 +17,8 @@ Three executors implement it:
   time — the honest single-core baseline.
 * :class:`ThreadExecutor` runs phases on a thread pool (NumPy kernels
   release the GIL for large array operations) and reports wall-clock
-  time.  On a multi-core host this shows real speed-up; on this 1-core
-  CI box it demonstrates correctness only.
+  time.  The repository's measurements come from 2-vCPU hosts and make
+  no speed-up claim for it; there it demonstrates correctness only.
 * :class:`SimulatedMachine` runs everything inline (results are
   bit-exact) while charging each task's declared :class:`Cost` to a
   virtual processor and maintaining a simulated clock: a parallel phase
@@ -32,10 +32,10 @@ from __future__ import annotations
 import abc
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..errors import ValidationError
+from ..obs.tracer import NULL_TRACER
 from .cost import Cost, CostAccumulator, CostModel, DEFAULT_COST_MODEL
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "SimulatedMachine",
-    "PhaseRecord",
 ]
 
 Task = Callable[["TaskContext"], Any]
@@ -96,46 +95,26 @@ class TaskContext:
             self._acc.charge_page_touches(n)
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseRecord:
-    """One entry of a :class:`SimulatedMachine` trace."""
-
-    kind: str  # "parallel" | "locked" | "serial"
-    label: str
-    duration_ns: float
-    per_proc_ns: tuple[float, ...] = ()
-
-    @property
-    def imbalance(self) -> float:
-        """Max over mean per-processor time (1.0 == perfectly balanced)."""
-        busy = [t for t in self.per_proc_ns]
-        if not busy or max(busy) == 0:
-            return 1.0
-        mean = sum(busy) / len(busy)
-        return max(busy) / mean if mean else 1.0
-
-
 class Executor(abc.ABC):
     """Abstract p-processor executor for chunked bulk-synchronous kernels.
 
-    ``cost_observer`` is the observability hook: when set to a callable
-    ``observer(label, cost)`` (e.g. a
-    :meth:`repro.obs.Tracer.on_cost` bound method), every phase's total
-    declared :class:`Cost` is reported to it — including on the real
-    executors, which otherwise discard charges.  It defaults to
-    ``None`` so the hot path pays nothing when nobody is watching.
+    ``tracer`` is the observability slot: while it holds a
+    :class:`~repro.obs.Tracer`, every phase ends with one
+    ``tracer.phase(label, kind, cost, start_ns, end_ns, meta)`` call
+    carrying the phase's total declared :class:`Cost` — including on the
+    real executors, which otherwise discard charges.  Inside an open
+    span the tracer charges that cost to it; otherwise the phase becomes
+    a root span, the per-phase breakdown of a construction run.  The
+    slot defaults to :data:`~repro.obs.NULL_TRACER`, and while it does
+    the real executors accumulate no cost and no executor calls it, so
+    the hot path pays nothing when nobody is watching.
     """
 
     def __init__(self, p: int):
         if p < 1:
             raise ValidationError("executor width p must be >= 1")
         self.p = int(p)
-        self.cost_observer: Callable[[str, Cost], None] | None = None
-
-    def _observe_cost(self, label: str, cost: Cost) -> None:
-        """Report one phase's total charged cost to the observer."""
-        if self.cost_observer is not None and not cost.is_zero():
-            self.cost_observer(label or "phase", cost)
+        self.tracer = NULL_TRACER
 
     @abc.abstractmethod
     def parallel(self, tasks: Sequence[Task], *, label: str = "") -> list:
@@ -159,7 +138,7 @@ class Executor(abc.ABC):
 
     @abc.abstractmethod
     def reset(self) -> None:
-        """Zero the clock (and trace, if any)."""
+        """Zero the clock."""
 
     # ------------------------------------------------------------------
     # Conveniences shared by all executors.
@@ -191,28 +170,30 @@ class SerialExecutor(Executor):
         super().__init__(p)
         self._elapsed = 0.0
 
-    def _inline(self, tasks: Sequence[Task], label: str) -> list:
+    def _inline(self, tasks: Sequence[Task], label: str, kind: str) -> list:
         """Run *tasks* in order on the calling thread, timed and
-        cost-observed as one phase."""
+        traced as one phase."""
+        tracer = self.tracer
         start = time.perf_counter_ns()
-        acc = CostAccumulator() if self.cost_observer is not None else None
+        acc = CostAccumulator() if tracer is not NULL_TRACER else None
         results = [
             task(TaskContext(i % self.p, self.p, acc))
             for i, task in enumerate(tasks)
         ]
-        self._elapsed += time.perf_counter_ns() - start
+        end = time.perf_counter_ns()
+        self._elapsed += end - start
         if acc is not None:
-            self._observe_cost(label, acc.total)
+            tracer.phase(label, kind, acc.total, start, end, {"clock": "wall"})
         return results
 
     def parallel(self, tasks: Sequence[Task], *, label: str = "") -> list:
-        return self._inline(tasks, label)
+        return self._inline(tasks, label, "parallel")
 
     def locked(self, tasks: Sequence[Task], *, label: str = "") -> list:
-        return self._inline(tasks, label)
+        return self._inline(tasks, label, "locked")
 
     def serial(self, task: Task, *, label: str = "") -> Any:
-        return self._inline((task,), label)[0]
+        return self._inline((task,), label, "serial")[0]
 
     def elapsed_ns(self) -> float:
         return self._elapsed
@@ -237,23 +218,25 @@ class ThreadExecutor(SerialExecutor):
         self._pool = ThreadPoolExecutor(max_workers=self.p, thread_name_prefix="repro")
 
     def parallel(self, tasks: Sequence[Task], *, label: str = "") -> list:
+        tracer = self.tracer
+        traced = tracer is not NULL_TRACER
         start = time.perf_counter_ns()
-        observe = self.cost_observer is not None
         # per-task accumulators: charges from concurrent tasks must not
         # race on one accumulator, so each task owns its own and the
-        # totals are folded after the barrier
-        accs = [CostAccumulator() if observe else None for _ in tasks]
+        # totals are folded after the barrier, on the calling thread
+        accs = [CostAccumulator() if traced else None for _ in tasks]
         futures = [
             self._pool.submit(task, TaskContext(i % self.p, self.p, accs[i]))
             for i, task in enumerate(tasks)
         ]
         results = [f.result() for f in futures]
-        self._elapsed += time.perf_counter_ns() - start
-        if observe:
+        end = time.perf_counter_ns()
+        self._elapsed += end - start
+        if traced:
             total = Cost.zero()
             for acc in accs:
                 total = total + acc.total
-            self._observe_cost(label, total)
+            tracer.phase(label, "parallel", total, start, end, {"clock": "wall"})
         return results
 
     def shutdown(self) -> None:
@@ -279,9 +262,11 @@ class SimulatedMachine(Executor):
       lock hand-off latency each — the paper's sequential carry step.
     * ``serial``: charged directly.
 
-    ``record_trace=True`` keeps a :class:`PhaseRecord` per phase so
-    benches can attribute simulated time to algorithm phases and report
-    load imbalance.
+    A phase reports to the :attr:`tracer` on the simulated clock: its
+    stamps are virtual nanoseconds (meta ``clock="virtual"``) and its
+    meta carries the load ``imbalance`` (max over mean per-processor
+    time, 1.0 == perfectly balanced), so a traced construction run
+    attributes simulated time to algorithm phases.
     """
 
     def __init__(
@@ -289,16 +274,13 @@ class SimulatedMachine(Executor):
         p: int,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         *,
-        record_trace: bool = False,
         memory_bandwidth_gbs: float | None = None,
         cache_bytes: float = 0.0,
     ):
         super().__init__(p)
         self.cost_model = cost_model
-        self.record_trace = record_trace
         self.memory_bandwidth_gbs = memory_bandwidth_gbs
         self.cache_bytes = float(cache_bytes)
-        self.trace: list[PhaseRecord] = []
         self._clock_ns = 0.0
 
     # ------------------------------------------------------------------
@@ -320,7 +302,6 @@ class SimulatedMachine(Executor):
             busy[proc] += self.cost_model.time_ns(acc.total) + self.cost_model.dispatch_ns
             phase_bytes += self._bytes_moved(acc.total)
             phase_cost = phase_cost + acc.total
-        self._observe_cost(label, phase_cost)
         duration = max(busy) + self.cost_model.sync_ns if tasks else 0.0
         if tasks and self.memory_bandwidth_gbs:
             # a shared memory bus floors the phase at (traffic beyond
@@ -331,7 +312,7 @@ class SimulatedMachine(Executor):
             uncached = max(0.0, phase_bytes - self.cache_bytes)
             floor = uncached / self.memory_bandwidth_gbs
             duration = max(duration, floor + self.cost_model.sync_ns)
-        self._advance(duration, "parallel", label, tuple(busy))
+        self._advance(duration, "parallel", label, busy, phase_cost)
         return results
 
     def locked(self, tasks: Sequence[Task], *, label: str = "") -> list:
@@ -347,15 +328,14 @@ class SimulatedMachine(Executor):
             duration += t
             per_proc[proc] += t
             phase_cost = phase_cost + acc.total
-        self._observe_cost(label, phase_cost)
-        self._advance(duration, "locked", label, tuple(per_proc))
+        self._advance(duration, "locked", label, per_proc, phase_cost)
         return results
 
     def serial(self, task: Task, *, label: str = "") -> Any:
         acc = CostAccumulator()
         result = task(TaskContext(0, self.p, acc))
-        self._observe_cost(label, acc.total)
-        self._advance(self.cost_model.time_ns(acc.total), "serial", label, ())
+        self._advance(self.cost_model.time_ns(acc.total), "serial", label, (),
+                      acc.total)
         return result
 
     def split(self, groups: int) -> list["SimulatedMachine"]:
@@ -366,14 +346,15 @@ class SimulatedMachine(Executor):
         Run one concurrent unit of work (e.g. one shard build) on each
         group, then fold the groups' clocks back with :meth:`absorb` —
         the groups ran side by side, so the parent advances by their
-        *maximum*.
+        *maximum*.  The groups do not inherit the parent's
+        :attr:`tracer`: only the folded :meth:`absorb` phase reports.
         """
         if groups < 1:
             raise ValidationError("group count must be >= 1")
         width = max(1, self.p // groups)
         return [
             SimulatedMachine(
-                width, self.cost_model, record_trace=self.record_trace,
+                width, self.cost_model,
                 memory_bandwidth_gbs=self.memory_bandwidth_gbs,
                 cache_bytes=self.cache_bytes,
             )
@@ -391,22 +372,23 @@ class SimulatedMachine(Executor):
 
         The sub-machines (from :meth:`split`) ran their work at the
         same time on disjoint processor groups, so the phase's duration
-        is the slowest group's clock — the critical path.  Appends one
-        trace record (per-group times as ``per_proc_ns``) and returns
+        is the slowest group's clock — the critical path.  Reports one
+        phase (its imbalance taken over the per-group times) and returns
         the absorbed duration in nanoseconds.
         """
-        per_group = tuple(float(m.elapsed_ns()) for m in sub_machines)
+        per_group = [float(m.elapsed_ns()) for m in sub_machines]
         duration = max(per_group) if per_group else 0.0
-        self._advance(duration, kind, label, per_group)
+        self._advance(duration, kind, label, per_group, Cost.zero())
         return duration
 
     # ------------------------------------------------------------------
-    def _advance(
-        self, duration: float, kind: str, label: str, per_proc: tuple[float, ...]
-    ) -> None:
+    def _advance(self, duration: float, kind: str, label: str,
+                 per_proc: Sequence[float], cost: Cost) -> None:
+        start = self._clock_ns
         self._clock_ns += duration
-        if self.record_trace:
-            self.trace.append(PhaseRecord(kind, label, duration, per_proc))
+        if self.tracer is not NULL_TRACER:
+            self.tracer.phase(label, kind, cost, start, self._clock_ns,
+                              {"clock": "virtual", "imbalance": _imbalance(per_proc)})
 
     def elapsed_ns(self) -> float:
         return self._clock_ns
@@ -418,11 +400,11 @@ class SimulatedMachine(Executor):
     def reset(self) -> None:
         """Zero the accumulator."""
         self._clock_ns = 0.0
-        self.trace = []
 
-    def phase_breakdown(self) -> dict[str, float]:
-        """Simulated nanoseconds per phase label (requires a trace)."""
-        out: dict[str, float] = {}
-        for rec in self.trace:
-            out[rec.label] = out.get(rec.label, 0.0) + rec.duration_ns
-        return out
+
+def _imbalance(per_proc: Sequence[float]) -> float:
+    """Max over mean per-processor time (1.0 == perfectly balanced)."""
+    if not per_proc or max(per_proc) == 0:
+        return 1.0
+    mean = sum(per_proc) / len(per_proc)
+    return max(per_proc) / mean if mean else 1.0

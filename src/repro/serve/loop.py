@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import ValidationError
-from ..obs import MetricsRegistry
+from ..obs import NULL_TRACER, MetricsRegistry
 from ..utils import require
 from .admission import AdmissionController
 from .coalescer import MicroBatch, MicroBatchCoalescer
@@ -269,16 +269,17 @@ class ServeLoop:
         jsid = self._traced_jobs.get(handle.request.ticket)
         if jsid is None:
             return handle._advance(self.config.job_slice_steps)
-        # scope the cost observer to the traced slice, on the executor
-        # the stepper actually runs on (it may have defaulted its own)
+        # scope the executor's tracer slot to the traced slice, on the
+        # executor the stepper actually runs on (it may have defaulted
+        # its own)
         executor = handle._stepper.executor
-        executor.cost_observer = self.tracer.on_cost
+        executor.tracer = self.tracer
         try:
             with self.tracer.span("job-slice", "algorithms",
                                   ticket=handle.request.ticket, parent=jsid):
                 return handle._advance(self.config.job_slice_steps)
         finally:
-            executor.cost_observer = None
+            executor.tracer = NULL_TRACER
 
     def _finish_job(self, handle: JobHandle) -> None:
         """Stamp completion and close the job's root span (if traced)."""

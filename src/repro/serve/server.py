@@ -221,14 +221,15 @@ class GraphQueryServer(ServeLoop):
         to hang the step off as *parent* (a batch's first traced root,
         or the router's ``sub`` span around a shard worker): the step
         then runs in a ``dispatch`` span carrying *meta* with a
-        ``kernel:*`` span per kernel, and the executor's cost observer
-        is scoped to it — an always-installed hook would fire on every
-        phase of every untraced batch just to throw the cost away.
+        ``kernel:*`` span per kernel, and the executor's ``tracer`` slot
+        is scoped to it — an always-set slot would make every phase of
+        every untraced batch pay for cost accumulation, and, with no
+        span open, record it as a root span of its own.
         """
         tracer = self.tracer if parent is not None else NULL_TRACER
         executor = self.engine.executor
         if parent is not None:
-            executor.cost_observer = tracer.on_cost
+            executor.tracer = tracer
         try:
             with tracer.span("dispatch", "serve", parent=parent,
                              meta=meta) as dsid:
@@ -260,7 +261,7 @@ class GraphQueryServer(ServeLoop):
                 tracer.annotate(dsid, service_ns=float(service_ns))
         finally:
             if parent is not None:
-                executor.cost_observer = None
+                executor.tracer = NULL_TRACER
         return rows, exists, service_ns
 
     def _complete(self, requests, lanes, values, dispatch_ns: float,

@@ -12,6 +12,7 @@ from repro.csr.builder import (
     ensure_sorted,
 )
 from repro.errors import NotSortedError, ValidationError
+from repro.obs import Tracer
 from repro.parallel import SimulatedMachine
 
 
@@ -110,9 +111,10 @@ class TestBuildCsr:
         assert times[8] < times[1]
 
     def test_sort_stage_charged_when_requested(self):
-        m = SimulatedMachine(2, record_trace=True)
+        m = SimulatedMachine(2)
+        m.tracer = Tracer()
         build_csr(np.array([3, 1]), np.array([0, 2]), 5, m, sort=True)
-        labels = {rec.label for rec in m.trace}
+        labels = {s.name for s in m.tracer.spans()}
         assert "sort:local" in labels  # parallel sample sort ran
         assert "build:sort-apply" in labels
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.csr.degree import degree_parallel, degree_serial, run_length_counts
 from repro.errors import NotSortedError, ValidationError
+from repro.obs import Tracer
 from repro.parallel import SimulatedMachine
 
 
@@ -77,9 +78,10 @@ class TestDegreeParallel:
             degree_parallel(np.array([0, 9]), 9, SimulatedMachine(2))
 
     def test_charges_count_and_merge_phases(self):
-        machine = SimulatedMachine(3, record_trace=True)
+        machine = SimulatedMachine(3)
+        machine.tracer = Tracer()
         degree_parallel(np.sort(np.arange(30) % 7), 7, machine)
-        labels = [rec.label for rec in machine.trace]
+        labels = [s.name for s in machine.tracer.spans()]
         assert labels == ["degree:count", "degree:merge"]
 
     @settings(max_examples=60, deadline=None)

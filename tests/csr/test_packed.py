@@ -9,6 +9,7 @@ from repro.bitpack.fixed import pack_fixed
 from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.csr.packed import BitPackedCSR, build_bitpacked_csr, pack_array_parallel
 from repro.errors import QueryError, ValidationError
+from repro.obs import Tracer
 from repro.parallel import SimulatedMachine
 
 
@@ -38,9 +39,10 @@ class TestPackArrayParallel:
         assert got == pack_fixed(values, 5)
 
     def test_merge_charged_as_serial_copy(self):
-        machine = SimulatedMachine(4, record_trace=True)
+        machine = SimulatedMachine(4)
+        machine.tracer = Tracer()
         pack_array_parallel(np.arange(1000, dtype=np.uint64), 10, machine, label="x")
-        kinds = {rec.label: rec.kind for rec in machine.trace}
+        kinds = {s.name: s.layer for s in machine.tracer.spans()}
         assert kinds["x:pack"] == "parallel"
         assert kinds["x:merge"] == "serial"
 

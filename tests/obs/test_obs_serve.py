@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.lsm import build_lsm_store
-from repro.obs import NULL_TRACER, ObsConfig, subtree_cost
+from repro.obs import NULL_TRACER, ObsConfig, Tracer, subtree_cost
 from repro.parallel import SerialExecutor
 from repro.parallel.cost import Cost
 from repro.query import QueryEngine
@@ -69,13 +69,12 @@ def _by_name(spans):
 
 
 def _direct_cost(store, node):
-    charged = []
     ex = SerialExecutor()
-    ex.cost_observer = lambda label, cost: charged.append(cost)
+    ex.tracer = Tracer()  # no span open: each phase is a root span
     QueryEngine(store, ex).neighbors([node])
     total = Cost.zero()
-    for c in charged:
-        total = total + c
+    for span in ex.tracer.spans():
+        total = total + span.cost
     return total
 
 
@@ -197,7 +196,7 @@ class TestKnobs:
         server = GraphQueryServer(packed, config=ServerConfig(),
                                   clock=ManualClock())
         assert server.tracer is NULL_TRACER
-        assert server.engine.executor.cost_observer is None
+        assert server.engine.executor.tracer is NULL_TRACER
         _serve(server, [NeighborsRequest(node=0)])
         assert server.tracer.spans() == []
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.csr.builder import ensure_sorted
-from repro.obs import subtree_cost, subtree_spans
+from repro.obs import Tracer, subtree_cost, subtree_spans
 from repro.parallel import SerialExecutor
 from repro.parallel.cost import Cost
 from repro.query import QueryEngine
@@ -45,13 +45,12 @@ def _cluster(workers=4, replicas=2, **overrides):
 
 
 def _direct_cost(store, node):
-    charged = []
     ex = SerialExecutor()
-    ex.cost_observer = lambda label, cost: charged.append(cost)
+    ex.tracer = Tracer()  # no span open: each phase is a root span
     QueryEngine(store, ex).neighbors([node])
     total = Cost.zero()
-    for c in charged:
-        total = total + c
+    for span in ex.tracer.spans():
+        total = total + span.cost
     return total
 
 

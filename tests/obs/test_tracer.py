@@ -111,20 +111,28 @@ class TestStackParenting:
 
 
 class TestCostAttribution:
-    def test_on_cost_charges_innermost(self):
+    def test_phase_charges_innermost(self):
         tr = make_tracer()
         with tr.span("dispatch", "serve"):
             with tr.span("kernel:neighbors", "query"):
-                tr.on_cost("decode", Cost(reads=3))
-                tr.on_cost("gather", Cost(bit_ops=5))
+                tr.phase("decode", "parallel", Cost(reads=3), 0.0, 1.0, {})
+                tr.phase("gather", "serial", Cost(bit_ops=5), 1.0, 2.0, {})
         spans = {s.name: s for s in tr.spans()}
+        assert set(spans) == {"dispatch", "kernel:neighbors"}
         assert spans["kernel:neighbors"].cost == Cost(reads=3, bit_ops=5)
         assert spans["dispatch"].cost == Cost.zero()
 
-    def test_on_cost_outside_any_span_drops(self):
+    def test_phase_outside_any_span_becomes_root_span(self):
         tr = make_tracer()
-        tr.on_cost("decode", Cost(reads=3))  # no open span: dropped
-        assert tr.spans() == []
+        tr.phase("degree:count", "parallel", Cost(reads=3), 10.0, 25.0,
+                 {"clock": "virtual", "imbalance": 1.5})
+        tr.phase("", "serial", Cost.zero(), 25.0, 25.0, {"clock": "wall"})
+        first, second = tr.spans()
+        assert (first.layer, first.name, first.parent_id) == (
+            "parallel", "degree:count", None)
+        assert (first.start_ns, first.end_ns, first.cost) == (10.0, 25.0, Cost(reads=3))
+        assert first.meta == {"clock": "virtual", "imbalance": 1.5}
+        assert (second.layer, second.name) == ("serial", "phase")
 
     def test_add_cost_after_close_is_noop(self):
         tr = make_tracer()
@@ -161,17 +169,12 @@ class TestRingAndSampling:
 
     def test_sampling_modulo(self):
         tr = make_tracer(sample_every=4)
-        picks = [tr.should_sample() for _ in range(8)]
+        picks = [tr.sample_root() for _ in range(8)]
         assert picks == [True, False, False, False, True, False, False, False]
 
     def test_sample_every_one_traces_everything(self):
         tr = make_tracer()
-        assert all(tr.should_sample() for _ in range(5))
-
-    def test_sample_root_matches_should_sample_at_top_level(self):
-        tr = make_tracer(sample_every=4)
-        picks = [tr.sample_root() for _ in range(8)]
-        assert picks == [True, False, False, False, True, False, False, False]
+        assert all(tr.sample_root() for _ in range(5))
 
     def test_sample_root_under_open_span_never_consumes(self):
         tr = make_tracer(sample_every=2)
@@ -194,7 +197,6 @@ class TestNullTracer:
     def test_everything_is_a_noop(self):
         tr = NULL_TRACER
         assert not tr.enabled
-        assert not tr.should_sample()
         assert not tr.sample_root()
         assert tr.begin("a", "serve") == -1
         tr.end(-1)
@@ -204,7 +206,7 @@ class TestNullTracer:
         with tr.under(5):
             pass
         assert tr.current() is None
-        tr.on_cost("x", Cost(reads=1))
+        tr.phase("x", "serial", Cost(reads=1), 0.0, 1.0, {})
         tr.add_cost(1, Cost(reads=1))
         tr.annotate(1, k=1)
         assert tr.spans() == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.obs import NULL_TRACER, Tracer, rollup_spans
 from repro.parallel.cost import Cost, CostModel
 from repro.parallel.machine import (
     SerialExecutor,
@@ -11,6 +12,12 @@ from repro.parallel.machine import (
     TaskContext,
     ThreadExecutor,
 )
+
+
+def traced(machine):
+    """*machine* with a fresh :class:`Tracer` in its slot."""
+    machine.tracer = Tracer()
+    return machine
 
 
 def make_tasks(n):
@@ -83,11 +90,10 @@ class TestSimulatedClock:
         assert machine.elapsed_ns() == 0.0
 
     def test_reset(self):
-        machine = SimulatedMachine(2, record_trace=True)
+        machine = SimulatedMachine(2)
         machine.parallel(make_tasks(2))
         machine.reset()
         assert machine.elapsed_ns() == 0.0
-        assert machine.trace == []
 
     def test_elapsed_ms(self):
         model = CostModel(read_ns=0, sync_ns=1e6, dispatch_ns=0)
@@ -143,29 +149,37 @@ class TestContentionModel:
 
 class TestTrace:
     def test_records_phases_with_labels(self):
-        machine = SimulatedMachine(2, record_trace=True)
+        machine = traced(SimulatedMachine(2))
         machine.parallel(make_tasks(2), label="phase-a")
         machine.serial(lambda ctx: ctx.charge(Cost(reads=5)), label="phase-b")
         machine.locked(make_tasks(2), label="phase-c")
-        kinds = [(rec.kind, rec.label) for rec in machine.trace]
-        assert kinds == [
+        spans = machine.tracer.spans()
+        assert [(s.layer, s.name) for s in spans] == [
             ("parallel", "phase-a"),
             ("serial", "phase-b"),
             ("locked", "phase-c"),
         ]
+        assert all(s.parent_id is None for s in spans)
+        assert [s.cost for s in spans] == [
+            Cost(reads=20), Cost(reads=5), Cost(reads=20)]
+        # virtual stamps tile the simulated clock
+        assert spans[0].start_ns == 0.0
+        assert [a.end_ns for a in spans[:-1]] == [b.start_ns for b in spans[1:]]
+        assert spans[-1].end_ns == machine.elapsed_ns()
+        assert {s.meta["clock"] for s in spans} == {"virtual"}
 
     def test_phase_breakdown_sums_by_label(self):
-        machine = SimulatedMachine(2, record_trace=True)
+        machine = traced(SimulatedMachine(2))
         machine.parallel(make_tasks(2), label="x")
         machine.parallel(make_tasks(2), label="x")
         machine.serial(lambda ctx: None, label="y")
-        breakdown = machine.phase_breakdown()
+        breakdown = {r.name: r.wall_ns for r in rollup_spans(machine.tracer.spans())}
         assert set(breakdown) == {"x", "y"}
         assert breakdown["x"] == pytest.approx(machine.elapsed_ns() - breakdown["y"])
 
     def test_imbalance(self):
         model = CostModel(read_ns=1, sync_ns=0, dispatch_ns=0)
-        machine = SimulatedMachine(2, model, record_trace=True)
+        machine = traced(SimulatedMachine(2, model))
 
         def heavy(ctx):
             ctx.charge(Cost(reads=30))
@@ -174,7 +188,46 @@ class TestTrace:
             ctx.charge(Cost(reads=10))
 
         machine.parallel([heavy, light])
-        assert machine.trace[0].imbalance == pytest.approx(30 / 20)
+        (span,) = machine.tracer.spans()
+        assert span.meta["imbalance"] == pytest.approx(30 / 20)
+
+    def test_untraced_by_default_and_split_does_not_inherit(self):
+        machine = SimulatedMachine(4)
+        assert machine.tracer is NULL_TRACER
+        traced(machine)
+        groups = machine.split(2)
+        assert all(g.tracer is NULL_TRACER for g in groups)
+        for g in groups:
+            g.parallel(make_tasks(2), label="inner")
+        machine.absorb(groups, label="outer")
+        assert [(s.layer, s.name) for s in machine.tracer.spans()] == [
+            ("parallel", "outer")]
+
+    @pytest.mark.parametrize("factory", [SerialExecutor, ThreadExecutor])
+    def test_real_executors_report_wall_stamps(self, factory):
+        ex = traced(factory(2))
+        ex.parallel(make_tasks(3), label="a")
+        ex.locked(make_tasks(2), label="b")
+        ex.serial(lambda ctx: None, label="c")
+        spans = ex.tracer.spans()
+        assert [(s.layer, s.name, s.cost) for s in spans] == [
+            ("parallel", "a", Cost(reads=30)),
+            ("locked", "b", Cost(reads=20)),
+            ("serial", "c", Cost.zero()),
+        ]
+        assert all(s.meta == {"clock": "wall"} and s.end_ns >= s.start_ns
+                   for s in spans)
+        if isinstance(ex, ThreadExecutor):
+            ex.shutdown()
+
+    def test_phase_inside_open_span_charges_it(self):
+        machine = traced(SimulatedMachine(2))
+        with machine.tracer.span("kernel:neighbors", "query"):
+            machine.parallel(make_tasks(2), label="decode")
+            machine.serial(lambda ctx: ctx.charge(Cost(bit_ops=3)), label="gather")
+        (span,) = machine.tracer.spans()
+        assert span.name == "kernel:neighbors"
+        assert span.cost == Cost(reads=20, bit_ops=3)
 
 
 class TestValidation:

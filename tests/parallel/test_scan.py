@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
+from repro.obs import Tracer
 from repro.parallel.machine import SerialExecutor, SimulatedMachine, ThreadExecutor
 from repro.parallel.scan import (
     exclusive_from_inclusive,
@@ -65,9 +66,10 @@ class TestParallelScan:
             )
 
     def test_charges_time(self):
-        machine = SimulatedMachine(4, record_trace=True)
+        machine = SimulatedMachine(4)
+        machine.tracer = Tracer()
         prefix_sum_parallel(np.arange(100), machine)
-        labels = {rec.label for rec in machine.trace}
+        labels = {s.name for s in machine.tracer.spans()}
         assert {"scan:local", "scan:carry", "scan:broadcast"} <= labels
         assert machine.elapsed_ns() > 0
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
+from repro.obs import Tracer
 from repro.parallel import SimulatedMachine, ThreadExecutor
 from repro.parallel.sort import parallel_sort
 
@@ -67,9 +68,10 @@ class TestParallelSort:
             parallel_sort(np.zeros((2, 2)), SimulatedMachine(2))
 
     def test_phases_charged(self, rng):
-        machine = SimulatedMachine(4, record_trace=True)
+        machine = SimulatedMachine(4)
+        machine.tracer = Tracer()
         parallel_sort(rng.integers(0, 100, 1000), machine)
-        labels = {rec.label for rec in machine.trace}
+        labels = {s.name for s in machine.tracer.spans()}
         assert {"sort:local", "sort:splitters", "sort:merge", "sort:concat"} <= labels
 
     def test_sort_scales_in_simulation(self, rng):
@@ -95,9 +97,10 @@ class TestBuilderIntegration:
         n, m = 100, 2000
         src = rng.integers(0, n, m)
         dst = rng.integers(0, n, m)
-        machine = SimulatedMachine(8, record_trace=True)
+        machine = SimulatedMachine(8)
+        machine.tracer = Tracer()
         got = build_csr(src, dst, n, machine, sort=True)
-        labels = {rec.label for rec in machine.trace}
+        labels = {s.name for s in machine.tracer.spans()}
         assert "sort:local" in labels and "build:sort-apply" in labels
         ss, dd = ensure_sorted(src, dst)
         assert got == build_csr_serial(ss, dd, n).compact_dtypes()

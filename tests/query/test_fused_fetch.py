@@ -20,6 +20,7 @@ from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.csr.packed import BitPackedCSR
 from repro.disk import DiskStore, write_disk_store
 from repro.errors import QueryError
+from repro.obs import Tracer
 from repro.parallel import SerialExecutor, SimulatedMachine
 from repro.query import RowCache, batch_edge_existence, batch_neighbors
 from repro.query.stores import distinct_keys, expand_rows
@@ -101,12 +102,11 @@ def test_fused_equals_two_calls(store_name, exec_name, make_executor, method, ba
     assert np.array_equal(got_exists, want_exists)
 
 
-class PhaseCosts:
-    """Executor cost observer: the ``(label, Cost)`` of every phase."""
-
-    def __init__(self, executor):
-        self.phases = []
-        executor.cost_observer = lambda label, cost: self.phases.append((label, cost))
+def phase_spans(machine):
+    """Every phase of a traced run: kind, label, Cost, virtual stamps
+    and imbalance."""
+    return [(s.layer, s.name, s.cost, s.start_ns, s.end_ns, s.meta)
+            for s in machine.tracer.spans()]
 
 
 @settings(max_examples=20, deadline=None,
@@ -119,13 +119,12 @@ def test_fused_charges_equal_two_calls(store_name, p, batch):
     query is still billed its own row decode."""
     src, dst, n, nodes, edges = batch
     store = STORE_BUILDERS[store_name](src, dst, n)
-    one, two = (SimulatedMachine(p, record_trace=True) for _ in range(2))
-    one_costs, two_costs = PhaseCosts(one), PhaseCosts(two)
+    one, two = SimulatedMachine(p), SimulatedMachine(p)
+    one.tracer, two.tracer = Tracer(), Tracer()
     fused(store, nodes, edges, one)
     two_calls(store, nodes, edges, two)
     assert one.elapsed_ns() == two.elapsed_ns()
-    assert one.trace == two.trace
-    assert one_costs.phases == two_costs.phases
+    assert phase_spans(one) == phase_spans(two)
 
 
 @pytest.fixture()
@@ -147,10 +146,11 @@ def test_disk_page_touches_fused_at_most_two_reads(skewed, tmp_path, rng):
     for run in (fused, two_calls):
         with DiskStore.open(tmp_path / "g") as store:
             machine = SimulatedMachine(1)
-            costs = PhaseCosts(machine)
+            machine.tracer = Tracer()
             run(store, nodes, edges, machine)
-            totals.append(costs.phases)
-    (f_nb, f_ed), (t_nb, t_ed) = ([c for _, c in phases] for phases in totals)
+            totals.append([s.cost for s in machine.tracer.spans()
+                           if not s.cost.is_zero()])
+    (f_nb, f_ed), (t_nb, t_ed) = totals
     # the fused read's pages land on the neighbour phase, none on edges
     assert f_ed.page_touches == 0 and t_ed.page_touches > 0
     assert 0 < f_nb.page_touches + f_ed.page_touches <= t_nb.page_touches + t_ed.page_touches

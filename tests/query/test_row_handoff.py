@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro import open_store
 from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.csr.packed import BitPackedCSR
+from repro.obs import Tracer
 from repro.parallel import SimulatedMachine
 from repro.query import QueryEngine, RowCache, capabilities
 from repro.query import edges as edge_kernel
@@ -60,8 +61,7 @@ def _phases(store, nodes, edges, p, method, prefetch):
     """Replies and the ``(label, Cost)`` of every phase of one mixed
     batch, run the way the serve loop runs it (or as two plain calls)."""
     machine = SimulatedMachine(p)
-    costs = []
-    machine.cost_observer = lambda label, cost: costs.append((label, cost))
+    machine.tracer = Tracer()
     engine = QueryEngine(store, machine)
     if prefetch:
         rows, fetched = engine.neighbors(nodes, prefetch=np.unique(edges[:, 0]))
@@ -69,6 +69,7 @@ def _phases(store, nodes, edges, p, method, prefetch):
     else:
         rows = engine.neighbors(nodes)
         exists = engine.has_edges(edges, method=method)
+    costs = [(s.name, s.cost) for s in machine.tracer.spans() if not s.cost.is_zero()]
     return rows, exists, costs
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.tracing import render_cache_stats
+from repro.analysis.serving import render_cache_stats
 from repro.csr.builder import build_csr_serial
 from repro.csr.packed import BitPackedCSR
 from repro.errors import ValidationError

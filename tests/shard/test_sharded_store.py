@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro import open_store
 from repro.csr.builder import ensure_sorted
 from repro.errors import NotSortedError, QueryError, ValidationError
-from repro.parallel import SerialExecutor, SimulatedMachine
+from repro.obs import Tracer
+from repro.parallel import CostModel, SerialExecutor, SimulatedMachine
 from repro.query import RowCache, batch_edge_existence, batch_neighbors
 from repro.query.stores import GraphStore
 from repro.shard import (
@@ -252,11 +253,12 @@ class TestConstruction:
         """On a SimulatedMachine the shards build on split sub-machines
         and the parent clock advances by the slowest group only."""
         src, dst, n = sorted_edges
-        machine = SimulatedMachine(8, record_trace=True)
+        machine = SimulatedMachine(8)
+        machine.tracer = Tracer()
         build_sharded_store(src, dst, n, shards=4, executor=machine)
         assert machine.elapsed_ns() > 0
-        labels = {rec.label for rec in machine.trace}
-        assert "shard:build" in labels
+        roots = {s.name for s in machine.tracer.spans() if s.parent_id is None}
+        assert "shard:build" in roots
         # critical path: slower than nothing, but far below the sum of
         # four serial builds on the full machine
         solo = SimulatedMachine(8)
@@ -264,11 +266,11 @@ class TestConstruction:
         assert machine.elapsed_ns() < 4 * solo.elapsed_ns()
 
     def test_machine_split_and_absorb(self):
-        machine = SimulatedMachine(8)
+        machine = SimulatedMachine(8, CostModel(read_ns=1))
         groups = machine.split(4)
         assert [g.p for g in groups] == [2, 2, 2, 2]
-        groups[0]._advance(100.0, "serial", "x", None)
-        groups[2]._advance(250.0, "serial", "y", None)
+        groups[0].serial(lambda ctx: ctx.charge_reads(100), label="x")
+        groups[2].serial(lambda ctx: ctx.charge_reads(250), label="y")
         duration = machine.absorb(groups, label="test")
         assert duration == 250.0
         assert machine.elapsed_ns() == 250.0

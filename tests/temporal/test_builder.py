@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import Tracer
 from repro.parallel import SimulatedMachine
 from repro.temporal.builder import build_tcsr, build_tcsr_serial
 from repro.temporal.events import EventList
@@ -86,9 +87,10 @@ class TestEdgeCases:
             assert gap.snapshot(f) == plain.snapshot(f)
 
     def test_simulated_time_accrues(self, stream):
-        machine = SimulatedMachine(4, record_trace=True)
+        machine = SimulatedMachine(4)
+        machine.tracer = Tracer()
         build_tcsr(stream, machine)
-        labels = {rec.label for rec in machine.trace}
+        labels = {s.name for s in machine.tracer.spans()}
         assert {"tcsr:chunk-csr", "tcsr:overlap-merge", "tcsr:scan-local",
                 "tcsr:scan-carry", "tcsr:scan-broadcast", "tcsr:differential"} <= labels
 
