@@ -326,6 +326,56 @@ def test_rowcache_hot_path_counts(stores, medium_standin):
     assert scanned <= bound
 
 
+#: the same two streams through the LRU that admitted every miss that
+#: fit (parent commit 7c19f2a), measured once
+PARENT_UNIFORM_EVICTIONS_PER_MISS = 57_740 / 58_457
+PARENT_ZIPF_HIT_RATE = 189_244 / 200_000
+
+
+def test_rowcache_admission_counts(stores, medium_standin):
+    """Count gate (domain "count", exact for the seed): a full cache
+    admits a row on its second touch.  Uniform keys over a cache of
+    1/40 of the working set stop evicting on almost every miss, and a
+    Zipf(1.3) stream that fills a 200k-element cache keeps at least the
+    hit rate of admitting every miss."""
+    store = stores["packed"]
+    n, m = medium_standin.num_nodes, store.num_edges
+    rng = np.random.default_rng(31)
+    uniform = rng.integers(0, n, 60_000)
+    skewed = np.minimum(rng.zipf(1.3, 200_000) - 1, n - 1).astype(np.int64)
+
+    def replay(keys, capacity):
+        cache = RowCache(store, capacity)
+        for lo in range(0, keys.shape[0], 256):
+            cache.neighbor_rows(keys[lo : lo + 256])
+        return cache.stats()
+
+    cold, hot = replay(uniform, m // 40), replay(skewed, 200_000)
+    per_miss = cold.evictions / cold.misses
+    section = {
+        "uniform_evictions_per_miss": {
+            "value": per_miss, "parent": PARENT_UNIFORM_EVICTIONS_PER_MISS,
+            "domain": "count",
+            "gate": f"<= 0.1 (60k uniform keys, capacity {m // 40} = m / 40)"},
+        "zipf_hit_rate": {
+            "value": hot.hit_rate, "parent": PARENT_ZIPF_HIT_RATE, "domain": "count",
+            "gate": ">= parent (200k Zipf(1.3) keys, capacity 200k)"},
+    }
+    if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
+        baseline_section(BASELINE_PATH, {"rowcache_admission": section})
+    report(
+        "Row cache second-touch admission (count domain, packed CSR)",
+        render_table(
+            ["count", "parent", "value", "gate"],
+            [[name, f"{entry['parent']:.4f}", f"{entry['value']:.4f}", entry["gate"]]
+             for name, entry in section.items()],
+            title=f"batches of 256; refused {cold.refused} / {hot.refused}",
+        ),
+    )
+    assert per_miss <= 0.1
+    assert hot.hit_rate >= PARENT_ZIPF_HIT_RATE
+
+
 def test_query_throughput_scaling_report(benchmark, stores, node_queries, edge_queries):
     """Simulated p-sweep of both batch query algorithms on the packed CSR."""
 

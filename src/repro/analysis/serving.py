@@ -120,6 +120,7 @@ def render_cache_stats(cache, *, title: str = "row cache") -> str:
         ["misses", stats.misses],
         ["hit rate", f"{stats.hit_rate * 100:.1f}%"],
         ["evictions", stats.evictions],
+        ["refused", getattr(stats, "refused", 0)],
         ["invalidations", getattr(stats, "invalidations", 0)],
         ["resident rows", stats.rows],
         ["resident elements", stats.elements],

@@ -216,16 +216,21 @@ def sort_edges(sources, destinations, weights=None, executor: Executor | None = 
     return out_src, out_dst, out_vals
 
 
-def sort_within_rows(offsets: np.ndarray, vals: np.ndarray) -> np.ndarray:
+def sort_within_rows(offsets: np.ndarray, vals: np.ndarray, positions=None) -> np.ndarray:
     """Sort each CSR row of the flat payload *vals* independently.
 
     Row ``r`` is ``vals[offsets[r] - offsets[0] : offsets[r + 1] - offsets[0]]``;
     the result equals ``vals[np.lexsort((vals, row_ids))]`` in values
     and dtype, from one in-place sort of the fused ``(row, value)`` keys.
+    With *positions* (a permutation of the row indices) row ``r`` also
+    moves to place ``positions[r]`` — ``row_ids`` is then
+    ``positions`` repeated by row length — in the same single sort.
     """
     vals = np.asarray(vals)
     lengths = np.diff(offsets)
-    row_ids = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
+    if positions is None:
+        positions = np.arange(lengths.shape[0], dtype=np.int64)
+    row_ids = np.repeat(np.asarray(positions, dtype=np.int64), lengths)
     fused = _fuse(row_ids, vals)
     if fused is None:
         return sort_edges(row_ids, vals)[1]

@@ -1,4 +1,5 @@
-"""Opt-in LRU cache of decoded neighbour rows.
+"""Element-budget LRU cache of decoded neighbour rows, with second-touch
+admission once it is full.
 
 Social-network query traffic is heavily skewed — a few celebrity nodes
 absorb most lookups — so re-decoding the same packed row per query
@@ -7,7 +8,10 @@ wastes exactly the bit-ops the packed CSR was meant to amortise.
 with a capacity measured in *decoded elements* (not rows), keeps
 hit/miss counters, and satisfies the same store surface, so it drops
 into :class:`~repro.query.engine.QueryEngine` and both batch query
-algorithms unchanged.
+algorithms unchanged.  Under uniform traffic over a working set far
+larger than the budget, admitting every miss would copy, insert and
+evict almost every row it decodes; a full cache therefore admits a row
+only when it was asked for before.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ class RowCacheStats:
     elements: int
     capacity: int
     invalidations: int = 0
+    #: misses served without admission (a first touch on a full cache,
+    #: or a row wider than the whole budget)
+    refused: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -45,7 +52,8 @@ class RowCacheStats:
 
 
 class RowCache(WrapperStore):
-    """LRU cache of decoded rows over any graph store.
+    """Element-budget LRU cache of decoded rows over any graph store,
+    with second-touch admission when full.
 
     Parameters
     ----------
@@ -63,6 +71,14 @@ class RowCache(WrapperStore):
         it was sliced from, lookups hand out the resident array itself,
         and a write into a reply raises instead of corrupting the cache.
         Sortedness is established once per residency, at insert.
+
+    Admission: a missed row that fits without evicting anything is
+    admitted, as is one asked for before in the current *window*.  Any
+    other miss is refused — served as a read-only view of the decode
+    buffer, and remembered as asked once.  The window is one capacity's
+    worth of refused charges: once they exceed ``capacity``, every
+    "asked once" mark is forgotten.  The marks are one byte per node,
+    counted in :meth:`memory_bytes`.
     """
 
     __slots__ = (
@@ -74,11 +90,14 @@ class RowCache(WrapperStore):
         "misses",
         "evictions",
         "invalidations",
+        "refused",
         "_rows",
         "_elements",
         "_charged",
         "_unsorted",
         "_empty",
+        "_asked",
+        "_window",
     )
 
     def __init__(self, store, capacity: int):
@@ -94,12 +113,16 @@ class RowCache(WrapperStore):
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self.refused = 0
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._elements = 0
         self._charged = 0  # _elements plus one per resident empty row
         self._unsorted: set[int] = set()  # resident, internally unsorted
         self._empty = np.zeros(0, dtype=self.row_dtype)
         self._empty.setflags(write=False)
+        # one byte per node: asked for once in the current window
+        self._asked = np.zeros(int(store.num_nodes), dtype=bool)
+        self._window = 0  # refused charges since the last window reset
 
     # -- store surface --------------------------------------------------
     @property
@@ -120,36 +143,38 @@ class RowCache(WrapperStore):
         return self.store.degree(u)
 
     def neighbors(self, u: int) -> np.ndarray:
-        """Row of *u*, decoded at most once while it stays resident."""
-        row = self._rows.get(u)
-        if row is not None:
-            self.hits += 1
-            self._rows.move_to_end(u)
-            return row
-        self.misses += 1
-        return self._insert(u, self.store.neighbors(u))
+        """Row of *u*: a one-key :meth:`neighbor_rows`, under the same
+        admission rule."""
+        return self.neighbor_rows((u,))[0][0]
 
     def neighbor_rows(self, unodes) -> tuple[list[np.ndarray], bool]:
         """Bulk row fetch, zero-copy: one array per key — a hit's is the
         resident row itself; misses are decoded through the wrapped
-        store's own batch path (once per distinct node) and inserted —
-        plus whether every one of them is internally sorted."""
-        keys = self._key_array(unodes).tolist()  # range: a hit is valid, a miss the store checks
+        store's own batch path (once per distinct node) and admitted or
+        served as read-only views of the decode buffer — plus whether
+        every one of them is internally sorted."""
+        keys = self._key_array(unodes).tolist()
         rows: list[np.ndarray | None] = [None] * len(keys)
         missing: dict[int, list[int]] = {}
+        get, touch = self._rows.get, self._rows.move_to_end
         for i, u in enumerate(keys):
-            row = self._rows.get(u)
+            row = get(u)
             if row is not None:
-                self.hits += 1
-                self._rows.move_to_end(u)
                 rows[i] = row
+                touch(u)
             else:
-                self.misses += 1
                 missing.setdefault(u, []).append(i)
         all_sorted = not self._unsorted or self._unsorted.isdisjoint(keys)
+        missed = 0
         if missing:
-            uniq = np.fromiter(missing, dtype=np.int64, count=len(missing))
-            flat, offs = _store_batch(self.store, uniq, self._store_caps)
+            # the wrapped store gets the distinct misses in increasing
+            # order (its own dedup is then one comparison pass); they are
+            # admitted in the order the batch first asked for them
+            ids = sorted(missing)
+            # before a miss indexes the marks: a negative id must not wrap
+            self._check_range(ids[0], ids[-1])
+            flat, offs = _store_batch(self.store, np.array(ids, dtype=np.int64),
+                                      self._store_caps)
             # one pass over the decode buffer finds the unsorted rows:
             # an element below its predecessor that is not a row's first
             drop = np.zeros(flat.shape[0] + 1, dtype=bool)
@@ -158,11 +183,33 @@ class RowCache(WrapperStore):
             at = np.searchsorted(offs, np.flatnonzero(drop), side="right")
             bad = set((at - 1).tolist())
             all_sorted = all_sorted and not bad
+            # a refused row is a view of this buffer: read-only, like a hit
+            flat = flat.view()
+            flat.setflags(write=False)
             bounds = offs.tolist()
-            for k, u in enumerate(uniq.tolist()):
-                row = self._insert(u, flat[bounds[k] : bounds[k + 1]], k in bad)
-                for i in missing[u]:
+            slot = dict(zip(ids, range(len(ids))))  # a miss's row in the decode buffer
+            asked, capacity = self._asked, self.capacity
+            for u, where in missing.items():
+                k = slot[u]
+                row = flat[bounds[k] : bounds[k + 1]]
+                charge = row.shape[0] or 1  # an empty row costs one
+                if charge <= capacity and (self._charged + charge <= capacity
+                                           or asked[u]):
+                    row = self._insert(u, row, k in bad)
+                else:
+                    self.refused += len(where)
+                    if charge <= capacity:
+                        # full, and a first touch: remember it for one window
+                        asked[u] = True
+                        self._window += charge
+                        if self._window > capacity:
+                            asked.fill(False)
+                            self._window = 0
+                for i in where:
                     rows[i] = row
+                missed += len(where)
+        self.hits += len(keys) - missed
+        self.misses += missed
         return rows, all_sorted
 
     def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
@@ -170,8 +217,9 @@ class RowCache(WrapperStore):
         return join_rows(self.neighbor_rows(unodes)[0], self.row_dtype)
 
     def memory_bytes(self) -> int:
-        """Wrapped payload plus resident cached rows."""
-        return int(self.store.memory_bytes()) + self._elements * self.row_dtype.itemsize
+        """Wrapped payload, resident cached rows and the admission marks."""
+        return (int(self.store.memory_bytes()) + self._elements * self.row_dtype.itemsize
+                + self._asked.nbytes)
 
     def _inner_stores(self):
         # hits fault no pages and misses delegate: meterable as the store is
@@ -179,12 +227,11 @@ class RowCache(WrapperStore):
 
     # -- cache mechanics ------------------------------------------------
     def _insert(self, u: int, row: np.ndarray, unsorted: bool | None = None):
-        """Make *row* resident if it fits; returns the array now standing
-        for *u*.  *unsorted* is the batch path's verdict from its one
-        pass over the decode buffer; a lone row is checked here."""
+        """Make *row* resident, evicting from the LRU end until the
+        budget holds; returns the array now standing for *u*.
+        *unsorted* is the batch path's verdict from its one pass over
+        the decode buffer; a lone row is checked here."""
         size = row.shape[0]
-        if (size or 1) > self.capacity:
-            return row  # never fits: served, not cached
         if u in self._rows:
             self._forget(u, self._rows.pop(u))
         if size == 0:
@@ -204,7 +251,9 @@ class RowCache(WrapperStore):
         self._elements += size
         self._charged += size or 1
         while self._charged > self.capacity:
-            self._forget(*self._rows.popitem(last=False))
+            old, gone = self._rows.popitem(last=False)
+            self._forget(old, gone)
+            self._asked[old] = False  # an evicted row starts over
             self.evictions += 1
         return row
 
@@ -221,14 +270,17 @@ class RowCache(WrapperStore):
         The staleness hatch for mutable stores: after the wrapped
         store's row *u* changes, ``invalidate([u])`` guarantees the
         next lookup re-decodes instead of serving the pre-write copy.
-        Dropped rows count in ``stats().invalidations``, not
-        ``evictions`` (those remain capacity-pressure only).
+        A dropped row counts as asked once, so a written hot row is
+        re-admitted on its next read.  Dropped rows count in
+        ``stats().invalidations``, not ``evictions`` (those remain
+        capacity-pressure only).
         """
         dropped = 0
         for u in np.asarray(nodes, dtype=np.int64).ravel().tolist():
             row = self._rows.pop(u, None)
             if row is not None:
                 self._forget(u, row)
+                self._asked[u] = True
                 dropped += 1
         self.invalidations += dropped
         return dropped
@@ -243,17 +295,20 @@ class RowCache(WrapperStore):
             elements=self._elements,
             capacity=self.capacity,
             invalidations=self.invalidations,
+            refused=self.refused,
         )
 
     def clear(self) -> None:
-        """Drop every cached row and zero the counters."""
+        """Drop every cached row, forget every touch and zero the counters."""
         self._rows.clear()
         self._unsorted.clear()
-        self._elements = self._charged = 0
+        self._asked.fill(False)
+        self._elements = self._charged = self._window = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self.refused = 0
 
     def __repr__(self) -> str:
         s = self.stats()

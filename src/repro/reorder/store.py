@@ -96,15 +96,23 @@ class ReorderedStore(WrapperStore):
     def _decode_rows(self, uniq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows of *uniq* in original ids.
 
-        Each row runs through the inner store's vectorised batch kernel,
-        maps back through the inverse permutation, and is re-sorted
-        (relabeled rows are sorted by *new* id) by one
-        :func:`~repro.parallel.sort.sort_within_rows` over the batch —
-        once per distinct row, however often a skewed batch repeats it.
+        The inner store gets the translated keys in increasing order
+        (one argsort), so its batch path neither deduplicates nor
+        expands.  Its rows map back through the inverse permutation and
+        one :func:`~repro.parallel.sort.sort_within_rows` both puts each
+        back at its batch position and re-sorts it (relabeled rows are
+        sorted by *new* id) — once per distinct row, however often a
+        skewed batch repeats it.
         """
-        flat_u, offs_u = _store_batch(self.inner, self.perm[uniq], self._inner_caps)
+        inner_keys = self.perm[uniq]
+        order = np.argsort(inner_keys)
+        flat_u, offs_u = _store_batch(self.inner, inner_keys[order], self._inner_caps)
         mapped = self.inv[np.asarray(flat_u, dtype=np.int64)]
-        return sort_within_rows(offs_u, mapped).astype(self.row_dtype, copy=False), offs_u
+        flat = sort_within_rows(offs_u, mapped, order)
+        offsets = np.zeros_like(offs_u)
+        offsets[1:][order] = offs_u[1:] - offs_u[:-1]
+        np.cumsum(offsets, out=offsets)
+        return flat.astype(self.row_dtype, copy=False), offsets
 
     def __getattr__(self, name: str):
         # the packed metadata some tools introspect exists exactly when

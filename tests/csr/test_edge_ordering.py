@@ -159,6 +159,52 @@ class TestSortWithinRows:
         # offsets need not start at zero (a segment of a larger CSR)
         _assert_same(sort_within_rows(offsets + 17, vals), self._reference(offsets, vals))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 40),
+        st.sampled_from([0, 1, 9]),
+        st.sampled_from([1, 2**17, 2**40, 2**63 - 1, 2**64 - 1]),
+        st.sampled_from([np.uint32, np.int64, np.uint64]),
+    )
+    def test_row_position_form_equals_lexsort_form(
+        self, seed, num_rows, max_deg, max_val, dtype
+    ):
+        """Rows moved to *positions* and sorted within, in one sort: the
+        lexsort with the positions as the row key, on both sides of the
+        63-bit rule (empty rows, duplicate values, every dtype)."""
+        rng = np.random.default_rng(seed)
+        degs = rng.integers(0, max_deg, num_rows, endpoint=True)
+        degs[::3] = 0  # empty rows
+        offsets = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(degs, out=offsets[1:])
+        top = min(max_val, np.iinfo(dtype).max)
+        vals = rng.integers(0, top, int(offsets[-1]), endpoint=True, dtype=np.uint64)
+        vals = vals.astype(dtype)
+        vals[1::2] = vals[::2][: vals[1::2].shape[0]]  # duplicate values
+        positions = rng.permutation(num_rows)
+        row_ids = np.repeat(positions, degs)
+        want = vals[np.lexsort((vals, row_ids))]
+        _assert_same(sort_within_rows(offsets, vals, positions), want)
+        _assert_same(sort_within_rows(offsets + 17, vals, positions), want)
+
+    def test_row_position_form_wide_fallback(self, rng, monkeypatch):
+        """Ids too wide for one key take the ``sort_edges`` fallback."""
+        vals = rng.integers(0, 2**63 - 1, 60, dtype=np.int64)
+        vals[30:] = vals[:30]
+        offsets = np.array([0, 10, 10, 35, 60], dtype=np.int64)
+        positions = np.array([2, 0, 3, 1])
+        assert ordering._fuse(np.repeat(positions, np.diff(offsets)), vals) is None
+        row_ids = np.repeat(positions, np.diff(offsets))
+        want = vals[np.lexsort((vals, row_ids))]
+        _assert_same(sort_within_rows(offsets, vals, positions), want)
+        calls = []
+        real = ordering.sort_edges
+        monkeypatch.setattr(ordering, "sort_edges",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        _assert_same(sort_within_rows(offsets, vals, positions), want)
+        assert calls == [1]
+
     def test_single_giant_row(self, rng):
         vals = rng.integers(0, 2**20, 50_000).astype(np.uint64)
         offsets = np.array([0, 0, vals.shape[0], vals.shape[0]], dtype=np.int64)

@@ -2,8 +2,8 @@
 
 A cache hit is handed to the kernels — and on to the caller — as the
 resident row itself; the edge kernel searches long rows where they lie.
-None of that may change an answer, a dtype or a ``Cost`` charge, the
-LRU policy or its counters.
+None of that may change an answer, a dtype or a ``Cost`` charge; the
+LRU policy and its counters follow one reference model.
 """
 
 from unittest import mock
@@ -201,7 +201,10 @@ class TestReadOnlyResidency:
         again = cache.neighbors(0)
         assert again is not before and np.array_equal(again, kept)
         cache.neighbors(1)
-        cache.neighbors(2)  # over budget: row 0 is evicted
+        # over budget: the first touch of row 2 is refused, the second
+        # is admitted and evicts row 0
+        cache.neighbors(2)
+        cache.neighbors(2)
         assert 0 not in cache._rows and cache.evictions >= 1
         assert np.array_equal(again, kept)
 
@@ -297,7 +300,7 @@ class TestUnsortedRows:
             assert cache._unsorted == set()
 
 
-# -- the LRU policy and its counters are the parent's -----------------------
+# -- the LRU policy and its counters follow one reference model --------------
 
 def _trace_graph(ring: bool):
     rng = np.random.default_rng(2024)
@@ -326,12 +329,18 @@ def _replay(cache):
     return s.hits, s.misses, s.evictions, s.invalidations
 
 
-def _lru_model(degree, n, capacity, *, empty_rows_resident):
+def _lru_model(degree, n, capacity, *, empty_rows_resident, second_touch):
     """Reference element-budget LRU (hits first, then the batch's
-    distinct misses inserted in first-seen order).  Without
-    *empty_rows_resident* it is the parent's policy; with it an empty
-    row is kept at a charge of one element."""
+    distinct misses in first-seen order).  Without *empty_rows_resident*
+    an empty row is never kept; with it, it is kept at a charge of one
+    element.  Without *second_touch* every miss that fits the budget is
+    admitted (the policy before admission); with it, a miss that would
+    evict is admitted only when asked for once before in the window —
+    one capacity of refused charges — and an invalidated row counts as
+    asked once."""
     resident: dict[int, int] = {}  # node -> charge, oldest first
+    asked: set[int] = set()
+    window = 0
     hits = misses = evictions = invalidations = 0
     for batch, stale in _trace(n):
         missing = []
@@ -344,37 +353,72 @@ def _lru_model(degree, n, capacity, *, empty_rows_resident):
                 missing.append(u)
         for u in dict.fromkeys(missing):
             charge = degree[u] or (1 if empty_rows_resident else 0)
-            if 0 < charge <= capacity:
-                resident[u] = charge
-                while sum(resident.values()) > capacity:
-                    resident.pop(next(iter(resident)))
-                    evictions += 1
+            if not 0 < charge <= capacity:
+                continue
+            full = sum(resident.values()) + charge > capacity
+            if second_touch and full and u not in asked:
+                asked.add(u)
+                window += charge
+                if window > capacity:
+                    asked.clear()
+                    window = 0
+                continue
+            asked.discard(u)
+            resident[u] = charge
+            while sum(resident.values()) > capacity:
+                resident.pop(next(iter(resident)))
+                evictions += 1
         for u in stale:
-            invalidations += resident.pop(u, None) is not None
+            if resident.pop(u, None) is not None:
+                invalidations += 1
+                if second_touch:
+                    asked.add(u)
     return hits, misses, evictions, invalidations
 
 
-#: measured on the parent commit (f555a5a) with this very trace
-PARENT_NO_EMPTY_ROWS = (2725, 2275, 1217, 22)
-PARENT_WITH_EMPTY_ROWS = (2737, 2263, 951, 21)
+#: measured on the parent of second-touch admission (7c19f2a), which
+#: admitted every miss that fit, with this very trace: the ring graph,
+#: and the graph with empty rows
+PARENT_RING = (2725, 2275, 1217, 22)
+PARENT_EMPTY_ROWS = (2742, 2258, 1215, 21)
+#: the graph with empty rows before they became resident (f555a5a)
+PARENT_EMPTY_ROWS_UNCACHED = (2737, 2263, 951, 21)
+#: this cache on the same trace
+PINNED_RING = (2929, 2071, 811, 21)
+PINNED_EMPTY_ROWS = (2874, 2126, 825, 24)
 
 
 def test_counters_pinned_to_the_parent_on_a_recorded_trace():
+    """The parent read (2725, 2275, 1217, 22): the plain-LRU model still
+    reproduces it, and the cache is the model with second-touch
+    admission."""
     graph = _trace_graph(ring=True)
-    assert int(np.diff(graph.indptr).min()) > 0
-    assert _replay(RowCache(graph, 2000)) == PARENT_NO_EMPTY_ROWS
+    degree = np.diff(graph.indptr).tolist()
+    assert min(degree) > 0
+    assert _lru_model(degree, 600, 2000, empty_rows_resident=True,
+                      second_touch=False) == PARENT_RING
+    got = _replay(RowCache(graph, 2000))
+    assert got == _lru_model(degree, 600, 2000, empty_rows_resident=True, second_touch=True)
+    assert got == PINNED_RING
 
 
 def test_empty_row_residency_is_the_only_counter_change():
+    """The parent read (2742, 2258, 1215, 21), and (2737, 2263, 951, 21)
+    before empty rows were resident: the model reproduces both, and the
+    cache is the model with empty rows and second-touch admission."""
     graph = _trace_graph(ring=False)
     degree = np.diff(graph.indptr).tolist()
     assert degree.count(0) == 307
-    # the model reproduces the parent's numbers with empty rows left out ...
-    assert _lru_model(degree, 600, 2000, empty_rows_resident=False) == PARENT_WITH_EMPTY_ROWS
-    # ... and the cache's once they are resident at one element each
+    # the model reproduces the older numbers with empty rows left out ...
+    assert _lru_model(degree, 600, 2000, empty_rows_resident=False,
+                      second_touch=False) == PARENT_EMPTY_ROWS_UNCACHED
+    # ... the parent's once they are resident at one element each ...
+    assert _lru_model(degree, 600, 2000, empty_rows_resident=True,
+                      second_touch=False) == PARENT_EMPTY_ROWS
+    # ... and the cache's under second-touch admission
     got = _replay(RowCache(graph, 2000))
-    assert got == _lru_model(degree, 600, 2000, empty_rows_resident=True)
-    assert got == (2742, 2258, 1215, 21)
+    assert got == _lru_model(degree, 600, 2000, empty_rows_resident=True, second_touch=True)
+    assert got == PINNED_EMPTY_ROWS
 
 
 def test_memory_bytes_is_the_sum_over_resident_rows(hubby, rng):
@@ -383,5 +427,5 @@ def test_memory_bytes_is_the_sum_over_resident_rows(hubby, rng):
     for _ in range(5):
         cache.neighbors_batch(rng.integers(0, n, 100))
         cache.invalidate(rng.integers(0, n, 10))
-        assert cache.memory_bytes() - store.memory_bytes() == sum(
-            row.nbytes for row in cache._rows.values())
+        assert cache.memory_bytes() - store.memory_bytes() == n + sum(
+            row.nbytes for row in cache._rows.values())  # + one state byte per node

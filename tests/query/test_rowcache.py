@@ -1,4 +1,4 @@
-"""The opt-in LRU row cache wrapping any GraphStore."""
+"""The element-budget LRU row cache wrapping any GraphStore."""
 
 import numpy as np
 import pytest
@@ -64,7 +64,9 @@ class TestRowCacheBasics:
         heavy = [int(u) for u in np.argsort(degs)[::-1][:5]]
         cap = int(degs[heavy].sum()) - 1  # can't hold all five
         cache = RowCache(graph, capacity=cap)
-        for u in heavy:
+        # the fifth row's first touch finds the cache full and is
+        # refused; its second touch is admitted and evicts
+        for u in heavy + heavy[-1:]:
             cache.neighbors(u)
         assert cache.evictions >= 1
         assert cache.stats().elements <= cap
@@ -149,9 +151,9 @@ class TestRowCacheRetention:
         cache.neighbors_batch(us)
         stats = cache.stats()
         itemsize = cache.row_dtype.itemsize
-        assert (
+        assert (  # plus one admission-state byte per node
             cache.memory_bytes() - packed.memory_bytes()
-            == stats.elements * itemsize
+            == stats.elements * itemsize + packed.num_nodes
         )
 
     def test_empty_rows_resident_at_one_element_each(self):
@@ -166,14 +168,17 @@ class TestRowCacheRetention:
         assert (s.rows, s.elements, s.misses, s.hits) == (1, 0, 1, 2)
         assert cache.neighbors_batch([3, 4])[0].dtype == cache.row_dtype
         assert cache.neighbors(3) is cache.neighbors(4)  # the shared array
-        assert cache.memory_bytes() == g.memory_bytes()
+        assert cache.memory_bytes() == g.memory_bytes() + g.num_nodes  # + state bytes
         # each is charged one element: row 0 (2 elements) on top of two
-        # empty rows overflows the budget of 3 and evicts the older one
-        cache.neighbors(0)
+        # empty rows overflows the budget of 3, so its first touch is
+        # refused and its second evicts the older one
+        for _ in range(2):
+            cache.neighbors(0)
         s = cache.stats()
-        assert (s.rows, s.elements, s.evictions) == (2, 2, 1)
+        assert (s.rows, s.elements, s.evictions, s.refused) == (2, 2, 1, 1)
         assert 3 not in cache._rows and 4 in cache._rows
-        cache.neighbors(5)
+        for _ in range(2):
+            cache.neighbors(5)
         assert list(cache._rows) == [0, 5] and cache.evictions == 2
 
     def test_capacity_zero_caches_nothing(self):

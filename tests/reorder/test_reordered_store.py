@@ -7,6 +7,7 @@ from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.reorder import ReorderedStore, build_reordered_store
 from repro.errors import QueryError, ValidationError
 from repro.stores import open_store
+from tests.conftest import CountingStore
 
 ORDERINGS = ["natural", "degree", "bfs", "slashburn"]
 
@@ -81,6 +82,30 @@ class TestRoundTrip:
         assert flat.dtype == store.row_dtype
         assert np.array_equal(offsets, roffsets)
         assert np.array_equal(flat, rflat)
+
+    @pytest.mark.parametrize("kind,opts", [("packed", {}), ("disk", {"segment_bytes": 2048}),
+                                           ("sharded", {"shards": 3})],
+                             ids=["packed", "disk", "sharded"])
+    def test_inner_store_gets_strictly_increasing_keys(self, rng, edges, kind, opts):
+        """One argsort hands the inner store its keys in increasing order,
+        so its batch path neither deduplicates nor expands; the one
+        fused sort puts the rows back in batch order."""
+        src, dst, n = edges
+        built = build_reordered_store(src, dst, n, order="degree", inner=kind, **opts)
+        counted = CountingStore(built.inner)
+        store = ReorderedStore(counted, built.perm, ordering="degree")
+        ref = _reference(src, dst, n)
+        hub = int(np.argmax(ref.degrees()))
+        batches = [rng.integers(0, n, 200), np.arange(n)[::-1], [5], [hub, 7, hub, 7]]
+        for batch in batches:
+            flat, offsets = store.neighbors_batch(batch)
+            rflat, roffsets = ref.neighbors_batch(batch)
+            assert flat.dtype == store.row_dtype
+            assert np.array_equal(offsets, roffsets)
+            assert np.array_equal(np.asarray(flat, dtype=np.int64), rflat)
+        assert len(counted.calls) == len(batches)
+        for keys in counted.calls:
+            assert keys.shape[0] == 1 or bool(np.all(keys[1:] > keys[:-1]))
 
     @pytest.mark.parametrize("order", ORDERINGS)
     def test_to_csr_is_original_graph(self, edges, order):
