@@ -5,11 +5,12 @@ The router is a :class:`~repro.serve.loop.ServeLoop`: ``submit`` /
 methods a monolithic :class:`~repro.serve.server.GraphQueryServer`
 runs, so workloads, the replay driver, and the load harness drive
 either.  What the router adds is what happens to a closed
-micro-batch — it is **scattered**: its deduplicated key plan is split by
-the partitioner into per-shard sub-batches, each sub-batch is
-dispatched to the least-loaded alive replica of its shard, and
-replies are **gathered** back onto every ticket's
-:class:`~repro.serve.request.ReplySlot` as each sub completes.
+micro-batch — it is **scattered**: each lane kind of its deduplicated
+key plan is cut into per-shard sub-batches at the runs of one stable
+sort by owning shard, and each sub-batch is dispatched to the
+least-loaded alive replica of its shard.  As a sub completes, its
+replies are **gathered** by the loop's own lane-wise ``_complete``,
+the reply path of the monolith too.
 
 Time is virtual: the router runs on a
 :class:`~repro.serve.request.ManualClock` and keeps a min-heap of
@@ -51,7 +52,7 @@ from ..obs import NULL_TRACER, register_server
 from ..serve.coalescer import MicroBatch
 from ..serve.config import ServerConfig
 from ..serve.loop import ServeLoop
-from ..serve.request import DONE, ManualClock, Request
+from ..serve.request import ManualClock
 from ..shard.store import ShardedStore
 from .worker import ShardWorker
 
@@ -102,8 +103,9 @@ class TenantLedger:
     """Per-tenant in-flight counts against quotas, and completions.
 
     The front door calls :meth:`enter` before admitting a request and
-    :meth:`leave` when it is shed, refused by the queue, completed or
-    failed; tenants without a quota are only counted.
+    :meth:`leave` when it is shed, refused by the queue, failed, or
+    completed by ``ServeLoop._complete`` (the one ``completed=True``
+    call); tenants without a quota are only counted.
     """
 
     def __init__(self, quotas):
@@ -123,9 +125,9 @@ class TenantLedger:
         self.inflight[tenant] = held + 1
         return True
 
-    def leave(self, tenant: str, *, completed: bool = True) -> None:
-        """One request of *tenant* left the system (*completed*: it was
-        admitted to the queue first, so it counts in ``per_tenant``)."""
+    def leave(self, tenant: str, *, completed: bool = False) -> None:
+        """One request of *tenant* left the system (*completed*: with its
+        reply, so it counts in ``per_tenant``)."""
         left = self.inflight.get(tenant, 0) - 1
         if left > 0:
             self.inflight[tenant] = left
@@ -135,36 +137,33 @@ class TenantLedger:
             self.completed[tenant] = self.completed.get(tenant, 0) + 1
 
 
+class _Gather:
+    """One scattered batch: how many of its subs are still out."""
+
+    __slots__ = ("batch", "remaining", "service_ns", "span")
+
+    def __init__(self, batch, remaining):
+        self.batch = batch
+        self.remaining = remaining
+        self.service_ns = 0.0
+        self.span = None            # open dispatch span id (traced batches)
+
+
 class _Sub:
     """One shard's slice of a scattered batch (router-internal)."""
 
-    __slots__ = (
-        "shard", "nodes", "edges", "items",
-        "batch", "attempts", "done", "inflight", "dispatched_to",
-    )
+    __slots__ = ("shard", "gather", "nodes", "node_requests", "node_lanes",
+                 "edges", "edge_requests", "edge_lanes", "done", "inflight",
+                 "dispatched_to")
 
-    def __init__(self, shard, nodes, edges, items, batch):
+    def __init__(self, shard, gather, node_part, edge_part):
         self.shard = shard
-        self.nodes = nodes          # unique node keys owned by this shard
-        self.edges = edges          # unique (u, v) rows owned by this shard
-        self.items = items          # [request, ...] per node, then per edge
-        self.batch = batch
-        self.attempts = 0
+        self.gather = gather
+        self.nodes, self.node_requests, self.node_lanes = node_part
+        self.edges, self.edge_requests, self.edge_lanes = edge_part
         self.done = False
         self.inflight = 0           # outstanding attempts (primary + hedge)
-        self.dispatched_to: list[int] = []
-
-
-class _Gather:
-    """Per-batch gather state: how many subs are still out."""
-
-    __slots__ = ("remaining", "scatter_ns", "service_ns", "span")
-
-    def __init__(self, remaining, scatter_ns):
-        self.remaining = remaining
-        self.scatter_ns = scatter_ns
-        self.service_ns = 0.0
-        self.span = None            # open dispatch span id (traced batches)
+        self.dispatched_to: list[int] = []  # one worker id per attempt
 
 
 class Router(ServeLoop):
@@ -204,6 +203,7 @@ class Router(ServeLoop):
         self.workers = list(workers)
         self.partitioner = partitioner
         self.num_shards = int(partitioner.num_shards)
+        self._cuts = np.arange(self.num_shards + 1)  # run boundaries, by id
         self.by_shard: dict[int, list[ShardWorker]] = {
             s: [w for w in self.workers if w.shard_id == s]
             for s in range(self.num_shards)
@@ -215,7 +215,6 @@ class Router(ServeLoop):
         self._job_view = None
         self._events: list = []     # (time_ns, seq, kind, payload)
         self._seq = 0
-        self._gathers: dict[int, _Gather] = {}
         self._samples: deque[float] = deque(maxlen=256)
         # counters surfaced via cluster_stats()
         self.subs_dispatched = 0
@@ -240,87 +239,61 @@ class Router(ServeLoop):
             ])
         return self._job_view, self.config.executor
 
-    def next_wakeup_ns(self) -> float | None:
-        """Earliest virtual time with work: the oldest queued request's
-        window expiry or the next in-flight completion/hedge event."""
-        candidates = []
-        close = self.coalescer.next_close_ns
-        if close is not None:
-            candidates.append(close)
-        if self._events:
-            candidates.append(self._events[0][0])
-        return min(candidates) if candidates else None
-
     # -- scatter ---------------------------------------------------------
     def _dispatch(self, batch: MicroBatch) -> None:
         """Scatter one closed batch: a sub-batch per owning shard, each
         dispatched to a replica; replies gather as completions land."""
         plan = batch.plan
-        t = float(batch.closed_ns)
-        shard_nodes: dict[int, dict[int, int]] = {}
-        shard_edges: dict[int, dict[int, int]] = {}
-        if plan.unique_nodes.shape[0]:
-            owners = self.partitioner.shard_of_array(plan.unique_nodes)
-            for lane, s in enumerate(owners):
-                shard_nodes.setdefault(int(s), {})[lane] = int(
-                    plan.unique_nodes[lane]
-                )
-        if plan.unique_edges.shape[0]:
-            owners = self.partitioner.shard_of_array(plan.unique_edges[:, 0])
-            for lane, s in enumerate(owners):
-                shard_edges.setdefault(int(s), {})[lane] = (
-                    int(plan.unique_edges[lane, 0]),
-                    int(plan.unique_edges[lane, 1]),
-                )
-        # per-lane ticket lists, for the gather-side demux
-        node_tickets: dict[int, list] = {}
-        for req, lane in zip(plan.neighbor_requests, plan.node_lane):
-            node_tickets.setdefault(lane, []).append(req)
-        edge_tickets: dict[int, list] = {}
-        for req, lane in zip(plan.edge_requests, plan.edge_lane):
-            edge_tickets.setdefault(lane, []).append(req)
-        shards = sorted(set(shard_nodes) | set(shard_edges))
-        gather = _Gather(len(shards), t)
-        self._gathers[id(batch)] = gather
-        tracer = self.tracer
-        if self._obs:
-            parent = None
-            traced = self._traced
-            for lane in (plan.neighbor_requests, plan.edge_requests):
-                for req in lane:
-                    root = traced.get(req.ticket)
-                    if root is None:
-                        continue
-                    tracer.record("enqueue", "router", ticket=req.ticket,
-                                  start_ns=float(req.enqueue_ns), end_ns=t,
-                                  parent=root)
-                    if parent is None:
-                        parent = root
-            if parent is not None:
-                # stays open until the last sub gathers (_finish_sub)
-                gather.span = tracer.begin(
-                    "dispatch", "router", parent=parent, start_ns=t,
-                    meta={"batch_size": len(batch),
-                          "closed_by": batch.closed_by,
-                          "shards": len(shards)},
-                )
-        for s in shards:
-            nmap = shard_nodes.get(s, {})
-            emap = shard_edges.get(s, {})
-            sub = _Sub(
-                shard=s,
-                nodes=np.fromiter(nmap.values(), dtype=np.int64,
-                                  count=len(nmap)),
-                edges=np.array(list(emap.values()),
-                               dtype=np.int64).reshape(-1, 2),
-                items=[node_tickets.get(lane, []) for lane in nmap]
-                + [edge_tickets.get(lane, []) for lane in emap],
-                batch=batch,
+        t = batch.closed_ns
+        parts = zip(self._cut(plan.unique_nodes, plan.neighbor_requests,
+                              plan.node_lane),
+                    self._cut(plan.unique_edges, plan.edge_requests,
+                              plan.edge_lane))
+        # a sub per shard owning a key of either kind (it has a request)
+        owned = [(s, nodes, edges) for s, (nodes, edges) in enumerate(parts)
+                 if nodes[1] or edges[1]]
+        gather = _Gather(batch, len(owned))
+        root = self._first_root(plan)
+        if root is not None:
+            # stays open until the last sub gathers (_finish_sub)
+            gather.span = self.tracer.begin(
+                "dispatch", "router", parent=root, start_ns=t,
+                meta={"batch_size": len(batch), "closed_by": batch.closed_by,
+                      "shards": len(owned)},
             )
+        for s, nodes, edges in owned:
+            sub = _Sub(s, gather, nodes, edges)
             if not self._dispatch_sub(sub, t):
                 # every replica of this shard is already down: fail the
                 # sub's tickets now rather than leaving slots pending
                 self._fail_sub(sub, None, t)
+
+    def _cut(self, keys: np.ndarray, requests, lanes) -> list:
+        """One lane kind of a batch plan cut by owning shard: per shard,
+        ``(keys, requests, lanes)`` — its keys in plan order, its requests
+        by lane then batch order, and their lanes into those keys."""
+        if not requests:  # a batch without this kind: no shard owns any
+            return [(keys, (), ())] * self.num_shards
+        owners = self.partitioner.shard_of_array(
+            keys if keys.ndim == 1 else keys[:, 0])
+        lanes = np.asarray(lanes, dtype=np.intp)
+        by = owners[lanes]
+        # one stable argsort each, cut at the shard runs; the fused key
+        # orders a shard's requests by lane, then batch order
+        key_order = np.argsort(owners, kind="stable")
+        key_cut = np.searchsorted(owners[key_order], self._cuts).tolist()
+        req_order = np.argsort(by * len(owners) + lanes, kind="stable")
+        req_cut = np.searchsorted(by[req_order], self._cuts).tolist()
+        req_lanes = lanes[req_order]
+        requests = [requests[i] for i in req_order.tolist()]
+        parts = [(keys[:0], (), ())] * self.num_shards
+        for s in range(self.num_shards):
+            k = key_order[key_cut[s]:key_cut[s + 1]]
+            if k.shape[0]:
+                r = slice(req_cut[s], req_cut[s + 1])
+                parts[s] = (keys[k], requests[r],
+                            np.searchsorted(k, req_lanes[r]).tolist())
+        return parts
 
     # -- replica selection / dispatch ------------------------------------
     def _dispatch_sub(self, sub: _Sub, t: float, *, hedge: bool = False
@@ -334,13 +307,12 @@ class Router(ServeLoop):
             return False
         worker = min(candidates,
                      key=lambda w: (w.busy_until, w.worker_id))
-        gather = self._gathers.get(id(sub.batch))
         sub_sid = None
-        if gather is not None and gather.span is not None:
+        if sub.gather.span is not None:
             sub_sid = self.tracer.begin(
-                "sub", "router", parent=gather.span, start_ns=t,
+                "sub", "router", parent=sub.gather.span, start_ns=t,
                 meta={"shard": sub.shard, "worker": worker.worker_id,
-                      "hedge": hedge, "attempt": sub.attempts + 1},
+                      "hedge": hedge, "attempt": len(sub.dispatched_to) + 1},
             )
         # the worker's dispatch/kernel spans nest under the sub span
         # via the stack — no ids threaded through worker.serve
@@ -354,7 +326,6 @@ class Router(ServeLoop):
         if sub_sid is not None:
             self.tracer.annotate(sub_sid, service_ns=float(service_ns))
             self.tracer.end(sub_sid, done_at)
-        sub.attempts += 1
         sub.inflight += 1
         sub.dispatched_to.append(worker.worker_id)
         self.subs_dispatched += 1
@@ -408,22 +379,20 @@ class Router(ServeLoop):
         if hedged:
             worker.hedge_wins += 1
         self._samples.append(float(service_ns))
-        for value, reqs in zip([*rows, *exists], sub.items):
-            for req in reqs:
-                self._complete(req, value, sub.batch.closed_ns, t)
+        closed_ns = sub.gather.batch.closed_ns
+        self._complete(sub.node_requests, sub.node_lanes, rows, closed_ns, t)
+        self._complete(sub.edge_requests, sub.edge_lanes, exists, closed_ns, t)
         self._finish_sub(sub, service_ns, t)
 
     def _on_hedge(self, t: float, sub: _Sub) -> None:
-        if sub.done:
-            return
-        if self._dispatch_sub(sub, t, hedge=True):
+        if not sub.done and self._dispatch_sub(sub, t, hedge=True):
             self.hedges_launched += 1
-            gather = self._gathers.get(id(sub.batch))
-            if gather is not None and gather.span is not None:
+            gather = sub.gather
+            if gather.span is not None:
                 # the wait that triggered the hedge: batch close to the
                 # percentile deadline that just fired
                 self.tracer.record(
-                    "hedge-wait", "router", start_ns=gather.scatter_ns,
+                    "hedge-wait", "router", start_ns=gather.batch.closed_ns,
                     end_ns=t, parent=gather.span,
                     meta={"shard": sub.shard},
                 )
@@ -433,30 +402,17 @@ class Router(ServeLoop):
         """Account one finished (gathered or failed) sub against its
         batch; the batch's metrics record when the last sub lands,
         with the slowest sub as the batch's service time."""
-        gather = self._gathers[id(sub.batch)]
+        gather = sub.gather
         gather.remaining -= 1
         gather.service_ns = max(gather.service_ns, float(service_ns))
         if gather.remaining == 0:
             if gather.span is not None:
                 self.tracer.end(gather.span, t)
-            del self._gathers[id(sub.batch)]
-            batch = sub.batch
+            batch = gather.batch
             self.metrics.record_batch(
                 len(batch), batch.closed_by, batch.plan.duplicates,
                 gather.service_ns,
             )
-
-    def _complete(self, req: Request, value, dispatch_ns: float,
-                  complete_ns: float) -> None:
-        req.dispatch_ns = float(dispatch_ns)
-        req.complete_ns = float(complete_ns)
-        slot = self._slots.pop(req.ticket, None)
-        if slot is None:  # pragma: no cover - would be a demux bug
-            raise ClusterError(f"no reply slot for ticket {req.ticket}")
-        slot._resolve(DONE, value)
-        self._end_root(req.ticket, complete_ns)
-        self._tenants.leave(req.tenant)
-        self.metrics.record_reply(req.wait_ns, req.latency_ns)
 
     def _fail_sub(self, sub: _Sub, worker: ShardWorker | None,
                   t: float) -> None:
@@ -466,18 +422,16 @@ class Router(ServeLoop):
                 else "none reachable")
         error = ClusterError(
             f"shard {sub.shard}: all {replicas} replicas down "
-            f"({last}, {sub.attempts} attempts)"
+            f"({last}, {len(sub.dispatched_to)} attempts)"
         )
-        for reqs in sub.items:
-            for req in reqs:
-                slot = self._slots.pop(req.ticket, None)
-                if slot is None:  # pragma: no cover - demux bug guard
-                    continue
-                req.complete_ns = float(t)
-                slot._fail(error)
-                self._end_root(req.ticket, float(t), status="failed")
-                self._tenants.leave(req.tenant)
-                self.failed_requests += 1
+        requests = (*sub.node_requests, *sub.edge_requests)
+        for req in requests:
+            req.complete_ns = t
+            self._slots.pop(req.ticket)._fail(error)
+            self._tenants.leave(req.tenant)
+        self.failed_requests += len(requests)
+        self._close_roots(requests, sub.gather.batch.closed_ns, t,
+                          status="failed")
         self._finish_sub(sub, 0.0, t)
 
     # -- observability ----------------------------------------------------

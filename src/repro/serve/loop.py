@@ -5,15 +5,16 @@ analytics job meets at all, is the same whether one
 :class:`~repro.serve.server.GraphQueryServer` or a scatter-gather
 :class:`~repro.cluster.Router` answers it: request validation,
 ticketing, root-span sampling, the reject / shed-oldest / block
-admission decision, coalescing, the FIFO job lifecycle, and the
-``pump`` / ``drain`` skeleton.  That lives here, once.  A front door
-subclasses the loop and supplies only what differs:
+admission decision, coalescing, the lane-wise reply path
+(``_complete``), the FIFO job lifecycle, and the ``pump`` / ``drain``
+skeleton.  That lives here, once.  A front door subclasses the loop
+and supplies only what differs:
 
 * ``_dispatch(batch)`` — what happens to a closed micro-batch (run the
-  kernels inline, or scatter it across shard workers);
-* ``_events``, ``_run_events(now)`` and ``next_wakeup_ns`` — work
-  still in flight after ``_dispatch`` returned (none when batches
-  complete inline);
+  kernels and ``_complete`` its lanes inline, or scatter it across
+  shard workers and ``_complete`` each shard's part as it lands);
+* ``_events`` and ``_run_events(now)`` — work still in flight after
+  ``_dispatch`` returned (none when batches complete inline);
 * ``_job_target()`` — the ``(store, executor)`` a job stepper runs on;
 * ``_write_target`` / ``_apply_write`` — a front door that accepts
   :class:`~repro.serve.request.WriteRequest` sets the mutable store and
@@ -32,14 +33,15 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..errors import ValidationError
+from ..errors import QueryError, ValidationError
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..utils import require
 from .admission import AdmissionController
-from .coalescer import MicroBatch, MicroBatchCoalescer
+from .coalescer import BatchPlan, MicroBatch, MicroBatchCoalescer
 from .config import ServerConfig
 from .metrics import ServeMetrics, ServeSnapshot
 from .request import (
+    DONE,
     REJECTED,
     SHED,
     AnalyticsRequest,
@@ -157,7 +159,7 @@ class ServeLoop:
             decision = admission.decide(depth)
             if decision == "reject":
                 if tenants is not None:
-                    tenants.leave(request.tenant, completed=False)
+                    tenants.leave(request.tenant)
                 slot._resolve(REJECTED)
                 self._end_root(ticket, now, status="rejected")
                 return slot
@@ -213,6 +215,54 @@ class ServeLoop:
             if status is not None:
                 self.tracer.annotate(sid, status=status)
             self.tracer.end(sid, end_ns)
+
+    # -- the reply path --------------------------------------------------
+    def _first_root(self, plan: BatchPlan) -> int | None:
+        """Root span of the batch's first traced request (neighbour lane
+        first): the parent of the batch's own spans."""
+        traced = self._traced
+        if traced:
+            for req in (*plan.neighbor_requests, *plan.edge_requests):
+                if req.ticket in traced:
+                    return traced[req.ticket]
+        return None
+
+    def _close_roots(self, requests, dispatch_ns: float, end_ns: float,
+                     status: str | None = None) -> None:
+        """Close the traced roots of *requests*, which reached a batch that
+        closed at *dispatch_ns*: each gets its ``enqueue`` span (the
+        analytic queue wait, submit stamp → batch close), then ends."""
+        traced = self._traced
+        for req in requests:
+            sid = traced.get(req.ticket)
+            if sid is not None:
+                self.tracer.record("enqueue", self._layer, ticket=req.ticket,
+                                   start_ns=float(req.enqueue_ns),
+                                   end_ns=dispatch_ns, parent=sid)
+                self._end_root(req.ticket, end_ns, status)
+
+    def _complete(self, requests, lanes, values, dispatch_ns: float,
+                  complete_ns: float) -> None:
+        """Resolve one lane of a batch: request *i* gets ``values[lanes[i]]``.
+        ``_slots`` holds exactly the pending slots, so popping a ticket's
+        slot is the exactly-once check; only here is a request completed."""
+        take = self._slots.pop
+        enqueued = []
+        for req, lane in zip(requests, lanes):
+            req.dispatch_ns = dispatch_ns
+            req.complete_ns = complete_ns
+            slot = take(req.ticket, None)
+            if slot is None:  # pragma: no cover - would be a demux bug
+                raise QueryError(f"no reply slot for ticket {req.ticket}")
+            slot.status = DONE
+            slot._value = values[lane]
+            enqueued.append(req.enqueue_ns)
+        if self._tenants is not None:
+            for req in requests:
+                self._tenants.leave(req.tenant, completed=True)
+        if self._traced:
+            self._close_roots(requests, dispatch_ns, complete_ns)
+        self.metrics.record_replies(enqueued, dispatch_ns, complete_ns)
 
     # -- analytics jobs --------------------------------------------------
     def submit_job(self, request: AnalyticsRequest) -> JobHandle:
@@ -307,10 +357,13 @@ class ServeLoop:
 
     def next_wakeup_ns(self) -> float | None:
         """Earliest clock time at which :meth:`pump` would have work —
-        the oldest queued request's window expiry (``None`` when the
-        queue is empty).  Virtual-time drivers (the load harness)
-        advance their clock here instead of polling."""
-        return self.coalescer.next_close_ns
+        the oldest queued request's window expiry or the next in-flight
+        event (``None`` when there is neither).  Virtual-time drivers
+        (the load harness) advance their clock here instead of polling."""
+        close, events = self.coalescer.next_close_ns, self._events
+        if events and (close is None or events[0][0] < close):
+            return events[0][0]
+        return close
 
     def drain(self) -> int:
         """Flush and serve everything still queued, advance the clock

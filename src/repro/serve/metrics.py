@@ -151,15 +151,10 @@ class ServeMetrics:
         self.duplicates_coalesced += int(duplicates)
         self.service_ns_total += float(service_ns)
 
-    def record_reply(self, wait_ns: float, latency_ns: float) -> None:
-        """Record one completed request's wait and end-to-end latency."""
-        self.completed += 1
-        self._waits_ns.append(float(wait_ns))
-        self._latencies_ns.append(float(latency_ns))
-
     def record_replies(self, enqueued_ns: list[float], dispatch_ns: float,
                        complete_ns: float) -> None:
-        """:meth:`record_reply` for requests dispatched and completed together."""
+        """Record the wait and end-to-end latency of completed requests
+        submitted at *enqueued_ns*, dispatched and completed together."""
         self.completed += len(enqueued_ns)
         self._waits_ns.extend([dispatch_ns - t for t in enqueued_ns])
         self._latencies_ns.extend([complete_ns - t for t in enqueued_ns])

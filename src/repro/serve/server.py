@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from ..errors import QueryError, ReproError
+from ..errors import ReproError
 from ..obs import NULL_TRACER, Tracer, register_server
 from ..parallel.machine import Executor
 from ..query.capabilities import capabilities
@@ -179,22 +179,9 @@ class GraphQueryServer(ServeLoop):
     # -- batch dispatch -------------------------------------------------
     def _dispatch(self, batch: MicroBatch) -> None:
         plan = batch.plan
-        parent = None
-        if self._obs:
-            # the dispatch span hangs off the first traced root in the
-            # batch; per-request enqueue spans are recorded at
-            # _complete, so this scan stops at the first hit instead of
-            # walking the whole batch
-            traced = self._traced
-            for lane in (plan.neighbor_requests, plan.edge_requests):
-                for req in lane:
-                    parent = traced.get(req.ticket)
-                    if parent is not None:
-                        break
-                if parent is not None:
-                    break
         rows, exists, service_ns = self.run_kernels(
-            plan.unique_nodes, plan.unique_edges, parent=parent,
+            plan.unique_nodes, plan.unique_edges,
+            parent=self._first_root(plan),
             meta={"batch_size": len(batch), "closed_by": batch.closed_by},
         )
         # completion is stamped on the server clock at dispatch (never
@@ -263,35 +250,6 @@ class GraphQueryServer(ServeLoop):
             if parent is not None:
                 executor.tracer = NULL_TRACER
         return rows, exists, service_ns
-
-    def _complete(self, requests, lanes, values, dispatch_ns: float,
-                  complete_ns: float) -> None:
-        """Resolve one lane of a batch: request *i* gets ``values[lanes[i]]``.
-        ``_slots`` holds exactly the pending slots, so popping a ticket's
-        slot is the exactly-once check and the slot is resolved in place."""
-        take = self._slots.pop
-        enqueued = []
-        for req, lane in zip(requests, lanes):
-            req.dispatch_ns = dispatch_ns
-            req.complete_ns = complete_ns
-            slot = take(req.ticket, None)
-            if slot is None:  # pragma: no cover - would be a demux bug
-                raise QueryError(f"no reply slot for ticket {req.ticket}")
-            slot.status = DONE
-            slot._value = values[lane]
-            enqueued.append(req.enqueue_ns)
-        if self._traced:
-            for req in requests:
-                sid = self._traced.pop(req.ticket, None)
-                if sid is not None:
-                    # queue wait is analytic: submit stamp -> batch close
-                    self.tracer.record(
-                        "enqueue", "serve", ticket=req.ticket,
-                        start_ns=float(req.enqueue_ns),
-                        end_ns=dispatch_ns, parent=sid,
-                    )
-                    self.tracer.end(sid, complete_ns)
-        self.metrics.record_replies(enqueued, dispatch_ns, complete_ns)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

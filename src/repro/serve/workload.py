@@ -138,16 +138,16 @@ def synthetic_workload(
     return out
 
 
-def replay(server, workload, *, pump_between: bool = True) -> list:
+def replay(server, workload) -> list:
     """Drive *server* through *workload* on its manual clock.
 
     The server must have been built with a
     :class:`~repro.serve.request.ManualClock`; each arrival advances
-    that clock to the scheduled time (firing any expired wait windows
-    first when ``pump_between``), submits, and collects the reply
-    slot.  Ends with a :meth:`~repro.serve.server.GraphQueryServer.drain`
-    so every accepted ticket is terminal.  Returns the slots in
-    submission order.
+    that clock to the scheduled time, pumps (firing any expired wait
+    windows and due in-flight work), submits, and collects the reply
+    slot.  Ends with a :meth:`~repro.serve.loop.ServeLoop.drain` so
+    every accepted ticket is terminal.  Returns the slots in submission
+    order.
     """
     clock = getattr(server, "_clock", None)
     require(
@@ -157,8 +157,7 @@ def replay(server, workload, *, pump_between: bool = True) -> list:
     slots = []
     for arrival_ns, request in workload:
         clock.advance_to(arrival_ns)
-        if pump_between:
-            server.pump(clock())
+        server.pump(clock())
         slots.append(server.submit(request))
     server.drain()
     return slots

@@ -17,7 +17,6 @@ from repro.serve import (
     GraphQueryServer,
     ManualClock,
     NeighborsRequest,
-    ServeMetrics,
     ServerConfig,
 )
 
@@ -120,11 +119,3 @@ def test_enqueue_spans_only_for_traced_tickets():
         assert roots[s.parent_id].end_ns == req.complete_ns
     assert not server._traced
 
-
-def test_record_replies_is_record_reply_in_bulk():
-    one, bulk = ServeMetrics(), ServeMetrics()
-    enqueued = [0.0, 10.5, 10.5, 333.25]
-    for t in enqueued:
-        one.record_reply(wait_ns=400.0 - t, latency_ns=1000.75 - t)
-    bulk.record_replies(enqueued, 400.0, 1000.75)
-    assert bulk.snapshot() == one.snapshot()

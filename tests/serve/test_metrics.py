@@ -66,7 +66,7 @@ class TestServeMetrics:
         m.record_batch(4, "size", 1, 10_000.0)
         m.record_batch(2, "window", 0, 5_000.0)
         for i in range(6):
-            m.record_reply(wait_ns=100.0 * i, latency_ns=200.0 * i)
+            m.record_replies([0.0], 100.0 * i, 200.0 * i)
         return m
 
     @staticmethod
