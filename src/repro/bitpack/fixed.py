@@ -14,18 +14,22 @@ read-only segments are decoded in place):
 
 * gathers (:func:`unpack_fields_gather`, :func:`read_fields`) index a
   stride-1 ``uint64`` view of the buffer by each field's byte;
-* contiguous runs (:func:`pack_fixed`, :func:`unpack_fixed`) use the
-  byte period of the layout: 8 fields occupy exactly ``width`` bytes,
-  so fields ``j, j + 8, j + 16, ...`` sit ``width`` bytes apart with
-  one common shift, and each of the 8 phases is a constant-stride word
-  view — eight strided OR-stores or shift-loads, no index array.
+* contiguous runs (:func:`pack_fixed`, :func:`unpack_fixed`, and the
+  long runs of :func:`unpack_fields_gather`) use the byte period of the
+  layout: 8 fields occupy exactly ``width`` bytes, so fields
+  ``j, j + 8, j + 16, ...`` sit ``width`` bytes apart with one common
+  shift — the pack ORs each of the 8 phases through a constant-stride
+  word view, the unpack reads all 8 as columns of one 2-D word view;
+  no index array either way.
 
+So a gather has three regimes: long runs at streaming speed, the other
+fields by indexed word loads, and the bit matrix where neither applies.
 ``np.packbits``/``np.unpackbits`` over a ``(count, width)`` bit matrix
 (``bitorder="little"``, the layout of
-:class:`~repro.bitpack.bitarray.BitArray`) is the portable fallback:
+:class:`~repro.bitpack.bitarray.BitArray`) is that portable fallback:
 big-endian hosts, widths 58-64, buffers under 8 bytes or not
-contiguous, and contiguous runs too short to amortise eight views.
-Both produce the same bytes and the same values.
+contiguous, and contiguous runs too short to amortise the strided
+views.  All produce the same bytes and the same values.
 """
 
 from __future__ import annotations
@@ -61,9 +65,18 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 _MAX_WORD_FIELD = 57
 
 # Contiguous runs shorter than this many bits cost less through the bit
-# matrix than through eight strided views (measured: the views cost
-# ~23 us whatever the length, the bit matrix ~1 ns per bit).
+# matrix than through the strided kernels (measured: the pack's eight
+# views cost ~23 us whatever the length, the unpack's one grid view
+# ~7 us, the bit matrix ~1 ns per bit).
 _STRIDED_MIN_BITS = 1 << 14
+
+# A run of the gather at least this many fields long is decoded by the
+# strided kernel instead.  Inside a batch, routing a run costs ~10 us of
+# fixed work (the grid view plus the bookkeeping around the gather),
+# after which a field costs ~2 ns against the gather's ~6.5 ns (hot
+# rows; cold rows widen the gap): the measured crossover
+# (EXPERIMENTS.md, "Batched query kernels").
+_RUN_MIN_FIELDS = 2048
 
 # One weight vector per field width: decoding a (count, width) 0/1 bit
 # matrix is a matvec against [1, 2, 4, ...], so the per-bit Python loop
@@ -78,6 +91,19 @@ def _weight_vector(width: int) -> np.ndarray:
         w.setflags(write=False)
         _WEIGHTS[width] = w
     return w
+
+
+_PHASES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _phase_table(width: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """First byte and in-byte shift of fields 0-7 of a contiguous run
+    whose field 0 starts *shift* bits into its byte (``intp``, ``uint64``)."""
+    table = _PHASES.get((width, shift))
+    if table is None:
+        bit = shift + width * np.arange(8)
+        table = _PHASES[width, shift] = (bit >> 3, (bit & 7).astype(np.uint64))
+    return table
 
 
 def _check_width(width: int) -> None:
@@ -109,22 +135,27 @@ def _word_addressable(buf: np.ndarray, width: int) -> bool:
     )
 
 
-def _load_fields(buf: np.ndarray, bitpos: np.ndarray, width) -> np.ndarray:
+def _load_fields(buf: np.ndarray, bitpos: np.ndarray, width, top: int) -> np.ndarray:
     """Fields of *width* <= 57 bits (one width, or a ``uint64`` vector of
-    per-field widths) starting at bit positions *bitpos*.
+    per-field widths) starting at bit positions *bitpos*, none above *top*.
 
     One unaligned 64-bit load per field through a stride-1 ``uint64``
-    view of *buf*.  A load that would run past the buffer is moved back
-    to its last 8 bytes and the shift grows by the bytes moved; the
-    field ends inside the buffer, so it still lies inside that word.
+    view of *buf*.  Only when a load from *top* would run past the
+    buffer are the loads clamped: such a load is moved back to the
+    buffer's last 8 bytes and its shift grows by the bytes moved (the
+    field ends inside the buffer, so it still lies inside that word).
     *bitpos* (``int64``) is used as scratch space.
     """
     words = np.ndarray((buf.shape[0] - 7,), dtype=np.uint64, buffer=buf, strides=(1,))
     byte = bitpos >> 3
-    np.minimum(byte, words.shape[0] - 1, out=byte)
-    values = words[byte]
-    byte <<= 3
-    bitpos -= byte
+    if top >> 3 < words.shape[0]:
+        values = words[byte]
+        bitpos &= 7
+    else:
+        np.minimum(byte, words.shape[0] - 1, out=byte)
+        values = words[byte]
+        byte <<= 3
+        bitpos -= byte
     values >>= bitpos.view(np.uint64)
     values &= _field_mask(width)
     return values
@@ -230,31 +261,39 @@ def _unpack_bitmatrix(
 
 
 def _unpack_strided(
-    buf: np.ndarray, count: int, width: int, bit_offset: int
+    buf: np.ndarray, count: int, width: int, bit_offset: int, out=None
 ) -> np.ndarray:
-    """Word-parallel unpack of *count* contiguous *width* <= 57 bit fields.
+    """Word-parallel unpack of *count* contiguous *width* <= 57 bit fields
+    into *out* (a new ``uint64`` array when omitted).
 
-    Phase *j* (fields ``j, j + 8, ...``) is one ``uint64`` view with a
-    stride of *width* bytes and one common shift.  The few trailing
-    fields whose 8-byte load would run past the buffer go through
-    :func:`_load_fields`, which clamps.
+    One 2-D word view of *buf*: row *k* starts at the byte of field
+    ``8k`` and the next row *width* bytes on, so phase *j* (fields
+    ``j, j + 8, ...``) is one column of it with one common shift.  Eight
+    columns picked, one broadcast shift and one mask decode every row
+    whose eight loads lie inside the buffer — those past the run's end
+    read bytes of the next fields and are dropped.  The few trailing
+    fields of a run at the buffer's end go through :func:`_load_fields`,
+    which clamps.
     """
-    out = np.empty(count, dtype=np.uint64)
-    # fields whose first byte is at most nbytes - 8
-    safe = min(count, max(0, (8 * (buf.shape[0] - 7) - 1 - bit_offset) // width + 1))
-    for phase in range(min(8, safe)):
-        bit = bit_offset + phase * width
-        dest = out[phase:safe:8]
-        words = np.ndarray(
-            dest.shape, dtype=np.uint64, buffer=buf, offset=bit >> 3, strides=(width,)
+    if out is None:
+        out = np.empty(count, dtype=np.uint64)
+    cols, shifts = _phase_table(width, bit_offset & 7)
+    base = bit_offset >> 3
+    last = int(cols[7])
+    rows = min(-(-count // 8), max(0, (buf.shape[0] - 8 - base - last) // width + 1))
+    done = min(count, 8 * rows)
+    if rows:
+        grid = np.ndarray(
+            (rows, last + 1), dtype=np.uint64, buffer=buf, offset=base, strides=(width, 1)
         )
-        np.right_shift(words, np.uint64(bit & 7), out=dest)
-    out[:safe] &= _field_mask(width)
-    if safe < count:
-        bitpos = np.arange(safe, count, dtype=np.int64)
+        block = grid[:, cols]
+        block >>= shifts
+        np.bitwise_and(block.reshape(-1)[:done], _field_mask(width), out=out[:done])
+    if done < count:
+        bitpos = np.arange(done, count, dtype=np.int64)
         bitpos *= width
         bitpos += bit_offset
-        out[safe:] = _load_fields(buf, bitpos, width)
+        out[done:count] = _load_fields(buf, bitpos, width, int(bitpos[-1]))
     return out
 
 
@@ -281,16 +320,17 @@ def unpack_fixed(
     return _unpack_bitmatrix(buf, count, width, bit_offset)
 
 
-def _decode_at(bits: BitArray, width, bitpos: np.ndarray) -> np.ndarray:
+def _decode_at(bits: BitArray, width, bitpos: np.ndarray, top: int | None = None) -> np.ndarray:
     """Decode the fields starting at the (validated, non-empty) bit
     positions *bitpos*; consumes *bitpos*.  *width* is one width, the
     positions multiples of it, or a ``uint64`` vector of per-field
     widths at arbitrary positions (segments of different widths in one
-    buffer)."""
+    buffer).  *top* bounds the positions from above; the stream's last
+    bit always does, and a caller that knows a tighter bound passes it."""
     buf = bits.buffer
     per_field = isinstance(width, np.ndarray)
     if _word_addressable(buf, int(width.max()) if per_field else width):
-        return _load_fields(buf, bitpos, width)
+        return _load_fields(buf, bitpos, width, bits.nbits - 1 if top is None else top)
     if per_field:  # portable: one scalar read per field
         reads = zip(bitpos.tolist(), width.tolist())
         return np.array([bits.read_uint(p, w) for p, w in reads], dtype=np.uint64)
@@ -314,17 +354,25 @@ def unpack_fields_gather(
     ``offsets`` (``int64``, length ``len(starts) + 1``) delimits run
     *i* as ``values[offsets[i]:offsets[i + 1]]``.
 
-    This is the batch counterpart of :func:`unpack_slice`.  The bit
-    position of every requested field is computed from the run
-    geometry, and each field is then read with one unaligned 64-bit
-    load off the stream's buffer, shifted and masked — about ten array
-    passes over the output, none over the stream, and nothing copied,
-    however far apart the runs lie.  Runs may overlap or repeat.  There
-    is no per-run Python loop, which is what makes the batched query
-    algorithms (Section V) fast on the packed CSR.  (Where the word
-    load does not apply — see the module docstring — the span between
-    the first and last requested field is decoded through the bit
-    matrix instead, with identical results.)
+    This is the batch counterpart of :func:`unpack_slice`, and it has
+    three regimes, all bit-exact against it:
+
+    * a run of at least ``_RUN_MIN_FIELDS`` fields (a hub row) is
+      decoded by the strided word kernel of :func:`unpack_fixed`,
+      straight into its slice of the output — one load per field and
+      no index array, at streaming speed;
+    * every other field is read in one gather over all the short runs:
+      its bit position is computed from the run geometry, then one
+      unaligned 64-bit load off the stream's buffer, a shift and a mask
+      (about eight passes over those fields, dominated by the indexed
+      load).  Nothing is copied out of the stream however far apart the
+      runs lie, and there is no per-run Python loop, which is what makes
+      the batched query algorithms (Section V) fast on the packed CSR;
+    * where the word loads do not apply (see the module docstring), the
+      span between the first and last requested field is decoded
+      through the bit matrix instead.
+
+    Runs may overlap or repeat, in any order.
     """
     _check_width(width)
     s = np.asarray(starts, dtype=np.int64)
@@ -338,15 +386,47 @@ def unpack_fields_gather(
             raise ValidationError("counts must be non-negative")
         if int(s.min()) < 0:
             raise ValidationError("starts must be non-negative")
-        _check_stream_end(bits, int((s + c).max()) * width)
+        end_bit = int((s + c).max()) * width
+        _check_stream_end(bits, end_bit)
     total = int(offsets[-1])
     if total == 0:
         return np.zeros(0, dtype=np.uint64), offsets
-    # bit position of every output element: its run's first bit plus
-    # its place in the output, less the run's place in the output
-    bitpos = np.arange(0, total * width, width, dtype=np.int64)
-    bitpos += np.repeat((s - offsets[:-1]) * width, c)
-    return _decode_at(bits, width, bitpos), offsets
+    top = end_bit - width  # no requested field starts above it
+    buf = bits.buffer
+    long = np.flatnonzero(c >= _RUN_MIN_FIELDS)
+    if not long.size or not _word_addressable(buf, width):
+        return _decode_at(bits, width, _run_bitpos(s, c, offsets[:-1], width), top), offsets
+    out = np.empty(total, dtype=np.uint64)
+    if long.size < c.size:  # the short runs' fields, in one gather
+        short = c.copy()
+        short[long] = 0
+        first = np.cumsum(short)
+        first -= short
+        gathered = _load_fields(buf, _run_bitpos(s, short, first, width), width, top)
+    # the short runs between two long ones fill one block of both arrays
+    done = taken = 0
+    for run in long.tolist():
+        lo, hi = int(offsets[run]), int(offsets[run + 1])
+        if lo > done:
+            out[done:lo] = gathered[taken : taken + lo - done]
+            taken += lo - done
+        _unpack_strided(buf, hi - lo, width, int(s[run]) * width, out[lo:hi])
+        done = hi
+    if done < total:
+        out[done:] = gathered[taken:]
+    return out, offsets
+
+
+def _run_bitpos(s: np.ndarray, c: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
+    """Bit position of every field of the runs ``[s[i], s[i] + c[i])``,
+    concatenated in run order; run *i* starts at output index ``first[i]``
+    (the exclusive prefix sum of *c*, so the runs hold ``first[-1] + c[-1]``
+    fields)."""
+    bitpos = np.arange(0, int(first[-1] + c[-1]) * width, width, dtype=np.int64)
+    # each field's run's first bit plus its place in the output, less
+    # the run's place in the output
+    bitpos += np.repeat((s - first) * width, c)
+    return bitpos
 
 
 def unpack_slice(bits: BitArray, width: int, first_field: int, nfields: int) -> np.ndarray:
@@ -380,8 +460,9 @@ def read_fields(bits: BitArray, width: int, indices) -> np.ndarray:
         return np.zeros(0, dtype=np.uint64)
     if int(idx.min()) < 0:
         raise ValidationError("indices must be non-negative")
-    _check_stream_end(bits, (int(idx.max()) + 1) * width)
-    return _decode_at(bits, width, idx * width)
+    top = int(idx.max()) * width
+    _check_stream_end(bits, top + width)
+    return _decode_at(bits, width, idx * width, top)
 
 
 class FixedWidthCodec:

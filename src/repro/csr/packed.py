@@ -16,7 +16,8 @@ import numpy as np
 
 from ..bitpack.bitarray import BitArray, blit_bits
 from ..bitpack.delta import row_gaps
-from ..bitpack.fixed import pack_fixed, read_field, unpack_fields_gather, unpack_fixed
+from ..bitpack.fixed import pack_fixed, read_field, unpack_fixed
+from ..bitpack.segcodec import row_windows
 from ..errors import QueryError, ValidationError
 from ..parallel.chunking import chunk_bounds
 from ..parallel.cost import Cost
@@ -220,24 +221,22 @@ class BitPackedCSR(BaseStore):
 
     def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
         """Rows of many nodes, decoded in batch order — ``(flat, offsets)``.
-        Fixed-width fields decode at one cost per element whatever the
-        key order, and the callers that repeat keys (the row cache, the
-        router's plan) hand in distinct ones, so nothing is deduplicated."""
+        A row's cost depends only on its own length — a hub row
+        (``unpack_fields_gather``'s long-run regime) decodes at streaming
+        speed, the rest by indexed word loads — never on the key order;
+        the callers that repeat keys (the row cache, the router's plan)
+        hand in distinct ones, so nothing is deduplicated."""
         return self._decode_rows(self._check_keys(unodes))
 
     def _decode_rows(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode many rows with one gather per packed array.
 
-        All ``iA`` offset pairs are fetched in a single
-        :func:`unpack_fields_gather` pass (the run ``[u, u + 2)`` of the
-        offset stream is exactly ``iA[u], iA[u + 1]``), then every
-        requested row is decoded from ``jA`` in one more pass.
+        All ``iA`` windows come from one :func:`row_windows` read (the
+        window reader of the segment stores), then every requested row
+        is decoded from ``jA`` in one :func:`unpack_fields_gather` call.
         """
-        pairs, _ = unpack_fields_gather(
-            self.offsets, self.offset_width, us, np.full(us.shape[0], 2, np.int64)
-        )
-        starts = pairs[0::2].astype(np.int64)
-        degrees = pairs[1::2].astype(np.int64) - starts
+        starts, ends = row_windows(self.offsets, self.offset_width, us)
+        degrees = ends - starts
         if self.gap_encoded:
             return get_rows_gap_decoded(self.columns, starts, degrees, self.column_width)
         return get_rows_from_csr(self.columns, starts, degrees, self.column_width)

@@ -5,11 +5,14 @@
 offset — the batched query algorithms stand on this kernel.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitpack import fixed
 from repro.bitpack.bitarray import BitArray
 from repro.bitpack.fixed import (
     pack_fixed,
@@ -285,3 +288,126 @@ class TestWordLoadKernel:
             read_fields(bits, 7, [[0, 1]])
         with pytest.raises(ValidationError):
             read_fields(bits, 65, [0])
+
+
+def _fields_of(starts, counts):
+    return np.concatenate(
+        [np.arange(s, s + c, dtype=np.int64) for s, c in zip(starts, counts)] + [np.zeros(0, np.int64)]
+    )
+
+
+def _check_runs(bits, width, starts, counts):
+    """The gather against one ``read_uint`` per requested field."""
+    flat, offs = unpack_fields_gather(bits, width, starts, counts)
+    assert flat.dtype == np.uint64 and offs.dtype == np.int64
+    assert np.array_equal(offs, np.concatenate(([0], np.cumsum(counts, dtype=np.int64))))
+    assert np.array_equal(flat, _oracle(bits, width, _fields_of(starts, counts)))
+    return flat
+
+
+@st.composite
+def _straddling_requests(draw):
+    """A stream, a run-length cut-over and runs whose lengths sit on
+    both sides of it (and on it), anywhere in the stream — the last
+    field included."""
+    width = draw(st.integers(1, 57))
+    cut = draw(st.integers(1, 40))
+    nfields = draw(st.integers(cut + 2, 160))
+    values = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=nfields, max_size=nfields))
+    lengths = st.one_of(st.integers(max(0, cut - 2), cut + 2), st.integers(0, nfields))
+    starts, counts = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        count = min(draw(lengths), nfields)
+        if draw(st.booleans()):  # the run ends on the stream's last field
+            starts.append(nfields - count)
+        else:
+            starts.append(draw(st.integers(0, nfields - count)))
+        counts.append(count)
+    return width, cut, np.asarray(values, dtype=np.uint64), starts, counts
+
+
+class TestLongRunRegime:
+    """``unpack_fields_gather`` sends runs of at least ``_RUN_MIN_FIELDS``
+    fields through the strided kernel, straight into their slice of the
+    output, and gathers the rest; both must be bit-exact against
+    ``read_uint`` wherever the cut falls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(request=_straddling_requests())
+    def test_runs_straddling_the_cut_over(self, request):
+        width, cut, values, starts, counts = request
+        bits = pack_fixed(values, width)
+        with mock.patch.object(fixed, "_RUN_MIN_FIELDS", cut):
+            flat = _check_runs(bits, width, starts, counts)
+        assert np.array_equal(flat, values[_fields_of(starts, counts)])
+
+    @pytest.mark.parametrize("width", range(1, 58))
+    def test_long_run_ends_on_last_byte(self, width, rng, run_regime):
+        """Field count a multiple of 8: the stream fills its buffer, so
+        the long run's last fields take the strided kernel's clamped
+        tail (the strided regime) or the gather's clamp."""
+        for nfields in (64, 1_000, 1_024):
+            values, bits = _random_stream(rng, width, nfields)
+            if nfields % 8 == 0:
+                assert bits.nbits == 8 * bits.buffer.shape[0]
+            flat = _check_runs(bits, width, [1, 0, nfields - 9], [nfields - 1, nfields, 9])
+            assert np.array_equal(flat[-9:], values[-9:])
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 19, 33, 57])
+    def test_overlapping_repeated_and_empty_runs(self, width, rng, run_regime):
+        values, bits = _random_stream(rng, width, 3_000)
+        starts = [2_000, 0, 2_000, 3_000, 1_500, 0, 17, 2_999, 40]
+        counts = [1_000, 3_000, 1_000, 0, 1_200, 0, 2_500, 1, 0]
+        flat = _check_runs(bits, width, starts, counts)
+        assert np.array_equal(flat[:1_000], flat[4_000:5_000])
+
+    def test_clamp_is_taken_only_where_a_load_overruns(self, rng):
+        """A request whose highest field sits in the buffer's last 7
+        bytes needs the clamp; one that stays clear of them does not.
+        Both give the oracle's values, and clamping a request that does
+        not need it changes nothing."""
+        width, nfields = 23, 2_048
+        values, bits = _random_stream(rng, width, nfields)
+        words = bits.buffer.shape[0] - 7
+        for top_field in (nfields - 1, nfields - 3, 100):
+            idx = np.array([5, top_field // 2, top_field])
+            top = top_field * width
+            assert (top >> 3 >= words) == (top_field > nfields - 3)
+            assert np.array_equal(read_fields(bits, width, idx), values[idx])
+            _check_runs(bits, width, [0, top_field], [4, 1])
+            forced = fixed._load_fields(bits.buffer, idx * width, width, 8 * words)
+            assert np.array_equal(forced, values[idx])
+
+    def test_readonly_memmap(self, tmp_path, rng, run_regime):
+        values, bits = _random_stream(rng, 21, 8_192)
+        path = tmp_path / "columns.seg"
+        bits.buffer.tofile(path)
+        mm = np.memmap(path, dtype=np.uint8, mode="r")
+        mapped = BitArray(mm, bits.nbits)
+        assert not mapped.buffer.flags.writeable
+        flat = _check_runs(mapped, 21, [4_000, 17, 8_000], [4_192, 3_100, 5])
+        assert np.array_equal(flat[:4_192], values[4_000:])
+        part = BitArray(mm[21:], bits.nbits - 8 * 21)  # a payload behind a header
+        flat, _ = unpack_fields_gather(part, 21, [0, 5_000], [4_000, 3_184])
+        assert np.array_equal(flat, np.concatenate((values[8:4_008], values[5_008:])))
+
+    def test_non_contiguous_buffer(self, rng, run_regime):
+        values, bits = _random_stream(rng, 13, 5_000)
+        spread = np.zeros(2 * bits.buffer.shape[0], dtype=np.uint8)
+        spread[::2] = bits.buffer
+        strided = BitArray(spread[::2], bits.nbits)
+        assert not strided.buffer.flags.c_contiguous
+        flat = _check_runs(strided, 13, [4_000, 3, 900], [1_000, 3_500, 4])
+        assert np.array_equal(flat[:1_000], values[4_000:])
+
+    @pytest.mark.parametrize("width", [58, 61, 64])
+    def test_wide_fields(self, width, rng, run_regime):
+        values, bits = _random_stream(rng, width, 4_000)
+        flat = _check_runs(bits, width, [0, 3_990, 100], [3_500, 10, 3_000])
+        assert np.array_equal(flat[:3_500], values[:3_500])
+
+    @pytest.mark.parametrize("width", [1, 7, 33, 57])
+    def test_portable_only(self, width, rng, run_regime, portable_only):
+        values, bits = _random_stream(rng, width, 4_000)
+        flat = _check_runs(bits, width, [500, 3_999, 0], [3_500, 1, 3_000])
+        assert np.array_equal(flat[:3_500], values[500:])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bitpack import fixed
 from repro.csr.builder import ensure_sorted
 from repro.parallel import SerialExecutor, SimulatedMachine, ThreadExecutor
 
@@ -52,6 +53,16 @@ def executor(request):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture(params=["strided", "gather"])
+def run_regime(request, monkeypatch):
+    """Force every run of ``unpack_fields_gather`` through the strided
+    kernel (``_RUN_MIN_FIELDS`` = 0) or through the word-load gather
+    (``_RUN_MIN_FIELDS`` = infinity); yields the regime's name."""
+    limit = 0 if request.param == "strided" else float("inf")
+    monkeypatch.setattr(fixed, "_RUN_MIN_FIELDS", limit)
+    return request.param
 
 
 @pytest.fixture
