@@ -9,11 +9,12 @@ read-only read-throughput ratio is recorded in ``BENCH_lsm.json`` under
 ``BENCH_WRITE_BASELINE=1`` as a ``domain: wall`` figure, not gated: a
 ratio of two sub-second wall-clock runs spreads wider than any floor
 worth setting, and ``ops_per_s`` @ ``serve_mixed`` of ``benchmarks/e2e``
-is the gate for that path.  The compact()-vs-rebuild cost ratio is
-recorded the same way, for the same reason (``serve_mixed`` runs one
-compaction per round).  What the write path's row memo saves is gated
-as exact counts of segment decodes (``domain: count``), which repeat
-for the seed.
+is the gate for that path.  A compaction over the compact codec is
+gated twice: its cost against a from-scratch build as a wall ceiling
+(``domain: wall``, looser under ``CI``), and the base fields it decodes
+as an exact count (``domain: count``).  What the write path's row memo
+saves is gated as exact counts of segment decodes, which repeat for the
+seed.
 """
 
 import os
@@ -43,6 +44,9 @@ N_REQUESTS = 10_000
 WRITE_FRACTION = 0.1
 REPEATS = 3  # best-of, per mode — one-off scheduler stalls don't gate
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_lsm.json"
+# a patched compaction measured ~0.15x a build of the same edges on a
+# 2-vCPU box; CI runners are noisy
+COMPACT_CEILING = 0.6 if os.environ.get("CI") else 0.3
 
 @pytest.fixture(scope="module")
 def graph(medium_standin):
@@ -258,19 +262,22 @@ def test_compaction_bitexact_under_traffic(packed, schedules):
     )
 
 
-def test_compact_cost_gate():
+def test_compact_cost_gate(monkeypatch):
     """``compact()`` on an LSM over the compact codec, 1,500 writes in
     the memtable, against a from-scratch build of the same edges — on
     the pokec stand-in at 1/16 scale (1.9M edges, four segments: the
     shape the end-to-end ``serve_mixed`` workload compacts), where the
     fixed cost per call is small beside the cost per edge.
 
-    A compaction is a scan of the base, a merge of the memtable and a
-    rebuild; the rebuild alone is what ``open_store("compact")`` costs
-    on the same edges.  What is asserted is deterministic — the segment
-    shape and that the compacted segment is bit-exact with that rebuild; the
-    wall ratio (~1.7-2.0x on this box; ~3-4x before the scan decoded in
-    one pass and the merge ran on arrays) is recorded, not gated."""
+    A compaction patches the segment: the clean rows' varint bytes are
+    copied into the new segments and only the written rows are encoded,
+    so it decodes no base field while every segment stays varint (count
+    gate, exact; a rebuild decodes all of them).  Its wall cost must stay
+    under a ceiling near the measured ~0.15x of the build (it was ~1.7x
+    when a compaction scanned, merged and rebuilt); the compacted
+    segment is bit-exact with that build."""
+    from repro.bitpack import segcodec
+
     ds = standin("pokec", scale=1 / 16)
     n = ds.num_nodes
     lsm = open_store("lsm", ds.sources, ds.destinations, n, inner="compact")
@@ -294,20 +301,38 @@ def test_compact_cost_gate():
     assert all(np.array_equal(got[key], want[key]) for key in want)
     ratio = compact_s / build_s
 
+    # every segment is varint, so every base field a compaction decodes
+    # passes through the segment layer's one LEB128 decoder: the arena's
+    # batch and one-row reads, and a coded segment some other codec wins
+    decoded, inner = [], segcodec.varint_decode
+    apply_random_writes(lsm, 1_500, seed=7)
+    base_fields = lsm.segments[0].num_edges
+    with monkeypatch.context() as mp:
+        mp.setattr(segcodec, "varint_decode",
+                   lambda *a, **k: decoded.append(len(out := inner(*a, **k))) or out)
+        lsm.compact()
+    assert {s.codec for s in lsm.segments[0].segments} == {"varint"}
+    fields_decoded = sum(decoded)
+
     section = {
-        "value": ratio,
-        "gate": "recorded, not gated (ops_per_s @ serve_mixed gates this path)",
-        "domain": "wall",
+        "compact_vs_build_ratio": {
+            "value": ratio, "gate": f"<= {COMPACT_CEILING}", "domain": "wall"},
+        "compact_s": compact_s,
+        "compact_build_s": build_s,
+        "compact_decode_counts": {
+            "base_fields_decoded_per_compaction": {
+                "value": fields_decoded, "domain": "count",
+                "gate": f"== 0 (exact; {base_fields} if every base field were decoded)"},
+        },
     }
     if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
-        baseline_section(
-            BASELINE_PATH,
-            {"compact_vs_build_ratio": section, "compact_s": compact_s,
-             "compact_build_s": build_s},
-        )
+        baseline_section(BASELINE_PATH, section)
     report(
         "Compaction cost (LSM over the compact codec, 1,500 writes resident)",
         f"compact() {compact_s * 1e3:.1f} ms, open_store('compact') "
-        f"{build_s * 1e3:.1f} ms: {ratio:.2f}x (recorded, not gated; "
-        "domain: wall)",
+        f"{build_s * 1e3:.1f} ms: {ratio:.2f}x (gate <= {COMPACT_CEILING}, "
+        f"domain: wall); {fields_decoded} of {base_fields} base fields "
+        "decoded (domain: count)",
     )
+    assert fields_decoded == 0
+    assert ratio <= COMPACT_CEILING

@@ -16,7 +16,8 @@ The pipeline, top to bottom:
   here; no other module names a codec.
 * **generator** — :func:`encode_row_segments` (over
   :func:`row_segments`) is the only loop that plans, gap-transforms
-  and encodes segments, from any ``fields_of`` source.
+  and encodes segments, from any ``fields_of`` source — a column's
+  fields, or (a compaction's splice) its gaps as one LEB128 stream.
 * **record** — :class:`SegmentEncoding`: the winner's name, parameters
   and bytes plus the rows / fields it covers (npz keys for
   :class:`~repro.csr.compact.CompactStore`, manifest-v2 fields for the
@@ -60,7 +61,7 @@ from ..utils import bits_for_value
 from .bitarray import BitArray
 from .delta import row_gaps
 from .fixed import _decode_at, pack_fixed, read_fields, unpack_fields_gather
-from .varint import varint_decode, varint_encode, varint_nbytes
+from .varint import varint_decode, varint_encode, varint_max_bits, varint_nbytes
 from .zeta import zeta_decode_rows, zeta_encode, zeta_value_nbits
 
 __all__ = [
@@ -101,6 +102,14 @@ class SegmentCodec:
     degree)``, where a codec has one, is ``decode`` of a single window
     given as scalars: a one-row read is all fixed cost, and a codec that
     can decode a plain slice of the payload skips the window plumbing.
+
+    The last two entries take the gaps as their LEB128 stream (what a
+    compaction splices from the rows it copies): ``measure_coded(stream,
+    count)`` is ``measure`` of the *count* gaps coded in *stream*, from
+    its bytes alone, and ``encode_coded(stream)`` is ``(enc_width,
+    payload)`` of ``encode`` for the codec whose payload *is* that
+    stream — so its row windows are the rows' LEB128 codes, which can be
+    copied between segments.
     """
 
     name: str
@@ -109,6 +118,8 @@ class SegmentCodec:
     encode: Callable
     decode: Callable
     decode_row: Callable | None = None
+    measure_coded: Callable | None = None
+    encode_coded: Callable | None = None
 
 
 def _fixed_width(gaps: np.ndarray) -> int:
@@ -177,11 +188,14 @@ _CODECS = {
         SegmentCodec(
             "fixed", 0, lambda gaps: gaps.shape[0] * _fixed_width(gaps),
             _fixed_encode, _fixed_decode,
+            measure_coded=lambda stream, count: count * varint_max_bits(stream),
         ),
         SegmentCodec(
             "varint", 8, lambda gaps: 8 * int(varint_nbytes(gaps).sum()),
             _varint_encode, _varint_decode,
             lambda bits, lo, hi, degree: varint_decode(bits.buffer[lo:hi], degree),
+            measure_coded=lambda stream, count: 8 * stream.shape[0],
+            encode_coded=lambda stream: (0, BitArray(stream, stream.shape[0] * 8)),
         ),
         _zeta(2),
         _zeta(3),
@@ -260,16 +274,17 @@ def resolve_codecs(spec) -> tuple[str, ...]:
     return tuple(segment_codec(name).name for name in names)
 
 
-def _total_bits(codec: SegmentCodec, gaps: np.ndarray, num_rows: int) -> int:
+def _total_bits(codec: SegmentCodec, gaps: np.ndarray, num_rows: int, count=None) -> int:
     """Exact :attr:`SegmentEncoding.total_bits` of *gaps* under *codec* —
-    nothing is materialised."""
-    nbits = codec.measure(gaps)
+    nothing is materialised.  With *count*, *gaps* is the LEB128 stream
+    of that many gaps, measured from its bytes."""
+    nbits = codec.measure(gaps) if count is None else codec.measure_coded(gaps, count)
     if not codec.starts_unit:
         return nbits
     return nbits + (num_rows + 1) * bits_for_value(nbits // codec.starts_unit)
 
 
-def encode_row_segment(gaps, local_indptr, candidates=None) -> SegmentEncoding:
+def encode_row_segment(gaps, local_indptr, candidates=None, *, row_bytes=None) -> SegmentEncoding:
     """Size one segment under every candidate and encode the smallest.
 
     *gaps* is the segment's gap-transformed column slice and
@@ -279,24 +294,49 @@ def encode_row_segment(gaps, local_indptr, candidates=None) -> SegmentEncoding:
     pay for its own index.  Ties keep the earlier candidate; only the
     winner is encoded.  The record's extents start at row and field
     zero (:func:`encode_row_segments` places it in its column).
+
+    With *row_bytes*, *gaps* is their LEB128 stream and *row_bytes* the
+    byte offset of each row in it (``num_rows + 1`` entries).  When
+    every candidate can measure the stream from its bytes, they do, and
+    a winner whose payload is the stream keeps it, its row starts being
+    *row_bytes*; otherwise the stream is decoded first.
     """
-    gaps = np.asarray(gaps, dtype=np.uint64)
     local_indptr = np.asarray(local_indptr, dtype=np.int64)
     if local_indptr.ndim != 1 or local_indptr.size == 0:
         raise ValidationError("local_indptr must be a non-empty 1-D array")
-    if int(local_indptr[-1]) != gaps.shape[0]:
-        raise ValidationError("local_indptr must end at len(gaps)")
+    count = int(local_indptr[-1])
     codecs = [segment_codec(name) for name in resolve_codecs(candidates)]
+    coded = row_bytes is not None
+    if coded and not all(c.measure_coded for c in codecs):
+        gaps, coded = varint_decode(gaps, count), False
+    if coded:
+        gaps = np.asarray(gaps, dtype=np.uint8)
+        row_bytes = np.asarray(row_bytes, dtype=np.int64)
+        if row_bytes.shape != local_indptr.shape or int(row_bytes[-1]) != gaps.shape[0]:
+            raise ValidationError("row_bytes must hold num_rows + 1 offsets ending at len(gaps)")
+    else:
+        gaps = np.asarray(gaps, dtype=np.uint64)
+        if count != gaps.shape[0]:
+            raise ValidationError("local_indptr must end at len(gaps)")
     rows = local_indptr.shape[0] - 1
-    sizes = [_total_bits(c, gaps, rows) for c in codecs] if len(codecs) > 1 else [0]
+    sizes = (
+        [_total_bits(c, gaps, rows, count if coded else None) for c in codecs]
+        if len(codecs) > 1 else [0]
+    )
     codec = codecs[sizes.index(min(sizes))]
-    enc_width, payload, ends = codec.encode(gaps)
+    if coded and codec.encode_coded is None:
+        gaps, coded = varint_decode(gaps, count), False
+    if coded:
+        (enc_width, payload), row_ends = codec.encode_coded(gaps), row_bytes
+    else:
+        enc_width, payload, ends = codec.encode(gaps)
+        row_ends = None if ends is None else ends[local_indptr]
     starts, starts_width = None, 0
-    if ends is not None:
-        starts_width = bits_for_value(int(ends[-1]))
-        starts = pack_fixed(ends[local_indptr], starts_width)
+    if row_ends is not None:
+        starts_width = bits_for_value(int(row_ends[-1]))
+        starts = pack_fixed(row_ends, starts_width)
     return SegmentEncoding(
-        0, rows, 0, gaps.shape[0], codec.name, enc_width, payload, starts, starts_width
+        0, rows, 0, count, codec.name, enc_width, payload, starts, starts_width
     )
 
 
@@ -344,16 +384,24 @@ def row_segments(indptr, fields_of, width: int, segment_bytes: int):
             yield index, r0, f0, local_indptr, fields_of(f0, f1, local_indptr)
 
 
-def encode_row_segments(indptr, fields_of, width, segment_bytes, candidates=None):
+def encode_row_segments(
+    indptr, fields_of, width, segment_bytes, candidates=None, *, row_bytes=None
+):
     """Plan, gap-transform and encode a column: ``(index, encoding)`` per
     non-empty segment of :func:`row_segments`, each under the smallest
     of *candidates* (:func:`encode_row_segment`) and carrying its
-    extents in the column."""
+    extents in the column.  With *row_bytes* — the byte offset of every
+    row in a LEB128 stream of the column's gaps — ``fields_of`` returns
+    a segment's slice of that stream instead of its fields."""
     candidates = resolve_codecs(candidates)
     for index, r0, f0, local_indptr, values in row_segments(
         indptr, fields_of, width, segment_bytes
     ):
-        enc = encode_row_segment(row_gaps(local_indptr, values), local_indptr, candidates)
+        if row_bytes is None:
+            values, local = row_gaps(local_indptr, values), None
+        else:
+            local = row_bytes[r0 : r0 + len(local_indptr)] - row_bytes[r0]
+        enc = encode_row_segment(values, local_indptr, candidates, row_bytes=local)
         yield index, replace(enc, first_row=r0, first_field=f0)
 
 

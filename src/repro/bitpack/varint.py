@@ -27,7 +27,13 @@ import numpy as np
 from ..errors import CodecError, ValidationError
 from .fixed import _LITTLE_ENDIAN
 
-__all__ = ["varint_encode", "varint_decode", "varint_nbytes", "VarintCodec"]
+__all__ = [
+    "varint_encode",
+    "varint_decode",
+    "varint_nbytes",
+    "varint_max_bits",
+    "VarintCodec",
+]
 
 _MAX_BYTES = 10  # ceil(64 / 7)
 
@@ -66,6 +72,30 @@ def _nbytes_and_longest(arr: np.ndarray) -> tuple[np.ndarray, int]:
 def varint_nbytes(values) -> np.ndarray:
     """Encoded length in bytes of each value (vectorised)."""
     return _nbytes_and_longest(_validate(values))[0]
+
+
+def varint_max_bits(stream) -> int:
+    """Bit width of the largest value of a canonical LEB128 *stream*,
+    read off its bytes alone: ``bits_for_value(max(varint_decode(s)))``.
+
+    A value of *L* bytes has ``7 * (L - 1) + bit_length(last byte)``
+    bits (a canonical code's last byte is non-zero unless the value
+    is), so the longest codes hold the largest value.  Their length is
+    one more than the longest run of continuation bytes, found by one
+    AND pass per byte position; the run starts then point at the last
+    bytes to compare.  Nothing is decoded.  An empty stream is 1 bit,
+    the width of an empty fixed-width column.
+    """
+    buf = np.asarray(stream, dtype=np.uint8)
+    cont = buf >= 0x80
+    if not cont.any():
+        return max(1, int(buf.max()).bit_length()) if buf.size else 1
+    run, longest = cont, 1  # run[i]: bytes i .. i + longest - 1 all continue a value
+    while (nxt := run[:-1] & cont[longest:]).any():
+        run, longest = nxt, longest + 1
+    # a longest run starts a value (no run is longer); its terminator follows
+    last = buf[np.flatnonzero(run) + longest]
+    return 7 * longest + int(last.max()).bit_length()
 
 
 def varint_encode(values) -> np.ndarray:

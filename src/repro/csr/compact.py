@@ -24,14 +24,16 @@ from dataclasses import replace
 import numpy as np
 
 from ..bitpack.bitarray import BitArray
-from ..bitpack.delta import rows_from_gaps
+from ..bitpack.delta import row_gaps, rows_from_gaps
 from ..bitpack.fixed import read_field, unpack_fixed
 from ..bitpack.segcodec import (
     SegmentArena,
     SegmentEncoding,
     encode_row_segments,
     row_windows,
+    segment_codec,
 )
+from ..bitpack.varint import varint_encode
 from ..errors import ValidationError
 from ..query.stores import BaseStore
 from ..utils import bits_for_count, bits_for_value, human_bytes
@@ -119,6 +121,138 @@ class CompactStore(BaseStore):
             )
         ]
         return cls(n, m, offsets, offset_width, segments)
+
+    def patched(
+        self,
+        nodes,
+        rows,
+        executor=None,
+        *,
+        codecs=None,
+        segment_bytes: int = _DEFAULT_SEGMENT_BYTES,
+    ) -> "CompactStore":
+        """The store :func:`build_compact_csr` builds from this store's
+        edges with row ``nodes[i]`` replaced by the sorted ``rows[i]`` —
+        byte for byte — re-encoding only those rows.
+
+        LEB128 codes each gap on its own and rows are independent gap
+        chains, so the LEB128 stream of the new column is the old code of
+        every clean row with the new rows' codes spliced in: clean rows
+        of a segment whose payload is that code (``varint``) are copied
+        as byte runs of the old arena, the written rows are encoded in
+        one batch, and the rows of any other old segment are decoded once
+        and encoded with them.  The offsets are patched and packed as
+        :meth:`from_csr` packs them (same executor charges), and the
+        column is re-planned and encoded through the same
+        :func:`~repro.bitpack.segcodec.encode_row_segments`, handed each
+        segment's stream: the default codecs are measured exactly from
+        the bytes, a ``varint`` winner keeps them, and anything else
+        decodes them first.
+        """
+        n = self.num_nodes
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.ndim != 1 or nodes.shape[0] != len(rows):
+            raise ValidationError("patched takes one row per node")
+        if nodes.size and (
+            int(nodes[0]) < 0 or int(nodes[-1]) >= n or (np.diff(nodes) <= 0).any()
+        ):
+            raise ValidationError(
+                f"patched nodes must be strictly increasing ids in [0, {n})"
+            )
+        lengths = np.fromiter((len(r) for r in rows), dtype=np.int64, count=len(rows))
+        local = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+        np.cumsum(lengths, out=local[1:])
+        values = np.concatenate(
+            [np.zeros(0, dtype=np.int64), *(np.asarray(r, dtype=np.int64) for r in rows)]
+        )
+        if values.size and (int(values.min()) < 0 or int(values.max()) >= n):
+            raise ValidationError(f"patched rows must hold node ids in [0, {n})")
+        new_gaps = row_gaps(local, values)  # raises on an unsorted row
+
+        # Alg. 1 over the patched degrees, packed as from_csr packs them
+        old = unpack_fixed(self.offsets, n + 1, self.offset_width).astype(np.int64)
+        degrees = np.diff(old)
+        degrees[nodes] = lengths
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        m = int(indptr[-1])
+        offset_width = bits_for_value(m)
+        offsets = pack_array_parallel(indptr, offset_width, executor, label="compact:iA")
+
+        # every row's varint bytes, as a window of one of two buffers: the
+        # old arena (a clean row of a varint segment) or the fresh stream
+        # (a written row, or a row of a non-varint old segment)
+        pos = np.zeros(n, dtype=np.int64)
+        nbytes = np.zeros(n, dtype=np.int64)
+        fresh = np.zeros(n, dtype=bool)
+        for s, lo in zip(self.segments, self._arena.payload_lo.tolist()):
+            r0, r1 = s.first_row, s.first_row + s.num_rows
+            if segment_codec(s.codec).encode_coded is None:  # not a LEB128 payload
+                fresh[r0:r1] = True
+                continue
+            table = unpack_fixed(s.starts, s.num_rows + 1, s.starts_width).astype(np.int64)
+            pos[r0:r1] = table[:-1] + lo
+            nbytes[r0:r1] = np.diff(table)
+        written = np.zeros(n, dtype=bool)
+        written[nodes] = True
+        fresh |= written
+        fresh &= degrees > 0
+        nbytes[nodes] = 0
+        rows_f = np.flatnonzero(fresh)
+        stream_f = np.zeros(0, dtype=np.uint8)
+        if rows_f.size:
+            gaps = np.empty(int(degrees[rows_f].sum()), dtype=np.uint64)
+            of_written = np.repeat(written[rows_f], degrees[rows_f])
+            gaps[of_written] = new_gaps
+            kept = rows_f[~written[rows_f]]
+            if kept.size:
+                seg = np.searchsorted(self._seg_first_row, kept, side="right") - 1
+                gaps[~of_written] = self._arena.decode_gaps(
+                    seg,
+                    kept - self._seg_first_row[seg],
+                    degrees[kept],
+                    old[kept] - self._seg_first_field[seg],
+                )
+            stream_f = varint_encode(gaps)
+            ends = np.flatnonzero(stream_f < 0x80)[np.cumsum(degrees[rows_f]) - 1] + 1
+            nbytes[rows_f] = np.diff(ends, prepend=0)
+            pos[rows_f] = ends - nbytes[rows_f]
+
+        # the new column: one slice per run of rows whose windows abut
+        live = np.flatnonzero(nbytes)
+        of_fresh, at, size = fresh[live], pos[live], nbytes[live]
+        cut = np.flatnonzero(
+            (of_fresh[1:] != of_fresh[:-1]) | (at[1:] != at[:-1] + size[:-1])
+        ) + 1
+        first = np.concatenate(([0], cut))[: live.size]
+        last = np.concatenate((cut, [live.size]))[: live.size] - 1
+        arena = self._arena.bits.buffer
+        column = np.concatenate([
+            np.zeros(0, dtype=np.uint8),
+            *(
+                (stream_f if f else arena)[b0:b1]
+                for f, b0, b1 in zip(
+                    of_fresh[first].tolist(),
+                    at[first].tolist(),
+                    (at[last] + size[last]).tolist(),
+                )
+            ),
+        ])
+        row_byte = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(nbytes, out=row_byte[1:])
+
+        def coded(f0, f1, _):  # an empty row has no bytes: any row at f0 starts them
+            b0, b1 = row_byte[np.searchsorted(indptr, (f0, f1))]
+            return column[b0:b1]
+
+        segments = [
+            enc
+            for _, enc in encode_row_segments(
+                indptr, coded, bits_for_count(n), segment_bytes, codecs,
+                row_bytes=row_byte,
+            )
+        ]
+        return type(self)(n, m, offsets, offset_width, segments)
 
     # -- protocol surface -----------------------------------------------
     @property

@@ -4,8 +4,9 @@ The edge list becomes the first immutable base segment (built with the
 requested inner kind's registered builder, i.e. the same Alg. 1
 pipeline the CSR family uses) and the memtable starts empty.  The LSM
 treats the graph as an edge *set* — duplicate ``(u, v)`` pairs are
-folded before the base build so compaction (which rebuilds from the
-merged logical set) is bit-exact with this from-scratch path.
+folded before the base build so compaction (whose output is what a
+build of the merged logical set gives) is bit-exact with this
+from-scratch path.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def build_lsm_store(
     ----------
     inner:
         Registered store kind for the base segment (and every segment
-        :meth:`~repro.lsm.LsmStore.compact` later rebuilds).
+        :meth:`~repro.lsm.LsmStore.compact` later builds or patches).
     compact_watermark:
         Memtable entry count that triggers auto-compaction through
         :meth:`~repro.lsm.LsmStore.maybe_compact`; ``0`` disables.

@@ -7,13 +7,18 @@ registered store kind).  A clean row — no resident delta — is served
 straight off the segments, so under read-mostly traffic the LSM costs
 one dict probe over the immutable store it wraps.
 
-:meth:`compact` folds memtable + segments into one fresh segment by
-feeding the *logical* edge set back through
-:func:`repro.open_store` — i.e. the paper's Alg. 1 chunked prefix-sum
-pipeline for CSR-family inners — then atomically swaps the segment
-list and clears the memtable.  Because the logical edge set fully
-determines the rebuilt segment, compaction is bit-exact with a
-from-scratch build (property-tested in ``tests/lsm``).
+:meth:`compact` folds memtable + segments into one fresh segment, then
+atomically swaps the segment list and clears the memtable.  Over one
+compact segment with ``inner="compact"`` it *patches*:
+:meth:`~repro.csr.compact.CompactStore.patched` re-encodes only the
+written rows and copies every clean row's varint bytes, so a compaction
+costs per written row, not per graph.  Every other shape — packed, csr
+and disk inners, several segments after a :meth:`flush`, an overlay
+whose inner kind differs from its base — *rebuilds*: the *logical* edge
+set is fed back through :func:`repro.open_store`, i.e. the paper's
+Alg. 1 chunked prefix-sum pipeline for CSR-family inners.  Either way
+the new segment is byte-identical to a from-scratch build of the
+logical edge set (property-tested in ``tests/lsm``).
 """
 
 from __future__ import annotations
@@ -110,14 +115,15 @@ class LsmStore(WrapperStore):
         Immutable base stores, oldest first; may be empty — an LSM
         over nothing but its memtable is a valid (small) graph.
     inner:
-        Registered store kind :meth:`compact` rebuilds segments as.
+        Registered store kind :meth:`compact` builds segments as
+        (``"compact"`` over one compact segment: it patches it).
     inner_opts:
         Extra options for the inner builder (e.g. ``gap_encode=True``).
     compact_watermark:
         When positive, :meth:`maybe_compact` fires once the memtable
         holds this many entries; ``0`` disables auto-compaction.
     executor:
-        Default executor for compaction rebuilds.
+        Default executor for compaction (rebuild or patch).
     """
 
     __slots__ = (
@@ -417,21 +423,40 @@ class LsmStore(WrapperStore):
     def compact(self, executor=None) -> None:
         """Fold memtable + segments into one fresh segment, atomically.
 
-        The merged logical edge set is rebuilt through the registered
-        inner builder (the Alg. 1 chunked prefix-sum pipeline for the
-        CSR family), then the segment list is swapped and the memtable
-        cleared in one step — readers before see the old layers,
-        readers after see the single new segment, and both views decode
-        identical rows.
+        Over one segment with a ``patched`` method (a compact segment,
+        or a proxy forwarding to one) and ``inner="compact"``, the
+        segment patches itself: only the written rows are re-encoded
+        and the output is byte-identical to a rebuild.  Everything else
+        — packed, csr and disk inners, several segments after a
+        :meth:`flush`, an overlay whose inner kind differs from its
+        base — rebuilds the merged logical edge set through the
+        registered inner builder (the Alg. 1 chunked prefix-sum pipeline
+        for the CSR family).  Then the segment list is swapped and the
+        memtable cleared in one step — readers before see the old
+        layers, readers after see the single new segment, and both
+        views decode identical rows.
         """
         from ..stores import open_store  # deferred: registry imports us
 
-        src, dst = self._logical_edges()
-        segment = open_store(
-            self.inner, src, dst, self.num_nodes,
-            executor=executor if executor is not None else self.executor,
-            **self._segment_opts(),
-        )
+        executor = executor if executor is not None else self.executor
+        patch = None
+        if self.inner == "compact" and len(self.segments) == 1:
+            patch = getattr(self.segments[0], "patched", None)
+        if patch is not None:
+            nodes = self.memtable.dirty_nodes()
+            # the build options that shape the bytes (``sort`` cannot: the
+            # logical edge set is sorted)
+            opts = {k: v for k, v in self.inner_opts.items()
+                    if k in ("codecs", "segment_bytes")}
+            segment = patch(
+                nodes, [self._row(u) for u in nodes.tolist()], executor, **opts
+            )
+        else:
+            src, dst = self._logical_edges()
+            segment = open_store(
+                self.inner, src, dst, self.num_nodes,
+                executor=executor, **self._segment_opts(),
+            )
         self.segments = [segment]
         self.memtable.clear()
         self._rows.clear()

@@ -159,8 +159,9 @@ class GraphQueryServer(ServeLoop):
         cache = self.row_cache
         if cache is not None and applied:
             cache.invalidate([request.u])
-        # a compaction rewrites every row's backing segment; contents
-        # are bit-exact, so resident cached rows stay valid
+        # a compaction swaps in a new segment (patched from the written
+        # rows, or rebuilt); every row decodes as before, so resident
+        # cached rows stay valid
         self._write_target.maybe_compact()
         service_ns = time.perf_counter_ns() - t0
         request.dispatch_ns = now

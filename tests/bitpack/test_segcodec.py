@@ -15,6 +15,7 @@ from repro.bitpack.segcodec import (
     row_windows,
     segment_codec,
 )
+from repro.bitpack.varint import varint_encode, varint_nbytes
 from repro.errors import CodecError, ValidationError
 
 
@@ -109,6 +110,38 @@ class TestSelection:
         assert (got.starts is None) == (want.starts is None)
         if want.starts is not None:
             assert np.array_equal(got.starts.buffer, want.starts.buffer)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(0, 12),
+        st.sampled_from([3, 300, 10**5, 2**40]),
+        st.sampled_from([None, ("varint", "fixed"), ("fixed",), ("varint",),
+                         ("zeta2", "varint"), SEGMENT_CODECS]),
+    )
+    def test_coded_input_encodes_as_gaps(self, seed, num_rows, max_deg, max_id, codecs):
+        """A segment handed over as its LEB128 stream and row byte offsets
+        (what a compaction splices) is the record its gaps give, byte for
+        byte, whichever codec wins."""
+        vals, indptr = _segment(
+            np.random.default_rng(seed), num_rows=num_rows, max_deg=max_deg,
+            max_id=max_id, empty_every=3,
+        )
+        gaps = row_gaps(indptr, vals)
+        stream = varint_encode(gaps)
+        row_bytes = np.concatenate(([0], np.cumsum(varint_nbytes(gaps))))[indptr]
+        got = encode_row_segment(stream, indptr, codecs, row_bytes=row_bytes)
+        want = encode_row_segment(gaps, indptr, codecs)
+        assert got == want  # fields, and the bits of payload and starts
+        assert np.array_equal(got.payload.buffer, want.payload.buffer)
+        if want.starts is not None:
+            assert np.array_equal(got.starts.buffer, want.starts.buffer)
+
+    def test_coded_row_offsets_must_cover_the_stream(self):
+        stream = varint_encode(np.array([1, 2, 300], dtype=np.uint64))
+        with pytest.raises(ValidationError, match="row_bytes"):
+            encode_row_segment(stream, [0, 1, 3], "varint", row_bytes=[0, 1, 3])
 
     def test_starts_table_counts_against_variable_codecs(self):
         # one dense row of tiny gaps: fixed needs ~2 bits/field while

@@ -9,9 +9,11 @@ from repro.bitpack.varint import (
     VarintCodec,
     varint_decode,
     varint_encode,
+    varint_max_bits,
     varint_nbytes,
 )
 from repro.errors import CodecError, ValidationError
+from repro.utils import bits_for_value
 
 
 class TestEncodedLengths:
@@ -49,6 +51,45 @@ class TestRoundtrip:
     def test_property(self, values):
         arr = np.asarray(values, dtype=np.uint64)
         assert np.array_equal(varint_decode(varint_encode(arr)), arr)
+
+
+class TestMaxBits:
+    """The fixed width a stream's values need, read off its bytes."""
+
+    @staticmethod
+    def _expected(stream):
+        return bits_for_value(int(varint_decode(stream).max()))
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_every_width(self, bits, rng):
+        top = np.uint64(1) << np.uint64(bits - 1)  # exactly *bits* bits
+        low = rng.integers(0, 2 ** min(bits - 1, 62), 40, dtype=np.uint64) if bits > 1 else []
+        values = np.concatenate([np.asarray(low, dtype=np.uint64), [top, top - np.uint64(1)]])
+        stream = varint_encode(rng.permutation(values))
+        assert varint_max_bits(stream) == bits == self._expected(stream)
+
+    @pytest.mark.parametrize("value", [0, 1, 127, 128, 2**56, 2**63 - 1, 2**63, 2**64 - 1])
+    def test_one_value(self, value):
+        stream = varint_encode(np.array([value], dtype=np.uint64))
+        assert varint_max_bits(stream) == self._expected(stream) == bits_for_value(value)
+
+    def test_nine_and_ten_byte_codes(self):
+        values = np.array([5, 2**62, 3, 2**63 + 7, 1], dtype=np.uint64)
+        stream = varint_encode(values)
+        assert {varint_nbytes(values)[1], varint_nbytes(values)[3]} == {9, 10}
+        assert varint_max_bits(stream) == 64 == self._expected(stream)
+        assert varint_max_bits(varint_encode(values[:3])) == 63
+
+    def test_lone_zero_and_empty(self):
+        assert varint_max_bits(varint_encode(np.zeros(1, dtype=np.uint64))) == 1
+        assert varint_max_bits(varint_encode(np.zeros(9, dtype=np.uint64))) == 1
+        assert varint_max_bits(np.zeros(0, dtype=np.uint8)) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+    def test_property(self, values):
+        stream = varint_encode(np.asarray(values, dtype=np.uint64))
+        assert varint_max_bits(stream) == self._expected(stream)
 
 
 class TestFailureModes:
