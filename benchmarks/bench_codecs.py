@@ -1,9 +1,11 @@
 """Section III-A3 ablation — which codec should pack the CSR arrays?
 
-Bits per edge for the column array under every registered codec, raw
-and gap-transformed, per stand-in graph.  The paper packs fixed-width;
-this bench quantifies what gap + fixed (and the variable-length codes)
-buy on social topologies.
+Bits per edge for the column array under every segment codec (sized by
+its ``SEGMENT_CODECS`` entry's exact ``measure``) and the Elias
+gamma/delta codes, raw and gap-transformed, per stand-in graph.  The
+paper packs fixed-width; this bench quantifies what gap + fixed (and the
+variable-length codes) buy on social topologies.  The 56 bit totals
+behind the table are pinned exactly in ``BENCH_codecs.json``.
 
 Also home of the **compact pipeline gate** (DESIGN.md §9): degree
 reordering + adaptive per-segment codecs must reach <= 12.8 bits/edge
@@ -14,6 +16,7 @@ everywhere).  Baselines land in ``BENCH_codecs.json`` under
 ``BENCH_WRITE_BASELINE=1`` (or when the file is missing).
 """
 
+import json
 import os
 import time
 from pathlib import Path
@@ -22,7 +25,16 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import render_table
-from repro.bitpack import available_codecs, fixed, get_codec, row_gaps, segcodec, varint
+from repro.bitpack import (
+    SEGMENT_CODECS,
+    elias_delta_nbits,
+    elias_gamma_nbits,
+    fixed,
+    row_gaps,
+    segcodec,
+    segment_codec,
+    varint,
+)
 from repro import open_store
 from repro.query import batch_edge_existence
 from repro.serve import zipf_nodes
@@ -41,11 +53,19 @@ BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_codecs.json"
 QPS_FLOOR = 0.4 if os.environ.get("CI") else 1.0
 
 
+# The ablation's columns: every segment codec by its table entry's exact
+# measure, plus the Elias code lengths (comparators, never a segment codec).
+CODEC_NBITS = {name: segment_codec(name).measure for name in SEGMENT_CODECS}
+CODEC_NBITS["elias_gamma"] = lambda values: int(elias_gamma_nbits(values).sum())
+CODEC_NBITS["elias_delta"] = lambda values: int(elias_delta_nbits(values).sum())
+
+
 @pytest.fixture(scope="module")
 def graphs(standins):
     out = {}
     for name, ds in standins.items():
-        # cap the payload so the scalar Elias coders stay quick
+        # the 300k-edge cap keeps the size table comparable with its
+        # pinned totals and with EXPERIMENTS.md
         src = ds.sources[:300_000]
         dst = ds.destinations[:300_000]
         n = ds.num_nodes
@@ -53,39 +73,46 @@ def graphs(standins):
     return out
 
 
-@pytest.mark.parametrize("codec_name", ["fixed", "varint", "elias_gamma", "elias_delta"])
+@pytest.mark.parametrize("codec_name", SEGMENT_CODECS)
 def test_codec_encode_wallclock(benchmark, graphs, codec_name):
     payload = row_gaps(graphs["pokec"].indptr, graphs["pokec"].indices)[:100_000]
-    codec = get_codec(codec_name)
-    enc = benchmark(codec.encode, payload)
-    assert enc.nbits > 0
+    _, bits, _ = benchmark(segment_codec(codec_name).encode, payload)
+    assert bits.nbits > 0
 
 
 def test_codec_size_matrix(benchmark, graphs):
     def build_matrix():
-        rows = []
+        totals = {}
         for name, g in graphs.items():
-            m = g.num_edges
-            if m == 0:
-                continue
-            gaps = row_gaps(g.indptr, g.indices)
-            row = [name]
-            for codec_name in sorted(available_codecs()):
-                codec = get_codec(codec_name)
-                raw_bits = codec.encode(np.asarray(g.indices)).nbits / m
-                gap_bits = codec.encode(gaps).nbits / m
-                row.append(f"{raw_bits:.1f}/{gap_bits:.1f}")
-            rows.append(row)
-        return rows
+            raw, gaps = np.asarray(g.indices), row_gaps(g.indptr, g.indices)
+            totals[name] = {
+                codec: {"raw": CODEC_NBITS[codec](raw), "gap": CODEC_NBITS[codec](gaps)}
+                for codec in sorted(CODEC_NBITS)
+            }
+        return totals
 
-    rows = benchmark.pedantic(build_matrix, rounds=1, iterations=1)
-    headers = ["graph"] + [f"{c} raw/gap" for c in sorted(available_codecs())]
-    # gap transform must help the universal codes on sorted social rows
+    totals = benchmark.pedantic(build_matrix, rounds=1, iterations=1)
+    rows = [
+        [name] + [f"{bits['raw'] / graphs[name].num_edges:.1f}/"
+                  f"{bits['gap'] / graphs[name].num_edges:.1f}"
+                  for bits in row.values()]
+        for name, row in totals.items()
+    ]
+    headers = ["graph"] + [f"{c} raw/gap" for c in sorted(CODEC_NBITS)]
     report(
         "Codec ablation: column-array bits/edge (raw / gap-transformed)",
         render_table(headers, rows),
     )
+    section = {
+        name: {codec: {kind: {"value": n, "gate": f"== {n} (exact)", "domain": "count"}
+                       for kind, n in bits.items()}
+               for codec, bits in row.items()}
+        for name, row in totals.items()
+    }
+    if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
+        baseline_section(BASELINE_PATH, {"codec_size_matrix": section})
     assert len(rows) == 4
+    assert json.loads(BASELINE_PATH.read_text())["codec_size_matrix"] == section
 
 
 def test_representation_comparison(benchmark, graphs):

@@ -2,9 +2,10 @@
 """Compression deep-dive: every representation of every paper graph.
 
 For each Table II stand-in, measures the byte footprint of the raw
-formats, the CSR family, and every registered codec on the column
-array — then projects CSR and edge-list sizes to the published graph
-scales using the closed-form memory model.
+formats and the CSR family; sizes the column array under every segment
+codec (its ``SEGMENT_CODECS`` entry's exact ``measure``) and the Elias
+gamma/delta codes — then projects CSR and edge-list sizes to the
+published graph scales using the closed-form memory model.
 
 Run:  python examples/compression_report.py
 """
@@ -16,11 +17,23 @@ from repro.analysis.memory import (
     projected_packed_csr_bytes,
 )
 from repro.baselines import EdgeListStore
-from repro.bitpack import available_codecs, get_codec, row_gaps
+from repro.bitpack import (
+    SEGMENT_CODECS,
+    elias_delta_nbits,
+    elias_gamma_nbits,
+    row_gaps,
+    segment_codec,
+)
 from repro.csr import BitPackedCSR, build_csr_serial
 from repro.csr.io import edge_list_text_size
 from repro.datasets import PAPER_GRAPHS, standin
 from repro.utils import human_bytes
+
+# column-array size in bits under each codec of the ablation
+CODEC_NBITS = {name: segment_codec(name).measure for name in SEGMENT_CODECS}
+CODEC_NBITS["elias_gamma"] = lambda values: int(elias_gamma_nbits(values).sum())
+CODEC_NBITS["elias_delta"] = lambda values: int(elias_delta_nbits(values).sum())
+CODECS = sorted(CODEC_NBITS)
 
 rows = []
 for name in PAPER_GRAPHS:
@@ -66,10 +79,9 @@ ds = standin("pokec", scale=1 / 256, seed=3)
 graph = build_csr_serial(ds.sources, ds.destinations, ds.num_nodes)
 gaps = row_gaps(graph.indptr, graph.indices)
 rows = []
-for codec_name in sorted(available_codecs()):
-    codec = get_codec(codec_name)
-    raw = codec.encode(graph.indices).nbits / graph.num_edges
-    gapped = codec.encode(gaps).nbits / graph.num_edges
+for codec_name in CODECS:
+    raw = CODEC_NBITS[codec_name](graph.indices) / graph.num_edges
+    gapped = CODEC_NBITS[codec_name](gaps) / graph.num_edges
     rows.append([codec_name, f"{raw:.2f}", f"{gapped:.2f}"])
 print(render_table(
     ["codec", "bits/edge (raw)", "bits/edge (gaps)"],
@@ -86,11 +98,11 @@ rows = []
 for label, g in (("original ids", graph), ("degree-ordered ids", reordered)):
     gg = row_gaps(g.indptr, g.indices)
     cells = [label]
-    for codec_name in sorted(available_codecs()):
-        cells.append(f"{get_codec(codec_name).encode(gg).nbits / g.num_edges:.2f}")
+    for codec_name in CODECS:
+        cells.append(f"{CODEC_NBITS[codec_name](gg) / g.num_edges:.2f}")
     rows.append(cells)
 print(render_table(
-    ["node labels"] + sorted(available_codecs()),
+    ["node labels"] + CODECS,
     rows,
     title="Gap-stream bits/edge before and after degree reordering",
 ))

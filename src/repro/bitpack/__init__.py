@@ -1,40 +1,22 @@
-"""Bit-packing substrate: the codec of [7] plus ablation comparators.
+"""Bit-packing substrate: the codec of [7] and the segment codec table.
 
 Fixed-width packing (:func:`pack_fixed`) is what the paper's Algorithm 4
-applies to the CSR offset and column arrays; varint/Elias/gap codecs are
-provided for the codec ablation bench and the temporal baselines.
+applies to the CSR offset and column arrays.  Every codec a column
+segment can use — fixed, varint and zeta-k — is one entry of
+:data:`SEGMENT_CODECS`; the codec ablation sizes each from its entry's
+exact ``measure``, beside the Elias gamma/delta code lengths of
+:func:`elias_gamma_nbits` / :func:`elias_delta_nbits`.
 """
 
-from .bitarray import BitArray, BitReader, BitWriter, blit_bits
-from .delta import (
-    delta_decode_sorted,
-    delta_encode_sorted,
-    row_gaps,
-    rows_from_gaps,
-)
-from .elias import (
-    EliasDeltaCodec,
-    EliasGammaCodec,
-    delta_decode,
-    delta_encode,
-    gamma_decode,
-    gamma_encode,
-)
+from .bitarray import BitArray, BitReader, blit_bits
+from .delta import row_gaps, rows_from_gaps
 from .fixed import (
-    FixedWidthCodec,
     pack_fixed,
     read_field,
     read_fields,
     unpack_fields_gather,
     unpack_fixed,
     unpack_slice,
-)
-from .registry import (
-    Codec,
-    Encoded,
-    available_codecs,
-    get_codec,
-    register_codec,
 )
 from .segcodec import (
     DEFAULT_CANDIDATES,
@@ -45,9 +27,10 @@ from .segcodec import (
     resolve_codecs,
     segment_codec,
 )
-from .varint import VarintCodec, varint_decode, varint_encode, varint_nbytes
+from .varint import varint_decode, varint_encode, varint_nbytes
 from .zeta import (
-    ZetaCodec,
+    elias_delta_nbits,
+    elias_gamma_nbits,
     zeta_decode,
     zeta_decode_rows,
     zeta_encode,
@@ -57,35 +40,20 @@ from .zeta import (
 __all__ = [
     "BitArray",
     "BitReader",
-    "BitWriter",
     "blit_bits",
-    "delta_decode_sorted",
-    "delta_encode_sorted",
     "row_gaps",
     "rows_from_gaps",
-    "EliasDeltaCodec",
-    "EliasGammaCodec",
-    "delta_decode",
-    "delta_encode",
-    "gamma_decode",
-    "gamma_encode",
-    "FixedWidthCodec",
     "pack_fixed",
     "read_field",
     "read_fields",
     "unpack_fields_gather",
     "unpack_fixed",
     "unpack_slice",
-    "Codec",
-    "Encoded",
-    "available_codecs",
-    "get_codec",
-    "register_codec",
-    "VarintCodec",
     "varint_decode",
     "varint_encode",
     "varint_nbytes",
-    "ZetaCodec",
+    "elias_delta_nbits",
+    "elias_gamma_nbits",
     "zeta_decode",
     "zeta_decode_rows",
     "zeta_encode",

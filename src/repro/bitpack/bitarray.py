@@ -4,8 +4,7 @@ The paper compresses CSR's integer arrays into packed bit arrays (the
 "bitPack algorithm" of Gopal et al. [7]) and queries them through
 bit-offset arithmetic (``GetRowFromCSR`` of [28]).  This module holds
 the storage primitive: :class:`BitArray` over a ``uint8`` buffer, plus
-streaming :class:`BitWriter` / :class:`BitReader` used by the
-variable-length codecs (varint, Elias).
+the cursor :class:`BitReader` of the scalar reference zeta decoder.
 
 Bit order is *little-endian within the stream*: bit ``i`` of the array
 lives in byte ``i >> 3`` at in-byte position ``i & 7``.  This matches
@@ -21,7 +20,7 @@ import numpy as np
 from ..errors import CodecError, ValidationError
 from ..utils import ceil_div, require
 
-__all__ = ["BitArray", "BitWriter", "BitReader", "blit_bits"]
+__all__ = ["BitArray", "BitReader", "blit_bits"]
 
 _MAX_FIELD = 64
 
@@ -186,63 +185,6 @@ def blit_bits(dst: BitArray, pos: int, src: BitArray) -> None:
     hi_start = start + 1
     hi_stop = min(hi_start + hi.shape[0], dst.buffer.shape[0])
     dst.buffer[hi_start:hi_stop] |= hi[: hi_stop - hi_start]
-
-
-class BitWriter:
-    """Append-only bit stream producing a :class:`BitArray`.
-
-    Maintains a small integer accumulator and flushes whole bytes into a
-    bytearray; suitable for the variable-width codecs.  Bulk fixed-width
-    packing should use :func:`repro.bitpack.fixed.pack_fixed` instead.
-    """
-
-    __slots__ = ("_bytes", "_acc", "_accbits")
-
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0
-        self._accbits = 0
-
-    @property
-    def nbits(self) -> int:
-        return len(self._bytes) * 8 + self._accbits
-
-    def write(self, value: int, width: int) -> None:
-        """Append *value* as an unsigned *width*-bit field."""
-        _check_width(width)
-        if value < 0 or value >> width:
-            raise CodecError(f"value {value} does not fit in {width} bits")
-        self._acc |= value << self._accbits
-        self._accbits += width
-        while self._accbits >= 8:
-            self._bytes.append(self._acc & 0xFF)
-            self._acc >>= 8
-            self._accbits -= 8
-
-    def write_unary(self, count: int) -> None:
-        """*count* zero bits followed by a one bit (Elias prefix)."""
-        require(count >= 0, "unary count must be non-negative")
-        for _ in range(count):
-            self.write(0, 1)
-        self.write(1, 1)
-
-    def write_bitarray(self, bits: BitArray) -> None:
-        """Append every bit of *bits* to the stream."""
-        pos = 0
-        remaining = bits.nbits
-        while remaining > 0:
-            take = min(48, remaining)
-            self.write(bits.read_uint(pos, take), take)
-            pos += take
-            remaining -= take
-
-    def getvalue(self) -> BitArray:
-        """The written bits as an immutable :class:`BitArray`."""
-        nbits = self.nbits
-        data = bytes(self._bytes)
-        if self._accbits:
-            data += bytes([self._acc & 0xFF])
-        return BitArray(np.frombuffer(data, dtype=np.uint8).copy(), nbits)
 
 
 class BitReader:

@@ -1,10 +1,10 @@
-"""Gap (delta) transforms for sorted sequences and CSR rows.
+"""Gap (delta) transform of sorted CSR rows.
 
 Social-network adjacency rows are sorted, so storing the difference to
 the previous neighbour shrinks the value range dramatically before bit
 packing — the standard trick behind WebGraph [2] and the EdgeLog gap
-encoding [21].  The row-aware variants reset the delta chain at every
-row boundary so rows stay independently decodable.
+encoding [21].  The transform resets the delta chain at every row
+boundary so rows stay independently decodable.
 """
 
 from __future__ import annotations
@@ -14,31 +14,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..utils import as_uint_array
 
-__all__ = [
-    "delta_encode_sorted",
-    "delta_decode_sorted",
-    "row_gaps",
-    "rows_from_gaps",
-]
-
-
-def delta_encode_sorted(values) -> np.ndarray:
-    """Gaps of a non-decreasing array; element 0 is kept absolute."""
-    arr = as_uint_array(values, name="values")
-    if arr.size == 0:
-        return arr.copy()
-    if arr.size > 1 and np.any(arr[1:] < arr[:-1]):
-        raise ValidationError("delta encoding requires a non-decreasing array")
-    out = np.empty_like(arr)
-    out[0] = arr[0]
-    np.subtract(arr[1:], arr[:-1], out=out[1:])
-    return out
-
-
-def delta_decode_sorted(gaps) -> np.ndarray:
-    """Inverse of :func:`delta_encode_sorted`."""
-    arr = as_uint_array(gaps, name="gaps")
-    return np.cumsum(arr, dtype=np.uint64)
+__all__ = ["row_gaps", "rows_from_gaps"]
 
 
 def row_gaps(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:

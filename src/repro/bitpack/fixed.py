@@ -39,7 +39,7 @@ import sys
 import numpy as np
 
 from ..errors import CodecError, FieldOverflowError, ValidationError
-from ..utils import bits_for_value, ceil_div
+from ..utils import as_uint_array, bits_for_value, ceil_div
 from .bitarray import BitArray
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "unpack_slice",
     "read_field",
     "read_fields",
-    "FixedWidthCodec",
 ]
 
 _MAX_FIELD = 64
@@ -161,17 +160,6 @@ def _load_fields(buf: np.ndarray, bitpos: np.ndarray, width, top: int) -> np.nda
     return values
 
 
-def _validate_values(values) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValidationError("pack input must be 1-D")
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError(f"pack input must be integers, got {arr.dtype}")
-    if arr.size and np.issubdtype(arr.dtype, np.signedinteger) and int(arr.min()) < 0:
-        raise ValidationError("pack input must be non-negative")
-    return arr.astype(np.uint64, copy=False)
-
-
 def _pack_bitmatrix(arr: np.ndarray, width: int) -> np.ndarray:
     """Portable pack: expand each value to its *width* bits (LSB first)
     and pack the flattened bit matrix.  One temporary of ``8 * n * width``
@@ -226,7 +214,7 @@ def pack_fixed(values, width: int | None = None) -> BitArray:
     addressable).  Raises :class:`FieldOverflowError` when an explicit
     width is too narrow.
     """
-    arr = _validate_values(values)
+    arr = as_uint_array(values, name="pack input")
     if width is None:
         width = bits_for_value(int(arr.max())) if arr.size else 1
     _check_width(width)
@@ -463,38 +451,3 @@ def read_fields(bits: BitArray, width: int, indices) -> np.ndarray:
     top = int(idx.max()) * width
     _check_stream_end(bits, top + width)
     return _decode_at(bits, width, idx * width, top)
-
-
-class FixedWidthCodec:
-    """Codec-protocol wrapper over :func:`pack_fixed`/:func:`unpack_fixed`.
-
-    ``encode`` returns an :class:`~repro.bitpack.registry.Encoded`
-    carrying the chosen width and count in its metadata so ``decode``
-    is self-contained.
-    """
-
-    name = "fixed"
-
-    def __init__(self, width: int | None = None):
-        self._width = width
-
-    def encode(self, values):
-        """Compress *values* into a self-describing payload."""
-        from .registry import Encoded  # local import to avoid cycle
-
-        arr = _validate_values(values)
-        width = self._width
-        if width is None:
-            width = bits_for_value(int(arr.max())) if arr.size else 1
-        bits = pack_fixed(arr, width)
-        return Encoded(
-            codec=self.name,
-            bits=bits,
-            meta={"width": int(width), "count": int(arr.shape[0])},
-        )
-
-    def decode(self, encoded) -> np.ndarray:
-        """Recover the exact array from an encoded payload."""
-        if encoded.codec != self.name:
-            raise CodecError(f"expected '{self.name}' payload, got '{encoded.codec}'")
-        return unpack_fixed(encoded.bits, encoded.meta["count"], encoded.meta["width"])

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CodecError, ValidationError
+from ..utils import as_uint_array
 from .fixed import _LITTLE_ENDIAN
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "varint_decode",
     "varint_nbytes",
     "varint_max_bits",
-    "VarintCodec",
 ]
 
 _MAX_BYTES = 10  # ceil(64 / 7)
@@ -43,17 +43,6 @@ _CONT_BITS = np.uint64(0x8080808080808080)
 # values per pass of the word kernel: its dozen array passes over a
 # block stay in cache (measured: 36 -> 22 ms on 1.9M values)
 _BLOCK = 1 << 15
-
-
-def _validate(values) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValidationError("varint input must be 1-D")
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError(f"varint input must be integers, got {arr.dtype}")
-    if arr.size and np.issubdtype(arr.dtype, np.signedinteger) and int(arr.min()) < 0:
-        raise ValidationError("varint input must be non-negative")
-    return arr.astype(np.uint64, copy=False)
 
 
 def _nbytes_and_longest(arr: np.ndarray) -> tuple[np.ndarray, int]:
@@ -71,7 +60,7 @@ def _nbytes_and_longest(arr: np.ndarray) -> tuple[np.ndarray, int]:
 
 def varint_nbytes(values) -> np.ndarray:
     """Encoded length in bytes of each value (vectorised)."""
-    return _nbytes_and_longest(_validate(values))[0]
+    return _nbytes_and_longest(as_uint_array(values, name="varint input"))[0]
 
 
 def varint_max_bits(stream) -> int:
@@ -106,7 +95,7 @@ def varint_encode(values) -> np.ndarray:
     scribbles on a *lower* position of a later value, which a later
     pass rewrites — so no pass needs a mask or a compaction.
     """
-    arr = _validate(values)
+    arr = as_uint_array(values, name="varint input")
     if arr.size == 0:
         return np.zeros(0, dtype=np.uint8)
     nbytes, longest = _nbytes_and_longest(arr)
@@ -227,29 +216,3 @@ def varint_decode(
         payload = (buf[starts[mask] + k] & 0x7F).astype(np.uint64)
         out[mask] |= payload << np.uint64(7 * k)
     return out
-
-
-class VarintCodec:
-    """Codec-protocol wrapper over the LEB128 stream functions."""
-
-    name = "varint"
-
-    def encode(self, values):
-        """Compress *values* into a self-describing payload."""
-        from .bitarray import BitArray
-        from .registry import Encoded
-
-        arr = _validate(values)
-        stream = varint_encode(arr)
-        return Encoded(
-            codec=self.name,
-            bits=BitArray(stream, stream.shape[0] * 8),
-            meta={"count": int(arr.shape[0])},
-        )
-
-    def decode(self, encoded) -> np.ndarray:
-        """Recover the exact array from an encoded payload."""
-        if encoded.codec != self.name:
-            raise CodecError(f"expected '{self.name}' payload, got '{encoded.codec}'")
-        return varint_decode(encoded.bits.buffer[: encoded.bits.nbits // 8],
-                             encoded.meta["count"])

@@ -12,7 +12,7 @@ LSB-first bit layout.  A value ``v`` (with ``x = v + 1`` so zero is
 codable) is written as
 
 * ``h = floor(log2 x) // k`` in unary — ``h`` zero bits then a one bit
-  (the convention of :meth:`~repro.bitpack.bitarray.BitWriter.write_unary`);
+  (the convention of :meth:`~repro.bitpack.bitarray.BitReader.read_unary`);
 * the remainder ``x - 2**(h*k)`` in exactly ``min(h*k + k, 64)`` bits,
   LSB first.
 
@@ -26,6 +26,12 @@ in ``max(degree)`` passes instead of ``sum(degree)`` scalar steps.
 
 The codable domain is ``0 <= v <= 2**63 - 1`` (so ``x`` and every
 remainder fit an unsigned 64-bit lane); graph gaps sit far below it.
+
+The Elias gamma and delta code lengths of the codec ablation
+(:func:`elias_gamma_nbits`, :func:`elias_delta_nbits`) live here too:
+they share the domain, the ``x = v + 1`` shift and the ``floor(log2 x)``
+kernel.  Elias codes are ablation comparators only, never a segment
+codec, so only their exact sizes are computed.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CodecError, ValidationError
+from ..utils import as_uint_array
 from .bitarray import BitArray, BitReader
 
 __all__ = [
@@ -40,26 +47,28 @@ __all__ = [
     "zeta_encode",
     "zeta_decode",
     "zeta_decode_rows",
-    "ZetaCodec",
+    "elias_gamma_nbits",
+    "elias_delta_nbits",
 ]
 
 _MAX_VALUE = (1 << 63) - 1
 
 
-def _validate(values, k: int) -> np.ndarray:
+def _check_k(k: int) -> None:
     if not (1 <= int(k) <= 16):
         raise ValidationError(f"zeta shard k must be in [1, 16], got {k}")
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValidationError("zeta input must be 1-D")
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError(f"zeta input must be integers, got {arr.dtype}")
-    if arr.size and np.issubdtype(arr.dtype, np.signedinteger) and int(arr.min()) < 0:
-        raise ValidationError("zeta input must be non-negative")
-    arr = arr.astype(np.uint64, copy=False)
+
+
+def _codable(values, name: str) -> np.ndarray:
+    arr = as_uint_array(values, name=f"{name} input")
     if arr.size and int(arr.max()) > _MAX_VALUE:
-        raise CodecError(f"zeta codes cover values up to {_MAX_VALUE}")
+        raise CodecError(f"{name} codes cover values up to {_MAX_VALUE}")
     return arr
+
+
+def _validate(values, k: int) -> np.ndarray:
+    _check_k(k)
+    return _codable(values, "zeta")
 
 
 def _floor_log2(x: np.ndarray) -> np.ndarray:
@@ -84,11 +93,20 @@ def _code_parts(arr: np.ndarray, k: int):
 
 def zeta_value_nbits(values, k: int) -> np.ndarray:
     """Encoded length in bits of each value under zeta-*k* (vectorised)."""
-    arr = _validate(values, k)
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    h, _, width = _code_parts(arr, k)
+    h, _, width = _code_parts(_validate(values, k), k)
     return h + 1 + width
+
+
+def elias_gamma_nbits(values) -> np.ndarray:
+    """Elias-gamma length in bits of each ``v + 1``: ``2 * floor(log2(v + 1)) + 1``."""
+    return 2 * _floor_log2(_codable(values, "elias") + np.uint64(1)) + 1
+
+
+def elias_delta_nbits(values) -> np.ndarray:
+    """Elias-delta length in bits of each ``v + 1``: ``L + 2 * floor(log2(L + 1)) + 1``
+    with ``L = floor(log2(v + 1))``."""
+    length = _floor_log2(_codable(values, "elias") + np.uint64(1))
+    return length + 2 * _floor_log2(length.astype(np.uint64) + np.uint64(1)) + 1
 
 
 def zeta_encode(values, k: int) -> BitArray:
@@ -120,8 +138,8 @@ def zeta_decode(bits: BitArray, count: int, k: int, *, pos: int = 0) -> np.ndarr
     """Scalar decode of *count* consecutive codewords starting at *pos*.
 
     A cursor walk (unary prefix, then the prefix-determined remainder) —
-    the reference decoder, used by the codec protocol and the tests.
-    The query kernels use :func:`zeta_decode_rows` instead.
+    the tests' reference decoder.  The query kernels use
+    :func:`zeta_decode_rows` instead.
     """
     if count < 0:
         raise ValidationError("count must be non-negative")
@@ -160,8 +178,7 @@ def zeta_decode_rows(
     requested runs actually touch — the selective-loading contract the
     disk store relies on.
     """
-    if not (1 <= int(k) <= 16):
-        raise ValidationError(f"zeta shard k must be in [1, 16], got {k}")
+    _check_k(k)
     s = np.asarray(bit_starts, dtype=np.int64)
     c = np.asarray(counts, dtype=np.int64)
     if s.ndim != 1 or c.ndim != 1 or s.shape != c.shape:
@@ -228,30 +245,3 @@ def zeta_decode_rows(
         remaining[pending] -= 1
         pending = pending[remaining[pending] > 0]
     return out, offsets
-
-
-class ZetaCodec:
-    """Codec-protocol wrapper over the zeta-*k* stream functions."""
-
-    def __init__(self, k: int):
-        if not (1 <= int(k) <= 16):
-            raise ValidationError(f"zeta shard k must be in [1, 16], got {k}")
-        self.k = int(k)
-        self.name = f"zeta{self.k}"
-
-    def encode(self, values):
-        """Compress *values* into a self-describing payload."""
-        from .registry import Encoded
-
-        arr = _validate(values, self.k)
-        return Encoded(
-            codec=self.name,
-            bits=zeta_encode(arr, self.k),
-            meta={"count": int(arr.shape[0]), "k": self.k},
-        )
-
-    def decode(self, encoded) -> np.ndarray:
-        """Recover the exact array from an encoded payload."""
-        if encoded.codec != self.name:
-            raise CodecError(f"expected '{self.name}' payload, got '{encoded.codec}'")
-        return zeta_decode(encoded.bits, encoded.meta["count"], self.k)

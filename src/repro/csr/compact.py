@@ -4,7 +4,7 @@
 pipeline.  The offset array stays fixed-width bit-packed exactly as in
 :class:`~repro.csr.packed.BitPackedCSR` (it is already near-entropy for
 monotone counters); the *edge* column is cut into row-aligned segments
-and every segment keeps whichever registered codec
+and every segment keeps whichever candidate codec
 (:mod:`repro.bitpack.segcodec`) measured smallest on its own gap
 distribution.  The segments' bytes live in one
 :class:`~repro.bitpack.segcodec.SegmentArena`, so a batch decodes in

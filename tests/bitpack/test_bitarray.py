@@ -1,11 +1,11 @@
-"""BitArray / BitWriter / BitReader storage-layer tests."""
+"""BitArray / BitReader storage-layer tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitpack.bitarray import BitArray, BitReader, BitWriter, blit_bits
+from repro.bitpack.bitarray import BitArray, BitReader, blit_bits
 from repro.errors import CodecError, ValidationError
 
 
@@ -137,13 +137,9 @@ class TestBlitBits:
 
 class TestBitStreams:
     def test_writer_reader_roundtrip(self):
-        w = BitWriter()
-        w.write(0b101, 3)
-        w.write(0xFFFF, 16)
-        w.write(0, 1)
-        w.write(42, 31)
-        bits = w.getvalue()
-        assert bits.nbits == 51
+        bits = BitArray.zeros(51)
+        for pos, width, value in ((0, 3, 0b101), (3, 16, 0xFFFF), (19, 1, 0), (20, 31, 42)):
+            bits.write_uint(pos, width, value)
         r = BitReader(bits)
         assert r.read(3) == 0b101
         assert r.read(16) == 0xFFFF
@@ -151,33 +147,15 @@ class TestBitStreams:
         assert r.read(31) == 42
         assert r.at_end()
 
-    def test_writer_rejects_overflow(self):
-        w = BitWriter()
-        with pytest.raises(CodecError):
-            w.write(8, 3)
-
     def test_unary(self):
-        w = BitWriter()
-        w.write_unary(0)
-        w.write_unary(5)
-        w.write_unary(2)
-        r = BitReader(w.getvalue())
+        # unary(n) is n zero bits then a one bit
+        r = BitReader(BitArray.from_bits([1] + [0] * 5 + [1] + [0, 0, 1]))
         assert [r.read_unary() for _ in range(3)] == [0, 5, 2]
 
     def test_unary_past_end(self):
-        w = BitWriter()
-        w.write(0, 3)  # three zero bits, never terminated
-        r = BitReader(w.getvalue())
+        r = BitReader(BitArray.from_bits([0, 0, 0]))  # never terminated
         with pytest.raises(CodecError):
             r.read_unary()
-
-    def test_write_bitarray(self, rng):
-        payload = rng.integers(0, 2, 130).tolist()
-        w = BitWriter()
-        w.write(1, 1)
-        w.write_bitarray(BitArray.from_bits(payload))
-        got = w.getvalue().to_bits().tolist()
-        assert got == [1] + payload
 
     def test_reader_remaining(self):
         r = BitReader(BitArray.zeros(10), pos=4)

@@ -1,40 +1,12 @@
-"""Gap/delta transform tests, including the row-aware CSR variants."""
+"""Row-aware gap/delta transform tests over CSR rows."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitpack.delta import (
-    delta_decode_sorted,
-    delta_encode_sorted,
-    row_gaps,
-    rows_from_gaps,
-)
+from repro.bitpack.delta import row_gaps, rows_from_gaps
 from repro.errors import ValidationError
-
-
-class TestFlatDelta:
-    def test_roundtrip(self, rng):
-        values = np.sort(rng.integers(0, 10**6, 1000).astype(np.uint64))
-        assert np.array_equal(delta_decode_sorted(delta_encode_sorted(values)), values)
-
-    def test_first_element_absolute(self):
-        gaps = delta_encode_sorted(np.array([5, 7, 7, 10], dtype=np.uint64))
-        assert gaps.tolist() == [5, 2, 0, 3]
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValidationError):
-            delta_encode_sorted(np.array([3, 1], dtype=np.uint64))
-
-    def test_empty(self):
-        assert delta_encode_sorted(np.zeros(0, dtype=np.uint64)).shape == (0,)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(0, 2**40), max_size=200))
-    def test_property(self, values):
-        arr = np.sort(np.asarray(values, dtype=np.uint64))
-        assert np.array_equal(delta_decode_sorted(delta_encode_sorted(arr)), arr)
 
 
 class TestRowGaps:

@@ -1,98 +1,66 @@
-"""Elias gamma/delta universal code tests."""
+"""Elias gamma/delta code lengths — the codec ablation's comparators.
+
+The lengths are of the code of ``v + 1`` (so zero gaps are codable),
+checked against a per-element ``int.bit_length`` oracle.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitpack.elias import (
-    EliasDeltaCodec,
-    EliasGammaCodec,
-    delta_decode,
-    delta_encode,
-    gamma_decode,
-    gamma_encode,
-)
-from repro.errors import CodecError, ValidationError
+from repro.bitpack.zeta import elias_delta_nbits, elias_gamma_nbits
+from repro.errors import CodecError
+
+MAX_VALUE = 2**63 - 1
 
 
-class TestGammaWireFormat:
-    def test_known_codewords(self):
-        # gamma(1)=1, gamma(2)=010, gamma(3)=011, gamma(4)=00100
-        bits = gamma_encode(np.array([1], dtype=np.uint64))
-        assert bits.to_bits().tolist() == [1]
-        bits = gamma_encode(np.array([2], dtype=np.uint64))
-        assert bits.to_bits().tolist() == [0, 1, 0]
-        bits = gamma_encode(np.array([4], dtype=np.uint64))
-        assert bits.to_bits().tolist() == [0, 0, 1, 0, 0]
-
-    def test_length_is_2floorlog_plus_1(self):
-        for v in (1, 2, 3, 7, 8, 1023, 1024):
-            bits = gamma_encode(np.array([v], dtype=np.uint64))
-            assert bits.nbits == 2 * int(np.floor(np.log2(v))) + 1
+def gamma_oracle(v: int) -> int:
+    # unary(len - 1) then the low len - 1 bits of v + 1
+    return 2 * ((v + 1).bit_length() - 1) + 1
 
 
-class TestRoundtrips:
-    @pytest.mark.parametrize("codec_pair", [(gamma_encode, gamma_decode), (delta_encode, delta_decode)])
-    def test_stream_roundtrip(self, codec_pair, rng):
-        enc, dec = codec_pair
-        values = rng.integers(1, 1 << 30, 500).astype(np.uint64)
-        assert np.array_equal(dec(enc(values), 500), values)
-
-    def test_large_values(self):
-        values = np.array([1, 2**40, 2**63 - 1], dtype=np.uint64)
-        assert np.array_equal(gamma_decode(gamma_encode(values), 3), values)
-        assert np.array_equal(delta_decode(delta_encode(values), 3), values)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(1, 2**32), max_size=60))
-    def test_property_gamma(self, values):
-        arr = np.asarray(values, dtype=np.uint64)
-        assert np.array_equal(gamma_decode(gamma_encode(arr), arr.size), arr)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(1, 2**32), max_size=60))
-    def test_property_delta(self, values):
-        arr = np.asarray(values, dtype=np.uint64)
-        assert np.array_equal(delta_decode(delta_encode(arr), arr.size), arr)
+def delta_oracle(v: int) -> int:
+    # gamma(len) then the low len - 1 bits of v + 1
+    low = (v + 1).bit_length() - 1
+    return low + 2 * ((low + 1).bit_length() - 1) + 1
 
 
-class TestValidation:
-    def test_zero_rejected_at_wire_level(self):
-        with pytest.raises(ValidationError):
-            gamma_encode(np.array([0], dtype=np.uint64))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            delta_encode(np.array([-1]))
-
-    def test_corrupt_stream(self):
-        from repro.bitpack.bitarray import BitArray
-
-        # 70 leading zeros: unary run longer than any valid gamma length
-        corrupt = BitArray.from_bits([0] * 70 + [1])
-        with pytest.raises(CodecError):
-            gamma_decode(corrupt, 1)
+def _check(values):
+    arr = np.asarray(values, dtype=np.uint64)
+    assert elias_gamma_nbits(arr).tolist() == [gamma_oracle(v) for v in values]
+    assert elias_delta_nbits(arr).tolist() == [delta_oracle(v) for v in values]
 
 
-class TestCodecWrappers:
-    @pytest.mark.parametrize("cls,name", [(EliasGammaCodec, "elias_gamma"), (EliasDeltaCodec, "elias_delta")])
-    def test_zero_shift(self, cls, name, rng):
-        """Wrappers shift +1 so zeros (common gaps) are encodable."""
-        codec = cls()
-        values = rng.integers(0, 1000, 300).astype(np.uint64)
-        values[:10] = 0
-        enc = codec.encode(values)
-        assert enc.codec == name
-        assert np.array_equal(codec.decode(enc), values)
+class TestEliasLengths:
+    def test_hand_checked_values(self):
+        # gamma(1) = 1, gamma(2) = 010, delta(1) = 1, delta(2) = 0100
+        values = np.array([0, 1, 2, 3, MAX_VALUE], dtype=np.uint64)
+        assert elias_gamma_nbits(values).tolist() == [1, 3, 3, 5, 127]
+        assert elias_delta_nbits(values).tolist() == [1, 4, 4, 5, 76]
+
+    def test_power_of_two_boundaries(self):
+        # v + 1 on either side of every power of two up to 2**63
+        values = sorted({v for j in range(64) for v in (2**j - 2, 2**j - 1, 2**j)
+                         if 0 <= v <= MAX_VALUE})
+        _check(values)
+
+    def test_empty(self):
+        for fn in (elias_gamma_nbits, elias_delta_nbits):
+            out = fn(np.zeros(0, dtype=np.uint64))
+            assert out.shape == (0,) and out.dtype == np.int64
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, MAX_VALUE), max_size=60))
+    def test_property(self, values):
+        _check(values)
 
     def test_delta_beats_gamma_for_large_values(self, rng):
         values = rng.integers(2**20, 2**30, 500).astype(np.uint64)
-        g = EliasGammaCodec().encode(values).nbits
-        d = EliasDeltaCodec().encode(values).nbits
-        assert d < g
+        assert elias_delta_nbits(values).sum() < elias_gamma_nbits(values).sum()
 
-    def test_foreign_payload_rejected(self):
-        enc = EliasGammaCodec().encode(np.array([1], dtype=np.uint64))
-        with pytest.raises(CodecError):
-            EliasDeltaCodec().decode(enc)
+    @pytest.mark.parametrize("fn", [elias_gamma_nbits, elias_delta_nbits])
+    def test_domain(self, fn):
+        assert fn(np.array([MAX_VALUE], dtype=np.uint64)).shape == (1,)
+        with pytest.raises(CodecError, match="up to"):
+            fn(np.array([MAX_VALUE + 1], dtype=np.uint64))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.bitpack.bitarray import BitArray
 from repro.bitpack.fixed import (
-    FixedWidthCodec,
     pack_fixed,
     read_field,
     unpack_fixed,
@@ -103,25 +102,3 @@ class TestUnpackSliceAndReadField:
             unpack_fixed(bits, 1, 65)
         with pytest.raises(ValidationError):
             unpack_fixed(bits, -1, 3)
-
-
-class TestFixedWidthCodec:
-    def test_encode_decode(self, rng):
-        codec = FixedWidthCodec()
-        values = rng.integers(0, 1000, 200).astype(np.uint64)
-        enc = codec.encode(values)
-        assert enc.codec == "fixed"
-        assert enc.meta["width"] == 10
-        assert np.array_equal(codec.decode(enc), values)
-
-    def test_explicit_width(self):
-        codec = FixedWidthCodec(width=16)
-        enc = codec.encode(np.array([1, 2], dtype=np.uint64))
-        assert enc.meta["width"] == 16
-
-    def test_decode_rejects_foreign_payload(self):
-        from repro.bitpack.registry import get_codec
-
-        enc = get_codec("varint").encode(np.array([1], dtype=np.uint64))
-        with pytest.raises(CodecError):
-            FixedWidthCodec().decode(enc)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitpack.delta import row_gaps, rows_from_gaps
+from repro.bitpack.fixed import pack_fixed
 from repro.bitpack.segcodec import (
     DEFAULT_CANDIDATES,
     SEGMENT_CODECS,
@@ -16,6 +17,12 @@ from repro.bitpack.segcodec import (
     segment_codec,
 )
 from repro.bitpack.varint import varint_encode, varint_nbytes
+from repro.bitpack.zeta import (
+    elias_delta_nbits,
+    elias_gamma_nbits,
+    zeta_encode,
+    zeta_value_nbits,
+)
 from repro.errors import CodecError, ValidationError
 
 
@@ -245,3 +252,21 @@ class TestValidation:
     def test_unknown_codec_in_decode(self):
         with pytest.raises(CodecError, match="unknown codec"):
             segment_codec("snappy")
+
+    @pytest.mark.parametrize("encode", [
+        pack_fixed, varint_encode, varint_nbytes,
+        lambda values: zeta_encode(values, 2),
+        lambda values: zeta_value_nbits(values, 3),
+        elias_gamma_nbits, elias_delta_nbits,
+    ], ids=["pack_fixed", "varint_encode", "varint_nbytes", "zeta_encode",
+            "zeta_value_nbits", "elias_gamma_nbits", "elias_delta_nbits"])
+    @pytest.mark.parametrize("values", [
+        np.array([3, -1]),
+        np.array([1.0, 2.0]),
+        np.zeros((2, 2), dtype=np.uint64),
+        np.array([1, 2], dtype=object),
+    ], ids=["negative", "float", "2-D", "object-ints"])
+    def test_every_codec_input_check_rejects(self, encode, values):
+        """The codec functions share one input check (``as_uint_array``)."""
+        with pytest.raises(ValidationError):
+            encode(values)

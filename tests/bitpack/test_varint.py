@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitpack.segcodec import segment_codec
 from repro.bitpack.varint import (
-    VarintCodec,
     varint_decode,
     varint_encode,
     varint_max_bits,
@@ -120,18 +120,9 @@ class TestFailureModes:
 
 
 class TestVarintCodec:
-    def test_registry_roundtrip(self, rng):
-        codec = VarintCodec()
-        values = rng.integers(0, 10**6, 500).astype(np.uint64)
-        enc = codec.encode(values)
-        assert enc.codec == "varint"
-        assert np.array_equal(codec.decode(enc), values)
-
     def test_skewed_beats_fixed_on_size(self, rng):
         """Tiny values with one huge outlier: varint wins, which is the
         premise of the codec ablation."""
-        from repro.bitpack.fixed import FixedWidthCodec
-
         values = rng.integers(0, 4, 1000).astype(np.uint64)
         values[0] = 2**40
-        assert VarintCodec().encode(values).nbits < FixedWidthCodec().encode(values).nbits
+        assert segment_codec("varint").measure(values) < segment_codec("fixed").measure(values)

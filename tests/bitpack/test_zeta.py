@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitpack.registry import available_codecs, get_codec
 from repro.bitpack.zeta import (
-    ZetaCodec,
     zeta_decode,
     zeta_decode_rows,
     zeta_encode,
@@ -107,19 +105,3 @@ class TestRowDecode:
         )
         assert flat.shape == (0,)
         assert np.array_equal(offsets, [0])
-
-
-class TestRegistry:
-    def test_zeta_codecs_registered(self):
-        names = available_codecs()
-        for k in (2, 3, 4):
-            assert f"zeta{k}" in names
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_codec_protocol_roundtrip(self, rng, k):
-        codec = get_codec(f"zeta{k}")
-        assert isinstance(codec, ZetaCodec)
-        vals = (rng.pareto(1.2, 500) * 40).astype(np.uint64)
-        enc = codec.encode(vals)
-        assert enc.codec == f"zeta{k}"
-        assert np.array_equal(codec.decode(enc), vals)

@@ -70,6 +70,18 @@ def test_the_replaced_copies_are_gone():
     for name in ("CompactSegment", "decode_rows", "_write_encoded_segment",
                  "_write_segment", "_measure", "_encode_one"):
         assert _definitions(name) == [], name
+    # one codec table: no whole-array codec registry, wrapper class or
+    # scalar Elias coder beside SEGMENT_CODECS
+    for name in ("register_codec", "get_codec", "available_codecs", "Encoded",
+                 "BitWriter"):
+        assert _definitions(name) == [], name
+    codec_classes = [
+        (rel, node.name) for rel, tree in TREES.items() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Codec")
+    ]
+    assert codec_classes == [("bitpack/segcodec.py", "SegmentCodec")]
+    for gone in ("bitpack/registry.py", "bitpack/elias.py"):
+        assert not (ROOT / gone).exists(), gone
 
 
 def test_compact_store_imports_nothing_from_disk():
