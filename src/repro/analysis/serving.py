@@ -93,7 +93,6 @@ def render_lsm_stats(store, *, title: str = "lsm store") -> str:
     """
     stats = store.stats()
     rows = [
-        ["segments", stats.segments],
         ["memtable edges", stats.memtable_edges],
         ["tombstones", stats.tombstones],
         ["logical edges", stats.logical_edges],
@@ -101,7 +100,6 @@ def render_lsm_stats(store, *, title: str = "lsm store") -> str:
         ["deletes applied", stats.deletes],
         ["write no-ops", stats.write_noops],
         ["compactions", stats.compactions],
-        ["flushes", stats.flushes],
         ["compact watermark", stats.compact_watermark or "off"],
     ]
     return render_table(["counter", "value"], rows, title=title)

@@ -492,8 +492,7 @@ _FACTS = (
      lambda st: f"{st.memtable_edges:,} entries ({st.tombstones:,} tombstones)"),
     ("inner kind", None, lambda s: s.inner, str, "memtable"),
     ("watermark", None, lambda s: s.stats().compact_watermark or "off", str),
-    ("compactions", None, lambda s: s.stats(),
-     lambda st: f"{st.compactions} (+{st.flushes} flushes)"),
+    ("compactions", None, lambda s: s.stats().compactions, str),
     ("segments", None, lambda s: s.manifest,
      lambda m: f"{len(m.offsets)} offset + {len(m.columns)} column"),
     ("segments", None, lambda s: len(s.segments), "{} column".format,

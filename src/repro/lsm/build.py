@@ -1,12 +1,12 @@
 """Building an :class:`~repro.lsm.LsmStore` from an edge list.
 
-The edge list becomes the first immutable base segment (built with the
-requested inner kind's registered builder, i.e. the same Alg. 1
-pipeline the CSR family uses) and the memtable starts empty.  The LSM
-treats the graph as an edge *set* — duplicate ``(u, v)`` pairs are
-folded before the base build so compaction (whose output is what a
-build of the merged logical set gives) is bit-exact with this
-from-scratch path.
+The edge list becomes the one immutable base (built with the requested
+inner kind's registered builder, i.e. the same Alg. 1 pipeline the CSR
+family uses; an empty edge list gives an empty base) and the memtable
+starts empty.  The LSM treats the graph as an edge *set* — duplicate
+``(u, v)`` pairs are folded before the base build so compaction (whose
+output is what a build of the merged logical set gives) is bit-exact
+with this from-scratch path.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ def build_lsm_store(
     sort: bool = True,
     **inner_opts,
 ) -> LsmStore:
-    """Edge list → :class:`LsmStore` with one base segment.
+    """Edge list → :class:`LsmStore` over one base.
 
     Parameters
     ----------
     inner:
-        Registered store kind for the base segment (and every segment
+        Registered store kind for the base (and every base
         :meth:`~repro.lsm.LsmStore.compact` later builds or patches).
     compact_watermark:
         Memtable entry count that triggers auto-compaction through
@@ -58,11 +58,9 @@ def build_lsm_store(
         keep = np.ones(src.shape[0], dtype=bool)
         keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
         src, dst = src[keep], dst[keep]
-    segments = []
-    if src.size or n:
-        segments.append(
-            open_store(inner, src, dst, n, executor=executor, **inner_opts)
-        )
+    # the one base (empty for an empty graph), as a named list:
+    # ``writable_overlay`` is the only home of an ``LsmStore(n, [store])``
+    segments = [open_store(inner, src, dst, n, executor=executor, **inner_opts)]
     return LsmStore(
         n,
         segments,
@@ -78,7 +76,7 @@ def writable_overlay(store, compact_watermark: int = 0) -> LsmStore:
     """The mutable view of any readable *store*, compacting at *compact_watermark*.
 
     An :class:`LsmStore` is its own overlay (its watermark is set);
-    anything else becomes the immutable base segment of a fresh one,
+    anything else becomes the immutable base of a fresh one,
     whose memtable takes the writes.  The one place a read-only store
     is given a write path — ``query --writes``, ``serve-bench
     --write-fraction`` and :class:`~repro.serve.ServerConfig`'s

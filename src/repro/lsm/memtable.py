@@ -131,7 +131,7 @@ class DeltaMemtable:
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every resident entry as ``(u, v, alive)`` arrays, sorted by
-        ``(u, v)`` — the flush/save serialisation order."""
+        ``(u, v)`` — the save serialisation order."""
         n = self._entries
         us = np.empty(n, dtype=np.int64)
         vs = np.empty(n, dtype=np.int64)

@@ -1,24 +1,24 @@
-"""The log-structured store: memtable delta over immutable segments.
+"""The log-structured store: a memtable delta over one immutable base.
 
-Reads merge three layers, newest first: the
+Reads merge two layers, newest first: the
 :class:`~repro.lsm.memtable.DeltaMemtable` (inserted edges win,
-tombstones suppress), then every immutable base segment (any
-registered store kind).  A clean row — no resident delta — is served
-straight off the segments, so under read-mostly traffic the LSM costs
-one dict probe over the immutable store it wraps.
+tombstones suppress), then the immutable base store (any registered
+store kind).  A clean row — no resident delta — is served straight off
+the base, so under read-mostly traffic the LSM costs one dict probe
+over the immutable store it wraps.
 
-:meth:`compact` folds memtable + segments into one fresh segment, then
-atomically swaps the segment list and clears the memtable.  Over one
-compact segment with ``inner="compact"`` it *patches*:
+:meth:`compact` folds memtable + base into one fresh base, then
+atomically swaps it in and clears the memtable.  Over a compact base
+with ``inner="compact"`` it *patches*:
 :meth:`~repro.csr.compact.CompactStore.patched` re-encodes only the
 written rows and copies every clean row's varint bytes, so a compaction
 costs per written row, not per graph.  Every other shape — packed, csr
-and disk inners, several segments after a :meth:`flush`, an overlay
-whose inner kind differs from its base — *rebuilds*: the *logical* edge
-set is fed back through :func:`repro.open_store`, i.e. the paper's
-Alg. 1 chunked prefix-sum pipeline for CSR-family inners.  Either way
-the new segment is byte-identical to a from-scratch build of the
-logical edge set (property-tested in ``tests/lsm``).
+and disk inners, an overlay whose inner kind differs from its base —
+*rebuilds*: the *logical* edge set is fed back through
+:func:`repro.open_store`, i.e. the paper's Alg. 1 chunked prefix-sum
+pipeline for CSR-family inners.  Either way the new base is
+byte-identical to a from-scratch build of the logical edge set
+(property-tested in ``tests/lsm``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..query.capabilities import capabilities
-from ..query.stores import WrapperStore, join_rows, locate_keys
+from ..query.stores import WrapperStore, locate_keys
 from ..query.stores import neighbors_batch as _store_batch
 from ..utils import human_bytes, require
 from .memtable import DeltaMemtable
@@ -38,7 +38,7 @@ __all__ = ["LsmStore", "LsmStats"]
 
 
 def _as_int64(flat: np.ndarray) -> np.ndarray:
-    """Segment rows as ``int64``: the same bytes where they are ``uint64``."""
+    """Base rows as ``int64``: the same bytes where they are ``uint64``."""
     return flat.view(np.int64) if flat.dtype == np.uint64 else flat.astype(np.int64, copy=False)
 
 
@@ -46,7 +46,6 @@ def _as_int64(flat: np.ndarray) -> np.ndarray:
 class LsmStats:
     """Snapshot of an :class:`LsmStore`'s structure and write counters."""
 
-    segments: int
     memtable_edges: int
     tombstones: int
     logical_edges: int
@@ -54,7 +53,6 @@ class LsmStats:
     deletes: int
     write_noops: int
     compactions: int
-    flushes: int
     compact_watermark: int
 
 
@@ -101,22 +99,22 @@ class LsmStore(WrapperStore):
     """A mutable graph store satisfying the ``GraphStore`` protocol.
 
     The store models a *set* of directed edges: checked writes dedup
-    (inserting a present edge is a no-op), so base segments are
-    expected to hold distinct edges — :func:`build_lsm_store` dedups
-    its input, but when wrapping a pre-built multigraph segment the
-    duplicate copies make ``num_edges`` bookkeeping and per-row merge
-    results diverge from multigraph row lengths.
+    (inserting a present edge is a no-op), so the base is expected to
+    hold distinct edges — :func:`build_lsm_store` dedups its input, but
+    when wrapping a pre-built multigraph store the duplicate copies make
+    ``num_edges`` bookkeeping and per-row merge results diverge from
+    multigraph row lengths.
 
     Parameters
     ----------
     num_nodes:
-        Global node-space size (every segment must span it).
+        Global node-space size (the base must span it).
     segments:
-        Immutable base stores, oldest first; may be empty — an LSM
-        over nothing but its memtable is a valid (small) graph.
+        A one-element list holding the immutable base store (which may
+        hold no edges).
     inner:
-        Registered store kind :meth:`compact` builds segments as
-        (``"compact"`` over one compact segment: it patches it).
+        Registered store kind :meth:`compact` builds the base as
+        (``"compact"`` over a compact base: it patches it).
     inner_opts:
         Extra options for the inner builder (e.g. ``gap_encode=True``).
     compact_watermark:
@@ -138,7 +136,6 @@ class LsmStore(WrapperStore):
         "deletes",
         "write_noops",
         "compactions",
-        "flushes",
         "_num_edges",
         "_rows",
         "_caps_segment",
@@ -159,13 +156,18 @@ class LsmStore(WrapperStore):
     ):
         require(num_nodes >= 0, "node count must be non-negative")
         require(compact_watermark >= 0, "compact watermark must be >= 0")
+        # exactly one base; a list only because callers read and reassign
+        # ``segments`` as one (a benchmark harness wraps the base in place)
         segments = list(segments)
-        for i, seg in enumerate(segments):
-            if int(seg.num_nodes) != int(num_nodes):
-                raise ValidationError(
-                    f"segment {i} spans {seg.num_nodes} nodes, expected "
-                    f"{num_nodes} (segments must cover the global node space)"
-                )
+        if len(segments) != 1:
+            raise ValidationError(
+                f"an lsm store has exactly one base segment, got {len(segments)}"
+            )
+        if int(segments[0].num_nodes) != int(num_nodes):
+            raise ValidationError(
+                f"the base spans {segments[0].num_nodes} nodes, expected "
+                f"{num_nodes} (it must cover the global node space)"
+            )
         self.num_nodes = int(num_nodes)
         self.segments = segments
         self.memtable = memtable if memtable is not None else DeltaMemtable()
@@ -177,7 +179,6 @@ class LsmStore(WrapperStore):
         self.deletes = 0
         self.write_noops = 0
         self.compactions = 0
-        self.flushes = 0
         # the current sorted row of every node written this epoch (and of
         # every dirty node read): hub-skewed traffic writes and re-reads
         # the same rows, so each is decoded once per compaction epoch and
@@ -186,14 +187,14 @@ class LsmStore(WrapperStore):
         self._rows: dict[int, np.ndarray] = {}
         self._caps_segment = None
         self._caps = None
-        if num_edges is None:  # count the merged view (an empty store has none to walk)
-            num_edges = self.degrees().sum() if segments or len(self.memtable) else 0
+        if num_edges is None:  # count the merged view
+            num_edges = self.degrees().sum()
         self._num_edges = int(num_edges)
 
     # -- protocol surface -----------------------------------------------
     @property
     def num_edges(self) -> int:
-        """Logical edge count: segment edges, minus tombstoned copies,
+        """Logical edge count: base edges, minus tombstoned copies,
         plus memtable-only inserts (maintained incrementally by the
         checked write path)."""
         return self._num_edges
@@ -205,7 +206,7 @@ class LsmStore(WrapperStore):
         Capabilities are resolved once per engine, but an LSM row's
         provenance changes under writes (clean pass-through vs merged
         delta patch), so the store commits to one dtype and casts
-        segment rows on the way out rather than flip mid-stream.
+        base rows on the way out rather than flip mid-stream.
         """
         return np.dtype(np.int64)
 
@@ -213,29 +214,24 @@ class LsmStore(WrapperStore):
         return self.segments
 
     def _segment_batch(self, us) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk fetch from the single base segment.  Its capabilities
-        are resolved once per segment *object* — compaction swaps in a
-        fresh one, which re-resolves here on its first batch."""
+        """Bulk fetch from the base.  Its capabilities are resolved once
+        per base *object* — compaction swaps in a fresh one, which
+        re-resolves here on its first batch."""
         segment = self.segments[0]
         if self._caps_segment is not segment:
             self._caps_segment, self._caps = segment, capabilities(segment)
         return _store_batch(segment, us, self._caps)
 
     def _base_row(self, u: int) -> np.ndarray:
-        """Union of *u*'s row across every segment, as int64."""
-        if not self.segments:
-            return np.zeros(0, dtype=np.int64)
-        out = _as_int64(np.asarray(self.segments[0].neighbors(u)))
-        for segment in self.segments[1:]:
-            out = np.union1d(out, _as_int64(np.asarray(segment.neighbors(u))))
-        return out
+        """*u*'s row in the base, as int64."""
+        return _as_int64(np.asarray(self.segments[0].neighbors(u)))
 
     def _row(self, u: int) -> np.ndarray:
         """Row *u* under the merged view, materialised once per epoch.
 
         Writes keep it current themselves; only a delta that arrived
-        with the memtable (:meth:`load`, a :meth:`flush`'s tombstones)
-        is merged here, through compaction's :func:`_apply_delta`."""
+        with the memtable (:meth:`load`) is merged here, through
+        compaction's :func:`_apply_delta`."""
         row = self._rows.get(u)
         if row is not None:
             return row
@@ -268,31 +264,23 @@ class LsmStore(WrapperStore):
 
     def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
         """Bulk row fetch — ``(flat, offsets)``.  The dirty-row patch
-        works in any key order, so deduplicating is left to the segment."""
+        works in any key order, so deduplicating is left to the base."""
         return self._decode_rows(self._check_keys(unodes))
 
     def _decode_rows(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows of *us* under the merged view.
 
-        Clean batches over a single segment pass straight through the
-        segment's own vectorised kernel (zero merge work); otherwise
-        rows are fetched through the segment batch path and dirty rows
-        patched with their memtable delta.
+        A clean batch passes straight through the base's own vectorised
+        kernel (zero merge work).  Otherwise a dirty row is its
+        materialised row (a hub written and re-read under skewed traffic
+        is decoded once per compaction epoch, not once per write), and
+        the clean keys are decoded in one base batch, whose runs pass
+        through as slices between them.
         """
-        single = len(self.segments) == 1
         dirty = self._dirty_mask(us)
-        if single and dirty is None:
+        if dirty is None:
             flat, offs = self._segment_batch(us)
             return _as_int64(flat), offs
-        if not single:
-            return join_rows([
-                self._row(u) if self.memtable.is_dirty(u) else self._base_row(u)
-                for u in us.tolist()
-            ], np.int64)
-        # one segment: a dirty row is its materialised row (a hub written
-        # and re-read under skewed traffic is decoded once per compaction
-        # epoch, not once per write); the clean keys are decoded in one
-        # segment batch, whose runs pass through as slices between them
         dirty_at = np.flatnonzero(dirty)
         rows = [self._row(u) for u in us[dirty_at].tolist()]
         clean = ~dirty
@@ -315,12 +303,9 @@ class LsmStore(WrapperStore):
         """Out-degree of *u* under the merged view."""
         u = int(u)
         self._check_node(u)
-        row = self._rows.get(u)
-        if row is not None:
-            return int(row.shape[0])
-        if not self.memtable.is_dirty(u) and len(self.segments) == 1:
-            return int(self.segments[0].degree(u))
-        return int(self.neighbors(u).shape[0])
+        if self.memtable.is_dirty(u):
+            return int(self._row(u).shape[0])
+        return int(self.segments[0].degree(u))
 
     def degrees(self) -> np.ndarray:
         """Degree of every node as an ``int64`` array."""
@@ -395,16 +380,10 @@ class LsmStore(WrapperStore):
 
     # -- compaction -----------------------------------------------------
     def _logical_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The merged edge set as u-sorted ``(src, dst)`` int64 arrays.
-
-        Over one segment the memtable's entries are merged into the
-        scanned base rows as arrays (:func:`_apply_delta`); over several
-        (after a :meth:`flush`) the per-row merge of the read path does it.
-        """
+        """The merged edge set as u-sorted ``(src, dst)`` int64 arrays: the
+        memtable's entries merged into the scanned base rows as arrays
+        (:func:`_apply_delta`)."""
         nodes = np.arange(self.num_nodes, dtype=np.int64)
-        if len(self.segments) != 1:
-            flat, offs = self.neighbors_batch(nodes)
-            return np.repeat(nodes, np.diff(offs)), flat
         flat, offs = self._segment_batch(nodes)
         degrees, dst = _apply_delta(offs, _as_int64(flat), *self.memtable.entries())
         return np.repeat(nodes, degrees), dst
@@ -416,32 +395,27 @@ class LsmStore(WrapperStore):
         if opts.get("path") is not None:
             from pathlib import Path
 
-            gen = self.compactions + self.flushes + 1
-            opts["path"] = Path(opts["path"]) / f"gen-{gen}"
+            opts["path"] = Path(opts["path"]) / f"gen-{self.compactions + 1}"
         return opts
 
     def compact(self, executor=None) -> None:
-        """Fold memtable + segments into one fresh segment, atomically.
+        """Fold memtable + base into one fresh base, atomically.
 
-        Over one segment with a ``patched`` method (a compact segment,
-        or a proxy forwarding to one) and ``inner="compact"``, the
-        segment patches itself: only the written rows are re-encoded
-        and the output is byte-identical to a rebuild.  Everything else
-        — packed, csr and disk inners, several segments after a
-        :meth:`flush`, an overlay whose inner kind differs from its
-        base — rebuilds the merged logical edge set through the
+        Over a base with a ``patched`` method (a compact store, or a
+        proxy forwarding to one) and ``inner="compact"``, the base
+        patches itself: only the written rows are re-encoded and the
+        output is byte-identical to a rebuild.  Everything else —
+        packed, csr and disk inners, an overlay whose inner kind differs
+        from its base — rebuilds the merged logical edge set through the
         registered inner builder (the Alg. 1 chunked prefix-sum pipeline
-        for the CSR family).  Then the segment list is swapped and the
-        memtable cleared in one step — readers before see the old
-        layers, readers after see the single new segment, and both
-        views decode identical rows.
+        for the CSR family).  Then the base is swapped and the memtable
+        cleared in one step — readers before see the old layers, readers
+        after see the new base, and both views decode identical rows.
         """
         from ..stores import open_store  # deferred: registry imports us
 
         executor = executor if executor is not None else self.executor
-        patch = None
-        if self.inner == "compact" and len(self.segments) == 1:
-            patch = getattr(self.segments[0], "patched", None)
+        patch = getattr(self.segments[0], "patched", None) if self.inner == "compact" else None
         if patch is not None:
             nodes = self.memtable.dirty_nodes()
             # the build options that shape the bytes (``sort`` cannot: the
@@ -463,32 +437,6 @@ class LsmStore(WrapperStore):
         self.compactions += 1
         self._num_edges = int(segment.num_edges)
 
-    def flush(self, executor=None) -> None:
-        """Pack the memtable's *inserts* into a new appended segment.
-
-        A cheaper intermediate step than full compaction: only the
-        delta is rebuilt, existing segments stay untouched, and
-        tombstones remain resident (they mask base-segment edges that
-        still exist).  Reads then merge one more segment until the
-        next :meth:`compact` folds everything down to one.
-        """
-        from ..stores import open_store
-
-        us, vs, alive = self.memtable.entries()
-        src, dst = us[alive], vs[alive]
-        if src.size == 0:
-            return
-        segment = open_store(
-            self.inner, src, dst, self.num_nodes,
-            executor=executor if executor is not None else self.executor,
-            **self._segment_opts(),
-        )
-        self.segments.append(segment)
-        for u, v in zip(src.tolist(), dst.tolist()):
-            self.memtable.remove(u, v)
-        self._rows.clear()
-        self.flushes += 1
-
     def maybe_compact(self, executor=None) -> bool:
         """Compact when the memtable crossed the watermark; returns
         whether a compaction ran."""
@@ -504,7 +452,6 @@ class LsmStore(WrapperStore):
     def stats(self) -> LsmStats:
         """Structure and write counters as an immutable snapshot."""
         return LsmStats(
-            segments=len(self.segments),
             memtable_edges=len(self.memtable),
             tombstones=self.memtable.tombstones,
             logical_edges=self._num_edges,
@@ -512,67 +459,61 @@ class LsmStore(WrapperStore):
             deletes=self.deletes,
             write_noops=self.write_noops,
             compactions=self.compactions,
-            flushes=self.flushes,
             compact_watermark=self.compact_watermark,
         )
 
     def memory_bytes(self) -> int:
-        """Segment payloads plus the resident memtable and materialised rows."""
+        """The base payload plus the resident memtable and materialised rows."""
         memo = sum(r.nbytes for r in self._rows.values())
-        return int(sum(int(s.memory_bytes()) for s in self.segments)) + int(
+        return int(self.segments[0].memory_bytes()) + int(
             self.memtable.memory_bytes()
         ) + int(memo)
 
     def __repr__(self) -> str:
         return (
             f"LsmStore(n={self.num_nodes}, m={self.num_edges}, "
-            f"segments={len(self.segments)}, "
             f"memtable={len(self.memtable)} "
             f"(+{self.memtable.tombstones} tombstones), "
             f"inner={self.inner!r}, "
             f"mem={human_bytes(self.memory_bytes())})"
         )
 
-    # -- persistence (packed segments) ----------------------------------
+    # -- persistence (packed base) --------------------------------------
     @property
     def saveable(self) -> bool:
-        """Whether :meth:`save` can persist the store as it stands —
-        every segment is bit-packed.  :meth:`compact` makes it so when
-        the inner kind is ``packed``."""
+        """Whether :meth:`save` can persist the store as it stands — the
+        base is bit-packed.  :meth:`compact` makes it so when the inner
+        kind is ``packed``."""
         from ..csr.packed import BitPackedCSR
 
-        return all(isinstance(seg, BitPackedCSR) for seg in self.segments)
+        return isinstance(self.segments[0], BitPackedCSR)
 
     def save(self, path) -> None:
-        """Persist to ``.npz`` (bit-packed segments only).
+        """Persist to ``.npz`` (bit-packed base only).
 
-        Layout mirrors :meth:`~repro.shard.ShardedStore.save`: each
-        segment's payload under a ``segment{i}_`` prefix, plus the
-        memtable as parallel ``mt_u``/``mt_v``/``mt_alive`` arrays, so
-        one file round-trips the live store mid-stream.
+        The base's payload goes under the ``segment0_`` prefix (with
+        ``num_segments = 1``), plus the memtable as parallel
+        ``mt_u``/``mt_v``/``mt_alive`` arrays, so one file round-trips
+        the live store mid-stream.
         """
-        from ..csr.packed import BitPackedCSR
-
-        for i, seg in enumerate(self.segments):
-            if not isinstance(seg, BitPackedCSR):
-                raise ValidationError(
-                    f"only packed segments can be saved (segment {i} is "
-                    f"{type(seg).__name__})"
-                )
+        if not self.saveable:
+            raise ValidationError(
+                "only a packed base can be saved (the base is "
+                f"{type(self.segments[0]).__name__})"
+            )
         us, vs, alive = self.memtable.entries()
         payload: dict = {
             "store_kind": "lsm",
             "num_nodes": self.num_nodes,
             "num_edges": self._num_edges,
-            "num_segments": len(self.segments),
+            "num_segments": 1,
             "inner": self.inner,
             "compact_watermark": self.compact_watermark,
             "mt_u": us,
             "mt_v": vs,
             "mt_alive": alive,
         }
-        for i, seg in enumerate(self.segments):
-            payload.update(seg.npz_payload(prefix=f"segment{i}_"))
+        payload.update(self.segments[0].npz_payload(prefix="segment0_"))
         np.savez_compressed(path, **payload)
 
     @classmethod
@@ -583,16 +524,18 @@ class LsmStore(WrapperStore):
         with np.load(path) as data:
             if "store_kind" not in data.files or str(data["store_kind"]) != "lsm":
                 raise ValidationError(f"{path} is not an lsm store file")
-            segments = [
-                BitPackedCSR.from_npz_payload(data, prefix=f"segment{i}_")
-                for i in range(int(data["num_segments"]))
-            ]
+            if int(data["num_segments"]) != 1:
+                raise ValidationError(
+                    f"{path} holds {int(data['num_segments'])} segments; "
+                    "an lsm store file holds exactly one"
+                )
+            base = BitPackedCSR.from_npz_payload(data, prefix="segment0_")
             memtable = DeltaMemtable.from_entries(
                 data["mt_u"], data["mt_v"], data["mt_alive"]
             )
             return cls(
                 int(data["num_nodes"]),
-                segments,
+                [base],
                 inner=str(data["inner"]),
                 compact_watermark=int(data["compact_watermark"]),
                 memtable=memtable,

@@ -4,8 +4,7 @@ Every queryable representation used to be built through its own
 constructor shape (``build_csr(...)``, ``BitPackedCSR.from_csr(...)``,
 ``AdjacencyListStore(src, dst, n)``, ...), so the CLI, benchmarks, and
 tests each hand-rolled five call conventions.  This registry (the
-pattern of :mod:`repro.bitpack.registry` and
-:mod:`repro.datasets.registry`) gives them one:
+pattern of :mod:`repro.datasets.registry`) gives them one:
 
     store = repro.open_store("packed", src, dst, n, gap_encode=True)
     store = repro.open_store("sharded", src, dst, n, shards=4,
@@ -118,7 +117,8 @@ def load_store(path):
     ``store_kind`` key, falling back to packed-CSR key sniffing.  A
     file matching no known kind raises a one-line
     :class:`~repro.errors.ReproError` naming the file and the kinds
-    understood.
+    understood; a file lacking a key its kind reads, one naming the
+    file and the key.
     """
     from pathlib import Path
 
@@ -148,16 +148,22 @@ def load_store(path):
             raise ReproError(
                 f"{path}: unknown store kind '{kind}' (known kinds: {known})"
             )
-        return loaders[kind](path)
-    if {"num_nodes", "offsets", "columns"} <= files:
+        load = loaders[kind]
+    elif {"num_nodes", "offsets", "columns"} <= files:
         from .csr.packed import BitPackedCSR
 
-        return BitPackedCSR.load(path)
-    raise ReproError(
-        f"{path}: not a recognized store file (keys: {', '.join(sorted(files))}); "
-        "known kinds: packed CSR .npz, sharded/compact/reordered/lsm .npz, "
-        "disk-store directory"
-    )
+        load = BitPackedCSR.load
+    else:
+        raise ReproError(
+            f"{path}: not a recognized store file (keys: {', '.join(sorted(files))}); "
+            "known kinds: packed CSR .npz, sharded/compact/reordered/lsm .npz, "
+            "disk-store directory"
+        )
+    try:
+        return load(path)
+    except KeyError as exc:  # a truncated or hand-edited file
+        key = str(exc.args[0]).removesuffix(" is not a file in the archive")
+        raise ReproError(f"{path}: store file lacks key '{key}'") from None
 
 
 def _npz_loaders():

@@ -238,14 +238,6 @@ def test_forwarding_proxy_patches():
     _check(lsm, model, 50)
 
 
-def test_flushed_two_segment_store_rebuilds():
-    lsm = _lsm(_graph(3, 50), 50, None, SEGMENT_BYTES)
-    lsm.insert_edge(0, 49)
-    lsm.flush()
-    assert len(lsm.segments) == 2
-    assert _compact_counting(lsm) == (0, 1)
-
-
 def test_packed_inner_rebuilds():
     lsm = build_lsm_store(*_edges(_graph(3, 50)), 50, inner="packed")
     assert _compact_counting(lsm) == (0, 1)

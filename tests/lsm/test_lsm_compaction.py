@@ -77,32 +77,6 @@ def test_compaction_bit_exact_random_stream(inner, executor):
     _assert_bit_exact(store, ref, n, inner, executor)
 
 
-@pytest.mark.parametrize("inner", INNER_KINDS)
-def test_flush_then_compact_bit_exact(inner, executor):
-    """Multi-segment stores (base + flushed delta) compact correctly."""
-    n = 40
-    rng = np.random.default_rng(0xF1)
-    keys = np.unique(rng.integers(0, n * n, 150))
-    store = build_lsm_store(keys // n, keys % n, n, inner=inner, executor=executor)
-    ref = {}
-    for u, v in zip((keys // n).tolist(), (keys % n).tolist()):
-        ref.setdefault(u, set()).add(v)
-    for _ in range(60):
-        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if rng.random() < 0.25:
-            store.delete_edge(u, v)
-            ref.get(u, set()).discard(v)
-        else:
-            store.insert_edge(u, v)
-            ref.setdefault(u, set()).add(v)
-    store.flush(executor=executor)
-    assert len(store.segments) == 2
-    _assert_bit_exact(store, ref, n, inner, executor)
-    store.compact(executor=executor)
-    assert len(store.segments) == 1
-    _assert_bit_exact(store, ref, n, inner, executor)
-
-
 def test_compaction_of_emptied_graph(executor):
     """Deleting every edge then compacting yields an empty segment."""
     src = np.array([0, 1, 2])

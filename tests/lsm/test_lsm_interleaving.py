@@ -5,11 +5,10 @@ The batch read path serves three kinds of key differently — clean
 (a memtable that arrived populated) — and splices them into one reply;
 a write splices its row; compaction merges the memtable into the scanned
 base as arrays.  All must agree with a dict-of-sets oracle (and the
-memtable with a model of its entries) under any interleaving, over one
-segment and over several (after a ``flush``), and the compacted segment
-must be the very bytes a from-scratch ``open_store`` of the oracle's
-edges gives.  What the row memo saves is pinned as exact counts of the
-segment's ``_decode_rows`` calls, not by the memo's name.
+memtable with a model of its entries) under any interleaving, and the
+compacted base must be the very bytes a from-scratch ``open_store`` of
+the oracle's edges gives.  What the row memo saves is pinned as exact
+counts of the base's ``_decode_rows`` calls, not by the memo's name.
 """
 
 import io
@@ -48,7 +47,7 @@ OPS = st.one_of(
     st.tuples(st.sampled_from(["insert", "insert", "delete", "probe"]), node, node),
     st.tuples(st.just("read"), st.lists(node, max_size=14)),
     st.tuples(st.just("read"), st.lists(node, min_size=6, max_size=14)),
-    st.tuples(st.sampled_from(["reopen", "reopen", "compact", "flush"])),
+    st.tuples(st.sampled_from(["reopen", "reopen", "compact"])),
 )
 
 
@@ -59,8 +58,8 @@ def _oracle_edges(model):
 
 
 def _reopen(store):
-    """What ``load`` does: same segments and memtable entries, no memos
-    (``save`` → ``load`` itself where the segments are packed)."""
+    """What ``load`` does: same base and memtable entries, no memos
+    (``save`` → ``load`` itself where the base is packed)."""
     if store.inner == "packed":
         file = io.BytesIO()
         store.save(file)
@@ -107,7 +106,7 @@ def _check_read(store, model, keys):
 
 
 def _check_compacted(store, model):
-    """One segment, byte-identical to a from-scratch build."""
+    """One base, byte-identical to a from-scratch build."""
     assert len(store.segments) == 1 and len(store.memtable) == 0
     src, dst = _oracle_edges(model)
     fresh = open_store(store.inner, src, dst, N, **store.inner_opts)
@@ -118,7 +117,7 @@ def _check_compacted(store, model):
     assert store.num_edges == src.shape[0]
 
 
-def _run(ops, seed_edges, *, allow_flush, inner="compact", opts=INNER_OPTS):
+def _run(ops, seed_edges, *, inner="compact", opts=INNER_OPTS):
     model: dict[int, set] = {}
     for u, v in seed_edges:
         model.setdefault(u, set()).add(v)
@@ -138,10 +137,6 @@ def _run(ops, seed_edges, *, allow_flush, inner="compact", opts=INNER_OPTS):
             _check_read(store, model, op[1])
         elif kind == "reopen":
             store = _reopen(store)
-        elif kind == "flush":
-            if allow_flush and any(delta.values()):  # the inserts become a segment
-                store.flush()
-                delta = {edge: False for edge, alive in delta.items() if not alive}
         else:
             store.compact()
             delta = {}
@@ -158,15 +153,7 @@ SEED_EDGES = st.lists(st.tuples(node, node), max_size=60)
 @settings(max_examples=120, deadline=None)
 @given(st.lists(OPS, max_size=50), SEED_EDGES)
 def test_single_segment_interleaving(ops, seed_edges):
-    _run(ops, seed_edges, allow_flush=False)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(OPS, max_size=50), SEED_EDGES)
-def test_multi_segment_interleaving(ops, seed_edges):
-    """``flush`` appends segments: reads take the per-row path, compaction
-    the per-row merge, until the next compaction folds them to one."""
-    _run(ops, seed_edges, allow_flush=True)
+    _run(ops, seed_edges)
 
 
 #: the case the second (base-row) memo existed for: delete a base edge,
@@ -177,11 +164,11 @@ _REDELETE = [("delete", 1, 2), ("insert", 1, 2), ("delete", 1, 2)]
 @settings(max_examples=80, deadline=None)
 @given(st.lists(OPS, max_size=50), SEED_EDGES)
 @example(_REDELETE + [("reopen",)] + _REDELETE + [("read", [1])], [(1, 2), (1, 5)])
-@example(_REDELETE[:1] + [("reopen",)] + _REDELETE[1:] + [("flush",), ("reopen",)]
+@example(_REDELETE[:1] + [("reopen",)] + _REDELETE[1:] + [("reopen",)]
          + _REDELETE[1:] + [("compact",)], [(1, 2), (3, 3)])
 def test_packed_interleaving_through_save_and_load(ops, seed_edges):
-    """Over packed segments "reopen" is a real ``save`` → ``load``."""
-    _run(ops, seed_edges, allow_flush=True, inner="packed", opts={})
+    """Over a packed base "reopen" is a real ``save`` → ``load``."""
+    _run(ops, seed_edges, inner="packed", opts={})
 
 
 def test_alive_entry_over_a_base_edge_is_dropped_on_first_touch():

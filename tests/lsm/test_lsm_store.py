@@ -154,30 +154,6 @@ class TestWrites:
         assert compactions >= 1
         assert store.stats().compactions == compactions
 
-    def test_flush_appends_segment_keeps_tombstones(self, edges):
-        src, dst, n = edges
-        store = build_lsm_store(src, dst, n)
-        ref = _model(src, dst)
-        u0, v0 = int(src[0]), int(dst[0])
-        store.delete_edge(u0, v0)
-        ref[u0].discard(v0)
-        added = []
-        rng = np.random.default_rng(5)
-        while len(added) < 20:
-            u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-            if store.insert_edge(u, v):
-                ref.setdefault(u, set()).add(v)
-                added.append((u, v))
-        store.flush()
-        assert len(store.segments) == 2
-        assert store.memtable.tombstones == 1
-        assert store.stats().flushes == 1
-        _assert_matches(store, ref, n)
-        # compaction folds the multi-segment store back down
-        store.compact()
-        assert len(store.segments) == 1
-        _assert_matches(store, ref, n)
-
 
 class TestStructure:
     def test_segment_node_space_checked(self, edges):
@@ -185,12 +161,21 @@ class TestStructure:
         seg = open_store("packed", src, dst, n)
         with pytest.raises(ValidationError):
             LsmStore(n + 1, [seg])
+        # exactly one base: none and two are refused
+        with pytest.raises(ValidationError):
+            LsmStore(n, [])
+        with pytest.raises(ValidationError):
+            LsmStore(n, [seg, open_store("packed", src, dst, n)])
+        # an empty graph still has its one (empty) base, and compacts
+        empty = build_lsm_store([], [], 0)
+        assert len(empty.segments) == 1 and empty.segments[0].num_edges == 0
+        empty.compact()
+        assert len(empty.segments) == 1 and empty.num_edges == 0
 
     def test_stats_shape(self, edges):
         src, dst, n = edges
         store = build_lsm_store(src, dst, n, compact_watermark=7)
         s = store.stats()
-        assert s.segments == 1
         assert s.compact_watermark == 7
         assert s.logical_edges == store.num_edges
 
@@ -242,4 +227,15 @@ class TestPersistence:
         path = tmp_path / "packed.npz"
         packed.save(path)
         with pytest.raises(ValidationError):
+            LsmStore.load(path)
+
+    def test_load_rejects_a_file_with_two_segments(self, tmp_path, edges):
+        src, dst, n = edges
+        path = tmp_path / "lsm.npz"
+        build_lsm_store(src, dst, n).save(path)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        payload["num_segments"] = np.asarray(2)
+        np.savez(path, **payload)
+        with pytest.raises(ValidationError, match="exactly one"):
             LsmStore.load(path)

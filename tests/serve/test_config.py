@@ -4,13 +4,16 @@ The unified construction API must validate every knob combination in
 one place, pick the right front-end (monolithic server vs cluster
 router) from the config alone, reject the removed
 ``GraphQueryServer(store, **kwargs)`` spelling with a one-line
-:class:`ReproError` pointing at :func:`open_server`, and round-trip
-saved stores through :func:`repro.stores.load_store`.
+:class:`ReproError` pointing at :func:`open_server`, round-trip
+saved stores through :func:`repro.stores.load_store`, and refuse a
+store file that lacks a key with one line naming the file and the key.
 """
 
 import numpy as np
 import pytest
 
+from repro import open_store
+from repro.cli import main
 from repro.cluster import Router
 from repro.csr.builder import build_csr_serial
 from repro.csr.packed import BitPackedCSR
@@ -214,3 +217,36 @@ class TestLoadStore:
         bogus.write_text("nope")
         with pytest.raises(ReproError):
             load_store(bogus)
+
+    @staticmethod
+    def _without(edges, tmp_path, kind, opts, key):
+        """A saved *kind* store file with *key* dropped."""
+        src, dst, n = edges
+        path = tmp_path / f"{kind}.npz"
+        open_store(kind, src, dst, n, **opts).save(path)
+        with np.load(path) as data:
+            assert key in data.files
+            payload = {k: data[k] for k in data.files if k != key}
+        np.savez(path, **payload)
+        return path
+
+    @pytest.mark.parametrize("kind,opts,key", [
+        ("sharded", {"shards": 2, "inner": "packed"}, "num_shards"),
+        ("compact", {}, "offsets"),
+        ("reordered", {"inner": "packed"}, "perm"),
+        ("lsm", {}, "mt_u"),
+    ])
+    def test_missing_key_is_one_line(self, edges, tmp_path, kind, opts, key):
+        path = self._without(edges, tmp_path, kind, opts, key)
+        with pytest.raises(ReproError) as info:
+            load_store(path)
+        message = str(info.value)
+        assert str(path) in message and f"'{key}'" in message
+        assert "\n" not in message
+
+    def test_missing_key_exits_2_on_the_cli(self, edges, tmp_path, capsys):
+        path = self._without(edges, tmp_path, "lsm", {}, "segment0_offsets")
+        assert main(["info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'segment0_offsets'" in err
+        assert err.count("\n") == 1

@@ -234,14 +234,3 @@ class TestLsmSegmentRouting:
         server = GraphQueryServer(lsm, config=ServerConfig(cache_elements=1024),
                                    clock=ManualClock())
         assert server._write_target is lsm
-
-    def test_multi_segment_store_serves(self, edges):
-        src, dst, n = edges
-        store = build_lsm_store(src, dst, n)
-        store.insert_edge(0, 33)
-        store.flush()
-        server = GraphQueryServer(store, config=ServerConfig(max_batch_size=1),
-                                   clock=ManualClock())
-        slot = server.submit(NeighborsRequest(node=0))
-        server.drain()
-        assert np.array_equal(slot.result(), store.neighbors(0))

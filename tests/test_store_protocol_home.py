@@ -106,9 +106,10 @@ def test_cluster_builds_shards_through_the_shard_builder():
 
 def test_lsm_rebuilds_a_row_as_a_set_only_across_segments():
     """A write splices one element into its sorted row and the delta is
-    merged by ``_apply_delta``'s bisection: under ``lsm/`` the whole-row
-    set operations survive only where several segments' rows are united."""
+    merged by ``_apply_delta``'s bisection; an LSM has one base, so no
+    rows are ever united: under ``lsm/`` no whole-row set operation
+    survives."""
     set_ops = {"union1d", "isin", "setdiff1d"}
     users = [(rel, name) for rel, _, name, node in STORE_DEFS
              if rel.startswith("lsm/") and set_ops & _calls(node)]
-    assert users == [("lsm/store.py", "_base_row")]
+    assert users == []
