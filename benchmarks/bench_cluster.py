@@ -14,7 +14,11 @@ host):
   server over the same store and workload;
 * **pinned virtual figures** — the seeded 1x1 / 2x1 / 4x2 runs' qps and
   p99 are simulated time, so they equal the recorded baseline exactly
-  (``domain: virtual``) until a change claims them.
+  (``domain: virtual``) until a change claims them;
+* **edge-lane keyed elements** — the payload elements the edge kernel
+  keys over the seeded 4x2 schedule, exact per seed (``domain:
+  count``): a sub-batch of at most ``_SMALL_CHUNK`` probes searches
+  each probe's own row and keys none.
 
 The baseline is recorded in ``BENCH_cluster.json`` under
 ``BENCH_WRITE_BASELINE=1``.
@@ -30,6 +34,7 @@ import pytest
 from repro.analysis.serving import render_cluster_report, render_load_result
 from repro.analysis.tables import render_table
 from repro.csr.builder import ensure_sorted
+from repro.query import edges as edge_kernel
 from repro.serve import (
     DONE,
     SLO,
@@ -199,6 +204,36 @@ def test_virtual_figures_pinned(scaling_runs):
         for name, value in entry.items():
             assert recorded[layout][name]["domain"] == "virtual"
             assert value == recorded[layout][name]["value"], (layout, name)
+
+
+def test_edge_lane_keyed_elements_pinned(graph, monkeypatch):
+    """Exact gate (domain "count"): payload elements the edge kernel
+    copies into its keyed ``searchsorted`` array over the seeded 4x2
+    schedule.  The router's sub-batches hold a few probes each, which
+    search their own rows; only the larger ones key their fetched rows."""
+    keyed, searchable = [], edge_kernel._searchable
+
+    def counting(*args):
+        out = searchable(*args)
+        keyed.append(int(out[1].sum()))  # each row's length in the payload
+        return out
+
+    monkeypatch.setattr(edge_kernel, "_searchable", counting)
+    _, result = _run(_config(graph, workers=4, replicas=2),
+                     slo=SLO(p99_ms=SLO_P99_MS))
+    assert result.completed == N_REQUESTS
+    value = sum(keyed)
+    if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
+        baseline_section(BASELINE_PATH, {"edge_lane": {"keyed_elements_4x2": {
+            "value": value, "gate": f"== {value!r} (exact)", "domain": "count"}}})
+    report(
+        "Edge lane, keyed payload elements (exact, domain: count)",
+        render_table(["layout", "keyed chunks", "keyed elements"],
+                     [["4x2", str(len(keyed)), str(value)]]),
+    )
+    recorded = json.loads(BASELINE_PATH.read_text())["edge_lane"]["keyed_elements_4x2"]
+    assert recorded["domain"] == "count"
+    assert value == recorded["value"]
 
 
 def test_hedging_cuts_tail_latency(graph):

@@ -13,6 +13,7 @@ import pytest
 from repro.bitpack import fixed
 from repro.csr.builder import ensure_sorted
 from repro.parallel import SerialExecutor, SimulatedMachine, ThreadExecutor
+from repro.query import edges as edge_kernel
 
 EXECUTOR_SPECS = [
     ("serial", lambda: SerialExecutor()),
@@ -62,6 +63,16 @@ def run_regime(request, monkeypatch):
     (``_RUN_MIN_FIELDS`` = infinity); yields the regime's name."""
     limit = 0 if request.param == "strided" else float("inf")
     monkeypatch.setattr(fixed, "_RUN_MIN_FIELDS", limit)
+    return request.param
+
+
+@pytest.fixture(params=["each", "keyed"])
+def chunk_regime(request, monkeypatch):
+    """Force every edge-kernel chunk through the per-probe search
+    (``_SMALL_CHUNK`` = infinity) or through the keyed payload
+    (``_SMALL_CHUNK`` = 0); yields the regime's name."""
+    limit = float("inf") if request.param == "each" else 0
+    monkeypatch.setattr(edge_kernel, "_SMALL_CHUNK", limit)
     return request.param
 
 
