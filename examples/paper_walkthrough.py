@@ -56,7 +56,7 @@ assert deg.tolist() == np.bincount(sources, minlength=6).tolist()
 # ---------------------------------------------------------------- Figure 4
 print("\n== Figure 4: a graph evolving over 4 time-frames ==")
 # frame 0: edges (0,1), (1,2); frame 1: +(2,3); frame 2: -(0,1); frame 3: +(0,1)
-events = EventList.from_unsorted(
+events = EventList.from_triplets(
     [0, 1, 2, 0, 0], [1, 2, 3, 1, 1], [0, 0, 1, 2, 3], 4
 )
 tcsr = build_tcsr(events)
@@ -79,6 +79,7 @@ print("\n== Where simulated time goes (pipeline on 100k random edges) ==")
 rng = np.random.default_rng(0)
 src = np.sort(rng.integers(0, 10_000, 100_000))
 dst = rng.integers(0, 10_000, 100_000)
+dst = dst[np.lexsort((dst, src))]  # rows sorted too: the builders' input order
 machine = SimulatedMachine(16)
 machine.tracer = Tracer()  # no span is open: every phase is a root span
 build_bitpacked_csr(src, dst, 10_000, machine)

@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated processor count (default 1)")
     build.add_argument("--gap", action="store_true", help="gap-encode rows")
     build.add_argument("--no-sort", action="store_true",
-                       help="input is already sorted by source")
+                       help="input is already sorted by (source, destination)")
     build.add_argument("--format", choices=["npz", "disk"], default="npz",
                        help="npz: in-memory packed CSR file; disk: "
                        "memory-mapped store directory (built out of core "
@@ -373,8 +373,7 @@ def _cmd_build(args) -> int:
         # out of core: the edge file is streamed in chunk passes and
         # the graph never materialises in memory
         store = build_disk_store(
-            args.input, args.output, sort=not args.no_sort,
-            gap_encode=args.gap, codecs=args.codec,
+            args.input, args.output, gap_encode=args.gap, codecs=args.codec,
             chunk_edges=args.chunk_edges, executor=machine,
             **_segment_opts(args),
         )

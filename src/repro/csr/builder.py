@@ -10,9 +10,13 @@ Pipeline, each stage on the supplied executor:
    into the output (the parallel write-out the paper performs when
    materialising the CSR).
 
-``ensure_sorted`` (home: :mod:`repro.parallel.sort`) provides the
-pre-sort the paper assumes of its datasets ("we assume that the
-datasets are sorted"), so callers with raw edge lists can opt in.
+The input is the paper's: an edge list sorted by (source, destination)
+("we assume that the datasets are sorted"), so every row of the CSR is
+sorted by construction.  Both builders refuse any other order with one
+:class:`~repro.errors.NotSortedError` line (the check is
+:func:`~repro.parallel.sort.edges_sorted`, uncharged); ``sort=True``
+sorts a raw edge list first, and ``ensure_sorted`` (same home) does so
+outside a builder.
 """
 
 from __future__ import annotations
@@ -26,12 +30,14 @@ from ..parallel.chunking import chunk_bounds
 from ..parallel.cost import Cost
 from ..parallel.machine import Executor, SerialExecutor, TaskContext
 from ..parallel.scan import exclusive_from_inclusive, prefix_sum_parallel
-from ..parallel.sort import ensure_sorted, sort_edges
-from ..utils import is_sorted, min_uint_dtype, require
+from ..parallel.sort import edges_sorted, ensure_sorted, sort_edges
+from ..utils import min_uint_dtype, require
 from .degree import degree_parallel
 from .graph import CSRGraph
 
 __all__ = ["build_csr", "build_csr_serial", "ensure_sorted", "check_edge_list"]
+
+_NOT_SORTED = "edge list must be sorted by (source, destination) (pass sort=True to sort)"
 
 
 def check_edge_list(sources, destinations, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,8 +77,8 @@ def build_csr(
     Parameters
     ----------
     sources, destinations:
-        Edge arrays.  Must be sorted by source (the paper's input
-        contract) unless ``sort=True``.
+        Edge arrays.  Must be sorted by (source, destination) — the
+        paper's input contract — unless ``sort=True``.
     n:
         Number of nodes.
     executor:
@@ -106,10 +112,8 @@ def build_csr(
 
     if sort:
         src, dst, vals = sort_edges(src, dst, vals, executor)
-    elif validate and not is_sorted(src):
-        raise NotSortedError(
-            "edge list must be sorted by source (pass sort=True to sort)"
-        )
+    elif validate and not edges_sorted(src, dst):
+        raise NotSortedError(_NOT_SORTED)
 
     # Stage 1 — parallel degree (Algorithms 2 + 3).
     deg = degree_parallel(src, n, executor, check_sorted=False)
@@ -151,8 +155,8 @@ def build_csr_serial(sources, destinations, n: int, *, sort: bool = False) -> CS
     src, dst = check_edge_list(sources, destinations, n)
     if sort:
         src, dst = ensure_sorted(src, dst)
-    elif not is_sorted(src):
-        raise NotSortedError("edge list must be sorted by source")
+    elif not edges_sorted(src, dst):
+        raise NotSortedError(_NOT_SORTED)
     deg = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])

@@ -4,7 +4,8 @@
 ``iA`` (``indptr``, length ``n + 1``) and a column array ``jA``
 (``indices``, length ``m``), plus an optional value array ``vA`` for
 weighted graphs ("if the graph is unweighted, we ignore the third
-array").  Rows are kept sorted so edge existence is a binary search.
+array").  Every row is sorted — the builders and the validating
+constructor refuse anything else — so edge existence is a binary search.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import QueryError, ValidationError
+from ..errors import NotSortedError, QueryError, ValidationError
+from ..parallel.sort import edges_sorted
 from ..query.stores import BaseStore
 from ..utils import human_bytes, min_uint_dtype, require
 
@@ -52,7 +54,8 @@ class CSRGraph(BaseStore):
         and ``indptr[n] == m``.
     indices:
         Column (destination) ids, length ``m``; each row's slice must be
-        sorted for :meth:`has_edge` to use binary search.
+        non-decreasing (the store invariant :meth:`has_edge` bisects
+        under), or validation raises :class:`~repro.errors.NotSortedError`.
     values:
         Optional edge weights (``vA``), length ``m``.
     validate:
@@ -100,6 +103,9 @@ class CSRGraph(BaseStore):
                 )
         if vals is not None and vals.shape[0] != idx.shape[0]:
             raise ValidationError("values must align with indices")
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(iptr))
+        if not edges_sorted(rows, idx):
+            raise NotSortedError("CSR rows must be sorted: indices decrease within a row")
 
     # ------------------------------------------------------------------
     @property
@@ -163,17 +169,6 @@ class CSRGraph(BaseStore):
             raise QueryError("graph is unweighted")
         self._check_node(u)
         return self.values[self.indptr[u] : self.indptr[u + 1]]
-
-    def rows_sorted(self) -> bool:
-        """True when every row's neighbour slice is non-decreasing."""
-        idx, iptr = self.indices, self.indptr
-        if idx.shape[0] < 2:
-            return True
-        decreasing = idx[1:] < idx[:-1]
-        row_starts = iptr[1:-1]
-        mask = np.ones(idx.shape[0] - 1, dtype=bool)
-        mask[row_starts[(row_starts > 0) & (row_starts < idx.shape[0])] - 1] = False
-        return not bool(np.any(decreasing & mask))
 
     # ------------------------------------------------------------------
     def edges(self) -> tuple[np.ndarray, np.ndarray]:

@@ -375,7 +375,6 @@ def build_disk_store(
     path,
     *,
     num_nodes: int | None = None,
-    sort: bool = True,
     gap_encode: bool = False,
     codecs=None,
     chunk_edges: int = 1 << 20,
@@ -390,20 +389,17 @@ def build_disk_store(
     array; the offsets come from the paper's chunked parallel prefix sum
     (Algorithm 1) on *executor*; a chunked scatter pass places
     destinations into an uncompressed temporary memmap via per-node
-    write cursors (stable, so ``sort=False`` keeps edge-file order
-    within each row exactly as :func:`~repro.csr.build_csr` does);
-    finally each column segment is loaded, its rows sorted
-    (``sort=True``: :func:`~repro.parallel.sort.sort_within_rows`,
-    required for ``has_edge`` and gap encoding), optionally
-    gap-transformed, packed, and written.  Peak working memory is
-    O(chunk + segment + n); every file and CRC equals the in-memory
-    pipeline's (``ensure_sorted`` → :func:`~repro.csr.build_bitpacked_csr`
-    → :func:`write_disk_store`).  Returns the opened :class:`DiskStore`.
+    write cursors; finally each column segment is loaded, its rows
+    sorted (:func:`~repro.parallel.sort.sort_within_rows` — every
+    store's rows are sorted), optionally gap-transformed, packed, and
+    written.  Peak working memory is O(chunk + segment + n); every file
+    and CRC equals the in-memory pipeline's (``ensure_sorted`` →
+    :func:`~repro.csr.build_bitpacked_csr` → :func:`write_disk_store`).
+    Returns the opened :class:`DiskStore`.
 
     With *codecs* each column segment is gap-transformed and stored
     under the smallest measured candidate (format v2) — still fully out
-    of core, since codec selection is a per-segment operation.  Sorting
-    is required in that mode (the gap transform needs sorted rows).
+    of core, since codec selection is a per-segment operation.
     """
     executor = executor or SerialExecutor()
     if chunk_edges <= 0:
@@ -411,10 +407,6 @@ def build_disk_store(
     if segment_bytes <= 0:
         raise ValidationError("segment_bytes must be positive")
     candidates = resolve_codecs(codecs) if codecs is not None else None
-    if candidates is not None and not sort:
-        raise ValidationError(
-            "adaptive codecs require sort=True (the gap transform needs sorted rows)"
-        )
     edge_path = Path(edge_path)
     m, _ = binary_edge_list_info(edge_path)
     directory = _prepare_directory(path)
@@ -465,40 +457,37 @@ def build_disk_store(
         tmp[cursors[ssrc] + ranks] = sdst
         cursors[uniq] += counts
 
-    def tmp_fields(sort_rows: bool):
-        def fields_of(f0, f1, local_indptr):
-            vals = np.array(tmp[f0:f1], dtype=np.uint64)
-            return sort_within_rows(local_indptr, vals) if sort_rows else vals
+    def stored_fields(f0, f1, local_indptr):
+        return np.array(tmp[f0:f1], dtype=np.uint64)
 
-        return fields_of
+    def sorted_fields(f0, f1, local_indptr):
+        return sort_within_rows(local_indptr, stored_fields(f0, f1, local_indptr))
 
     # Column width.  Gap mode needs the global maximum gap, which only
     # exists after per-row sorting — one extra segment-bounded pass that
     # sorts each row in place (in the temporary) and records the max.
+    fields_of = sorted_fields
     if candidates is not None:
         # adaptive mode: widths are per-segment, no global pass needed
         column_width = bits_for_count(n)
-        sort_in_pack = True
     elif gap_encode:
         max_gap = 0
         for _, _, f0, local_indptr, vals in row_segments(
-            indptr, tmp_fields(sort), bits_for_count(n), segment_bytes
+            indptr, sorted_fields, bits_for_count(n), segment_bytes
         ):
-            if sort:
-                tmp[f0 : f0 + vals.shape[0]] = vals
+            tmp[f0 : f0 + vals.shape[0]] = vals
             max_gap = max(max_gap, int(row_gaps(local_indptr, vals).max()))
         column_width = bits_for_value(max_gap) if m else 1
-        sort_in_pack = False  # rows already sorted in the temporary
+        fields_of = stored_fields  # rows already sorted in the temporary
     else:
         column_width = bits_for_count(n)
-        sort_in_pack = sort
 
     # Pass 3 — segment, (sort,) transform, pack, write.
     offset_segments = _write_offset_segments(
         directory, indptr, offset_width, segment_bytes
     )
     column_segments = _write_columns(
-        directory, indptr, tmp_fields(sort_in_pack), column_width, segment_bytes,
+        directory, indptr, fields_of, column_width, segment_bytes,
         candidates, gap_transform=gap_encode,
     )
     del tmp  # release the mapping before unlinking the file

@@ -35,9 +35,9 @@ class NotSortedError(ValidationError):
     """An operation requiring sorted input received unsorted data.
 
     The paper's construction algorithms (Sections III and IV) assume the
-    edge list is sorted by source node (and, for time-evolving graphs,
-    by time-frame first).  Builders raise this instead of silently
-    producing a corrupt CSR.
+    edge list is sorted by (source, destination) (and, for time-evolving
+    graphs, by time-frame first).  Builders raise this instead of
+    silently producing a CSR with an unsorted row.
     """
 
 

@@ -10,6 +10,9 @@ points here — :func:`ensure_sorted`, :func:`sort_edges`,
 ``bit_length(max hi) + bit_length(max lo) <= 63`` and all ids are
 non-negative integers; wider ids fall back to the one ``np.lexsort``
 in :func:`sort_edges` — a representability rule, not an option.
+The order *check* lives here too: :func:`edges_sorted` is the one
+predicate every builder refuses an unsorted edge list with, so every
+store's rows are non-decreasing by construction.
 
 On an executor the sort is the classic three-phase BSP sample sort —
 parallel local sorts, serial O(p²) splitter selection from regular
@@ -30,7 +33,13 @@ from .chunking import chunk_bounds
 from .cost import Cost
 from .machine import Executor, SerialExecutor, TaskContext
 
-__all__ = ["parallel_sort", "ensure_sorted", "sort_edges", "sort_within_rows"]
+__all__ = [
+    "parallel_sort",
+    "edges_sorted",
+    "ensure_sorted",
+    "sort_edges",
+    "sort_within_rows",
+]
 
 
 def parallel_sort(values: np.ndarray, executor: Executor | None = None) -> np.ndarray:
@@ -151,16 +160,28 @@ def _fuse(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, int] | None:
     return key, bits
 
 
+def edges_sorted(sources, destinations) -> bool:
+    """Whether an edge list is in (source, destination) order — sources
+    non-decreasing, and destinations non-decreasing within each source.
+
+    The one order check of the stack, O(m) and uncharged: every builder
+    refuses an edge list it rejects (so every stored row is sorted), and
+    :func:`ensure_sorted` skips its sort on one it accepts.
+    """
+    src, dst = np.asarray(sources), np.asarray(destinations)
+    return is_sorted(src) and not np.any((src[1:] == src[:-1]) & (dst[1:] < dst[:-1]))
+
+
 def ensure_sorted(sources, destinations) -> tuple[np.ndarray, np.ndarray]:
     """Sort an edge list by (source, destination); no-op when sorted.
 
     The builders' input contract: sorted input comes back as the same
-    array objects after an O(m) check, anything else as fresh arrays of
-    the same dtypes: ``src[o], dst[o]`` for ``o = np.lexsort((dst, src))``.
+    array objects after the O(m) :func:`edges_sorted` check, anything
+    else as fresh arrays of the same dtypes: ``src[o], dst[o]`` for
+    ``o = np.lexsort((dst, src))``.
     """
     src, dst = np.asarray(sources), np.asarray(destinations)
-    # rows must be sorted too, for binary-search queries
-    if is_sorted(src) and not np.any((src[1:] == src[:-1]) & (dst[1:] < dst[:-1])):
+    if edges_sorted(src, dst):
         return src, dst
     return sort_edges(src, dst)[:2]
 

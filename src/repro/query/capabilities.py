@@ -52,8 +52,8 @@ class StoreCapabilities:
         traffic only to stores declaring this.
     resident_rows:
         The store keeps decoded rows resident and hands a batch over
-        zero-copy, as those arrays — ``neighbor_rows(unodes) -> (rows,
-        all_sorted)`` (:class:`~repro.query.rowcache.RowCache`).
+        zero-copy, as those arrays — ``neighbor_rows(unodes) -> rows``
+        (:class:`~repro.query.rowcache.RowCache`).
     """
 
     has_native_batch: bool

@@ -47,36 +47,14 @@ _IN_PLACE_MIN = 512
 #: measured crossover (EXPERIMENTS.md).
 _SMALL_CHUNK = 16
 
-#: Elements compared per step of a row's order check, so checking a hub
-#: row allocates a small fraction of it.
-_ORDER_BLOCK = 1 << 13
 
-
-def _is_sorted(row: np.ndarray) -> bool:
-    """Whether *row* is non-decreasing, compared block by block."""
-    last = row.shape[0] - 1
-    for a in range(0, last, _ORDER_BLOCK):
-        b = min(a + _ORDER_BLOCK, last)
-        if np.count_nonzero(np.less(row[a + 1 : b + 1], row[a:b])):
-            return False
-    return True
-
-
-def _membership(
-    row: np.ndarray, v: int, method: Method, ordered: bool | None = None
-) -> tuple[bool, int]:
-    """(present, elements inspected) under the chosen search method.
-
-    "scan" walks the row to the first hit; "bisect" charges the
-    binary-search step bound — on a sorted row.  An unsorted row (legal:
-    ``build_csr`` only enforces source order) is scanned under either
-    method and charged its scan steps, since a binary search there can
-    miss a present value.  *ordered* is the row's order when the caller
-    already knows it (``None``: checked here, for "bisect" only).
-    """
+def _membership(row: np.ndarray, v: int, method: Method) -> tuple[bool, int]:
+    """(present, elements inspected) in a (sorted) row under the chosen
+    search method: "scan" walks the row to the first hit; "bisect"
+    charges the binary-search step bound."""
     if method not in _METHODS:
         raise ValidationError(f"unknown search method {method!r}")
-    if method == "bisect" and (ordered if ordered is not None else _is_sorted(row)):
+    if method == "bisect":
         pos = int(np.searchsorted(row, v))
         steps = max(1, int(np.ceil(np.log2(row.shape[0] + 1))))
         return pos < row.shape[0] and int(row[pos]) == v, steps
@@ -86,24 +64,31 @@ def _membership(
     return False, row.shape[0]
 
 
-def _searchable(rows, extra, uidx):
+def _row_getter(rows, offsets):
+    """Row *j* of a fetch: a slice of a decode buffer ``(flat, offsets)``
+    or a ``resident_rows`` store's own array (``offsets`` is ``None``)."""
+    if offsets is None:
+        return rows.__getitem__
+    return lambda j: rows[offsets[j] : offsets[j + 1]]
+
+
+def _searchable(rows, offsets, uidx):
     """What the search of queries *uidx* (row index per query) needs of
     a fetch: each row's length, its length in the keyed payload (0: it
-    stays out; the same array when none does), that payload, a row
-    getter, and whether every row is sorted (``None``: not known yet).
-    A decode buffer ``(flat, offsets)``, every element already paid
-    for, is the payload as it stands; of a ``resident_rows`` store's
-    ``(rows, all_sorted)`` only rows cheaper to copy than to search
-    once per query are joined."""
-    if isinstance(rows, np.ndarray):
-        counts = np.diff(extra)
-        return counts, counts, rows, lambda j: rows[extra[j] : extra[j + 1]], None
+    stays out; the same array when none does), that payload, and a row
+    getter.  A decode buffer ``(flat, offsets)``, every element already
+    paid for, is the payload as it stands; of a ``resident_rows``
+    store's rows only those cheaper to copy than to search once per
+    query are joined."""
+    if offsets is not None:
+        counts = np.diff(offsets)
+        return counts, counts, rows, _row_getter(rows, offsets)
     counts = np.fromiter(map(len, rows), np.int64, len(rows))
     wanted = np.bincount(uidx, minlength=counts.shape[0])
     lens = np.where(counts < _IN_PLACE_MIN * wanted, counts, 0)
     parts = [rows[j] for j in np.flatnonzero(lens).tolist()]
     short = np.concatenate(parts) if parts else lens[:0]
-    return counts, lens, short, rows.__getitem__, extra
+    return counts, lens, short, rows.__getitem__
 
 
 def batch_edge_existence(
@@ -120,39 +105,34 @@ def batch_edge_existence(
     array in query order.
 
     Each chunk fetches the rows of its *distinct* sources once and
-    answers every query inside its source's row, in one of four regimes:
+    answers every query inside its source's row — every store's rows
+    are sorted by construction — in one of three regimes:
 
     * **A few probes** (at most ``_SMALL_CHUNK``, the cluster router's
       sub-batches): one ``searchsorted`` per probe in its own row, which
       may be a slice of a :func:`neighbors_batch` decode buffer or a
-      ``resident_rows`` store's own array.  Each distinct searched row
-      of a decode buffer is checked for order once; of resident rows the
-      store's ``all_sorted`` word decides.  No keyed copy is built, so a
+      ``resident_rows`` store's own array.  No keyed copy is built, so a
       probe into a hub row costs a search, not a pass over the row.
     * **More probes: one keyed payload.**  The decode buffer, or the
       short rows of a ``resident_rows`` store joined (see
       :func:`_searchable`), is resolved by one ``searchsorted`` over all
       the chunk's probes: row *j* shifted by ``j * n`` keeps the payload
-      sorted, and a decode buffer's is checked for order in one pass.
+      sorted.
     * **Long resident rows, searched in place**: a resident row of at
       least ``_IN_PLACE_MIN`` elements per probe on it is left out of the
       keyed payload and binary-searched where it lies, so a chunk of
       cache hits costs its queries, not the elements of its hub rows.
-    * **Unsorted rows, scanned**: they are legal (``build_csr`` only
-      enforces source order), and a chunk holding one answers every
-      probe through the scalar :func:`_membership`, which scans such a
-      row under either method.
 
     Results and cost charges match the per-query scalar path exactly in
     every regime — every query is still billed its own row decode,
     "scan" still counts elements up to the first hit, "bisect" the
-    binary-search step bound (the scan steps on an unsorted row).
+    binary-search step bound.
 
     **Prefetched rows.**  *rows* is what
     :func:`~repro.query.neighbors.batch_neighbors` hands back for its
     ``prefetch`` — ``(sources, flat, offsets)``, or ``(sources, rows,
-    all_sorted)`` from a ``resident_rows`` store: rows of this store,
-    already fetched, for strictly increasing *sources*.  A chunk whose
+    None)`` from a ``resident_rows`` store: rows of this store, already
+    fetched, for strictly increasing *sources*.  A chunk whose
     every source is among them searches those rows and reads no store;
     any other chunk fetches its own distinct sources as if no rows were
     given (in the serve loop the prefix covers every source, so
@@ -180,7 +160,8 @@ def batch_edge_existence(
         if (
             sources.ndim != 1
             or not bool(np.all(sources[1:] > sources[:-1]))
-            or (not flat_form and len(held) != sources.shape[0])
+            or (not flat_form and (extra is not None
+                                   or len(held) != sources.shape[0]))
             or (flat_form and (extra.shape != (sources.shape[0] + 1,)
                                or int(extra[-1]) != held.shape[0]))
         ):
@@ -199,10 +180,11 @@ def batch_edge_existence(
         slot = dict(zip(sources.tolist(), range(sources.shape[0])))
 
     def fetch(uniq):
-        """The rows of distinct sources *uniq* from the store, and the
-        pages that read faulted in."""
+        """The rows of distinct sources *uniq* from the store — ``(flat,
+        offsets)`` or ``(rows, None)`` — and the pages that read faulted
+        in."""
         if caps.resident_rows:
-            fetched = store.neighbor_rows(uniq)
+            fetched = store.neighbor_rows(uniq), None
         else:
             fetched = neighbors_batch(store, uniq, caps)
         pages = float(store.take_page_touches()) if caps.counts_page_touches else 0.0
@@ -210,40 +192,30 @@ def batch_edge_existence(
 
     def probe_each(s, e):
         """A few-probe chunk: one ``searchsorted`` per probe in its own
-        row, and one order check per distinct searched row of a decode
-        buffer — no pass over the rows nobody searches."""
+        row — no pass over the rows nobody searches."""
         us = qs[s:e, 0].tolist()
         if slot is not None and all(u in slot for u in us):
-            (buf, aux), pages = (held, extra), 0.0
+            (buf, offsets), pages = (held, extra), 0.0
             uidx = [slot[u] for u in us]
         else:
             uniq = sorted(set(us))
             at = dict(zip(uniq, range(len(uniq))))
             uidx = [at[u] for u in us]
-            (buf, aux), pages = fetch(np.array(uniq, dtype=np.int64))
-        if isinstance(buf, np.ndarray):
-            searched = {j: buf[aux[j] : aux[j + 1]] for j in uidx}
-            ordered = all(map(_is_sorted, searched.values()))
-        else:
-            searched = {j: buf[j] for j in uidx}
-            ordered = aux
+            (buf, offsets), pages = fetch(np.array(uniq, dtype=np.int64))
+        row_at = _row_getter(buf, offsets)
         decoded = inspected = 0
         # probe values in the row dtype: a mixed-dtype search casts the row
         wanted = qs[s:e, 1].astype(caps.row_dtype)
         for i, j, v in zip(range(s, e), uidx, wanted):
-            row = searched[j]
+            row = row_at(j)
             size = row.shape[0]
             decoded += size
-            if not ordered:  # some searched row is unsorted: the scalar path
-                out[i], steps = _membership(row, v, method)
-            else:
-                at = int(row.searchsorted(v))
-                out[i] = found = at < size and row[at] == v
-                if method == "scan":
-                    steps = at + 1 if found else size
-                else:  # bisect: ceil(log2(size + 1)), at least 1
-                    steps = max(1, size.bit_length())
-            inspected += steps
+            at = int(row.searchsorted(v))
+            out[i] = found = at < size and row[at] == v
+            if method == "scan":
+                inspected += at + 1 if found else size
+            else:  # bisect: ceil(log2(size + 1)), at least 1
+                inspected += max(1, size.bit_length())
         return row_decode_cost(store, decoded, caps), inspected, pages
 
     def probe_keyed(s, e):
@@ -259,27 +231,15 @@ def batch_edge_existence(
         else:
             uniq, uidx = np.unique(us, return_inverse=True)
             fetched, pages = fetch(uniq)
-        counts_u, lens, short, row_at, all_sorted = _searchable(*fetched, uidx)
+        counts_u, lens, short, row_at = _searchable(*fetched, uidx)
         counts_q = counts_u[uidx]
         # billed as if each query decoded its own row, like the
         # scalar path — the dedup is a wall-clock win only
         decode_units = row_decode_cost(store, int(counts_q.sum()), caps)
-        # disjoint per-row key ranges keep the payload sorted —
-        # provided each row is (a decode buffer's are checked here)
+        # disjoint per-row key ranges keep the sorted rows' payload sorted
         keyed = short.astype(np.int64) + np.repeat(
             np.arange(lens.shape[0]) * n, lens
         )
-        if all_sorted is None:
-            all_sorted = not bool(np.any(keyed[1:] < keyed[:-1]))
-        if not all_sorted:
-            # some row is internally unsorted: a binary search would
-            # be wrong, so answer each query with the scalar
-            # membership over the rows already fetched above
-            inspected = 0
-            for i, j in enumerate(uidx.tolist()):
-                out[s + i], steps_i = _membership(row_at(j), int(vs[i]), method)
-                inspected += steps_i
-            return decode_units, inspected, pages
         keys = vs + uidx * n
         pos = np.searchsorted(keyed, keys, side="left")
         if keyed.size:
@@ -334,10 +294,8 @@ def single_edge_exists(
 ) -> bool:
     """Algorithm 8: split u's neighbour row across processors.
 
-    The row is extracted once (serial, charged) and, for "bisect",
-    checked for order once; then each processor searches its own slice
-    — an unsorted row's slices linearly (see :func:`_membership`); any
-    hit wins.
+    The row is extracted once (serial, charged); then each processor
+    searches its own slice of it (see :func:`_membership`); any hit wins.
     """
     executor = executor or SerialExecutor()
     n = store.num_nodes
@@ -354,9 +312,9 @@ def single_edge_exists(
                 page_touches=pages,
             )
         )
-        return row, method == "bisect" and _is_sorted(row)
+        return row
 
-    row, ordered = executor.serial(extract, label="query:single-extract")
+    row = executor.serial(extract, label="query:single-extract")
     bounds = chunk_bounds(row.shape[0], executor.p)
     found = np.zeros(executor.p, dtype=bool)
 
@@ -364,7 +322,7 @@ def single_edge_exists(
         s, e = int(bounds[cid]), int(bounds[cid + 1])
         if e <= s:
             return
-        present, steps = _membership(row[s:e], v, method, ordered)
+        present, steps = _membership(row[s:e], v, method)
         found[cid] = present
         ctx.charge(Cost(reads=steps, flops=steps))
 

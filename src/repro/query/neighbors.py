@@ -50,11 +50,11 @@ def batch_neighbors(
     are then the prefix of the fetch, handed back zero-copy for
     :func:`~repro.query.edges.batch_edge_existence` (``rows=``) as
     ``(sources, flat, offsets)`` — or, from a ``resident_rows`` store,
-    ``(sources, rows, all_sorted)``: its own arrays and its word on
-    their sortedness.  A query that repeats a prefetched node is not
-    fetched twice — its reply is the prefix row.  With ``prefetch`` the
-    return value is ``(rows, fetched)``; without it just ``rows``, and
-    the fetch is exactly the per-chunk read of the query keys.
+    ``(sources, rows, None)``: its own arrays.  A query that repeats a
+    prefetched node is not fetched twice — its reply is the prefix row.
+    With ``prefetch`` the return value is ``(rows, fetched)``; without
+    it just ``rows``, and the fetch is exactly the per-chunk read of the
+    query keys.
 
     **What is charged where.**  Every chunk is billed its own queries —
     one read and one write per query plus the degree-linear decode of
@@ -120,8 +120,8 @@ def batch_neighbors(
         if keys.size:
             k = lead.size if row_of is not None else 0
             if caps.resident_rows:
-                rows, all_sorted = store.neighbor_rows(keys)
-                prefix = (lead, rows[:k], all_sorted)
+                rows = store.neighbor_rows(keys)
+                prefix = (lead, rows[:k], None)
             else:
                 flat, offs = neighbors_batch(store, keys, caps)
                 cuts = offs.tolist()

@@ -70,7 +70,6 @@ class RowCache(WrapperStore):
         rows are owned **read-only** copies: none pins the decode buffer
         it was sliced from, lookups hand out the resident array itself,
         and a write into a reply raises instead of corrupting the cache.
-        Sortedness is established once per residency, at insert.
 
     Admission: a missed row that fits without evicting anything is
     admitted, as is one asked for before in the current *window*.  Any
@@ -94,7 +93,6 @@ class RowCache(WrapperStore):
         "_rows",
         "_elements",
         "_charged",
-        "_unsorted",
         "_empty",
         "_asked",
         "_window",
@@ -117,7 +115,6 @@ class RowCache(WrapperStore):
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._elements = 0
         self._charged = 0  # _elements plus one per resident empty row
-        self._unsorted: set[int] = set()  # resident, internally unsorted
         self._empty = np.zeros(0, dtype=self.row_dtype)
         self._empty.setflags(write=False)
         # one byte per node: asked for once in the current window
@@ -145,14 +142,13 @@ class RowCache(WrapperStore):
     def neighbors(self, u: int) -> np.ndarray:
         """Row of *u*: a one-key :meth:`neighbor_rows`, under the same
         admission rule."""
-        return self.neighbor_rows((u,))[0][0]
+        return self.neighbor_rows((u,))[0]
 
-    def neighbor_rows(self, unodes) -> tuple[list[np.ndarray], bool]:
+    def neighbor_rows(self, unodes) -> list[np.ndarray]:
         """Bulk row fetch, zero-copy: one array per key — a hit's is the
         resident row itself; misses are decoded through the wrapped
         store's own batch path (once per distinct node) and admitted or
-        served as read-only views of the decode buffer — plus whether
-        every one of them is internally sorted."""
+        served as read-only views of the decode buffer."""
         keys = self._key_array(unodes).tolist()
         rows: list[np.ndarray | None] = [None] * len(keys)
         missing: dict[int, list[int]] = {}
@@ -164,7 +160,6 @@ class RowCache(WrapperStore):
                 touch(u)
             else:
                 missing.setdefault(u, []).append(i)
-        all_sorted = not self._unsorted or self._unsorted.isdisjoint(keys)
         missed = 0
         if missing:
             # the wrapped store gets the distinct misses in increasing
@@ -175,14 +170,6 @@ class RowCache(WrapperStore):
             self._check_range(ids[0], ids[-1])
             flat, offs = _store_batch(self.store, np.array(ids, dtype=np.int64),
                                       self._store_caps)
-            # one pass over the decode buffer finds the unsorted rows:
-            # an element below its predecessor that is not a row's first
-            drop = np.zeros(flat.shape[0] + 1, dtype=bool)
-            np.less(flat[1:], flat[:-1], out=drop[1:-1])
-            drop[offs] = False
-            at = np.searchsorted(offs, np.flatnonzero(drop), side="right")
-            bad = set((at - 1).tolist())
-            all_sorted = all_sorted and not bad
             # a refused row is a view of this buffer: read-only, like a hit
             flat = flat.view()
             flat.setflags(write=False)
@@ -195,7 +182,7 @@ class RowCache(WrapperStore):
                 charge = row.shape[0] or 1  # an empty row costs one
                 if charge <= capacity and (self._charged + charge <= capacity
                                            or asked[u]):
-                    row = self._insert(u, row, k in bad)
+                    row = self._insert(u, row)
                 else:
                     self.refused += len(where)
                     if charge <= capacity:
@@ -210,11 +197,11 @@ class RowCache(WrapperStore):
                 missed += len(where)
         self.hits += len(keys) - missed
         self.misses += missed
-        return rows, all_sorted
+        return rows
 
     def neighbors_batch(self, unodes) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`neighbor_rows` joined into one ``(flat, offsets)`` payload."""
-        return join_rows(self.neighbor_rows(unodes)[0], self.row_dtype)
+        return join_rows(self.neighbor_rows(unodes), self.row_dtype)
 
     def memory_bytes(self) -> int:
         """Wrapped payload, resident cached rows and the admission marks."""
@@ -226,42 +213,34 @@ class RowCache(WrapperStore):
         return (self.store,)
 
     # -- cache mechanics ------------------------------------------------
-    def _insert(self, u: int, row: np.ndarray, unsorted: bool | None = None):
+    def _insert(self, u: int, row: np.ndarray):
         """Make *row* resident, evicting from the LRU end until the
-        budget holds; returns the array now standing for *u*.
-        *unsorted* is the batch path's verdict from its one pass over
-        the decode buffer; a lone row is checked here."""
+        budget holds; returns the array now standing for *u*."""
         size = row.shape[0]
         if u in self._rows:
-            self._forget(u, self._rows.pop(u))
+            self._forget(self._rows.pop(u))
         if size == 0:
             row = self._empty
-        else:
-            if unsorted is None:
-                unsorted = bool(np.any(row[1:] < row[:-1]))
-            if unsorted:
-                self._unsorted.add(u)
-            if row.base is not None:
-                # a slice of a batch decode buffer (or of the CSR's whole
-                # indices array) would pin its backing allocation alive
-                # and break the element/byte accounting — own a copy
-                row = row.copy()
-            row.setflags(write=False)
+        elif row.base is not None:
+            # a slice of a batch decode buffer (or of the CSR's whole
+            # indices array) would pin its backing allocation alive
+            # and break the element/byte accounting — own a copy
+            row = row.copy()
+        row.setflags(write=False)
         self._rows[u] = row
         self._elements += size
         self._charged += size or 1
         while self._charged > self.capacity:
             old, gone = self._rows.popitem(last=False)
-            self._forget(old, gone)
+            self._forget(gone)
             self._asked[old] = False  # an evicted row starts over
             self.evictions += 1
         return row
 
-    def _forget(self, u: int, row: np.ndarray) -> None:
+    def _forget(self, row: np.ndarray) -> None:
         """Bookkeeping for a row that just left residency."""
         self._elements -= row.shape[0]
         self._charged -= row.shape[0] or 1
-        self._unsorted.discard(u)
 
     def invalidate(self, nodes) -> int:
         """Evict the cached rows of *nodes* (ids without a resident row
@@ -279,7 +258,7 @@ class RowCache(WrapperStore):
         for u in np.asarray(nodes, dtype=np.int64).ravel().tolist():
             row = self._rows.pop(u, None)
             if row is not None:
-                self._forget(u, row)
+                self._forget(row)
                 self._asked[u] = True
                 dropped += 1
         self.invalidations += dropped
@@ -301,7 +280,6 @@ class RowCache(WrapperStore):
     def clear(self) -> None:
         """Drop every cached row, forget every touch and zero the counters."""
         self._rows.clear()
-        self._unsorted.clear()
         self._asked.fill(False)
         self._elements = self._charged = self._window = 0
         self.hits = 0

@@ -42,6 +42,10 @@ __all__ = [
 class GraphStore(Protocol):
     """Minimal query surface of a graph store.
 
+    **Invariant:** every row is non-decreasing — every builder refuses
+    (or, with ``sort=True``, sorts) any other edge order — so the kernels
+    binary-search any row and never check order.
+
     For a :class:`BaseStore` subclass: **required** — the row-decode
     primitive ``_decode_rows(keys)``, four attributes (``num_nodes``,
     ``num_edges``, ``row_dtype``, ``memory_bytes()``) and its own

@@ -1,7 +1,7 @@
 """Building a :class:`~repro.shard.ShardedStore` from an edge list.
 
-The u-sorted edge list is split by the partitioner into per-shard edge
-lists (a stable grouping, so every shard's slice stays u-sorted), and
+The (u, v)-sorted edge list is split by the partitioner into per-shard
+edge lists (a stable grouping, so every shard's slice stays sorted), and
 each shard's sub-store is built with the **existing** builders of the
 requested inner kind via :func:`repro.open_store`.
 
@@ -23,8 +23,9 @@ import numpy as np
 from ..csr.builder import check_edge_list, ensure_sorted
 from ..errors import NotSortedError
 from ..parallel.machine import Executor, SimulatedMachine
+from ..parallel.sort import edges_sorted
 from ..query.rowcache import RowCache
-from ..utils import is_sorted, require
+from ..utils import require
 from .partition import make_partitioner
 from .store import ShardedStore
 
@@ -83,7 +84,7 @@ def build_sharded_store(
         other executor builds the shards one after another on itself.
     sort:
         Sort the edge list by (u, v) first; otherwise it must already
-        be u-sorted (the builders' usual contract).
+        be (u, v)-sorted (the builders' contract).
     cache_elements:
         When positive, wrap every shard in its own
         :class:`~repro.query.RowCache` of ``cache_elements // shards``
@@ -100,9 +101,9 @@ def build_sharded_store(
     src, dst = check_edge_list(sources, destinations, n)
     if sort:
         src, dst = ensure_sorted(src, dst)
-    elif not is_sorted(src):
+    elif not edges_sorted(src, dst):
         raise NotSortedError(
-            "edge list must be sorted by source (pass sort=True to sort)"
+            "edge list must be sorted by (source, destination) (pass sort=True to sort)"
         )
     part = make_partitioner(partitioner, shards, src, n)
     per_shard = shard_edge_list(src, dst, part)

@@ -128,7 +128,7 @@ class EventList:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_unsorted(cls, u, v, t, num_nodes: int) -> "EventList":
+    def from_triplets(cls, u, v, t, num_nodes: int) -> "EventList":
         """Sort raw triplets by (t, u, v) — the paper's assumed order."""
         uu = np.asarray(u, dtype=np.int64)
         vv = np.asarray(v, dtype=np.int64)

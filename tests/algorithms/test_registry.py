@@ -13,7 +13,7 @@ from repro.algorithms import (
     run,
 )
 from repro.algorithms import registry as registry_module
-from repro.csr.builder import build_csr_serial
+from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.errors import ValidationError
 
 
@@ -21,7 +21,7 @@ from repro.errors import ValidationError
 def store(rng):
     n, m = 40, 300
     src = np.sort(rng.integers(0, n, m))
-    return build_csr_serial(src, rng.integers(0, n, m), n)
+    return build_csr_serial(*ensure_sorted(src, rng.integers(0, n, m)), n)
 
 
 class TestRegistry:

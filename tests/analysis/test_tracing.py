@@ -130,6 +130,7 @@ class TestPinnedBreakdown:
         rng = np.random.default_rng(0)
         src = np.sort(rng.integers(0, 10_000, 100_000))
         dst = rng.integers(0, 10_000, 100_000)
+        src, dst = ensure_sorted(src, dst)
         machine = traced(SimulatedMachine(16))
         build_bitpacked_csr(src, dst, 10_000, machine)
         spans = machine.tracer.spans()

@@ -14,6 +14,7 @@ from repro.bitpack import fixed
 from repro.csr.builder import ensure_sorted
 from repro.parallel import SerialExecutor, SimulatedMachine, ThreadExecutor
 from repro.query import edges as edge_kernel
+from repro.query.stores import neighbors_batch
 
 EXECUTOR_SPECS = [
     ("serial", lambda: SerialExecutor()),
@@ -40,6 +41,15 @@ class CountingStore:
     def neighbors_batch(self, unodes):
         self.calls.append(np.asarray(unodes).copy())
         return self._inner.neighbors_batch(unodes)
+
+
+def rows_sorted(store) -> bool:
+    """Whether every row of *store* is non-decreasing — the invariant
+    every builder enforces.  A descent in the whole-graph read is legal
+    only where a row starts."""
+    flat, offsets = neighbors_batch(store, np.arange(store.num_nodes, dtype=np.int64))
+    descents = np.flatnonzero(flat[1:] < flat[:-1]) + 1
+    return bool(np.isin(descents, offsets).all())
 
 
 @pytest.fixture(params=EXECUTOR_SPECS, ids=[name for name, _ in EXECUTOR_SPECS])

@@ -147,3 +147,46 @@ class TestBuildCsrSerial:
     def test_unsorted_rejected(self):
         with pytest.raises(NotSortedError):
             build_csr_serial(np.array([1, 0]), np.array([0, 1]), 2)
+
+
+class TestRowOrder:
+    """Every store's rows are sorted by construction: a list sorted by
+    source but not within a row (ROADMAP item 1's fault-table case,
+    where a binary search answered ``has_edge(0, 3)`` wrong) is refused
+    by every builder and by the validating constructor, with one line."""
+
+    SRC, DST, N = [0, 0, 1], [5, 3, 2], 6
+
+    @staticmethod
+    def _npz(tmp_path):
+        path = tmp_path / "crafted.npz"
+        np.savez(path, indptr=np.array([0, 2, 3, 3, 3, 3, 3]), indices=np.array([5, 3, 2]))
+        return path
+
+    @pytest.mark.parametrize("builder", [
+        "build_csr", "build_csr_serial", "build_bitpacked_csr", "build_sharded_store",
+        "build_compact_csr", "pack_disk_store", "CSRGraph", "load_csr",
+    ])
+    def test_a_row_unsorted_list_is_refused(self, builder, tmp_path):
+        from repro.csr import CSRGraph, build_bitpacked_csr, load_csr
+        from repro.csr.compact import build_compact_csr
+        from repro.disk import pack_disk_store
+        from repro.errors import ReproError
+        from repro.shard import build_sharded_store
+
+        src, dst, n = self.SRC, self.DST, self.N
+        attempt = {
+            "build_csr": lambda: build_csr(src, dst, n),
+            "build_csr_serial": lambda: build_csr_serial(src, dst, n),
+            "build_bitpacked_csr": lambda: build_bitpacked_csr(src, dst, n),
+            "build_sharded_store": lambda: build_sharded_store(src, dst, n, shards=2),
+            "build_compact_csr": lambda: build_compact_csr(src, dst, n, sort=False),
+            "pack_disk_store": lambda: pack_disk_store(src, dst, n, tmp_path / "d"),
+            "CSRGraph": lambda: CSRGraph([0, 2, 3, 3, 3, 3, 3], dst),
+            "load_csr": lambda: load_csr(self._npz(tmp_path)),
+        }[builder]
+        with pytest.raises(NotSortedError) as excinfo:
+            attempt()
+        assert isinstance(excinfo.value, ReproError)
+        message = str(excinfo.value)
+        assert message and "\n" not in message

@@ -89,22 +89,6 @@ class TestBitExactness:
         for disk in (written, built):
             assert rows(disk.manifest.columns, lambda s: s.crc32) == want
 
-    def test_unsorted_rows_preserved_when_sort_false(self, tmp_path, rng):
-        n = 50
-        src = np.sort(rng.integers(0, n, 600))  # u-sorted, rows unsorted
-        dst = rng.integers(0, n, 600)
-        path = tmp_path / "edges.bin"
-        write_edge_list_binary(path, src, dst)
-        disk = build_disk_store(
-            path, tmp_path / "ooc", num_nodes=n, sort=False, chunk_edges=97,
-        )
-        packed = build_bitpacked_csr(src, dst, n, sort=False)
-        g1, g2 = packed.to_csr(), disk.to_csr()
-        # sort=False keeps the edge-file order within each row, exactly
-        # like the in-memory stable counting-sort build
-        assert np.array_equal(g1.indptr, g2.indptr)
-        assert np.array_equal(g1.indices, g2.indices)
-
     def test_num_nodes_inferred_matches_given(self, tmp_path, rng):
         path, src, dst, n = _edge_file(tmp_path, rng)
         true_n = int(max(src.max(), dst.max())) + 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.csr.builder import ensure_sorted
 from repro.csr.packed import build_bitpacked_csr
 from repro.disk import DiskStore, write_disk_store
 from repro.errors import DiskFormatError, QueryError, ValidationError
@@ -19,7 +20,7 @@ def _random_graph(seed, n, m):
     rng = np.random.default_rng(seed)
     src = np.sort(rng.integers(0, n, m))
     dst = rng.integers(0, n, m)
-    return src, dst
+    return ensure_sorted(src, dst)
 
 
 @pytest.fixture(params=[False, True], ids=["plain", "gap"])

@@ -83,7 +83,7 @@ class TestTemporalStoresAgree:
     )
     def test_all_three_temporal_stores(self, n, nev, frames, seed):
         rng = np.random.default_rng(seed)
-        ev = EventList.from_unsorted(
+        ev = EventList.from_triplets(
             rng.integers(0, n, nev),
             rng.integers(0, n, nev),
             rng.integers(0, frames, nev),

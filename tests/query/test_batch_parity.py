@@ -134,97 +134,6 @@ def test_batch_edges_bit_exact(
     assert np.array_equal(got, want)
 
 
-class TestUnsortedRows:
-    """Rows that are not internally sorted are legal (``build_csr``
-    only enforces source order), and the batch membership kernel must
-    keep matching the scalar ``_membership`` path on them — the keyed
-    ``searchsorted`` shortcut is only valid on sorted rows."""
-
-    @staticmethod
-    def _stores():
-        src = np.array([0, 0, 0, 1], dtype=np.int64)
-        dst = np.array([3, 1, 2, 0], dtype=np.int64)
-        g = build_csr_serial(src, dst, 4)
-        return {"csr": g, "packed": BitPackedCSR.from_csr(g)}
-
-    @pytest.mark.parametrize("method", ["scan", "bisect"])
-    @pytest.mark.parametrize("store_name", ["csr", "packed"])
-    def test_review_repro(self, store_name, method):
-        store = self._stores()[store_name]
-        qs = np.array(
-            [(0, 3), (0, 1), (0, 2), (0, 0), (1, 0), (2, 0), (3, 3)],
-            dtype=np.int64,
-        )
-        got = batch_edge_existence(store, qs, SerialExecutor(), method=method)
-        want = np.array(
-            [
-                _membership(store.neighbors(int(u)), int(v), method)[0]
-                for u, v in qs
-            ],
-            dtype=bool,
-        )
-        assert np.array_equal(got, want)
-        if method == "scan":
-            # order-independent membership: every neighbour of 0 found
-            assert got[:3].all() and not got[3]
-
-    @pytest.mark.parametrize("method", ["scan", "bisect"])
-    @pytest.mark.parametrize("exec_name,make_executor", EXECUTORS, ids=[e[0] for e in EXECUTORS])
-    def test_random_unsorted_parity(self, exec_name, make_executor, method, rng):
-        n, m = 40, 300
-        src = np.sort(rng.integers(0, n, m))
-        dst = rng.integers(0, n, m)  # rows unsorted with near-certainty
-        g = build_csr_serial(src, dst, n)
-        assert not g.rows_sorted()
-        for store in (g, BitPackedCSR.from_csr(g)):
-            qs = np.stack(
-                [rng.integers(0, n, 120), rng.integers(0, n, 120)], axis=1
-            )
-            got = batch_edge_existence(store, qs, make_executor(), method=method)
-            want = np.array(
-                [
-                    _membership(store.neighbors(int(u)), int(v), method)[0]
-                    for u, v in qs
-                ],
-                dtype=bool,
-            )
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("method", ["scan", "bisect"])
-    @pytest.mark.parametrize("p", [1, 4])
-    def test_unsorted_cost_parity(self, rng, p, method):
-        n, m = 40, 300
-        src = np.sort(rng.integers(0, n, m))
-        dst = rng.integers(0, n, m)
-        store = build_csr_serial(src, dst, n)
-        qs = np.stack([rng.integers(0, n, 150), rng.integers(0, n, 150)], axis=1)
-        machine = SimulatedMachine(p)
-        batch_edge_existence(store, qs, machine, method=method)
-        reference = SimulatedMachine(p)
-        bounds = chunk_bounds(qs.shape[0], p)
-
-        def scalar_chunk(cid):
-            def task(ctx):
-                s, e = int(bounds[cid]), int(bounds[cid + 1])
-                decode = 0.0
-                inspected = 0
-                for i in range(s, e):
-                    row = store.neighbors(int(qs[i, 0]))
-                    decode += row_decode_cost(store, row.shape[0])
-                    _, steps = _membership(row, int(qs[i, 1]), method)
-                    inspected += steps
-                ctx.charge(
-                    Cost(reads=2 * (e - s) + inspected, writes=e - s, bit_ops=decode)
-                )
-
-            return task
-
-        reference.parallel(
-            [scalar_chunk(c) for c in range(p)], label=f"query:edges-{method}"
-        )
-        assert machine.elapsed_ns() == reference.elapsed_ns()
-
-
 class TestCostParity:
     """The batch kernels charge the simulated machine exactly what the
     per-query scalar loop would have charged — Cost semantics are part

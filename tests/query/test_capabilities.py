@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import open_store
+from repro.csr.builder import ensure_sorted
 from repro.query import RowCache, StoreCapabilities, capabilities
 from repro.query.stores import row_decode_cost, row_dtype
 
@@ -13,7 +14,7 @@ def edges():
     rng = np.random.default_rng(21)
     n, m = 40, 300
     src = np.sort(rng.integers(0, n, m))
-    return src, rng.integers(0, n, m), n
+    return (*ensure_sorted(src, rng.integers(0, n, m)), n)
 
 
 def test_packed_store_caps(edges):

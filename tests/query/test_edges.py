@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.csr import build_csr
 from repro.csr.builder import build_csr_serial
 from repro.csr.packed import BitPackedCSR
 from repro.errors import QueryError, ValidationError
 from repro.parallel import SimulatedMachine
-from repro.query import QueryEngine, RowCache
-from repro.query.edges import _membership, batch_edge_existence, single_edge_exists
+from repro.query.edges import batch_edge_existence, single_edge_exists
 
 
 @pytest.fixture
@@ -109,36 +107,3 @@ class TestSingleEdgeExists:
             for p in (3, 5, 16):
                 assert single_edge_exists(graph, u, v, SimulatedMachine(p), method="bisect")
 
-
-class TestUnsortedRowBisect:
-    """A binary search over the row ``[5, 3, 9]`` misses 3 and 5:
-    "bisect" must scan a row that is not sorted, in the batch kernel
-    (either chunk regime, either fetch form, prefetched or not), in the
-    scalar search and in Algorithm 8's slices."""
-
-    @staticmethod
-    def _store():
-        return build_csr([0, 0, 0, 1], [5, 3, 9, 2], 10)
-
-    @pytest.mark.parametrize("fetch", ["decode-buffer", "resident", "prefetched"])
-    def test_batch(self, fetch, chunk_regime):
-        store = self._store()
-        if fetch == "resident":
-            store = RowCache(store, 100)
-        engine = QueryEngine(store)
-        edges = np.array([[0, 3], [0, 5], [0, 9], [0, 2], [1, 2]])
-        rows = engine.neighbors([], prefetch=[0, 1])[1] if fetch == "prefetched" else None
-        for _ in range(2):  # a cache: cold, then resident
-            got = engine.has_edges(edges, method="bisect", rows=rows)
-            assert got.tolist() == [True, True, True, False, True]
-
-    def test_scalar(self):
-        assert _membership(np.array([5, 3, 9]), 3, "bisect") == (True, 2)
-        assert _membership(np.array([5, 3, 9]), 4, "bisect") == (False, 3)
-        assert _membership(np.array([3, 5, 9]), 3, "bisect") == (True, 2)
-
-    @pytest.mark.parametrize("p", [1, 3])
-    def test_single_edge(self, p):
-        engine = QueryEngine(self._store(), SimulatedMachine(p))
-        got = [engine.has_edge(0, v, method="bisect") for v in (3, 5, 9, 2)]
-        assert got == [True, True, True, False]

@@ -31,20 +31,12 @@ def _csr(src, dst, n):
     return build_csr_serial(*ensure_sorted(src, dst), n)
 
 
-def _unsorted_csr(src, dst, n):
-    """Source-sorted only: rows keep their arrival order, so some are
-    internally unsorted and the edge kernel takes its scalar fallback."""
-    order = np.argsort(src, kind="stable")
-    return build_csr_serial(src[order], dst[order], n)
-
-
 STORE_BUILDERS = {
     "csr": _csr,
     "packed": lambda src, dst, n: BitPackedCSR.from_csr(_csr(src, dst, n)),
     "gap": lambda src, dst, n: BitPackedCSR.from_csr(_csr(src, dst, n), gap_encode=True),
     "adjlist": lambda src, dst, n: AdjacencyListStore(*ensure_sorted(src, dst), n),
     "edgelist": lambda src, dst, n: EdgeListStore(*ensure_sorted(src, dst), n),
-    "unsorted-rows": _unsorted_csr,
 }
 
 EXECUTORS = [

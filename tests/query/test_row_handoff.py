@@ -27,15 +27,9 @@ def _csr(src, dst, n):
     return build_csr_serial(*ensure_sorted(src, dst), n)
 
 
-def _unsorted_csr(src, dst, n):
-    order = np.argsort(src, kind="stable")  # rows keep arrival order
-    return build_csr_serial(src[order], dst[order], n)
-
-
 STORES = {
     "csr": _csr,
     "packed": lambda src, dst, n: BitPackedCSR.from_csr(_csr(src, dst, n)),
-    "unsorted-rows": _unsorted_csr,
 }
 
 
@@ -143,13 +137,13 @@ class TestZeroCopy:
         misses = cache.misses
         real = np.concatenate
         with mock.patch.object(np, "concatenate", side_effect=real) as joined:
-            rows, (sources, held, all_sorted) = QueryEngine(cache).neighbors(
+            rows, (sources, held, offsets) = QueryEngine(cache).neighbors(
                 keys, prefetch=np.unique(keys[:40]))
         assert cache.misses == misses
         for u, row in zip(keys.tolist(), rows):
             assert row is cache._rows[u]
         assert all(row is cache._rows[u] for u, row in zip(sources.tolist(), held))
-        assert all_sorted is True
+        assert offsets is None  # resident rows: no decode buffer
         # the only concatenation joined key arrays, never row payload
         resident = {id(row) for row in cache._rows.values()}
         for call in joined.call_args_list:
@@ -179,8 +173,7 @@ class TestZeroCopy:
         cache = RowCache(store, 100_000)
         keys = rng.integers(0, n, 60)
         flat, offsets = cache.neighbors_batch(keys)
-        rows, all_sorted = cache.neighbor_rows(keys)
-        assert all_sorted
+        rows = cache.neighbor_rows(keys)
         for got, want in zip(join_rows(rows, cache.row_dtype), (flat, offsets)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert all(np.array_equal(flat[a:b], row)
@@ -236,77 +229,6 @@ class TestReadOnlyResidency:
         after = read(5)
         assert np.array_equal(before, kept) and missing not in before.tolist()
         assert missing in after.tolist() and after.shape[0] == kept.shape[0] + 1
-
-
-class MutableRows:
-    """Minimal mutable store whose rows need not be sorted."""
-
-    def __init__(self, rows):
-        self.rows = [np.asarray(r, dtype=np.int64) for r in rows]
-        self.num_nodes = len(rows)
-
-    @property
-    def num_edges(self):
-        return sum(r.shape[0] for r in self.rows)
-
-    def degree(self, u):
-        return self.rows[u].shape[0]
-
-    def neighbors(self, u):
-        return self.rows[u].copy()
-
-    def has_edge(self, u, v):
-        return bool((self.rows[u] == v).any())
-
-    def memory_bytes(self):
-        return sum(r.nbytes for r in self.rows)
-
-
-class TestUnsortedRows:
-    ROWS = [[5, 1, 3], [0, 2, 4], [], [4, 4, 1], [2], []]
-
-    def test_a_descent_across_a_row_boundary_is_not_disorder(self):
-        # 4 -> 2 crosses an empty row: every row here is sorted
-        cache = RowCache(MutableRows([[3, 4], [], [2, 9], [7, 7]]), 100)
-        assert cache.neighbor_rows([0, 1, 2, 3])[1] is True
-        assert cache._unsorted == set()
-
-    @pytest.mark.parametrize("method", ["scan", "bisect"])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_answers_come_from_the_fallback_and_the_flag_follows_the_row(
-            self, method, batched):
-        store = MutableRows(self.ROWS)
-        cache = RowCache(store, 100)
-        edges = np.array([(u, v) for u in range(6) for v in range(6)])
-        # the scalar path is the contract (it scans an unsorted row
-        # under "bisect" too)
-        def scalar():
-            return [edge_kernel._membership(store.rows[u], v, method)[0]
-                    for u, v in edges.tolist()]
-
-        want = scalar()
-        if batched:
-            cache.neighbors_batch([0, 1, 2, 3, 4, 5])
-        else:
-            for u in range(6):
-                cache.neighbors(u)
-        assert cache._unsorted == {0, 3}
-        with mock.patch.object(edge_kernel, "_IN_PLACE_MIN", 2):
-            engine = QueryEngine(cache)
-            for _ in range(2):  # the second pass is all hits
-                assert engine.has_edges(edges, method=method).tolist() == want
-            assert cache.neighbor_rows([1, 4])[1] is True
-            assert cache.neighbor_rows([1, 3])[1] is False
-            # a write sorts row 0; invalidation drops the stale flag and
-            # the re-read does not raise it again
-            store.rows[0] = np.array([1, 3, 5])
-            cache.invalidate([0])
-            assert cache._unsorted == {3}
-            assert engine.has_edges(edges, method=method).tolist() == scalar()
-            assert cache._unsorted == {3} and 0 in cache._rows
-            # eviction drops the other one
-            cache.clear()
-            assert cache._unsorted == set()
 
 
 # -- the LRU policy and its counters follow one reference model --------------

@@ -24,7 +24,7 @@ from repro.serve import GraphQueryServer, NeighborsRequest, ServerConfig
 def _read(cache, u, batched):
     """Row *u* through the batch surface or the scalar one."""
     if batched:
-        rows, _ = cache.neighbor_rows([u])
+        rows = cache.neighbor_rows([u])
         return rows[0]
     return cache.neighbors(u)
 
@@ -174,7 +174,7 @@ def test_refused_is_rendered_and_exported(store):
 
 
 def test_a_batch_repeating_a_refused_key_counts_each_lookup(full):
-    rows, _ = full.neighbor_rows([2, 2, 3])
+    rows = full.neighbor_rows([2, 2, 3])
     assert rows[0] is rows[1] and full.refused == 3
     assert 2 not in full._rows and 3 not in full._rows
 
@@ -218,7 +218,7 @@ def test_replies_budget_and_counters_hold_on_any_stream(packed, capacity, stream
             cache.invalidate(arg)
             replies, keys = [], []
         elif kind == "batch":
-            replies, keys = cache.neighbor_rows(arg)[0], arg
+            replies, keys = cache.neighbor_rows(arg), arg
         else:
             replies, keys = [cache.neighbors(arg)], [arg]
         looked_up += len(keys)

@@ -7,7 +7,7 @@ fetched row into one payload (the ``chunk_regime`` fixture in
 ``tests/conftest.py`` forces one path or the other).  Both regimes are
 run here on the same inputs and must give the same replies, the same
 Cost per phase and the same simulated clock — over decode buffers and
-resident rows, covered and uncovered chunks, sorted, unsorted and empty
+resident rows, covered and uncovered chunks, long, short and empty
 rows, repeated values, both search methods and p in {1, 4}, and with
 ``_IN_PLACE_MIN`` lowered so the keyed regime searches the resident hub
 row in place.  A few-probe chunk over a prefetched hub row must also
@@ -32,19 +32,15 @@ REGIMES = {"each": float("inf"), "keyed": 0}
 N = 40
 
 
-def _graph(ordered: bool):
+def _graph():
     """A 300-field hub with repeated values, a short row of one value
-    repeated, short random rows and empty rows (nodes 30 and up).  With
-    *ordered* every row is sorted; without, rows keep arrival order."""
+    repeated, short random rows and empty rows (nodes 30 and up)."""
     rng = np.random.default_rng(35)
     src = np.concatenate([np.zeros(300, np.int64), [1, 1, 1, 1], [3, 3, 3],
                           rng.integers(4, 30, 200)])
     dst = np.concatenate([rng.integers(0, N, 300), [9, 2, 2, 7], [5, 5, 5],
                           rng.integers(0, N, 200)])
-    if ordered:
-        return build_csr_serial(*ensure_sorted(src, dst), N)
-    order = np.argsort(src, kind="stable")
-    return build_csr_serial(src[order], dst[order], N)
+    return build_csr_serial(*ensure_sorted(src, dst), N)
 
 
 def _batches(graph):
@@ -96,34 +92,31 @@ def _same(a, b):
 
 
 @pytest.fixture(scope="module")
-def disk_paths(tmp_path_factory):
-    paths = {}
-    for ordered in (True, False):
-        path = tmp_path_factory.mktemp("disk") / "g"
-        write_disk_store(BitPackedCSR.from_csr(_graph(ordered)), path).close()
-        paths[ordered] = path
-    return paths
+def disk_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("disk") / "g"
+    write_disk_store(BitPackedCSR.from_csr(_graph()), path).close()
+    return path
 
 
 @pytest.mark.parametrize("flow", ["two-calls", "fused", "partial"])
 @pytest.mark.parametrize("p", [1, 4])
 @pytest.mark.parametrize("method", ["scan", "bisect"])
-@pytest.mark.parametrize("ordered", [True, False], ids=["sorted", "unsorted"])
+# one value: the id segment these cases have always carried
+@pytest.mark.parametrize("rows", ["sorted"])
 @pytest.mark.parametrize("form", ["csr", "packed", "disk", "resident", "in-place"])
-def test_regimes_agree_on_replies_and_costs(form, ordered, method, p, flow,
-                                            disk_paths, monkeypatch):
+def test_regimes_agree_on_replies_and_costs(form, rows, method, p, flow,
+                                            disk_path, monkeypatch):
     if form == "in-place":
         # resident rows, the hub long enough to be searched where it lies
         monkeypatch.setattr(edge_kernel, "_IN_PLACE_MIN", 4)
-    graph = _graph(ordered)
-    assert graph.rows_sorted() is ordered
+    graph = _graph()
     for nodes, edges in _batches(graph):
         got = {}
         for regime, limit in REGIMES.items():
             monkeypatch.setattr(edge_kernel, "_SMALL_CHUNK", limit)
             if form == "disk":
                 # a fresh map per run: page touches count from cold
-                with DiskStore.open(disk_paths[ordered]) as store:
+                with DiskStore.open(disk_path) as store:
                     got[regime] = [_flow(store, nodes, edges, p, method, flow)]
                 continue
             if form in ("csr", "packed"):
@@ -144,7 +137,7 @@ def test_regimes_agree_on_replies_and_costs(form, ordered, method, p, flow,
 
 @pytest.mark.parametrize("p", [1, 4])
 def test_kernel_step_agrees_across_regimes(p, monkeypatch):
-    graph = _graph(True)
+    graph = _graph()
     for nodes, edges in _batches(graph):
         nodes, edges = np.unique(nodes), np.unique(edges, axis=0)
         got = {}
@@ -163,7 +156,7 @@ def test_kernel_step_agrees_across_regimes(p, monkeypatch):
 def test_a_few_probes_read_no_hub_payload(form):
     """Four probes into a prefetched 20k-field hub row allocate less
     than an eighth of that row's bytes: no keyed copy, no row-offset
-    repeat, no order check over the whole row at once."""
+    repeat."""
     rng = np.random.default_rng(3)
     n = 30_000
     src = np.concatenate([np.zeros(20_000, np.int64), rng.integers(1, n, 2_000)])

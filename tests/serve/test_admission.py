@@ -13,7 +13,7 @@ its capacity under any policy.
 import numpy as np
 import pytest
 
-from repro.csr import build_csr_serial
+from repro.csr import build_csr_serial, ensure_sorted
 from repro.errors import AdmissionError, ValidationError
 from repro.serve import (
     DONE,
@@ -33,7 +33,7 @@ def store(rng):
     n, m = 50, 600
     src = np.sort(rng.integers(0, n, m))
     dst = rng.integers(0, n, m)
-    return build_csr_serial(src, dst, n)
+    return build_csr_serial(*ensure_sorted(src, dst), n)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 from repro import open_store
 from repro.cli import main
 from repro.cluster import Router
-from repro.csr.builder import build_csr_serial
+from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.csr.packed import BitPackedCSR
 from repro.errors import ReproError, ValidationError
 from repro.lsm import LsmStore
@@ -28,7 +28,7 @@ def edges(rng):
     n, m = 30, 200
     src = np.sort(rng.integers(0, n, m))
     dst = rng.integers(0, n, m)
-    return src, dst, n
+    return (*ensure_sorted(src, dst), n)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import open_store
+from repro.csr.builder import ensure_sorted
 from repro.parallel import SerialExecutor
 from repro.query import QueryEngine
 from repro.serve import (
@@ -30,7 +31,7 @@ def graph():
     rng = np.random.default_rng(99)
     n, m = 400, 5000
     src = np.sort(rng.integers(0, n, m))
-    return src, rng.integers(0, n, m), n
+    return (*ensure_sorted(src, rng.integers(0, n, m)), n)
 
 
 def mixed_requests(n, count, seed):

@@ -9,7 +9,7 @@ drives a monolithic server.
 import numpy as np
 import pytest
 
-from repro.csr.builder import build_csr_serial
+from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.csr.packed import BitPackedCSR
 from repro.errors import ValidationError
 from repro.serve import (
@@ -28,7 +28,7 @@ def edges(rng):
     n, m = 64, 600
     src = np.sort(rng.integers(0, n, m))
     dst = rng.integers(0, n, m)
-    return src, dst, n
+    return (*ensure_sorted(src, dst), n)
 
 
 def _server(edges, **knobs):

@@ -134,12 +134,12 @@ class TestRendering:
     def test_report_composes_cache_stats(self):
         import numpy as np
 
-        from repro.csr import build_csr_serial
+        from repro.csr import build_csr_serial, ensure_sorted
         from repro.query import RowCache
 
         rng = np.random.default_rng(3)
         src = np.sort(rng.integers(0, 20, 100))
-        g = build_csr_serial(src, rng.integers(0, 20, 100), 20)
+        g = build_csr_serial(*ensure_sorted(src, rng.integers(0, 20, 100)), 20)
         cache = RowCache(g, capacity=500)
         cache.neighbors(1)
         cache.neighbors(1)

@@ -173,7 +173,7 @@ class TestServerSurface:
         n, m = 30, 200
         src = np.sort(rng.integers(0, n, m))
         dst = rng.integers(0, n, m)
-        return BitPackedCSR.from_csr(build_csr_serial(src, dst, n))
+        return BitPackedCSR.from_csr(build_csr_serial(*ensure_sorted(src, dst), n))
 
     def test_rejects_unknown_request_type(self, packed):
         from repro.errors import ValidationError

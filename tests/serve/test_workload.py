@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.csr import build_csr_serial
+from repro.csr import build_csr_serial, ensure_sorted
 from repro.errors import ValidationError
 from repro.serve import (
     DONE,
@@ -83,7 +83,7 @@ class TestReplay:
     def store(self, rng):
         n, m = 60, 500
         src = np.sort(rng.integers(0, n, m))
-        return build_csr_serial(src, rng.integers(0, n, m), n)
+        return build_csr_serial(*ensure_sorted(src, rng.integers(0, n, m)), n)
 
     def test_replay_needs_manual_clock(self, store):
         server = GraphQueryServer(store)  # wall clock

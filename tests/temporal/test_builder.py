@@ -15,7 +15,7 @@ from repro.temporal.frames import frame_toggles, snapshot_to_csr
 @pytest.fixture
 def stream(rng):
     n, nev, frames = 50, 1500, 11
-    return EventList.from_unsorted(
+    return EventList.from_triplets(
         rng.integers(0, n, nev),
         rng.integers(0, n, nev),
         rng.integers(0, frames, nev),
@@ -106,7 +106,7 @@ class TestPropertyEquivalence:
     )
     def test_any_stream_any_width(self, n, nev, frames, p, seed):
         rng = np.random.default_rng(seed)
-        ev = EventList.from_unsorted(
+        ev = EventList.from_triplets(
             rng.integers(0, n, nev),
             rng.integers(0, n, nev),
             rng.integers(0, frames, nev),

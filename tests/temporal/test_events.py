@@ -77,7 +77,7 @@ class TestSymDiff:
 
 class TestEventList:
     def test_from_unsorted_orders_by_t_u_v(self):
-        ev = EventList.from_unsorted([1, 0, 2], [1, 2, 0], [2, 0, 2], 3)
+        ev = EventList.from_triplets([1, 0, 2], [1, 2, 0], [2, 0, 2], 3)
         assert ev.t.tolist() == [0, 2, 2]
         assert ev.u.tolist() == [0, 1, 2]
 

@@ -17,7 +17,7 @@ from repro.temporal.frames import (
 @pytest.fixture
 def stream(rng):
     n, nev, frames = 40, 800, 9
-    return EventList.from_unsorted(
+    return EventList.from_triplets(
         rng.integers(0, n, nev),
         rng.integers(0, n, nev),
         rng.integers(0, frames, nev),

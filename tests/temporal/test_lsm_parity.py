@@ -19,7 +19,7 @@ from repro.temporal.events import EventList
 @pytest.fixture
 def stream(rng):
     n, nev, frames = 30, 600, 6
-    return EventList.from_unsorted(
+    return EventList.from_triplets(
         rng.integers(0, n, nev),
         rng.integers(0, n, nev),
         rng.integers(0, frames, nev),

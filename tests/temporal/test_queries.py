@@ -14,7 +14,7 @@ from repro.temporal.queries import TemporalStore, batch_edge_active, batch_neigh
 @pytest.fixture
 def stream(rng):
     n, nev, frames = 20, 300, 6
-    return EventList.from_unsorted(
+    return EventList.from_triplets(
         rng.integers(0, n, nev),
         rng.integers(0, n, nev),
         rng.integers(0, frames, nev),

@@ -13,7 +13,7 @@ from repro.temporal.frames import full_frame_csrs
 @pytest.fixture
 def stream(rng):
     n, nev, frames = 30, 600, 8
-    return EventList.from_unsorted(
+    return EventList.from_triplets(
         rng.integers(0, n, nev),
         rng.integers(0, n, nev),
         rng.integers(0, frames, nev),

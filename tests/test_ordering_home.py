@@ -5,6 +5,10 @@ the wide-id fallback of :mod:`repro.parallel.sort` — so no layer grows
 a private (source, destination) sort again.  The temporal structures'
 three-key event sorts (time is a third key, which the fused two-id key
 does not cover) are allow-listed by file.
+
+The order *check* has the same home: every builder refuses an unsorted
+edge list through ``edges_sorted``, so every store's rows are sorted and
+the query layer keeps no order checks or unsorted-row paths of its own.
 """
 
 import ast
@@ -21,16 +25,34 @@ ALLOWED = {
 }
 
 
-def _lexsort_calls():
-    calls = []
+#: the order predicate, and the functions that refuse an unsorted list with it
+PREDICATE = "edges_sorted"
+CHECKS = {
+    "csr/builder.py": ["build_csr", "build_csr_serial"],
+    "csr/graph.py": ["_validate"],
+    "shard/build.py": ["build_sharded_store"],
+}
+#: names of the order checks and unsorted-row state the query layer dropped
+RETIRED = ("all_sorted", "_is_sorted", "_unsorted", "rows_sorted")
+
+
+def _called(node) -> str:
+    fn = node.func
+    return fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+
+
+def _trees():
     for path in sorted(ROOT.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call):
-                fn = node.func
-                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
-                if name == "lexsort":
-                    calls.append((path.relative_to(ROOT).as_posix(), node.lineno))
-    return calls
+        yield path.relative_to(ROOT).as_posix(), ast.parse(path.read_text(), filename=str(path))
+
+
+def _lexsort_calls():
+    return [
+        (rel, node.lineno)
+        for rel, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called(node) == "lexsort"
+    ]
 
 
 def test_lexsort_only_in_the_ordering_home():
@@ -41,3 +63,19 @@ def test_lexsort_only_in_the_ordering_home():
         "ensure_sorted / sort_edges / sort_within_rows"
     )
     assert [c[0] for c in calls].count(HOME) == 1, "the home keeps one fallback lexsort"
+
+
+def test_the_order_check_has_one_home():
+    defined = [rel for rel, tree in _trees() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == PREDICATE]
+    assert defined == [HOME]
+    for rel, names in CHECKS.items():
+        tree = ast.parse((ROOT / rel).read_text())
+        funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            calls = [_called(node) for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)]
+            assert PREDICATE in calls, f"{rel}::{name} must check order with {PREDICATE}"
+    stray = [(path.relative_to(ROOT).as_posix(), name)
+             for path in sorted(ROOT.rglob("*.py"))
+             for name in RETIRED if name in path.read_text()]
+    assert not stray, f"retired order-check names are back: {stray}"

@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import available_stores, open_store, register_store
+from repro.csr.builder import ensure_sorted
 from repro.errors import QueryError, ValidationError
 from repro.query import RowCache, capabilities
 from repro.query.stores import GraphStore, neighbors_batch
 from repro.shard import ShardedStore, make_partitioner, shard_edge_list
 from repro.stores import get_store_spec, load_store
+from tests.conftest import rows_sorted
 
 #: registered kinds whose store decodes a batch natively
 NATIVE_BATCH_KINDS = ["compact", "csr", "csr-serial", "disk", "gap", "lsm",
@@ -159,6 +161,18 @@ class TestProtocolConformance:
         assert int(offs[-1]) == flat.shape[0]
         for i, u in enumerate(us.tolist()):
             assert np.array_equal(flat[offs[i]: offs[i + 1]], store.neighbors(u))
+
+        # rows are sorted by construction, so has_edge (a binary search
+        # in most kinds) agrees with the edge set — on this graph and on
+        # ROADMAP item 1's fault-table list, which every builder takes sorted
+        lit_src, lit_dst = ensure_sorted(np.array([0, 0, 1]), np.array([5, 3, 2]))
+        cases = [(store, src, dst, n),
+                 (open_store(kind, lit_src, lit_dst, 6), lit_src, lit_dst, 6)]
+        for case, c_src, c_dst, c_n in cases:
+            assert rows_sorted(case)
+            present = set(zip(c_src.tolist(), c_dst.tolist()))
+            pairs = [(u, v) for u in range(c_n) for v in range(c_n)]
+            assert [case.has_edge(u, v) for u, v in pairs] == [p in present for p in pairs]
 
     @pytest.mark.parametrize("kind", NATIVE_BATCH_KINDS)
     def test_native_batch_edge_cases(self, built, edges, kind):
