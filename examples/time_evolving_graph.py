@@ -4,7 +4,7 @@
 Generates a toggle stream (edges added and removed over 24 frames),
 builds the differential TCSR in parallel (Algorithm 5), compares its
 footprint against a full CSR per frame and the EveLog/EdgeLog baselines,
-then answers temporal queries.
+then answers temporal queries, one frame batched through the query engine.
 
 Run:  python examples/time_evolving_graph.py
 """
@@ -13,13 +13,8 @@ import numpy as np
 
 from repro import SimulatedMachine
 from repro.datasets import churn_events
-from repro.temporal import (
-    EdgeLog,
-    EveLog,
-    build_tcsr,
-    batch_edge_active,
-    full_frame_csrs,
-)
+from repro.query import QueryEngine
+from repro.temporal import EdgeLog, EveLog, build_tcsr, full_frame_csrs
 from repro.utils import human_bytes
 
 # 24 frames of churn over 3k nodes: 20k base edges, then ~1.5k
@@ -63,15 +58,13 @@ row = tcsr.neighbors_at(u0, mid)
 print(f"neighbours of {u0} at frame {mid}: {row[:12].tolist()}"
       + (" ..." if len(row) > 12 else ""))
 
-queries = [
-    (int(rng.integers(0, events.num_nodes)),
-     int(rng.integers(0, events.num_nodes)),
-     int(rng.integers(0, events.num_frames)))
-    for _ in range(1000)
-]
+# a frame is a store: batches run through the Section V query engine.
+# Probe pairs that toggled at some frame, so both answers occur.
+pick = rng.integers(0, len(events), 1000)
+queries = np.stack([events.u[pick], events.v[pick]], axis=1)
 qmachine = SimulatedMachine(8)
-answers = batch_edge_active(tcsr, queries, qmachine)
-print(f"1000 batched activity queries on p=8: {int(answers.sum())} hits, "
+answers = QueryEngine(tcsr.at(mid), qmachine).has_edges(queries, method="bisect")
+print(f"1000 batched edge queries at frame {mid} on p=8: {int(answers.sum())} hits, "
       f"{qmachine.elapsed_ms():.3f} simulated ms")
 
 # snapshots reconstruct full graphs at any frame

@@ -149,9 +149,9 @@ DEFAULT_COST_MODEL = CostModel()
 class CostAccumulator:
     """Mutable running total of :class:`Cost` charges.
 
-    Kernels call :meth:`charge` (or the convenience helpers); the
-    machine reads :attr:`total` once the task finishes.  Separated from
-    the execution context so it can be unit-tested in isolation.
+    Kernels call :meth:`charge`; the machine reads :attr:`total` once
+    the task finishes.  Separated from the execution context so it can
+    be unit-tested in isolation.
     """
 
     total: Cost = field(default_factory=Cost)
@@ -159,30 +159,6 @@ class CostAccumulator:
     def charge(self, cost: Cost) -> None:
         """Accumulate *cost* onto the running total."""
         self.total = self.total + cost
-
-    def charge_reads(self, n: float) -> None:
-        """Charge *n* element reads."""
-        self.charge(Cost(reads=n))
-
-    def charge_writes(self, n: float) -> None:
-        """Charge *n* element writes."""
-        self.charge(Cost(writes=n))
-
-    def charge_flops(self, n: float) -> None:
-        """Charge *n* arithmetic operations."""
-        self.charge(Cost(flops=n))
-
-    def charge_bit_ops(self, n: float) -> None:
-        """Charge *n* bit-level operations."""
-        self.charge(Cost(bit_ops=n))
-
-    def charge_copy_bytes(self, n: float) -> None:
-        """Charge *n* bulk-copied bytes."""
-        self.charge(Cost(copy_bytes=n))
-
-    def charge_page_touches(self, n: float) -> None:
-        """Charge *n* distinct mapped-page touches."""
-        self.charge(Cost(page_touches=n))
 
     def reset(self) -> None:
         """Zero the accumulator."""

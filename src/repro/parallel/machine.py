@@ -69,31 +69,6 @@ class TaskContext:
         if self._acc is not None:
             self._acc.charge(cost)
 
-    def charge_reads(self, n: float) -> None:
-        """Charge *n* element reads."""
-        if self._acc is not None:
-            self._acc.charge_reads(n)
-
-    def charge_writes(self, n: float) -> None:
-        """Charge *n* element writes."""
-        if self._acc is not None:
-            self._acc.charge_writes(n)
-
-    def charge_flops(self, n: float) -> None:
-        """Charge *n* arithmetic operations."""
-        if self._acc is not None:
-            self._acc.charge_flops(n)
-
-    def charge_bit_ops(self, n: float) -> None:
-        """Charge *n* bit-level operations."""
-        if self._acc is not None:
-            self._acc.charge_bit_ops(n)
-
-    def charge_page_touches(self, n: float) -> None:
-        """Charge *n* distinct mapped-page touches."""
-        if self._acc is not None:
-            self._acc.charge_page_touches(n)
-
 
 class Executor(abc.ABC):
     """Abstract p-processor executor for chunked bulk-synchronous kernels.

@@ -2,7 +2,8 @@
 
 The differential TCSR stores frame 0 in full and only toggles after
 that; :mod:`~repro.temporal.builder` parallelises its construction via
-the XOR-monoid prefix-sum of Algorithm 5.  EveLog and EdgeLog are the
+the XOR-monoid prefix-sum of Algorithm 5, and ``TemporalCSR.at(frame)``
+serves one frame as a store.  EveLog and EdgeLog are the
 cited log-structured comparators [21] used by the temporal benches.
 """
 
@@ -23,8 +24,7 @@ from .frames import (
     full_frame_csrs,
     snapshot_to_csr,
 )
-from .queries import TemporalStore, batch_edge_active, batch_neighbors_at
-from .tcsr import TemporalCSR
+from .tcsr import TemporalCSR, TemporalFrame
 
 __all__ = [
     "build_tcsr",
@@ -41,8 +41,6 @@ __all__ = [
     "frame_toggles",
     "full_frame_csrs",
     "snapshot_to_csr",
-    "TemporalStore",
-    "batch_edge_active",
-    "batch_neighbors_at",
     "TemporalCSR",
+    "TemporalFrame",
 ]

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..bitpack.varint import varint_decode, varint_encode
-from ..errors import FrameError, QueryError
+from ..errors import FrameError
 from ..utils import human_bytes
-from .events import EventList
+from .events import EventList, check_node
 
 __all__ = ["EdgeLog"]
 
@@ -64,8 +64,7 @@ class EdgeLog:
 
     # ------------------------------------------------------------------
     def _check(self, u: int, frame: int) -> None:
-        if not (0 <= u < self.num_nodes):
-            raise QueryError(f"node {u} out of range [0, {self.num_nodes})")
+        check_node(u, self.num_nodes)
         if not (0 <= frame < max(1, self.num_frames)):
             raise FrameError(f"frame {frame} out of range [0, {self.num_frames})")
 
@@ -77,6 +76,7 @@ class EdgeLog:
     def edge_active(self, u: int, v: int, frame: int) -> bool:
         """Bisect the neighbour list, then count toggles up to *frame*."""
         self._check(u, frame)
+        check_node(v, self.num_nodes)
         nbrs = self._nbrs[u]
         if nbrs is None:
             return False

@@ -14,9 +14,9 @@ import numpy as np
 
 from ..bitpack.fixed import pack_fixed, unpack_fixed
 from ..bitpack.varint import varint_decode, varint_encode
-from ..errors import FrameError, QueryError
+from ..errors import FrameError
 from ..utils import bits_for_count, human_bytes
-from .events import EventList, parity_filter, encode_keys
+from .events import EventList, check_node, parity_filter
 
 __all__ = ["EveLog"]
 
@@ -62,8 +62,7 @@ class EveLog:
     # ------------------------------------------------------------------
     def _decode_log(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, neighbours) of u's full event log, in time order."""
-        if not (0 <= u < self.num_nodes):
-            raise QueryError(f"node {u} out of range [0, {self.num_nodes})")
+        check_node(u, self.num_nodes)
         count = int(self._counts[u])
         if count == 0:
             return np.zeros(0, np.int64), np.zeros(0, np.int64)
@@ -76,6 +75,7 @@ class EveLog:
         """Sequential scan of u's log counting toggles of v up to *frame*."""
         if not (0 <= frame < max(1, self.num_frames)):
             raise FrameError(f"frame {frame} out of range [0, {self.num_frames})")
+        check_node(v, self.num_nodes)
         times, nbrs = self._decode_log(u)
         active = False
         for t, w in zip(times.tolist(), nbrs.tolist()):

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FrameError, NotSortedError, ValidationError
+from ..errors import FrameError, NotSortedError, QueryError, ValidationError
 from ..utils import require
 
 __all__ = [
     "EventList",
+    "check_node",
     "encode_keys",
     "decode_keys",
     "parity_filter",
@@ -33,6 +34,14 @@ __all__ = [
 _KEY_SHIFT = np.uint64(32)
 _KEY_MASK = np.uint64(0xFFFFFFFF)
 _MAX_NODE = 1 << 32
+
+
+def check_node(u: int, num_nodes: int) -> None:
+    """Refuse a node id outside ``[0, num_nodes)`` — the one message
+    every temporal store (and a :class:`~repro.query.stores.BaseStore`)
+    raises."""
+    if not (0 <= u < num_nodes):
+        raise QueryError(f"node {u} out of range [0, {num_nodes})")
 
 
 def encode_keys(u: np.ndarray, v: np.ndarray) -> np.ndarray:

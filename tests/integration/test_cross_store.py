@@ -4,7 +4,8 @@ Any graph representation in this library must answer the Section V
 queries identically.  This suite generates random graphs and drives
 every static store — uncompressed CSR, bit-packed (plain and gap),
 and all baselines — through the same QueryEngine, then does the same
-across every temporal store.
+across every temporal store and every frame of a TCSR served as a
+store.
 """
 
 import numpy as np
@@ -103,3 +104,38 @@ class TestTemporalStoresAgree:
                 for store in stores:
                     got = sorted(store.neighbors_at(u, f).tolist())
                     assert got == want, (type(store).__name__, u, f)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.integers(0, 80),
+        st.integers(1, 5),
+        st.integers(0, 2**31),
+    )
+    def test_tcsr_frame_through_the_engine(self, n, nev, frames, seed):
+        rng = np.random.default_rng(seed)
+        ev = EventList.from_triplets(
+            rng.integers(0, n, nev),
+            rng.integers(0, n, nev),
+            rng.integers(0, frames, nev),
+            n,
+        )
+        tcsr = build_tcsr(ev)
+        nodes = np.arange(n)
+        pairs = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+        for f in range(ev.num_frames):
+            active = set(ev.active_keys_at(f).tolist())
+            want_rows = [
+                sorted(int(k & 0xFFFFFFFF) for k in active if (k >> 32) == u)
+                for u in range(n)
+            ]
+            want_edges = [(int(u) << 32 | int(v)) in active for u, v in pairs]
+            for p in (1, 4):
+                engine = QueryEngine(tcsr.at(f), SimulatedMachine(p))
+                rows = [np.asarray(r, dtype=np.int64).tolist() for r in engine.neighbors(nodes)]
+                assert rows == want_rows, (f, p)
+                for method in ("scan", "bisect"):
+                    got = engine.has_edges(pairs, method=method).tolist()
+                    assert got == want_edges, (f, p, method)
+                    assert engine.has_edges(pairs[:0], method=method).shape == (0,)
+                assert engine.neighbors([]) == []

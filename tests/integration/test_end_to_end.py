@@ -21,7 +21,6 @@ from repro.datasets import churn_events, standin
 from repro.parallel import SimulatedMachine
 from repro.query import QueryEngine
 from repro.temporal import EveLog, EdgeLog, build_tcsr
-from repro.temporal.queries import batch_edge_active
 
 
 class TestStaticPipeline:
@@ -99,10 +98,16 @@ class TestTemporalPipeline:
             )
             for _ in range(60)
         ]
-        a = batch_edge_active(tcsr, qs, executor)
-        b = batch_edge_active(evelog, qs, executor)
-        c = batch_edge_active(edgelog, qs, executor)
-        assert a.tolist() == b.tolist() == c.tolist()
+        # TCSR through the engine, one batch per frame; the logs scalar
+        a = np.zeros(len(qs), dtype=bool)
+        for f in range(ev.num_frames):
+            at_f = [i for i, q in enumerate(qs) if q[2] == f]
+            if at_f:
+                pairs = [qs[i][:2] for i in at_f]
+                a[at_f] = QueryEngine(tcsr.at(f), executor).has_edges(pairs, method="bisect")
+        b = [evelog.edge_active(u, v, f) for u, v, f in qs]
+        c = [edgelog.edge_active(u, v, f) for u, v, f in qs]
+        assert a.tolist() == b == c
         # and all three agree with the brute-force oracle
         for (u, v, f), r in zip(qs, a):
             assert r == ((u << 32 | v) in set(ev.active_keys_at(f).tolist()))

@@ -46,11 +46,11 @@ class TestCostModel:
 class TestCostAccumulator:
     def test_accumulates(self):
         acc = CostAccumulator()
-        acc.charge_reads(2)
-        acc.charge_writes(3)
-        acc.charge_flops(4)
-        acc.charge_bit_ops(5)
-        acc.charge_copy_bytes(6)
+        acc.charge(Cost(reads=2))
+        acc.charge(Cost(writes=3))
+        acc.charge(Cost(flops=4))
+        acc.charge(Cost(bit_ops=5))
+        acc.charge(Cost(copy_bytes=6))
         assert acc.total == Cost(2, 3, 4, 5, 6)
 
     def test_reset(self):

@@ -276,7 +276,7 @@ class TestSerialExecutor:
     def test_charges_ignored_without_accumulator(self):
         ctx = TaskContext(0, 1)
         ctx.charge(Cost(reads=1))  # must not raise
-        ctx.charge_reads(1)
-        ctx.charge_writes(1)
-        ctx.charge_flops(1)
-        ctx.charge_bit_ops(1)
+        ctx.charge(Cost(reads=1))
+        ctx.charge(Cost(writes=1))
+        ctx.charge(Cost(flops=1))
+        ctx.charge(Cost(bit_ops=1))

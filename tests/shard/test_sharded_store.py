@@ -10,7 +10,7 @@ from repro import open_store
 from repro.csr.builder import ensure_sorted
 from repro.errors import NotSortedError, QueryError, ValidationError
 from repro.obs import Tracer
-from repro.parallel import CostModel, SerialExecutor, SimulatedMachine
+from repro.parallel import Cost, CostModel, SerialExecutor, SimulatedMachine
 from repro.query import RowCache, batch_edge_existence, batch_neighbors
 from repro.query.stores import GraphStore
 from repro.shard import (
@@ -269,8 +269,8 @@ class TestConstruction:
         machine = SimulatedMachine(8, CostModel(read_ns=1))
         groups = machine.split(4)
         assert [g.p for g in groups] == [2, 2, 2, 2]
-        groups[0].serial(lambda ctx: ctx.charge_reads(100), label="x")
-        groups[2].serial(lambda ctx: ctx.charge_reads(250), label="y")
+        groups[0].serial(lambda ctx: ctx.charge(Cost(reads=100)), label="x")
+        groups[2].serial(lambda ctx: ctx.charge(Cost(reads=250)), label="y")
         duration = machine.absorb(groups, label="test")
         assert duration == 250.0
         assert machine.elapsed_ns() == 250.0

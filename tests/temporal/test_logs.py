@@ -48,8 +48,10 @@ class TestCorrectness:
         assert isinstance(log_store.edge_active(lonely, 0, 0), bool)
 
     def test_bounds(self, log_store):
-        with pytest.raises(QueryError):
-            log_store.edge_active(log_store.num_nodes, 0, 0)
+        n = log_store.num_nodes
+        for u, v, bad in ((n, 0, n), (0, n, n), (0, -1, -1)):
+            with pytest.raises(QueryError, match=rf"^node {bad} out of range \[0, {n}\)$"):
+                log_store.edge_active(u, v, 0)
         with pytest.raises(FrameError):
             log_store.edge_active(0, 0, log_store.num_frames)
         with pytest.raises(FrameError):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import FrameError, QueryError, ValidationError
 from repro.parallel import SimulatedMachine
+from repro.serve import EdgeRequest, ManualClock, NeighborsRequest, ServerConfig, open_server
 from repro.temporal.builder import build_tcsr
 from repro.temporal.events import EventList
 from repro.temporal.frames import full_frame_csrs
@@ -44,8 +45,15 @@ class TestEdgeActive:
     def test_bounds(self, tcsr):
         with pytest.raises(FrameError):
             tcsr.edge_active(0, 1, tcsr.num_frames)
-        with pytest.raises(QueryError):
-            tcsr.edge_active(99, 0, 0)
+        with pytest.raises(FrameError):
+            tcsr.at(-1)
+        n = tcsr.num_nodes
+        for u, v, bad in ((99, 0, 99), (0, n, n), (0, -1, -1)):
+            message = rf"^node {bad} out of range \[0, {n}\)$"
+            with pytest.raises(QueryError, match=message):
+                tcsr.edge_active(u, v, 0)
+            with pytest.raises(QueryError, match=message):
+                tcsr.at(tcsr.num_frames - 1).has_edge(u, v)
 
 
 class TestNeighborsAt:
@@ -59,6 +67,29 @@ class TestNeighborsAt:
     def test_bounds(self, tcsr):
         with pytest.raises(QueryError):
             tcsr.neighbors_at(-1, 0)
+
+
+class TestFrameServed:
+    def test_replies_match_oracle(self, stream, tcsr, rng):
+        f = stream.num_frames // 2
+        active = set(stream.active_keys_at(f).tolist())
+        n = stream.num_nodes
+        server = open_server(
+            ServerConfig(store=tcsr.at(f), cache_elements=32, executor=SimulatedMachine(4)),
+            clock=ManualClock(),
+        )
+        nodes = [int(u) for u in rng.integers(0, n, 120)]
+        edges = [(int(u), int(v)) for u, v in rng.integers(0, n, (200, 2))]
+        row_slots = [server.submit(NeighborsRequest(node=u)) for u in nodes]
+        edge_slots = [server.submit(EdgeRequest(u=u, v=v)) for u, v in edges]
+        server.drain()
+        for u, slot in zip(nodes, row_slots):
+            want = sorted(int(k & 0xFFFFFFFF) for k in active if (k >> 32) == u)
+            assert slot.result().tolist() == want, u
+        for (u, v), slot in zip(edges, edge_slots):
+            assert slot.result() == ((u << 32 | v) in active), (u, v)
+        cache = server.row_cache
+        assert cache.hits > 0 and cache.evictions + cache.refused > 0
 
 
 class TestSnapshotAndToggles:
