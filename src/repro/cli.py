@@ -2,9 +2,10 @@
 
 The CLI decides nothing about stores, servers or file formats: every
 command parses its flags and calls the library entry that owns the
-decision (:func:`~repro.stores.open_store` / :func:`~repro.stores.load_store`,
-:func:`~repro.disk.pack_disk_store` / :func:`~repro.disk.build_disk_store`,
-:func:`~repro.lsm.writable_overlay`, :func:`~repro.serve.open_server`).
+decision (:func:`~repro.stores.open_store` / :func:`~repro.stores.save_store` /
+:func:`~repro.stores.load_store`, :func:`~repro.disk.pack_disk_store` /
+:func:`~repro.disk.build_disk_store`, :func:`~repro.lsm.writable_overlay`,
+:func:`~repro.serve.open_server`).
 
 Commands
 --------
@@ -56,11 +57,11 @@ from .csr.io import (
     write_edge_list_binary,
 )
 from .datasets import ba_edges, er_edges, rmat_edges, rmat_scale, standin
-from .errors import ReproError
+from .errors import ReproError, ValidationError
 from .parallel import SerialExecutor, SimulatedMachine
 from .reorder import available_orderings
 from .shard import PARTITIONER_KINDS
-from .stores import load_store, open_store
+from .stores import load_store, open_store, save_store
 from .utils import human_bytes
 
 __all__ = ["main", "build_parser"]
@@ -423,7 +424,7 @@ def _build_in_memory(args, src, dst, n, machine):
     else:
         kind, opts = inner, {"sort": not args.no_sort, **inner_opts}
     store = open_store(kind, src, dst, n, executor=machine, **opts)
-    store.save(args.output)
+    save_store(store, args.output)
     return store
 
 
@@ -567,7 +568,7 @@ def _cmd_compact(args) -> int:
             kind, opts = "reordered", {"order": args.order, "inner": "compact"}
         out = open_store(kind, src, dst, n, codecs=args.codec, **opts,
                          **_segment_opts(args))
-        out.save(args.output)
+        save_store(out, args.output)
     after = out.bits_per_edge()
     saved = (1.0 - after / max(before, 1e-12)) * 100.0
     print(f"input : {store}")
@@ -594,9 +595,11 @@ def _cmd_query(args) -> int:
               f"{applied['deletes']} deletes, {applied['noops']} no-ops, "
               f"{applied['compactions']} compactions")
     if args.save:
-        if not lsm.saveable:
-            lsm.compact()  # fold to one freshly packed segment first
-        lsm.save(args.save)
+        try:
+            save_store(lsm, args.save)
+        except ValidationError:
+            lsm.compact()  # the base is not packed: fold it to one packed segment
+            save_store(lsm, args.save)
         print(f"saved lsm store to {args.save}")
     if args.cache_elements > 0:
         store = RowCache(store, capacity=args.cache_elements)

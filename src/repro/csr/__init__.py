@@ -16,10 +16,8 @@ from .getrow import (
 from .graph import CSRGraph, MemoryBreakdown
 from .io import (
     edge_list_text_size,
-    load_csr,
     read_edge_list,
     read_edge_list_binary,
-    save_csr,
     write_edge_list,
     write_edge_list_binary,
 )
@@ -44,10 +42,8 @@ __all__ = [
     "CSRGraph",
     "MemoryBreakdown",
     "edge_list_text_size",
-    "load_csr",
     "read_edge_list",
     "read_edge_list_binary",
-    "save_csr",
     "write_edge_list",
     "write_edge_list_binary",
     "BitPackedCSR",

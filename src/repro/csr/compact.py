@@ -376,7 +376,7 @@ class CompactStore(BaseStore):
 
     # -- persistence -----------------------------------------------------
     def npz_payload(self, prefix: str = "") -> dict:
-        """Flat npz key/value payload (shared by :meth:`save` and wrappers)."""
+        """Flat ``.npz`` key/value payload (written by :func:`~repro.stores.save_store`)."""
         payload: dict = {
             f"{prefix}num_nodes": self.num_nodes,
             f"{prefix}num_edges": self.num_edges,
@@ -407,7 +407,7 @@ class CompactStore(BaseStore):
         for i in range(int(data[f"{prefix}num_segments"])):
             p = f"{prefix}seg{i}_"
             meta = np.asarray(data[f"{p}meta"], dtype=np.int64)
-            codec = str(data[f"{p}codec"])
+            codec = segment_codec(str(data[f"{p}codec"])).name
             starts_nbits = int(data[f"{p}starts_nbits"])
             starts = (
                 BitArray(data[f"{p}starts"], starts_nbits) if starts_nbits else None
@@ -434,19 +434,6 @@ class CompactStore(BaseStore):
             int(data[f"{prefix}offset_width"]),
             segments,
         )
-
-    def save(self, path) -> None:
-        """Persist to ``.npz`` (tagged ``store_kind="compact"``)."""
-        payload = {"store_kind": "compact", **self.npz_payload()}
-        np.savez_compressed(path, **payload)
-
-    @classmethod
-    def load(cls, path) -> "CompactStore":
-        """Rebuild a compact store saved by :meth:`save`."""
-        with np.load(path) as data:
-            if "store_kind" not in data.files or str(data["store_kind"]) != "compact":
-                raise ValidationError(f"{path} is not a compact store file")
-            return cls.from_npz_payload(data)
 
 
 def build_compact_csr(

@@ -1,4 +1,4 @@
-"""Edge-list and CSR persistence, plus exact size accounting.
+"""Edge-list persistence, plus exact size accounting.
 
 Readers accept the SNAP text format the paper's datasets ship in
 (whitespace-separated ``u v`` pairs, ``#`` comment lines).  The size
@@ -18,7 +18,6 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..utils import digits10
-from .graph import CSRGraph
 
 __all__ = [
     "read_edge_list",
@@ -29,8 +28,6 @@ __all__ = [
     "binary_edge_list_info",
     "iter_edge_list_binary",
     "edge_list_text_size",
-    "save_csr",
-    "load_csr",
 ]
 
 _BINARY_MAGIC = b"REPROEL1"
@@ -242,17 +239,3 @@ def iter_edge_list_binary(path, *, chunk_edges: int = 1 << 20):
             )
             yield src.astype(np.int64), dst.astype(np.int64)
 
-
-def save_csr(path, graph: CSRGraph) -> None:
-    """Persist a :class:`CSRGraph` as ``.npz``."""
-    payload = {"indptr": graph.indptr, "indices": graph.indices}
-    if graph.values is not None:
-        payload["values"] = graph.values
-    np.savez_compressed(path, **payload)
-
-
-def load_csr(path) -> CSRGraph:
-    """Load a :class:`CSRGraph` saved by :func:`save_csr`."""
-    with np.load(path) as data:
-        values = data["values"] if "values" in data.files else None
-        return CSRGraph(data["indptr"], data["indices"], values)

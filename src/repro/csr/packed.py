@@ -323,7 +323,7 @@ class BitPackedCSR(BaseStore):
 
     # ------------------------------------------------------------------
     def npz_payload(self, prefix: str = "") -> dict:
-        """Flat npz key/value payload (shared by :meth:`save` and wrappers)."""
+        """Flat ``.npz`` key/value payload (written by :func:`~repro.stores.save_store`)."""
         payload = {
             f"{prefix}num_nodes": self.num_nodes,
             f"{prefix}num_edges": self.num_edges,
@@ -360,15 +360,6 @@ class BitPackedCSR(BaseStore):
             values=bits("values") if weighted else None,
             values_width=int(data[f"{prefix}values_width"]) if weighted else 0,
         )
-
-    def save(self, path) -> None:
-        """Persist to an ``.npz`` file (the untagged packed layout)."""
-        np.savez_compressed(path, **self.npz_payload())
-
-    @classmethod
-    def load(cls, path) -> "BitPackedCSR":
-        with np.load(path) as data:
-            return cls.from_npz_payload(data)
 
 
 def build_bitpacked_csr(

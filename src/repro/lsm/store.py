@@ -230,7 +230,7 @@ class LsmStore(WrapperStore):
         """Row *u* under the merged view, materialised once per epoch.
 
         Writes keep it current themselves; only a delta that arrived
-        with the memtable (:meth:`load`) is merged here, through
+        with the memtable (:meth:`from_npz_payload`) is merged here, through
         compaction's :func:`_apply_delta`."""
         row = self._rows.get(u)
         if row is not None:
@@ -479,65 +479,46 @@ class LsmStore(WrapperStore):
         )
 
     # -- persistence (packed base) --------------------------------------
-    @property
-    def saveable(self) -> bool:
-        """Whether :meth:`save` can persist the store as it stands — the
-        base is bit-packed.  :meth:`compact` makes it so when the inner
-        kind is ``packed``."""
-        from ..csr.packed import BitPackedCSR
-
-        return isinstance(self.segments[0], BitPackedCSR)
-
-    def save(self, path) -> None:
-        """Persist to ``.npz`` (bit-packed base only).
+    def npz_payload(self, prefix: str = "") -> dict:
+        """Flat ``.npz`` key/value payload (bit-packed base only).
 
         The base's payload goes under the ``segment0_`` prefix (with
         ``num_segments = 1``), plus the memtable as parallel
         ``mt_u``/``mt_v``/``mt_alive`` arrays, so one file round-trips
-        the live store mid-stream.
+        the live store mid-stream.  :meth:`compact` packs the base when
+        the inner kind is ``packed``.
         """
-        if not self.saveable:
-            raise ValidationError(
-                "only a packed base can be saved (the base is "
-                f"{type(self.segments[0]).__name__})"
-            )
-        us, vs, alive = self.memtable.entries()
-        payload: dict = {
-            "store_kind": "lsm",
-            "num_nodes": self.num_nodes,
-            "num_edges": self._num_edges,
-            "num_segments": 1,
-            "inner": self.inner,
-            "compact_watermark": self.compact_watermark,
-            "mt_u": us,
-            "mt_v": vs,
-            "mt_alive": alive,
-        }
-        payload.update(self.segments[0].npz_payload(prefix="segment0_"))
-        np.savez_compressed(path, **payload)
-
-    @classmethod
-    def load(cls, path) -> "LsmStore":
-        """Rebuild a live LSM store saved by :meth:`save`."""
         from ..csr.packed import BitPackedCSR
 
-        with np.load(path) as data:
-            if "store_kind" not in data.files or str(data["store_kind"]) != "lsm":
-                raise ValidationError(f"{path} is not an lsm store file")
-            if int(data["num_segments"]) != 1:
-                raise ValidationError(
-                    f"{path} holds {int(data['num_segments'])} segments; "
-                    "an lsm store file holds exactly one"
-                )
-            base = BitPackedCSR.from_npz_payload(data, prefix="segment0_")
-            memtable = DeltaMemtable.from_entries(
-                data["mt_u"], data["mt_v"], data["mt_alive"]
+        base = self.segments[0]
+        if not isinstance(base, BitPackedCSR):
+            raise ValidationError(
+                f"only a packed base can be saved (the base is {type(base).__name__})"
             )
-            return cls(
-                int(data["num_nodes"]),
-                [base],
-                inner=str(data["inner"]),
-                compact_watermark=int(data["compact_watermark"]),
-                memtable=memtable,
-                num_edges=int(data["num_edges"]),
+        us, vs, alive = self.memtable.entries()
+        fields = {"num_nodes": self.num_nodes, "num_edges": self._num_edges, "num_segments": 1,
+                  "inner": self.inner, "compact_watermark": self.compact_watermark,
+                  "mt_u": us, "mt_v": vs, "mt_alive": alive}
+        return {**{f"{prefix}{key}": value for key, value in fields.items()},
+                **base.npz_payload(prefix=f"{prefix}segment0_")}
+
+    @classmethod
+    def from_npz_payload(cls, data, prefix: str = "") -> "LsmStore":
+        """Rebuild a live store from the key/value payload of :meth:`npz_payload`."""
+        from ..csr.packed import BitPackedCSR
+
+        segments = int(data[f"{prefix}num_segments"])
+        if segments != 1:
+            raise ValidationError(
+                f"holds {segments} segments; an lsm store file holds exactly one"
             )
+        return cls(
+            int(data[f"{prefix}num_nodes"]),
+            [BitPackedCSR.from_npz_payload(data, prefix=f"{prefix}segment0_")],
+            inner=str(data[f"{prefix}inner"]),
+            compact_watermark=int(data[f"{prefix}compact_watermark"]),
+            memtable=DeltaMemtable.from_entries(
+                data[f"{prefix}mt_u"], data[f"{prefix}mt_v"], data[f"{prefix}mt_alive"]
+            ),
+            num_edges=int(data[f"{prefix}num_edges"]),
+        )

@@ -23,6 +23,9 @@ from .orderings import edge_ordering, relabel
 
 __all__ = ["ReorderedStore", "build_reordered_store"]
 
+#: the inner kinds a saved reordered store can hold
+_SAVED_INNER_KINDS = ("packed", "compact")
+
 
 class ReorderedStore(WrapperStore):
     """An id-translating wrapper satisfying the ``GraphStore`` protocol.
@@ -150,52 +153,41 @@ class ReorderedStore(WrapperStore):
         )
 
     # -- persistence -----------------------------------------------------
-    def save(self, path) -> None:
-        """Persist to ``.npz`` (packed or compact inner stores only).
+    def npz_payload(self, prefix: str = "") -> dict:
+        """Flat ``.npz`` key/value payload (packed or compact inner stores only).
 
-        Layout: ``store_kind="reordered"``, the ordering name and
-        permutation, plus the inner store's own payload under an
-        ``inner_`` prefix.
+        Layout: the ordering name and permutation, the inner store's
+        kind (:func:`~repro.stores.npz_kinds`) and its own payload under
+        an ``inner_`` prefix.
         """
-        kind = {cls: k for k, cls in _saved_inner_kinds().items()}.get(type(self.inner))
-        if kind is None:
+        from ..stores import npz_kinds
+
+        kind = {cls: k for k, cls in npz_kinds().items()}.get(type(self.inner))
+        if kind not in _SAVED_INNER_KINDS:
             raise ValidationError(
                 f"only packed or compact inner stores can be saved "
                 f"(got {type(self.inner).__name__})"
             )
         if getattr(self.inner, "values", None) is not None:
             raise ValidationError("weighted inner stores cannot be saved")
-        np.savez_compressed(
-            path,
-            store_kind="reordered",
-            ordering=self.ordering,
-            perm=self.perm,
-            inner_kind=kind,
-            **self.inner.npz_payload(prefix="inner_"),
-        )
+        return {
+            f"{prefix}ordering": self.ordering,
+            f"{prefix}perm": self.perm,
+            f"{prefix}inner_kind": kind,
+            **self.inner.npz_payload(prefix=f"{prefix}inner_"),
+        }
 
     @classmethod
-    def load(cls, path) -> "ReorderedStore":
-        """Rebuild a reordered store saved by :meth:`save`."""
-        with np.load(path) as data:
-            if "store_kind" not in data.files or str(data["store_kind"]) != "reordered":
-                raise ValidationError(f"{path} is not a reordered store file")
-            inner_kind = str(data["inner_kind"])
-            inner_cls = _saved_inner_kinds().get(inner_kind)
-            if inner_cls is None:
-                raise ValidationError(f"unknown inner store kind '{inner_kind}'")
-            inner = inner_cls.from_npz_payload(data, prefix="inner_")
-            perm = np.asarray(data["perm"], dtype=np.int64)
-            ordering = str(data["ordering"])
-        return cls(inner, perm, ordering=ordering)
+    def from_npz_payload(cls, data, prefix: str = "") -> "ReorderedStore":
+        """Rebuild from the key/value payload of :meth:`npz_payload`."""
+        from ..stores import npz_kinds
 
-
-def _saved_inner_kinds() -> dict:
-    """Inner store classes with an ``.npz`` payload, by saved kind name."""
-    from ..csr.compact import CompactStore
-    from ..csr.packed import BitPackedCSR
-
-    return {"packed": BitPackedCSR, "compact": CompactStore}
+        inner_kind = str(data[f"{prefix}inner_kind"])
+        if inner_kind not in _SAVED_INNER_KINDS:
+            raise ValidationError(f"unknown inner store kind '{inner_kind}'")
+        inner = npz_kinds()[inner_kind].from_npz_payload(data, prefix=f"{prefix}inner_")
+        perm = np.asarray(data[f"{prefix}perm"], dtype=np.int64)
+        return cls(inner, perm, ordering=str(data[f"{prefix}ordering"]))
 
 
 def build_reordered_store(

@@ -172,8 +172,8 @@ class ShardedStore(WrapperStore):
         )
 
     # -- persistence (packed shards) ------------------------------------
-    def save(self, path) -> None:
-        """Persist to ``.npz`` (bit-packed shards only).
+    def npz_payload(self, prefix: str = "") -> dict:
+        """Flat ``.npz`` key/value payload (bit-packed shards only).
 
         Layout: routing state under ``partitioner_*`` keys plus each
         shard's :class:`~repro.csr.BitPackedCSR` payload under a
@@ -181,37 +181,28 @@ class ShardedStore(WrapperStore):
         """
         from ..csr.packed import BitPackedCSR
 
-        for s, shard in enumerate(self.shards):
-            if not isinstance(shard, BitPackedCSR):
-                raise ValidationError(
-                    f"only packed shards can be saved (shard {s} is "
-                    f"{type(shard).__name__})"
-                )
-        payload: dict = {"store_kind": "sharded", "num_shards": self.num_shards}
+        if not isinstance(self.shards[0], BitPackedCSR):  # shards share one kind
+            raise ValidationError(
+                f"only packed shards can be saved (the shards are {type(self.shards[0]).__name__})"
+            )
+        payload: dict = {f"{prefix}num_shards": self.num_shards}
         for key, value in self.partitioner.state().items():
-            payload[f"partitioner_{key}"] = value
+            payload[f"{prefix}partitioner_{key}"] = value
         for s, shard in enumerate(self.shards):
-            payload.update(shard.npz_payload(prefix=f"shard{s}_"))
-        np.savez_compressed(path, **payload)
+            payload.update(shard.npz_payload(prefix=f"{prefix}shard{s}_"))
+        return payload
 
     @classmethod
-    def load(cls, path) -> "ShardedStore":
-        """Rebuild a sharded packed store saved by :meth:`save`."""
+    def from_npz_payload(cls, data, prefix: str = "") -> "ShardedStore":
+        """Rebuild from the key/value payload of :meth:`npz_payload`."""
         from ..csr.packed import BitPackedCSR
 
-        with np.load(path) as data:
-            if "store_kind" not in data.files or str(data["store_kind"]) != "sharded":
-                raise ValidationError(f"{path} is not a sharded store file")
-            state = {
-                key[len("partitioner_"):]: data[key]
-                for key in data.files
-                if key.startswith("partitioner_")
-            }
-            if "kind" in state:
-                state["kind"] = str(state["kind"])
-            partitioner = partitioner_from_state(state)
-            shards = [
-                BitPackedCSR.from_npz_payload(data, prefix=f"shard{s}_")
-                for s in range(int(data["num_shards"]))
-            ]
-        return cls(partitioner, shards)
+        routing = f"{prefix}partitioner_"
+        state = {
+            key[len(routing):]: data[key] for key in data.files if key.startswith(routing)
+        }
+        shards = [
+            BitPackedCSR.from_npz_payload(data, prefix=f"{prefix}shard{s}_")
+            for s in range(int(data[f"{prefix}num_shards"]))
+        ]
+        return cls(partitioner_from_state(state), shards)

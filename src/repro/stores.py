@@ -11,15 +11,22 @@ pattern of :mod:`repro.datasets.registry`) gives them one:
                              partitioner="hash", inner="packed")
 
 Old constructors keep working — registered builders are thin adapters
-over them.
+over them.  :func:`save_store` / :func:`load_store` are the one ``.npz``
+writer and reader of every store with a file form.
 """
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import NotSortedError, ReproError, ValidationError
+from .parallel.sort import edges_sorted
+from .query.stores import WrapperStore
 
 __all__ = [
     "StoreSpec",
@@ -28,6 +35,7 @@ __all__ = [
     "available_stores",
     "inner_store_spec",
     "open_store",
+    "save_store",
     "load_store",
 ]
 
@@ -107,79 +115,87 @@ def open_store(kind: str, sources, destinations, n: int, **opts):
     return get_store_spec(kind).builder(sources, destinations, n, **opts)
 
 
+def npz_kinds() -> dict:
+    """Store classes with an ``.npz`` form, by the ``store_kind`` tag of
+    their file (a packed file is untagged); each supplies
+    ``npz_payload(prefix)`` and ``from_npz_payload(data, prefix)``."""
+    from .csr.compact import CompactStore
+    from .csr.packed import BitPackedCSR
+    from .lsm import LsmStore
+    from .reorder import ReorderedStore
+    from .shard import ShardedStore
+
+    return {
+        "packed": BitPackedCSR,
+        "compact": CompactStore,
+        "sharded": ShardedStore,
+        "reordered": ReorderedStore,
+        "lsm": LsmStore,
+    }
+
+
+def save_store(store, path) -> None:
+    """Write *store* to an ``.npz`` file (a path or a file object): its
+    ``npz_payload()`` plus, for every kind but packed, its tag.  A store
+    the format cannot hold raises a ``ValidationError`` before writing."""
+    kind = {cls: k for k, cls in npz_kinds().items()}.get(type(store))
+    if kind is None:
+        raise ValidationError(f"a {type(store).__name__} has no .npz form")
+    payload = store.npz_payload()
+    if kind != "packed":
+        payload = {"store_kind": kind, **payload}
+    np.savez_compressed(path, **payload)
+
+
 def load_store(path):
     """Open a saved store: a disk-store directory or an ``.npz`` file.
 
     The load-side twin of :func:`open_store`, shared by the CLI and
     :class:`~repro.serve.config.ServerConfig`.  Directories open
     through :func:`~repro.disk.open_disk_store` (checksums verified,
-    reordered stores re-wrapped); ``.npz`` files dispatch on their
-    ``store_kind`` key, falling back to packed-CSR key sniffing.  A
-    file matching no known kind raises a one-line
-    :class:`~repro.errors.ReproError` naming the file and the kinds
-    understood; a file lacking a key its kind reads, one naming the
-    file and the key.
+    reordered stores re-wrapped).  An ``.npz`` file (a path or a file
+    object) is read once, by its ``store_kind`` tag (untagged: packed),
+    and every stored row is then checked sorted.  Any fault — not an
+    ``.npz``, an unknown kind or codec, a missing key, an unsorted row —
+    is one :class:`~repro.errors.ReproError` line naming the file.
     """
-    from pathlib import Path
-
-    import numpy as np
-
-    from .errors import ReproError
-
-    p = Path(path)
-    if p.is_dir():
+    if not hasattr(path, "read") and Path(path).is_dir():
         from .disk import open_disk_store
 
-        return open_disk_store(p)
-    import zipfile
-
+        return open_disk_store(Path(path))
     try:
-        with np.load(p) as data:
-            files = set(data.files)
-            kind = str(data["store_kind"]) if "store_kind" in files else None
+        data = np.load(path)
     except (ValueError, zipfile.BadZipFile) as exc:
-        raise ReproError(
-            f"{path}: not a loadable store file ({exc})"
-        ) from exc
-    if kind is not None:
-        loaders = _npz_loaders()
-        if kind not in loaders:
-            known = ", ".join(sorted(loaders))
-            raise ReproError(
-                f"{path}: unknown store kind '{kind}' (known kinds: {known})"
-            )
-        load = loaders[kind]
-    elif {"num_nodes", "offsets", "columns"} <= files:
-        from .csr.packed import BitPackedCSR
-
-        load = BitPackedCSR.load
-    else:
-        raise ReproError(
-            f"{path}: not a recognized store file (keys: {', '.join(sorted(files))}); "
-            "known kinds: packed CSR .npz, sharded/compact/reordered/lsm .npz, "
-            "disk-store directory"
-        )
+        raise ReproError(f"{path}: not a loadable store file ({exc})") from exc
+    kinds = npz_kinds()
     try:
-        return load(path)
+        with data:
+            kind = str(data["store_kind"]) if "store_kind" in data.files else "packed"
+            if kind not in kinds:
+                raise ReproError(f"unknown store kind '{kind}' (known kinds: {', '.join(kinds)})")
+            store = kinds[kind].from_npz_payload(data)
+        _check_stored_order(store)
     except KeyError as exc:  # a truncated or hand-edited file
         key = str(exc.args[0]).removesuffix(" is not a file in the archive")
         raise ReproError(f"{path}: store file lacks key '{key}'") from None
+    except ReproError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return store
 
 
-def _npz_loaders():
-    """Kind-tagged ``.npz`` loaders (imported lazily; composite stores
-    pull in their whole subpackage)."""
-    from .csr.compact import CompactStore
-    from .lsm import LsmStore
-    from .reorder import ReorderedStore
-    from .shard import ShardedStore
-
-    return {
-        "sharded": ShardedStore.load,
-        "compact": CompactStore.load,
-        "reordered": ReorderedStore.load,
-        "lsm": LsmStore.load,
-    }
+def _check_stored_order(store) -> None:
+    """Decode each stored store under *store* once (``to_csr``) and
+    refuse an unsorted row.  Wrappers are walked, not read: a read through an LSM
+    would materialise its rows."""
+    if isinstance(store, WrapperStore):
+        for inner in store._inner_stores():
+            _check_stored_order(inner)
+        return
+    graph = store.to_csr()
+    rows = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
+    if not edges_sorted(rows, graph.indices):
+        raise NotSortedError("a stored row is not sorted (written by an unchecked "
+                             "build); rebuild the store from its edge list")
 
 
 # ----------------------------------------------------------------------

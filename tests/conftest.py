@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.bitpack import fixed
+from repro.csr import BitPackedCSR, CSRGraph
 from repro.csr.builder import ensure_sorted
 from repro.parallel import SerialExecutor, SimulatedMachine, ThreadExecutor
 from repro.query import edges as edge_kernel
@@ -50,6 +51,27 @@ def rows_sorted(store) -> bool:
     flat, offsets = neighbors_batch(store, np.arange(store.num_nodes, dtype=np.int64))
     descents = np.flatnonzero(flat[1:] < flat[:-1]) + 1
     return bool(np.isin(descents, offsets).all())
+
+
+#: where a saved file of each ``.npz`` kind keeps its first stored store
+LEAF_PREFIX = {"packed": "", "compact": "", "sharded": "shard0_",
+               "reordered": "inner_", "lsm": "segment0_"}
+
+
+def rewrite_npz(path, **changes) -> None:
+    """Rewrite the saved ``.npz`` at *path* with *changes* applied to
+    its arrays (a ``None`` value drops the key)."""
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files}
+    payload.update(changes)
+    np.savez(path, **{k: v for k, v in payload.items() if v is not None})
+
+
+def unsorted_leaf_payload(prefix: str = "") -> dict:
+    """The packed payload, under *prefix*, of a 6-node graph whose row 0
+    is ``[5, 3]`` — what an unchecked build could once write."""
+    graph = CSRGraph([0, 2, 3, 3, 3, 3, 3], [5, 3, 2], validate=False)
+    return BitPackedCSR.from_csr(graph).npz_payload(prefix=prefix)
 
 
 @pytest.fixture(params=EXECUTOR_SPECS, ids=[name for name, _ in EXECUTOR_SPECS])

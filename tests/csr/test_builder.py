@@ -153,22 +153,18 @@ class TestRowOrder:
     """Every store's rows are sorted by construction: a list sorted by
     source but not within a row (ROADMAP item 1's fault-table case,
     where a binary search answered ``has_edge(0, 3)`` wrong) is refused
-    by every builder and by the validating constructor, with one line."""
+    by every builder and by the validating constructor, and a saved file
+    holding such a row (written by an unchecked build) by ``load_store``,
+    each with one line."""
 
     SRC, DST, N = [0, 0, 1], [5, 3, 2], 6
 
-    @staticmethod
-    def _npz(tmp_path):
-        path = tmp_path / "crafted.npz"
-        np.savez(path, indptr=np.array([0, 2, 3, 3, 3, 3, 3]), indices=np.array([5, 3, 2]))
-        return path
-
     @pytest.mark.parametrize("builder", [
         "build_csr", "build_csr_serial", "build_bitpacked_csr", "build_sharded_store",
-        "build_compact_csr", "pack_disk_store", "CSRGraph", "load_csr",
+        "build_compact_csr", "pack_disk_store", "CSRGraph",
     ])
     def test_a_row_unsorted_list_is_refused(self, builder, tmp_path):
-        from repro.csr import CSRGraph, build_bitpacked_csr, load_csr
+        from repro.csr import CSRGraph, build_bitpacked_csr
         from repro.csr.compact import build_compact_csr
         from repro.disk import pack_disk_store
         from repro.errors import ReproError
@@ -183,10 +179,23 @@ class TestRowOrder:
             "build_compact_csr": lambda: build_compact_csr(src, dst, n, sort=False),
             "pack_disk_store": lambda: pack_disk_store(src, dst, n, tmp_path / "d"),
             "CSRGraph": lambda: CSRGraph([0, 2, 3, 3, 3, 3, 3], dst),
-            "load_csr": lambda: load_csr(self._npz(tmp_path)),
         }[builder]
         with pytest.raises(NotSortedError) as excinfo:
             attempt()
         assert isinstance(excinfo.value, ReproError)
         message = str(excinfo.value)
         assert message and "\n" not in message
+
+    @pytest.mark.parametrize("kind", ["packed", "sharded", "reordered", "lsm"])
+    def test_a_saved_unsorted_row_is_refused_on_load(self, kind, tmp_path):
+        from repro.stores import load_store, open_store, save_store
+        from tests.conftest import LEAF_PREFIX, rewrite_npz, unsorted_leaf_payload
+
+        src, dst = ensure_sorted(np.asarray(self.SRC), np.asarray(self.DST))
+        path = tmp_path / f"{kind}.npz"
+        save_store(open_store(kind, src, dst, self.N), path)
+        rewrite_npz(path, **unsorted_leaf_payload(LEAF_PREFIX[kind]))
+        with pytest.raises(NotSortedError) as excinfo:
+            load_store(path)
+        message = str(excinfo.value)
+        assert str(path) in message and "\n" not in message

@@ -13,6 +13,7 @@ from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.csr.compact import CompactStore, build_compact_csr
 from repro.csr.packed import build_bitpacked_csr
 from repro.errors import CodecError, QueryError
+from repro.stores import load_store, save_store
 
 CONFIGS = [
     ("auto-1seg", None, 1 << 20),
@@ -73,8 +74,8 @@ class TestParity:
             src, dst, n, codecs=codecs, segment_bytes=seg_bytes
         )
         path = tmp_path / "compact.npz"
-        store.save(path)
-        loaded = CompactStore.load(path)
+        save_store(store, path)
+        loaded = load_store(path)
         assert loaded.to_csr() == store.to_csr()
         assert loaded.bits_per_edge() == store.bits_per_edge()
         assert loaded.codec_breakdown() == store.codec_breakdown()
@@ -297,8 +298,8 @@ class TestSegmentArena:
 
     def test_save_load_roundtrip_keeps_the_bytes(self, stores, tmp_path):
         store, packed = stores
-        store.save(tmp_path / "mixed.npz")
-        loaded = CompactStore.load(tmp_path / "mixed.npz")
+        save_store(store, tmp_path / "mixed.npz")
+        loaded = load_store(tmp_path / "mixed.npz")
         a, b = store.npz_payload(), loaded.npz_payload()
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[k], b[k]) for k in a)

@@ -1,17 +1,14 @@
-"""Edge-list and CSR persistence, and exact size accounting."""
+"""Edge-list persistence and exact size accounting."""
 
 import numpy as np
 import pytest
 
-from repro.csr.builder import build_csr_serial
 from repro.csr.io import (
     binary_edge_list_info,
     edge_list_text_size,
     iter_edge_list_binary,
-    load_csr,
     read_edge_list,
     read_edge_list_binary,
-    save_csr,
     write_edge_list,
     write_edge_list_binary,
 )
@@ -179,25 +176,6 @@ class TestBinaryFormat:
         write_edge_list_binary(path, src, dst)
         with pytest.raises(ValidationError, match="chunk_edges"):
             list(iter_edge_list_binary(path, chunk_edges=0))
-
-
-class TestCsrPersistence:
-    def test_roundtrip(self, tmp_path, edges):
-        src, dst = edges
-        g = build_csr_serial(src, dst, 1000, sort=True)
-        path = tmp_path / "g.npz"
-        save_csr(path, g)
-        assert load_csr(path) == g
-
-    def test_weighted_roundtrip(self, tmp_path):
-        from repro.csr.graph import CSRGraph
-
-        g = CSRGraph(np.array([0, 2, 2]), np.array([0, 1]), values=np.array([0.5, 1.5]))
-        path = tmp_path / "w.npz"
-        save_csr(path, g)
-        loaded = load_csr(path)
-        assert loaded == g
-        assert loaded.is_weighted
 
 
 class TestGzipEdgeLists:

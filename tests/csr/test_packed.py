@@ -11,6 +11,7 @@ from repro.csr.packed import BitPackedCSR, build_bitpacked_csr, pack_array_paral
 from repro.errors import QueryError, ValidationError
 from repro.obs import Tracer
 from repro.parallel import SimulatedMachine
+from repro.stores import load_store, save_store
 
 
 @pytest.fixture
@@ -126,8 +127,8 @@ class TestBitPackedCSR:
     def test_save_load(self, graph, tmp_path):
         packed = BitPackedCSR.from_csr(graph, gap_encode=True)
         path = tmp_path / "g.npz"
-        packed.save(path)
-        loaded = BitPackedCSR.load(path)
+        save_store(packed, path)
+        loaded = load_store(path)
         assert loaded == packed
 
     def test_constructor_size_checks(self, graph):

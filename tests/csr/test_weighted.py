@@ -7,6 +7,7 @@ from repro.csr.builder import build_csr
 from repro.csr.packed import BitPackedCSR, build_bitpacked_csr
 from repro.errors import QueryError, ValidationError
 from repro.parallel import SimulatedMachine
+from repro.stores import load_store, save_store
 
 
 @pytest.fixture
@@ -100,8 +101,8 @@ class TestWeightedPacked:
         src, dst, w, n = weighted_edges
         packed = build_bitpacked_csr(src, dst, n, weights=w, sort=True)
         path = tmp_path / "w.npz"
-        packed.save(path)
-        assert BitPackedCSR.load(path) == packed
+        save_store(packed, path)
+        assert load_store(path) == packed
 
     def test_zero_weight_graph(self):
         packed = build_bitpacked_csr(

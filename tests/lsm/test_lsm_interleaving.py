@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro import open_store
 from repro.csr.compact import CompactStore
 from repro.lsm import DeltaMemtable, LsmStore, build_lsm_store
+from repro.stores import load_store, save_store
 
 N = 12
 INNER_OPTS = {"segment_bytes": 48, "codecs": "fixed,varint"}
@@ -58,13 +59,13 @@ def _oracle_edges(model):
 
 
 def _reopen(store):
-    """What ``load`` does: same base and memtable entries, no memos
-    (``save`` → ``load`` itself where the base is packed)."""
+    """What loading does: same base and memtable entries, no memos
+    (``save_store`` → ``load_store`` itself where the base is packed)."""
     if store.inner == "packed":
         file = io.BytesIO()
-        store.save(file)
+        save_store(store, file)
         file.seek(0)
-        return LsmStore.load(file)
+        return load_store(file)
     return LsmStore(
         store.num_nodes, store.segments, inner=store.inner,
         inner_opts=store.inner_opts,

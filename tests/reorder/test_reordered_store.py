@@ -6,7 +6,7 @@ import pytest
 from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.reorder import ReorderedStore, build_reordered_store
 from repro.errors import QueryError, ValidationError
-from repro.stores import open_store
+from repro.stores import load_store, open_store, save_store
 from tests.conftest import CountingStore
 
 ORDERINGS = ["natural", "degree", "bfs", "slashburn"]
@@ -120,8 +120,8 @@ class TestSaveLoad:
         src, dst, n = edges
         store = build_reordered_store(src, dst, n, order="degree", inner=inner)
         path = tmp_path / "reordered.npz"
-        store.save(path)
-        loaded = ReorderedStore.load(path)
+        save_store(store, path)
+        loaded = load_store(path)
         assert loaded.ordering == "degree"
         assert np.array_equal(loaded.perm, store.perm)
         assert loaded.to_csr() == store.to_csr()
@@ -131,7 +131,7 @@ class TestSaveLoad:
         src, dst, n = edges
         store = build_reordered_store(src, dst, n, order="degree", inner="adjlist")
         with pytest.raises(ValidationError, match="packed or compact"):
-            store.save(tmp_path / "bad.npz")
+            save_store(store, tmp_path / "bad.npz")
 
 
 class TestValidation:

@@ -20,7 +20,7 @@ from repro.csr.packed import BitPackedCSR
 from repro.errors import ReproError, ValidationError
 from repro.lsm import LsmStore
 from repro.serve import GraphQueryServer, ManualClock, ServerConfig, open_server
-from repro.stores import load_store
+from repro.stores import load_store, save_store
 
 
 @pytest.fixture
@@ -200,7 +200,7 @@ class TestLoadStore:
 
     def test_round_trips_saved_packed_store(self, packed, tmp_path):
         path = tmp_path / "graph.npz"
-        packed.save(path)
+        save_store(packed, path)
         loaded = load_store(path)
         assert int(loaded.num_nodes) == int(packed.num_nodes)
         for u in range(int(packed.num_nodes)):
@@ -208,7 +208,7 @@ class TestLoadStore:
 
     def test_store_path_config_resolves(self, packed, tmp_path):
         path = tmp_path / "graph.npz"
-        packed.save(path)
+        save_store(packed, path)
         server = open_server(ServerConfig(store_path=path))
         assert int(server.store.num_nodes) == int(packed.num_nodes)
 
@@ -223,7 +223,7 @@ class TestLoadStore:
         """A saved *kind* store file with *key* dropped."""
         src, dst, n = edges
         path = tmp_path / f"{kind}.npz"
-        open_store(kind, src, dst, n, **opts).save(path)
+        save_store(open_store(kind, src, dst, n, **opts), path)
         with np.load(path) as data:
             assert key in data.files
             payload = {k: data[k] for k in data.files if k != key}

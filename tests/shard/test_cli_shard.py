@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.shard import ShardedStore
+from repro.stores import load_store
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def test_build_sharded_file(tmp_path, edge_file, partitioner, capsys):
                "--shards", "4", "--partitioner", partitioner])
     assert rc == 0
     assert "ShardedStore(shards=4" in capsys.readouterr().out
-    store = ShardedStore.load(out)
+    store = load_store(out)
     assert store.num_shards == 4
     assert store.partitioner.kind == partitioner
 
@@ -36,7 +36,7 @@ def test_build_sharded_file(tmp_path, edge_file, partitioner, capsys):
 def test_build_sharded_gap(tmp_path, edge_file):
     out = tmp_path / "sharded-gap.npz"
     assert main(["build", str(edge_file), str(out), "--gap", "--shards", "2"]) == 0
-    store = ShardedStore.load(out)
+    store = load_store(out)
     assert all(s.gap_encoded for s in store.shards)
 
 
@@ -74,7 +74,7 @@ def test_query_reshards_monolithic_file(packed_file, capsys):
 def test_query_edge_exit_codes_sharded(tmp_path, edge_file, packed_file, capsys):
     sharded = tmp_path / "sharded.npz"
     main(["build", str(edge_file), str(sharded), "--shards", "2"])
-    store = ShardedStore.load(sharded)
+    store = load_store(sharded)
     u = int(np.argmax(store.degrees()))
     v = int(store.neighbors(u)[0])
     capsys.readouterr()

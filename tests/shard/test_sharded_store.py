@@ -13,6 +13,7 @@ from repro.obs import Tracer
 from repro.parallel import Cost, CostModel, SerialExecutor, SimulatedMachine
 from repro.query import RowCache, batch_edge_existence, batch_neighbors
 from repro.query.stores import GraphStore
+from repro.stores import load_store, save_store
 from repro.shard import (
     HashPartitioner,
     RangePartitioner,
@@ -285,8 +286,8 @@ class TestPersistence:
             "sharded", src, dst, n, shards=3, partitioner=partitioner, inner=inner
         )
         path = tmp_path / "sharded.npz"
-        sharded.save(path)
-        clone = ShardedStore.load(path)
+        save_store(sharded, path)
+        clone = load_store(path)
         assert clone.partitioner == sharded.partitioner
         assert clone.num_edges == sharded.num_edges
         us = np.random.default_rng(7).integers(0, n, 200)
@@ -298,15 +299,7 @@ class TestPersistence:
         src, dst, n = sorted_edges
         sharded = open_store("sharded", src, dst, n, shards=2, inner="csr")
         with pytest.raises(ValidationError):
-            sharded.save(tmp_path / "x.npz")
-
-    def test_load_rejects_monolithic_file(self, tmp_path, sorted_edges):
-        src, dst, n = sorted_edges
-        mono = open_store("packed", src, dst, n)
-        path = tmp_path / "mono.npz"
-        mono.save(path)
-        with pytest.raises(ValidationError):
-            ShardedStore.load(path)
+            save_store(sharded, tmp_path / "x.npz")
 
 
 class TestEmptyShards:

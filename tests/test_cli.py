@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.csr.packed import BitPackedCSR
+from repro.stores import load_store
 
 from . import cli_golden
 
@@ -44,7 +44,7 @@ class TestGenerate:
 
 class TestBuild:
     def test_build_roundtrip(self, packed_file, capsys):
-        packed = BitPackedCSR.load(packed_file)
+        packed = load_store(packed_file)
         assert packed.num_edges == 400
         rc = main(["info", str(packed_file)])
         assert rc == 0
@@ -54,7 +54,7 @@ class TestBuild:
     def test_build_gap(self, tmp_path, edge_file):
         out = tmp_path / "gap.npz"
         assert main(["build", str(edge_file), str(out), "--gap"]) == 0
-        assert BitPackedCSR.load(out).gap_encoded
+        assert load_store(out).gap_encoded
 
     def test_build_reports_simulated_time(self, tmp_path, edge_file, capsys):
         out = tmp_path / "g.npz"
@@ -92,7 +92,7 @@ class TestQuery:
         assert "misses" in out
 
     def test_edge_with_row_cache_keeps_exit_codes(self, packed_file, capsys):
-        packed = BitPackedCSR.load(packed_file)
+        packed = load_store(packed_file)
         u = int(np.argmax(packed.degrees()))
         v = int(packed.neighbors(u)[0])
         rc = main(["query", str(packed_file), "--cache-elements", "100",
@@ -102,7 +102,7 @@ class TestQuery:
         assert "present" in out and "hit rate" in out
 
     def test_edge_exit_codes(self, packed_file, capsys):
-        packed = BitPackedCSR.load(packed_file)
+        packed = load_store(packed_file)
         # find one present edge
         u = int(np.argmax(packed.degrees()))
         v = int(packed.neighbors(u)[0])

@@ -7,8 +7,10 @@ three-key event sorts (time is a third key, which the fused two-id key
 does not cover) are allow-listed by file.
 
 The order *check* has the same home: every builder refuses an unsorted
-edge list through ``edges_sorted``, so every store's rows are sorted and
-the query layer keeps no order checks or unsorted-row paths of its own.
+edge list through ``edges_sorted``, and ``load_store`` refuses a saved
+file holding an unsorted row with it, so every store's rows are sorted
+and the query layer keeps no order checks or unsorted-row paths of its
+own.
 """
 
 import ast
@@ -31,6 +33,7 @@ CHECKS = {
     "csr/builder.py": ["build_csr", "build_csr_serial"],
     "csr/graph.py": ["_validate"],
     "shard/build.py": ["build_sharded_store"],
+    "stores.py": ["_check_stored_order"],
 }
 #: names of the order checks and unsorted-row state the query layer dropped
 RETIRED = ("all_sorted", "_is_sorted", "_unsorted", "rows_sorted")

@@ -5,9 +5,9 @@ A serving-path store supplies one row-decode primitive;
 ``neighbors_batch``'s validate → distinct → decode → expand and the
 scalar surface, and its wrapper half (``WrapperStore``) the conditional
 page-touch forward.  No store may grow a private copy of any of them
-again, the packed ``.npz`` payload
-is spelled out in one file, and the cluster builds its shards through
-``build_sharded_store`` instead of a private loop.
+again, the packed ``.npz`` payload is spelled out in one file and
+``.npz`` files are read and written in another, and the cluster builds
+its shards through ``build_sharded_store`` instead of a private loop.
 """
 
 import ast
@@ -95,6 +95,18 @@ def test_packed_payload_spelled_out_in_one_file():
             files.add(path.relative_to(ROOT).as_posix())
     assert files == {"csr/packed.py"}
 
+
+def test_npz_files_are_written_and_read_in_one_file():
+    """``save_store`` / ``load_store`` are the one ``.npz`` writer and
+    reader: no other module calls ``np.savez*`` or ``np.load``."""
+    files = set()
+    for path in sorted(ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            fn = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(fn, ast.Attribute) and getattr(fn.value, "id", "") == "np"
+                    and fn.attr in {"savez", "savez_compressed", "load"}):
+                files.add(path.relative_to(ROOT).as_posix())
+    assert files == {"stores.py"}
 
 def test_cluster_builds_shards_through_the_shard_builder():
     (build,) = [node for _, _, name, node in _definitions([ROOT / "cluster" / "build.py"])

@@ -17,8 +17,8 @@ from repro.errors import QueryError, ValidationError
 from repro.query import RowCache, capabilities
 from repro.query.stores import GraphStore, neighbors_batch
 from repro.shard import ShardedStore, make_partitioner, shard_edge_list
-from repro.stores import get_store_spec, load_store
-from tests.conftest import rows_sorted
+from repro.stores import get_store_spec, load_store, save_store
+from tests.conftest import LEAF_PREFIX, rewrite_npz, rows_sorted, unsorted_leaf_payload
 
 #: registered kinds whose store decodes a batch natively
 NATIVE_BATCH_KINDS = ["compact", "csr", "csr-serial", "disk", "gap", "lsm",
@@ -285,7 +285,7 @@ def test_npz_layout_pinned_and_loadable(edges, tmp_path, kind):
     if kind == "lsm":
         store.insert_edge(0, 0) or store.delete_edge(0, 0)
     path = tmp_path / f"{kind}.npz"
-    store.save(path)
+    save_store(store, path)
     with np.load(path) as data:
         assert sorted(data.files) == NPZ_KEYS[kind]
     loaded = load_store(path)
@@ -293,3 +293,51 @@ def test_npz_layout_pinned_and_loadable(edges, tmp_path, kind):
     nodes = np.arange(n)
     for got, want in zip(loaded.neighbors_batch(nodes), store.neighbors_batch(nodes)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+#: (kind, fault) pairs of the malformed-file matrix: every kind under
+#: every fault that can reach it (a codec name lives only in a compact
+#: payload; an unsorted row is crafted as a packed payload)
+MALFORMED = [
+    (kind, fault)
+    for kind in ("packed", "compact", "sharded", "reordered", "lsm")
+    for fault in ("missing-key", "unknown-kind", "unknown-codec", "unsorted-row", "not-a-zip")
+    if not (fault == "unknown-codec" and kind not in ("compact", "reordered"))
+    and not (fault == "unsorted-row" and kind == "compact")
+]
+_FAULT_TEXT = {
+    "missing-key": "lacks key", "unknown-kind": "unknown store kind 'nope'",
+    "unknown-codec": "unknown codec 'nope'", "unsorted-row": "not sorted",
+    "not-a-zip": "not a loadable store file",
+}
+
+
+@pytest.mark.parametrize("kind,fault", MALFORMED)
+def test_a_malformed_file_is_one_error_line(tmp_path, capsys, kind, fault):
+    """Whatever is wrong with a saved ``.npz``, ``load_store`` (and so
+    ``repro info``) answers with one ``ReproError`` line naming the file."""
+    from repro.cli import main
+    from repro.errors import ReproError
+
+    opts = {"sharded": {"shards": 2}, "reordered": {"inner": "compact"}}.get(kind, {})
+    path = tmp_path / f"{kind}.npz"
+    save_store(open_store(kind, [0, 0, 1], [3, 5, 2], 6, **opts), path)
+    prefix = LEAF_PREFIX[kind]
+    if fault == "not-a-zip":
+        path.write_bytes(path.read_bytes()[:64])
+    else:
+        rewrite_npz(path, **{
+            "missing-key": {f"{prefix}offsets_nbits": None},
+            "unknown-kind": {"store_kind": "nope"},
+            "unknown-codec": {f"{prefix}seg0_codec": "nope"},
+            "unsorted-row": unsorted_leaf_payload(prefix),
+        }[fault])
+        if fault == "unsorted-row" and kind == "reordered":
+            rewrite_npz(path, inner_kind="packed")  # the crafted inner is packed
+    with pytest.raises(ReproError) as info:
+        load_store(path)
+    message = str(info.value)
+    assert str(path) in message and _FAULT_TEXT[fault] in message
+    assert "\n" not in message
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
