@@ -162,13 +162,9 @@ def _write_encoded(directory: Path, filename: str, enc: SegmentEncoding) -> Segm
 
 def _write_perm_segment(directory: Path, perm, num_nodes: int) -> Segment:
     """Pack and write the node permutation as its own segment file."""
-    arr = np.asarray(perm, dtype=np.int64)
-    if arr.shape != (num_nodes,):
-        raise ValidationError(f"permutation must have shape ({num_nodes},)")
-    seen = np.zeros(num_nodes, dtype=bool)
-    seen[arr] = True
-    if not seen.all():
-        raise ValidationError("perm must be a permutation of range(n)")
+    from ..reorder.orderings import check_permutation
+
+    arr = check_permutation(perm, num_nodes)
     width = bits_for_count(num_nodes)
     seg = _write_packed(
         directory,

@@ -35,6 +35,7 @@ __all__ = [
     "degree_order",
     "bfs_order",
     "slashburn_order",
+    "check_permutation",
     "relabel",
 ]
 
@@ -82,20 +83,31 @@ def bfs_order(graph: CSRGraph, source: int = 0) -> np.ndarray:
     return perm
 
 
+def check_permutation(perm, n: int) -> np.ndarray:
+    """*perm* as an ``int64`` array, checked to be a permutation of
+    ``range(n)``: the shape, then every entry's range, then that each
+    id appears once.  Each fault is one
+    :class:`~repro.errors.ValidationError` line."""
+    p = np.asarray(perm, dtype=np.int64)
+    if p.shape != (n,):
+        raise ValidationError(f"permutation must have shape ({n},)")
+    if n and (int(p.min()) < 0 or int(p.max()) >= n):
+        raise ValidationError(f"permutation entries must lie in [0, {n})")
+    seen = np.zeros(n, dtype=bool)
+    seen[p] = True
+    if not seen.all():
+        raise ValidationError("perm must be a permutation of range(n)")
+    return p
+
+
 def relabel(graph: CSRGraph, perm: np.ndarray) -> CSRGraph:
     """The same graph with node ``u`` renamed to ``perm[u]``.
 
     *perm* must be a permutation of ``range(n)``; weights follow their
     edges.
     """
-    p = np.asarray(perm, dtype=np.int64)
     n = graph.num_nodes
-    if p.shape != (n,):
-        raise ValidationError(f"permutation must have shape ({n},)")
-    seen = np.zeros(n, dtype=bool)
-    seen[p] = True
-    if not seen.all():
-        raise ValidationError("perm must be a permutation of range(n)")
+    p = check_permutation(perm, n)
     src, dst = graph.edges()
     ns, nd, vals = sort_edges(p[src], p[dst], graph.values)
     g = build_csr_serial(ns, nd, n)

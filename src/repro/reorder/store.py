@@ -18,8 +18,8 @@ from ..errors import ValidationError
 from ..parallel.sort import sort_within_rows
 from ..query.stores import WrapperStore
 from ..query.stores import neighbors_batch as _store_batch
-from ..utils import human_bytes
-from .orderings import edge_ordering, relabel
+from ..utils import human_bytes, min_uint_dtype
+from .orderings import check_permutation, edge_ordering, relabel
 
 __all__ = ["ReorderedStore", "build_reordered_store"]
 
@@ -48,18 +48,14 @@ class ReorderedStore(WrapperStore):
     )
 
     def __init__(self, inner, perm, *, ordering: str = "custom"):
-        p = np.asarray(perm, dtype=np.int64)
         n = int(inner.num_nodes)
-        if p.shape != (n,):
-            raise ValidationError(f"permutation must have shape ({n},)")
-        seen = np.zeros(n, dtype=bool)
-        seen[p] = True
-        if not seen.all():
-            raise ValidationError("perm must be a permutation of range(n)")
+        p = check_permutation(perm, n)
+        # both tables at the narrowest width an id of range(n) needs
+        ids = min_uint_dtype(max(n - 1, 0))
         self.inner = inner
-        self.perm = p
-        self.inv = np.empty(n, dtype=np.int64)
-        self.inv[p] = np.arange(n, dtype=np.int64)
+        self.perm = p.astype(ids)
+        self.inv = np.empty(n, dtype=ids)
+        self.inv[p] = np.arange(n, dtype=ids)
         self.ordering = str(ordering)
         self.num_nodes = n
         self._inner_caps = self._resolve_inner(inner)
@@ -138,7 +134,8 @@ class ReorderedStore(WrapperStore):
         return 8.0 * float(self.inner.memory_bytes()) / max(1, self.num_edges)
 
     def memory_bytes(self) -> int:
-        """Inner payload plus both id-translation tables."""
+        """Inner payload plus both id-translation tables (each entry at
+        the narrowest unsigned width that holds ``n - 1``)."""
         return int(self.inner.memory_bytes()) + self.perm.nbytes + self.inv.nbytes
 
     def to_csr(self):
@@ -156,7 +153,8 @@ class ReorderedStore(WrapperStore):
     def npz_payload(self, prefix: str = "") -> dict:
         """Flat ``.npz`` key/value payload (packed or compact inner stores only).
 
-        Layout: the ordering name and permutation, the inner store's
+        Layout: the ordering name and permutation (``int64`` in the
+        file, whatever the width in memory), the inner store's
         kind (:func:`~repro.stores.npz_kinds`) and its own payload under
         an ``inner_`` prefix.
         """
@@ -172,7 +170,7 @@ class ReorderedStore(WrapperStore):
             raise ValidationError("weighted inner stores cannot be saved")
         return {
             f"{prefix}ordering": self.ordering,
-            f"{prefix}perm": self.perm,
+            f"{prefix}perm": self.perm.astype(np.int64),
             f"{prefix}inner_kind": kind,
             **self.inner.npz_payload(prefix=f"{prefix}inner_"),
         }
@@ -186,8 +184,7 @@ class ReorderedStore(WrapperStore):
         if inner_kind not in _SAVED_INNER_KINDS:
             raise ValidationError(f"unknown inner store kind '{inner_kind}'")
         inner = npz_kinds()[inner_kind].from_npz_payload(data, prefix=f"{prefix}inner_")
-        perm = np.asarray(data[f"{prefix}perm"], dtype=np.int64)
-        return cls(inner, perm, ordering=str(data[f"{prefix}ordering"]))
+        return cls(inner, data[f"{prefix}perm"], ordering=str(data[f"{prefix}ordering"]))
 
 
 def build_reordered_store(

@@ -136,3 +136,8 @@ class TestV2Perm:
         bad = np.zeros(packed.num_nodes, dtype=np.int64)
         with pytest.raises(ValidationError):
             write_disk_store(packed, tmp_path / "store", perm=bad)
+
+    def test_perm_entries_must_lie_in_range(self, tmp_path):
+        two = build_bitpacked_csr(np.array([0]), np.array([1]), 2, None, sort=True)
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 2\)"):
+            write_disk_store(two, tmp_path / "store", perm=[0, -1])

@@ -56,6 +56,11 @@ class TestRelabel:
         with pytest.raises(ValidationError, match="shape"):
             relabel(graph, np.arange(graph.num_nodes + 1))
 
+    def test_rejects_out_of_range_entry(self):
+        graph = build_csr_serial(np.array([0]), np.array([1]), 2)
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 2\)"):
+            relabel(graph, [0, -1])
+
 
 class TestOrders:
     def test_degree_order_puts_hubs_first(self, graph):

@@ -143,6 +143,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ReorderedStore(inner, np.arange(n - 1))
 
+    @pytest.mark.parametrize("perm", [[0, -1], [0, 2]], ids=["negative", "past-n"])
+    def test_out_of_range_entry_refused(self, perm):
+        """An entry outside ``[0, n)`` is one line, not a wrapped index
+        accepted or an ``IndexError``."""
+        inner = open_store("packed", [0], [1], 2)
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 2\)"):
+            ReorderedStore(inner, perm)
+
     def test_no_direct_nesting(self, edges):
         src, dst, n = edges
         with pytest.raises(ValidationError, match="nest"):
@@ -166,8 +174,8 @@ class TestAccounting:
     def test_memory_counts_id_tables(self, edges):
         src, dst, n = edges
         store = build_reordered_store(src, dst, n, inner="packed")
-        assert store.memory_bytes() >= (
-            store.inner.memory_bytes() + 2 * 8 * n
+        assert store.memory_bytes() == (
+            store.inner.memory_bytes() + 2 * store.perm.itemsize * n
         )
 
     def test_bits_per_edge_is_inner_only(self, edges):
@@ -183,3 +191,44 @@ class TestAccounting:
         assert plain.gap_encoded is False
         with pytest.raises(AttributeError):
             build_reordered_store(src, dst, n, inner="adjlist").gap_encoded
+
+
+class TestNarrowIdTables:
+    """``perm`` and ``inv`` take the narrowest unsigned width that holds
+    ``n - 1``; replies, accounting and the saved file do not change."""
+
+    @pytest.mark.parametrize("n,width", [(200, np.uint8), (300, np.uint16),
+                                         (70_000, np.uint32)])
+    @pytest.mark.parametrize("kind,opts", [("packed", {}),
+                                           ("compact", {"segment_bytes": 2048}),
+                                           ("disk", {"segment_bytes": 2048})],
+                             ids=["packed", "compact", "disk"])
+    def test_replies_equal_the_graph(self, rng, tmp_path, n, width, kind, opts):
+        m = 3000
+        src, dst = ensure_sorted(rng.integers(0, n, m), rng.integers(0, n, m))
+        store = build_reordered_store(src, dst, n, order="degree", inner=kind, **opts)
+        ref = open_store(kind, src, dst, n, **opts)
+        assert store.perm.dtype == store.inv.dtype == width
+        assert store.memory_bytes() == store.inner.memory_bytes() + 2 * np.dtype(width).itemsize * n
+        hub = int(np.argmax(ref.degrees()))
+        nodes = np.concatenate([rng.integers(0, n, 100), [0, n - 1, hub]])
+        for u in nodes.tolist():
+            got, want = store.neighbors(u), ref.neighbors(u)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        batch = np.concatenate([rng.integers(0, n, 500), [n - 1, hub, n - 1]])
+        for got, want in zip(store.neighbors_batch(batch), ref.neighbors_batch(batch)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for u, v in zip(src[::50].tolist(), dst[::50].tolist()):
+            assert store.has_edge(u, v)
+        for u, v in zip(rng.integers(0, n, 100).tolist(), rng.integers(0, n, 100).tolist()):
+            assert store.has_edge(u, v) == ref.has_edge(u, v)
+        got, want = store.degrees(), ref.degrees()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert store.to_csr() == ref.to_csr()
+        if kind != "disk":
+            path = tmp_path / "reordered.npz"
+            save_store(store, path)
+            with np.load(path) as data:
+                assert data["perm"].dtype == np.int64
+                assert np.array_equal(data["perm"], store.perm)
+            assert load_store(path).perm.dtype == width

@@ -6,6 +6,12 @@ a private (source, destination) sort again.  The temporal structures'
 three-key event sorts (time is a third key, which the fused two-id key
 does not cover) are allow-listed by file.
 
+The permutation check has one home too: ``check_permutation`` in
+:mod:`repro.reorder.orderings` (shape, then range, then coverage) is
+what ``relabel``, ``ReorderedStore`` and the disk builder's perm
+segment call, so no layer keeps a private ``seen[perm] = True`` copy
+that a negative or too-large entry slips past.
+
 The order *check* has the same home: every builder refuses an unsorted
 edge list through ``edges_sorted``, and ``load_store`` refuses a saved
 file holding an unsorted row with it, so every store's rows are sorted
@@ -82,3 +88,29 @@ def test_the_order_check_has_one_home():
              for path in sorted(ROOT.rglob("*.py"))
              for name in RETIRED if name in path.read_text()]
     assert not stray, f"retired order-check names are back: {stray}"
+
+
+#: the permutation check's home, and the functions that refuse a bad perm with it
+PERM_HOME = "reorder/orderings.py"
+PERM_CHECK = "check_permutation"
+PERM_CALLERS = {
+    "reorder/orderings.py": ["relabel"],
+    "reorder/store.py": ["__init__"],
+    "disk/build.py": ["_write_perm_segment"],
+}
+
+
+def test_the_permutation_check_has_one_home():
+    defined = [rel for rel, tree in _trees() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == PERM_CHECK]
+    assert defined == [PERM_HOME]
+    for rel, names in PERM_CALLERS.items():
+        tree = ast.parse((ROOT / rel).read_text())
+        funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            calls = [_called(node) for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)]
+            assert PERM_CHECK in calls, f"{rel}::{name} must check its perm with {PERM_CHECK}"
+    # the coverage refusal is raised in the home alone
+    stray = [path.relative_to(ROOT).as_posix() for path in sorted(ROOT.rglob("*.py"))
+             if "must be a permutation of" in path.read_text()]
+    assert stray == [PERM_HOME], f"a private permutation check is back: {stray}"

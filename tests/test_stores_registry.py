@@ -297,17 +297,21 @@ def test_npz_layout_pinned_and_loadable(edges, tmp_path, kind):
 
 #: (kind, fault) pairs of the malformed-file matrix: every kind under
 #: every fault that can reach it (a codec name lives only in a compact
-#: payload; an unsorted row is crafted as a packed payload)
+#: payload; an unsorted row is crafted as a packed payload; only a
+#: reordered file holds a permutation)
 MALFORMED = [
     (kind, fault)
     for kind in ("packed", "compact", "sharded", "reordered", "lsm")
-    for fault in ("missing-key", "unknown-kind", "unknown-codec", "unsorted-row", "not-a-zip")
+    for fault in ("missing-key", "unknown-kind", "unknown-codec", "unsorted-row",
+                  "bad-perm", "not-a-zip")
     if not (fault == "unknown-codec" and kind not in ("compact", "reordered"))
     and not (fault == "unsorted-row" and kind == "compact")
+    and not (fault == "bad-perm" and kind != "reordered")
 ]
 _FAULT_TEXT = {
     "missing-key": "lacks key", "unknown-kind": "unknown store kind 'nope'",
     "unknown-codec": "unknown codec 'nope'", "unsorted-row": "not sorted",
+    "bad-perm": "permutation entries must lie in [0, 6)",
     "not-a-zip": "not a loadable store file",
 }
 
@@ -331,6 +335,7 @@ def test_a_malformed_file_is_one_error_line(tmp_path, capsys, kind, fault):
             "unknown-kind": {"store_kind": "nope"},
             "unknown-codec": {f"{prefix}seg0_codec": "nope"},
             "unsorted-row": unsorted_leaf_payload(prefix),
+            "bad-perm": {"perm": np.array([0, 1, 2, 3, 4, 6])},
         }[fault])
         if fault == "unsorted-row" and kind == "reordered":
             rewrite_npz(path, inner_kind="packed")  # the crafted inner is packed
