@@ -7,7 +7,8 @@ shard-level deduplication is what pays for the scatter/gather copies —
 each hot row is decoded once per shard instead of once per query.
 
 Also asserts exact simulated-cost parity (the sharded store charges
-the machine what the monolithic store would) and sweeps shard count x
+the machine what the monolithic store would), that range shards hold
+no more bytes than the monolithic store, and sweeps shard count x
 partitioner for the EXPERIMENTS.md table.  The measured throughput
 baseline lands in ``BENCH_shard.json`` under ``BENCH_WRITE_BASELINE=1``
 (or when the file is missing).
@@ -171,6 +172,27 @@ def test_zipf_parity_gate(mono, medium_standin, workload):
         f"sharded qps fell to {gate_ratio:.2f}x of monolithic "
         f"(floor {PARITY_FLOOR}x)"
     )
+
+
+def test_range_shard_memory_gate(mono, medium_standin):
+    """A packed shard stores offsets only for its row window, so range
+    shards together hold no more than the monolithic store: gated
+    exactly at 2, 4 and 8 shards.  A hash shard's window is the whole
+    node space; its rows are printed, not gated."""
+    mono_mem = mono.memory_bytes()
+    rows, over = [], []
+    for partitioner in ("range", "hash"):
+        for shards in (2, 4, 8):
+            mem = _sharded(medium_standin, shards, partitioner).memory_bytes()
+            rows.append([partitioner, str(shards), str(mem), f"{mem / mono_mem:.3f}x"])
+            if partitioner == "range" and mem > mono_mem:
+                over.append((shards, mem))
+    report(
+        "Sharded packed memory vs monolithic",
+        render_table(["partitioner", "shards", "bytes", "memory"], rows,
+                     title=f"monolithic {mono_mem} B (gate: range <= 1x)"),
+    )
+    assert not over, f"range shards outgrew the monolithic {mono_mem} B: {over}"
 
 
 def test_shard_sweep_report(mono, medium_standin, workload):

@@ -98,8 +98,10 @@ def projected_packed_csr_bytes(n: int, m: int) -> int:
     """Bit-packed CSR bytes at (n, m) scale, per Algorithm 4's layout.
 
     ``iA``: (n + 1) fields of ``bits_for_value(m)`` bits; ``jA``: m
-    fields of ``bits_for_count(n)`` bits.  This is the closed form of
-    :meth:`BitPackedCSR.memory_bytes`.
+    fields of ``bits_for_count(n)`` bits.  This is Algorithm 4's
+    paper-scale closed form; it equals :meth:`BitPackedCSR.memory_bytes`
+    exactly when rows 0 and n - 1 are non-empty (a store packs ``iA``
+    only over its first to last non-empty row).
     """
     require(n >= 0 and m >= 0, "sizes must be non-negative")
     ia_bits = (n + 1) * bits_for_value(m)

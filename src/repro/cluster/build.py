@@ -8,7 +8,7 @@ from one of three sources:
 * an edge list (``config.edges`` / ``store_kind``) — built by
   :func:`~repro.shard.build.build_sharded_store`, each shard of
   ``store_kind`` (else :data:`SHARD_INNER`) spanning the full global
-  node space;
+  node space (a packed shard stores offsets for its row window only);
 * a ready :class:`~repro.shard.ShardedStore` — its sub-stores and
   partitioner are adopted as-is (the shard layout was already chosen);
 * any other ready/loadable store — its edges are extracted in one

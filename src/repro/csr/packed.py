@@ -3,11 +3,14 @@
 Both CSR arrays are packed into fixed-width bit arrays: the offset
 array ``iA`` at ``bits_for_value(m)`` bits per field and the column
 array ``jA`` at ``bits_for_count(n)`` bits per field (optionally after
-a per-row gap transform for extra compression).  Packing is chunked
-across the executor's processors; the packed chunks are then merged by
-a **serial** pass — the paper's "finalBitArray = merge all bitArrays
-from global location" — which is the dominant sequential fraction of
-the whole pipeline and the source of its speed-up saturation.
+a per-row gap transform for extra compression); ``iA`` only over the
+**row window**, the first to the last non-empty row, so a range shard
+pays offsets for its own rows, not the whole node space.  Packing is
+chunked across the executor's processors; the packed chunks are then
+merged by a **serial** pass — the paper's "finalBitArray = merge all
+bitArrays from global location" — which is the dominant sequential
+fraction of the whole pipeline and the source of its speed-up
+saturation.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ import numpy as np
 
 from ..bitpack.bitarray import BitArray, blit_bits
 from ..bitpack.delta import row_gaps
-from ..bitpack.fixed import pack_fixed, read_field, unpack_fixed
-from ..bitpack.segcodec import row_windows
+from ..bitpack.fixed import pack_fixed, read_field, read_fields, unpack_fixed
 from ..errors import QueryError, ValidationError
 from ..parallel.chunking import chunk_bounds
 from ..parallel.cost import Cost
@@ -84,13 +86,18 @@ class BitPackedCSR(BaseStore):
 
     Queryable without decompression: :meth:`neighbors` decodes exactly
     one row (``GetRowFromCSR`` [28]); :meth:`has_edge` decodes one row
-    and binary-searches it.
+    and binary-searches it.  ``offsets`` holds ``iA[first_row :
+    first_row + rows + 1]``; node ``u``'s row spans fields
+    ``clip(u - first_row, 0, rows)`` to ``clip(u + 1 - first_row, 0,
+    rows)``, so a node outside the window reads an empty row.
     """
 
     __slots__ = (
         "num_nodes",
         "num_edges",
         "offsets",
+        "first_row",
+        "rows",
         "offset_width",
         "columns",
         "column_width",
@@ -111,11 +118,15 @@ class BitPackedCSR(BaseStore):
         gap_encoded: bool = False,
         values: BitArray | None = None,
         values_width: int = 0,
+        first_row: int = 0,
     ):
         require(num_nodes >= 0 and num_edges >= 0, "sizes must be non-negative")
+        rows = offsets.nbits // max(1, offset_width) - 1
         require(
-            offsets.nbits == (num_nodes + 1) * offset_width,
-            "offset bit array size mismatch",
+            rows >= 0 and offsets.nbits == (rows + 1) * offset_width
+            and 0 <= first_row <= num_nodes - rows,
+            f"offset window of {offsets.nbits} bits at {offset_width} bits per "
+            f"field from row {first_row} does not fit {num_nodes} nodes",
         )
         require(
             columns.nbits == num_edges * column_width,
@@ -130,6 +141,8 @@ class BitPackedCSR(BaseStore):
         self.num_nodes = int(num_nodes)
         self.num_edges = int(num_edges)
         self.offsets = offsets
+        self.first_row = int(first_row)
+        self.rows = int(rows)
         self.offset_width = int(offset_width)
         self.columns = columns
         self.column_width = int(column_width)
@@ -155,8 +168,12 @@ class BitPackedCSR(BaseStore):
         executor = executor or SerialExecutor()
         n, m = graph.num_nodes, graph.num_edges
         offset_width = bits_for_value(m)
+        # rows before the window start at 0, rows after it at m
+        first_row = int(np.searchsorted(graph.indptr, 0, side="right")) - 1 if m else 0
+        end_row = int(np.searchsorted(graph.indptr, m, side="left")) if m else 0
         offsets = pack_array_parallel(
-            graph.indptr, offset_width, executor, label="bitpack:iA"
+            graph.indptr[first_row : end_row + 1], offset_width, executor,
+            label="bitpack:iA",
         )
         if gap_encode:
             payload = row_gaps(graph.indptr, graph.indices)
@@ -191,6 +208,7 @@ class BitPackedCSR(BaseStore):
             gap_encoded=gap_encode,
             values=values,
             values_width=values_width,
+            first_row=first_row,
         )
 
     # ------------------------------------------------------------------
@@ -198,7 +216,15 @@ class BitPackedCSR(BaseStore):
         """Decoded ``iA[u]`` (valid for ``0 <= u <= n``)."""
         if not (0 <= u <= self.num_nodes):
             raise QueryError(f"offset index {u} out of range [0, {self.num_nodes}]")
-        return read_field(self.offsets, self.offset_width, u)
+        field = min(max(u - self.first_row, 0), self.rows)
+        return read_field(self.offsets, self.offset_width, field)
+
+    def _indptr(self) -> np.ndarray:
+        """The full ``n + 1`` entries of ``iA`` (``int64``), the window
+        padded with its edge values."""
+        window = unpack_fixed(self.offsets, self.rows + 1, self.offset_width)
+        tail = self.num_nodes - self.first_row - self.rows
+        return np.pad(window.astype(np.int64), (self.first_row, tail), mode="edge")
 
     def degree(self, u: int) -> int:
         """Out-degree of *u*."""
@@ -207,8 +233,7 @@ class BitPackedCSR(BaseStore):
 
     def degrees(self) -> np.ndarray:
         """Degree of every node as an ``int64`` array."""
-        offs = unpack_fixed(self.offsets, self.num_nodes + 1, self.offset_width)
-        return np.diff(offs).astype(np.int64)
+        return np.diff(self._indptr())
 
     def neighbors(self, u: int) -> np.ndarray:
         """Decode node *u*'s row (sorted ids, ``uint64``)."""
@@ -231,12 +256,17 @@ class BitPackedCSR(BaseStore):
     def _decode_rows(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode many rows with one gather per packed array.
 
-        All ``iA`` windows come from one :func:`row_windows` read (the
-        window reader of the segment stores), then every requested row
-        is decoded from ``jA`` in one :func:`unpack_fields_gather` call.
+        Every row's ``iA`` start and end come from one field gather over
+        the clipped window indices, then every requested row is decoded
+        from ``jA`` in one :func:`unpack_fields_gather` call.
         """
-        starts, ends = row_windows(self.offsets, self.offset_width, us)
-        degrees = ends - starts
+        keys = np.concatenate([us, us + 1])
+        keys -= self.first_row
+        # clip into the window in place (``np.clip`` costs more on small batches)
+        np.minimum(np.maximum(keys, 0, out=keys), self.rows, out=keys)
+        bounds = read_fields(self.offsets, self.offset_width, keys).astype(np.int64)
+        starts = bounds[: us.shape[0]]
+        degrees = bounds[us.shape[0] :] - starts
         if self.gap_encoded:
             return get_rows_gap_decoded(self.columns, starts, degrees, self.column_width)
         return get_rows_from_csr(self.columns, starts, degrees, self.column_width)
@@ -262,9 +292,7 @@ class BitPackedCSR(BaseStore):
     # ------------------------------------------------------------------
     def to_csr(self) -> CSRGraph:
         """Full decompression back to an uncompressed :class:`CSRGraph`."""
-        indptr = unpack_fixed(
-            self.offsets, self.num_nodes + 1, self.offset_width
-        ).astype(np.int64)
+        indptr = self._indptr()
         payload = unpack_fixed(self.columns, self.num_edges, self.column_width)
         if self.gap_encoded:
             from ..bitpack.delta import rows_from_gaps
@@ -308,7 +336,7 @@ class BitPackedCSR(BaseStore):
             and self.offset_width == other.offset_width
             and self.column_width == other.column_width
             and self.gap_encoded == other.gap_encoded
-            and self.offsets == other.offsets
+            and np.array_equal(self._indptr(), other._indptr())
             and self.columns == other.columns
         )
 
@@ -335,6 +363,8 @@ class BitPackedCSR(BaseStore):
             f"{prefix}columns": self.columns.buffer,
             f"{prefix}columns_nbits": self.columns.nbits,
         }
+        if self.first_row:  # absent: the window starts at row 0
+            payload[f"{prefix}first_row"] = self.first_row
         if self.values is not None:
             payload[f"{prefix}values"] = self.values.buffer
             payload[f"{prefix}values_nbits"] = self.values.nbits
@@ -359,6 +389,7 @@ class BitPackedCSR(BaseStore):
             gap_encoded=bool(int(data[f"{prefix}gap_encoded"])),
             values=bits("values") if weighted else None,
             values_width=int(data[f"{prefix}values_width"]) if weighted else 0,
+            first_row=int(data.get(f"{prefix}first_row", 0)),
         )
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from ..bitpack.delta import row_gaps
-from ..bitpack.fixed import pack_fixed, unpack_fixed, unpack_slice
+from ..bitpack.fixed import pack_fixed, unpack_slice
 from ..bitpack.segcodec import (
     SegmentEncoding,
     encode_row_segments,
@@ -297,7 +297,7 @@ def write_disk_store(
     candidates = resolve_codecs(codecs) if codecs is not None else None
     directory = _prepare_directory(path)
     n, m = packed.num_nodes, packed.num_edges
-    indptr = unpack_fixed(packed.offsets, n + 1, packed.offset_width).astype(np.int64)
+    indptr = packed._indptr()
 
     offset_segments = _write_offset_segments(
         directory, indptr, packed.offset_width, segment_bytes

@@ -6,8 +6,10 @@
 baseline) holding only the edges whose *source* the shard owns.  Every
 shard spans the full global node space — non-owned rows are simply
 empty — so node ids never need remapping and destinations stay valid
-for binary search, at the cost of replicating the (small) offset array
-per shard; :meth:`memory_bytes` reports that honestly.
+for binary search.  A packed shard stores offsets only for its row
+window (first to last non-empty row), so range shards pay about one
+offset array in all; a hash shard's window is the whole node space.
+:meth:`memory_bytes` reports what is held.
 
 Point queries route through the partitioner to the one owning shard.
 The batch surface is **scatter-gather**: the (already deduplicated)
@@ -40,8 +42,9 @@ class ShardedStore(WrapperStore):
         match ``len(shards)``.
     shards:
         One store per shard, every one spanning the full global node
-        space (``num_nodes`` equal across shards) and all of the same
-        kind, so decoded rows share a single dtype.
+        space (``num_nodes`` equal across shards; a packed shard holds
+        offsets only for its own row window) and all of the same kind,
+        so decoded rows share a single dtype.
     """
 
     __slots__ = (

@@ -1,5 +1,7 @@
 """Algorithm 4 (bit-packed CSR) and its query surface."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from repro.bitpack.fixed import pack_fixed
 from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.csr.packed import BitPackedCSR, build_bitpacked_csr, pack_array_parallel
-from repro.errors import QueryError, ValidationError
+from repro.csr.graph import CSRGraph
+from repro.errors import QueryError, ReproError, ValidationError
 from repro.obs import Tracer
 from repro.parallel import SimulatedMachine
 from repro.stores import load_store, save_store
@@ -133,9 +136,10 @@ class TestBitPackedCSR:
 
     def test_constructor_size_checks(self, graph):
         packed = BitPackedCSR.from_csr(graph)
+        assert packed.rows == packed.num_nodes  # every row is non-empty
         with pytest.raises(ValidationError):
             BitPackedCSR(
-                packed.num_nodes + 1,
+                packed.num_nodes - 1,
                 packed.num_edges,
                 packed.offsets,
                 packed.offset_width,
@@ -168,3 +172,103 @@ class TestEndToEndBuild:
         ref = build_csr_serial(src, dst, n)
         assert np.array_equal(back.indptr, ref.indptr)
         assert np.array_equal(back.indices, ref.indices)
+
+
+@st.composite
+def windowed_graphs(draw):
+    """A sorted multigraph whose sources fill a random sub-range
+    ``[lo, hi)`` of ``[0, n)`` (both ends present): empty graphs, one
+    row and the whole range included."""
+    n = draw(st.integers(1, 30))
+    lo = draw(st.integers(0, n))
+    hi = draw(st.sampled_from([lo, min(lo + 1, n), n]) | st.integers(lo, n))
+    src = draw(st.lists(st.integers(lo, hi - 1), max_size=50)) + [lo, hi - 1] if hi > lo else []
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=len(src), max_size=len(src)))
+    src, dst = ensure_sorted(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+    base = build_csr_serial(src, dst, n)
+    weights = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.integers(0, 1000), min_size=len(src),
+                                         max_size=len(src))), dtype=np.int64)
+    return CSRGraph(base.indptr, base.indices, weights), (lo, hi) if len(src) else (0, 0)
+
+
+class TestRowWindow:
+    """``iA`` is packed from the first to the last non-empty row; every
+    read outside that window is an empty row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(windowed_graphs(), st.booleans(), st.data())
+    def test_parity_with_csr(self, drawn, gap, data):
+        g, (lo, hi) = drawn
+        n, m = g.num_nodes, g.num_edges
+        packed = BitPackedCSR.from_csr(g, gap_encode=gap)
+        assert (packed.first_row, packed.rows) == (lo, hi - lo)
+        assert packed.offsets.nbits == (packed.rows + 1) * packed.offset_width
+        if m:
+            bits = (packed.rows + 1) * packed.offset_width + m * packed.column_width
+            bits += m * packed.values_width if g.values is not None else 0
+            assert packed.bits_per_edge() == bits / m
+        for u in range(n):
+            row = g.neighbors(u)
+            assert packed.neighbors(u).tolist() == row.tolist()
+            assert packed.degree(u) == g.degree(u)
+            for v in {*row.tolist(), 0, n - 1}:
+                assert packed.has_edge(u, v) == g.has_edge(u, v)
+            if g.values is not None:
+                assert packed.neighbor_weights(u).tolist() == g.neighbor_weights(u).tolist()
+        assert [packed.offset(u) for u in range(n + 1)] == g.indptr.tolist()
+        assert np.array_equal(packed.degrees(), g.degrees())
+        keys = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+        flat, offs = packed.neighbors_batch(np.array(keys, dtype=np.int64))
+        want = [g.neighbors(u).tolist() for u in keys]
+        assert flat.dtype == np.uint64
+        assert np.diff(offs).tolist() == [len(r) for r in want]
+        assert flat.tolist() == [v for r in want for v in r]
+        assert packed.to_csr() == g
+        buf = io.BytesIO()
+        save_store(packed, buf)
+        buf.seek(0)
+        loaded = load_store(buf)
+        assert (loaded.first_row, loaded.rows) == (packed.first_row, packed.rows)
+        assert loaded == packed
+
+    def test_first_row_key_only_when_nonzero(self):
+        for lo, keys in ((0, False), (3, True)):
+            g = build_csr_serial(np.array([lo, 5]), np.array([1, 2]), 8)
+            payload = BitPackedCSR.from_csr(g).npz_payload()
+            assert ("first_row" in payload) is keys
+
+    def test_full_layout_file_loads_equal(self, tmp_path):
+        """A file in the layout written before row windows (all n + 1
+        offsets, no ``first_row`` key) loads equal to today's store."""
+        g = build_csr_serial(np.array([2, 2, 4]), np.array([0, 5, 1]), 7)
+        packed = BitPackedCSR.from_csr(g)
+        assert (packed.first_row, packed.rows) == (2, 3)
+        payload = packed.npz_payload()
+        del payload["first_row"]
+        full = pack_fixed(g.indptr, packed.offset_width)
+        payload.update(offsets=full.buffer, offsets_nbits=full.nbits)
+        np.savez(tmp_path / "old.npz", **payload)
+        loaded = load_store(tmp_path / "old.npz")
+        assert (loaded.first_row, loaded.rows) == (0, 7)
+        assert loaded == packed
+        assert loaded.neighbors_batch(np.arange(7))[0].tolist() == [0, 5, 1]
+
+    @pytest.mark.parametrize("fault", ["negative", "overrun", "ragged"])
+    def test_corrupt_window_refused(self, tmp_path, fault):
+        g = build_csr_serial(np.array([2, 2, 4]), np.array([0, 5, 1]), 7)
+        payload = BitPackedCSR.from_csr(g).npz_payload()
+        if fault == "negative":
+            payload["first_row"] = -1
+        elif fault == "overrun":
+            payload["first_row"] = 5  # 5 + 3 rows > 7 nodes
+        else:
+            payload["offsets_nbits"] -= 1  # not a whole number of fields
+        path = tmp_path / "bad.npz"
+        np.savez(path, **payload)
+        with np.load(path) as data, pytest.raises(ValidationError, match="offset window"):
+            BitPackedCSR.from_npz_payload(data)
+        with pytest.raises(ReproError, match="bad.npz: offset window") as exc:
+            load_store(path)
+        assert "\n" not in str(exc.value)

@@ -12,6 +12,7 @@ from repro.csr.packed import build_bitpacked_csr
 from repro.disk import DiskStore, build_disk_store, write_disk_store
 from repro.errors import DiskFormatError, ValidationError
 from repro.parallel import SimulatedMachine
+from repro.reorder import edge_ordering
 
 
 def _edge_file(tmp_path, rng, n=400, m=5000, name="edges.bin"):
@@ -20,6 +21,40 @@ def _edge_file(tmp_path, rng, n=400, m=5000, name="edges.bin"):
     path = tmp_path / name
     write_edge_list_binary(path, src, dst)
     return path, src, dst, n
+
+
+def _three_entry_points(tmp_path, rng, src, dst, n):
+    """The column segments of an in-memory compact store, and the disk
+    stores written from a packed CSR and built out of core, of one
+    shuffled edge list."""
+    shuffle = rng.permutation(src.shape[0])
+    src, dst = src[shuffle], dst[shuffle]
+    write_edge_list_binary(tmp_path / "edges.bin", src, dst)
+    opts = {"codecs": "fixed,varint,zeta2", "segment_bytes": 2048}
+    compact = CompactStore.from_csr(
+        build_csr_serial(*ensure_sorted(src, dst), n), **opts
+    )
+    written = write_disk_store(
+        build_bitpacked_csr(src, dst, n, sort=True), tmp_path / "mem", **opts
+    )
+    built = build_disk_store(
+        tmp_path / "edges.bin", tmp_path / "ooc", num_nodes=n,
+        chunk_edges=1000, **opts,
+    )
+
+    def in_memory(seg):
+        crc = 0
+        for bits in (seg.starts, seg.payload):
+            if bits is not None:
+                crc = zlib.crc32(bits.buffer[: bits.nbytes].tobytes(), crc)
+        return crc
+
+    return _segment_rows(compact.segments, in_memory), written, built
+
+
+def _segment_rows(segments, crc_of):
+    return [(s.codec, s.first_row, s.num_rows, s.first_field,
+             s.num_fields, crc_of(s)) for s in segments]
 
 
 class TestBitExactness:
@@ -58,36 +93,30 @@ class TestBitExactness:
         from tests.csr.test_compact import _mixed_codec_graph
 
         src, dst, n = _mixed_codec_graph()  # every codec class wins somewhere
-        shuffle = rng.permutation(src.shape[0])
-        src, dst = src[shuffle], dst[shuffle]
-        write_edge_list_binary(tmp_path / "edges.bin", src, dst)
-        opts = {"codecs": "fixed,varint,zeta2", "segment_bytes": 2048}
-        compact = CompactStore.from_csr(
-            build_csr_serial(*ensure_sorted(src, dst), n), **opts
-        )
-        written = write_disk_store(
-            build_bitpacked_csr(src, dst, n, sort=True), tmp_path / "mem", **opts
-        )
-        built = build_disk_store(
-            tmp_path / "edges.bin", tmp_path / "ooc", num_nodes=n,
-            chunk_edges=1000, **opts,
-        )
-
-        def in_memory(seg):
-            crc = 0
-            for bits in (seg.starts, seg.payload):
-                if bits is not None:
-                    crc = zlib.crc32(bits.buffer[: bits.nbytes].tobytes(), crc)
-            return crc
-
-        def rows(segments, crc_of):
-            return [(s.codec, s.first_row, s.num_rows, s.first_field,
-                     s.num_fields, crc_of(s)) for s in segments]
-
-        want = rows(compact.segments, in_memory)
+        want, written, built = _three_entry_points(tmp_path, rng, src, dst, n)
         assert len(want) == 18 and len({row[0] for row in want}) == 3
         for disk in (written, built):
-            assert rows(disk.manifest.columns, lambda s: s.crc32) == want
+            assert _segment_rows(disk.manifest.columns, lambda s: s.crc32) == want
+
+    def test_windowed_packed_input_emits_the_same_stream(self, tmp_path, rng):
+        """A degree-ordered graph ends in empty rows, so the packed CSR
+        that ``write_disk_store`` reads holds a trimmed offset window: it
+        still writes the segments, manifest and CRCs of the other two."""
+        from tests.csr.test_compact import _mixed_codec_graph
+
+        src, dst, n = _mixed_codec_graph()
+        n += 50  # ids no edge touches: the degree ordering puts them last
+        perm = edge_ordering("degree", src, dst, n)
+        src, dst = perm[src], perm[dst]
+        packed = build_bitpacked_csr(src, dst, n, sort=True)
+        assert packed.first_row == 0 and packed.rows <= n - 50
+        want, written, built = _three_entry_points(tmp_path, rng, src, dst, n)
+        assert written.manifest == built.manifest
+        names = sorted(p.name for p in written.path.iterdir())
+        assert sorted(p.name for p in built.path.iterdir()) == names
+        for name in names:
+            assert (written.path / name).read_bytes() == (built.path / name).read_bytes()
+        assert _segment_rows(written.manifest.columns, lambda s: s.crc32) == want
 
     def test_num_nodes_inferred_matches_given(self, tmp_path, rng):
         path, src, dst, n = _edge_file(tmp_path, rng)

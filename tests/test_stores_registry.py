@@ -263,7 +263,8 @@ NPZ_KEYS = {
         + [f"seg0_{k}" for k in ("meta", "codec", "payload", "payload_nbits",
                                  "starts", "starts_nbits")]),
     "sharded": sorted(
-        ["store_kind", "num_shards", "partitioner_kind", "partitioner_bounds"]
+        ["store_kind", "num_shards", "partitioner_kind", "partitioner_bounds",
+         "shard1_first_row"]  # a range shard's row window starts past row 0
         + [f"shard{s}_{k}" for s in range(2) for k in _PACKED_KEYS]),
     "reordered": sorted(
         ["store_kind", "ordering", "perm", "inner_kind"]
