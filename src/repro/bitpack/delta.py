@@ -67,5 +67,5 @@ def rows_from_gaps(indptr: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     csum = np.empty(g.shape[0] + 1, dtype=np.uint64)
     csum[0] = 0
     np.cumsum(g, out=csum[1:])
-    base = np.repeat(csum[iptr[:-1]], np.diff(iptr))
+    base = np.repeat(csum[iptr[:-1]], iptr[1:] - iptr[:-1])
     return np.subtract(csum[1:], base, out=base)

@@ -310,21 +310,23 @@ def unpack_fixed(
 
 def _decode_at(bits: BitArray, width, bitpos: np.ndarray, top: int | None = None) -> np.ndarray:
     """Decode the fields starting at the (validated, non-empty) bit
-    positions *bitpos*; consumes *bitpos*.  *width* is one width, the
-    positions multiples of it, or a ``uint64`` vector of per-field
-    widths at arbitrary positions (segments of different widths in one
-    buffer).  *top* bounds the positions from above; the stream's last
-    bit always does, and a caller that knows a tighter bound passes it."""
+    positions *bitpos*; consumes *bitpos*.  *width* is one width or a
+    ``uint64`` vector of per-field widths (segments of different widths
+    in one buffer), at arbitrary positions.  *top* bounds the positions
+    from above; the stream's last bit always does, and a caller that
+    knows a tighter bound passes it."""
     buf = bits.buffer
     per_field = isinstance(width, np.ndarray)
     if _word_addressable(buf, int(width.max()) if per_field else width):
         return _load_fields(buf, bitpos, width, bits.nbits - 1 if top is None else top)
-    if per_field:  # portable: one scalar read per field
-        reads = zip(bitpos.tolist(), width.tolist())
+    first_bit = int(bitpos.min())
+    if per_field or ((bitpos - first_bit) % width).any():
+        # portable, fields off one grid: one scalar read per field
+        widths = width.tolist() if per_field else [width] * bitpos.shape[0]
+        reads = zip(bitpos.tolist(), widths)
         return np.array([bits.read_uint(p, w) for p, w in reads], dtype=np.uint64)
     # portable: decode the whole span between the lowest and highest
     # requested field, then pick the requested ones out of it
-    first_bit = int(bitpos.min())
     nfields = (int(bitpos.max()) - first_bit) // width + 1
     span = _unpack_bitmatrix(buf, nfields, width, first_bit)
     bitpos -= first_bit
@@ -367,14 +369,22 @@ def unpack_fields_gather(
     c = np.asarray(counts, dtype=np.int64)
     if s.ndim != 1 or c.ndim != 1 or s.shape != c.shape:
         raise ValidationError("starts and counts must be matching 1-D arrays")
-    offsets = np.zeros(s.shape[0] + 1, dtype=np.int64)
-    np.cumsum(c, out=offsets[1:])
     if s.size:
         if int(c.min()) < 0:
             raise ValidationError("counts must be non-negative")
         if int(s.min()) < 0:
             raise ValidationError("starts must be non-negative")
-        end_bit = int((s + c).max()) * width
+    return _gather_runs(bits, width, s * width, c)
+
+
+def _gather_runs(bits: BitArray, width: int, b: np.ndarray, c: np.ndarray):
+    """:func:`unpack_fields_gather` of (validated) runs that start at any
+    bit ``b[i]``, so runs of one width at different offsets of one
+    buffer — the segments of an arena — decode in one gather."""
+    offsets = np.zeros(b.shape[0] + 1, dtype=np.int64)
+    np.cumsum(c, out=offsets[1:])
+    if b.size:
+        end_bit = int((b + c * width).max())
         _check_stream_end(bits, end_bit)
     total = int(offsets[-1])
     if total == 0:
@@ -383,14 +393,14 @@ def unpack_fields_gather(
     buf = bits.buffer
     long = np.flatnonzero(c >= _RUN_MIN_FIELDS)
     if not long.size or not _word_addressable(buf, width):
-        return _decode_at(bits, width, _run_bitpos(s, c, offsets[:-1], width), top), offsets
+        return _decode_at(bits, width, _run_bitpos(b, c, offsets[:-1], width), top), offsets
     out = np.empty(total, dtype=np.uint64)
     if long.size < c.size:  # the short runs' fields, in one gather
         short = c.copy()
         short[long] = 0
         first = np.cumsum(short)
         first -= short
-        gathered = _load_fields(buf, _run_bitpos(s, short, first, width), width, top)
+        gathered = _load_fields(buf, _run_bitpos(b, short, first, width), width, top)
     # the short runs between two long ones fill one block of both arrays
     done = taken = 0
     for run in long.tolist():
@@ -398,22 +408,22 @@ def unpack_fields_gather(
         if lo > done:
             out[done:lo] = gathered[taken : taken + lo - done]
             taken += lo - done
-        _unpack_strided(buf, hi - lo, width, int(s[run]) * width, out[lo:hi])
+        _unpack_strided(buf, hi - lo, width, int(b[run]), out[lo:hi])
         done = hi
     if done < total:
         out[done:] = gathered[taken:]
     return out, offsets
 
 
-def _run_bitpos(s: np.ndarray, c: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
-    """Bit position of every field of the runs ``[s[i], s[i] + c[i])``,
-    concatenated in run order; run *i* starts at output index ``first[i]``
-    (the exclusive prefix sum of *c*, so the runs hold ``first[-1] + c[-1]``
-    fields)."""
+def _run_bitpos(b: np.ndarray, c: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
+    """Bit position of every field of the runs of ``c[i]`` fields from
+    bit ``b[i]``, concatenated in run order; run *i* starts at output
+    index ``first[i]`` (the exclusive prefix sum of *c*, so the runs hold
+    ``first[-1] + c[-1]`` fields)."""
     bitpos = np.arange(0, int(first[-1] + c[-1]) * width, width, dtype=np.int64)
     # each field's run's first bit plus its place in the output, less
     # the run's place in the output
-    bitpos += np.repeat((s - first) * width, c)
+    bitpos += np.repeat(b - first * width, c)
     return bitpos
 
 

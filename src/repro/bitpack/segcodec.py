@@ -22,8 +22,9 @@ The pipeline, top to bottom:
   and bytes plus the rows / fields it covers (npz keys for
   :class:`~repro.csr.compact.CompactStore`, manifest-v2 fields for the
   disk store).
-* **decode** — :class:`SegmentArena` and the disk store's mapped files
-  both hand a row's payload window to the entry's ``decode``.
+* **decode** — :class:`SegmentArena`, the one code that turns a row into
+  its payload window for the entry's ``decode``: over all of a compact
+  store's segments, or over one mapped disk column file.
 
 Three codec families are wired in:
 
@@ -60,7 +61,7 @@ from ..errors import CodecError, ValidationError
 from ..utils import bits_for_value
 from .bitarray import BitArray
 from .delta import row_gaps
-from .fixed import _decode_at, pack_fixed, read_fields, unpack_fields_gather
+from .fixed import _decode_at, _gather_runs, pack_fixed, read_fields
 from .varint import varint_decode, varint_encode, varint_max_bits, varint_nbytes
 from .zeta import zeta_decode_rows, zeta_encode, zeta_value_nbits
 
@@ -97,11 +98,12 @@ class SegmentCodec:
     positions, in ``starts_unit`` units, at which each value starts.
     ``decode(bits, lo, hi, degrees, enc_width)`` returns the gaps of
     rows whose payload windows are ``[lo[i], hi[i])`` of *bits* — in
-    ``starts_unit`` units, or bits for a self-indexing codec —
-    concatenated in the order given.  ``decode_row(bits, lo, hi,
-    degree)``, where a codec has one, is ``decode`` of a single window
-    given as scalars: a one-row read is all fixed cost, and a codec that
-    can decode a plain slice of the payload skips the window plumbing.
+    ``starts_unit`` units, or bits for a self-indexing codec — with
+    ``enc_width`` given per row, concatenated in the order given.
+    ``decode_row(bits, lo, hi, degree)``, where a codec has one, is
+    ``decode`` of a single window given as scalars: a one-row read is
+    all fixed cost, and a codec that can decode a plain slice of the
+    payload skips the window plumbing.
 
     The last two entries take the gaps as their LEB128 stream (what a
     compaction splices from the rows it copies): ``measure_coded(stream,
@@ -132,13 +134,14 @@ def _fixed_encode(gaps: np.ndarray):
 
 
 def _fixed_decode(bits, lo, hi, degrees, width) -> np.ndarray:
-    # Two kernels behind the one entry: a mapped segment file has one
-    # width and takes the scalar gather; an arena holds segments of
-    # different widths in one buffer and passes one width per row.  The
-    # per-field width vector costs 1.5-1.7x on scan-sized batches, so
-    # the single-width caller is not routed through it.
-    if not isinstance(width, np.ndarray):
-        return unpack_fields_gather(bits, width, lo // width, degrees)[0]
+    # The kernel follows the widths given, one per row: rows of one width
+    # (every row of a mapped file, a compact batch inside one fixed
+    # width) take the scalar gather and its strided hub-row regime; a
+    # mix of widths gathers per field, which costs 1.5-1.7x on
+    # scan-sized batches.
+    one = int(width[0])
+    if not (width != one).any():
+        return _gather_runs(bits, one, lo, degrees)[0]
     first = np.cumsum(degrees)
     first -= degrees
     widths = np.repeat(width, degrees)
@@ -412,9 +415,7 @@ def row_windows(
     (byte offsets for ``varint``, bit offsets for ``zeta``, field
     offsets for a packed CSR offset array), ``int64``.
 
-    One field gather; a caller that also needs the windows itself (the
-    disk store meters the pages they span) reads them once here and
-    hands them to its codec's ``decode``.
+    One field gather.
     """
     rows = np.asarray(rows, dtype=np.int64)
     ends = read_fields(starts, starts_width, np.concatenate([rows, rows + 1]))
@@ -423,30 +424,36 @@ def row_windows(
 
 
 class SegmentArena:
-    """The starts tables and payloads of consecutive row segments in one
-    buffer, so a batch of rows decodes in one pass per codec *class*
-    whatever number of segments it touches.
+    """The one decoder of a segment row: the starts tables and payloads
+    of consecutive row segments in one buffer, so a batch of rows
+    decodes in one pass per codec *class* whatever number of segments
+    it touches.
 
     Layout: every starts table, then every payload (byte aligned, in
     segment order, so the varint windows of a scan abut across
-    segments), then 8 zero bytes (the buffer is word-addressable however
-    small).  :attr:`views` holds ``(payload, starts)`` per segment,
-    :class:`BitArray` views of the buffer over the very bytes handed in.
+    segments).  Without a *buffer* the segments' bytes are copied into
+    a new one ending in 8 zero bytes (word-addressable however small);
+    a *buffer* already in the layout is read in place — a mapped v2
+    column file, ``[starts][payload]``, is the arena of its one segment.
+    :attr:`views` holds ``(payload, starts)`` views per segment.
     """
 
     __slots__ = ("bits", "views", "codec", "enc_width", "starts_bit",
-                 "starts_width", "payload_lo", "payload_hi")
+                 "starts_width", "unit", "payload_lo", "payload_hi")
 
-    def __init__(self, segments):
+    def __init__(self, segments, buffer=None):
         segments = list(segments)
         nseg = len(segments)
+        codecs = [segment_codec(s.codec) for s in segments]
         none = np.zeros(0, dtype=np.uint8)
         parts = [none if s.starts is None else s.starts.buffer for s in segments]
         parts += [s.payload.buffer for s in segments]
-        buf = np.concatenate([*parts, np.zeros(8, dtype=np.uint8)])
+        if buffer is None:
+            buffer = np.concatenate([*parts, np.zeros(8, dtype=np.uint8)])
         cuts = np.zeros(2 * nseg + 1, dtype=np.int64)
         np.cumsum([p.shape[0] for p in parts], out=cuts[1:])
-        self.bits = BitArray(buf, 8 * int(cuts[-1]))
+        self.bits = BitArray(buffer, 8 * int(cuts[-1]))
+        buf = self.bits.buffer
         self.starts_bit = 8 * cuts[:nseg]
         self.views = [
             (
@@ -457,18 +464,18 @@ class SegmentArena:
             for i, s in enumerate(segments)
         ]
         table = np.asarray(
-            [(SEGMENT_CODECS.index(s.codec), s.enc_width, s.starts_width,
-              s.payload.nbits, segment_codec(s.codec).starts_unit or 1)
-             for s in segments],
+            [(SEGMENT_CODECS.index(c.name), s.enc_width, s.starts_width,
+              s.payload.nbits, c.starts_unit or 1)
+             for s, c in zip(segments, codecs)],
             dtype=np.int64,
         ).reshape(nseg, 5)
-        self.codec, self.enc_width, self.starts_width, nbits, unit = (
+        self.codec, self.enc_width, self.starts_width, nbits, self.unit = (
             np.ascontiguousarray(table.T)
         )
         # each payload's extent in the buffer, in the unit its codec's
         # windows come in (payloads are byte aligned: the division is exact)
-        self.payload_lo = 8 * cuts[nseg:-1] // unit
-        self.payload_hi = self.payload_lo + nbits // unit
+        self.payload_lo = 8 * cuts[nseg:-1] // self.unit
+        self.payload_hi = self.payload_lo + nbits // self.unit
 
     def decode_gaps(self, seg, rows, degrees, fields) -> np.ndarray:
         """Gaps of the given non-empty rows, concatenated in their order.
@@ -478,17 +485,64 @@ class SegmentArena:
         ``fields[i]`` (all ``int64``).
         """
         codecs = self.codec[seg]
-        first = int(codecs[0])
-        if (codecs == first).all():
-            return self._decode(first, seg, rows, degrees, fields)
+        if not (codecs != codecs[0]).any():
+            lo, hi = self.windows(seg, rows, degrees, fields)
+            return self.decode_windows(seg, lo, hi, degrees)
         gaps = np.empty(int(degrees.sum()), dtype=np.uint64)
         of_gap = np.repeat(codecs, degrees)
         for c in np.unique(codecs).tolist():
             pick = codecs == c
-            gaps[of_gap == c] = self._decode(
-                c, seg[pick], rows[pick], degrees[pick], fields[pick]
+            s, d = seg[pick], degrees[pick]
+            gaps[of_gap == c] = self.decode_windows(
+                s, *self.windows(s, rows[pick], d, fields[pick]), d
             )
         return gaps
+
+    def windows(self, seg, rows, degrees, fields) -> tuple[np.ndarray, np.ndarray]:
+        """Buffer windows ``[lo, hi)`` of non-empty rows of one codec
+        class (arguments as in :meth:`decode_gaps`) in that codec's unit:
+        two starts-table reads, or ``fields[i]`` fields into a
+        self-indexing payload.  :class:`~repro.errors.CodecError` when a
+        window runs past its segment's payload."""
+        width = self.enc_width[seg]
+        if self.starts_width[seg[0]]:  # the rows' windows, from the row-starts table
+            starts_width = self.starts_width[seg]
+            at = self.starts_bit[seg] + rows * starts_width
+            ends = _decode_at(
+                self.bits,
+                np.concatenate([starts_width, starts_width]).view(np.uint64),
+                np.concatenate([at, at + starts_width]),
+            ).astype(np.int64)
+            lo = ends[: seg.shape[0]]
+            hi = ends[seg.shape[0] :]
+        else:  # self-indexing: gap j of a row sits j fields after its first
+            lo = fields * width
+            hi = lo + degrees * width
+        base = self.payload_lo[seg]
+        hi += base
+        if (hi > self.payload_hi[seg]).any():
+            raise CodecError("row window runs past its segment's payload")
+        lo += base
+        return lo, hi
+
+    def decode_windows(self, seg, lo, hi, degrees) -> np.ndarray:
+        """The gaps in the :meth:`windows` *lo*, *hi* of rows of segments
+        *seg* (one codec class), concatenated in their order."""
+        codec = _CODECS[SEGMENT_CODECS[self.codec[seg[0]]]]
+        return codec.decode(self.bits, lo, hi, degrees, self.enc_width[seg])
+
+    def read_bits(self, seg, rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """The inclusive bit ranges of the buffer that reading the
+        :meth:`windows` *lo*, *hi* touches: each row's two starts-table
+        entries (a table codec), then each payload window."""
+        unit = self.unit[seg]
+        first, last = lo * unit, hi * unit - 1
+        starts_width = self.starts_width[seg]
+        if not starts_width[0]:
+            return first, last
+        at = self.starts_bit[seg] + rows * starts_width
+        return (np.concatenate([at, first]),
+                np.concatenate([at + 2 * starts_width - 1, last]))
 
     def decode_row(self, seg: int, row: int, degree: int, field: int) -> np.ndarray:
         """:meth:`decode_gaps` of one non-empty row, its window read as
@@ -510,25 +564,3 @@ class SegmentArena:
             return codec.decode_row(self.bits, base + lo, base + hi, degree)
         one = (np.asarray([x], dtype=np.int64) for x in (base + lo, base + hi, degree, width))
         return codec.decode(self.bits, *one)
-
-    def _decode(self, index: int, seg, rows, degrees, fields) -> np.ndarray:
-        codec = _CODECS[SEGMENT_CODECS[index]]
-        width = self.enc_width[seg]
-        if codec.starts_unit:  # the rows' windows, from the row-starts table
-            starts_width = self.starts_width[seg]
-            at = self.starts_bit[seg] + rows * starts_width
-            ends = _decode_at(
-                self.bits,
-                np.concatenate([starts_width, starts_width]).view(np.uint64),
-                np.concatenate([at, at + starts_width]),
-            ).astype(np.int64)
-            lo = ends[: seg.shape[0]]
-            hi = ends[seg.shape[0] :]
-        else:  # self-indexing: gap j of a row sits j fields after its first
-            lo = fields * width
-            hi = lo + degrees * width
-        base = self.payload_lo[seg]
-        hi = base + hi
-        if (hi > self.payload_hi[seg]).any():
-            raise CodecError("row window runs past its segment's payload")
-        return codec.decode(self.bits, base + lo, hi, degrees, width)

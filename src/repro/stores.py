@@ -194,8 +194,12 @@ def _check_stored_order(store) -> None:
     graph = store.to_csr()
     rows = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
     if not edges_sorted(rows, graph.indices):
-        raise NotSortedError("a stored row is not sorted (written by an unchecked "
-                             "build); rebuild the store from its edge list")
+        raise NotSortedError(_ROW_NOT_SORTED)
+
+
+#: the refusal of a stored unsorted row (``load_store``, ``DiskStore.open``)
+_ROW_NOT_SORTED = ("a stored row is not sorted (written by an unchecked build); "
+                   "rebuild the store from its edge list")
 
 
 # ----------------------------------------------------------------------

@@ -411,3 +411,19 @@ class TestLongRunRegime:
         values, bits = _random_stream(rng, width, 4_000)
         flat = _check_runs(bits, width, [500, 3_999, 0], [3_500, 1, 3_000])
         assert np.array_equal(flat[:3_500], values[500:])
+
+    @pytest.mark.parametrize("width", [1, 7, 13, 33, 57, 64])
+    @pytest.mark.parametrize("portable", [False, True], ids=["words", "portable"])
+    def test_runs_off_the_field_grid(self, width, rng, run_regime, portable, monkeypatch):
+        """Runs that start at any bit (segments of one width at different
+        offsets of one buffer, as in an arena) equal scalar reads."""
+        if portable:
+            monkeypatch.setattr(fixed, "_LITTLE_ENDIAN", False)
+        values, bits = _random_stream(rng, width, 4_000)
+        starts = np.array([3, 100 * width + 5, 0, 3_000 * width + 1], dtype=np.int64)
+        counts = np.array([2_500, 10, 3_000, 900], dtype=np.int64)
+        flat, offsets = fixed._gather_runs(bits, width, starts, counts)
+        want = [bits.read_uint(int(b) + j * width, width)
+                for b, c in zip(starts, counts) for j in range(c)]
+        assert flat.tolist() == want
+        assert offsets.tolist() == [0, *np.cumsum(counts).tolist()]

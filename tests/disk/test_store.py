@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.csr.builder import ensure_sorted
-from repro.csr.packed import build_bitpacked_csr
+from repro.csr.graph import CSRGraph
+from repro.csr.packed import BitPackedCSR, build_bitpacked_csr
 from repro.disk import DiskStore, write_disk_store
-from repro.errors import DiskFormatError, QueryError, ValidationError
+from repro.errors import DiskFormatError, NotSortedError, QueryError, ValidationError
 from repro.parallel import CostModel, SerialExecutor, SimulatedMachine
 from repro.query import RowCache, batch_edge_existence, batch_neighbors, capabilities
 from repro.query.edges import single_edge_exists
 from repro.shard import build_sharded_store
-from repro.stores import open_store
+from repro.stores import load_store, open_store
+from tests.disk.test_format_compat import _downgrade_manifest
 
 
 def _random_graph(seed, n, m):
@@ -89,18 +91,26 @@ class TestParity:
         m=st.integers(0, 300),
         gap=st.booleans(),
         segment_bytes=st.sampled_from([16, 64, 1024]),
+        codecs=st.sampled_from([None, "auto", "varint", "fixed", "zeta2"]),
     )
     def test_property_bit_exact(self, tmp_path_factory, seed, n, m, gap,
-                                segment_bytes):
+                                segment_bytes, codecs):
         src, dst = _random_graph(seed, n, m)
         packed = build_bitpacked_csr(src, dst, n, sort=True, gap_encode=gap)
         out = tmp_path_factory.mktemp("ds")
-        disk = write_disk_store(packed, out, segment_bytes=segment_bytes)
+        disk = write_disk_store(packed, out, segment_bytes=segment_bytes,
+                                codecs=codecs)
+        refs = [packed]
+        if codecs is not None:
+            refs.append(open_store("compact", src, dst, n, codecs=codecs,
+                                   segment_bytes=segment_bytes))
         rng = np.random.default_rng(seed ^ 0xABC)
-        q = rng.integers(0, n, 64)
-        f1, o1 = packed.neighbors_batch(q)
-        f2, o2 = disk.neighbors_batch(q)
-        assert np.array_equal(f1, f2) and np.array_equal(o1, o2)
+        for q in (rng.integers(0, n, 64), rng.integers(0, n, 1)):
+            f2, o2 = disk.neighbors_batch(q)
+            for ref in refs:
+                f1, o1 = ref.neighbors_batch(q)
+                assert f1.dtype == f2.dtype and o1.dtype == o2.dtype
+                assert np.array_equal(f1, f2) and np.array_equal(o1, o2)
         assert np.array_equal(packed.degrees(), disk.degrees())
 
 
@@ -147,6 +157,59 @@ class TestCostModel:
         batch_neighbors(disk, q, m_disk)
         batch_neighbors(packed, q, m_mem)
         assert m_disk.elapsed_ns() > m_mem.elapsed_ns()
+
+
+def _skewed_graph():
+    """3,000 nodes, 60,000 edges: 750 empty rows, hub rows of small gaps
+    under large ids (``auto`` keeps varint there) and a uniform tail
+    (``auto`` keeps fixed there)."""
+    rng = np.random.default_rng(42)
+    n, m = 3000, 60000
+    src = rng.integers(0, n, m) ** 2 // n
+    dst = np.where(src < 300, rng.integers(n - 500, n, m), rng.integers(0, n, m))
+    return (*ensure_sorted(src, dst), n)
+
+
+# take_page_touches() after each batch of the seeded schedule below, per
+# layout, recorded before the disk store read its files through
+# SegmentArena.  8 KiB segments: a file spans two pages, a batch several
+# files.
+PAGE_TOUCH_PINS = {
+    "plain": [2, 2, 10, 24, 1, 2, 9, 23, 2, 2, 10, 24],
+    "gap": [2, 2, 10, 24, 1, 2, 9, 23, 2, 2, 10, 24],
+    "auto": [2, 2, 9, 24, 1, 2, 9, 24, 2, 2, 11, 24],
+    "varint": [2, 2, 11, 25, 1, 2, 11, 25, 2, 2, 15, 24],
+    "zeta2": [2, 2, 11, 23, 1, 2, 11, 23, 2, 2, 15, 22],
+    "v1": [2, 2, 10, 24, 1, 2, 9, 23, 2, 2, 10, 24],
+}
+
+
+class TestPageTouchPins:
+    @pytest.mark.parametrize("layout", list(PAGE_TOUCH_PINS))
+    def test_page_touches_per_batch(self, tmp_path, layout):
+        src, dst, n = _skewed_graph()
+        packed = build_bitpacked_csr(src, dst, n, gap_encode=layout in ("gap", "v1"))
+        codecs = layout if layout in ("auto", "varint", "zeta2") else None
+        disk = write_disk_store(packed, tmp_path / "d", codecs=codecs, segment_bytes=8192)
+        if layout == "v1":
+            _downgrade_manifest(tmp_path / "d")
+            disk = DiskStore.open(tmp_path / "d")
+            assert disk.manifest.version == 1
+        empty = np.flatnonzero(packed.degrees() == 0)
+        rng = np.random.default_rng(2024)
+        touched = []
+        for turn, size in enumerate((1, 2, 16, 256) * 3):
+            keys = rng.integers(0, n, size)
+            if size == 1 and turn == 4:
+                keys[0] = empty[0]
+            elif size > 1:
+                keys[1] = rng.choice(empty)  # an empty row
+                keys[-1] = keys[0]  # a repeated key
+            flat, offs = disk.neighbors_batch(keys)
+            pflat, poffs = packed.neighbors_batch(keys)
+            assert np.array_equal(flat, pflat) and np.array_equal(offs, poffs)
+            touched.append(disk.take_page_touches())
+        assert touched == PAGE_TOUCH_PINS[layout]
 
 
 class TestComposition:
@@ -254,6 +317,34 @@ class TestOpenAndErrors:
     def test_open_missing_directory(self, tmp_path):
         with pytest.raises(DiskFormatError, match="manifest"):
             DiskStore.open(tmp_path / "nope")
+
+    def test_unsorted_row_refused_on_open(self, tmp_path):
+        # a plain directory written from an unchecked store: row 0 is [2, 0, 1]
+        graph = CSRGraph([0, 3, 4, 4], [2, 0, 1, 1], None, validate=False)
+        write_disk_store(BitPackedCSR.from_csr(graph), tmp_path / "d")
+        with pytest.raises(NotSortedError) as info:
+            load_store(tmp_path / "d")
+        message = str(info.value)
+        assert "\n" not in message and message.startswith(f"{tmp_path / 'd'}: ")
+        assert message.endswith("rebuild the store from its edge list")
+        # verify=False reads the manifest only: nothing is mapped or checked
+        trusted = DiskStore.open(tmp_path / "d", verify=False)
+        assert trusted.mapped_segments() == 0
+        assert trusted.neighbors(0).tolist() == [2, 0, 1]
+
+    def test_order_check_decodes_only_absolute_ids(self, pair, monkeypatch):
+        packed, disk = pair
+        decoded, kernel = [], DiskStore._decode_rows
+        monkeypatch.setattr(DiskStore, "_decode_rows",
+                            lambda self, keys: decoded.append(keys.shape[0]) or kernel(self, keys))
+        reopened = DiskStore.open(disk.path)
+        rows = sum(s.num_rows for s in disk.manifest.columns)
+        assert sum(decoded) == (0 if packed.gap_encoded else rows)
+        assert reopened.mapped_segments() == 0 and reopened.take_page_touches() == 0
+        q = np.arange(packed.num_nodes)
+        f1, o1 = packed.neighbors_batch(q)
+        f2, o2 = reopened.neighbors_batch(q)
+        assert np.array_equal(f1, f2) and np.array_equal(o1, o2)
 
     def test_query_errors(self, pair):
         _, disk = pair
