@@ -29,6 +29,7 @@ from repro.query import (
     batch_neighbors,
 )
 from repro.query.edges import _membership
+from repro.utils import min_uint_dtype
 
 from conftest import baseline_record, baseline_section, report
 
@@ -273,8 +274,8 @@ class TalliedStore:
 def test_rowcache_hot_path_counts(stores, medium_standin):
     """Count gate (domain "count", exact for the seed): a batch of cache
     hits hands over the resident rows — no element of a hit row is
-    copied — and the edge lane reads O(log degree) elements per query
-    of a hub row, not the row."""
+    copied — the edge lane reads O(log degree) elements per query of a
+    hub row, not the row, and a resident element costs the id width."""
     store = stores["packed"]
     degree = np.diff(stores["csr"].indptr)
     hubs = np.argsort(-degree, kind="stable")[:16].astype(np.int64)
@@ -303,6 +304,11 @@ def test_rowcache_hot_path_counts(stores, medium_standin):
     assert np.array_equal(got, want) and got[::2].all()
     scanned = tally[0] / qs.shape[0]
     bound = int(np.ceil(np.log2(degree.max()))) + 1
+    # bytes of a resident row element: memory_bytes less the wrapped
+    # store and the one admission mark per node
+    elements = cache.stats().elements
+    per_element = (cache.memory_bytes() - store.memory_bytes() - n) / elements
+    id_bytes = min_uint_dtype(n - 1).itemsize
 
     section = {
         "hit_elements_copied_per_hot_batch": {
@@ -310,6 +316,9 @@ def test_rowcache_hot_path_counts(stores, medium_standin):
         "edge_lane_elements_scanned_per_query": {
             "value": scanned, "domain": "count",
             "gate": f"<= ceil(log2(max degree {int(degree.max())})) + 1 = {bound}"},
+        "resident_bytes_per_element": {
+            "value": per_element, "domain": "count",
+            "gate": f"== {id_bytes} (exact)"},
     }
     if os.environ.get("BENCH_WRITE_BASELINE") and BASELINE_PATH.exists():
         baseline_section(BASELINE_PATH, {"rowcache_hot_path": section})
@@ -324,6 +333,7 @@ def test_rowcache_hot_path_counts(stores, medium_standin):
     )
     assert copied == 0
     assert scanned <= bound
+    assert per_element == id_bytes
 
 
 #: the same two streams through the LRU that admitted every miss that

@@ -61,7 +61,7 @@ from ..errors import CodecError, ValidationError
 from ..utils import bits_for_value
 from .bitarray import BitArray
 from .delta import row_gaps
-from .fixed import _decode_at, _gather_runs, pack_fixed, read_fields
+from .fixed import _decode_at, _gather_runs, pack_fixed, read_fields, unpack_fixed
 from .varint import varint_decode, varint_encode, varint_max_bits, varint_nbytes
 from .zeta import zeta_decode_rows, zeta_encode, zeta_value_nbits
 
@@ -151,6 +151,11 @@ def _fixed_decode(bits, lo, hi, degrees, width) -> np.ndarray:
     return _decode_at(bits, widths.view(np.uint64), bitpos)
 
 
+def _fixed_decode_row(bits, lo, hi, degree) -> np.ndarray:
+    # one self-indexing window: *degree* contiguous fields of one width
+    return unpack_fixed(bits, degree, (hi - lo) // degree, bit_offset=lo)
+
+
 def _varint_encode(gaps: np.ndarray):
     stream = varint_encode(gaps)
     ends = np.zeros(gaps.shape[0] + 1, dtype=np.int64)
@@ -190,7 +195,7 @@ _CODECS = {
     for codec in (
         SegmentCodec(
             "fixed", 0, lambda gaps: gaps.shape[0] * _fixed_width(gaps),
-            _fixed_encode, _fixed_decode,
+            _fixed_encode, _fixed_decode, _fixed_decode_row,
             measure_coded=lambda stream, count: count * varint_max_bits(stream),
         ),
         SegmentCodec(

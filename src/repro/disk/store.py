@@ -118,7 +118,7 @@ class DiskStore(BaseStore):
         memory, one sequential read — and raises
         :class:`~repro.errors.DiskFormatError` on the first mismatch.
         A directory that stores absolute ids (not ``gap_encoded``) is
-        then decoded one segment at a time, and an unsorted row is one
+        then unpacked one column file at a time, and an unsorted row is one
         :class:`~repro.errors.NotSortedError` line; a gap-coded row is a
         prefix sum of unsigned gaps, sorted by construction.  Pass
         ``verify=False`` to read the manifest only, when the directory
@@ -133,15 +133,20 @@ class DiskStore(BaseStore):
         return store
 
     def _check_row_order(self) -> None:
-        """Decode each column segment once and refuse an unsorted row, as
-        ``load_store`` refuses such an ``.npz``; leaves nothing mapped
-        and no page metered."""
+        """Refuse an unsorted row, as ``load_store`` refuses such an
+        ``.npz``: each column file of absolute ids is unpacked whole,
+        once, and cut into rows at ``iA`` (a file of gaps is sorted by
+        construction); leaves nothing mapped and no page metered."""
         from ..stores import _ROW_NOT_SORTED
 
-        for seg in self.manifest.columns:
-            keys = np.arange(seg.first_row, seg.first_row + seg.num_rows)
-            flat, offs = self._decode_rows(keys)
-            if not edges_sorted(np.repeat(keys, np.diff(offs)), flat):
+        degrees = self.degrees()
+        for s, seg in enumerate(self.manifest.columns):
+            arena, undo_gaps = self._column_parts(s)
+            if undo_gaps:
+                continue
+            lo, hi = seg.first_row, seg.first_row + seg.num_rows
+            ids = unpack_fixed(arena.views[0][0], seg.num_fields, int(arena.enc_width[0]))
+            if not edges_sorted(np.repeat(np.arange(lo, hi), degrees[lo:hi]), ids):
                 raise NotSortedError(f"{self.path}: {_ROW_NOT_SORTED}")
         self.close()
         self.take_page_touches()

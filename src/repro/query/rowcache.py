@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..utils import require
+from ..utils import min_uint_dtype, require
 from .capabilities import capabilities
 from .stores import WrapperStore, join_rows
 from .stores import neighbors_batch as _store_batch
@@ -71,6 +71,14 @@ class RowCache(WrapperStore):
         it was sliced from, lookups hand out the resident array itself,
         and a write into a reply raises instead of corrupting the cache.
 
+    Width: rows are held at :attr:`row_dtype`, the narrowest unsigned
+    dtype holding ``num_nodes - 1`` (``uint8`` up to 256 nodes, then
+    ``uint16``, ``uint32``, ``uint64``), not at the wrapped store's
+    dtype, so a resident element costs the id width, as in the packed
+    column.  Every reply — a hit, a refused view, the empty row, the
+    :meth:`neighbors_batch` payload — has that one dtype; widen one
+    before arithmetic on it (``row + 1`` wraps at 255 over ``uint8``).
+
     Admission: a missed row that fits without evicting anything is
     admitted, as is one asked for before in the current *window*.  Any
     other miss is refused — served as a read-only view of the decode
@@ -104,8 +112,9 @@ class RowCache(WrapperStore):
         # the wrapped store is fixed for the cache's life, so its
         # optional surface is resolved here, once — not per batch
         self._store_caps = capabilities(store)
-        #: dtype of decoded rows (the wrapped store's)
-        self.row_dtype = self._store_caps.row_dtype
+        #: dtype of every row it holds or hands out: the narrowest
+        #: unsigned width of a node id, whatever the wrapped store decodes to
+        self.row_dtype = min_uint_dtype(max(int(store.num_nodes) - 1, 0))
         self.capacity = int(capacity)
         self.hits = 0
         self.misses = 0
@@ -170,8 +179,9 @@ class RowCache(WrapperStore):
             self._check_range(ids[0], ids[-1])
             flat, offs = _store_batch(self.store, np.array(ids, dtype=np.int64),
                                       self._store_caps)
+            # at the cache's width once, so admitted rows copy out narrow;
             # a refused row is a view of this buffer: read-only, like a hit
-            flat = flat.view()
+            flat = flat.astype(self.row_dtype, copy=False).view()
             flat.setflags(write=False)
             bounds = offs.tolist()
             slot = dict(zip(ids, range(len(ids))))  # a miss's row in the decode buffer

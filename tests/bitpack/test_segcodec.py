@@ -221,6 +221,28 @@ class TestRoundtrip:
             )
             assert np.array_equal(rows_from_gaps(offsets, gaps), flat)
 
+    @pytest.mark.parametrize("width", range(1, 58))
+    def test_fixed_decode_row_is_decode_of_its_window(self, rng, width):
+        # a one-row window anywhere in the stream: on the field grid, off
+        # it by a few bits, and running to the buffer's last field
+        fixed = segment_codec("fixed")
+        assert fixed.decode_row is not None
+        nfields = 300
+        values = rng.integers(0, 1 << width, nfields, dtype=np.uint64)
+        bits = pack_fixed(values, width)
+        for start_field, shift, degree in ((0, 0, 1), (3, 0, 40), (7, 5, 9),
+                                           (11, width - 1, 120), (nfields - 60, 0, 60)):
+            lo = start_field * width + shift
+            degree = min(degree, (bits.nbits - lo) // width)
+            hi = lo + degree * width
+            want = fixed.decode(bits, *(np.asarray([x], dtype=np.int64)
+                                        for x in (lo, hi, degree, width)))
+            got = fixed.decode_row(bits, lo, hi, degree)
+            assert got.dtype == want.dtype == np.uint64
+            assert got.tolist() == want.tolist()
+            if shift == 0:
+                assert got.tolist() == values[start_field:start_field + degree].tolist()
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(SEGMENT_CODECS),

@@ -9,6 +9,7 @@ from repro.csr.builder import ensure_sorted
 from repro.csr.graph import CSRGraph
 from repro.csr.packed import BitPackedCSR, build_bitpacked_csr
 from repro.disk import DiskStore, write_disk_store
+from repro.disk import store as store_module
 from repro.errors import DiskFormatError, NotSortedError, QueryError, ValidationError
 from repro.parallel import CostModel, SerialExecutor, SimulatedMachine
 from repro.query import RowCache, batch_edge_existence, batch_neighbors, capabilities
@@ -337,9 +338,16 @@ class TestOpenAndErrors:
         decoded, kernel = [], DiskStore._decode_rows
         monkeypatch.setattr(DiskStore, "_decode_rows",
                             lambda self, keys: decoded.append(keys.shape[0]) or kernel(self, keys))
+        unpacked, unpack = [], store_module.unpack_fixed
+        monkeypatch.setattr(
+            store_module, "unpack_fixed",
+            lambda bits, count, *a, **k: unpacked.append(count) or unpack(bits, count, *a, **k))
         reopened = DiskStore.open(disk.path)
-        rows = sum(s.num_rows for s in disk.manifest.columns)
-        assert sum(decoded) == (0 if packed.gap_encoded else rows)
+        # no row goes through the row path: iA, then each column file of
+        # absolute ids, is unpacked whole, once
+        assert decoded == []
+        fields = [s.num_fields for s in (*disk.manifest.offsets, *disk.manifest.columns)]
+        assert unpacked == ([] if packed.gap_encoded else fields)
         assert reopened.mapped_segments() == 0 and reopened.take_page_touches() == 0
         q = np.arange(packed.num_nodes)
         f1, o1 = packed.neighbors_batch(q)

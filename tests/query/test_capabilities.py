@@ -7,6 +7,7 @@ from repro import open_store
 from repro.csr.builder import ensure_sorted
 from repro.query import RowCache, StoreCapabilities, capabilities
 from repro.query.stores import row_decode_cost, row_dtype
+from repro.utils import min_uint_dtype
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,8 @@ def test_row_cache_declares_dtype(edges):
     cached = RowCache(open_store("packed", src, dst, n), capacity=16)
     caps = capabilities(cached)
     assert caps.has_native_batch
-    assert caps.row_dtype == np.dtype(np.uint64)
+    # the id width, not the packed store's uint64
+    assert caps.row_dtype == cached.row_dtype == min_uint_dtype(n - 1)
 
 
 def test_decode_cost_uses_caps(edges):

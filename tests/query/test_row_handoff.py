@@ -2,8 +2,9 @@
 
 A cache hit is handed to the kernels — and on to the caller — as the
 resident row itself; the edge kernel searches long rows where they lie.
-None of that may change an answer, a dtype or a ``Cost`` charge; the
-LRU policy and its counters follow one reference model.
+None of that may change an answer or a ``Cost`` charge; a reply has the
+cache's ``row_dtype`` (the id width), not the wrapped store's.  The LRU
+policy and its counters follow one reference model.
 """
 
 from unittest import mock
@@ -93,7 +94,7 @@ def test_engine_over_cache_equals_engine_over_store(
                 rows, exists, costs = _phases(cache, nodes, edges, p, method, prefetch)
                 assert len(rows) == len(want_rows)
                 for got, want in zip(rows, want_rows):
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    assert got.dtype == cache.row_dtype and np.array_equal(got, want)
                 assert exists.dtype == np.bool_ and np.array_equal(exists, want_exists)
                 assert [label for label, _ in costs] == [label for label, _ in want_costs]
                 for (_, got), (_, want) in zip(costs, want_costs):

@@ -80,7 +80,7 @@ class TestRules:
 
     def test_a_full_cache_refuses_a_first_touch(self, store, full, batched):
         row = _read(full, 2, batched)
-        assert np.array_equal(row, store.neighbors(2)) and row.dtype == store.neighbors(2).dtype
+        assert np.array_equal(row, store.neighbors(2)) and row.dtype == full.row_dtype
         assert not row.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             row[:1] = 0
@@ -224,7 +224,7 @@ def test_replies_budget_and_counters_hold_on_any_stream(packed, capacity, stream
         looked_up += len(keys)
         for u, got in zip(keys, replies):
             want = store.neighbors(u)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.dtype == cache.row_dtype and np.array_equal(got, want)
             assert not got.flags.writeable
         after = cache.stats()
         assert cache._charged <= capacity
