@@ -19,7 +19,6 @@ from .experiments import (
     run_table2,
 )
 from .obs import render_flamegraph, render_rollup, render_span_tree
-from .report import build_report, write_report
 from .memory import (
     StoreFootprint,
     footprint,
@@ -32,7 +31,6 @@ from .memory import (
 from .speedup import (
     SpeedupCurve,
     amdahl_fit,
-    amdahl_time,
     efficiency,
     speedup_percent,
     speedup_ratio,
@@ -70,7 +68,6 @@ __all__ = [
     "projected_raw_csr_bytes",
     "SpeedupCurve",
     "amdahl_fit",
-    "amdahl_time",
     "efficiency",
     "speedup_percent",
     "speedup_ratio",
@@ -78,8 +75,6 @@ __all__ = [
     "render_series",
     "render_table",
     "sparkline",
-    "build_report",
-    "write_report",
     "render_cache_stats",
     "render_lsm_stats",
     "render_serve_histograms",

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..csr.io import edge_list_text_size
 from ..csr.packed import build_bitpacked_csr
 from ..datasets.registry import PAPER_GRAPHS, Dataset, standin
@@ -128,24 +126,6 @@ class Table2Result:
                 f"times from the simulated machine)"
             ),
         )
-
-    def to_csv(self) -> str:
-        """The raw Table II grid as CSV (one row per measurement)."""
-        from .tables import to_csv
-
-        headers = [
-            "graph", "nodes", "edges", "edgelist_bytes", "csr_bytes",
-            "processors", "time_ms", "speedup_pct",
-        ]
-        rows = [
-            [
-                r.graph, r.num_nodes, r.num_edges, r.edgelist_bytes,
-                r.csr_bytes, r.processors, r.time_ms,
-                "" if r.speedup_pct is None else r.speedup_pct,
-            ]
-            for r in self.rows
-        ]
-        return to_csv(headers, rows)
 
     def render_projection(self) -> str:
         """Size columns projected to the published graph scales.

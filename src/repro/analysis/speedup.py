@@ -20,7 +20,6 @@ __all__ = [
     "speedup_percent",
     "speedup_ratio",
     "efficiency",
-    "amdahl_time",
     "amdahl_fit",
     "SpeedupCurve",
 ]
@@ -42,13 +41,6 @@ def efficiency(t1: float, tp: float, p: int) -> float:
     """Parallel efficiency ``(T_1 / T_p) / p`` in [0, 1] ideally."""
     require(p >= 1, "p must be positive")
     return speedup_ratio(t1, tp) / p
-
-
-def amdahl_time(t1: float, serial_fraction: float, p: int) -> float:
-    """Predicted ``T_p`` under Amdahl's law."""
-    require(0.0 <= serial_fraction <= 1.0, "serial fraction must be in [0, 1]")
-    require(p >= 1, "p must be positive")
-    return t1 * (serial_fraction + (1.0 - serial_fraction) / p)
 
 
 def amdahl_fit(processors, times) -> float:

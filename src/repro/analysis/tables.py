@@ -11,7 +11,7 @@ from typing import Sequence
 
 from ..errors import ValidationError
 
-__all__ = ["render_table", "render_series", "sparkline", "format_value", "to_csv"]
+__all__ = ["render_table", "render_series", "sparkline", "format_value"]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -79,30 +79,6 @@ def _is_numeric(cell: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def to_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """The same tabular data as RFC-4180-ish CSV text.
-
-    Downstream plotting of the regenerated figures wants machine-
-    readable series, not aligned terminal art; fields containing
-    commas, quotes, or newlines are quoted and quote-doubled.
-    """
-    if not headers:
-        raise ValidationError("csv needs headers")
-
-    def escape(cell) -> str:
-        text = str(cell)
-        if any(ch in text for ch in ',"\n'):
-            return '"' + text.replace('"', '""') + '"'
-        return text
-
-    lines = [",".join(escape(h) for h in headers)]
-    for i, row in enumerate(rows):
-        if len(row) != len(headers):
-            raise ValidationError(f"row {i} has {len(row)} cells, expected {len(headers)}")
-        lines.append(",".join(escape(c) for c in row))
-    return "\n".join(lines) + "\n"
 
 
 def sparkline(values: Sequence[float]) -> str:

@@ -134,29 +134,6 @@ class BitArray:
         bits = np.unpackbits(self.buffer[: ceil_div(self.nbits, 8)], bitorder="little")
         return bits[: self.nbits]
 
-    def concat(self, other: "BitArray") -> "BitArray":
-        """A new BitArray holding self's bits followed by other's.
-
-        Used by Algorithm 4's serial "merge all bitArrays" step when the
-        left length is not byte-aligned.
-        """
-        if self.nbits & 7 == 0:
-            buf = np.concatenate([self._trimmed(), other._trimmed()])
-            return BitArray(buf, self.nbits + other.nbits)
-        out = BitArray.zeros(self.nbits + other.nbits)
-        out.buffer[: ceil_div(self.nbits, 8)] = self._trimmed()
-        # shift other's bits into place 64 bits at a time
-        writer_pos = self.nbits
-        pos = 0
-        remaining = other.nbits
-        while remaining > 0:
-            take = min(_MAX_FIELD - 8, remaining)  # keep reads within bounds
-            out.write_uint(writer_pos, take, other.read_uint(pos, take))
-            writer_pos += take
-            pos += take
-            remaining -= take
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BitArray(nbits={self.nbits}, nbytes={self.nbytes})"
 

@@ -68,6 +68,7 @@ from .zeta import zeta_decode_rows, zeta_encode, zeta_value_nbits
 __all__ = [
     "SEGMENT_CODECS",
     "DEFAULT_CANDIDATES",
+    "DEFAULT_SEGMENT_BYTES",
     "SegmentCodec",
     "SegmentEncoding",
     "segment_codec",
@@ -79,6 +80,12 @@ __all__ = [
     "row_windows",
     "SegmentArena",
 ]
+
+#: Target payload bytes per segment (a disk segment file, a compact
+#: store's segment).  Small enough that a point query maps a bounded
+#: window, large enough that the segment table and per-file syscall
+#: overheads stay negligible.
+DEFAULT_SEGMENT_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ Commands
   pagerank / triangles) from :mod:`repro.algorithms` over a store on
   a simulated p-processor machine; ``--sweep 1,2,4`` prints the
   cost-model speed-up curve.
-* ``bench`` — regenerate Table II or Figures 6-7 from the paper.
+* ``bench`` — regenerate Table II or Figures 6-7 from the paper, with
+  the PASS/FAIL shape verdicts of :mod:`repro.analysis.compare` below
+  it (and, for Figure 7, the Amdahl serial fractions).
 * ``serve-bench`` — coalesced vs single-request serving throughput on
   a synthetic open-loop workload (the :mod:`repro.serve` subsystem);
   ``--json`` emits the snapshots machine-readably.
@@ -35,8 +37,6 @@ Commands
   and print where the time goes: per-request span trees, the
   layer/phase cost rollup, and folded flamegraph stacks
   (:mod:`repro.obs`); ``--json`` emits the raw spans.
-* ``report`` — write the full reproduction report (every paper
-  artifact) as one markdown file.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import sys
 
 import numpy as np
 
+from .analysis.compare import check_fig6, check_fig7, check_table2, render_checks
 from .analysis.experiments import render_fig6, render_fig7, run_fig6, run_table2
 from .csr.io import (
     edge_list_text_size,
@@ -315,12 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=2023)
     trace.add_argument("--json", action="store_true",
                        help="emit raw spans + rollup as JSON")
-
-    rep = sub.add_parser("report", help="write the full reproduction report")
-    rep.add_argument("output", help="markdown output path")
-    rep.add_argument("--scale", type=float, default=1 / 256)
-    rep.add_argument("--min-edges", type=int, default=100_000)
-    rep.add_argument("--seed", type=int, default=2023)
 
     return parser
 
@@ -683,14 +678,29 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    """Print the artifact, then its shape verdicts (and, for Figure 7,
+    the Amdahl serial fraction of every curve)."""
     if args.artifact == "table2":
         result = run_table2(scale=args.scale, min_edges=args.min_edges)
         print(result.render())
         print()
         print(result.render_projection())
+        checks = render_checks("Table II claims", check_table2(result))
     else:
         curves = run_fig6(scale=args.scale, min_edges=args.min_edges)
-        print(render_fig6(curves) if args.artifact == "fig6" else render_fig7(curves))
+        if args.artifact == "fig6":
+            print(render_fig6(curves))
+            checks = render_checks("Figure 6 claims", check_fig6(curves))
+        else:
+            print(render_fig7(curves))
+            checks = render_checks("Figure 7 claims", check_fig7(curves))
+    print()
+    print(checks)
+    if args.artifact == "fig7":
+        print()
+        print("Amdahl serial fractions (the paper's inherent sequential steps):")
+        for name, curve in curves.items():
+            print(f"  {name}: {curve.serial_fraction():.3f}")
     return 0
 
 
@@ -888,7 +898,7 @@ def _cmd_trace(args) -> int:
     """Serve a traced workload, then render where the time went."""
     from .analysis.obs import render_flamegraph, render_rollup, render_span_tree
     from .obs import ObsConfig, rollup_spans, to_jsonable
-    from .serve import ManualClock, open_server, synthetic_workload
+    from .serve import ManualClock, open_server, replay, synthetic_workload
 
     cluster = args.workers > 1 or args.replicas > 1
     config = _server_config(
@@ -896,17 +906,11 @@ def _cmd_trace(args) -> int:
         obs=ObsConfig(enabled=True, capacity=args.capacity,
                       sample_every=args.sample_every),
     )
-    clock = ManualClock()
-    server = open_server(config, clock=clock)
-    workload = synthetic_workload(
+    server = open_server(config, clock=ManualClock())
+    replay(server, synthetic_workload(
         args.requests, server.num_nodes, **_traffic(args),
         mean_interarrival_ns=args.wait_us * 1e3 / max(args.batch, 1),
-    )
-    for arrival_ns, request in workload:
-        clock.advance_to(float(arrival_ns))
-        server.submit(request)
-        server.pump(clock())
-    server.drain()
+    ))
     tracer = server.tracer
     spans = tracer.spans()
     if args.json:
@@ -937,16 +941,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    from .analysis.report import write_report
-
-    path = write_report(
-        args.output, scale=args.scale, min_edges=args.min_edges, seed=args.seed
-    )
-    print(f"wrote reproduction report to {path}")
-    return 0
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "build": _cmd_build,
@@ -957,7 +951,6 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "serve-bench": _cmd_serve_bench,
     "trace": _cmd_trace,
-    "report": _cmd_report,
 }
 
 

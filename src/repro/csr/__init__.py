@@ -25,7 +25,7 @@ from .compact import CompactStore, build_compact_csr
 from .packed import BitPackedCSR, build_bitpacked_csr, pack_array_parallel
 from .spmv import pagerank, spmv
 from .transpose import transpose_csr
-from .traversal import bfs_levels, connected_components, degree_histogram
+from .traversal import bfs_levels, degree_histogram
 
 __all__ = [
     "build_csr",
@@ -55,6 +55,5 @@ __all__ = [
     "spmv",
     "transpose_csr",
     "bfs_levels",
-    "connected_components",
     "degree_histogram",
 ]

@@ -27,6 +27,7 @@ from ..bitpack.bitarray import BitArray
 from ..bitpack.delta import row_gaps, rows_from_gaps
 from ..bitpack.fixed import read_field, unpack_fixed
 from ..bitpack.segcodec import (
+    DEFAULT_SEGMENT_BYTES,
     SegmentArena,
     SegmentEncoding,
     encode_row_segments,
@@ -41,8 +42,6 @@ from .graph import CSRGraph
 from .packed import pack_array_parallel
 
 __all__ = ["CompactStore", "build_compact_csr"]
-
-_DEFAULT_SEGMENT_BYTES = 1 << 20
 
 
 class CompactStore(BaseStore):
@@ -93,7 +92,7 @@ class CompactStore(BaseStore):
         executor=None,
         *,
         codecs=None,
-        segment_bytes: int = _DEFAULT_SEGMENT_BYTES,
+        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> "CompactStore":
         """Gap-encode *graph* segment by segment, keeping the smallest codec.
 
@@ -129,7 +128,7 @@ class CompactStore(BaseStore):
         executor=None,
         *,
         codecs=None,
-        segment_bytes: int = _DEFAULT_SEGMENT_BYTES,
+        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> "CompactStore":
         """The store :func:`build_compact_csr` builds from this store's
         edges with row ``nodes[i]`` replaced by the sorted ``rows[i]`` —
@@ -443,7 +442,7 @@ def build_compact_csr(
     executor=None,
     *,
     codecs=None,
-    segment_bytes: int = _DEFAULT_SEGMENT_BYTES,
+    segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     sort: bool = True,
 ) -> CompactStore:
     """End-to-end: edge list → CSR → adaptive per-segment encoding."""

@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import NotSortedError, QueryError, ValidationError
 from ..parallel.sort import edges_sorted
 from ..query.stores import BaseStore
-from ..utils import human_bytes, min_uint_dtype, require
+from ..utils import human_bytes, min_uint_dtype
 
 __all__ = ["CSRGraph", "MemoryBreakdown"]
 
@@ -231,18 +231,6 @@ class CSRGraph(BaseStore):
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(indptr, cols.astype(np.int64), validate=False)
 
-    def to_dense(self) -> np.ndarray:
-        """Materialise as a dense matrix (small graphs only)."""
-        n = self.num_nodes
-        require(n <= 4096, "to_dense is a debugging aid for small graphs")
-        out = np.zeros((n, n), dtype=np.int64)
-        src, dst = self.edges()
-        if self.values is not None:
-            out[src, dst] = self.values
-        else:
-            out[src, dst] = 1
-        return out
-
     def to_scipy(self):
         """As a ``scipy.sparse.csr_matrix`` (requires scipy)."""
         from scipy.sparse import csr_matrix
@@ -250,27 +238,6 @@ class CSRGraph(BaseStore):
         data = self.values if self.values is not None else np.ones(self.num_edges)
         n = self.num_nodes
         return csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-    @classmethod
-    def from_networkx(cls, graph) -> "CSRGraph":
-        """Build from a networkx (di)graph with integer node labels."""
-        n = graph.number_of_nodes()
-        labels = sorted(graph.nodes())
-        if labels != list(range(n)):
-            raise ValidationError("networkx nodes must be labelled 0..n-1")
-        directed = graph.is_directed()
-        us, vs = [], []
-        for u, v in graph.edges():
-            us.append(u)
-            vs.append(v)
-            if not directed:
-                us.append(v)
-                vs.append(u)
-        from .builder import build_csr  # deferred: builder imports this module
-
-        src = np.asarray(us, dtype=np.int64)
-        dst = np.asarray(vs, dtype=np.int64)
-        return build_csr(src, dst, n, sort=True)
 
     def to_networkx(self):
         """Convert to a ``networkx.DiGraph``."""

@@ -17,7 +17,7 @@ from ..parallel.cost import Cost
 from ..parallel.machine import Executor, SerialExecutor, TaskContext
 from .graph import CSRGraph
 
-__all__ = ["bfs_levels", "connected_components", "degree_histogram"]
+__all__ = ["bfs_levels", "degree_histogram"]
 
 
 def bfs_levels(
@@ -61,38 +61,6 @@ def bfs_levels(
 
         frontier = executor.serial(merge, label="bfs:merge")
     return levels
-
-
-def connected_components(graph: CSRGraph, executor: Executor | None = None) -> np.ndarray:
-    """Component id per node, treating edges as undirected.
-
-    Repeated BFS from unvisited seeds; component ids are assigned in
-    seed order, so output is deterministic.
-    """
-    executor = executor or SerialExecutor()
-    n = graph.num_nodes
-    # build the reverse adjacency once so traversal sees both directions
-    src, dst = graph.edges()
-    from .builder import build_csr_serial, ensure_sorted
-
-    rs, rd = ensure_sorted(dst, src)
-    reverse = build_csr_serial(rs, rd, n)
-    comp = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for seed in range(n):
-        if comp[seed] >= 0:
-            continue
-        comp[seed] = next_id
-        stack = [seed]
-        while stack:
-            u = stack.pop()
-            for v in np.concatenate((graph.neighbors(u), reverse.neighbors(u))):
-                v = int(v)
-                if comp[v] < 0:
-                    comp[v] = next_id
-                    stack.append(v)
-        next_id += 1
-    return comp
 
 
 def degree_histogram(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -109,12 +109,6 @@ class Dataset:
     def avg_degree(self) -> float:
         return self.num_edges / self.num_nodes if self.num_nodes else 0.0
 
-    def scale_factor(self) -> float:
-        """Measured edges over paper edges (1.0 when not a stand-in)."""
-        if self.paper is None or self.paper.num_edges == 0:
-            return 1.0
-        return self.num_edges / self.paper.num_edges
-
 
 def standin(
     name: str,

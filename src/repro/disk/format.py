@@ -26,6 +26,7 @@ import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from ..bitpack.segcodec import DEFAULT_SEGMENT_BYTES
 from ..errors import DiskFormatError
 
 __all__ = [
@@ -50,11 +51,6 @@ MANIFEST_NAME = "manifest.json"
 
 # OS page granularity assumed by the page-touch cost accounting.
 PAGE_BYTES = 4096
-
-# Target payload bytes per segment file.  Small enough that a point
-# query maps a bounded window, large enough that the segment table and
-# per-file syscall overheads stay negligible.
-DEFAULT_SEGMENT_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,7 +8,8 @@ in a FIFO and closes a batch when *either* bound trips:
 
 * **size** — the queue reached ``max_batch_size`` (throughput bound);
 * **window** — the oldest queued request has waited ``max_wait_ns``
-  (latency bound);
+  (latency bound); the batch holds the requests that had arrived by
+  that close time;
 * **flush** — the server is draining (shutdown, or a ``block``
   admission policy forcing room).
 
@@ -195,8 +196,15 @@ class MicroBatchCoalescer:
         # next_close_ns advertises: `now - oldest >= max_wait_ns` can
         # round the other way, leaving a wakeup that never fires
         if oldest is not None and now >= oldest + self.max_wait_ns:
-            # analytic close time: independent of when the poll ran
-            return self._close(len(self.queue), "window", oldest + self.max_wait_ns)
+            # analytic close time: independent of when the poll ran; the
+            # window holds only what had arrived by then — a later
+            # arrival (the submit that found the window expired) starts
+            # the next one
+            close = oldest + self.max_wait_ns
+            queue, k = self.queue, len(self.queue)
+            while queue[k - 1].enqueue_ns > close:
+                k -= 1
+            return self._close(k, "window", close)
         return None
 
     def flush(self, now: float | None = None) -> list[MicroBatch]:

@@ -5,13 +5,14 @@ configured *offered* rate whether or not the server keeps up; the
 honest way to measure tail latency under load, since a slow server
 cannot slow the arrival process down (no coordinated omission).
 
-It runs in virtual time on the server's
-:class:`~repro.serve.request.ManualClock` — it drives the clock
-through every arrival and every scheduled wakeup
-(:meth:`next_wakeup_ns`), so cluster hedging deadlines and replica
-completions fire exactly when they should — and works unchanged
-against a monolithic :class:`~repro.serve.server.GraphQueryServer` or
-a :class:`~repro.cluster.Router`.
+It is a schedule handed to :func:`~repro.serve.workload.replay`, which
+runs it in virtual time on the server's
+:class:`~repro.serve.request.ManualClock` — through every arrival and
+every scheduled wakeup (:meth:`next_wakeup_ns`), so window closures,
+cluster hedging deadlines and replica completions fire exactly when
+they should — and works unchanged against a monolithic
+:class:`~repro.serve.server.GraphQueryServer` or a
+:class:`~repro.cluster.Router`.
 
 Results come back as a :class:`LoadResult` — achieved qps plus
 p50/p95/p99 — checked against a declared :class:`SLO`; violations are
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..utils import require
-from .request import DONE, FAILED, REJECTED, SHED, ManualClock
-from .workload import synthetic_workload
+from .request import DONE, FAILED, REJECTED, SHED
+from .workload import _replay, synthetic_workload
 
 __all__ = ["SLO", "LoadResult", "run_open_loop"]
 
@@ -102,22 +103,6 @@ class LoadResult:
         """True when every declared SLO bound held (or none declared)."""
         return not self.violations
 
-    def describe(self) -> str:
-        """One line: rates, tails, and the SLO verdict."""
-        tail = " / ".join(
-            f"{v:.3f}" if v is not None else "-"
-            for v in (self.p50_ms, self.p95_ms, self.p99_ms)
-        )
-        verdict = (
-            "no SLO" if self.slo is None
-            else ("SLO met" if self.met else "; ".join(self.violations))
-        )
-        return (
-            f"{self.mode}: {self.achieved_qps:,.0f} qps "
-            f"({self.completed:,}/{self.requests:,} ok), "
-            f"p50/p95/p99 = {tail} ms — {verdict}"
-        )
-
 
 def _result(mode, slots, start_ns, end_ns, offered_qps, slo) -> LoadResult:
     statuses = [s.status for s in slots]
@@ -165,29 +150,6 @@ def _result(mode, slots, start_ns, end_ns, offered_qps, slo) -> LoadResult:
     return result
 
 
-def _clock_of(server) -> ManualClock:
-    clock = getattr(server, "_clock", None)
-    require(
-        isinstance(clock, ManualClock),
-        "load generation runs in virtual time: build the server with a "
-        "ManualClock (open_server does for clusters)",
-    )
-    return clock
-
-
-def _advance(server, clock, to_ns: float) -> None:
-    """Advance the clock to *to_ns*, stopping at every scheduled wakeup
-    so window closures and cluster events fire at their own times."""
-    while True:
-        wake = server.next_wakeup_ns()
-        if wake is None or wake >= to_ns:
-            break
-        clock.advance_to(wake)
-        server.pump(clock())
-    clock.advance_to(to_ns)
-    server.pump(clock())
-
-
 def run_open_loop(
     server,
     *,
@@ -209,7 +171,6 @@ def run_open_loop(
     time from first arrival to last completion.
     """
     require(offered_qps > 0, "offered_qps must be positive")
-    clock = _clock_of(server)
     if num_nodes is None:
         num_nodes = server.num_nodes
     workload = synthetic_workload(
@@ -221,12 +182,5 @@ def run_open_loop(
         mean_interarrival_ns=1e9 / offered_qps,
         seed=seed,
     )
-    start_ns = clock()
-    slots = []
-    for arrival_ns, request in workload:
-        _advance(server, clock, start_ns + arrival_ns)
-        slots.append(server.submit(request))
-    server.drain()
-    return _result(
-        "open-loop", slots, start_ns, clock(), float(offered_qps), slo
-    )
+    slots, start_ns, end_ns = _replay(server, workload)
+    return _result("open-loop", slots, start_ns, end_ns, float(offered_qps), slo)

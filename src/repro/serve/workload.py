@@ -9,11 +9,10 @@ configurable rate) are all seeded and reproducible: the same seed
 yields byte-identical request streams on every host.
 
 :func:`synthetic_workload` builds the schedule as a list of
-``(arrival_ns, request)`` pairs; :func:`replay` drives a
-:class:`~repro.serve.server.GraphQueryServer` through it on a
-:class:`~repro.serve.request.ManualClock`, making the arrival schedule
-the timebase so queueing behaviour (batch closures, wait times,
-latency percentiles) is exactly reproducible.
+``(arrival_ns, request)`` pairs; :func:`replay` drives either front
+door through it on a :class:`~repro.serve.request.ManualClock`, making
+the arrival schedule the timebase so queueing behaviour (batch
+closures, wait times, latency percentiles) is exactly reproducible.
 """
 
 from __future__ import annotations
@@ -139,25 +138,41 @@ def synthetic_workload(
 
 
 def replay(server, workload) -> list:
-    """Drive *server* through *workload* on its manual clock.
+    """Drive *server* through *workload* on its manual clock — the one
+    virtual-time driver (the load harness and ``repro trace`` use it).
 
     The server must have been built with a
-    :class:`~repro.serve.request.ManualClock`; each arrival advances
-    that clock to the scheduled time, pumps (firing any expired wait
-    windows and due in-flight work), submits, and collects the reply
-    slot.  Ends with a :meth:`~repro.serve.loop.ServeLoop.drain` so
-    every accepted ticket is terminal.  Returns the slots in submission
-    order.
+    :class:`~repro.serve.request.ManualClock`; arrival times are
+    offsets from its reading at the start.  Before each arrival the
+    clock steps through every scheduled wakeup
+    (:meth:`~repro.serve.loop.ServeLoop.next_wakeup_ns`: a wait window
+    closing, a due cluster event) and pumps at each, so every batch
+    closes and completes at its own time; then it advances to the
+    arrival, pumps, submits, and collects the reply slot.  Ends with a
+    :meth:`~repro.serve.loop.ServeLoop.drain` so every accepted ticket
+    is terminal.  Returns the slots in submission order.
     """
+    return _replay(server, workload)[0]
+
+
+def _replay(server, workload) -> tuple[list, float, float]:
+    """:func:`replay`, also returning the clock's readings at its start
+    and after the drain (the load harness's timebase)."""
     clock = getattr(server, "_clock", None)
     require(
         isinstance(clock, ManualClock),
-        "replay needs a server built with a ManualClock",
+        "replay runs in virtual time: build the server with a "
+        "ManualClock (open_server does for clusters)",
     )
+    start_ns = clock()
     slots = []
     for arrival_ns, request in workload:
-        clock.advance_to(arrival_ns)
+        due = start_ns + arrival_ns
+        while (wake := server.next_wakeup_ns()) is not None and wake < due:
+            clock.advance_to(wake)
+            server.pump(clock())
+        clock.advance_to(due)
         server.pump(clock())
         slots.append(server.submit(request))
     server.drain()
-    return slots
+    return slots, start_ns, clock()

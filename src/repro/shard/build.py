@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..csr.builder import check_edge_list, ensure_sorted
+from ..csr.builder import _NOT_SORTED, check_edge_list, ensure_sorted
 from ..errors import NotSortedError
 from ..parallel.machine import Executor, SimulatedMachine
 from ..parallel.sort import edges_sorted
@@ -102,9 +102,7 @@ def build_sharded_store(
     if sort:
         src, dst = ensure_sorted(src, dst)
     elif not edges_sorted(src, dst):
-        raise NotSortedError(
-            "edge list must be sorted by (source, destination) (pass sort=True to sort)"
-        )
+        raise NotSortedError(_NOT_SORTED)
     part = make_partitioner(partitioner, shards, src, n)
     per_shard = shard_edge_list(src, dst, part)
 

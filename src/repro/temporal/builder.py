@@ -32,6 +32,7 @@ from ..csr.packed import BitPackedCSR
 from ..parallel.chunking import chunk_bounds
 from ..parallel.cost import Cost
 from ..parallel.machine import Executor, SerialExecutor, TaskContext
+from ..parallel.scan import _last_nonempty_end
 from .events import EventList, parity_filter, sym_diff_sorted
 from .frames import csr_from_keys, frame_snapshots, frame_toggles
 from .tcsr import TemporalCSR
@@ -175,10 +176,3 @@ def build_tcsr(
         for f in range(1, num_frames)
     ]
     return TemporalCSR(n, base, deltas)
-
-
-def _last_nonempty_end(bounds: np.ndarray, cid: int) -> int | None:
-    for j in range(cid - 1, -1, -1):
-        if bounds[j + 1] > bounds[j]:
-            return int(bounds[j + 1])
-    return None

@@ -14,7 +14,6 @@ from .errors import ValidationError
 
 __all__ = [
     "as_uint_array",
-    "as_int_array",
     "require",
     "is_sorted",
     "human_bytes",
@@ -48,16 +47,6 @@ def as_uint_array(values, *, name: str = "array") -> np.ndarray:
     if np.issubdtype(arr.dtype, np.signedinteger) and arr.size and int(arr.min()) < 0:
         raise ValidationError(f"{name} must be non-negative")
     return arr.astype(np.uint64, copy=False)
-
-
-def as_int_array(values, *, name: str = "array") -> np.ndarray:
-    """Coerce *values* to a 1-D ``int64`` array."""
-    arr = np.asarray(values)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError(f"{name} must be an integer array, got dtype {arr.dtype}")
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be 1-D, got shape {arr.shape}")
-    return arr.astype(np.int64, copy=False)
 
 
 def is_sorted(arr: np.ndarray) -> bool:

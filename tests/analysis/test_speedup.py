@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.speedup import (
     SpeedupCurve,
     amdahl_fit,
-    amdahl_time,
     efficiency,
     speedup_percent,
     speedup_ratio,
@@ -32,15 +31,10 @@ class TestMetrics:
 
 
 class TestAmdahl:
-    def test_time_formula(self):
-        assert amdahl_time(100, 0.0, 4) == 25.0
-        assert amdahl_time(100, 1.0, 64) == 100.0
-        assert amdahl_time(100, 0.5, 2) == 75.0
-
     def test_fit_recovers_exact_curve(self):
         s = 0.2
         ps = [1, 2, 4, 8, 16, 64]
-        ts = [amdahl_time(50, s, p) for p in ps]
+        ts = [50 * (s + (1 - s) / p) for p in ps]  # Amdahl's law
         assert amdahl_fit(ps, ts) == pytest.approx(s, abs=1e-9)
 
     def test_fit_clamped_to_unit_interval(self):

@@ -77,31 +77,3 @@ class TestRenderSeries:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             render_series("S", {})
-
-
-class TestToCsv:
-    def test_basic(self):
-        from repro.analysis.tables import to_csv
-
-        out = to_csv(["a", "b"], [[1, "x"], [2, 'quo"te,']])
-        lines = out.splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,x"
-        assert lines[2] == '2,"quo""te,"'
-
-    def test_validation(self):
-        from repro.analysis.tables import to_csv
-
-        with pytest.raises(ValidationError):
-            to_csv([], [])
-        with pytest.raises(ValidationError, match="row 0"):
-            to_csv(["a"], [[1, 2]])
-
-    def test_table2_export(self):
-        from repro.analysis.experiments import run_table2
-
-        result = run_table2(scale=1 / 4000, min_edges=4000,
-                            graphs=("webnotredame",), processors=(1, 4))
-        csv = result.to_csv()
-        assert csv.splitlines()[0].startswith("graph,nodes,edges")
-        assert len(csv.splitlines()) == 3

@@ -98,15 +98,6 @@ class TestFieldAccess:
             assert ba.read_uint(pos, width) == value
 
 
-class TestConcat:
-    @pytest.mark.parametrize("la,lb", [(0, 5), (8, 8), (3, 11), (13, 29)])
-    def test_concat_bitwise(self, la, lb, rng):
-        a_bits = rng.integers(0, 2, la).tolist()
-        b_bits = rng.integers(0, 2, lb).tolist()
-        got = BitArray.from_bits(a_bits).concat(BitArray.from_bits(b_bits))
-        assert got.to_bits().tolist() == a_bits + b_bits
-
-
 class TestBlitBits:
     @pytest.mark.parametrize("pos", [0, 1, 7, 8, 13, 64])
     def test_blit_any_alignment(self, pos, rng):

@@ -6,8 +6,11 @@ tickets span shards — runs through two clusters: 4 shards x 2 replicas
 with hedging at the 50th percentile and one slow replica, and 2 shards
 x 2 replicas with one worker failing mid-flight.  What a client, a
 snapshot or a shard worker can see is pinned to the figures recorded
-on the parent commit (ac330db), before the scatter became one split by
-shard runs and the gather the serve loop's lane-wise ``_complete``:
+on a tree (ac330db) from before the scatter became one split by shard
+runs and the gather the serve loop's lane-wise ``_complete``, and
+re-recorded once a closed window stopped taking the requests that
+arrived after its close time (the schedule submits without pumping, so
+95 tickets of each setup used to read a negative wait):
 
 * every ticket's ``(status, dispatch_ns, complete_ns, reply)``;
 * ``snapshot()``;
@@ -40,18 +43,18 @@ from repro.serve import (
 
 PARENT = {
     "2x2-failover": {
-        "statuses": {"done": 500}, "tickets": "ef6d7eb359b1b872b659",
+        "statuses": {"done": 500}, "tickets": "340f6c83ff57e192cb1d",
         "snapshot": {
             "accepted": 500, "completed": 500, "rejected": 0, "shed": 0,
-            "blocked": 0, "batches": 100,
-            "close_reasons": {"window": 95, "size": 4, "flush": 1},
-            "duplicates_coalesced": 45, "queue_depth_high_watermark": 12,
-            "batch_size_histogram": {1: 19, 2: 28, 3: 42, 4: 11},
-            "wait_ns_histogram": {0: 101, 5: 4, 6: 21, 7: 21, 8: 15, 9: 111,
-                                  10: 205, 12: 22},
-            "wait_ns_p50": 350.0, "wait_ns_p95": 600.0, "wait_ns_p99": 3330.0,
-            "latency_ns_p50": 5814.125, "latency_ns_p95": 32861.48749999998,
-            "latency_ns_p99": 41161.9, "service_ns_total": 458293.75,
+            "blocked": 0, "batches": 128,
+            "close_reasons": {"window": 124, "size": 3, "flush": 1},
+            "duplicates_coalesced": 41, "queue_depth_high_watermark": 12,
+            "batch_size_histogram": {0: 30, 1: 18, 2: 30, 3: 40, 4: 10},
+            "wait_ns_histogram": {0: 4, 5: 6, 6: 25, 7: 15, 8: 23, 9: 146,
+                                  10: 270, 12: 11},
+            "wait_ns_p50": 560.0, "wait_ns_p95": 600.0, "wait_ns_p99": 3040.0,
+            "latency_ns_p50": 6683.75, "latency_ns_p95": 58368.87499999995,
+            "latency_ns_p99": 71214.75, "service_ns_total": 523718.25,
             "elapsed_s": None, "writes": 0, "write_noops": 0,
             "write_ns_p50": 0.0, "write_ns_p95": 0.0, "write_ns_p99": 0.0,
             "memtable_edges": 0, "compactions": 0, "admission_enabled": True,
@@ -59,31 +62,31 @@ PARENT = {
         "cluster_stats": {
             "shards": 2, "replicas": 2,
             "per_worker": [
-                (0, 0, False, 26, 103, 118636.5, 0),
-                (1, 0, True, 75, 285, 334856.75, 0),
-                (2, 1, True, 27, 35, 78589.5, 0),
-                (3, 1, True, 27, 37, 83630.75, 0),
+                (0, 0, False, 32, 102, 136057.25, 0),
+                (1, 0, True, 92, 289, 375028.0, 0),
+                (2, 1, True, 29, 34, 81037.5, 0),
+                (3, 1, True, 27, 39, 83709.25, 0),
             ],
-            "per_shard": {0: 101, 1: 54}, "subs_dispatched": 155,
+            "per_shard": {0: 124, 1: 56}, "subs_dispatched": 180,
             "hedges_launched": 0, "duplicate_completions": 0, "retries": 1,
             "failed_requests": 0, "quota_rejected": 0,
         },
-        "serves": {0: 26, 1: 75, 2: 27, 3: 27},
-        "serves_digest": "da965f46d0466d94ca44",
+        "serves": {0: 32, 1: 92, 2: 29, 3: 27},
+        "serves_digest": "8d1544d7471438281a91",
     },
     "4x2-hedged": {
-        "statuses": {"done": 500}, "tickets": "492088c7d8eb4a04f0a2",
+        "statuses": {"done": 500}, "tickets": "715a2b944087f97a79ad",
         "snapshot": {
             "accepted": 500, "completed": 500, "rejected": 0, "shed": 0,
-            "blocked": 0, "batches": 100,
-            "close_reasons": {"window": 95, "size": 4, "flush": 1},
-            "duplicates_coalesced": 45, "queue_depth_high_watermark": 12,
-            "batch_size_histogram": {1: 19, 2: 28, 3: 42, 4: 11},
-            "wait_ns_histogram": {0: 101, 5: 4, 6: 21, 7: 21, 8: 15, 9: 111,
-                                  10: 205, 12: 22},
-            "wait_ns_p50": 350.0, "wait_ns_p95": 600.0, "wait_ns_p99": 3330.0,
-            "latency_ns_p50": 45443.375, "latency_ns_p95": 82627.23749999999,
-            "latency_ns_p99": 90927.65, "service_ns_total": 457772.75,
+            "blocked": 0, "batches": 128,
+            "close_reasons": {"window": 124, "size": 3, "flush": 1},
+            "duplicates_coalesced": 41, "queue_depth_high_watermark": 12,
+            "batch_size_histogram": {0: 30, 1: 18, 2: 30, 3: 40, 4: 10},
+            "wait_ns_histogram": {0: 4, 5: 6, 6: 25, 7: 15, 8: 23, 9: 146,
+                                  10: 270, 12: 11},
+            "wait_ns_p50": 560.0, "wait_ns_p95": 600.0, "wait_ns_p99": 3040.0,
+            "latency_ns_p50": 68113.25, "latency_ns_p95": 126170.62499999996,
+            "latency_ns_p99": 139016.5, "service_ns_total": 520751.5,
             "elapsed_s": None, "writes": 0, "write_noops": 0,
             "write_ns_p50": 0.0, "write_ns_p95": 0.0, "write_ns_p99": 0.0,
             "memtable_edges": 0, "compactions": 0, "admission_enabled": True,
@@ -91,21 +94,21 @@ PARENT = {
         "cluster_stats": {
             "shards": 4, "replicas": 2,
             "per_worker": [
-                (0, 0, True, 99, 361, 445207.75, 0),
-                (1, 0, True, 98, 350, 437332.0, 0),
-                (2, 1, True, 18, 19, 48022.75, 2),
-                (3, 1, True, 5, 6, 303305.0, 0),
+                (0, 0, True, 119, 361, 490225.0, 0),
+                (1, 0, True, 119, 354, 487475.0, 0),
+                (2, 1, True, 17, 19, 45522.75, 2),
+                (3, 1, True, 5, 6, 303320.0, 0),
                 (4, 2, True, 2, 2, 5039.0, 0),
                 (5, 2, True, 2, 2, 5054.75, 0),
-                (6, 3, True, 33, 49, 109064.25, 0),
-                (7, 3, True, 32, 47, 106486.75, 0),
+                (6, 3, True, 37, 53, 116661.5, 0),
+                (7, 3, True, 37, 52, 116656.25, 0),
             ],
-            "per_shard": {0: 197, 1: 23, 2: 4, 3: 65}, "subs_dispatched": 289,
-            "hedges_launched": 116, "duplicate_completions": 116, "retries": 0,
-            "failed_requests": 0, "quota_rejected": 0,
+            "per_shard": {0: 238, 1: 22, 2: 4, 3: 74}, "subs_dispatched": 338,
+            "hedges_launched": 143, "duplicate_completions": 143,
+            "retries": 0, "failed_requests": 0, "quota_rejected": 0,
         },
-        "serves": {0: 99, 1: 98, 2: 18, 3: 5, 4: 2, 5: 2, 6: 33, 7: 32},
-        "serves_digest": "941b79b7ab1b3cc5b6c4",
+        "serves": {0: 119, 1: 119, 2: 17, 3: 5, 4: 2, 5: 2, 6: 37, 7: 37},
+        "serves_digest": "6bd9c019c55ad103f7f8",
     },
 }
 

@@ -117,7 +117,8 @@ class TestMemory:
 class TestBridges:
     def test_dense_roundtrip(self, tiny_graph):
         g = CSRGraph.from_dense(tiny_graph)
-        assert np.array_equal(g.to_dense(), tiny_graph)
+        assert np.array_equal(np.stack(g.edges(), axis=1),
+                              np.argwhere(tiny_graph))
         assert g.num_edges == tiny_graph.sum()
 
     def test_from_dense_rejects_rect(self):
@@ -132,25 +133,7 @@ class TestBridges:
     def test_networkx_roundtrip(self, small):
         nxg = small.to_networkx()
         assert nxg.number_of_nodes() == 4
-        back = CSRGraph.from_networkx(nxg)
-        assert back == small
-
-    def test_from_networkx_undirected_symmetrises(self):
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(3))
-        g.add_edge(0, 2)
-        csr = CSRGraph.from_networkx(g)
-        assert csr.has_edge(0, 2) and csr.has_edge(2, 0)
-
-    def test_from_networkx_requires_contiguous_labels(self):
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_edge("a", "b")
-        with pytest.raises(ValidationError, match="labelled"):
-            CSRGraph.from_networkx(g)
+        assert sorted(nxg.edges()) == list(zip(*(a.tolist() for a in small.edges())))
 
     def test_equality(self, small):
         other = CSRGraph(small.indptr.copy(), small.indices.copy())

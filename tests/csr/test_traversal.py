@@ -1,11 +1,11 @@
-"""BFS / components against networkx."""
+"""BFS against networkx, and the degree histogram."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.csr.builder import build_csr_serial, ensure_sorted
-from repro.csr.traversal import bfs_levels, connected_components, degree_histogram
+from repro.csr.traversal import bfs_levels, degree_histogram
 from repro.errors import QueryError
 from repro.parallel import SimulatedMachine
 
@@ -36,22 +36,6 @@ class TestBfs:
     def test_bad_source(self, graph):
         with pytest.raises(QueryError):
             bfs_levels(graph, graph.num_nodes)
-
-
-class TestComponents:
-    def test_matches_networkx_weak_components(self, graph):
-        nxg = graph.to_networkx()
-        want = list(nx.weakly_connected_components(nxg))
-        got = connected_components(graph)
-        # same partition: map each nx component to a single label
-        labels = {frozenset(c): {int(got[v]) for v in c} for c in want}
-        for comp, ids in labels.items():
-            assert len(ids) == 1, comp
-        assert len({next(iter(v)) for v in labels.values()}) == len(want)
-
-    def test_singleton_components(self):
-        g = build_csr_serial(np.zeros(0, np.int64), np.zeros(0, np.int64), 3)
-        assert connected_components(g).tolist() == [0, 1, 2]
 
 
 class TestDegreeHistogram:

@@ -36,7 +36,6 @@ class TestStandin:
         ds = standin("pokec", scale=1 / 100)
         assert ds.num_edges == pytest.approx(ds.paper.num_edges / 100, rel=0.01)
         assert ds.num_nodes == pytest.approx(ds.paper.num_nodes / 100, rel=0.01)
-        assert ds.scale_factor() == pytest.approx(1 / 100, rel=0.01)
 
     def test_sorted_and_in_range(self):
         ds = standin("webnotredame", scale=1 / 20)

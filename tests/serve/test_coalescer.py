@@ -2,18 +2,24 @@
 
 Every closure rule is pinned against a hand-advanced clock: size
 before window, window before size, flush-on-shutdown, forced closure,
-and the analytic (poll-cadence-independent) window close stamp.
+the analytic (poll-cadence-independent) window close stamp, and a
+closed window holding only the requests that arrived by its close.
 """
 
 import numpy as np
 import pytest
 
+from repro.csr import build_csr_serial
 from repro.errors import ValidationError
 from repro.serve import (
+    DONE,
+    PENDING,
     EdgeRequest,
+    GraphQueryServer,
     ManualClock,
     MicroBatchCoalescer,
     NeighborsRequest,
+    ServerConfig,
 )
 
 
@@ -78,6 +84,31 @@ class TestWindowClosure:
         clock.advance(5_000)  # poll runs much later
         batch = co.poll()
         assert batch.closed_ns == 500.0
+
+    def test_window_holds_only_what_arrived_by_its_close(self, clock):
+        """A request offered after the oldest window expired is not in
+        that window's batch: it opens the next window."""
+        co = MicroBatchCoalescer(max_batch_size=100, max_wait_ns=10_000, clock=clock)
+        co.offer(_req(0, clock))
+        clock.advance_to(100_000)
+        assert co.offer(_req(1, clock))  # the oldest window has expired
+        batch = co.poll()
+        assert batch.closed_by == "window"
+        assert batch.closed_ns == 10_000.0
+        assert [r.node for r in batch.requests] == [0]
+        assert co.poll() is None
+        assert co.next_close_ns == 110_000.0
+
+    def test_late_requests_are_counted_from_the_tail(self, clock):
+        co = MicroBatchCoalescer(max_batch_size=100, max_wait_ns=500, clock=clock)
+        for t in (0, 200, 500, 900, 901):
+            clock.advance_to(t)
+            co.offer(_req(t, clock))
+        batch = co.poll()
+        assert [r.node for r in batch.requests] == [0, 200, 500]  # 500 is on time
+        assert co.poll() is None  # 900's window closes at 1,400
+        clock.advance_to(1_400)
+        assert [r.node for r in co.poll().requests] == [900, 901]
 
     def test_zero_window_drains_every_poll(self, clock):
         co = MicroBatchCoalescer(max_batch_size=100, max_wait_ns=0, clock=clock)
@@ -163,3 +194,31 @@ class TestValidation:
             clock.advance(-1)
         clock.advance_to(3)  # past target: no-op, never rewinds
         assert clock() == 5
+
+
+class TestTwoSubmitsWithoutAPump:
+    """Submits at 0 and at 100 us on a 10 us window, nothing pumped in
+    between: the first window closed at 10 us over the first request
+    only, and no request ever reads a negative wait."""
+
+    def test_the_late_submit_starts_the_next_window(self):
+        store = build_csr_serial(np.array([0, 1]), np.array([1, 0]), 2)
+        clock = ManualClock()
+        server = GraphQueryServer(
+            store, config=ServerConfig(max_batch_size=64, max_wait_ns=10_000),
+            clock=clock)
+        first = server.submit(NeighborsRequest(node=0))
+        clock.advance_to(100_000)
+        second = server.submit(NeighborsRequest(node=1))
+        assert first.status == DONE
+        assert first.request.dispatch_ns == 10_000.0
+        assert first.request.wait_ns == 10_000.0
+        assert second.status == PENDING
+        assert server.next_wakeup_ns() == 110_000.0
+        server.drain()
+        assert second.status == DONE
+        assert second.request.wait_ns >= 0
+        assert second.request.latency_ns >= 0
+        snap = server.snapshot()
+        assert snap.batches == 2
+        assert snap.close_reasons == {"window": 1, "flush": 1}

@@ -9,17 +9,21 @@ drives a monolithic server.
 import numpy as np
 import pytest
 
+from repro.analysis.serving import render_load_result
 from repro.csr.builder import build_csr_serial, ensure_sorted
 from repro.csr.packed import BitPackedCSR
 from repro.errors import ValidationError
 from repro.serve import (
+    DONE,
     SLO,
     GraphQueryServer,
     LoadResult,
     ManualClock,
     ServerConfig,
     open_server,
+    replay,
     run_open_loop,
+    synthetic_workload,
 )
 
 
@@ -64,7 +68,7 @@ class TestOpenLoop:
         assert len(result.violations) == 2
         assert any("p99" in v for v in result.violations)
         assert any("qps" in v for v in result.violations)
-        assert "qps" in result.describe()
+        assert "p99" in render_load_result(result)
 
     def test_generous_slo_is_met(self, edges):
         result = run_open_loop(_server(edges), n_requests=200,
@@ -102,6 +106,26 @@ class TestOpenLoop:
         assert router.snapshot().completed == 400
         stats = router.cluster_stats()
         assert sum(w.requests_served for w in stats.per_worker) > 0
+
+    @pytest.mark.parametrize("layout", [{}, {"workers": 4, "replicas": 2}],
+                             ids=["monolith", "router"])
+    def test_is_replay_of_its_schedule(self, edges, layout):
+        """One driver: the load harness's slots and latencies are
+        replay's on the same seeded schedule."""
+        n = edges[2]
+        harness = _server(edges, **layout)
+        result = run_open_loop(harness, n_requests=300, offered_qps=4e6, seed=9)
+        replayed = _server(edges, **layout)
+        slots = replay(replayed, synthetic_workload(
+            300, n, mean_interarrival_ns=1e9 / 4e6, seed=9))
+        lat = np.array([s.request.latency_ns for s in slots])
+        assert [s.status for s in slots].count(DONE) == result.completed == 300
+        assert list(np.percentile(lat, [50.0, 95.0, 99.0]) / 1e6) == [
+            result.p50_ms, result.p95_ms, result.p99_ms]
+        assert max(s.request.complete_ns for s in slots) / 1e9 == result.duration_s
+        a, b = harness.snapshot(), replayed.snapshot()
+        assert (a.batches, a.close_reasons, a.latency_ns_p99) == (
+            b.batches, b.close_reasons, b.latency_ns_p99)
 
     def test_requires_manual_clock(self, edges):
         src, dst, n = edges

@@ -111,3 +111,29 @@ class TestReplay:
         assert snap_a.latency_ns_p99 == snap_b.latency_ns_p99
         for a, b in zip(slots_a, slots_b):
             assert a.request.wait_ns == b.request.wait_ns
+
+    def _windowed(self, store, clock):
+        return GraphQueryServer(
+            store, config=ServerConfig(max_batch_size=64, max_wait_ns=10_000),
+            clock=clock)
+
+    def test_a_window_closed_batch_completes_at_its_close(self, store):
+        """Arrivals at 0 and 100 us on a 10 us window: the first batch
+        closes and completes at 10 us, not at the next arrival."""
+        server = self._windowed(store, ManualClock())
+        first, second = replay(server, [(0.0, NeighborsRequest(node=0)),
+                                        (100_000.0, NeighborsRequest(node=1))])
+        assert first.request.dispatch_ns == 10_000.0
+        assert first.request.complete_ns == 10_000.0
+        assert first.request.latency_ns == 10_000.0
+        assert second.status == DONE
+        assert server.snapshot().close_reasons == {"window": 1, "flush": 1}
+
+    def test_arrivals_are_offsets_from_the_clock_at_start(self, store):
+        def latencies(start_ns):
+            server = self._windowed(store, ManualClock(start_ns))
+            wl = synthetic_workload(200, store.num_nodes,
+                                    mean_interarrival_ns=3_000, seed=4)
+            return [s.request.latency_ns for s in replay(server, wl)]
+
+        assert latencies(7e9) == pytest.approx(latencies(0.0), abs=1e-3)

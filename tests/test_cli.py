@@ -136,6 +136,24 @@ class TestBench:
         assert rc == 0
         assert "Figure" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("artifact,title", [
+        ("table2", "Table II claims"), ("fig6", "Figure 6 claims"),
+        ("fig7", "Figure 7 claims")])
+    def test_shape_verdicts_follow_the_artifact(self, artifact, title, capsys):
+        """Each artifact is followed by its own PASS/FAIL shape verdicts
+        (and Figure 7 by the Amdahl serial fraction of every graph)."""
+        rc = main(["bench", artifact, "--scale", "0.0003", "--min-edges", "3000"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert title in out
+        verdicts = out[out.index(title):].splitlines()
+        assert any(line.startswith(("PASS", "FAIL")) for line in verdicts)
+        amdahl = "Amdahl serial fractions" in out
+        assert amdahl == (artifact == "fig7")
+        if amdahl:
+            for name in ("livejournal", "pokec", "orkut", "webnotredame"):
+                assert f"  {name}: 0." in out
+
 
 class TestServeBench:
     def test_smoke_tiny_graph(self, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.utils import (
-    as_int_array,
     as_uint_array,
     batched,
     bits_for_count,
@@ -50,15 +49,6 @@ class TestAsUintArray:
 
     def test_empty_ok(self):
         assert as_uint_array([]).shape == (0,)
-
-
-class TestAsIntArray:
-    def test_roundtrip(self):
-        assert as_int_array([-3, 0, 3]).dtype == np.int64
-
-    def test_rejects_floats(self):
-        with pytest.raises(ValidationError):
-            as_int_array(np.array([1.0]))
 
 
 class TestIsSorted:
