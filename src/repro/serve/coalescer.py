@@ -7,17 +7,33 @@ requests one at a time.  :class:`MicroBatchCoalescer` holds arrivals
 in a FIFO and closes a batch when *either* bound trips:
 
 * **size** — the queue reached ``max_batch_size`` (throughput bound);
-* **window** — the oldest queued request has waited ``max_wait_ns``
-  (latency bound); the batch holds the requests that had arrived by
-  that close time;
+* **window** — the open window has lasted ``max_wait_ns`` (latency
+  bound); the batch holds the requests that had arrived by that close
+  time;
 * **flush** — the server is draining (shutdown, or a ``block``
   admission policy forcing room).
+
+A window opens when a request is offered into an empty queue, at the
+``now`` that offer is given, and is held in one stamp, ``opened_ns``:
+:meth:`~MicroBatchCoalescer.poll`, :meth:`~MicroBatchCoalescer.offer`'s
+due test and :attr:`~MicroBatchCoalescer.next_close_ns` all read it.
+Every close, shed or flush that leaves requests queued re-opens the
+window at the new head's ``enqueue_ns``.  The serve loop dispatches an
+expired window *before* it offers the request that found it expired,
+at the clock's reading after that dispatch, so on the wall clock the
+late request's window is counted from the end of the dispatch it
+waited through (its latency still counts from its arrival).
+
+A late request never rides in an expired window, on either close
+path: a window batch takes only the requests whose ``enqueue_ns`` is
+at most its close time, and a queue that reached ``max_batch_size``
+only after its window expired closes by window, not by size.
 
 The clock is an injectable callable (``() -> ns``) so tests drive
 closure deterministically with a
 :class:`~repro.serve.request.ManualClock`.  Window closures stamp the
-*analytic* close time — ``oldest.enqueue_ns + max_wait_ns`` — rather
-than whenever the poll happened to run, keeping latency accounting
+*analytic* close time — ``opened_ns + max_wait_ns`` — rather than
+whenever the poll happened to run, keeping latency accounting
 independent of poll cadence.
 
 A closed :class:`MicroBatch` carries its dedup :meth:`~MicroBatch.plan`:
@@ -27,6 +43,7 @@ one kernel lane each, while every ticket keeps its own reply slot.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -124,14 +141,14 @@ class MicroBatchCoalescer:
         (``1`` degenerates to one-request-at-a-time serving — the
         bench baseline).
     max_wait_ns:
-        Close a (possibly partial) batch once the oldest queued
-        request has waited this long; ``0`` means every poll drains
-        immediately.
+        Close a (possibly partial) batch once the open window has
+        lasted this long; ``0`` means every poll drains immediately.
     clock:
         Nanosecond monotonic clock; injectable for deterministic tests.
     """
 
-    __slots__ = ("max_batch_size", "max_wait_ns", "_clock", "queue")
+    __slots__ = ("max_batch_size", "max_wait_ns", "_clock", "queue",
+                 "opened_ns")
 
     def __init__(
         self,
@@ -147,6 +164,9 @@ class MicroBatchCoalescer:
         self._clock = clock
         #: the FIFO of admitted, not yet closed requests (oldest first)
         self.queue: deque[Request] = deque()
+        #: when the open window opened; ``inf`` while the queue is empty,
+        #: so ``opened_ns + max_wait_ns`` is never due without a window
+        self.opened_ns = math.inf
 
     @property
     def pending(self) -> int:
@@ -155,56 +175,56 @@ class MicroBatchCoalescer:
 
     @property
     def next_close_ns(self) -> float | None:
-        """Clock time at which the oldest queued request's wait window
-        expires (``None`` with an empty queue) — the wakeup a
-        virtual-time driver must pump at to avoid stalling a partial
-        batch."""
+        """Clock time at which the open window expires (``None`` with an
+        empty queue) — the wakeup a virtual-time driver must pump at to
+        avoid stalling a partial batch; :meth:`poll` closes it at
+        exactly this time."""
         if not self.queue:
             return None
-        oldest = self.queue[0].enqueue_ns
-        if oldest is None:  # pragma: no cover - offers always stamped
-            return None
-        return float(oldest) + self.max_wait_ns
+        return self.opened_ns + self.max_wait_ns
 
     def offer(self, request: Request, now: float | None = None) -> bool:
-        """Append one admitted request (never closes here); True when
+        """Append one admitted request (never closes here); an offer into
+        an empty queue opens the window at *now*.  True when
         :meth:`poll` at *now* would close a batch — size reached or the
-        oldest window expired — so a caller polls only then."""
-        queue = self.queue
-        queue.append(request)
-        if len(queue) >= self.max_batch_size:
-            return True
+        window expired — so a caller polls only then."""
         if now is None:
             now = self._clock()
-        oldest = queue[0].enqueue_ns
-        return oldest is not None and now >= oldest + self.max_wait_ns
+        queue = self.queue
+        if not queue:
+            self.opened_ns = float(now)
+        queue.append(request)
+        return (len(queue) >= self.max_batch_size
+                or now >= self.opened_ns + self.max_wait_ns)
 
     def poll(self, now: float | None = None) -> MicroBatch | None:
         """Return the next closed batch, or None while both bounds hold.
 
-        Size closure wins when both trip at once (it yields the fuller
+        An expired window closes first, at its analytic close time,
+        over the requests that had arrived by then: a request that
+        arrived later starts the next window, even when it filled the
+        queue to ``max_batch_size``.  Size closure wins when the batch
+        was already full by the window's close (it yields the fuller
         batch and stamps the later close time).
         """
-        if not self.queue:
+        queue = self.queue
+        if not queue:
             return None
         if now is None:
             now = self._clock()
-        if len(self.queue) >= self.max_batch_size:
-            return self._close(self.max_batch_size, "size", now)
-        oldest = self.queue[0].enqueue_ns
-        # compare against the same `oldest + max_wait_ns` expression
-        # next_close_ns advertises: `now - oldest >= max_wait_ns` can
-        # round the other way, leaving a wakeup that never fires
-        if oldest is not None and now >= oldest + self.max_wait_ns:
-            # analytic close time: independent of when the poll ran; the
-            # window holds only what had arrived by then — a later
-            # arrival (the submit that found the window expired) starts
-            # the next one
-            close = oldest + self.max_wait_ns
-            queue, k = self.queue, len(self.queue)
-            while queue[k - 1].enqueue_ns > close:
+        k = min(len(queue), self.max_batch_size)
+        # the same `opened_ns + max_wait_ns` expression next_close_ns
+        # advertises: `now - opened >= max_wait_ns` can round the other
+        # way, leaving a wakeup that never fires
+        close = self.opened_ns + self.max_wait_ns
+        if now >= close:
+            # counted from the tail: the late arrivals are the last ones
+            while k > 1 and queue[k - 1].enqueue_ns > close:
                 k -= 1
-            return self._close(k, "window", close)
+            if k < self.max_batch_size:
+                return self._close(k, "window", close)
+        if k == self.max_batch_size:
+            return self._close(k, "size", now)
         return None
 
     def flush(self, now: float | None = None) -> list[MicroBatch]:
@@ -227,9 +247,24 @@ class MicroBatchCoalescer:
             now = self._clock()
         return self._close(min(len(self.queue), self.max_batch_size), reason, now)
 
+    def shed(self) -> Request:
+        """Drop and return the oldest queued request (the ``shed-oldest``
+        admission policy); the window re-opens at the new head's
+        arrival."""
+        victim = self.queue.popleft()
+        self._reopen()
+        return victim
+
     def _close(self, k: int, reason: str, closed_ns: float) -> MicroBatch:
-        taken = tuple(self.queue.popleft() for _ in range(k))
+        queue = self.queue
+        taken = tuple(queue.popleft() for _ in range(k))
+        self._reopen()
         return MicroBatch(requests=taken, closed_by=reason, closed_ns=float(closed_ns))
+
+    def _reopen(self) -> None:
+        """Open the window of what is left at its head's arrival."""
+        queue = self.queue
+        self.opened_ns = float(queue[0].enqueue_ns) if queue else math.inf
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -121,8 +121,10 @@ class ServeLoop:
     def submit(self, request: Request) -> ReplySlot:
         """Admit one request; returns its reply handle immediately.
 
-        Tenant quota (where enforced), then queue admission, then
-        coalescing.  The slot may already be terminal on return:
+        Tenant quota (where enforced), then queue admission, then the
+        dispatch of a queued window that expired before this request
+        arrived, then coalescing.  The slot may already be terminal on
+        return:
         ``rejected`` under a quota or the reject policy at capacity, or
         ``done`` when this submit closed a batch that completed inline
         (by size, by an expired window, or by the ``block`` policy
@@ -164,7 +166,7 @@ class ServeLoop:
                 self._end_root(ticket, now, status="rejected")
                 return slot
             if decision == "shed":
-                victim = self._queue.popleft()
+                victim = self.coalescer.shed()
                 depth -= 1
                 self._slots.pop(victim.ticket)._resolve(SHED)
                 if tenants is not None:
@@ -178,10 +180,19 @@ class ServeLoop:
                     self._dispatch(batch)
         self._slots[ticket] = slot
         admission.record_admitted(depth + 1)
+        coalescer = self.coalescer
+        if now >= coalescer.opened_ns + coalescer.max_wait_ns:
+            # the queued window expired before this request arrived:
+            # serve it first, then offer the request at the clock's
+            # reading after that dispatch, so it opens the next window
+            # instead of waiting out the dispatch inside its own (its
+            # latency still counts from request.enqueue_ns)
+            self._serve_due(now)
+            now = self._clock()
         # pump only when it has work at `now`: a batch to close, a job
         # slice to grant, or an in-flight event (router) that is due
         events = self._events
-        if (self.coalescer.offer(request, now) or self._jobs
+        if (coalescer.offer(request, now) or self._jobs
                 or (events and events[0][0] <= now)):
             self.pump(now)
         return slot
@@ -345,19 +356,25 @@ class ServeLoop:
         window expired), then grant the front analytics job its work
         slices; returns the number of batches dispatched.  Call between
         arrivals when driving the front door from a schedule."""
+        served = self._serve_due(now)
+        if self._jobs:
+            self._pump_jobs()
+        return served
+
+    def _serve_due(self, now: float | None) -> int:
+        """:meth:`pump` less the job slice: land the events and dispatch
+        the batches due by *now*; returns the batches dispatched."""
         self._run_events(now)
         served = 0
         while (batch := self.coalescer.poll(now)) is not None:
             self._dispatch(batch)
             served += 1
             self._run_events(now)
-        if self._jobs:
-            self._pump_jobs()
         return served
 
     def next_wakeup_ns(self) -> float | None:
         """Earliest clock time at which :meth:`pump` would have work —
-        the oldest queued request's window expiry or the next in-flight
+        the open window's expiry or the next in-flight
         event (``None`` when there is neither).  Virtual-time drivers
         (the load harness) advance their clock here instead of polling."""
         close, events = self.coalescer.next_close_ns, self._events

@@ -10,7 +10,14 @@ on a tree (ac330db) from before the scatter became one split by shard
 runs and the gather the serve loop's lane-wise ``_complete``, and
 re-recorded once a closed window stopped taking the requests that
 arrived after its close time (the schedule submits without pumping, so
-95 tickets of each setup used to read a negative wait):
+95 tickets of each setup used to read a negative wait), and once more
+when a submit that finds the queued window expired dispatches it before
+queueing itself: tickets 356-367 were one size-closed batch at 241,570
+ns, with ticket 367, which arrived at 241,570 ns, filling a window that
+had closed at 238,590 ns (eleven waits of up to 3,040 ns on a 600 ns
+window); they are now a window batch of tickets 356-366 at 238,590 ns,
+and ticket 367 opens the next window (``close_reasons`` window 124 /
+size 3 -> window 125 / size 2):
 
 * every ticket's ``(status, dispatch_ns, complete_ns, reply)``;
 * ``snapshot()``;
@@ -43,17 +50,17 @@ from repro.serve import (
 
 PARENT = {
     "2x2-failover": {
-        "statuses": {"done": 500}, "tickets": "340f6c83ff57e192cb1d",
+        "statuses": {"done": 500}, "tickets": "f4a352184332b578f4c1",
         "snapshot": {
             "accepted": 500, "completed": 500, "rejected": 0, "shed": 0,
             "blocked": 0, "batches": 128,
-            "close_reasons": {"window": 124, "size": 3, "flush": 1},
+            "close_reasons": {"window": 125, "size": 2, "flush": 1},
             "duplicates_coalesced": 41, "queue_depth_high_watermark": 12,
-            "batch_size_histogram": {0: 30, 1: 18, 2: 30, 3: 40, 4: 10},
-            "wait_ns_histogram": {0: 4, 5: 6, 6: 25, 7: 15, 8: 23, 9: 146,
-                                  10: 270, 12: 11},
-            "wait_ns_p50": 560.0, "wait_ns_p95": 600.0, "wait_ns_p99": 3040.0,
-            "latency_ns_p50": 6683.75, "latency_ns_p95": 58368.87499999995,
+            "batch_size_histogram": {0: 30, 1: 17, 2: 31, 3: 40, 4: 10},
+            "wait_ns_histogram": {0: 3, 5: 10, 6: 29, 7: 15, 8: 23, 9: 149,
+                                  10: 271},
+            "wait_ns_p50": 560.0, "wait_ns_p95": 600.0, "wait_ns_p99": 600.0,
+            "latency_ns_p50": 6643.75, "latency_ns_p95": 58368.87499999995,
             "latency_ns_p99": 71214.75, "service_ns_total": 523718.25,
             "elapsed_s": None, "writes": 0, "write_noops": 0,
             "write_ns_p50": 0.0, "write_ns_p95": 0.0, "write_ns_p99": 0.0,
@@ -75,16 +82,16 @@ PARENT = {
         "serves_digest": "8d1544d7471438281a91",
     },
     "4x2-hedged": {
-        "statuses": {"done": 500}, "tickets": "715a2b944087f97a79ad",
+        "statuses": {"done": 500}, "tickets": "e68383e1d9e69d987f8c",
         "snapshot": {
             "accepted": 500, "completed": 500, "rejected": 0, "shed": 0,
             "blocked": 0, "batches": 128,
-            "close_reasons": {"window": 124, "size": 3, "flush": 1},
+            "close_reasons": {"window": 125, "size": 2, "flush": 1},
             "duplicates_coalesced": 41, "queue_depth_high_watermark": 12,
-            "batch_size_histogram": {0: 30, 1: 18, 2: 30, 3: 40, 4: 10},
-            "wait_ns_histogram": {0: 4, 5: 6, 6: 25, 7: 15, 8: 23, 9: 146,
-                                  10: 270, 12: 11},
-            "wait_ns_p50": 560.0, "wait_ns_p95": 600.0, "wait_ns_p99": 3040.0,
+            "batch_size_histogram": {0: 30, 1: 17, 2: 31, 3: 40, 4: 10},
+            "wait_ns_histogram": {0: 3, 5: 10, 6: 29, 7: 15, 8: 23, 9: 149,
+                                  10: 271},
+            "wait_ns_p50": 560.0, "wait_ns_p95": 600.0, "wait_ns_p99": 600.0,
             "latency_ns_p50": 68113.25, "latency_ns_p95": 126170.62499999996,
             "latency_ns_p99": 139016.5, "service_ns_total": 520751.5,
             "elapsed_s": None, "writes": 0, "write_noops": 0,

@@ -2,8 +2,9 @@
 
 Every closure rule is pinned against a hand-advanced clock: size
 before window, window before size, flush-on-shutdown, forced closure,
-the analytic (poll-cadence-independent) window close stamp, and a
-closed window holding only the requests that arrived by its close.
+the analytic (poll-cadence-independent) window close stamp, a closed
+window holding only the requests that arrived by its close (also when
+the late request filled the queue), and the one window-open stamp.
 """
 
 import numpy as np
@@ -110,12 +111,102 @@ class TestWindowClosure:
         clock.advance_to(1_400)
         assert [r.node for r in co.poll().requests] == [900, 901]
 
+    def test_a_late_request_that_fills_the_queue_opens_the_next_window(
+            self, clock):
+        """``max_batch_size - 1`` requests wait in a window that expired
+        before the request that fills the queue arrived: the window
+        closes by window at its own close time without that request,
+        which opens the next window."""
+        co = MicroBatchCoalescer(max_batch_size=4, max_wait_ns=500, clock=clock)
+        for t in (0, 100, 200):
+            clock.advance_to(t)
+            co.offer(_req(t, clock))
+        clock.advance_to(900)
+        assert co.offer(_req(900, clock))  # four queued: the size bound
+        batch = co.poll()
+        assert batch.closed_by == "window"
+        assert batch.closed_ns == 500.0  # opened + max_wait_ns
+        assert [r.node for r in batch.requests] == [0, 100, 200]
+        assert co.poll() is None
+        assert co.opened_ns == 900.0
+        assert co.next_close_ns == 1_400.0
+
+    def test_a_batch_full_by_its_close_closes_by_size(self, clock):
+        co = MicroBatchCoalescer(max_batch_size=3, max_wait_ns=500, clock=clock)
+        for t in (0, 100, 200, 300, 700):
+            clock.advance_to(t)
+            co.offer(_req(t, clock))
+        batch = co.poll()
+        assert (batch.closed_by, batch.closed_ns) == ("size", 700.0)
+        assert [r.node for r in batch.requests] == [0, 100, 200]
+        # what is left re-opens at its head's arrival, 300
+        assert co.next_close_ns == 800.0
+        assert co.poll() is None
+        clock.advance_to(800)
+        batch = co.poll()
+        assert (batch.closed_by, batch.closed_ns) == ("window", 800.0)
+        assert [r.node for r in batch.requests] == [300, 700]
+
     def test_zero_window_drains_every_poll(self, clock):
         co = MicroBatchCoalescer(max_batch_size=100, max_wait_ns=0, clock=clock)
         co.offer(_req(0, clock))
         batch = co.poll()
         assert batch is not None and len(batch) == 1
         assert batch.closed_by == "window"
+
+
+class TestWindowStamp:
+    """One window-open stamp: set by an offer into an empty queue, reset
+    to the new head's arrival by every close or shed that leaves
+    requests queued; poll, offer and next_close_ns all read it."""
+
+    def test_offer_into_an_empty_queue_opens_at_its_now(self, clock):
+        co = MicroBatchCoalescer(max_batch_size=100, max_wait_ns=500, clock=clock)
+        assert co.next_close_ns is None
+        late = _req(0, clock)  # arrived at 0, queued after a dispatch
+        assert not co.offer(late, now=2_000.0)
+        assert co.opened_ns == 2_000.0
+        assert co.next_close_ns == 2_500.0
+        assert co.poll(2_499.0) is None
+        batch = co.poll(2_500.0)
+        assert (batch.closed_by, batch.closed_ns) == ("window", 2_500.0)
+        assert co.next_close_ns is None
+
+    def test_a_later_offer_keeps_the_open_window(self, clock):
+        co = MicroBatchCoalescer(max_batch_size=100, max_wait_ns=500, clock=clock)
+        co.offer(_req(0, clock))
+        clock.advance_to(300)
+        co.offer(_req(300, clock))
+        assert co.opened_ns == 0.0
+
+    def test_shed_reopens_at_the_new_head(self, clock):
+        co = MicroBatchCoalescer(max_batch_size=100, max_wait_ns=500, clock=clock)
+        for t in (0, 100, 200):
+            clock.advance_to(t)
+            co.offer(_req(t, clock))
+        assert co.shed().node == 0
+        assert co.opened_ns == 100.0
+        assert co.next_close_ns == 600.0
+        co.shed()
+        co.shed()
+        assert co.next_close_ns is None
+
+    def test_a_forced_close_reopens_at_the_new_head(self, clock):
+        co = MicroBatchCoalescer(max_batch_size=2, max_wait_ns=500, clock=clock)
+        for t in (0, 100, 200):
+            clock.advance_to(t)
+            co.offer(_req(t, clock))
+        assert len(co.close_batch()) == 2
+        assert co.opened_ns == 200.0
+        assert co.next_close_ns == 700.0
+
+    @pytest.mark.parametrize("wait", [500.0, 0.2, 333.3])
+    def test_poll_closes_exactly_at_next_close_ns(self, clock, wait):
+        co = MicroBatchCoalescer(max_batch_size=100, max_wait_ns=wait, clock=clock)
+        co.offer(_req(0, clock), now=0.1)
+        close = co.next_close_ns
+        assert co.poll(np.nextafter(close, 0.0)) is None
+        assert co.poll(close).closed_ns == close
 
 
 class TestFlush:
